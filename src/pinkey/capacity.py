@@ -16,15 +16,16 @@ end-to-end check of the entropy bookkeeping.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import InvalidAssignmentError, SizeLimitError, UnsupportedModeError
 from .model import Pair, PinModel, TerminalSet, all_pairs
+from .partitions import DEFAULT_TERMINAL_CAP
 from .simplex import solve_lp
 
-DEFAULT_TERMINAL_CAP = 12
 CONSISTENCY_TOLERANCE = 1e-9
 
 
@@ -42,16 +43,10 @@ class SubsetFamily:
     per_terminal: tuple[tuple[int, ...], ...]  # indices of subsets holding i
 
     def index_of(self, mask: int) -> int:
-        lo, hi = 0, len(self.subsets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.subsets[mid] < mask:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.subsets) or self.subsets[lo] != mask:
+        index = bisect_left(self.subsets, mask)
+        if index == len(self.subsets) or self.subsets[index] != mask:
             raise KeyError(f"subset mask {mask:#x} is not in the family")
-        return lo
+        return index
 
     def members(self, index: int) -> tuple[int, ...]:
         return _mask_members(self.subsets[index])

@@ -22,8 +22,6 @@ from .audit import audit
 from .capacity import solve_capacity
 from .errors import (
     AuditFailureError,
-    InvalidScaleError,
-    ModelFormatError,
     PinkeyError,
     SizeLimitError,
     UnsupportedModeError,
@@ -325,20 +323,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (_UsageError, ModelFormatError, UnsupportedModeError,
-            InvalidScaleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT
     except AuditFailureError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT
-    except ValueError as exc:
+    except (OSError, _UsageError, UnsupportedModeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PinkeyError as exc:

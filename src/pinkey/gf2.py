@@ -7,28 +7,19 @@ from typing import Iterable, Sequence
 
 
 def gf2_rank(rows: Sequence[int], ncols: int) -> int:
-    """Rank via Gaussian elimination, first-nonzero pivoting."""
-    work = list(rows)
-    rank = 0
-    top = 0
-    for col in range(ncols):
-        pivot = None
-        bit = 1 << col
-        for r in range(top, len(work)):
-            if work[r] & bit:
-                pivot = r
+    """Rank over the first ``ncols`` columns: each row is reduced against a
+    basis keyed by leading bit and joins it if a new leading bit remains."""
+    mask = (1 << ncols) - 1
+    basis: dict[int, int] = {}
+    for row in rows:
+        row &= mask
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
                 break
-        if pivot is None:
-            continue
-        work[top], work[pivot] = work[pivot], work[top]
-        for r in range(len(work)):
-            if r != top and work[r] & bit:
-                work[r] ^= work[top]
-        rank += 1
-        top += 1
-        if top == len(work):
-            break
-    return rank
+            row ^= basis[lead]
+    return len(basis)
 
 
 @dataclass(frozen=True)

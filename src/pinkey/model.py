@@ -64,6 +64,8 @@ class PairPmf:
         total = 0.0
         for row in self.probs:
             for p in row:
+                if not math.isfinite(p):
+                    raise ValueError(f"non-finite probability {p}")
                 if p < 0.0:
                     raise ValueError(f"negative probability {p}")
                 total += p

@@ -51,7 +51,7 @@ def loads_model(text: str) -> PinModel:
     """Parse a model from JSON text; raises ModelFormatError on any defect."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         _fail("top level must be a JSON object")

@@ -9,9 +9,10 @@ Three packing routes, each certified by an independent count:
   forests simultaneously, swapping along exchange chains), with k taken
   from the partition-count formula as the termination certificate;
 * Steiner packings for intermediate target sets: exact by depth-first
-  search over edge-disjoint trees with a partition-shaped bound for
-  pruning (capped, the problem is NP-hard), or a deterministic
-  shortest-path greedy that lower-bounds the optimum.
+  search over edge-disjoint trees, pruned by the partition bound
+  ``partitions.min_ratio`` on the remaining capacities (capped, the
+  problem is NP-hard), or a deterministic shortest-path greedy that
+  lower-bounds the optimum.
 
 Edge copies are assigned canonically (sorted pair, then 0..e_ij-1), so
 packings are reproducible run to run.
@@ -19,6 +20,7 @@ packings are reproducible run to run.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +28,7 @@ from typing import Iterable, Mapping
 
 from .errors import InvalidPackingError, InvalidTreeError, SizeLimitError
 from .model import EdgeRef, Multigraph, Pair, PinModel, TerminalSet, realize_multigraph
+from . import partitions
 from .partitions import nash_williams_count
 
 STEINER_EXACT_EDGE_CAP = 24
@@ -199,17 +202,12 @@ def max_disjoint_paths(graph: Multigraph, s: int, t: int) -> TreePacking:
     flow: dict[int, dict[int, int]] = {v: {} for v in range(1, graph.m + 1)}
     for (u, v), units in net.items():
         flow[u][v] = units
-    used: Counter = Counter()
-    trees = []
+    chosen = []
     for _ in range(value):
         walk = _walk_unit_path(flow, s, t)
-        edges = []
-        for a, b in zip(walk, walk[1:]):
-            pair = (a, b) if a < b else (b, a)
-            edges.append((pair[0], pair[1], used[pair]))
-            used[pair] += 1
-        trees.append(Tree(tuple(edges)))
-    return TreePacking(graph=graph, target=target, trees=tuple(trees))
+        chosen.append(tuple((a, b) if a < b else (b, a)
+                            for a, b in zip(walk, walk[1:])))
+    return _assign_copies(graph, target, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +399,6 @@ def _approx_steiner_tree(
             tree_pairs.add((a, b) if a < b else (b, a))
             in_tree.add(b)
         pending = [t for t in pending if t not in in_tree]
-
-    # prune any non-target leaf chains (defensive; paths end at terminals)
-    while True:
-        degree: Counter = Counter()
-        for (i, j) in tree_pairs:
-            degree[i] += 1
-            degree[j] += 1
-        dead = [
-            (i, j)
-            for (i, j) in tree_pairs
-            if (degree[i] == 1 and i not in target)
-            or (degree[j] == 1 and j not in target)
-        ]
-        if not dead:
-            break
-        tree_pairs.difference_update(dead)
     return tuple(sorted(tree_pairs))
 
 
@@ -495,46 +477,21 @@ def _steiner_tree_candidates(
     return sorted(found)
 
 
-def _bound_partitions(m: int, target: TerminalSet) -> list[tuple[tuple[int, ...], int]]:
+def _bound_partitions(m: int, target: TerminalSet) -> list[partitions.Partition]:
     """Partitions used for the packing upper bound during exact search.
 
     Any subset of qualifying partitions yields a valid (weaker) bound, so
-    for larger m only the two-atom splits are used.
+    for larger m only the two-atom splits are used: those qualifying for
+    {a0, b}, with a0 the least target terminal and b any other.
     """
-    from .partitions import enumerate_partitions
-
     if m <= 8:
-        return [
-            (p.assignment, p.size)
-            for p in enumerate_partitions(m, target, cap=m)
-        ]
-    amask = target.mask()
-    out = []
-    for mask in range(1, 1 << (m - 1)):  # sides up to complement symmetry
-        if (mask & amask) and ((~mask) & amask):
-            assignment = tuple(0 if mask >> t & 1 else 1 for t in range(m))
-            first = assignment[0]
-            canon = tuple(a ^ first for a in assignment)
-            out.append((canon, 2))
-    return out
-
-
-def _packing_upper_bound(
-    caps: Mapping[Pair, int],
-    partitions_data: list[tuple[tuple[int, ...], int]],
-) -> int:
-    best: int | None = None
-    for assignment, size in partitions_data:
-        crossing = 0
-        for (i, j), count in caps.items():
-            if count and assignment[i - 1] != assignment[j - 1]:
-                crossing += count
-        value = crossing // (size - 1)
-        if best is None or value < best:
-            best = value
-            if best == 0:
-                break
-    return 0 if best is None else best
+        return list(partitions.enumerate_partitions(m, target, cap=m))
+    a0 = target.members[0]
+    return list(dict.fromkeys(
+        split
+        for b in target.members[1:]
+        for split in partitions.enumerate_partitions(m, TerminalSet.of(a0, b), cap=m)
+    ))
 
 
 def _exact_steiner(
@@ -547,7 +504,7 @@ def _exact_steiner(
             f"this graph has {total} (use greedy mode)"
         )
     candidates = _steiner_tree_candidates(graph.support_pairs(), target, graph.m)
-    partitions_data = _bound_partitions(graph.m, target)
+    bound_partitions = _bound_partitions(graph.m, target)
     caps = dict(graph.multiplicities)
 
     greedy = _greedy_steiner(graph, target)
@@ -557,7 +514,10 @@ def _exact_steiner(
 
     def dfs(start: int, count: int) -> None:
         nonlocal best_count, best_choice
-        if count + _packing_upper_bound(caps, partitions_data) <= best_count:
+        # cuts only subtrees that cannot beat best_count, so the packing
+        # found does not depend on which valid bound is used
+        bound = partitions.min_ratio(caps, bound_partitions)[0]
+        if count + math.floor(bound) <= best_count:
             return
         for index in range(start, len(candidates)):
             pairs = candidates[index]

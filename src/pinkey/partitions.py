@@ -1,5 +1,11 @@
 """Partition bounds: the crossing-weight upper bound and tree-packing counts.
 
+``min_ratio`` is the one routine for the minimum over partitions of
+crossing weight / (atoms - 1).  It serves ``best_partition`` (the capacity
+upper bound), ``nash_williams_count`` (its floor on edge multiplicities with
+A = all terminals) and the exact Steiner search in ``packing`` (its floor on
+the remaining edge capacities, as the pruning bound).
+
 Partitions of the terminals stream out as restricted-growth strings, so
 enumeration is canonical and duplicate-free without materializing the whole
 Bell-number family.  Only partitions with at least two atoms are considered
@@ -9,12 +15,13 @@ partitions whose every atom meets A qualify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import SizeLimitError
-from .model import Multigraph, PinModel, TerminalSet
+from .model import Multigraph, Pair, PinModel, TerminalSet
 
 DEFAULT_TERMINAL_CAP = 12
 
@@ -25,6 +32,7 @@ class Partition:
     atoms numbered by first appearance."""
 
     assignment: tuple[int, ...]
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = 0
@@ -38,10 +46,7 @@ class Partition:
                 seen += 1
         if seen < 2:
             raise ValueError("a partition needs at least two atoms")
-
-    @property
-    def size(self) -> int:
-        return max(self.assignment) + 1
+        object.__setattr__(self, "size", seen)
 
     def atoms(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.size)]
@@ -97,16 +102,48 @@ def enumerate_partitions(
     yield from rec(0, 0, 0)
 
 
+def _nonzero_items(table: Mapping[Pair, Fraction | int]) -> list[tuple]:
+    return [(i - 1, j - 1, v) for (i, j), v in table.items() if v]
+
+
+def _crossing(items: list[tuple], assignment: tuple[int, ...]) -> Fraction | int:
+    total = 0
+    for i, j, value in items:
+        if assignment[i] != assignment[j]:
+            total += value
+    return total
+
+
+def min_ratio(
+    table: Mapping[Pair, Fraction | int], partitions: Iterable[Partition]
+) -> tuple[Fraction, Partition]:
+    """Minimum over the partitions of crossing value / (atoms - 1), with the
+    first partition attaining it; ``table`` maps pairs to weights or edge
+    multiplicities.  Values are scaled to integers by their common
+    denominator and compared by cross-multiplication, so the loop builds no
+    Fraction per partition."""
+    scale = math.lcm(*(v.denominator for v in table.values()))
+    items = [(i, j, int(v * scale)) for i, j, v in _nonzero_items(table)]
+    best: Partition | None = None
+    best_crossing, best_parts = 0, 1
+    for partition in partitions:
+        crossing = _crossing(items, partition.assignment)
+        parts = partition.size - 1
+        if best is None or crossing * best_parts < best_crossing * parts:
+            best, best_crossing, best_parts = partition, crossing, parts
+            if crossing == 0:
+                break
+    if best is None:
+        raise ValueError("no partition to minimize over")
+    return Fraction(best_crossing, best_parts * scale), best
+
+
 def crossing_weight(model: PinModel, partition: Partition) -> Fraction:
     """Total weight of pairs whose endpoints lie in different atoms."""
     model.require_exact("crossing weight")
     if len(partition.assignment) != model.m:
         raise ValueError("partition and model have different terminal counts")
-    assert model.weights is not None
-    return sum(
-        (w for (i, j), w in model.weights.items() if partition.crosses(i, j)),
-        Fraction(0),
-    )
+    return Fraction(_crossing(_nonzero_items(model.weights), partition.assignment))
 
 
 def best_partition(
@@ -114,13 +151,7 @@ def best_partition(
 ) -> tuple[Fraction, Partition]:
     """Minimum of crossing-weight / (atoms - 1) with a minimizing partition."""
     model.require_exact("partition bound")
-    best: tuple[Fraction, Partition] | None = None
-    for partition in enumerate_partitions(model.m, target, cap=cap):
-        value = crossing_weight(model, partition) / (partition.size - 1)
-        if best is None or value < best[0]:
-            best = (value, partition)
-    assert best is not None  # the all-singletons partition always qualifies
-    return best
+    return min_ratio(model.weights, enumerate_partitions(model.m, target, cap=cap))
 
 
 def upper_bound(
@@ -140,11 +171,7 @@ def spanning_rate(model: PinModel, cap: int = DEFAULT_TERMINAL_CAP) -> Fraction:
 def crossing_edges(graph: Multigraph, partition: Partition) -> int:
     if len(partition.assignment) != graph.m:
         raise ValueError("partition and graph have different vertex counts")
-    return sum(
-        count
-        for (i, j), count in graph.multiplicities.items()
-        if count and partition.crosses(i, j)
-    )
+    return _crossing(_nonzero_items(graph.multiplicities), partition.assignment)
 
 
 def nash_williams_count(
@@ -154,13 +181,5 @@ def nash_williams_count(
     min over partitions of floor(crossing edges / (atoms - 1))."""
     if graph.m < 2:
         return 0
-    best: int | None = None
-    for partition in enumerate_partitions(graph.m, TerminalSet.full(graph.m),
-                                          cap=cap):
-        value = crossing_edges(graph, partition) // (partition.size - 1)
-        if best is None or value < best:
-            best = value
-            if best == 0:
-                break
-    assert best is not None
-    return best
+    partitions = enumerate_partitions(graph.m, TerminalSet.full(graph.m), cap=cap)
+    return math.floor(min_ratio(graph.multiplicities, partitions)[0])

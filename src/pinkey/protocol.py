@@ -13,6 +13,7 @@ transcript and residual bits together form a bijection of the edge bits.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -147,16 +148,10 @@ class ProtocolRun:
             raise InvalidPackingError("transcript map has wrong shape")
 
     def edge_index(self, edge: EdgeRef) -> int:
-        lo, hi = 0, len(self.edge_order)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.edge_order[mid] < edge:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.edge_order) or self.edge_order[lo] != edge:
+        index = bisect_left(self.edge_order, edge)
+        if index == len(self.edge_order) or self.edge_order[index] != edge:
             raise KeyError(f"edge {edge} is not in this run")
-        return lo
+        return index
 
     def edge_vector(self) -> int:
         """All drawn edge bits packed into an int (bit k = edge k)."""

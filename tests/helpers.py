@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the production code paths: cuts by
 exhaustive bipartition enumeration, partitions via a plain recursive
-builder, Steiner packing by undirected brute force over all tree subsets.
+builder, Steiner packing by undirected brute force over all tree subsets,
+GF(2) rank by column-scan elimination, two-atom splits by bitmask.
 """
 
 from __future__ import annotations
@@ -190,3 +191,42 @@ def brute_steiner_packing_count(graph: Multigraph, target: TerminalSet) -> int:
         return best
 
     return search(0)
+
+
+def elimination_gf2_rank(rows: list[int], ncols: int) -> int:
+    """GF(2) rank by column-scan Gaussian elimination, first-nonzero
+    pivoting over the first ``ncols`` columns."""
+    work = list(rows)
+    rank = 0
+    top = 0
+    for col in range(ncols):
+        pivot = None
+        bit = 1 << col
+        for r in range(top, len(work)):
+            if work[r] & bit:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        work[top], work[pivot] = work[pivot], work[top]
+        for r in range(len(work)):
+            if r != top and work[r] & bit:
+                work[r] ^= work[top]
+        rank += 1
+        top += 1
+        if top == len(work):
+            break
+    return rank
+
+
+def bitmask_splits(m: int, target: TerminalSet) -> list[tuple[int, ...]]:
+    """Canonical assignments of every two-atom split of 1..m whose sides
+    both meet the target, one bitmask per side up to complement."""
+    amask = target.mask()
+    out = []
+    for mask in range(1, 1 << (m - 1)):
+        if (mask & amask) and ((~mask) & amask):
+            assignment = tuple(0 if mask >> t & 1 else 1 for t in range(m))
+            first = assignment[0]
+            out.append(tuple(a ^ first for a in assignment))
+    return out

@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pinkey import (
     AuditFailureError,
@@ -27,7 +29,7 @@ from pinkey import (
     verify_linear_maps,
 )
 
-from helpers import random_multigraph, random_terminal_set
+from helpers import elimination_gf2_rank, random_multigraph, random_terminal_set
 
 PATH_GRAPH = Multigraph(3, {(1, 2): 1, (2, 3): 1})
 DOUBLED_TRIANGLE = Multigraph(3, {(1, 2): 2, (1, 3): 2, (2, 3): 2})
@@ -63,6 +65,23 @@ class TestGf2:
     def test_rejects_overflow_row(self):
         with pytest.raises(ValueError):
             Gf2Matrix((0b100,), 2)
+
+    @given(st.integers(0, 40).flatmap(lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.integers(0, (1 << ncols) - 1), max_size=30))))
+    def test_rank_matches_elimination_on_random_rows(self, case):
+        ncols, rows = case
+        assert gf2_rank(rows, ncols) == elimination_gf2_rank(rows, ncols)
+
+    @given(st.integers(2, 60).flatmap(lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=2),
+                 max_size=60))))
+    def test_rank_matches_elimination_on_two_bit_rows(self, case):
+        # protocol key and transcript rows have one or two bits set
+        ncols, bit_lists = case
+        rows = [sum({1 << b for b in bits}) for bits in bit_lists]
+        assert gf2_rank(rows, ncols) == elimination_gf2_rank(rows, ncols)
 
 
 class TestRankMethod:

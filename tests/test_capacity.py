@@ -61,6 +61,14 @@ class TestSubsetFamily:
             for k in family.per_terminal[t]:
                 assert t + 1 in family.members(k)
 
+    def test_index_of(self):
+        family = subset_family(3, TerminalSet.of(1, 2))
+        for k, mask in enumerate(family.subsets):
+            assert family.index_of(mask) == k
+        for miss in (0, 0b011, 0b111, 0b1000):  # empty, holds A, full, too big
+            with pytest.raises(KeyError, match="not in the family"):
+                family.index_of(miss)
+
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             subset_family(13, TerminalSet.of(1, 2))

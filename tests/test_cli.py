@@ -67,6 +67,18 @@ class TestCapacityCommand:
         code, _, err = run_cli(capsys, "capacity", "/nonexistent.json")
         assert code == 2
 
+    def test_directory_as_model(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "capacity", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, _, err = run_cli(capsys, "capacity", str(path))
+        assert code == 2
+        assert err.startswith("error: not valid JSON") and err.count("\n") == 1
+
     def test_size_limit_exit_code(self, capsys, tmp_path):
         doc = {"terminals": 13, "weights": [{"i": 1, "j": 2, "value": 1}]}
         path = tmp_path / "big.json"
@@ -189,6 +201,17 @@ class TestValidateCommand:
         doc = json.loads(out)
         assert doc["exact"] is False
         assert "base_scale" not in doc
+
+    def test_nan_probability_rejected(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"terminals": 2, "pmfs": [{"i": 1, "j": 2, "rows": 1, "cols": 2,'
+            ' "probs": [NaN, 1.0]}]}'
+        )
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
     def test_float_mode_capacity_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "pmf.json"

@@ -75,6 +75,11 @@ class TestPairPmf:
         with pytest.raises(ValueError):
             PairPmf(((0.5,), (0.25, 0.25)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PairPmf.from_rows([[bad, 1.0]])
+
     def test_transpose_swaps_marginals(self):
         pmf = PairPmf.from_rows([[0.1, 0.2, 0.3], [0.05, 0.15, 0.2]])
         assert pmf.transpose().row_marginals() == pytest.approx(pmf.col_marginals())

@@ -1,9 +1,13 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import pinkey.partitions
 from pinkey import (
     InvalidPackingError,
     InvalidTreeError,
@@ -23,8 +27,10 @@ from pinkey import (
     steiner_packing,
     steiner_rate_lower_bound,
 )
+from pinkey.packing import _bound_partitions
 
 from helpers import (
+    bitmask_splits,
     brute_min_cut,
     brute_steiner_packing_count,
     random_multigraph,
@@ -228,6 +234,41 @@ class TestSteinerPacking:
         assert_valid_packing(greedy)
         assert exact.count == brute_steiner_packing_count(graph, target)
         assert greedy.count <= exact.count
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_unchanged_without_pruning_bound(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        m = rng.randint(4, 10)
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
+        counts = dict.fromkeys(pairs, 0)
+        for _ in range(rng.randint(m, 16)):
+            counts[rng.choice(pairs)] += 1
+        graph = Multigraph(m, counts)
+        target = random_terminal_set(rng, m, size=rng.randint(3, m - 1))
+        pruned = steiner_packing(graph, target, mode="exact")
+        monkeypatch.setattr(pinkey.partitions, "min_ratio",
+                            lambda table, partitions: (Fraction(10**9), None))
+        assert steiner_packing(graph, target, mode="exact") == pruned
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wide_bound_splits_match_bitmask(self, seed):
+        rng = random.Random(seed)
+        m = rng.randint(9, 11)
+        target = random_terminal_set(rng, m)
+        splits = [p.assignment for p in _bound_partitions(m, target)]
+        assert len(set(splits)) == len(splits)
+        assert sorted(splits) == sorted(bitmask_splits(m, target))
+
+    @given(st.integers(0, 10_000))
+    def test_greedy_tree_leaves_are_targets(self, seed):
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, max_m=7, max_mult=3)
+        if graph.m < 4:
+            return
+        target = random_terminal_set(rng, graph.m, size=rng.randint(3, graph.m - 1))
+        for tree in steiner_packing(graph, target, mode="greedy").trees:
+            degree = Counter(v for edge in tree.edges for v in edge[:2])
+            assert all(v in target for v, d in degree.items() if d == 1)
 
     def test_exact_cap(self):
         heavy = Multigraph(5, {p: 3 for p in itertools.combinations(range(1, 6), 2)})

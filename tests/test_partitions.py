@@ -18,6 +18,7 @@ from pinkey import (
     spanning_rate,
     upper_bound,
 )
+from pinkey.partitions import min_ratio
 
 from helpers import (
     brute_nash_williams,
@@ -117,6 +118,34 @@ class TestUpperBound:
         value, partition = best_partition(PATH, FULL3)
         assert value == 1
         assert atoms_as_sets(partition) == {frozenset({1, 2}), frozenset({3})}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        model = random_exact_model(rng, m=rng.randint(2, 6))
+        target = random_terminal_set(rng, model.m)
+        candidates = []
+        for atoms in brute_partitions(model.m):
+            if len(atoms) < 2 or not all(atom & set(target) for atom in atoms):
+                continue
+            atom_of = {v: k for k, atom in enumerate(atoms) for v in atom}
+            # restricted-growth form: atoms numbered by first appearance, so
+            # the least assignment is the first in enumeration order
+            first_seen: dict[int, int] = {}
+            assignment = tuple(
+                first_seen.setdefault(atom_of[t], len(first_seen))
+                for t in range(1, model.m + 1)
+            )
+            crossing = sum(
+                w for (i, j), w in model.weights.items() if atom_of[i] != atom_of[j]
+            )
+            candidates.append((crossing / (len(atoms) - 1), assignment))
+        value, assignment = min(candidates)
+        assert best_partition(model, target) == (value, Partition(assignment))
+
+    def test_no_partition_is_an_error(self):
+        with pytest.raises(ValueError):
+            min_ratio(TRIANGLE.weights, [])
 
 
 class TestSpanningRate:

@@ -129,6 +129,14 @@ class TestRunProtocol:
     def test_deterministic(self):
         assert full_run(DOUBLED_TRIANGLE, seed=9) == full_run(DOUBLED_TRIANGLE, seed=9)
 
+    def test_edge_index(self):
+        run = full_run(DOUBLED_TRIANGLE)
+        for k, edge in enumerate(run.edge_order):
+            assert run.edge_index(edge) == k
+        for miss in ((0, 1, 0), (1, 2, 2), (1, 4, 0), (3, 4, 0)):
+            with pytest.raises(KeyError, match="not in this run"):
+                run.edge_index(miss)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_accounting_and_bijection(self, seed):
         rng = random.Random(seed)
