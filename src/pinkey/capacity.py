@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InvalidAssignmentError, SizeLimitError, UnsupportedModeError
-from .model import Pair, PinModel, TerminalSet, all_pairs
+from .model import Pair, PinModel, TerminalSet, all_pairs, base_scale
 from .partitions import DEFAULT_TERMINAL_CAP
-from .simplex import solve_lp
+from .simplex import SimplexResult, solve_lp
 
 CONSISTENCY_TOLERANCE = 1e-9
 
@@ -95,8 +95,9 @@ class WeightAssignment:
         for value in self.values:
             if value < 0 or value > 1:
                 raise InvalidAssignmentError(f"weight {value} outside [0, 1]")
+        values = self.values
         for t, indices in enumerate(self.family.per_terminal):
-            total = sum((self.values[k] for k in indices), Fraction(0))
+            total = sum((values[k] for k in indices if values[k]), Fraction(0))
             if total != one:
                 raise InvalidAssignmentError(
                     f"weights covering terminal {t + 1} sum to {total}, "
@@ -146,7 +147,10 @@ def capacity_objective(
     if assignment.family.m != model.m or assignment.family.target != target:
         raise InvalidAssignmentError("assignment built for a different (m, A)")
     assignment.validate()
-    coeffs = pair_coefficients(assignment)
+    return _objective(model, pair_coefficients(assignment))
+
+
+def _objective(model: PinModel, coeffs: Mapping[Pair, Fraction]):
     if model.exact:
         return sum(
             (c * model.weight(i, j) for (i, j), c in coeffs.items()),
@@ -156,15 +160,29 @@ def capacity_objective(
 
 
 def _lp_costs(model: PinModel, family: SubsetFamily) -> list[Fraction]:
-    assert model.weights is not None
-    costs = []
-    for mask in family.subsets:
-        total = Fraction(0)
-        for (i, j), w in model.weights.items():
-            if w and mask >> (i - 1) & 1 and not mask >> (j - 1) & 1:
-                total += w
-        costs.append(total)
-    return costs
+    """Per subset, the weight of the pairs it separates (lower terminal
+    inside, higher outside), summed as integers over the base scale."""
+    weights = model.require_exact("capacity LP costs")
+    scale = base_scale(model)
+    terms = [
+        (1 << (i - 1), 1 << (j - 1), w.numerator * (scale // w.denominator))
+        for (i, j), w in weights.items()
+        if w
+    ]
+    return [
+        Fraction(sum(w for inside, outside, w in terms
+                     if mask & inside and not mask & outside), scale)
+        for mask in family.subsets
+    ]
+
+
+def _cover_lp(family: SubsetFamily, costs: list[Fraction]) -> SimplexResult:
+    """Minimize ``costs`` over the family's weight polytope, starting from
+    the singleton basis.  Row t is the 0/1 indicator of the subsets that
+    hold terminal t + 1; each row must sum to one."""
+    rows = [[mask >> t & 1 for mask in family.subsets] for t in range(family.m)]
+    basis = [family.index_of(1 << t) for t in range(family.m)]
+    return solve_lp(costs, rows, [1] * family.m, basis)
 
 
 @dataclass(frozen=True)
@@ -183,24 +201,17 @@ def solve_capacity(
     model.require_exact("capacity LP")
     target.validate_within(model.m)
     family = subset_family(model.m, target, cap=cap)
-    costs = _lp_costs(model, family)
-    rows = [
-        [Fraction(1) if mask >> t & 1 else Fraction(0) for mask in family.subsets]
-        for t in range(model.m)
-    ]
-    rhs = [Fraction(1)] * model.m
-    basis = [family.index_of(1 << t) for t in range(model.m)]
-    result = solve_lp(costs, rows, rhs, basis)
+    result = _cover_lp(family, _lp_costs(model, family))
     assignment = WeightAssignment(family, result.solution)
-    check = capacity_objective(model, target, assignment)
+    assignment.validate()
+    coeffs = pair_coefficients(assignment)
+    check = _objective(model, coeffs)
     if check != result.value:
         raise ArithmeticError(
             f"simplex value {result.value} disagrees with the objective {check}"
         )
     return CapacityResult(
-        value=result.value,
-        assignment=assignment,
-        coefficients=pair_coefficients(assignment),
+        value=result.value, assignment=assignment, coefficients=coeffs
     )
 
 
@@ -217,14 +228,7 @@ def sample_vertex(
         Fraction(rng.randint(-24, 24), rng.randint(1, 6))
         for _ in range(len(family))
     ]
-    rows = [
-        [Fraction(1) if mask >> t & 1 else Fraction(0) for mask in family.subsets]
-        for t in range(family.m)
-    ]
-    rhs = [Fraction(1)] * family.m
-    basis = [family.index_of(1 << t) for t in range(family.m)]
-    result = solve_lp(costs, rows, rhs, basis)
-    assignment = WeightAssignment(family, result.solution)
+    assignment = WeightAssignment(family, _cover_lp(family, costs).solution)
     assignment.validate()
     return assignment
 

@@ -332,8 +332,11 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, _UsageError, UnsupportedModeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PinkeyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except (
+        PinkeyError, ArithmeticError, AssertionError, KeyError, RecursionError
+    ) as exc:
+        # Invariant violations inside a solver: one line, no traceback.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -8,8 +8,9 @@ joint pmfs and are used for the entropy-based consistency checks, where
 results carry a 1e-9 comparison tolerance.
 
 Terminals are 1-indexed throughout.  Zero-weight pairs are stored
-explicitly, so sparse inputs are legal.  All types are immutable after
-construction and safe to share between workers.
+explicitly, so sparse inputs are legal; since that costs ``m(m-1)/2``
+entries, a model has at most ``MAX_TERMINALS`` terminals.  All types are
+immutable after construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidScaleError, UnsupportedModeError
+from .errors import InvalidScaleError, SizeLimitError, UnsupportedModeError
 
 # Exact weights live in fractions.Fraction: arbitrary precision, stored in
 # lowest terms with a positive denominator.
@@ -30,6 +31,17 @@ EdgeRef = tuple[int, int, int]  # (i, j, copy) with i < j and 0 <= copy
 
 PMF_SUM_TOLERANCE = 1e-12
 WEIGHT_MATCH_TOLERANCE = 1e-9
+# Every model stores all m(m-1)/2 pairs (32640 at the cap).  The exact
+# solvers stop far lower (``partitions.DEFAULT_TERMINAL_CAP``).
+MAX_TERMINALS = 256
+
+
+def check_terminal_count(m: int) -> None:
+    """Raise ``SizeLimitError`` past ``MAX_TERMINALS``."""
+    if m > MAX_TERMINALS:
+        raise SizeLimitError(
+            f"terminals={m} exceeds the model cap MAX_TERMINALS={MAX_TERMINALS}"
+        )
 
 
 def canonical_pair(i: int, j: int) -> Pair:
@@ -202,6 +214,7 @@ class PinModel:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError(f"need at least two terminals, got m={self.m}")
+        check_terminal_count(self.m)
         pmfs = {canonical_pair(i, j): pmf for (i, j), pmf in self.pmfs.items()}
         for pair in pmfs:
             if pair[1] > self.m:
@@ -235,17 +248,17 @@ class PinModel:
     def exact(self) -> bool:
         return self.weights is not None
 
-    def require_exact(self, operation: str) -> None:
-        if not self.exact:
+    def require_exact(self, operation: str) -> Mapping[Pair, Fraction]:
+        """The exact weight table; raises on a float-mode model."""
+        if self.weights is None:
             raise UnsupportedModeError(
                 f"{operation} needs exact rational weights; "
                 "this model is float-mode (pmf-backed)"
             )
+        return self.weights
 
     def weight(self, i: int, j: int) -> Fraction:
-        self.require_exact("rational weight lookup")
-        assert self.weights is not None
-        return self.weights[canonical_pair(i, j)]
+        return self.require_exact("rational weight lookup")[canonical_pair(i, j)]
 
     def mi(self, i: int, j: int) -> float:
         """Pairwise weight as a float, valid in either mode."""
@@ -263,12 +276,11 @@ class PinModel:
 
     def scaled(self, factor: Fraction) -> "PinModel":
         """Model with every weight multiplied by a positive rational."""
-        self.require_exact("weight scaling")
-        assert self.weights is not None
+        weights = self.require_exact("weight scaling")
         if factor <= 0:
             raise ValueError(f"scale factor must be positive, got {factor}")
         return PinModel.from_weights(
-            self.m, {pair: w * factor for pair, w in self.weights.items()}
+            self.m, {pair: w * factor for pair, w in weights.items()}
         )
 
 
@@ -323,21 +335,19 @@ class Multigraph:
 def base_scale(model: PinModel) -> int:
     """Least n making every scaled weight integral; valid scales are its
     positive multiples."""
-    model.require_exact("base scale")
-    assert model.weights is not None
-    return math.lcm(*(w.denominator for w in model.weights.values()))
+    weights = model.require_exact("base scale")
+    return math.lcm(*(w.denominator for w in weights.values()))
 
 
 def realize_multigraph(model: PinModel, n: int) -> Multigraph:
     """Multigraph with exactly ``n * weight`` parallel edges per pair."""
-    model.require_exact("multigraph realization")
-    assert model.weights is not None
+    weights = model.require_exact("multigraph realization")
     n0 = base_scale(model)
     if n <= 0 or n % n0 != 0:
         raise InvalidScaleError(
             f"scale {n} is not a positive multiple of the base scale {n0}"
         )
-    counts = {pair: int(w * n) for pair, w in model.weights.items()}
+    counts = {pair: int(w * n) for pair, w in weights.items()}
     return Multigraph(m=model.m, multiplicities=counts)
 
 

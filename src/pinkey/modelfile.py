@@ -2,7 +2,8 @@
 
 A model file is a UTF-8 JSON object with fields:
 
-* ``terminals`` -- integer m >= 2 (required)
+* ``terminals`` -- integer 2 <= m <= ``MAX_TERMINALS`` (required; a larger
+  m raises ``SizeLimitError``)
 * ``weights``  -- list of ``{"i": int, "j": int, "value": int | "p/q"}``
 * ``pmfs``     -- list of ``{"i": int, "j": int, "rows": int, "cols": int,
   "probs": [float, ...]}`` with ``probs`` row-major of length rows*cols
@@ -20,7 +21,14 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ModelFormatError
-from .model import PairPmf, PinModel, canonical_pair, format_rational, parse_rational
+from .model import (
+    PairPmf,
+    PinModel,
+    canonical_pair,
+    check_terminal_count,
+    format_rational,
+    parse_rational,
+)
 
 _TOP_FIELDS = {"terminals", "weights", "pmfs"}
 _WEIGHT_FIELDS = {"i", "j", "value"}
@@ -63,6 +71,7 @@ def loads_model(text: str) -> PinModel:
     m = _require_int(doc["terminals"], "terminals")
     if m < 2:
         _fail(f"terminals must be >= 2, got {m}")
+    check_terminal_count(m)
     if "weights" not in doc and "pmfs" not in doc:
         _fail("at least one of 'weights' / 'pmfs' must be present")
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the production code paths: cuts by
 exhaustive bipartition enumeration, partitions via a plain recursive
 builder, Steiner packing by undirected brute force over all tree subsets,
-GF(2) rank by column-scan elimination, two-atom splits by bitmask.
+GF(2) rank by column-scan elimination, two-atom splits by bitmask, and the
+LP by a dense Bland simplex over Fractions.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from pinkey import Multigraph, PairPmf, PinModel, TerminalSet
+from pinkey.simplex import SimplexResult
 
 
 def random_exact_model(
@@ -230,3 +233,86 @@ def bitmask_splits(m: int, target: TerminalSet) -> list[tuple[int, ...]]:
             first = assignment[0]
             out.append(tuple(a ^ first for a in assignment))
     return out
+
+
+def fraction_solve_lp(
+    costs: Sequence[Fraction],
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    basis: Sequence[int],
+) -> SimplexResult:
+    """Minimize ``costs . x`` over ``rows x = rhs, x >= 0`` with a dense
+    Fraction tableau: the differential oracle for ``pinkey.simplex.solve_lp``.
+
+    ``basis[i]`` names the variable whose column is the i-th identity
+    column in ``rows``; ``rhs`` must be nonnegative so the start is a
+    basic feasible solution.  Raises on an unbounded problem (cannot
+    happen for the bounded polytopes used here).
+    """
+    m = len(rows)
+    n = len(costs)
+    if len(rhs) != m or len(basis) != m:
+        raise ValueError("inconsistent LP dimensions")
+    cost = [Fraction(c) for c in costs]
+    tableau = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
+               for i, row in enumerate(rows)]
+    for i, row in enumerate(tableau):
+        if len(row) != n + 1:
+            raise ValueError(f"row {i} has wrong length")
+        if row[n] < 0:
+            raise ValueError("starting basis is not feasible (negative rhs)")
+    base = list(basis)
+
+    # Reduced-cost row; its rhs cell tracks minus the objective value.
+    reduced = cost + [Fraction(0)]
+    for i, var in enumerate(base):
+        coeff = cost[var]
+        if coeff:
+            row = tableau[i]
+            for j in range(n + 1):
+                reduced[j] -= coeff * row[j]
+
+    zero = Fraction(0)
+    while True:
+        enter = -1
+        for j in range(n):
+            if reduced[j] < zero:  # Bland: least-index negative reduced cost
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best: Fraction | None = None
+        for i in range(m):
+            coeff = tableau[i][enter]
+            if coeff > zero:
+                ratio = tableau[i][n] / coeff
+                if best is None or ratio < best or (
+                    ratio == best and base[i] < base[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise ArithmeticError("LP is unbounded")
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        if pivot != 1:
+            for j in range(n + 1):
+                pivot_row[j] /= pivot
+        for row in tableau:
+            if row is not pivot_row and row[enter]:
+                factor = row[enter]
+                for j in range(n + 1):
+                    row[j] -= factor * pivot_row[j]
+        if reduced[enter]:
+            factor = reduced[enter]
+            for j in range(n + 1):
+                reduced[j] -= factor * pivot_row[j]
+        base[leave] = enter
+
+    solution = [Fraction(0)] * n
+    for i, var in enumerate(base):
+        solution[var] = tableau[i][n]
+    return SimplexResult(
+        value=-reduced[n], solution=tuple(solution), basis=tuple(base)
+    )

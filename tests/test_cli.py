@@ -1,8 +1,11 @@
 import json
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from pinkey import MAX_TERMINALS
 from pinkey.cli import main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -86,6 +89,52 @@ class TestCapacityCommand:
         code, _, err = run_cli(capsys, "capacity", str(path))
         assert code == 3
         assert "cap" in err
+
+    def test_simplex_disagreement_is_internal_error(self, capsys, monkeypatch):
+        import pinkey.capacity as capacity_module
+        from dataclasses import replace
+
+        real_solve_lp = capacity_module.solve_lp
+
+        def off_by_a_seventh(*args):
+            result = real_solve_lp(*args)
+            return replace(result, value=result.value + Fraction(1, 7))
+
+        monkeypatch.setattr(capacity_module, "solve_lp", off_by_a_seventh)
+        code, out, err = run_cli(capsys, "capacity", TRIANGLE)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error: ArithmeticError: simplex value")
+        assert err.count("\n") == 1
+
+
+class TestTerminalCap:
+    """A model stores all m(m-1)/2 pairs, so m is capped at parse time."""
+
+    @pytest.mark.parametrize("command", ["validate", "upper-bound"])
+    def test_huge_terminal_count_is_size_limit(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.json"
+        path.write_text('{"terminals": 99999999999, "weights": []}')
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == ""
+        assert f"MAX_TERMINALS={MAX_TERMINALS}" in err
+        assert err.count("\n") == 1
+
+    def test_model_at_the_cap_validates(self, capsys, tmp_path):
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps({
+            "terminals": MAX_TERMINALS,
+            "weights": [{"i": 1, "j": MAX_TERMINALS, "value": "1/2"}],
+        }))
+        code, out, _ = run_cli(capsys, "validate", str(path), "--format",
+                               "structured")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["terminals"] == MAX_TERMINALS
+        assert doc["pairs_nonzero"] == 1
 
 
 class TestUpperBoundCommand:

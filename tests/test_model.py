@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinkey import (
+    MAX_TERMINALS,
     InvalidScaleError,
     Multigraph,
     PairPmf,
     PinModel,
+    SizeLimitError,
     TerminalSet,
     UnsupportedModeError,
     base_scale,
@@ -132,6 +134,13 @@ class TestPinModel:
     def test_rejects_self_pair(self):
         with pytest.raises(ValueError):
             PinModel.from_weights(2, {(1, 1): 1})
+
+    def test_terminal_cap(self):
+        assert PinModel.from_weights(MAX_TERMINALS, {}).m == MAX_TERMINALS
+        with pytest.raises(SizeLimitError, match="MAX_TERMINALS"):
+            PinModel.from_weights(MAX_TERMINALS + 1, {})
+        with pytest.raises(SizeLimitError, match="MAX_TERMINALS"):
+            PinModel.from_pmfs(10**11, {})
 
     def test_pmf_weight_agreement_enforced(self):
         correlated = PairPmf.from_rows([[0.5, 0.0], [0.0, 0.5]])

@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from pinkey import TerminalSet, solve_capacity, subset_family, upper_bound
+from pinkey.capacity import _cover_lp, _lp_costs
 from pinkey.simplex import solve_lp
+
+from helpers import fraction_solve_lp, random_exact_model, random_terminal_set
 
 
 def test_single_constraint():
@@ -52,6 +58,69 @@ def test_dimension_mismatch():
 def test_infeasible_start_rejected():
     with pytest.raises(ValueError):
         solve_lp([Fraction(1)], [[Fraction(1)]], [Fraction(-1)], [0])
+
+
+@pytest.mark.parametrize("basis", [[0], [1], [2], [-1]])
+def test_basis_must_name_identity_columns(basis):
+    # neither column is e_0 (2 and 1/2), and 2 and -1 name no column
+    rows = [[Fraction(2), Fraction(1, 2)]]
+    with pytest.raises(ValueError, match="identity"):
+        solve_lp([Fraction(1), Fraction(1)], rows, [Fraction(1)], basis)
+
+
+def _outcome(solver, costs, rows, rhs, basis):
+    try:
+        return solver(costs, rows, rhs, basis)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def general_lps(draw):
+    """[permuted identity | rational block] x = b >= 0, any-sign costs;
+    unbounded problems included."""
+    m = draw(st.integers(1, 5))
+    n = m + draw(st.integers(0, 6))
+    order = draw(st.permutations(range(n)))
+    basis = list(order[:m])
+    rows = [[draw(_rationals) for _ in range(n)] for _ in range(m)]
+    for i, row in enumerate(rows):
+        for k, var in enumerate(basis):
+            row[var] = Fraction(int(i == k))
+    rhs = [abs(draw(_rationals)) for _ in range(m)]
+    costs = [draw(_rationals) for _ in range(n)]
+    return costs, rows, rhs, basis
+
+
+@given(general_lps())
+@settings(max_examples=300, deadline=None)
+def test_matches_fraction_tableau_on_general_lps(lp):
+    assert _outcome(solve_lp, *lp) == _outcome(fraction_solve_lp, *lp)
+
+
+@given(st.integers(2, 8), st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_matches_fraction_tableau_on_capacity_lps(m, seed):
+    rng = random.Random(seed)
+    model = random_exact_model(rng, m=m)
+    family = subset_family(m, random_terminal_set(rng, m))
+    costs = _lp_costs(model, family)
+    rows = [[Fraction(mask >> t & 1) for mask in family.subsets]
+            for t in range(m)]
+    basis = [family.index_of(1 << t) for t in range(m)]
+    expected = fraction_solve_lp(costs, rows, [Fraction(1)] * m, basis)
+    assert _cover_lp(family, costs) == expected
+    assert solve_lp(costs, rows, [Fraction(1)] * m, basis) == expected
+
+
+def test_capacity_meets_partition_bound_at_nine_terminals():
+    # A = M is a tight case of the paper: C(M) equals the partition bound.
+    model = random_exact_model(random.Random(9), m=9, zero_chance=0.0)
+    full = TerminalSet.full(9)
+    assert solve_capacity(model, full).value == upper_bound(model, full)
 
 
 def _random_problem(rng: random.Random, m: int, extra: int):
