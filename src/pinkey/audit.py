@@ -79,8 +79,9 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
     """Security index by enumerating every edge-bit assignment.
 
     Builds the exact joint distribution of (key, transcript) and computes
-    the entropies directly.  Gray-code iteration keeps each step O(1): one
-    edge bit flips, so the key/transcript images are updated by XOR.
+    the entropies directly; the key and transcript marginals are summed
+    from it afterwards.  Gray-code iteration keeps each step O(1): one edge
+    bit flips, so the key/transcript images are updated by XOR.
     """
     edges = len(run.edge_order)
     if edges > BRUTEFORCE_EDGE_CAP:
@@ -98,23 +99,19 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
             sum(1 << r for r, row in enumerate(run.transcript_map.rows) if row & bit)
         )
 
-    joint: Counter = Counter()
-    key_marginal: Counter = Counter()
-    transcript_marginal: Counter = Counter()
+    joint: Counter = Counter({(0, 0): 1})
     key_value = 0
     transcript_value = 0
-    joint[(0, 0)] += 1
-    key_marginal[0] += 1
-    transcript_marginal[0] += 1
-    gray = 0
     for step in range(1, 1 << edges):
         flipped = (step & -step).bit_length() - 1
-        gray ^= 1 << flipped
         key_value ^= key_columns[flipped]
         transcript_value ^= transcript_columns[flipped]
         joint[(key_value, transcript_value)] += 1
-        key_marginal[key_value] += 1
-        transcript_marginal[transcript_value] += 1
+    key_marginal: Counter = Counter()
+    transcript_marginal: Counter = Counter()
+    for (key_value, transcript_value), count in joint.items():
+        key_marginal[key_value] += count
+        transcript_marginal[transcript_value] += count
 
     joint_entropy = _dyadic_entropy(joint, edges)
     transcript_entropy = _dyadic_entropy(transcript_marginal, edges)

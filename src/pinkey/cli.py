@@ -29,7 +29,7 @@ from .errors import (
 from .model import PinModel, TerminalSet, base_scale, format_rational, realize_multigraph
 from .modelfile import load_model
 from .partitions import best_partition
-from .packing import steiner_packing
+from .packing import TreePacking, steiner_packing
 from .protocol import draw_edge_keys, export_transcript, run_protocol
 
 FORMAT_VERSION = 1
@@ -83,12 +83,10 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     bound, _ = best_partition(model, target)
     tight_expected = len(target) == 2 or len(target) == model.m
     if tight_expected and result.value != bound:
-        print(
-            f"internal error: capacity {format_rational(result.value)} and "
-            f"upper bound {format_rational(bound)} must coincide for this set",
-            file=sys.stderr,
+        raise ArithmeticError(
+            f"capacity {format_rational(result.value)} and "
+            f"upper bound {format_rational(bound)} must coincide for this set"
         )
-        return EXIT_INTERNAL
     report = {
         "command": "capacity",
         "terminals": model.m,
@@ -131,37 +129,33 @@ def _cmd_upper_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_scale(args: argparse.Namespace, model: PinModel) -> int:
-    if args.scale is not None:
-        return args.scale
-    return base_scale(model)
-
-
-def _serialize_trees(packing) -> list[list[list[int]]]:
-    return [[list(edge) for edge in tree.edges] for tree in packing.trees]
-
-
-def _cmd_pack(args: argparse.Namespace) -> int:
+def _packed(args: argparse.Namespace) -> tuple[dict, TreePacking]:
+    """The front end of ``pack`` and ``simulate``: realize the model at the
+    requested scale, pack it, and report the fields both commands share."""
     model = load_model(args.model)
     target = _parse_terminals(args.set, model)
-    scale = _resolve_scale(args, model)
+    scale = args.scale if args.scale is not None else base_scale(model)
     graph = realize_multigraph(model, scale)
     packing = steiner_packing(graph, target, mode=args.mode)
-    rate = Fraction(packing.count, scale)
     report = {
-        "command": "pack",
+        "command": args.command,
         "terminals": model.m,
         "set": list(target.members),
         "scale": scale,
         "mode": args.mode,
         "edge_total": graph.total_edges(),
         "tree_count": packing.count,
-        "rate": format_rational(rate),
-        "trees": _serialize_trees(packing),
+        "rate": format_rational(Fraction(packing.count, scale)),
+        "trees": [[list(edge) for edge in tree.edges] for tree in packing.trees],
     }
+    return report, packing
+
+
+def _cmd_pack(args: argparse.Namespace) -> int:
+    report, packing = _packed(args)
     lines = [
-        f"scale n = {scale}, edges = {graph.total_edges()}",
-        f"packed {packing.count} edge-disjoint trees (rate {format_rational(rate)})",
+        f"scale n = {report['scale']}, edges = {report['edge_total']}",
+        f"packed {packing.count} edge-disjoint trees (rate {report['rate']})",
     ]
     for k, tree in enumerate(packing.trees):
         edge_text = " ".join(f"{i}-{j}#{c}" for (i, j, c) in tree.edges)
@@ -171,24 +165,12 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    target = _parse_terminals(args.set, model)
-    scale = _resolve_scale(args, model)
-    graph = realize_multigraph(model, scale)
-    packing = steiner_packing(graph, target, mode=args.mode)
-    keys = draw_edge_keys(graph, args.seed)
-    run = run_protocol(graph, packing, keys, target)
+    report, packing = _packed(args)
+    keys = draw_edge_keys(packing.graph, args.seed)
+    run = run_protocol(packing.graph, packing, keys, packing.target)
     report_card = audit(run)
-    report = {
-        "command": "simulate",
-        "terminals": model.m,
-        "set": list(target.members),
-        "scale": scale,
-        "mode": args.mode,
+    report.update({
         "seed": args.seed,
-        "tree_count": packing.count,
-        "rate": format_rational(Fraction(packing.count, scale)),
-        "edge_total": graph.total_edges(),
         "key_bits": len(run.key_bits),
         "transcript_bits": len(run.transcript),
         "residual_bits": len(run.residual_bits),
@@ -199,7 +181,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for t in sorted(report_card.recoverability)
         ],
         "audit_passed": report_card.passed,
-        "trees": _serialize_trees(packing),
         "transcript": [
             {
                 "tree": b.tree,
@@ -209,9 +190,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             }
             for b in run.transcript
         ],
-    }
+    })
     lines = [
-        f"scale n = {scale}, seed = {args.seed}",
+        f"scale n = {report['scale']}, seed = {args.seed}",
         f"key bits |K| = {len(run.key_bits)}, transcript |F| = "
         f"{len(run.transcript)}, residual |K_R| = {len(run.residual_bits)}",
         f"security index s = {format_rational(report_card.security_index)} "
@@ -315,10 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parsing leaves it unchanged, and a build costs about 1 ms
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -241,7 +241,7 @@ class _Forest:
             x = queue.popleft()
             if x == v:
                 break
-            for w in sorted(self.adjacency[x]):
+            for w in self.adjacency[x]:
                 if w not in parent:
                     parent[w] = (x, self.adjacency[x][w])
                     queue.append(w)
@@ -278,14 +278,18 @@ def _augment(
     Breadth-first labeling over forest edges; when some labeled edge fits
     directly into a forest, swaps are unwound back to new_edge.  Returns
     False when the edge lies in the span of every forest (a full clump).
+    Forests change only on success, so each forest is asked about a vertex
+    pair once: a parallel copy would find the same, already labeled path.
     """
     parent: dict[EdgeRef, tuple[EdgeRef, int] | None] = {new_edge: None}
+    scanned: set[tuple[int, int, int]] = set()
     queue = deque([new_edge])
     while queue:
         x = queue.popleft()
         for index, forest in enumerate(forests):
-            if owner.get(x) == index:
+            if owner.get(x) == index or (index, x[0], x[1]) in scanned:
                 continue
+            scanned.add((index, x[0], x[1]))
             path = forest.path_edges(x[0], x[1])
             if path is None:
                 current = x
@@ -363,16 +367,6 @@ def _approx_steiner_tree(
     support = [p for p, c in caps.items() if c > 0]
     adjacency = _support_adjacency(support)
     root = min(target)
-    reachable = {root}
-    stack = [root]
-    while stack:
-        for w in adjacency.get(stack.pop(), ()):
-            if w not in reachable:
-                reachable.add(w)
-                stack.append(w)
-    if any(t not in reachable for t in target):
-        return None
-
     in_tree = {root}
     tree_pairs: set[Pair] = set()
     pending = [t for t in target if t != root]
@@ -386,6 +380,9 @@ def _approx_steiner_tree(
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)
+        # the tree stays in the root's component: only the first search can miss
+        if any(t not in dist for t in pending):
+            return None
         goal = min(pending, key=lambda t: (dist[t], t))
         path = [goal]
         while dist[path[-1]] > 0:

@@ -8,6 +8,7 @@ order), the already-informed endpoint of each further edge e broadcasts
 b XOR k_e, which lets the far endpoint recover b.  Every broadcast is
 therefore the GF(2) sum of exactly two edge bits, and the group key,
 transcript and residual bits together form a bijection of the edge bits.
+Propagation relies on ``Tree`` (frozen, checked connected and acyclic).
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def propagate_tree(
     """Share one bit across a tree; returns (bit, broadcasts).
 
     The reference edge supplies the bit; each of the remaining edges costs
-    one broadcast, in breadth-first order from the reference edge.
+    one broadcast, in breadth-first order from the reference edge.  Since
+    ``Tree`` is connected and acyclic, every broadcast informs a new vertex.
     """
     for edge in tree.edges:
         if edge not in keys.bits:
@@ -84,7 +86,6 @@ def propagate_tree(
     for edge in tree.edges:
         incident.setdefault(edge[0], []).append(edge)
         incident.setdefault(edge[1], []).append(edge)
-    informed = {reference[0], reference[1]}
     used = {reference}
     queue = deque((reference[0], reference[1]))
     broadcasts = []
@@ -94,9 +95,6 @@ def propagate_tree(
             if edge in used:
                 continue
             used.add(edge)
-            listener = edge[1] if edge[0] == speaker else edge[0]
-            if listener in informed:
-                raise InvalidTreeError(f"cycle at edge {edge}")
             broadcasts.append(
                 Broadcast(
                     tree=tree_index,
@@ -105,10 +103,7 @@ def propagate_tree(
                     support=(reference, edge),
                 )
             )
-            informed.add(listener)
-            queue.append(listener)
-    if len(used) != len(tree.edges):
-        raise InvalidTreeError("tree is not connected from its reference edge")
+            queue.append(edge[1] if edge[0] == speaker else edge[0])
     return shared, tuple(broadcasts)
 
 
@@ -228,25 +223,25 @@ def verify_linear_maps(run: ProtocolRun) -> bool:
 
 def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
     """Reconstruct the group key at a target terminal from its own incident
-    edge bits plus the public transcript."""
+    edge bits plus the public transcript, read once: O(|F| + trees)."""
     if terminal not in run.target:
         raise ValueError(
             f"terminal {terminal} is outside the target set "
             f"{run.target.members}; recovery is only guaranteed inside it"
         )
+    first: dict[int, Broadcast] = {}
+    for broadcast in run.transcript:
+        edge = broadcast.support[1]
+        if terminal in (edge[0], edge[1]):
+            first.setdefault(broadcast.tree, broadcast)
     recovered = []
     for tree_index, tree in enumerate(run.packing.trees):
         reference = tree.edges[0]
         if terminal in (reference[0], reference[1]):
             recovered.append(run.keys.bits[reference])
-            continue
-        for broadcast in run.transcript:
-            if broadcast.tree != tree_index:
-                continue
-            edge = broadcast.support[1]
-            if terminal in (edge[0], edge[1]):
-                recovered.append(broadcast.bit ^ run.keys.bits[edge])
-                break
+        elif tree_index in first:
+            broadcast = first[tree_index]
+            recovered.append(broadcast.bit ^ run.keys.bits[broadcast.support[1]])
         else:
             raise InvalidPackingError(
                 f"terminal {terminal} has no incident edge in tree {tree_index}"

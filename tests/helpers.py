@@ -4,17 +4,31 @@ The oracles here deliberately avoid the production code paths: cuts by
 exhaustive bipartition enumeration, partitions via a plain recursive
 builder, Steiner packing by undirected brute force over all tree subsets,
 GF(2) rank by column-scan elimination, two-atom splits by bitmask, and the
-LP by a dense Bland simplex over Fractions.
+LP by a dense Bland simplex over Fractions.  Earlier forms of rewritten
+production routines are kept as differential oracles: spanning packing
+that scans every labeled edge against every forest, and key recovery that
+rescans the transcript once per tree.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
-from pinkey import Multigraph, PairPmf, PinModel, TerminalSet
+from pinkey import (
+    InvalidPackingError,
+    Multigraph,
+    PairPmf,
+    PinModel,
+    ProtocolRun,
+    TerminalSet,
+    Tree,
+    TreePacking,
+    nash_williams_count,
+)
 from pinkey.simplex import SimplexResult
 
 
@@ -316,3 +330,125 @@ def fraction_solve_lp(
     return SimplexResult(
         value=-reduced[n], solution=tuple(solution), basis=tuple(base)
     )
+
+
+class _ReferenceForest:
+    """Forest on 1..m with at most one edge per vertex pair; paths are
+    searched with neighbours in sorted order."""
+
+    def __init__(self) -> None:
+        self.adjacency: dict[int, dict[int, tuple[int, int, int]]] = {}
+
+    def edges(self) -> list[tuple[int, int, int]]:
+        return [edge for v, nbrs in self.adjacency.items()
+                for w, edge in nbrs.items() if v < w]
+
+    def path_edges(self, u: int, v: int) -> list[tuple[int, int, int]] | None:
+        if u not in self.adjacency or v not in self.adjacency:
+            return None
+        parent: dict = {u: None}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            if x == v:
+                break
+            for w in sorted(self.adjacency[x]):
+                if w not in parent:
+                    parent[w] = (x, self.adjacency[x][w])
+                    queue.append(w)
+        if v not in parent:
+            return None
+        path = []
+        x = v
+        while parent[x] is not None:
+            x, edge = parent[x]
+            path.append(edge)
+        return path
+
+    def add(self, edge: tuple[int, int, int]) -> None:
+        if self.path_edges(edge[0], edge[1]) is not None:
+            raise AssertionError(f"adding {edge} would close a cycle")
+        self.adjacency.setdefault(edge[0], {})[edge[1]] = edge
+        self.adjacency.setdefault(edge[1], {})[edge[0]] = edge
+
+    def remove(self, edge: tuple[int, int, int]) -> None:
+        del self.adjacency[edge[0]][edge[1]]
+        del self.adjacency[edge[1]][edge[0]]
+
+
+def _reference_augment(forests, new_edge, owner) -> bool:
+    parent: dict = {new_edge: None}
+    queue = deque([new_edge])
+    while queue:
+        x = queue.popleft()
+        for index, forest in enumerate(forests):
+            if owner.get(x) == index:
+                continue
+            path = forest.path_edges(x[0], x[1])
+            if path is None:
+                current = x
+                forest.add(current)
+                owner[current] = index
+                entry = parent[current]
+                while entry is not None:
+                    prev_edge, holder = entry
+                    forests[holder].remove(current)
+                    forests[holder].add(prev_edge)
+                    owner[prev_edge] = holder
+                    current = prev_edge
+                    entry = parent[current]
+                return True
+            for y in path:
+                if y not in parent:
+                    parent[y] = (x, index)
+                    queue.append(y)
+    return False
+
+
+def reference_spanning_packing(graph: Multigraph) -> TreePacking:
+    """Matroid-union spanning packing that asks every forest about every
+    labeled edge, parallel copies included: the oracle for
+    ``pinkey.spanning_packing``, which must return the same trees."""
+    target = TerminalSet.full(graph.m)
+    certified = nash_williams_count(graph)
+    forests = [_ReferenceForest() for _ in range(certified)]
+    owner: dict = {}
+    goal = certified * (graph.m - 1)
+    total = 0
+    dead_pairs: set = set()
+    for edge in graph.edge_refs():
+        if total == goal:
+            break
+        if (edge[0], edge[1]) in dead_pairs:
+            continue
+        if _reference_augment(forests, edge, owner):
+            total += 1
+        else:
+            dead_pairs.add((edge[0], edge[1]))
+    trees = tuple(Tree(tuple(sorted(f.edges()))) for f in forests)
+    return TreePacking(graph=graph, target=target, trees=trees)
+
+
+def scan_recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
+    """Key recovery that rescans the transcript for every tree: the oracle
+    for ``pinkey.recover_key`` (same bits, same exceptions)."""
+    if terminal not in run.target:
+        raise ValueError(f"terminal {terminal} is outside the target set")
+    recovered = []
+    for tree_index, tree in enumerate(run.packing.trees):
+        reference = tree.edges[0]
+        if terminal in (reference[0], reference[1]):
+            recovered.append(run.keys.bits[reference])
+            continue
+        for broadcast in run.transcript:
+            if broadcast.tree != tree_index:
+                continue
+            edge = broadcast.support[1]
+            if terminal in (edge[0], edge[1]):
+                recovered.append(broadcast.bit ^ run.keys.bits[edge])
+                break
+        else:
+            raise InvalidPackingError(
+                f"terminal {terminal} has no incident edge in tree {tree_index}"
+            )
+    return tuple(recovered)

@@ -133,6 +133,31 @@ class TestBruteForceMethod:
         assert brute_report.key_given_transcript == rank_report.key_given_transcript
         assert brute_report.key_entropy == rank_report.key_entropy
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_all_fields_agree_with_rank_on_honest_and_leaked_runs(self, seed):
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, max_m=4, max_mult=2)
+        target = random_terminal_set(rng, graph.m)
+        packing = steiner_packing(graph, target, mode="greedy")
+        run = run_protocol(graph, packing, draw_edge_keys(graph, seed), target)
+        if len(run.edge_order) > 12:
+            pytest.skip("keep brute force quick")
+        variants = [run] + [leak_key_bit(run, i, k)
+                            for i in range(len(run.key_bits))
+                            for k in range(len(run.transcript))]
+        if run.transcript:
+            # every key bit copies broadcast 0: a non-uniform key
+            leaked = run
+            for i in range(len(run.key_bits)):
+                leaked = leak_key_bit(leaked, i, 0)
+            variants.append(leaked)
+        for variant in variants:
+            rank_report = security_index_rank(variant)
+            brute_report = security_index_bruteforce(variant)
+            for name in ("security_index", "key_entropy",
+                         "key_given_transcript", "uniformity_deficit"):
+                assert getattr(brute_report, name) == getattr(rank_report, name)
+
     def test_third_route_reexecution(self):
         """Re-run the whole protocol for every edge-bit assignment and
         compute the index from the empirical joint distribution; this

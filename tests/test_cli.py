@@ -108,6 +108,24 @@ class TestCapacityCommand:
         assert err.count("\n") == 1
 
 
+    def test_capacity_bound_disagreement_is_internal_error(self, capsys,
+                                                           monkeypatch):
+        import pinkey.cli as cli_module
+
+        real_best_partition = cli_module.best_partition
+
+        def off_by_a_seventh(*args):
+            bound, partition = real_best_partition(*args)
+            return bound + Fraction(1, 7), partition
+
+        monkeypatch.setattr(cli_module, "best_partition", off_by_a_seventh)
+        code, out, err = run_cli(capsys, "capacity", TRIANGLE)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error: ArithmeticError: capacity")
+        assert err.count("\n") == 1
+
+
 class TestTerminalCap:
     """A model stores all m(m-1)/2 pairs, so m is capped at parse time."""
 
@@ -282,3 +300,16 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_repeated_calls_give_identical_output(self, capsys):
+        requests = [
+            ("capacity", TRIANGLE),
+            ("upper-bound", STAR, "--set", "1,2,3"),
+            ("pack", TRIANGLE, "--scale", "2", "--format", "structured"),
+            ("simulate", PATH_MODEL, "--set", "1,3", "--seed", "4"),
+            ("validate", STAR, "--format", "structured"),
+        ]
+        first = [run_cli(capsys, *request) for request in requests]
+        second = [run_cli(capsys, *request) for request in requests]
+        assert all(code == 0 and out for code, out, _ in first)
+        assert second == first

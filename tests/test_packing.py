@@ -34,6 +34,7 @@ from helpers import (
     brute_min_cut,
     brute_steiner_packing_count,
     random_multigraph,
+    reference_spanning_packing,
     random_small_model,
     random_terminal_set,
 )
@@ -199,6 +200,11 @@ class TestSpanningPacking:
         for tree in packing.trees:
             assert len(tree.vertices()) == graph.m  # genuinely spanning
 
+    @given(st.integers(0, 10_000))
+    def test_same_trees_as_reference_search(self, seed):
+        graph = random_multigraph(random.Random(seed), max_m=6, max_mult=5)
+        assert spanning_packing(graph) == reference_spanning_packing(graph)
+
 
 class TestSteinerPacking:
     def test_pair_target_delegates_to_paths(self):
@@ -269,6 +275,16 @@ class TestSteinerPacking:
         for tree in steiner_packing(graph, target, mode="greedy").trees:
             degree = Counter(v for edge in tree.edges for v in edge[:2])
             assert all(v in target for v, d in degree.items() if d == 1)
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    @pytest.mark.parametrize("counts", [
+        {(1, 2): 2, (2, 3): 2, (1, 3): 1},  # target 4 is isolated
+        {(2, 3): 3, (2, 4): 2},  # the root, 1, is isolated
+    ])
+    def test_unreachable_target_gives_no_trees(self, mode, counts):
+        graph = Multigraph(4, counts)
+        packing = steiner_packing(graph, TerminalSet.of(1, 2, 4), mode=mode)
+        assert packing.count == 0
 
     def test_exact_cap(self):
         heavy = Multigraph(5, {p: 3 for p in itertools.combinations(range(1, 6), 2)})

@@ -1,6 +1,10 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pinkey import (
     EdgeKeyBits,
@@ -12,7 +16,9 @@ from pinkey import (
     TreePacking,
     draw_edge_keys,
     export_transcript,
+    flip_broadcast,
     gf2_rank,
+    leak_key_bit,
     propagate_tree,
     recover_key,
     run_protocol,
@@ -21,7 +27,7 @@ from pinkey import (
     verify_linear_maps,
 )
 
-from helpers import random_multigraph, random_terminal_set
+from helpers import random_multigraph, random_terminal_set, scan_recover_key
 
 DOUBLED_TRIANGLE = Multigraph(3, {(1, 2): 2, (1, 3): 2, (2, 3): 2})
 UNIT_TRIANGLE = Multigraph(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
@@ -91,6 +97,27 @@ class TestPropagateTree:
     def test_missing_key_rejected(self):
         with pytest.raises(InvalidTreeError):
             propagate_tree(Tree(((1, 2, 0),)), EdgeKeyBits({}))
+
+    @given(st.integers(0, 10_000))
+    def test_each_broadcast_informs_a_new_vertex(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        labels = rng.sample(range(1, 13), n)
+        edges = []
+        for k in range(1, n):
+            u, v = sorted((labels[k], labels[rng.randrange(k)]))
+            edges.append((u, v, rng.randint(0, 2)))
+        keys = EdgeKeyBits({edge: rng.getrandbits(1) for edge in edges})
+        tree = Tree(tuple(edges))
+        bit, broadcasts = propagate_tree(tree, keys)
+        assert bit == keys.bits[tree.edges[0]]
+        assert len(broadcasts) == len(edges) - 1
+        informed = set(tree.edges[0][:2])
+        for b in broadcasts:
+            assert b.terminal in informed
+            assert b.informed_terminal not in informed
+            informed.add(b.informed_terminal)
+        assert informed == set(tree.vertices())
 
 
 class TestRunProtocol:
@@ -195,6 +222,33 @@ class TestRecoverKey:
         run = run_protocol(graph, packing, keys, target)
         for terminal in target:
             assert recover_key(run, terminal) == run.key_bits
+
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_scan_on_honest_and_tampered_runs(self, seed):
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, max_m=5, max_mult=3)
+        target = random_terminal_set(rng, graph.m)
+        packing = steiner_packing(graph, target, mode="greedy")
+        run = run_protocol(graph, packing, draw_edge_keys(graph, seed), target)
+        variants = [run]
+        variants += [flip_broadcast(run, k) for k in range(len(run.transcript))]
+        variants += [leak_key_bit(run, i, k) for i in range(len(run.key_bits))
+                     for k in range(len(run.transcript))]
+        # moving a broadcast to the next tree can leave a tree without one
+        for k, b in enumerate(run.transcript):
+            moved = replace(b, tree=(b.tree + 1) % packing.count)
+            variants.append(replace(
+                run, transcript=run.transcript[:k] + (moved,) + run.transcript[k + 1:]))
+        for variant in variants:
+            for terminal in target:
+                try:
+                    expected = scan_recover_key(variant, terminal)
+                except InvalidPackingError as exc:
+                    with pytest.raises(InvalidPackingError, match=re.escape(str(exc))):
+                        recover_key(variant, terminal)
+                else:
+                    assert recover_key(variant, terminal) == expected
 
 
 class TestTranscriptExport:
