@@ -22,6 +22,9 @@ from .audit import audit
 from .capacity import solve_capacity
 from .errors import (
     AuditFailureError,
+    InvalidAssignmentError,
+    InvalidPackingError,
+    InvalidTreeError,
     PinkeyError,
     SizeLimitError,
     UnsupportedModeError,
@@ -39,6 +42,10 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
 EXIT_AUDIT = 4
+
+# ValueErrors that model files and flags cannot cause: only pinkey's own
+# solvers and packers raise them
+_INVARIANT_ERRORS = (InvalidAssignmentError, InvalidPackingError, InvalidTreeError)
 
 
 class _UsageError(Exception):
@@ -314,14 +321,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT
     except (OSError, _UsageError, UnsupportedModeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if not isinstance(exc, _INVARIANT_ERRORS):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        fault: Exception = exc
     except (
         PinkeyError, ArithmeticError, AssertionError, KeyError, RecursionError
     ) as exc:
-        # Invariant violations inside a solver: one line, no traceback.
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        fault = exc
+    # Invariant violations inside a solver: one line, no traceback.
+    print(f"internal error: {type(fault).__name__}: {fault}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

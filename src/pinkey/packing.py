@@ -7,7 +7,9 @@ Three packing routes, each certified by an independent count:
   graph, then flow decomposition into unit paths);
 * edge-disjoint spanning trees via matroid-union augmentation (grow k
   forests simultaneously, swapping along exchange chains), with k taken
-  from the partition-count formula as the termination certificate;
+  from the partition-count formula as the termination certificate; each
+  forest is a set of parent pointers, so a forest path is two climbs
+  toward the root, and the work k·|E| is capped;
 * Steiner packings for intermediate target sets: exact by depth-first
   search over edge-disjoint trees, pruned by the partition bound
   ``partitions.min_ratio`` on the remaining capacities (capped, the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -32,13 +34,19 @@ from . import partitions
 from .partitions import nash_williams_count
 
 STEINER_EXACT_EDGE_CAP = 24
+# trees times edges: the matroid-union search labels edges for each forest
+SPANNING_WORK_CAP = 2 * 10**6
 
 
 @dataclass(frozen=True)
 class Tree:
-    """A tree subgraph, edges named as (i, j, copy) into the parallel edges."""
+    """A tree subgraph, edges named as (i, j, copy) into the parallel edges;
+    ``walk`` holds (speaker, edge) per further edge, breadth-first from the
+    least edge, the speaker being the endpoint reached first."""
 
     edges: tuple[EdgeRef, ...]
+    walk: tuple[tuple[int, EdgeRef], ...] = field(init=False, compare=False, repr=False)
+    _vertices: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         edges = tuple(sorted(self.edges))
@@ -47,36 +55,33 @@ class Tree:
             raise InvalidTreeError("a tree needs at least one edge")
         if len(set(edges)) != len(edges):
             raise InvalidTreeError("duplicate edge in tree")
-        for (i, j, copy) in edges:
+        incident: dict[int, list[EdgeRef]] = {}
+        for edge in edges:
+            i, j, copy = edge
             if not (1 <= i < j) or copy < 0:
                 raise InvalidTreeError(f"malformed edge ({i}, {j}, {copy})")
-        vertices = self.vertices()
-        if len(vertices) != len(edges) + 1 or not self._connected(vertices):
+            incident.setdefault(i, []).append(edge)
+            incident.setdefault(j, []).append(edge)
+        order = list(edges[0][:2])
+        seen = set(order)
+        walk = []
+        for speaker in order:  # grows while read: breadth-first
+            for edge in incident[speaker]:
+                listener = edge[1] if edge[0] == speaker else edge[0]
+                if listener not in seen:
+                    seen.add(listener)
+                    order.append(listener)
+                    walk.append((speaker, edge))
+        if len(incident) != len(edges) + 1 or len(walk) != len(edges) - 1:
             raise InvalidTreeError("edges do not form a connected acyclic graph")
+        object.__setattr__(self, "walk", tuple(walk))
+        object.__setattr__(self, "_vertices", tuple(sorted(incident)))
 
     def vertices(self) -> tuple[int, ...]:
-        seen = set()
-        for (i, j, _) in self.edges:
-            seen.add(i)
-            seen.add(j)
-        return tuple(sorted(seen))
+        return self._vertices
 
     def pairs(self) -> tuple[Pair, ...]:
         return tuple((i, j) for (i, j, _) in self.edges)
-
-    def _connected(self, vertices: tuple[int, ...]) -> bool:
-        adjacency: dict[int, list[int]] = {v: [] for v in vertices}
-        for (i, j, _) in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        stack = [vertices[0]]
-        seen = {vertices[0]}
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(vertices)
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ class TreePacking:
         self.target.validate_within(self.graph.m)
         used: set[EdgeRef] = set()
         for index, tree in enumerate(self.trees):
-            vertices = set(tree.vertices())
+            vertices = tree.vertices()
             missing = [t for t in self.target if t not in vertices]
             if missing:
                 raise InvalidPackingError(
@@ -216,58 +221,55 @@ def max_disjoint_paths(graph: Multigraph, s: int, t: int) -> TreePacking:
 
 
 class _Forest:
-    """Mutable forest on 1..m; at most one edge per vertex pair."""
+    """Mutable forest on 1..m: parent[v] = (next vertex toward v's root, edge)."""
 
-    __slots__ = ("adjacency",)
+    __slots__ = ("parent",)
 
     def __init__(self) -> None:
-        self.adjacency: dict[int, dict[int, EdgeRef]] = {}
+        self.parent: dict[int, tuple[int, EdgeRef]] = {}
 
     def edges(self) -> list[EdgeRef]:
-        out = []
-        for v, nbrs in self.adjacency.items():
-            for w, edge in nbrs.items():
-                if v < w:
-                    out.append(edge)
-        return out
+        return [edge for _, edge in self.parent.values()]
 
     def path_edges(self, u: int, v: int) -> list[EdgeRef] | None:
-        """Edges of the unique u-v path, or None if disconnected."""
-        if u not in self.adjacency or v not in self.adjacency:
-            return None
-        parent: dict[int, tuple[int, EdgeRef] | None] = {u: None}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for w in self.adjacency[x]:
-                if w not in parent:
-                    parent[w] = (x, self.adjacency[x][w])
-                    queue.append(w)
-        if v not in parent:
-            return None
+        """Edges of the unique u-v path from v's end, or None if disconnected."""
+        parent = self.parent
+        depth = {u: 0}
+        climb = []
+        x = u
+        while x in parent:
+            x, edge = parent[x]
+            climb.append(edge)
+            depth[x] = len(climb)
         path = []
         x = v
-        while parent[x] is not None:
-            prev, edge = parent[x]  # type: ignore[misc]
+        while x not in depth:
+            if x not in parent:
+                return None
+            x, edge = parent[x]
             path.append(edge)
-            x = prev
+        path.extend(reversed(climb[:depth[x]]))
         return path
 
     def add(self, edge: EdgeRef) -> None:
         i, j = edge[0], edge[1]
         if self.path_edges(i, j) is not None:
             raise AssertionError(f"adding {edge} would close a cycle")
-        self.adjacency.setdefault(i, {})[j] = edge
-        self.adjacency.setdefault(j, {})[i] = edge
+        x, link = i, (j, edge)  # re-root i's tree at i, then hang i below j
+        while True:
+            up = self.parent.get(x)
+            self.parent[x] = link
+            if up is None:
+                return
+            link = (x, up[1])
+            x = up[0]
 
     def remove(self, edge: EdgeRef) -> None:
-        i, j = edge[0], edge[1]
-        if self.adjacency.get(i, {}).get(j) != edge:
-            raise AssertionError(f"edge {edge} is not in this forest")
-        del self.adjacency[i][j]
-        del self.adjacency[j][i]
+        for child in edge[:2]:
+            if child in self.parent and self.parent[child][1] == edge:
+                del self.parent[child]
+                return
+        raise AssertionError(f"edge {edge} is not in this forest")
 
 
 def _augment(
@@ -318,6 +320,13 @@ def spanning_packing(graph: Multigraph) -> TreePacking:
         raise ValueError("spanning packing needs at least two vertices")
     target = TerminalSet.full(graph.m)
     certified = nash_williams_count(graph)
+    total_edges = graph.total_edges()
+    if certified * total_edges > SPANNING_WORK_CAP:
+        raise SizeLimitError(
+            f"spanning packing is capped at k*|E| = {SPANNING_WORK_CAP}; this "
+            f"graph has k = {certified} trees and |E| = {total_edges} edges, "
+            f"k*|E| = {certified * total_edges}"
+        )
     if certified == 0:
         return TreePacking(graph=graph, target=target, trees=())
     forests = [_Forest() for _ in range(certified)]
@@ -339,7 +348,7 @@ def spanning_packing(graph: Multigraph) -> TreePacking:
         raise AssertionError(
             f"matroid union packed {total} edges, expected {goal}"
         )
-    trees = tuple(Tree(tuple(sorted(f.edges()))) for f in forests)
+    trees = tuple(Tree(tuple(f.edges())) for f in forests)
     return TreePacking(graph=graph, target=target, trees=trees)
 
 
@@ -506,7 +515,7 @@ def _exact_steiner(
 
     greedy = _greedy_steiner(graph, target)
     best_count = greedy.count
-    best_choice = [tuple(sorted(set(t.pairs()))) for t in greedy.trees]
+    best_choice = [t.pairs() for t in greedy.trees]
     chosen: list[int] = []
 
     def dfs(start: int, count: int) -> None:

@@ -2,20 +2,19 @@
 
 Each multigraph edge carries one ideal uniform key bit, shared by its two
 endpoints.  Within a tree, the lexicographically least edge is the
-reference: its bit becomes the tree's shared bit b.  Walking the tree
-breadth-first outward from the reference edge (children in lexicographic
-order), the already-informed endpoint of each further edge e broadcasts
-b XOR k_e, which lets the far endpoint recover b.  Every broadcast is
-therefore the GF(2) sum of exactly two edge bits, and the group key,
-transcript and residual bits together form a bijection of the edge bits.
-Propagation relies on ``Tree`` (frozen, checked connected and acyclic).
+reference: its bit becomes the tree's shared bit b.  Propagation follows
+``Tree.walk``, built once when the tree is checked: breadth-first outward
+from the reference edge (children in lexicographic order), the
+already-informed endpoint of each further edge e broadcasts b XOR k_e,
+which lets the far endpoint recover b.  Every broadcast is therefore the
+GF(2) sum of exactly two edge bits, and the group key, transcript and
+residual bits together form a bijection of the edge bits.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -74,37 +73,18 @@ def propagate_tree(
     """Share one bit across a tree; returns (bit, broadcasts).
 
     The reference edge supplies the bit; each of the remaining edges costs
-    one broadcast, in breadth-first order from the reference edge.  Since
-    ``Tree`` is connected and acyclic, every broadcast informs a new vertex.
+    one broadcast, in the order of ``tree.walk``, where every speaker is
+    already informed and every listener is a new vertex.
     """
     for edge in tree.edges:
         if edge not in keys.bits:
             raise InvalidTreeError(f"no key bit for tree edge {edge}")
     reference = tree.edges[0]  # edges are kept sorted, so this is least
     shared = keys.bits[reference]
-    incident: dict[int, list[EdgeRef]] = {}
-    for edge in tree.edges:
-        incident.setdefault(edge[0], []).append(edge)
-        incident.setdefault(edge[1], []).append(edge)
-    used = {reference}
-    queue = deque((reference[0], reference[1]))
-    broadcasts = []
-    while queue:
-        speaker = queue.popleft()
-        for edge in sorted(incident[speaker]):
-            if edge in used:
-                continue
-            used.add(edge)
-            broadcasts.append(
-                Broadcast(
-                    tree=tree_index,
-                    terminal=speaker,
-                    bit=shared ^ keys.bits[edge],
-                    support=(reference, edge),
-                )
-            )
-            queue.append(edge[1] if edge[0] == speaker else edge[0])
-    return shared, tuple(broadcasts)
+    return shared, tuple(
+        Broadcast(tree_index, speaker, shared ^ keys.bits[edge], (reference, edge))
+        for speaker, edge in tree.walk
+    )
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ builder, Steiner packing by undirected brute force over all tree subsets,
 GF(2) rank by column-scan elimination, two-atom splits by bitmask, and the
 LP by a dense Bland simplex over Fractions.  Earlier forms of rewritten
 production routines are kept as differential oracles: spanning packing
-that scans every labeled edge against every forest, and key recovery that
-rescans the transcript once per tree.
+that scans every labeled edge against every forest, forests that search
+their adjacency for each path, key recovery that rescans the transcript
+once per tree, the tree shape check by a separate depth-first search, and
+propagation that rebuilds each tree's incident lists.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from pinkey import (
+    Broadcast,
+    EdgeKeyBits,
     InvalidPackingError,
+    InvalidTreeError,
     Multigraph,
     PairPmf,
     PinModel,
@@ -100,6 +105,17 @@ def random_terminal_set(rng: random.Random, m: int, size: int | None = None) -> 
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+
+def random_tree_edges(rng: random.Random, n: int, base: int = 1) -> list:
+    """A random tree on n labels from base..base+11, copies 0..3, in the
+    order it was grown."""
+    labels = rng.sample(range(base, base + 12), n)
+    edges = []
+    for k in range(1, n):
+        u, v = sorted((labels[k], labels[rng.randrange(k)]))
+        edges.append((u, v, rng.randint(0, 3)))
+    return edges
 
 
 def brute_min_cut(graph: Multigraph, s: int, t: int) -> int:
@@ -452,3 +468,66 @@ def scan_recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
                 f"terminal {terminal} has no incident edge in tree {tree_index}"
             )
     return tuple(recovered)
+
+
+def reference_tree_check(edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tree shape check with a separate connectivity search: returns
+    (sorted edges, sorted vertices) or raises ``InvalidTreeError`` with the
+    message ``pinkey.Tree`` must give."""
+    edges = tuple(sorted(edges))
+    if not edges:
+        raise InvalidTreeError("a tree needs at least one edge")
+    if len(set(edges)) != len(edges):
+        raise InvalidTreeError("duplicate edge in tree")
+    for (i, j, copy) in edges:
+        if not (1 <= i < j) or copy < 0:
+            raise InvalidTreeError(f"malformed edge ({i}, {j}, {copy})")
+    vertices = tuple(sorted({v for (i, j, _) in edges for v in (i, j)}))
+    adjacency: dict[int, list[int]] = {v: [] for v in vertices}
+    for (i, j, _) in edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    stack = [vertices[0]]
+    seen = {vertices[0]}
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(vertices) != len(edges) + 1 or len(seen) != len(vertices):
+        raise InvalidTreeError("edges do not form a connected acyclic graph")
+    return edges, vertices
+
+
+def reference_propagate_tree(
+    tree: Tree, keys: EdgeKeyBits, tree_index: int = 0
+) -> tuple[int, tuple[Broadcast, ...]]:
+    """Propagation that rebuilds the tree's incident lists and walks them
+    breadth-first from the reference edge, children sorted: the oracle for
+    ``pinkey.propagate_tree``, which follows ``Tree.walk``."""
+    for edge in tree.edges:
+        if edge not in keys.bits:
+            raise InvalidTreeError(f"no key bit for tree edge {edge}")
+    reference = tree.edges[0]
+    shared = keys.bits[reference]
+    incident: dict[int, list] = {}
+    for edge in tree.edges:
+        incident.setdefault(edge[0], []).append(edge)
+        incident.setdefault(edge[1], []).append(edge)
+    used = {reference}
+    queue = deque((reference[0], reference[1]))
+    broadcasts = []
+    while queue:
+        speaker = queue.popleft()
+        for edge in sorted(incident[speaker]):
+            if edge in used:
+                continue
+            used.add(edge)
+            broadcasts.append(Broadcast(
+                tree=tree_index,
+                terminal=speaker,
+                bit=shared ^ keys.bits[edge],
+                support=(reference, edge),
+            ))
+            queue.append(edge[1] if edge[0] == speaker else edge[0])
+    return shared, tuple(broadcasts)

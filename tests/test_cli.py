@@ -125,6 +125,26 @@ class TestCapacityCommand:
         assert err.startswith("internal error: ArithmeticError: capacity")
         assert err.count("\n") == 1
 
+    def test_bad_simplex_solution_is_internal_error(self, capsys, monkeypatch):
+        import pinkey.capacity as capacity_module
+        from dataclasses import replace
+
+        real_solve_lp = capacity_module.solve_lp
+
+        def basic_variable_off_by_a_seventh(*args):
+            result = real_solve_lp(*args)
+            solution = list(result.solution)
+            solution[result.basis[0]] += Fraction(1, 7)
+            return replace(result, solution=tuple(solution))
+
+        monkeypatch.setattr(capacity_module, "solve_lp",
+                            basic_variable_off_by_a_seventh)
+        code, out, err = run_cli(capsys, "capacity", TRIANGLE)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error: InvalidAssignmentError: weights")
+        assert err.count("\n") == 1
+
 
 class TestTerminalCap:
     """A model stores all m(m-1)/2 pairs, so m is capped at parse time."""
@@ -239,6 +259,50 @@ class TestSimulateCommand:
         assert code == 4
         assert "audit failed" in err
         assert json.loads(out)["audit_passed"] is False
+
+
+class TestPackCommandFaults:
+    def test_repeated_tree_is_internal_error(self, capsys, monkeypatch):
+        import pinkey.cli as cli_module
+        from pinkey import TreePacking
+
+        real_steiner_packing = cli_module.steiner_packing
+
+        def repeat_first_tree(graph, target, **kwargs):
+            packing = real_steiner_packing(graph, target, **kwargs)
+            return TreePacking(graph, target, packing.trees + packing.trees[:1])
+
+        monkeypatch.setattr(cli_module, "steiner_packing", repeat_first_tree)
+        code, out, err = run_cli(capsys, "pack", TRIANGLE)
+        assert code == 1
+        assert out == ""
+        assert err == "internal error: InvalidPackingError: edge (1, 2, 0) used twice\n"
+
+
+class TestSpanningWorkCap:
+    """Spanning packing costs about k * |E|; tiny files can ask for 10^10."""
+
+    MODELS = {
+        "integer": {"terminals": 3, "weights": [
+            {"i": 1, "j": 2, "value": 50000}, {"i": 2, "j": 3, "value": 49999}]},
+        "rational": {"terminals": 3, "weights": [
+            {"i": 1, "j": 2, "value": "1/100003"},
+            {"i": 2, "j": 3, "value": "1/99991"}]},
+    }
+
+    @pytest.mark.parametrize("command", ["pack", "simulate"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_huge_spanning_work_is_size_limit(self, capsys, tmp_path, command,
+                                              model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.MODELS[model]))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: spanning packing is capped at k*|E|")
+        assert err.count("\n") == 1
 
 
 class TestValidateCommand:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -27,9 +28,10 @@ from pinkey import (
     steiner_packing,
     steiner_rate_lower_bound,
 )
-from pinkey.packing import _bound_partitions
+from pinkey.packing import SPANNING_WORK_CAP, _bound_partitions, _Forest
 
 from helpers import (
+    _ReferenceForest,
     bitmask_splits,
     brute_min_cut,
     brute_steiner_packing_count,
@@ -37,6 +39,8 @@ from helpers import (
     reference_spanning_packing,
     random_small_model,
     random_terminal_set,
+    random_tree_edges,
+    reference_tree_check,
 )
 
 UNIT_TRIANGLE = Multigraph(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
@@ -81,6 +85,85 @@ class TestTreeType:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(InvalidTreeError):
             Tree(((1, 2, 0), (1, 2, 0)))
+
+    def test_equality_hash_and_repr_follow_edges_only(self):
+        a = Tree(((2, 3, 0), (1, 2, 1), (2, 4, 0)))
+        b = Tree(((1, 2, 1), (2, 4, 0), (2, 3, 0)))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "Tree(edges=((1, 2, 1), (2, 3, 0), (2, 4, 0)))"
+        assert a.walk == ((2, (2, 3, 0)), (2, (2, 4, 0)))
+
+    @given(st.integers(0, 10_000))
+    def test_accepts_and_rejects_like_the_reference_check(self, seed):
+        rng = random.Random(seed)
+        edges = _random_edge_list(rng)
+        try:
+            expected_edges, expected_vertices = reference_tree_check(edges)
+        except InvalidTreeError as exc:
+            with pytest.raises(InvalidTreeError, match=f"^{re.escape(str(exc))}$"):
+                Tree(tuple(edges))
+            return
+        tree = Tree(tuple(edges))
+        assert tree.edges == expected_edges
+        assert tree.vertices() == expected_vertices
+
+
+def _random_edge_list(rng: random.Random) -> list:
+    """A tree, or a tree spoiled into a forest, a cycle, a cycle beside a
+    second tree (as many vertices as a tree would have), a repeated edge or
+    a malformed edge, or a few arbitrary edges; in shuffled order."""
+    kind = rng.choice(("tree", "forest", "cycle", "cycle_forest", "duplicate",
+                       "malformed", "arbitrary"))
+    edges = random_tree_edges(rng, rng.randint(2, 9))
+    if kind in ("cycle", "cycle_forest"):
+        u, v = sorted(rng.sample(sorted({x for e in edges for x in e[:2]}), 2))
+        edges.append((u, v, 4))
+    if kind in ("forest", "cycle_forest"):
+        edges += random_tree_edges(rng, rng.randint(2, 4), base=20)
+    elif kind == "duplicate":
+        edges.append(rng.choice(edges))
+    elif kind == "malformed":
+        i, j, copy = rng.choice(((0, 2, 0), (3, 3, 0), (4, 2, 0), (1, 2, -1)))
+        edges.append((i, j, copy))
+    elif kind == "arbitrary":
+        edges = [(rng.randint(0, 5), rng.randint(0, 5), rng.randint(-1, 1))
+                 for _ in range(rng.randint(0, 6))]
+    rng.shuffle(edges)
+    return edges
+
+
+class TestForest:
+    @given(st.integers(0, 10_000))
+    def test_paths_and_edges_match_the_reference_forest(self, seed):
+        rng = random.Random(seed)
+        m = rng.randint(2, 8)
+        forest, reference = _Forest(), _ReferenceForest()
+        for _ in range(rng.randint(1, 40)):
+            held = reference.edges()
+            if held and rng.random() < 0.3:
+                edge = rng.choice(held)
+                forest.remove(edge)
+                reference.remove(edge)
+            else:
+                i, j = sorted(rng.sample(range(1, m + 1), 2))
+                edge = (i, j, rng.randint(0, 2))
+                if reference.path_edges(i, j) is not None:
+                    with pytest.raises(AssertionError, match="close a cycle"):
+                        forest.add(edge)
+                    continue
+                forest.add(edge)
+                reference.add(edge)
+            assert sorted(forest.edges()) == sorted(reference.edges())
+            for u, v in itertools.permutations(range(1, m + 1), 2):
+                assert forest.path_edges(u, v) == reference.path_edges(u, v)
+
+    def test_remove_rejects_an_absent_edge(self):
+        forest = _Forest()
+        forest.add((1, 2, 0))
+        with pytest.raises(AssertionError, match="not in this forest"):
+            forest.remove((1, 2, 1))
+        with pytest.raises(AssertionError, match="not in this forest"):
+            forest.remove((2, 3, 0))
 
 
 class TestPackingType:
@@ -204,6 +287,13 @@ class TestSpanningPacking:
     def test_same_trees_as_reference_search(self, seed):
         graph = random_multigraph(random.Random(seed), max_m=6, max_mult=5)
         assert spanning_packing(graph) == reference_spanning_packing(graph)
+
+    def test_work_cap(self):
+        # k trees over |E| edges: 1414 * 1414 is just under the cap
+        assert 1414 * 1414 <= SPANNING_WORK_CAP < 1415 * 1415
+        assert spanning_packing(Multigraph(2, {(1, 2): 1414})).count == 1414
+        with pytest.raises(SizeLimitError, match=r"k = 1415 .* k\*\|E\| = 2002225$"):
+            spanning_packing(Multigraph(2, {(1, 2): 1415}))
 
 
 class TestSteinerPacking:

@@ -27,7 +27,13 @@ from pinkey import (
     verify_linear_maps,
 )
 
-from helpers import random_multigraph, random_terminal_set, scan_recover_key
+from helpers import (
+    random_multigraph,
+    random_terminal_set,
+    random_tree_edges,
+    reference_propagate_tree,
+    scan_recover_key,
+)
 
 DOUBLED_TRIANGLE = Multigraph(3, {(1, 2): 2, (1, 3): 2, (2, 3): 2})
 UNIT_TRIANGLE = Multigraph(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
@@ -118,6 +124,17 @@ class TestPropagateTree:
             assert b.informed_terminal not in informed
             informed.add(b.informed_terminal)
         assert informed == set(tree.vertices())
+
+    @given(st.integers(0, 10_000))
+    def test_same_bit_and_broadcasts_as_reference_walk(self, seed):
+        rng = random.Random(seed)
+        edges = random_tree_edges(rng, rng.randint(2, 9))
+        rng.shuffle(edges)
+        keys = EdgeKeyBits({edge: rng.getrandbits(1) for edge in edges})
+        tree = Tree(tuple(edges))
+        index = rng.randint(0, 5)
+        assert propagate_tree(tree, keys, index) == \
+            reference_propagate_tree(tree, keys, index)
 
 
 class TestRunProtocol:
