@@ -75,7 +75,9 @@ def _dyadic_entropy(counts: Counter, total_bits: int) -> Fraction:
     return Fraction(total_bits) - Fraction(weighted, 1 << total_bits)
 
 
-def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
+def security_index_bruteforce(
+    run: ProtocolRun, edge_cap: int = BRUTEFORCE_EDGE_CAP
+) -> SecurityReport:
     """Security index by enumerating every edge-bit assignment.
 
     Builds the exact joint distribution of (key, transcript) and computes
@@ -84,9 +86,9 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
     bit flips, so the key/transcript images are updated by XOR.
     """
     edges = len(run.edge_order)
-    if edges > BRUTEFORCE_EDGE_CAP:
+    if edges > edge_cap:
         raise SizeLimitError(
-            f"brute force is capped at {BRUTEFORCE_EDGE_CAP} edges, got {edges}"
+            f"brute force is capped at {edge_cap} edges, got {edges}"
         )
     key_columns = []
     transcript_columns = []
@@ -141,7 +143,7 @@ def audit(
     rank_report = security_index_rank(run)
     method = "rank"
     if len(run.edge_order) <= bruteforce_cap:
-        brute = security_index_bruteforce(run)
+        brute = security_index_bruteforce(run, edge_cap=bruteforce_cap)
         if (brute.security_index != rank_report.security_index
                 or brute.key_given_transcript != rank_report.key_given_transcript):
             raise AuditFailureError(

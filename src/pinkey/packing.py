@@ -8,8 +8,12 @@ Three packing routes, each certified by an independent count:
 * edge-disjoint spanning trees via matroid-union augmentation (grow k
   forests simultaneously, swapping along exchange chains), with k taken
   from the partition-count formula as the termination certificate; each
-  forest is a set of parent pointers, so a forest path is two climbs
-  toward the root, and the work k·|E| is capped;
+  forest is a set of parent pointers, so "does this forest join u and v"
+  is two root climbs and a forest path is two climbs toward the root.
+  Forest components only merge, so each vertex pair keeps, for the whole
+  packing, the least forest that may still separate it; the exchange
+  search checks each edge when it is labeled and asks each forest about
+  a pair at most once.  The work k·|E| is capped;
 * Steiner packings for intermediate target sets: exact by depth-first
   search over edge-disjoint trees, pruned by the partition bound
   ``partitions.min_ratio`` on the remaining capacities (capped, the
@@ -34,7 +38,7 @@ from . import partitions
 from .partitions import nash_williams_count
 
 STEINER_EXACT_EDGE_CAP = 24
-# trees times edges: the matroid-union search labels edges for each forest
+# trees times edges: each of the |E| insertions may ask all k forests
 SPANNING_WORK_CAP = 2 * 10**6
 
 
@@ -251,9 +255,18 @@ class _Forest:
         path.extend(reversed(climb[:depth[x]]))
         return path
 
+    def joins(self, u: int, v: int) -> bool:
+        """Whether u and v lie in one tree: both climb to the same root."""
+        parent = self.parent
+        while u in parent:
+            u = parent[u][0]
+        while v in parent:
+            v = parent[v][0]
+        return u == v
+
     def add(self, edge: EdgeRef) -> None:
         i, j = edge[0], edge[1]
-        if self.path_edges(i, j) is not None:
+        if self.joins(i, j):
             raise AssertionError(f"adding {edge} would close a cycle")
         x, link = i, (j, edge)  # re-root i's tree at i, then hang i below j
         while True:
@@ -272,45 +285,92 @@ class _Forest:
         raise AssertionError(f"edge {edge} is not in this forest")
 
 
+def _open_forest(
+    forests: list[_Forest], pair: Pair, open_from: dict[Pair, int]
+) -> int | None:
+    """The least forest that separates pair, or None if every forest joins it.
+
+    Forests below ``open_from[pair]`` are known to join the pair.  That
+    stays true for the whole packing, because a forest's components only
+    merge (see ``_augment``), so the pointer only moves forward.
+    """
+    index = open_from.get(pair, 0)
+    u, v = pair
+    while index < len(forests) and forests[index].joins(u, v):
+        index += 1
+    open_from[pair] = index
+    return index if index < len(forests) else None
+
+
 def _augment(
-    forests: list[_Forest], new_edge: EdgeRef, owner: dict[EdgeRef, int]
+    forests: list[_Forest],
+    new_edge: EdgeRef,
+    open_from: dict[Pair, int],
 ) -> bool:
     """Insert new_edge into the forest union via exchange chains.
 
-    Breadth-first labeling over forest edges; when some labeled edge fits
-    directly into a forest, swaps are unwound back to new_edge.  Returns
-    False when the edge lies in the span of every forest (a full clump).
-    Forests change only on success, so each forest is asked about a vertex
-    pair once: a parallel copy would find the same, already labeled path.
+    Breadth-first labeling over forest edges: a dequeued edge x labels the
+    edges on its path in each forest, in forest order; the search succeeds
+    at the first labeled edge that some forest separates, which goes into
+    the least such forest, and the swaps are unwound back to new_edge.
+    Returns False when the edge lies in the span of every forest (a full
+    clump).  Three facts keep the forest queries few:
+
+    * A forest's components only merge.  A direct add joins two of them.
+      A swap puts in an edge whose endpoints the forest already joins and
+      takes out an edge of the path between them, so the components stay
+      as they were.  Hence "the least forest that may separate pair p" only
+      moves forward, and ``open_from`` keeps it per pair across the whole
+      packing (``_open_forest``).
+    * The exchange can be found when an edge is labeled.  Forests do not
+      change during the search, so the first labeled edge, in FIFO order,
+      that has a separating forest is where the search succeeds; each edge
+      is checked as soon as it is labeled, not when it is dequeued.
+    * Only the first labeled edge of a vertex pair matters.  A parallel
+      copy has the same endpoints, hence no separating forest either and
+      the same path in every forest, which the first copy labels when it
+      is dequeued.  So each pair is labeled, checked and dequeued at most
+      once per search, and each forest is asked about it once.
     """
     parent: dict[EdgeRef, tuple[EdgeRef, int] | None] = {new_edge: None}
-    scanned: set[tuple[int, int, int]] = set()
+    index = _open_forest(forests, new_edge[:2], open_from)
+    if index is not None:
+        _unwind(forests, parent, new_edge, index)
+        return True
+    labeled = {new_edge[:2]}  # vertex pairs
     queue = deque([new_edge])
     while queue:
         x = queue.popleft()
-        for index, forest in enumerate(forests):
-            if owner.get(x) == index or (index, x[0], x[1]) in scanned:
-                continue
-            scanned.add((index, x[0], x[1]))
-            path = forest.path_edges(x[0], x[1])
-            if path is None:
-                current = x
-                forests[index].add(current)
-                owner[current] = index
-                entry = parent[current]
-                while entry is not None:
-                    prev_edge, holder = entry
-                    forests[holder].remove(current)
-                    forests[holder].add(prev_edge)
-                    owner[prev_edge] = holder
-                    current = prev_edge
-                    entry = parent[current]
-                return True
-            for y in path:
-                if y not in parent:
-                    parent[y] = (x, index)
+        for i, forest in enumerate(forests):
+            for y in forest.path_edges(x[0], x[1]):
+                pair = y[:2]
+                if pair not in labeled:
+                    labeled.add(pair)
+                    parent[y] = (x, i)
+                    index = _open_forest(forests, pair, open_from)
+                    if index is not None:
+                        _unwind(forests, parent, y, index)
+                        return True
                     queue.append(y)
     return False
+
+
+def _unwind(
+    forests: list[_Forest],
+    parent: Mapping[EdgeRef, tuple[EdgeRef, int] | None],
+    current: EdgeRef,
+    index: int,
+) -> None:
+    """Put current into forest index, then swap each labeled edge into the
+    forest that labeled it, in place of its label, back to the new edge."""
+    forests[index].add(current)
+    entry = parent[current]
+    while entry is not None:
+        prev_edge, holder = entry
+        forests[holder].remove(current)
+        forests[holder].add(prev_edge)
+        current = prev_edge
+        entry = parent[current]
 
 
 def spanning_packing(graph: Multigraph) -> TreePacking:
@@ -330,17 +390,17 @@ def spanning_packing(graph: Multigraph) -> TreePacking:
     if certified == 0:
         return TreePacking(graph=graph, target=target, trees=())
     forests = [_Forest() for _ in range(certified)]
-    owner: dict[EdgeRef, int] = {}
     goal = certified * (graph.m - 1)
     total = 0
     dead_pairs: set[Pair] = set()
+    open_from: dict[Pair, int] = {}
     for edge in graph.edge_refs():
         if total == goal:
             break
         pair = (edge[0], edge[1])
         if pair in dead_pairs:
             continue  # parallel copies share a span; once blocked, always blocked
-        if _augment(forests, edge, owner):
+        if _augment(forests, edge, open_from):
             total += 1
         else:
             dead_pairs.add(pair)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pinkey import (
+    BRUTEFORCE_EDGE_CAP,
     AuditFailureError,
     EdgeKeyBits,
     Gf2Matrix,
@@ -119,6 +120,22 @@ class TestBruteForceMethod:
         big = Multigraph(2, {(1, 2): 21})
         with pytest.raises(SizeLimitError):
             security_index_bruteforce(spanning_run(big))
+
+    def test_audit_passes_its_cap_through(self):
+        # 21 edges: one over the default cap, within the caller's
+        graph = Multigraph(3, {(1, 2): 1, (2, 3): 20})
+        target = TerminalSet.of(1, 3)
+        run = run_protocol(graph, steiner_packing(graph, target),
+                           draw_edge_keys(graph, 0), target)
+        assert len(run.edge_order) == BRUTEFORCE_EDGE_CAP + 1 == 21
+        assert audit(run).method == "rank"
+        report = audit(run, bruteforce_cap=21)
+        assert report.method == "rank+bruteforce"
+        assert report.security_index == 0
+        with pytest.raises(SizeLimitError, match="capped at 20 edges, got 21$"):
+            security_index_bruteforce(run)
+        with pytest.raises(SizeLimitError, match="capped at 3 edges, got 21$"):
+            security_index_bruteforce(run, edge_cap=3)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_rank(self, seed):

@@ -1,11 +1,12 @@
 import itertools
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinkey.partitions
@@ -43,10 +44,30 @@ from helpers import (
     reference_tree_check,
 )
 
+
+def complete_multigraph(m: int, copies: int) -> Multigraph:
+    pairs = itertools.combinations(range(1, m + 1), 2)
+    return Multigraph(m, {pair: copies for pair in pairs})
+
+
 UNIT_TRIANGLE = Multigraph(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
 DOUBLED_TRIANGLE = Multigraph(3, {(1, 2): 2, (1, 3): 2, (2, 3): 2})
 TRIANGLE_MODEL = PinModel.from_weights(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
 PATH_MODEL = PinModel.from_weights(3, {(1, 2): 2, (2, 3): 1})
+# many equal-weight pairs, a heavy pair beside a light star, disconnected
+# graphs: ties decide which forest each copy joins
+TIE_HEAVY_GRAPHS = {
+    f"K{m}x{copies}": complete_multigraph(m, copies)
+    for m in range(3, 7) for copies in (1, 2, 3, 8, 40)
+} | {
+    "heavy_pair_light_star": Multigraph(
+        5, {(1, 2): 30, (1, 3): 1, (1, 4): 2, (1, 5): 1, (3, 4): 1}),
+    "heavy_pair_light_fan": Multigraph(
+        4, {(2, 3): 25, (1, 2): 1, (1, 3): 1, (1, 4): 1, (2, 4): 2}),
+    "two_triangles": Multigraph(
+        6, {(1, 2): 40, (1, 3): 2, (2, 3): 2, (4, 5): 9, (4, 6): 9, (5, 6): 9}),
+    "isolated_vertex": Multigraph(4, {(1, 2): 12, (1, 3): 12, (2, 3): 12}),
+}
 
 
 def assert_valid_packing(packing: TreePacking) -> None:
@@ -155,7 +176,9 @@ class TestForest:
                 reference.add(edge)
             assert sorted(forest.edges()) == sorted(reference.edges())
             for u, v in itertools.permutations(range(1, m + 1), 2):
-                assert forest.path_edges(u, v) == reference.path_edges(u, v)
+                path = reference.path_edges(u, v)
+                assert forest.path_edges(u, v) == path
+                assert forest.joins(u, v) == (path is not None)
 
     def test_remove_rejects_an_absent_edge(self):
         forest = _Forest()
@@ -284,9 +307,41 @@ class TestSpanningPacking:
             assert len(tree.vertices()) == graph.m  # genuinely spanning
 
     @given(st.integers(0, 10_000))
+    @settings(deadline=None)
     def test_same_trees_as_reference_search(self, seed):
-        graph = random_multigraph(random.Random(seed), max_m=6, max_mult=5)
+        # up to 25 parallel copies: exchange chains and dead pairs are common
+        graph = random_multigraph(random.Random(seed), max_m=7, max_mult=25)
         assert spanning_packing(graph) == reference_spanning_packing(graph)
+
+    @pytest.mark.parametrize("name", TIE_HEAVY_GRAPHS)
+    def test_same_trees_as_reference_search_on_ties(self, name):
+        graph = TIE_HEAVY_GRAPHS[name]
+        packing = spanning_packing(graph)
+        assert packing == reference_spanning_packing(graph)
+        assert packing.count == nash_williams_count(graph)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_forest_components_only_coarsen(self, seed, monkeypatch):
+        # the per-pair resume pointer of _augment relies on this
+        graph = random_multigraph(random.Random(seed), max_m=7, max_mult=25)
+        augment = pinkey.packing._augment
+        vertices = range(1, graph.m + 1)
+
+        def roots(forest):
+            # each vertex's least fellow in its tree stands for the tree
+            return {v: min(x for x in vertices if forest.joins(v, x)) for v in vertices}
+
+        def checked(forests, new_edge, open_from):
+            before = [roots(f) for f in forests]
+            fitted = augment(forests, new_edge, open_from)
+            for forest, was in zip(forests, before):
+                now = roots(forest)
+                for u, v in itertools.combinations(vertices, 2):
+                    assert was[u] != was[v] or now[u] == now[v]
+            return fitted
+
+        monkeypatch.setattr(pinkey.packing, "_augment", checked)
+        assert spanning_packing(graph).count == nash_williams_count(graph)
 
     def test_work_cap(self):
         # k trees over |E| edges: 1414 * 1414 is just under the cap
@@ -294,6 +349,14 @@ class TestSpanningPacking:
         assert spanning_packing(Multigraph(2, {(1, 2): 1414})).count == 1414
         with pytest.raises(SizeLimitError, match=r"k = 1415 .* k\*\|E\| = 2002225$"):
             spanning_packing(Multigraph(2, {(1, 2): 1415}))
+
+    def test_k4_times_300_packs_quickly(self):
+        graph = complete_multigraph(4, 300)
+        start = time.perf_counter()
+        packing = spanning_packing(graph)
+        elapsed = time.perf_counter() - start
+        assert packing.count == 600
+        assert elapsed < 2.0, f"K4 x 300 took {elapsed:.2f} s"
 
 
 class TestSteinerPacking:
