@@ -3,9 +3,10 @@
 The security index is log|K| - H(K|F): zero exactly when the group key is
 uniform and independent of the transcript.  Because key and transcript are
 GF(2)-linear in i.i.d. uniform edge bits, conditional entropies are matrix
-ranks, so the index is computed in exact integer arithmetic; a brute-force
-enumeration of all edge-bit assignments provides an independent check at
-small sizes (dyadic joint distributions, again exact).
+ranks (spanning-forest sizes, since every map row names one or two edges),
+so the index is computed in exact integer arithmetic in about linear time;
+a brute-force enumeration of all edge-bit assignments provides an
+independent check at small sizes (dyadic joint distributions, again exact).
 
 Fault-injection helpers build tampered copies of a run so tests can show
 the audits actually fail on bad runs.
@@ -80,40 +81,34 @@ def security_index_bruteforce(
 ) -> SecurityReport:
     """Security index by enumerating every edge-bit assignment.
 
-    Builds the exact joint distribution of (key, transcript) and computes
-    the entropies directly; the key and transcript marginals are summed
-    from it afterwards.  Gray-code iteration keeps each step O(1): one edge
-    bit flips, so the key/transcript images are updated by XOR.
+    Builds the exact joint distribution of (key, transcript), one int per
+    image with the key bits above the transcript bits, and computes the
+    entropies directly; the marginals are split off it afterwards.  Gray-code
+    iteration keeps each step O(1): one edge bit flips, so the image is
+    updated by XOR with that edge's column.
     """
     edges = len(run.edge_order)
     if edges > edge_cap:
         raise SizeLimitError(
             f"brute force is capped at {edge_cap} edges, got {edges}"
         )
-    key_columns = []
-    transcript_columns = []
-    for k in range(edges):
-        bit = 1 << k
-        key_columns.append(
-            sum(1 << r for r, row in enumerate(run.key_map.rows) if row & bit)
-        )
-        transcript_columns.append(
-            sum(1 << r for r, row in enumerate(run.transcript_map.rows) if row & bit)
-        )
+    columns = [0] * edges
+    for r, row in enumerate(run.transcript_map.rows + run.key_map.rows):
+        for k in row:
+            columns[k] |= 1 << r
 
-    joint: Counter = Counter({(0, 0): 1})
-    key_value = 0
-    transcript_value = 0
+    joint: Counter = Counter({0: 1})
+    image = 0
     for step in range(1, 1 << edges):
-        flipped = (step & -step).bit_length() - 1
-        key_value ^= key_columns[flipped]
-        transcript_value ^= transcript_columns[flipped]
-        joint[(key_value, transcript_value)] += 1
+        image ^= columns[(step & -step).bit_length() - 1]
+        joint[image] += 1
+    width = run.transcript_map.nrows
+    mask = (1 << width) - 1
     key_marginal: Counter = Counter()
     transcript_marginal: Counter = Counter()
-    for (key_value, transcript_value), count in joint.items():
-        key_marginal[key_value] += count
-        transcript_marginal[transcript_value] += count
+    for image, count in joint.items():
+        key_marginal[image >> width] += count
+        transcript_marginal[image & mask] += count
 
     joint_entropy = _dyadic_entropy(joint, edges)
     transcript_entropy = _dyadic_entropy(transcript_marginal, edges)

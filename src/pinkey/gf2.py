@@ -1,45 +1,56 @@
-"""GF(2) linear algebra on int bitmask rows (column k = bit k)."""
+"""GF(2) maps whose rows each sum one or two columns, stored as index tuples.
+
+Such rows are the edges of a graph on the columns plus a ground node that
+one-column rows join.  Rows are independent exactly when their edges form
+a forest, so the rank is the size of a spanning forest, found by union-find.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+Row = tuple[int, ...]
 
 
-def gf2_rank(rows: Sequence[int], ncols: int) -> int:
-    """Rank over the first ``ncols`` columns: each row is reduced against a
-    basis keyed by leading bit and joins it if a new leading bit remains."""
-    mask = (1 << ncols) - 1
-    basis: dict[int, int] = {}
+def gf2_rank(rows: Sequence[Row], ncols: int) -> int:
+    """Rank of one- and two-column rows over ``ncols`` columns: the number
+    of rows that join two components, with column ``ncols`` as ground."""
+    parent = list(range(ncols + 1))
+    rank = 0
     for row in rows:
-        row &= mask
-        while row:
-            lead = row.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = row
-                break
-            row ^= basis[lead]
-    return len(basis)
+        first, second = (row[0], ncols) if len(row) == 1 else row
+        while parent[first] != first:  # path halving
+            parent[first] = first = parent[parent[first]]
+        while parent[second] != second:
+            parent[second] = second = parent[parent[second]]
+        if first != second:
+            parent[first] = second
+            rank += 1
+    return rank
 
 
 @dataclass(frozen=True)
 class Gf2Matrix:
-    """Bit matrix; row r is the int ``rows[r]`` over ``ncols`` columns."""
+    """Matrix over ``ncols`` columns; row r is the sum of the one or two
+    distinct columns named by ``rows[r]``."""
 
-    rows: tuple[int, ...]
+    rows: tuple[Row, ...]
     ncols: int
 
     def __post_init__(self) -> None:
         if self.ncols < 0:
             raise ValueError("column count must be nonnegative")
-        limit = 1 << self.ncols
+        ncols = self.ncols
         for r, row in enumerate(self.rows):
-            if row < 0 or row >= limit:
-                raise ValueError(f"row {r} has bits outside {self.ncols} columns")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[int], ncols: int) -> "Gf2Matrix":
-        return cls(tuple(rows), ncols)
+            if len(row) == 2:
+                first, second = row
+                if first != second and 0 <= first < ncols and 0 <= second < ncols:
+                    continue
+            elif len(row) == 1 and 0 <= row[0] < ncols:
+                continue
+            raise ValueError(f"row {r} must name one or two distinct columns "
+                             f"in range({ncols}), got {row!r}")
 
     @property
     def nrows(self) -> int:
@@ -53,9 +64,8 @@ class Gf2Matrix:
             raise ValueError("column counts differ")
         return Gf2Matrix(self.rows + other.rows, self.ncols)
 
-    def apply(self, vector: int) -> int:
-        """Matrix-vector product; returns output bits packed as an int."""
-        out = 0
-        for r, row in enumerate(self.rows):
-            out |= ((row & vector).bit_count() & 1) << r
-        return out
+    def apply(self, bits: Sequence[int]) -> tuple[int, ...]:
+        """Matrix-vector product with ``bits[k]`` the bit of column k; one
+        output bit per row."""
+        return tuple(bits[row[0]] ^ bits[row[1]] if len(row) == 2 else bits[row[0]]
+                     for row in self.rows)

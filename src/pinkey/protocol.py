@@ -8,7 +8,8 @@ from the reference edge (children in lexicographic order), the
 already-informed endpoint of each further edge e broadcasts b XOR k_e,
 which lets the far endpoint recover b.  Every broadcast is therefore the
 GF(2) sum of exactly two edge bits, and the group key, transcript and
-residual bits together form a bijection of the edge bits.
+residual bits together form a bijection of the edge bits.  Each map row is
+kept as the canonical indices of its one or two edges.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class ProtocolRun:
     """A complete execution: key bits, transcript, residuals, linear maps.
 
     The accounting identity |E| = |K| + |F| + |K_R| holds structurally, and
-    the stacked GF(2) maps (key rows, broadcast rows, residual unit rows)
-    form an invertible square matrix in the edge bits.
+    the stacked index rows (key and residual edges, broadcast edge pairs)
+    form an invertible square GF(2) matrix in the edge bits.
     """
 
     graph: Multigraph
@@ -128,13 +129,6 @@ class ProtocolRun:
             raise KeyError(f"edge {edge} is not in this run")
         return index
 
-    def edge_vector(self) -> int:
-        """All drawn edge bits packed into an int (bit k = edge k)."""
-        vector = 0
-        for k, edge in enumerate(self.edge_order):
-            vector |= self.keys.bits[edge] << k
-        return vector
-
 
 def run_protocol(
     graph: Multigraph,
@@ -157,17 +151,17 @@ def run_protocol(
 
     key_bits: list[int] = []
     transcript: list[Broadcast] = []
-    key_rows: list[int] = []
-    transcript_rows: list[int] = []
+    key_rows: list[tuple[int]] = []
+    transcript_rows: list[tuple[int, int]] = []
     used: set[EdgeRef] = set()
     for tree_index, tree in enumerate(packing.trees):
         shared, broadcasts = propagate_tree(tree, keys, tree_index=tree_index)
         key_bits.append(shared)
-        key_rows.append(1 << index[tree.edges[0]])
+        key_rows.append((index[tree.edges[0]],))
         for broadcast in broadcasts:
             transcript.append(broadcast)
             reference, edge = broadcast.support
-            transcript_rows.append((1 << index[reference]) | (1 << index[edge]))
+            transcript_rows.append((index[reference], index[edge]))
         used.update(tree.edges)
 
     residual_edges = tuple(e for e in edge_order if e not in used)
@@ -194,11 +188,9 @@ def verify_linear_maps(run: ProtocolRun) -> bool:
     """True when the recorded maps reproduce the run's key and transcript
     bits from the drawn edge bits (honest runs always pass; tampered ones
     need not)."""
-    vector = run.edge_vector()
-    key_value = sum(bit << k for k, bit in enumerate(run.key_bits))
-    transcript_value = sum(b.bit << k for k, b in enumerate(run.transcript))
-    return (run.key_map.apply(vector) == key_value
-            and run.transcript_map.apply(vector) == transcript_value)
+    bits = [run.keys.bits[edge] for edge in run.edge_order]
+    return (run.key_map.apply(bits) == run.key_bits
+            and run.transcript_map.apply(bits) == tuple(b.bit for b in run.transcript))
 
 
 def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:

@@ -226,9 +226,15 @@ def brute_steiner_packing_count(graph: Multigraph, target: TerminalSet) -> int:
     return search(0)
 
 
+def dense_gf2_rows(rows) -> list[int]:
+    """Index rows (tuples of column indices) as int bitmasks, bit k for
+    column k, the input of ``elimination_gf2_rank``."""
+    return [sum(1 << column for column in row) for row in rows]
+
+
 def elimination_gf2_rank(rows: list[int], ncols: int) -> int:
-    """GF(2) rank by column-scan Gaussian elimination, first-nonzero
-    pivoting over the first ``ncols`` columns."""
+    """GF(2) rank of int bitmask rows by column-scan Gaussian elimination,
+    first-nonzero pivoting over the first ``ncols`` columns."""
     work = list(rows)
     rank = 0
     top = 0

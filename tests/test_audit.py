@@ -30,7 +30,12 @@ from pinkey import (
     verify_linear_maps,
 )
 
-from helpers import elimination_gf2_rank, random_multigraph, random_terminal_set
+from helpers import (
+    dense_gf2_rows,
+    elimination_gf2_rank,
+    random_multigraph,
+    random_terminal_set,
+)
 
 PATH_GRAPH = Multigraph(3, {(1, 2): 1, (2, 3): 1})
 DOUBLED_TRIANGLE = Multigraph(3, {(1, 2): 2, (1, 3): 2, (2, 3): 2})
@@ -52,37 +57,39 @@ def spanning_run(graph, seed=0):
 
 class TestGf2:
     def test_rank(self):
-        assert gf2_rank([0b01, 0b10], 2) == 2
-        assert gf2_rank([0b01, 0b01], 2) == 1
-        assert gf2_rank([0b11, 0b01, 0b10], 2) == 2
+        assert gf2_rank([(0,), (1,)], 2) == 2
+        assert gf2_rank([(0,), (0,)], 2) == 1
+        assert gf2_rank([(0, 1), (0,), (1,)], 2) == 2
+        assert gf2_rank([(0, 1), (1, 2), (0, 2)], 3) == 2  # a cycle
+        assert gf2_rank([(0, 1), (1, 2), (0, 2), (2,)], 3) == 3
         assert gf2_rank([], 4) == 0
 
     def test_matrix_apply(self):
-        matrix = Gf2Matrix((0b011, 0b110), 3)
-        assert matrix.apply(0b001) == 0b01  # parities (1, 0)
-        assert matrix.apply(0b011) == 0b10  # parities (0, 1)
-        assert matrix.apply(0b111) == 0b00  # parities (0, 0)
+        matrix = Gf2Matrix(((0, 1), (1, 2), (2,)), 3)
+        assert matrix.apply([1, 0, 0]) == (1, 0, 0)
+        assert matrix.apply([1, 1, 0]) == (0, 1, 0)
+        assert matrix.apply([1, 1, 1]) == (0, 0, 1)
 
     def test_rejects_overflow_row(self):
         with pytest.raises(ValueError):
-            Gf2Matrix((0b100,), 2)
+            Gf2Matrix(((2,),), 2)
 
-    @given(st.integers(0, 40).flatmap(lambda ncols: st.tuples(
-        st.just(ncols),
-        st.lists(st.integers(0, (1 << ncols) - 1), max_size=30))))
-    def test_rank_matches_elimination_on_random_rows(self, case):
-        ncols, rows = case
-        assert gf2_rank(rows, ncols) == elimination_gf2_rank(rows, ncols)
+    @pytest.mark.parametrize("row", [(), (0, 1, 2), (1, 1), (0, 3), (-1,)])
+    def test_rejects_malformed_row(self, row):
+        with pytest.raises(ValueError, match="one or two distinct columns"):
+            Gf2Matrix(((0,), row), 3)
 
-    @given(st.integers(2, 60).flatmap(lambda ncols: st.tuples(
+    @given(st.integers(1, 60).flatmap(lambda ncols: st.tuples(
         st.just(ncols),
-        st.lists(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=2),
+        st.lists(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=2,
+                          unique=True).map(tuple),
                  max_size=60))))
     def test_rank_matches_elimination_on_two_bit_rows(self, case):
-        # protocol key and transcript rows have one or two bits set
-        ncols, bit_lists = case
-        rows = [sum({1 << b for b in bits}) for bits in bit_lists]
-        assert gf2_rank(rows, ncols) == elimination_gf2_rank(rows, ncols)
+        # protocol key and transcript rows name one or two edges
+        ncols, rows = case
+        expected = elimination_gf2_rank(dense_gf2_rows(rows), ncols)
+        assert gf2_rank(rows, ncols) == expected
+        assert Gf2Matrix(tuple(rows), ncols).rank() == expected
 
 
 class TestRankMethod:
@@ -104,6 +111,31 @@ class TestRankMethod:
         report = security_index_rank(spanning_run(DOUBLED_TRIANGLE, seed=2))
         assert report.security_index == 0
         assert report.key_entropy == 3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_all_fields_match_dense_elimination_on_leaked_runs(self, seed):
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, max_m=5, max_mult=3)
+        target = random_terminal_set(rng, graph.m)
+        packing = steiner_packing(graph, target, mode="greedy")
+        run = run_protocol(graph, packing, draw_edge_keys(graph, seed), target)
+        variants = [run] + [leak_key_bit(run, i, k)
+                            for i in range(len(run.key_bits))
+                            for k in range(len(run.transcript))]
+        edges = len(run.edge_order)
+        for variant in variants:
+            key_rows = dense_gf2_rows(variant.key_map.rows)
+            transcript_rows = dense_gf2_rows(variant.transcript_map.rows)
+            key_rank = elimination_gf2_rank(key_rows, edges)
+            transcript_rank = elimination_gf2_rank(transcript_rows, edges)
+            joint_rank = elimination_gf2_rank(key_rows + transcript_rows, edges)
+            key_length = len(variant.key_bits)
+            report = security_index_rank(variant)
+            assert report.security_index == \
+                key_length - joint_rank + transcript_rank
+            assert report.key_entropy == key_rank
+            assert report.key_given_transcript == joint_rank - transcript_rank
+            assert report.uniformity_deficit == key_length - key_rank
 
 
 class TestBruteForceMethod:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 from pinkey import MAX_TERMINALS
 from pinkey.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = Path(__file__).parent / "goldens"
 TRIANGLE = str(GOLDENS / "triangle_model.json")
 PATH_MODEL = str(GOLDENS / "path_model.json")
@@ -303,6 +307,31 @@ class TestSpanningWorkCap:
         assert out == ""
         assert err.startswith("error: spanning packing is capped at k*|E|")
         assert err.count("\n") == 1
+
+
+class TestPathPipelineMemory:
+    """The protocol maps and the rank audit stay linear in |E|: a 100k-edge
+    path under ``simulate --set 1,3`` once peaked at about 1.4 GB."""
+
+    def test_100k_edge_path_simulate_stays_small(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"terminals": 3, "weights": [
+            {"i": 1, "j": 2, "value": 50000}, {"i": 2, "j": 3, "value": 50000}]}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import resource, sys\n"
+             "from pinkey.cli import main\n"
+             "code = main()\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+             "sys.exit(code)",
+             "simulate", str(path), "--set", "1,3"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert int(child.stderr.split()[-1]) < 400 * 1024  # kilobytes on Linux
 
 
 class TestValidateCommand:

@@ -28,6 +28,8 @@ from pinkey import (
 )
 
 from helpers import (
+    dense_gf2_rows,
+    elimination_gf2_rank,
     random_multigraph,
     random_terminal_set,
     random_tree_edges,
@@ -190,13 +192,15 @@ class TestRunProtocol:
         assert len(run.key_bits) + len(run.transcript) + len(run.residual_bits) == edges
         # stacked key, transcript and residual-unit rows are invertible
         rows = list(run.key_map.rows) + list(run.transcript_map.rows)
-        rows += [1 << run.edge_index(e) for e in run.residual_edges]
+        rows += [(run.edge_index(e),) for e in run.residual_edges]
         assert len(rows) == edges
         assert gf2_rank(rows, edges) == edges
+        assert elimination_gf2_rank(dense_gf2_rows(rows), edges) == edges
         assert verify_linear_maps(run)
 
     def test_per_tree_independence(self):
         run = full_run(DOUBLED_TRIANGLE, seed=3)
+        edges = len(run.edge_order)
         for tree_index, tree in enumerate(run.packing.trees):
             key_row = run.key_map.rows[tree_index]
             broadcast_rows = [
@@ -204,12 +208,13 @@ class TestRunProtocol:
                 for b, row in zip(run.transcript, run.transcript_map.rows)
                 if b.tree == tree_index
             ]
-            edges = len(run.edge_order)
-            assert gf2_rank([key_row] + broadcast_rows, edges) == len(tree.edges)
-            # the key row is outside the span of the broadcasts
-            assert gf2_rank(broadcast_rows, edges) == len(broadcast_rows)
-            assert gf2_rank([key_row] + broadcast_rows, edges) == \
-                len(broadcast_rows) + 1
+            for rank in (gf2_rank, lambda rows, n: elimination_gf2_rank(
+                    dense_gf2_rows(rows), n)):
+                assert rank([key_row] + broadcast_rows, edges) == len(tree.edges)
+                # the key row is outside the span of the broadcasts
+                assert rank(broadcast_rows, edges) == len(broadcast_rows)
+                assert rank([key_row] + broadcast_rows, edges) == \
+                    len(broadcast_rows) + 1
 
 
 class TestRecoverKey:
