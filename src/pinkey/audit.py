@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import AuditFailureError, SizeLimitError
-from .gf2 import Gf2Matrix
+from . import gf2
 from .protocol import Broadcast, ProtocolRun, recover_key
 
 BRUTEFORCE_EDGE_CAP = 20
@@ -46,7 +46,8 @@ def security_index_rank(run: ProtocolRun) -> SecurityReport:
     """Security index via GF(2) ranks of the recorded linear maps."""
     key_rank = run.key_map.rank()
     transcript_rank = run.transcript_map.rank()
-    joint_rank = run.key_map.stack(run.transcript_map).rank()
+    joint_rank = gf2.gf2_rank(  # rows were checked when each map was built
+        run.key_map.rows + run.transcript_map.rows, run.key_map.ncols)
     key_given_transcript = Fraction(joint_rank - transcript_rank)
     key_length = len(run.key_bits)
     return SecurityReport(
@@ -195,5 +196,5 @@ def leak_key_bit(run: ProtocolRun, key_index: int, broadcast_index: int) -> Prot
     return replace(
         run,
         key_bits=tuple(key_bits),
-        key_map=Gf2Matrix(tuple(key_rows), run.key_map.ncols),
+        key_map=gf2.Gf2Matrix(tuple(key_rows), run.key_map.ncols),
     )

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .audit import audit
 from .capacity import solve_capacity
@@ -67,12 +68,14 @@ def _parse_terminals(spec: str | None, model: PinModel) -> TerminalSet:
     return target
 
 
-def _emit(args: argparse.Namespace, report: dict, text_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, report: dict,
+          render_text: Callable[[], list[str]]) -> None:
+    """Print the report; the text lines are built only in text mode."""
     if args.format == "structured":
         report["format_version"] = FORMAT_VERSION
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
-        for line in text_lines:
+        for line in render_text():
             print(line)
 
 
@@ -103,15 +106,13 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
         "tight": result.value == bound,
         "optimal_weights": _serialize_weights(result),
     }
-    lines = [
+    _emit(args, report, lambda: [
         f"capacity C(A) = {format_rational(result.value)}",
         f"upper bound   = {format_rational(bound)}"
         + ("  (tight)" if result.value == bound else ""),
         "optimal subset weights:",
-    ]
-    for members, value in result.assignment.support():
-        lines.append(f"  {{{','.join(map(str, members))}}} -> {format_rational(value)}")
-    _emit(args, report, lines)
+    ] + [f"  {{{','.join(map(str, members))}}} -> {format_rational(value)}"
+         for members, value in result.assignment.support()])
     return EXIT_OK
 
 
@@ -127,12 +128,11 @@ def _cmd_upper_bound(args: argparse.Namespace) -> int:
         "upper_bound": format_rational(bound),
         "minimizing_partition": atoms,
     }
-    lines = [
+    _emit(args, report, lambda: [
         f"upper bound = {format_rational(bound)}",
         "minimizing partition: "
         + " | ".join(",".join(map(str, atom)) for atom in atoms),
-    ]
-    _emit(args, report, lines)
+    ])
     return EXIT_OK
 
 
@@ -160,14 +160,11 @@ def _packed(args: argparse.Namespace) -> tuple[dict, TreePacking]:
 
 def _cmd_pack(args: argparse.Namespace) -> int:
     report, packing = _packed(args)
-    lines = [
+    _emit(args, report, lambda: [
         f"scale n = {report['scale']}, edges = {report['edge_total']}",
         f"packed {packing.count} edge-disjoint trees (rate {report['rate']})",
-    ]
-    for k, tree in enumerate(packing.trees):
-        edge_text = " ".join(f"{i}-{j}#{c}" for (i, j, c) in tree.edges)
-        lines.append(f"  tree {k}: {edge_text}")
-    _emit(args, report, lines)
+    ] + [f"  tree {k}: " + " ".join(f"{i}-{j}#{c}" for (i, j, c) in tree.edges)
+         for k, tree in enumerate(packing.trees)])
     return EXIT_OK
 
 
@@ -198,7 +195,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for b in run.transcript
         ],
     })
-    lines = [
+    _emit(args, report, lambda: [
         f"scale n = {report['scale']}, seed = {args.seed}",
         f"key bits |K| = {len(run.key_bits)}, transcript |F| = "
         f"{len(run.transcript)}, residual |K_R| = {len(run.residual_bits)}",
@@ -210,9 +207,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for t, ok in sorted(report_card.recoverability.items())
         ),
         "transcript:",
-    ]
-    lines.extend("  " + line for line in export_transcript(run).splitlines())
-    _emit(args, report, lines)
+    ] + ["  " + line for line in export_transcript(run).splitlines()])
     if not report_card.passed:
         print("audit failed", file=sys.stderr)
         return EXIT_AUDIT
@@ -232,14 +227,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     }
     if model.exact:
         report["base_scale"] = base_scale(model)
-    lines = [
+    _emit(args, report, lambda: [
         f"model ok: {model.m} terminals, "
         f"{'exact' if model.exact else 'float'} mode, "
         f"{nonzero} correlated pairs"
-    ]
-    if model.exact:
-        lines.append(f"base scale n0 = {report['base_scale']}")
-    _emit(args, report, lines)
+    ] + ([f"base scale n0 = {report['base_scale']}"] if model.exact else []))
     return EXIT_OK
 
 

@@ -59,11 +59,6 @@ class Gf2Matrix:
     def rank(self) -> int:
         return gf2_rank(self.rows, self.ncols)
 
-    def stack(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if other.ncols != self.ncols:
-            raise ValueError("column counts differ")
-        return Gf2Matrix(self.rows + other.rows, self.ncols)
-
     def apply(self, bits: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product with ``bits[k]`` the bit of column k; one
         output bit per row."""

@@ -4,7 +4,7 @@ Three packing routes, each certified by an independent count:
 
 * edge-disjoint paths between two vertices, from a max-flow whose value is
   the minimum cut (augmenting-path search on the collapsed integer-capacity
-  graph, then flow decomposition into unit paths);
+  graph, then flow decomposition into distinct paths with multiplicities);
 * edge-disjoint spanning trees via matroid-union augmentation (grow k
   forests simultaneously, swapping along exchange chains), with k taken
   from the partition-count formula as the termination certificate; each
@@ -38,6 +38,8 @@ from . import partitions
 from .partitions import nash_williams_count
 
 STEINER_EXACT_EDGE_CAP = 24
+# realized edges on every route, since each route builds one tree per copy
+PACKING_EDGE_CAP = 300_000
 # trees times edges: each of the |E| insertions may ask all k forests
 SPANNING_WORK_CAP = 2 * 10**6
 
@@ -128,7 +130,7 @@ class TreePacking:
 
 
 def _max_flow(graph: Multigraph, s: int, t: int) -> tuple[int, dict]:
-    """Integer max flow s->t; returns (value, net flow as {(u, v): units})."""
+    """Integer max flow s->t; returns (value, {u: {v: net units u->v > 0}})."""
     residual: dict[int, dict[int, int]] = {v: {} for v in range(1, graph.m + 1)}
     for (i, j), count in graph.multiplicities.items():
         if count:
@@ -157,15 +159,15 @@ def _max_flow(graph: Multigraph, s: int, t: int) -> tuple[int, dict]:
             residual[u][v] -= push
             residual[v][u] += push
         value += push
-    net: dict[tuple[int, int], int] = {}
+    flow: dict[int, dict[int, int]] = {v: {} for v in range(1, graph.m + 1)}
     for (i, j), count in graph.multiplicities.items():
         if count:
             sent = count - residual[i][j]
             if sent > 0:
-                net[(i, j)] = sent
+                flow[i][j] = sent
             elif sent < 0:
-                net[(j, i)] = -sent
-    return value, net
+                flow[j][i] = -sent
+    return value, flow
 
 
 def min_cut(graph: Multigraph, s: int, t: int) -> int:
@@ -178,26 +180,33 @@ def min_cut(graph: Multigraph, s: int, t: int) -> int:
     return _max_flow(graph, s, t)[0]
 
 
-def _walk_unit_path(flow: dict[int, dict[int, int]], s: int, t: int) -> list[int]:
-    """One unit s->t path along positive flow; cancels cycles as it walks."""
+def _walk_path(flow: dict[int, dict[int, int]], s: int, t: int) -> tuple[list, int]:
+    """(path, units): the next s->t path along positive flow, taken off it by
+    its bottleneck, after cancelling each cycle met by the cycle's bottleneck.
+    No step's choice changes while its edge keeps flow, so a walk one unit at
+    a time would repeat each cycle and the path that many times."""
     path = [s]
     position = {s: 0}
     while path[-1] != t:
         v = path[-1]
         w = min(u for u, units in flow[v].items() if units > 0)
         if w in position:
-            cycle = path[position[w]:] + [w]
-            for a, b in zip(cycle, cycle[1:]):
-                flow[a][b] -= 1
+            _cancel(flow, path[position[w]:] + [w])
             for dropped in path[position[w] + 1:]:
                 del position[dropped]
             del path[position[w] + 1:]
             continue
         position[w] = len(path)
         path.append(w)
-    for a, b in zip(path, path[1:]):
-        flow[a][b] -= 1
-    return path
+    return path, _cancel(flow, path)
+
+
+def _cancel(flow: dict[int, dict[int, int]], walk: list[int]) -> int:
+    """Take the walk's bottleneck off each of its edges and return it."""
+    units = min(flow[a][b] for a, b in zip(walk, walk[1:]))
+    for a, b in zip(walk, walk[1:]):
+        flow[a][b] -= units
+    return units
 
 
 def max_disjoint_paths(graph: Multigraph, s: int, t: int) -> TreePacking:
@@ -207,15 +216,16 @@ def max_disjoint_paths(graph: Multigraph, s: int, t: int) -> TreePacking:
         raise ValueError("path endpoints must differ")
     target = TerminalSet.of(s, t)
     target.validate_within(graph.m)
-    value, net = _max_flow(graph, s, t)
-    flow: dict[int, dict[int, int]] = {v: {} for v in range(1, graph.m + 1)}
-    for (u, v), units in net.items():
-        flow[u][v] = units
+    value, flow = _max_flow(graph, s, t)
     chosen = []
-    for _ in range(value):
-        walk = _walk_unit_path(flow, s, t)
-        chosen.append(tuple((a, b) if a < b else (b, a)
-                            for a, b in zip(walk, walk[1:])))
+    walked = 0
+    while walked < value:
+        path, units = _walk_path(flow, s, t)
+        chosen.append((tuple((a, b) if a < b else (b, a)
+                             for a, b in zip(path, path[1:])), units))
+        walked += units
+    if walked != value:
+        raise AssertionError(f"paths carry {walked} units, the flow {value}")
     return _assign_copies(graph, target, chosen)
 
 
@@ -469,29 +479,31 @@ def _approx_steiner_tree(
 
 
 def _assign_copies(
-    graph: Multigraph, target: TerminalSet, chosen: list[tuple[Pair, ...]]
+    graph: Multigraph, target: TerminalSet, chosen: list[tuple[tuple[Pair, ...], int]]
 ) -> TreePacking:
+    """``copies`` trees per (pairs, copies) entry, edge copies numbered up."""
     used: Counter = Counter()
     trees = []
-    for pairs in chosen:
-        edges = []
-        for pair in pairs:
-            edges.append((pair[0], pair[1], used[pair]))
-            used[pair] += 1
-        trees.append(Tree(tuple(edges)))
+    for pairs, copies in chosen:
+        for _ in range(copies):
+            edges = []
+            for pair in pairs:
+                edges.append((pair[0], pair[1], used[pair]))
+                used[pair] += 1
+            trees.append(Tree(tuple(edges)))
     return TreePacking(graph=graph, target=target, trees=tuple(trees))
 
 
 def _greedy_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
     caps = dict(graph.multiplicities)
-    chosen: list[tuple[Pair, ...]] = []
+    chosen: list[tuple[tuple[Pair, ...], int]] = []
     while True:
         tree_pairs = _approx_steiner_tree(caps, target)
         if tree_pairs is None:
             break
         for pair in tree_pairs:
             caps[pair] -= 1
-        chosen.append(tree_pairs)
+        chosen.append((tree_pairs, 1))
     return _assign_copies(graph, target, chosen)
 
 
@@ -575,7 +587,7 @@ def _exact_steiner(
 
     greedy = _greedy_steiner(graph, target)
     best_count = greedy.count
-    best_choice = [t.pairs() for t in greedy.trees]
+    best_choice = [(t.pairs(), 1) for t in greedy.trees]
     chosen: list[int] = []
 
     def dfs(start: int, count: int) -> None:
@@ -593,7 +605,7 @@ def _exact_steiner(
                 chosen.append(index)
                 if count + 1 > best_count:
                     best_count = count + 1
-                    best_choice = [candidates[k] for k in chosen]
+                    best_choice = [(candidates[k], 1) for k in chosen]
                 dfs(index, count + 1)
                 chosen.pop()
                 for p in pairs:
@@ -619,6 +631,9 @@ def steiner_packing(
     target.validate_within(graph.m)
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown packing mode {mode!r}")
+    if graph.total_edges() > PACKING_EDGE_CAP:
+        raise SizeLimitError(f"tree packing is capped at |E| = {PACKING_EDGE_CAP} "
+                             f"edges; this graph has |E| = {graph.total_edges()}")
     if len(target) == 2:
         return max_disjoint_paths(graph, target.members[0], target.members[1])
     if len(target) == graph.m:

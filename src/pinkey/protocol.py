@@ -225,11 +225,8 @@ def _bits_to_hex(bits: tuple[int, ...]) -> str:
     """Big-endian nibble packing: first bit is the most significant."""
     if not bits:
         return ""
-    value = 0
-    for bit in bits:
-        value = (value << 1) | bit
     width = (len(bits) + 3) // 4
-    return format(value, f"0{width}x")
+    return format(int("".join(map(str, bits)), 2), f"0{width}x")
 
 
 def export_transcript(run: ProtocolRun) -> str:

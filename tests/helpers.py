@@ -8,15 +8,16 @@ LP by a dense Bland simplex over Fractions.  Earlier forms of rewritten
 production routines are kept as differential oracles: spanning packing
 that scans every labeled edge against every forest, forests that search
 their adjacency for each path, key recovery that rescans the transcript
-once per tree, the tree shape check by a separate depth-first search, and
-propagation that rebuilds each tree's incident lists.
+once per tree, the tree shape check by a separate depth-first search,
+propagation that rebuilds each tree's incident lists, flow decomposition
+one unit path at a time, and hex packing by shifting one bit at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -537,3 +538,58 @@ def reference_propagate_tree(
             ))
             queue.append(edge[1] if edge[0] == speaker else edge[0])
     return shared, tuple(broadcasts)
+
+
+def walk_unit_path(flow: dict[int, dict[int, int]], s: int, t: int) -> list[int]:
+    """One unit s->t path along positive flow, taking the least neighbor at
+    each step; a cycle met on the way loses one unit and is cut off."""
+    path = [s]
+    position = {s: 0}
+    while path[-1] != t:
+        v = path[-1]
+        w = min(u for u, units in flow[v].items() if units > 0)
+        if w in position:
+            cycle = path[position[w]:] + [w]
+            for a, b in zip(cycle, cycle[1:]):
+                flow[a][b] -= 1
+            for dropped in path[position[w] + 1:]:
+                del position[dropped]
+            del path[position[w] + 1:]
+            continue
+        position[w] = len(path)
+        path.append(w)
+    for a, b in zip(path, path[1:]):
+        flow[a][b] -= 1
+    return path
+
+
+def unit_walk_path_edges(
+    value: int, flow: dict[int, dict[int, int]], s: int, t: int
+) -> list[tuple]:
+    """A flow of ``value`` units as that many unit paths, each the sorted
+    (i, j, copy) edges of one tree, copies numbered per pair in path order:
+    the oracle for ``pinkey.max_disjoint_paths``.  ``flow`` is not changed."""
+    flow = {v: dict(out) for v, out in flow.items()}
+    used: Counter = Counter()
+    trees = []
+    for _ in range(value):
+        walk = walk_unit_path(flow, s, t)
+        edges = []
+        for a, b in zip(walk, walk[1:]):
+            pair = (a, b) if a < b else (b, a)
+            edges.append((*pair, used[pair]))
+            used[pair] += 1
+        trees.append(tuple(sorted(edges)))
+    return trees
+
+
+def shift_bits_to_hex(bits: tuple[int, ...]) -> str:
+    """Big-endian hex of a bit tuple, built one shift per bit: the oracle
+    for ``pinkey.protocol._bits_to_hex``."""
+    if not bits:
+        return ""
+    value = 0
+    for bit in bits:
+        value = (value << 1) | bit
+    width = (len(bits) + 3) // 4
+    return format(value, f"0{width}x")

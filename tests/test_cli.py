@@ -265,6 +265,25 @@ class TestSimulateCommand:
         assert json.loads(out)["audit_passed"] is False
 
 
+class TestTextRenderingOnDemand:
+    def test_structured_output_never_renders_the_transcript(self, capsys,
+                                                             monkeypatch):
+        import pinkey.cli as cli_module
+
+        def refuse(run):
+            raise AssertionError("transcript rendered")
+
+        monkeypatch.setattr(cli_module, "export_transcript", refuse)
+        for command in ("pack", "simulate"):
+            code, out, err = run_cli(capsys, command, TRIANGLE, "--format", "structured")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["command"] == command
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "simulate", TRIANGLE)
+        assert code == 0
+        assert "  broadcast tree=0 " in out
+
+
 class TestPackCommandFaults:
     def test_repeated_tree_is_internal_error(self, capsys, monkeypatch):
         import pinkey.cli as cli_module
@@ -306,6 +325,30 @@ class TestSpanningWorkCap:
         assert code == 3
         assert out == ""
         assert err.startswith("error: spanning packing is capped at k*|E|")
+        assert err.count("\n") == 1
+
+
+class TestPackingEdgeCap:
+    """Every packing route builds one tree per packed copy; tiny files can
+    ask for 10^8 edges."""
+
+    MODELS = {
+        "pair": {"terminals": 2, "weights": [{"i": 1, "j": 2, "value": 100000000}]},
+        "path": {"terminals": 3, "weights": [
+            {"i": 1, "j": 2, "value": 3000000}, {"i": 2, "j": 3, "value": 3000000}]},
+    }
+
+    @pytest.mark.parametrize("command", ["pack", "simulate"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_huge_edge_count_is_size_limit(self, capsys, tmp_path, command, model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.MODELS[model]))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, str(path), "--set", "1,2")
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: tree packing is capped at |E| = ")
         assert err.count("\n") == 1
 
 

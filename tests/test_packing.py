@@ -4,6 +4,7 @@ import re
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from pinkey import (
     steiner_packing,
     steiner_rate_lower_bound,
 )
-from pinkey.packing import SPANNING_WORK_CAP, _bound_partitions, _Forest
+from pinkey.packing import SPANNING_WORK_CAP, _bound_partitions, _Forest, _max_flow
 
 from helpers import (
     _ReferenceForest,
@@ -42,6 +43,7 @@ from helpers import (
     random_terminal_set,
     random_tree_edges,
     reference_tree_check,
+    unit_walk_path_edges,
 )
 
 
@@ -274,6 +276,94 @@ class TestMaxDisjointPaths:
         assert first == second
 
 
+def cyclic_flow(rng: random.Random) -> tuple[int, int, dict]:
+    """(m, value, flow): a net 1->m flow summed from random paths
+    and from directed cycles that avoid 1 and m, each cycle carrying 2-5
+    units, with opposite directions netted."""
+    m = rng.randint(5, 8)
+    inner = list(range(2, m))
+    sent: Counter = Counter()
+    value = 0
+
+    def add(walk, units):
+        for a, b in zip(walk, walk[1:]):
+            sent[(a, b)] += units
+
+    for _ in range(rng.randint(1, 4)):
+        units = rng.randint(1, 4)
+        add([1, *rng.sample(inner, rng.randint(0, len(inner))), m], units)
+        value += units
+    for _ in range(rng.randint(1, 3)):
+        cycle = rng.sample(inner, rng.randint(3, len(inner)))
+        add(cycle + cycle[:1], rng.randint(2, 5))
+    flow: dict = {v: {} for v in range(1, m + 1)}
+    for (a, b) in list(sent):
+        net = sent[(a, b)] - sent[(b, a)]
+        if net > 0:
+            flow[a][b] = net
+    return m, value, flow
+
+
+class TestPathDecomposition:
+    """max_disjoint_paths walks each distinct path once and expands its
+    copies; the walk one unit at a time that it replaced is the oracle."""
+
+    @given(st.integers(0, 10_000))
+    def test_same_trees_as_unit_walk(self, seed):
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, max_m=7, max_mult=6)
+        s, t = rng.sample(range(1, graph.m + 1), 2)
+        value, flow = _max_flow(graph, s, t)
+        expected = unit_walk_path_edges(value, flow, s, t)
+        assert [tree.edges for tree in max_disjoint_paths(graph, s, t).trees] == expected
+
+    @given(st.integers(0, 10_000))
+    def test_same_trees_as_unit_walk_on_cyclic_flows(self, seed):
+        # max flows from _max_flow rarely hold a cycle, so the cycles here
+        # are built by hand: the graph has exactly the flow's edges
+        m, value, flow = cyclic_flow(random.Random(seed))
+        graph = Multigraph(m, {(min(a, b), max(a, b)): units
+                               for a in flow for b, units in flow[a].items()})
+        expected = unit_walk_path_edges(value, flow, 1, m)
+        with mock.patch.object(pinkey.packing, "_max_flow",
+                               return_value=(value, flow)):
+            packing = max_disjoint_paths(graph, 1, m)
+        assert [tree.edges for tree in packing.trees] == expected
+
+    def test_cycle_cancelled_by_its_bottleneck(self, monkeypatch):
+        # from 2 the least neighbor is 3, on the cycle 2-3-4 with 2 units
+        flow = {1: {2: 3}, 2: {3: 2, 5: 3}, 3: {4: 2}, 4: {2: 2}, 5: {}}
+        graph = Multigraph(5, {(1, 2): 3, (2, 3): 2, (3, 4): 2, (2, 4): 2,
+                               (2, 5): 3})
+        expected = unit_walk_path_edges(3, flow, 1, 5)
+        assert expected == [((1, 2, c), (2, 5, c)) for c in range(3)]
+        walks = []
+        walk_path = pinkey.packing._walk_path
+        monkeypatch.setattr(pinkey.packing, "_max_flow", lambda *args: (3, flow))
+        monkeypatch.setattr(pinkey.packing, "_walk_path",
+                            lambda *args: walks.append(args) or walk_path(*args))
+        packing = max_disjoint_paths(graph, 1, 5)
+        assert [tree.edges for tree in packing.trees] == expected
+        assert len(walks) == 1
+        assert flow == {1: {2: 0}, 2: {3: 0, 5: 0}, 3: {4: 0}, 4: {2: 0}, 5: {}}
+
+    def test_one_walk_per_distinct_path(self, monkeypatch):
+        walks = []
+        walk_path = pinkey.packing._walk_path
+        monkeypatch.setattr(pinkey.packing, "_walk_path",
+                            lambda *args: walks.append(args) or walk_path(*args))
+        graph = Multigraph(3, {(1, 2): 5, (2, 3): 5, (1, 3): 2})
+        packing = max_disjoint_paths(graph, 1, 3)
+        assert packing.count == 7
+        assert len(walks) == 2
+
+    def test_units_beyond_the_flow_value_raise(self, monkeypatch):
+        flow = {1: {2: 3}, 2: {}}
+        monkeypatch.setattr(pinkey.packing, "_max_flow", lambda *args: (1, flow))
+        with pytest.raises(AssertionError, match="paths carry 3 units, the flow 1"):
+            max_disjoint_paths(Multigraph(2, {(1, 2): 3}), 1, 2)
+
+
 class TestSpanningPacking:
     def test_unit_triangle(self):
         packing = spanning_packing(UNIT_TRIANGLE)
@@ -450,6 +540,17 @@ class TestSteinerPacking:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             steiner_packing(UNIT_TRIANGLE, TerminalSet.of(1, 2), mode="best")
+
+    @pytest.mark.parametrize("target", [(1, 3), (1, 2, 3), (1, 2, 3, 4)])
+    def test_edge_cap_on_every_route(self, target, monkeypatch):
+        monkeypatch.setattr(pinkey.packing, "PACKING_EDGE_CAP", 8)
+        at_cap = Multigraph(4, {(1, 2): 3, (2, 3): 3, (3, 4): 1, (2, 4): 1})
+        over = Multigraph(4, {(1, 2): 3, (2, 3): 3, (3, 4): 1, (2, 4): 2})
+        for mode in ("exact", "greedy"):
+            steiner_packing(at_cap, TerminalSet(target), mode=mode)
+            with pytest.raises(SizeLimitError,
+                               match=r"capped at \|E\| = 8 edges; this graph has \|E\| = 9$"):
+                steiner_packing(over, TerminalSet(target), mode=mode)
 
 
 class TestSteinerRate:

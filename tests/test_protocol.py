@@ -35,6 +35,7 @@ from helpers import (
     random_tree_edges,
     reference_propagate_tree,
     scan_recover_key,
+    shift_bits_to_hex,
 )
 
 DOUBLED_TRIANGLE = Multigraph(3, {(1, 2): 2, (1, 3): 2, (2, 3): 2})
@@ -293,3 +294,13 @@ class TestTranscriptExport:
         assert _bits_to_hex((1,)) == "1"
         assert _bits_to_hex((1, 0, 1)) == "5"
         assert _bits_to_hex((1, 0, 0, 0, 1)) == "11"  # 5 bits, 2 hex digits
+
+    @given(st.integers(0, 10_000))
+    def test_hex_matches_shift_packing(self, seed):
+        from pinkey.protocol import _bits_to_hex
+
+        rng = random.Random(seed)
+        length = rng.randint(0, 4100)
+        zeros = rng.randint(0, length)  # leading zeros must keep their digits
+        bits = (0,) * zeros + tuple(rng.getrandbits(1) for _ in range(length - zeros))
+        assert _bits_to_hex(bits) == shift_bits_to_hex(bits)
