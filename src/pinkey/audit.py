@@ -4,9 +4,12 @@ The security index is log|K| - H(K|F): zero exactly when the group key is
 uniform and independent of the transcript.  Because key and transcript are
 GF(2)-linear in i.i.d. uniform edge bits, conditional entropies are matrix
 ranks (spanning-forest sizes, since every map row names one or two edges),
-so the index is computed in exact integer arithmetic in about linear time;
-a brute-force enumeration of all edge-bit assignments provides an
-independent check at small sizes (dyadic joint distributions, again exact).
+so the index is computed in exact integer arithmetic in about linear time.
+A brute-force enumeration of edge-bit assignments provides an independent
+check at small sizes (dyadic joint distributions, again exact).  Rows that
+share no edge are independent, so it enumerates each block of edge-sharing
+rows on its own, at a cost of sum_b 2^|E_b| rather than 2^|E|; its cap
+still applies to the total edge count |E|.
 
 Fault-injection helpers build tampered copies of a run so tests can show
 the audits actually fail on bad runs.
@@ -80,40 +83,65 @@ def _dyadic_entropy(counts: Counter, total_bits: int) -> Fraction:
 def security_index_bruteforce(
     run: ProtocolRun, edge_cap: int = BRUTEFORCE_EDGE_CAP
 ) -> SecurityReport:
-    """Security index by enumerating every edge-bit assignment.
+    """Security index by enumerating edge-bit assignments, block by block.
 
-    Builds the exact joint distribution of (key, transcript), one int per
-    image with the key bits above the transcript bits, and computes the
-    entropies directly; the marginals are split off it afterwards.  Gray-code
-    iteration keeps each step O(1): one edge bit flips, so the image is
-    updated by XOR with that edge's column.
+    Two map rows share a block when they share an edge (a union-find over
+    edge indices).  Edge bits are i.i.d., so the blocks' (key, transcript)
+    parts are independent and each entropy is the sum of the blocks'
+    entropies; an edge in no row adds nothing.  A block enumerates its own
+    2^|E_b| assignments into one exact joint tally, one int per image, and
+    splits the marginals off it by its key-row mask.  Gray-code iteration
+    keeps each step O(1): one edge bit flips, so the image is updated by
+    XOR with that edge's column.  The cap still applies to |E|.
     """
     edges = len(run.edge_order)
     if edges > edge_cap:
         raise SizeLimitError(
             f"brute force is capped at {edge_cap} edges, got {edges}"
         )
-    columns = [0] * edges
-    for r, row in enumerate(run.transcript_map.rows + run.key_map.rows):
-        for k in row:
-            columns[k] |= 1 << r
+    rows = run.transcript_map.rows + run.key_map.rows
+    parent = list(range(edges))
 
-    joint: Counter = Counter({0: 1})
-    image = 0
-    for step in range(1, 1 << edges):
-        image ^= columns[(step & -step).bit_length() - 1]
-        joint[image] += 1
-    width = run.transcript_map.nrows
-    mask = (1 << width) - 1
-    key_marginal: Counter = Counter()
-    transcript_marginal: Counter = Counter()
-    for image, count in joint.items():
-        key_marginal[image >> width] += count
-        transcript_marginal[image & mask] += count
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    joint_entropy = _dyadic_entropy(joint, edges)
-    transcript_entropy = _dyadic_entropy(transcript_marginal, edges)
-    key_entropy = _dyadic_entropy(key_marginal, edges)
+    for row in rows:
+        if len(row) == 2:
+            parent[find(row[0])] = find(row[1])
+    blocks: dict[int, list[int]] = {}
+    for r, row in enumerate(rows):
+        blocks.setdefault(find(row[0]), []).append(r)
+
+    first_key_row = run.transcript_map.nrows
+    joint_entropy = transcript_entropy = key_entropy = Fraction(0)
+    for members in blocks.values():
+        local: dict[int, int] = {}  # edge index -> block column
+        columns: list[int] = []
+        key_mask = 0
+        for bit, r in enumerate(members):
+            for k in rows[r]:
+                if k not in local:
+                    local[k] = len(columns)
+                    columns.append(0)
+                columns[local[k]] |= 1 << bit
+            if r >= first_key_row:
+                key_mask |= 1 << bit
+        joint: Counter = Counter({0: 1})
+        image = 0
+        for step in range(1, 1 << len(columns)):
+            image ^= columns[(step & -step).bit_length() - 1]
+            joint[image] += 1
+        key_marginal: Counter = Counter()
+        transcript_marginal: Counter = Counter()
+        for image, count in joint.items():
+            key_marginal[image & key_mask] += count
+            transcript_marginal[image & ~key_mask] += count
+        joint_entropy += _dyadic_entropy(joint, len(columns))
+        transcript_entropy += _dyadic_entropy(transcript_marginal, len(columns))
+        key_entropy += _dyadic_entropy(key_marginal, len(columns))
     key_given_transcript = joint_entropy - transcript_entropy
     key_length = len(run.key_bits)
     return SecurityReport(

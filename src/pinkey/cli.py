@@ -190,9 +190,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "tree": b.tree,
                 "terminal": b.terminal,
                 "bit": b.bit,
-                "support": [run.edge_index(b.support[0]), run.edge_index(b.support[1])],
+                "support": list(row),
             }
-            for b in run.transcript
+            for b, row in zip(run.transcript, run.transcript_map.rows)
         ],
     })
     _emit(args, report, lambda: [

@@ -318,11 +318,18 @@ class Multigraph:
         return tuple(p for p in sorted(self.multiplicities) if self.multiplicities[p])
 
     def edge_refs(self) -> tuple[EdgeRef, ...]:
-        """All edges in canonical order: sorted pair, then copy 0..e_ij-1."""
-        refs: list[EdgeRef] = []
-        for (i, j) in sorted(self.multiplicities):
-            refs.extend((i, j, c) for c in range(self.multiplicities[(i, j)]))
-        return tuple(refs)
+        """All edges in canonical order: sorted pair, then copy 0..e_ij-1.
+
+        Built on the first call and kept outside the dataclass fields, so
+        equality and repr ignore it; later calls return the same tuple of
+        the same edge tuples.
+        """
+        refs = self.__dict__.get("_edge_refs")
+        if refs is None:
+            refs = tuple((i, j, c) for (i, j) in sorted(self.multiplicities)
+                         for c in range(self.multiplicities[(i, j)]))
+            object.__setattr__(self, "_edge_refs", refs)
+        return refs
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         out = []

@@ -233,8 +233,9 @@ def export_transcript(run: ProtocolRun) -> str:
     """Line-oriented replayable record of a run.
 
     One ``broadcast`` line per message with the two support edge indices
-    (into canonical edge order); key and residual bit strings in hex with
-    explicit bit lengths; the drawing seed first.
+    (into canonical edge order, read from the transcript map's row); key and
+    residual bit strings in hex with explicit bit lengths; the drawing seed
+    first.
     """
     lines = [
         f"seed {run.keys.seed if run.keys.seed is not None else 'none'}",
@@ -243,9 +244,7 @@ def export_transcript(run: ProtocolRun) -> str:
         f"key bits={len(run.key_bits)} hex={_bits_to_hex(run.key_bits)}",
         f"residual bits={len(run.residual_bits)} hex={_bits_to_hex(run.residual_bits)}",
     ]
-    for broadcast in run.transcript:
-        ref_idx = run.edge_index(broadcast.support[0])
-        edge_idx = run.edge_index(broadcast.support[1])
+    for broadcast, (ref_idx, edge_idx) in zip(run.transcript, run.transcript_map.rows):
         lines.append(
             f"broadcast tree={broadcast.tree} terminal={broadcast.terminal} "
             f"bit={broadcast.bit} support={ref_idx},{edge_idx}"

@@ -10,7 +10,8 @@ that scans every labeled edge against every forest, forests that search
 their adjacency for each path, key recovery that rescans the transcript
 once per tree, the tree shape check by a separate depth-first search,
 propagation that rebuilds each tree's incident lists, flow decomposition
-one unit path at a time, and hex packing by shifting one bit at a time.
+one unit path at a time, hex packing by shifting one bit at a time, and
+the brute-force secrecy audit over the whole 2^|E| assignment space.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from pinkey import (
+    BRUTEFORCE_EDGE_CAP,
     Broadcast,
     EdgeKeyBits,
     InvalidPackingError,
@@ -30,11 +32,14 @@ from pinkey import (
     PairPmf,
     PinModel,
     ProtocolRun,
+    SecurityReport,
+    SizeLimitError,
     TerminalSet,
     Tree,
     TreePacking,
     nash_williams_count,
 )
+from pinkey.audit import _dyadic_entropy
 from pinkey.simplex import SimplexResult
 
 
@@ -593,3 +598,52 @@ def shift_bits_to_hex(bits: tuple[int, ...]) -> str:
         value = (value << 1) | bit
     width = (len(bits) + 3) // 4
     return format(value, f"0{width}x")
+
+
+def gray_code_bruteforce(
+    run: ProtocolRun, edge_cap: int = BRUTEFORCE_EDGE_CAP
+) -> SecurityReport:
+    """Security index by enumerating every edge-bit assignment: the
+    whole-space oracle for ``pinkey.security_index_bruteforce``.
+
+    Builds the exact joint distribution of (key, transcript), one int per
+    image with the key bits above the transcript bits, and computes the
+    entropies directly; the marginals are split off it afterwards.  Gray-code
+    iteration keeps each step O(1): one edge bit flips, so the image is
+    updated by XOR with that edge's column.
+    """
+    edges = len(run.edge_order)
+    if edges > edge_cap:
+        raise SizeLimitError(
+            f"brute force is capped at {edge_cap} edges, got {edges}"
+        )
+    columns = [0] * edges
+    for r, row in enumerate(run.transcript_map.rows + run.key_map.rows):
+        for k in row:
+            columns[k] |= 1 << r
+
+    joint: Counter = Counter({0: 1})
+    image = 0
+    for step in range(1, 1 << edges):
+        image ^= columns[(step & -step).bit_length() - 1]
+        joint[image] += 1
+    width = run.transcript_map.nrows
+    mask = (1 << width) - 1
+    key_marginal: Counter = Counter()
+    transcript_marginal: Counter = Counter()
+    for image, count in joint.items():
+        key_marginal[image >> width] += count
+        transcript_marginal[image & mask] += count
+
+    joint_entropy = _dyadic_entropy(joint, edges)
+    transcript_entropy = _dyadic_entropy(transcript_marginal, edges)
+    key_entropy = _dyadic_entropy(key_marginal, edges)
+    key_given_transcript = joint_entropy - transcript_entropy
+    key_length = len(run.key_bits)
+    return SecurityReport(
+        security_index=Fraction(key_length) - key_given_transcript,
+        key_entropy=key_entropy,
+        key_given_transcript=key_given_transcript,
+        uniformity_deficit=Fraction(key_length) - key_entropy,
+        method="bruteforce",
+    )

@@ -1,16 +1,19 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pinkey import (
     BRUTEFORCE_EDGE_CAP,
     AuditFailureError,
+    Broadcast,
     EdgeKeyBits,
     Gf2Matrix,
     Multigraph,
@@ -33,6 +36,7 @@ from pinkey import (
 from helpers import (
     dense_gf2_rows,
     elimination_gf2_rank,
+    gray_code_bruteforce,
     random_multigraph,
     random_terminal_set,
 )
@@ -240,6 +244,101 @@ class TestBruteForceMethod:
             pytest.approx(s_empirical, abs=1e-9)
         assert float(security_index_bruteforce(reference).security_index) == \
             pytest.approx(s_empirical, abs=1e-9)
+
+
+def leak_variants(run):
+    """The run, every single ``leak_key_bit`` copy and, with a transcript,
+    the copy whose every key bit is broadcast 0."""
+    variants = [run] + [leak_key_bit(run, i, k)
+                        for i in range(len(run.key_bits))
+                        for k in range(len(run.transcript))]
+    if run.transcript:
+        leaked = run
+        for i in range(len(run.key_bits)):
+            leaked = leak_key_bit(leaked, i, 0)
+        variants.append(leaked)
+    return variants
+
+
+@st.composite
+def chained_runs(draw):
+    """Hand-built runs on 3..14 edges whose index rows chain into large
+    blocks, mix key and transcript rows, and leave some edges unused."""
+    edges = draw(st.integers(3, 14))
+    used = draw(st.permutations(range(edges)))[:edges - draw(st.integers(1, 2))]
+    rows = []
+    for i in range(1, len(used)):
+        j = draw(st.integers(0, i))  # i starts a new block
+        rows.append((used[i], used[j]) if j < i else (used[i],))
+    extras = draw(st.lists(
+        st.lists(st.sampled_from(used), min_size=1, max_size=2, unique=True),
+        max_size=edges - len(rows)))
+    for extra in map(tuple, extras):
+        if not any(set(extra) == set(row) for row in rows):
+            rows.append(extra)
+    rows = draw(st.permutations(rows))
+    split = draw(st.integers(1, max(1, len(rows) - 1)))
+    transcript_rows, key_rows = tuple(rows[:split]), tuple(rows[split:])
+    base = spanning_run(Multigraph(2, {(1, 2): edges}))
+    order = base.edge_order
+    residual = order[:edges - len(rows)]
+    return replace(
+        base,
+        key_bits=(0,) * len(key_rows),
+        transcript=tuple(Broadcast(0, 1, 0, (order[0], order[1]))
+                         for _ in transcript_rows),
+        residual_edges=residual,
+        residual_bits=(0,) * len(residual),
+        key_map=Gf2Matrix(key_rows, edges),
+        transcript_map=Gf2Matrix(transcript_rows, edges),
+    )
+
+
+class TestBlockBruteForce:
+    """Blockwise enumeration against the whole-space Gray-code oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_matches_oracle_on_honest_and_leaked_runs(self, seed):
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, max_m=5, max_mult=3)
+        assume(graph.total_edges() <= 14)
+        target = random_terminal_set(rng, graph.m)
+        keys = draw_edge_keys(graph, seed)
+        runs = [run_protocol(graph, steiner_packing(graph, target, mode="greedy"),
+                             keys, target),
+                run_protocol(graph, spanning_packing(graph), keys,
+                             TerminalSet.full(graph.m))]
+        for run in runs:
+            for variant in leak_variants(run):
+                assert security_index_bruteforce(variant) == \
+                    gray_code_bruteforce(variant)
+
+    @settings(max_examples=150, deadline=None)
+    @given(chained_runs())
+    def test_matches_oracle_on_chained_rows(self, run):
+        assert security_index_bruteforce(run) == gray_code_bruteforce(run)
+
+    def test_single_fourteen_edge_block(self):
+        # one 15-vertex path tree: every row holds its reference edge
+        graph = Multigraph(15, {(v, v + 1): 1 for v in range(1, 15)})
+        target = TerminalSet.of(1, 15)
+        run = run_protocol(graph, steiner_packing(graph, target),
+                           draw_edge_keys(graph, 5), target)
+        assert len(run.edge_order) == 14 and run.packing.count == 1
+        for variant in leak_variants(run):
+            assert security_index_bruteforce(variant) == \
+                gray_code_bruteforce(variant)
+
+    def test_21_edge_spanning_run_cross_checks_quickly(self):
+        # K3 x 7: ten two-edge trees and a residual edge
+        run = spanning_run(Multigraph(3, {(1, 2): 7, (1, 3): 7, (2, 3): 7}))
+        assert len(run.edge_order) == 21 and run.packing.count == 10
+        start = time.perf_counter()
+        report = audit(run, bruteforce_cap=21)
+        assert time.perf_counter() - start < 1.0
+        assert report.method == "rank+bruteforce"
+        assert report.security_index == 0
 
 
 class TestAudit:

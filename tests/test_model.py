@@ -230,6 +230,14 @@ class TestMultigraph:
         graph = Multigraph(3, {(2, 3): 2, (1, 2): 1})
         assert graph.edge_refs() == ((1, 2, 0), (2, 3, 0), (2, 3, 1))
 
+    def test_edge_refs_built_once_outside_the_fields(self):
+        graph = Multigraph(3, {(2, 3): 2, (1, 2): 1})
+        fresh = Multigraph(3, {(2, 3): 2, (1, 2): 1})
+        text = repr(graph)
+        assert graph.edge_refs() is graph.edge_refs()
+        assert graph == fresh
+        assert repr(graph) == text == repr(fresh)
+
     def test_total_and_support(self):
         graph = Multigraph(3, {(1, 2): 2, (2, 3): 0, (1, 3): 1})
         assert graph.total_edges() == 3

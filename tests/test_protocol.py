@@ -184,6 +184,20 @@ class TestRunProtocol:
             with pytest.raises(KeyError, match="not in this run"):
                 run.edge_index(miss)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_transcript_rows_index_the_supports(self, seed):
+        # export_transcript and structured simulate read supports off the rows
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, max_m=5, max_mult=3)
+        run = full_run(graph, seed=seed)
+        variants = [run]
+        if run.transcript:
+            variants += [flip_broadcast(run, 0), leak_key_bit(run, 0, 0)]
+        for variant in variants:
+            assert variant.transcript_map.rows == tuple(
+                (variant.edge_index(b.support[0]), variant.edge_index(b.support[1]))
+                for b in variant.transcript)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_accounting_and_bijection(self, seed):
         rng = random.Random(seed)
@@ -286,6 +300,17 @@ class TestTranscriptExport:
         assert lines[3].startswith("key bits=3 hex=")
         assert lines[4] == "residual bits=0 hex="
         assert len([l for l in lines if l.startswith("broadcast ")]) == 3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_broadcast_lines_name_reference_then_edge(self, seed):
+        run = full_run(random_multigraph(random.Random(seed), max_m=5, max_mult=3),
+                       seed=seed)
+        lines = [l for l in export_transcript(run).splitlines()
+                 if l.startswith("broadcast ")]
+        assert lines == [
+            f"broadcast tree={b.tree} terminal={b.terminal} bit={b.bit} "
+            f"support={run.edge_index(b.support[0])},{run.edge_index(b.support[1])}"
+            for b in run.transcript]
 
     def test_hex_encoding(self):
         from pinkey.protocol import _bits_to_hex
