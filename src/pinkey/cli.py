@@ -153,7 +153,7 @@ def _packed(args: argparse.Namespace) -> tuple[dict, TreePacking]:
         "edge_total": graph.total_edges(),
         "tree_count": packing.count,
         "rate": format_rational(Fraction(packing.count, scale)),
-        "trees": [[list(edge) for edge in tree.edges] for tree in packing.trees],
+        "trees": list(packing.copy_edges()),  # JSON writes tuples as arrays
     }
     return report, packing
 
@@ -163,8 +163,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     _emit(args, report, lambda: [
         f"scale n = {report['scale']}, edges = {report['edge_total']}",
         f"packed {packing.count} edge-disjoint trees (rate {report['rate']})",
-    ] + [f"  tree {k}: " + " ".join(f"{i}-{j}#{c}" for (i, j, c) in tree.edges)
-         for k, tree in enumerate(packing.trees)])
+    ] + [f"  tree {index}: " + " ".join(f"{i}-{j}#{c}" for i, j, c in edges)
+         for index, edges in enumerate(report["trees"])])
     return EXIT_OK
 
 

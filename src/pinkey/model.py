@@ -331,6 +331,20 @@ class Multigraph:
             object.__setattr__(self, "_edge_refs", refs)
         return refs
 
+    def pair_offsets(self) -> Mapping[Pair, int]:
+        """Where each pair's copies start in canonical order: edge
+        (i, j, c) is ``edge_refs()[pair_offsets()[(i, j)] + c]``.  Built on
+        the first call and kept like ``edge_refs``."""
+        offsets = self.__dict__.get("_pair_offsets")
+        if offsets is None:
+            offsets = {}
+            start = 0
+            for pair in sorted(self.multiplicities):
+                offsets[pair] = start
+                start += self.multiplicities[pair]
+            object.__setattr__(self, "_pair_offsets", offsets)
+        return offsets
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         out = []
         for (i, j), count in self.multiplicities.items():

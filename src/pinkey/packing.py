@@ -21,16 +21,20 @@ Three packing routes, each certified by an independent count:
   lower-bounds the optimum.
 
 Edge copies are assigned canonically (sorted pair, then 0..e_ij-1), so
-packings are reproducible run to run.
+packings are reproducible run to run.  A packing is a tuple of (tree,
+copies) groups: consecutive equal trees of a route share one group, and
+copy k of a group is its tree with every edge's copy number raised by k.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidPackingError, InvalidTreeError, SizeLimitError
 from .model import EdgeRef, Multigraph, Pair, PinModel, TerminalSet, realize_multigraph
@@ -38,7 +42,8 @@ from . import partitions
 from .partitions import nash_williams_count
 
 STEINER_EXACT_EDGE_CAP = 24
-# realized edges on every route, since each route builds one tree per copy
+# realized edges on every route: a packing holds one tree per group, but
+# ``pack`` and ``simulate`` still print every copy and every broadcast
 PACKING_EDGE_CAP = 300_000
 # trees times edges: each of the |E| insertions may ask all k forests
 SPANNING_WORK_CAP = 2 * 10**6
@@ -90,38 +95,93 @@ class Tree:
         return tuple((i, j) for (i, j, _) in self.edges)
 
 
+class _CopyTrees(Sequence[Tree]):
+    """One tree per copy of a packing's groups, each built when it is read."""
+
+    __slots__ = ("_groups", "_starts")
+
+    def __init__(self, groups: tuple[tuple[Tree, int], ...]) -> None:
+        self._groups = groups
+        self._starts = list(accumulate((copies for _, copies in groups), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        position = range(len(self))[index]  # negative indices and slices as in a tuple
+        if isinstance(position, range):
+            return tuple(self[k] for k in position)
+        group = bisect_right(self._starts, position) - 1
+        shift = position - self._starts[group]
+        return Tree(tuple((i, j, c + shift) for i, j, c in self._groups[group][0].edges))
+
+
 @dataclass(frozen=True)
 class TreePacking:
-    """Pairwise edge-disjoint trees, each spanning the target set."""
+    """Pairwise edge-disjoint trees, each spanning the target set, kept as
+    (tree, copies) groups.  Copy k of a group is its tree with every edge's
+    copy number raised by k, so edge (i, j, c + k) sits at canonical index
+    ``graph.pair_offsets()[(i, j)] + c + k`` and a group's copies of one
+    edge fill one index range."""
 
     graph: Multigraph
     target: TerminalSet
-    trees: tuple[Tree, ...]
+    groups: tuple[tuple[Tree, int], ...]
 
     def __post_init__(self) -> None:
         self.target.validate_within(self.graph.m)
-        used: set[EdgeRef] = set()
-        for index, tree in enumerate(self.trees):
+        groups = tuple(self.groups)
+        object.__setattr__(self, "groups", groups)
+        multiplicities = self.graph.multiplicities
+        offsets = self.graph.pair_offsets()
+        used = bytearray(self.graph.total_edges())
+        first = 0  # per-copy index of the group's first tree
+        for tree, copies in groups:
+            if type(copies) is not int or copies < 1:
+                raise InvalidPackingError(
+                    f"tree {first} needs a positive copy count, got {copies!r}")
             vertices = tree.vertices()
             missing = [t for t in self.target if t not in vertices]
             if missing:
                 raise InvalidPackingError(
-                    f"tree {index} misses target terminals {missing}"
-                )
-            for edge in tree.edges:
-                i, j, copy = edge
-                if copy >= self.graph.multiplicity(i, j):
+                    f"tree {first} with reference edge {tree.edges[0]} "
+                    f"misses target terminals {missing}")
+            for i, j, copy in tree.edges:
+                have = multiplicities.get((i, j), 0)
+                if copy + copies > have:
+                    past = max(copy, have)
                     raise InvalidPackingError(
-                        f"tree {index} uses copy {copy} of pair ({i}, {j}) "
-                        f"but the graph has {self.graph.multiplicity(i, j)}"
-                    )
-                if edge in used:
-                    raise InvalidPackingError(f"edge {edge} used twice")
-                used.add(edge)
+                        f"tree {first + past - copy} uses edge {(i, j, past)} "
+                        f"but the graph has {have} copies of pair ({i}, {j})")
+                start = offsets[(i, j)] + copy
+                if copies == 1:  # every spanning group: one byte to test and set
+                    clash = start if used[start] else -1
+                    used[start] = 1
+                else:
+                    clash = used.find(1, start, start + copies)
+                    used[start:start + copies] = b"\x01" * copies
+                if clash >= 0:
+                    raise InvalidPackingError(
+                        f"edge {(i, j, copy + clash - start)} used twice")
+            first += copies
 
     @property
     def count(self) -> int:
-        return len(self.trees)
+        return sum(copies for _, copies in self.groups)
+
+    def copy_edges(self) -> Iterator[tuple[EdgeRef, ...]]:
+        """Each copy's sorted edges, in the order of ``trees``, without
+        building a ``Tree`` per copy."""
+        for tree, copies in self.groups:
+            yield tree.edges
+            for k in range(1, copies):
+                yield tuple([(i, j, c + k) for i, j, c in tree.edges])
+
+    @property
+    def trees(self) -> Sequence[Tree]:
+        """The trees one per copy, in group order; each is built when read,
+        so prefer ``groups`` and ``count`` on large packings."""
+        return _CopyTrees(self.groups)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +458,7 @@ def spanning_packing(graph: Multigraph) -> TreePacking:
             f"k*|E| = {certified * total_edges}"
         )
     if certified == 0:
-        return TreePacking(graph=graph, target=target, trees=())
+        return TreePacking(graph=graph, target=target, groups=())
     forests = [_Forest() for _ in range(certified)]
     goal = certified * (graph.m - 1)
     total = 0
@@ -418,8 +478,8 @@ def spanning_packing(graph: Multigraph) -> TreePacking:
         raise AssertionError(
             f"matroid union packed {total} edges, expected {goal}"
         )
-    trees = tuple(Tree(tuple(f.edges())) for f in forests)
-    return TreePacking(graph=graph, target=target, trees=trees)
+    groups = tuple((Tree(tuple(f.edges())), 1) for f in forests)
+    return TreePacking(graph=graph, target=target, groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +541,22 @@ def _approx_steiner_tree(
 def _assign_copies(
     graph: Multigraph, target: TerminalSet, chosen: list[tuple[tuple[Pair, ...], int]]
 ) -> TreePacking:
-    """``copies`` trees per (pairs, copies) entry, edge copies numbered up."""
-    used: Counter = Counter()
-    trees = []
+    """One group per run of consecutive (pairs, copies) entries with equal
+    pairs, each pair's edge copies numbered up in entry order.  (P, 1),
+    (P, 1) and (P, 2) number their copies alike, so merging changes no tree."""
+    merged: list[list] = []
     for pairs, copies in chosen:
-        for _ in range(copies):
-            edges = []
-            for pair in pairs:
-                edges.append((pair[0], pair[1], used[pair]))
-                used[pair] += 1
-            trees.append(Tree(tuple(edges)))
-    return TreePacking(graph=graph, target=target, trees=tuple(trees))
+        if merged and merged[-1][0] == pairs:
+            merged[-1][1] += copies
+        else:
+            merged.append([pairs, copies])
+    used: Counter = Counter()
+    groups = []
+    for pairs, copies in merged:
+        groups.append((Tree(tuple((i, j, used[(i, j)]) for i, j in pairs)), copies))
+        for pair in pairs:
+            used[pair] += copies
+    return TreePacking(graph=graph, target=target, groups=tuple(groups))
 
 
 def _greedy_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
@@ -587,7 +652,7 @@ def _exact_steiner(
 
     greedy = _greedy_steiner(graph, target)
     best_count = greedy.count
-    best_choice = [(t.pairs(), 1) for t in greedy.trees]
+    best_choice = [(tree.pairs(), copies) for tree, copies in greedy.groups]
     chosen: list[int] = []
 
     def dfs(start: int, count: int) -> None:

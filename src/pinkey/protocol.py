@@ -9,7 +9,9 @@ already-informed endpoint of each further edge e broadcasts b XOR k_e,
 which lets the far endpoint recover b.  Every broadcast is therefore the
 GF(2) sum of exactly two edge bits, and the group key, transcript and
 residual bits together form a bijection of the edge bits.  Each map row is
-kept as the canonical indices of its one or two edges.
+kept as the canonical indices of its one or two edges.  The copies of a
+packing group share one walk, and copy k's edges sit k places after copy
+0's in canonical order, so each group's walk is read once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import compress
+from typing import Mapping, Sequence
 
 from .errors import InvalidPackingError, InvalidTreeError
 from .gf2 import Gf2Matrix
@@ -68,24 +71,57 @@ class Broadcast:
         return j if self.terminal == i else i
 
 
+def _propagate(
+    first_tree: int,
+    copies: int,
+    reference: int,
+    steps: Sequence[tuple[int, int]],
+    edges: Sequence[EdgeRef],
+    bits: Sequence[int],
+    out: tuple[list, list, list, list],
+) -> None:
+    """Share one bit across each copy of a tree, appending to ``out`` =
+    (key bits, key rows, broadcasts, transcript rows).
+
+    ``reference`` is the reference edge's index into ``edges`` and ``bits``,
+    and ``steps`` holds (speaker, index) per walk step; copy k's edges sit at
+    the same indices plus k.  Each further edge costs one broadcast, in walk
+    order, where every speaker is already informed and every listener is a
+    new vertex.
+    """
+    key_bits, key_rows, transcript, transcript_rows = out
+    for k in range(copies):
+        ref = reference + k
+        shared = bits[ref]
+        ref_edge = edges[ref]
+        key_bits.append(shared)
+        key_rows.append((ref,))
+        for speaker, position in steps:
+            position += k
+            transcript.append(Broadcast(first_tree + k, speaker,
+                                        shared ^ bits[position],
+                                        (ref_edge, edges[position])))
+            transcript_rows.append((ref, position))
+
+
 def propagate_tree(
     tree: Tree, keys: EdgeKeyBits, tree_index: int = 0
 ) -> tuple[int, tuple[Broadcast, ...]]:
     """Share one bit across a tree; returns (bit, broadcasts).
 
-    The reference edge supplies the bit; each of the remaining edges costs
-    one broadcast, in the order of ``tree.walk``, where every speaker is
-    already informed and every listener is a new vertex.
+    The reference edge (the least) supplies the bit; each further edge of
+    ``tree.walk`` costs one broadcast.  This is one copy of ``_propagate``
+    over the tree's own edges.
     """
     for edge in tree.edges:
         if edge not in keys.bits:
             raise InvalidTreeError(f"no key bit for tree edge {edge}")
-    reference = tree.edges[0]  # edges are kept sorted, so this is least
-    shared = keys.bits[reference]
-    return shared, tuple(
-        Broadcast(tree_index, speaker, shared ^ keys.bits[edge], (reference, edge))
-        for speaker, edge in tree.walk
-    )
+    edges = (tree.edges[0],) + tuple(edge for _, edge in tree.walk)
+    out: tuple[list, list, list, list] = ([], [], [], [])
+    _propagate(tree_index, 1, 0,
+               [(speaker, k) for k, (speaker, _) in enumerate(tree.walk, 1)],
+               edges, [keys.bits[edge] for edge in edges], out)
+    return out[0][0], tuple(out[2])
 
 
 @dataclass(frozen=True)
@@ -136,7 +172,8 @@ def run_protocol(
     keys: EdgeKeyBits,
     target: TerminalSet,
 ) -> ProtocolRun:
-    """Execute propagation over every tree of a packing."""
+    """Execute propagation over every tree of a packing: each group's walk
+    is read once and its copies are found by index arithmetic."""
     if packing.graph != graph:
         raise InvalidPackingError("packing was built for a different graph")
     if packing.target != target:
@@ -144,28 +181,28 @@ def run_protocol(
             f"packing targets {packing.target.members}, requested {target.members}"
         )
     edge_order = graph.edge_refs()
-    for edge in edge_order:
-        if edge not in keys.bits:
-            raise InvalidPackingError(f"no key bit drawn for edge {edge}")
-    index = {edge: k for k, edge in enumerate(edge_order)}
+    try:
+        bits = [keys.bits[edge] for edge in edge_order]
+    except KeyError as exc:
+        raise InvalidPackingError(f"no key bit drawn for edge {exc.args[0]}") from None
+    offsets = graph.pair_offsets()
 
-    key_bits: list[int] = []
-    transcript: list[Broadcast] = []
-    key_rows: list[tuple[int]] = []
-    transcript_rows: list[tuple[int, int]] = []
-    used: set[EdgeRef] = set()
-    for tree_index, tree in enumerate(packing.trees):
-        shared, broadcasts = propagate_tree(tree, keys, tree_index=tree_index)
-        key_bits.append(shared)
-        key_rows.append((index[tree.edges[0]],))
-        for broadcast in broadcasts:
-            transcript.append(broadcast)
-            reference, edge = broadcast.support
-            transcript_rows.append((index[reference], index[edge]))
-        used.update(tree.edges)
+    out: tuple[list, list, list, list] = ([], [], [], [])
+    first_tree = 0
+    for tree, copies in packing.groups:
+        reference = tree.edges[0]
+        steps = [(speaker, offsets[edge[:2]] + edge[2]) for speaker, edge in tree.walk]
+        _propagate(first_tree, copies, offsets[reference[:2]] + reference[2], steps,
+                   edge_order, bits, out)
+        first_tree += copies
+    key_bits, key_rows, transcript, transcript_rows = out
 
-    residual_edges = tuple(e for e in edge_order if e not in used)
-    residual_bits = tuple(keys.bits[e] for e in residual_edges)
+    # a tree edge is named by its copy's key row or by one transcript row
+    residual = bytearray(b"\x01") * len(edge_order)
+    for (position,) in key_rows:
+        residual[position] = 0
+    for _, position in transcript_rows:
+        residual[position] = 0
     run = ProtocolRun(
         graph=graph,
         packing=packing,
@@ -173,8 +210,8 @@ def run_protocol(
         target=target,
         key_bits=tuple(key_bits),
         transcript=tuple(transcript),
-        residual_edges=residual_edges,
-        residual_bits=residual_bits,
+        residual_edges=tuple(compress(edge_order, residual)),
+        residual_bits=tuple(compress(bits, residual)),
         edge_order=edge_order,
         key_map=Gf2Matrix(tuple(key_rows), len(edge_order)),
         transcript_map=Gf2Matrix(tuple(transcript_rows), len(edge_order)),
@@ -206,18 +243,29 @@ def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
         edge = broadcast.support[1]
         if terminal in (edge[0], edge[1]):
             first.setdefault(broadcast.tree, broadcast)
-    recovered = []
-    for tree_index, tree in enumerate(run.packing.trees):
+    bits, edge_order = run.keys.bits, run.edge_order
+    offsets = run.graph.pair_offsets()
+    recovered: list[int] = []
+    first_tree = 0
+    # single copies (every spanning group) take no range or slice
+    for tree, copies in run.packing.groups:
         reference = tree.edges[0]
-        if terminal in (reference[0], reference[1]):
-            recovered.append(run.keys.bits[reference])
-        elif tree_index in first:
-            broadcast = first[tree_index]
-            recovered.append(broadcast.bit ^ run.keys.bits[broadcast.support[1]])
+        if terminal in (reference[0], reference[1]):  # holds every copy's reference edge
+            if copies > 1:
+                start = offsets[reference[:2]] + reference[2]
+                recovered += [bits[edge] for edge in edge_order[start:start + copies]]
+            else:
+                recovered.append(bits[reference])
         else:
-            raise InvalidPackingError(
-                f"terminal {terminal} has no incident edge in tree {tree_index}"
-            )
+            for tree_index in (range(first_tree, first_tree + copies) if copies > 1
+                               else (first_tree,)):
+                broadcast = first.get(tree_index)
+                if broadcast is None:
+                    raise InvalidPackingError(
+                        f"terminal {terminal} has no incident edge in tree {tree_index}"
+                    )
+                recovered.append(broadcast.bit ^ bits[broadcast.support[1]])
+        first_tree += copies
     return tuple(recovered)
 
 

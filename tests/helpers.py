@@ -10,8 +10,9 @@ that scans every labeled edge against every forest, forests that search
 their adjacency for each path, key recovery that rescans the transcript
 once per tree, the tree shape check by a separate depth-first search,
 propagation that rebuilds each tree's incident lists, flow decomposition
-one unit path at a time, hex packing by shifting one bit at a time, and
-the brute-force secrecy audit over the whole 2^|E| assignment space.
+one unit path at a time, hex packing by shifting one bit at a time, the
+brute-force secrecy audit over the whole 2^|E| assignment space, and
+packings and protocol runs built one tree per copy.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pinkey import (
     BRUTEFORCE_EDGE_CAP,
     Broadcast,
     EdgeKeyBits,
+    Gf2Matrix,
     InvalidPackingError,
     InvalidTreeError,
     Multigraph,
@@ -453,8 +455,8 @@ def reference_spanning_packing(graph: Multigraph) -> TreePacking:
             total += 1
         else:
             dead_pairs.add((edge[0], edge[1]))
-    trees = tuple(Tree(tuple(sorted(f.edges()))) for f in forests)
-    return TreePacking(graph=graph, target=target, trees=trees)
+    groups = tuple((Tree(tuple(sorted(f.edges()))), 1) for f in forests)
+    return TreePacking(graph=graph, target=target, groups=groups)
 
 
 def scan_recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
@@ -586,6 +588,59 @@ def unit_walk_path_edges(
             used[pair] += 1
         trees.append(tuple(sorted(edges)))
     return trees
+
+
+def per_copy_trees(
+    chosen: Sequence[tuple[tuple[tuple[int, int], ...], int]]
+) -> tuple[Tree, ...]:
+    """One tree per copy of each (pairs, copies) entry, each pair's copies
+    numbered up in entry order: the per-copy oracle for the groups that
+    ``pinkey.packing._assign_copies`` builds from the same entries."""
+    used: Counter = Counter()
+    trees = []
+    for pairs, copies in chosen:
+        for _ in range(copies):
+            edges = []
+            for pair in pairs:
+                edges.append((pair[0], pair[1], used[pair]))
+                used[pair] += 1
+            trees.append(Tree(tuple(edges)))
+    return tuple(trees)
+
+
+def per_tree_run_protocol(
+    graph: Multigraph, packing: TreePacking, keys: EdgeKeyBits, target: TerminalSet
+) -> ProtocolRun:
+    """Propagation over each tree of ``packing.trees`` in turn, edges found
+    by an all-edge index and residuals by a set scan: the per-copy oracle
+    for ``pinkey.run_protocol``, which works once per group."""
+    edge_order = graph.edge_refs()
+    index = {edge: k for k, edge in enumerate(edge_order)}
+    key_bits, key_rows, transcript, transcript_rows = [], [], [], []
+    used: set = set()
+    for tree_index, tree in enumerate(packing.trees):
+        shared, broadcasts = reference_propagate_tree(tree, keys, tree_index)
+        key_bits.append(shared)
+        key_rows.append((index[tree.edges[0]],))
+        for broadcast in broadcasts:
+            transcript.append(broadcast)
+            reference, edge = broadcast.support
+            transcript_rows.append((index[reference], index[edge]))
+        used.update(tree.edges)
+    residual_edges = tuple(e for e in edge_order if e not in used)
+    return ProtocolRun(
+        graph=graph,
+        packing=packing,
+        keys=keys,
+        target=target,
+        key_bits=tuple(key_bits),
+        transcript=tuple(transcript),
+        residual_edges=residual_edges,
+        residual_bits=tuple(keys.bits[e] for e in residual_edges),
+        edge_order=edge_order,
+        key_map=Gf2Matrix(tuple(key_rows), len(edge_order)),
+        transcript_map=Gf2Matrix(tuple(transcript_rows), len(edge_order)),
+    )
 
 
 def shift_bits_to_hex(bits: tuple[int, ...]) -> str:

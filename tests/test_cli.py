@@ -293,7 +293,7 @@ class TestPackCommandFaults:
 
         def repeat_first_tree(graph, target, **kwargs):
             packing = real_steiner_packing(graph, target, **kwargs)
-            return TreePacking(graph, target, packing.trees + packing.trees[:1])
+            return TreePacking(graph, target, packing.groups + packing.groups[:1])
 
         monkeypatch.setattr(cli_module, "steiner_packing", repeat_first_tree)
         code, out, err = run_cli(capsys, "pack", TRIANGLE)

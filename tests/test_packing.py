@@ -197,7 +197,7 @@ class TestPackingType:
             TreePacking(
                 graph=UNIT_TRIANGLE,
                 target=TerminalSet.full(3),
-                trees=(Tree(((1, 2, 0),)),),
+                groups=((Tree(((1, 2, 0),)), 1),),
             )
 
     def test_rejects_copy_overflow(self):
@@ -205,7 +205,7 @@ class TestPackingType:
             TreePacking(
                 graph=UNIT_TRIANGLE,
                 target=TerminalSet.of(1, 2),
-                trees=(Tree(((1, 2, 1),)),),
+                groups=((Tree(((1, 2, 1),)), 1),),
             )
 
     def test_rejects_shared_edge(self):
@@ -214,8 +214,66 @@ class TestPackingType:
             TreePacking(
                 graph=UNIT_TRIANGLE,
                 target=TerminalSet.of(1, 3),
-                trees=(tree, tree),
+                groups=((tree, 1), (tree, 1)),
             )
+
+    # a group's copy k raises every edge's copy number by k
+    PARALLEL_PATH = Multigraph(3, {(1, 2): 4, (2, 3): 3})
+
+    def test_rejects_copy_ranges_overlapping_on_one_pair(self):
+        # 1-2 copies 0..1 and then 1: only pair (1, 2) clashes
+        with pytest.raises(InvalidPackingError,
+                           match=re.escape("edge (1, 2, 1) used twice")):
+            TreePacking(
+                graph=self.PARALLEL_PATH,
+                target=TerminalSet.of(1, 3),
+                groups=((Tree(((1, 2, 0), (2, 3, 0))), 2),
+                        (Tree(((1, 2, 1), (2, 3, 2))), 1)),
+            )
+
+    def test_rejects_copies_past_the_multiplicity(self):
+        # copies 1..3 of 1-2 fit its 4; copy 3 of 2-3 is one past its 3
+        with pytest.raises(InvalidPackingError, match=re.escape(
+                "tree 2 uses edge (2, 3, 3) but the graph has 3 copies of pair (2, 3)")):
+            TreePacking(
+                graph=self.PARALLEL_PATH,
+                target=TerminalSet.of(1, 3),
+                groups=((Tree(((1, 2, 1), (2, 3, 1))), 3),),
+            )
+
+    def test_rejects_a_multi_copy_group_missing_a_terminal(self):
+        with pytest.raises(InvalidPackingError, match=re.escape(
+                "tree 1 with reference edge (1, 2, 1) misses target terminals [3]")):
+            TreePacking(
+                graph=self.PARALLEL_PATH,
+                target=TerminalSet.of(1, 3),
+                groups=((Tree(((1, 2, 0), (2, 3, 0))), 1), (Tree(((1, 2, 1),)), 2)),
+            )
+
+    @pytest.mark.parametrize("copies", [0, -1, 1.0, True])
+    def test_rejects_a_copy_count_that_is_not_a_positive_int(self, copies):
+        with pytest.raises(InvalidPackingError, match="positive copy count"):
+            TreePacking(
+                graph=self.PARALLEL_PATH,
+                target=TerminalSet.of(1, 3),
+                groups=((Tree(((1, 2, 0), (2, 3, 0))), copies),),
+            )
+
+    def test_trees_expand_each_group_by_copy(self):
+        packing = TreePacking(
+            graph=self.PARALLEL_PATH,
+            target=TerminalSet.of(1, 3),
+            groups=((Tree(((1, 2, 1), (2, 3, 0))), 2), (Tree(((1, 2, 0), (2, 3, 2))), 1)),
+        )
+        expected = [((1, 2, 1), (2, 3, 0)), ((1, 2, 2), (2, 3, 1)),
+                    ((1, 2, 0), (2, 3, 2))]
+        trees = packing.trees
+        assert packing.count == len(trees) == 3
+        assert [tree.edges for tree in trees] == expected
+        assert [trees[k].edges for k in (-3, -2, -1)] == expected
+        assert [tree.edges for tree in trees[1:]] == expected[1:]
+        with pytest.raises(IndexError):
+            trees[3]
 
 
 class TestMinCut:

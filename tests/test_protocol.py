@@ -1,10 +1,13 @@
 import random
 import re
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import pinkey.packing
 
 from pinkey import (
     EdgeKeyBits,
@@ -30,6 +33,8 @@ from pinkey import (
 from helpers import (
     dense_gf2_rows,
     elimination_gf2_rank,
+    per_copy_trees,
+    per_tree_run_protocol,
     random_multigraph,
     random_terminal_set,
     random_tree_edges,
@@ -143,7 +148,7 @@ class TestPropagateTree:
 class TestRunProtocol:
     def test_empty_packing(self):
         target = TerminalSet.full(3)
-        packing = TreePacking(graph=UNIT_TRIANGLE, target=target, trees=())
+        packing = TreePacking(graph=UNIT_TRIANGLE, target=target, groups=())
         keys = draw_edge_keys(UNIT_TRIANGLE, 0)
         run = run_protocol(UNIT_TRIANGLE, packing, keys, target)
         assert run.key_bits == ()
@@ -232,6 +237,61 @@ class TestRunProtocol:
                     len(broadcast_rows) + 1
 
 
+class TestGroupsAgainstPerCopyOracles:
+    """A packing keeps (tree, copies) groups and the protocol works once per
+    group; both must expand to exactly what one tree per copy gives."""
+
+    @given(st.integers(0, 10_000), st.sampled_from(("paths", "greedy", "exact")))
+    @settings(deadline=None)
+    def test_groups_expand_to_the_per_copy_packing_and_run(self, seed, route):
+        rng = random.Random(seed)
+        if route == "paths":
+            graph = random_multigraph(rng, max_m=6, max_mult=6)
+            target = random_terminal_set(rng, graph.m, 2)
+        else:
+            # at most 20 edges, under the exact search's cap of 24
+            m = rng.randint(4, 5)
+            graph = Multigraph(m, {(i, j): rng.randint(0, 2)
+                                   for i in range(1, m + 1) for j in range(i + 1, m + 1)})
+            target = random_terminal_set(rng, m, rng.randint(3, m - 1))
+        entries = []
+        assign = pinkey.packing._assign_copies
+
+        def spy(graph, target, chosen):
+            entries.append(list(chosen))
+            return assign(graph, target, chosen)
+
+        with mock.patch.object(pinkey.packing, "_assign_copies", spy):
+            packing = steiner_packing(graph, target,
+                                      mode="greedy" if route == "greedy" else "exact")
+        expected = per_copy_trees(entries[-1])  # exact search assigns its best last
+        assert [tree.edges for tree in packing.trees] == [tree.edges for tree in expected]
+        assert packing.count == len(expected)
+        # consecutive equal entries share one group
+        assert all(a.pairs() != b.pairs()
+                   for (a, _), (b, _) in zip(packing.groups, packing.groups[1:]))
+
+        keys = draw_edge_keys(graph, seed)
+        run = run_protocol(graph, packing, keys, target)
+        oracle = per_tree_run_protocol(graph, packing, keys, target)
+        assert run.key_bits == oracle.key_bits
+        assert run.transcript == oracle.transcript
+        assert run.key_map == oracle.key_map
+        assert run.transcript_map == oracle.transcript_map
+        assert run.residual_edges == oracle.residual_edges
+        assert run.residual_bits == oracle.residual_bits
+
+    def test_multi_copy_groups_appear(self):
+        # the property above must see groups of several copies
+        graph = Multigraph(4, {(1, 2): 3, (2, 4): 2, (1, 3): 1, (3, 4): 2, (1, 4): 1})
+        paths = steiner_packing(graph, TerminalSet.of(1, 4))
+        assert [copies for _, copies in paths.groups] == [2, 1, 1]
+        greedy = steiner_packing(
+            Multigraph(4, {p: 2 * c for p, c in graph.multiplicities.items()}),
+            TerminalSet.of(1, 2, 4), mode="greedy")
+        assert [copies for _, copies in greedy.groups] == [2, 4]
+
+
 class TestRecoverKey:
     def test_path_tree_far_terminal(self):
         graph = Multigraph(3, {(1, 2): 1, (2, 3): 1})
@@ -267,7 +327,21 @@ class TestRecoverKey:
         graph = random_multigraph(rng, max_m=5, max_mult=3)
         target = random_terminal_set(rng, graph.m)
         packing = steiner_packing(graph, target, mode="greedy")
-        run = run_protocol(graph, packing, draw_edge_keys(graph, seed), target)
+        self.check_matches_scan(
+            run_protocol(graph, packing, draw_edge_keys(graph, seed), target))
+        # a path packing of doubled multiplicities: every path is a group
+        # of an even number of copies
+        small = random_multigraph(rng, max_m=5, max_mult=3)
+        doubled = Multigraph(small.m, {p: 2 * c for p, c in small.multiplicities.items()})
+        pair = random_terminal_set(rng, small.m, 2)
+        paths = steiner_packing(doubled, pair)
+        assert all(copies % 2 == 0 for _, copies in paths.groups)
+        self.check_matches_scan(
+            run_protocol(doubled, paths, draw_edge_keys(doubled, seed), pair))
+
+    @staticmethod
+    def check_matches_scan(run):
+        target, packing = run.target, run.packing
         variants = [run]
         variants += [flip_broadcast(run, k) for k in range(len(run.transcript))]
         variants += [leak_key_bit(run, i, k) for i in range(len(run.key_bits))
