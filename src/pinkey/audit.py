@@ -48,9 +48,9 @@ class SecurityReport:
 def security_index_rank(run: ProtocolRun) -> SecurityReport:
     """Security index via GF(2) ranks of the recorded linear maps."""
     key_rank = run.key_map.rank()
-    transcript_rank = run.transcript_map.rank()
-    joint_rank = gf2.gf2_rank(  # rows were checked when each map was built
-        run.key_map.rows + run.transcript_map.rows, run.key_map.ncols)
+    # one forest over the transcript rows, continued with the key rows
+    transcript_rank, joint_rank = gf2._forest_sizes(
+        run.key_map.ncols, run.transcript_map.rows, run.key_map.rows)
     key_given_transcript = Fraction(joint_rank - transcript_rank)
     key_length = len(run.key_bits)
     return SecurityReport(

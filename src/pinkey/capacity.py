@@ -112,14 +112,6 @@ class WeightAssignment:
             if v
         )
 
-    @classmethod
-    def on_singletons(cls, family: SubsetFamily) -> "WeightAssignment":
-        """The always-feasible assignment: weight 1 on every singleton."""
-        values = [Fraction(0)] * len(family)
-        for t in range(family.m):
-            values[family.index_of(1 << t)] = Fraction(1)
-        return cls(family, tuple(values))
-
 
 def pair_coefficients(assignment: WeightAssignment) -> dict[Pair, Fraction]:
     """For each pair, the total weight of subsets separating it (lower

@@ -16,18 +16,28 @@ Row = tuple[int, ...]
 def gf2_rank(rows: Sequence[Row], ncols: int) -> int:
     """Rank of one- and two-column rows over ``ncols`` columns: the number
     of rows that join two components, with column ``ncols`` as ground."""
+    return _forest_sizes(ncols, rows)[0]
+
+
+def _forest_sizes(ncols: int, *segments: Sequence[Row]) -> list[int]:
+    """One spanning forest grown over the segments in turn; entry s is the
+    rank of segments 0..s together, so a later segment continues the
+    forest of the earlier ones instead of rebuilding it."""
     parent = list(range(ncols + 1))
     rank = 0
-    for row in rows:
-        first, second = (row[0], ncols) if len(row) == 1 else row
-        while parent[first] != first:  # path halving
-            parent[first] = first = parent[parent[first]]
-        while parent[second] != second:
-            parent[second] = second = parent[parent[second]]
-        if first != second:
-            parent[first] = second
-            rank += 1
-    return rank
+    sizes = []
+    for rows in segments:
+        for row in rows:
+            first, second = (row[0], ncols) if len(row) == 1 else row
+            while parent[first] != first:  # path halving
+                parent[first] = first = parent[parent[first]]
+            while parent[second] != second:
+                parent[second] = second = parent[parent[second]]
+            if first != second:
+                parent[first] = second
+                rank += 1
+        sizes.append(rank)
+    return sizes
 
 
 @dataclass(frozen=True)

@@ -102,9 +102,6 @@ class PairPmf:
     def col_marginals(self) -> tuple[float, ...]:
         return tuple(sum(row[j] for row in self.probs) for j in range(self.cols))
 
-    def transpose(self) -> "PairPmf":
-        return PairPmf(tuple(zip(*self.probs)))
-
     def joint_entropy(self) -> float:
         return _entropy(p for row in self.probs for p in row)
 
@@ -344,13 +341,6 @@ class Multigraph:
                 start += self.multiplicities[pair]
             object.__setattr__(self, "_pair_offsets", offsets)
         return offsets
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = []
-        for (i, j), count in self.multiplicities.items():
-            if count and v in (i, j):
-                out.append(j if v == i else i)
-        return tuple(sorted(out))
 
 
 def base_scale(model: PinModel) -> int:

@@ -54,9 +54,6 @@ class Partition:
             out[atom].append(t + 1)
         return tuple(tuple(a) for a in out)
 
-    def crosses(self, i: int, j: int) -> bool:
-        return self.assignment[i - 1] != self.assignment[j - 1]
-
 
 def enumerate_partitions(
     m: int, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP

@@ -8,44 +8,44 @@ from the reference edge (children in lexicographic order), the
 already-informed endpoint of each further edge e broadcasts b XOR k_e,
 which lets the far endpoint recover b.  Every broadcast is therefore the
 GF(2) sum of exactly two edge bits, and the group key, transcript and
-residual bits together form a bijection of the edge bits.  Each map row is
-kept as the canonical indices of its one or two edges.  The copies of a
-packing group share one walk, and copy k's edges sit k places after copy
-0's in canonical order, so each group's walk is read once.
+residual bits together form a bijection of the edge bits.  The edge bits
+are one tuple in canonical edge order and each map row is kept as the
+canonical indices of its one or two edges, so every bit is read by index.
+The copies of a packing group share one walk, and copy k's edges sit k
+places after copy 0's in canonical order, so each group's walk is read
+once.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping, Sequence
 
-from .errors import InvalidPackingError, InvalidTreeError
+from .errors import InvalidPackingError
 from .gf2 import Gf2Matrix
 from .model import EdgeRef, Multigraph, TerminalSet
-from .packing import Tree, TreePacking
+from .packing import TreePacking
 
 
 @dataclass(frozen=True)
 class EdgeKeyBits:
-    """One uniform bit per multigraph edge; seed kept for replay."""
+    """One uniform bit per multigraph edge, in canonical edge order: bit k
+    belongs to ``graph.edge_refs()[k]``.  The seed is kept for replay."""
 
-    bits: Mapping[EdgeRef, int]
+    bits: tuple[int, ...]
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        for edge, bit in self.bits.items():
+        for k, bit in enumerate(self.bits):
             if bit not in (0, 1):
-                raise ValueError(f"edge {edge} carries non-bit value {bit!r}")
+                raise ValueError(f"edge bit {k} is the non-bit value {bit!r}")
 
 
 def draw_edge_keys(graph: Multigraph, seed: int) -> EdgeKeyBits:
     """Deterministic i.i.d. uniform bits in canonical edge order."""
-    rng = random.Random(seed)
-    bits = {edge: rng.getrandbits(1) for edge in graph.edge_refs()}
-    return EdgeKeyBits(bits=bits, seed=seed)
+    getrandbits = random.Random(seed).getrandbits
+    return EdgeKeyBits(bits=tuple(getrandbits(1) for _ in graph.edge_refs()), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -69,59 +69,6 @@ class Broadcast:
         """The endpoint that learns the shared bit from this broadcast."""
         i, j, _ = self.support[1]
         return j if self.terminal == i else i
-
-
-def _propagate(
-    first_tree: int,
-    copies: int,
-    reference: int,
-    steps: Sequence[tuple[int, int]],
-    edges: Sequence[EdgeRef],
-    bits: Sequence[int],
-    out: tuple[list, list, list, list],
-) -> None:
-    """Share one bit across each copy of a tree, appending to ``out`` =
-    (key bits, key rows, broadcasts, transcript rows).
-
-    ``reference`` is the reference edge's index into ``edges`` and ``bits``,
-    and ``steps`` holds (speaker, index) per walk step; copy k's edges sit at
-    the same indices plus k.  Each further edge costs one broadcast, in walk
-    order, where every speaker is already informed and every listener is a
-    new vertex.
-    """
-    key_bits, key_rows, transcript, transcript_rows = out
-    for k in range(copies):
-        ref = reference + k
-        shared = bits[ref]
-        ref_edge = edges[ref]
-        key_bits.append(shared)
-        key_rows.append((ref,))
-        for speaker, position in steps:
-            position += k
-            transcript.append(Broadcast(first_tree + k, speaker,
-                                        shared ^ bits[position],
-                                        (ref_edge, edges[position])))
-            transcript_rows.append((ref, position))
-
-
-def propagate_tree(
-    tree: Tree, keys: EdgeKeyBits, tree_index: int = 0
-) -> tuple[int, tuple[Broadcast, ...]]:
-    """Share one bit across a tree; returns (bit, broadcasts).
-
-    The reference edge (the least) supplies the bit; each further edge of
-    ``tree.walk`` costs one broadcast.  This is one copy of ``_propagate``
-    over the tree's own edges.
-    """
-    for edge in tree.edges:
-        if edge not in keys.bits:
-            raise InvalidTreeError(f"no key bit for tree edge {edge}")
-    edges = (tree.edges[0],) + tuple(edge for _, edge in tree.walk)
-    out: tuple[list, list, list, list] = ([], [], [], [])
-    _propagate(tree_index, 1, 0,
-               [(speaker, k) for k, (speaker, _) in enumerate(tree.walk, 1)],
-               edges, [keys.bits[edge] for edge in edges], out)
-    return out[0][0], tuple(out[2])
 
 
 @dataclass(frozen=True)
@@ -159,12 +106,6 @@ class ProtocolRun:
                 or self.transcript_map.ncols != edges):
             raise InvalidPackingError("transcript map has wrong shape")
 
-    def edge_index(self, edge: EdgeRef) -> int:
-        index = bisect_left(self.edge_order, edge)
-        if index == len(self.edge_order) or self.edge_order[index] != edge:
-            raise KeyError(f"edge {edge} is not in this run")
-        return index
-
 
 def run_protocol(
     graph: Multigraph,
@@ -173,7 +114,8 @@ def run_protocol(
     target: TerminalSet,
 ) -> ProtocolRun:
     """Execute propagation over every tree of a packing: each group's walk
-    is read once and its copies are found by index arithmetic."""
+    is read once and its copies are found by index arithmetic.  ``keys``
+    must hold one bit per edge of ``graph``."""
     if packing.graph != graph:
         raise InvalidPackingError("packing was built for a different graph")
     if packing.target != target:
@@ -181,21 +123,36 @@ def run_protocol(
             f"packing targets {packing.target.members}, requested {target.members}"
         )
     edge_order = graph.edge_refs()
-    try:
-        bits = [keys.bits[edge] for edge in edge_order]
-    except KeyError as exc:
-        raise InvalidPackingError(f"no key bit drawn for edge {exc.args[0]}") from None
+    bits = keys.bits
+    if len(bits) != len(edge_order):
+        raise InvalidPackingError(
+            f"{len(bits)} key bits drawn for a graph of {len(edge_order)} edges")
     offsets = graph.pair_offsets()
 
-    out: tuple[list, list, list, list] = ([], [], [], [])
+    key_bits: list[int] = []
+    key_rows: list[tuple[int]] = []
+    transcript: list[Broadcast] = []
+    transcript_rows: list[tuple[int, int]] = []
     first_tree = 0
     for tree, copies in packing.groups:
-        reference = tree.edges[0]
+        # the reference edge supplies each copy's shared bit; every further
+        # edge, in walk order, costs one broadcast by an informed speaker
+        i, j, c = tree.edges[0]
+        reference = offsets[(i, j)] + c
         steps = [(speaker, offsets[edge[:2]] + edge[2]) for speaker, edge in tree.walk]
-        _propagate(first_tree, copies, offsets[reference[:2]] + reference[2], steps,
-                   edge_order, bits, out)
+        for k in range(copies):
+            ref = reference + k
+            shared = bits[ref]
+            ref_edge = edge_order[ref]
+            key_bits.append(shared)
+            key_rows.append((ref,))
+            for speaker, position in steps:
+                position += k
+                transcript.append(Broadcast(first_tree + k, speaker,
+                                            shared ^ bits[position],
+                                            (ref_edge, edge_order[position])))
+                transcript_rows.append((ref, position))
         first_tree += copies
-    key_bits, key_rows, transcript, transcript_rows = out
 
     # a tree edge is named by its copy's key row or by one transcript row
     residual = bytearray(b"\x01") * len(edge_order)
@@ -225,7 +182,7 @@ def verify_linear_maps(run: ProtocolRun) -> bool:
     """True when the recorded maps reproduce the run's key and transcript
     bits from the drawn edge bits (honest runs always pass; tampered ones
     need not)."""
-    bits = [run.keys.bits[edge] for edge in run.edge_order]
+    bits = run.keys.bits
     return (run.key_map.apply(bits) == run.key_bits
             and run.transcript_map.apply(bits) == tuple(b.bit for b in run.transcript))
 
@@ -243,28 +200,24 @@ def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
         edge = broadcast.support[1]
         if terminal in (edge[0], edge[1]):
             first.setdefault(broadcast.tree, broadcast)
-    bits, edge_order = run.keys.bits, run.edge_order
+    bits = run.keys.bits
     offsets = run.graph.pair_offsets()
     recovered: list[int] = []
     first_tree = 0
-    # single copies (every spanning group) take no range or slice
     for tree, copies in run.packing.groups:
         reference = tree.edges[0]
         if terminal in (reference[0], reference[1]):  # holds every copy's reference edge
-            if copies > 1:
-                start = offsets[reference[:2]] + reference[2]
-                recovered += [bits[edge] for edge in edge_order[start:start + copies]]
-            else:
-                recovered.append(bits[reference])
+            start = offsets[reference[:2]] + reference[2]
+            recovered += bits[start:start + copies]
         else:
-            for tree_index in (range(first_tree, first_tree + copies) if copies > 1
-                               else (first_tree,)):
+            for tree_index in range(first_tree, first_tree + copies):
                 broadcast = first.get(tree_index)
                 if broadcast is None:
                     raise InvalidPackingError(
                         f"terminal {terminal} has no incident edge in tree {tree_index}"
                     )
-                recovered.append(broadcast.bit ^ bits[broadcast.support[1]])
+                i, j, c = broadcast.support[1]
+                recovered.append(broadcast.bit ^ bits[offsets[(i, j)] + c])
         first_tree += copies
     return tuple(recovered)
 

@@ -21,12 +21,13 @@ import itertools
 import random
 from collections import Counter, deque
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from pinkey import (
     BRUTEFORCE_EDGE_CAP,
     Broadcast,
     EdgeKeyBits,
+    EdgeRef,
     Gf2Matrix,
     InvalidPackingError,
     InvalidTreeError,
@@ -36,9 +37,11 @@ from pinkey import (
     ProtocolRun,
     SecurityReport,
     SizeLimitError,
+    SubsetFamily,
     TerminalSet,
     Tree,
     TreePacking,
+    WeightAssignment,
     nash_williams_count,
 )
 from pinkey.audit import _dyadic_entropy
@@ -108,6 +111,14 @@ def random_terminal_set(rng: random.Random, m: int, size: int | None = None) -> 
     if size is None:
         size = rng.randint(2, m)
     return TerminalSet(tuple(rng.sample(range(1, m + 1), size)))
+
+
+def singleton_assignment(family: SubsetFamily) -> WeightAssignment:
+    """The always-feasible assignment: weight 1 on every singleton."""
+    values = [Fraction(0)] * len(family)
+    for t in range(family.m):
+        values[family.index_of(1 << t)] = Fraction(1)
+    return WeightAssignment(family, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +475,19 @@ def scan_recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
     for ``pinkey.recover_key`` (same bits, same exceptions)."""
     if terminal not in run.target:
         raise ValueError(f"terminal {terminal} is outside the target set")
+    bits = dict(zip(run.graph.edge_refs(), run.keys.bits))
     recovered = []
     for tree_index, tree in enumerate(run.packing.trees):
         reference = tree.edges[0]
         if terminal in (reference[0], reference[1]):
-            recovered.append(run.keys.bits[reference])
+            recovered.append(bits[reference])
             continue
         for broadcast in run.transcript:
             if broadcast.tree != tree_index:
                 continue
             edge = broadcast.support[1]
             if terminal in (edge[0], edge[1]):
-                recovered.append(broadcast.bit ^ run.keys.bits[edge])
+                recovered.append(broadcast.bit ^ bits[edge])
                 break
         else:
             raise InvalidPackingError(
@@ -514,16 +526,17 @@ def reference_tree_check(edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def reference_propagate_tree(
-    tree: Tree, keys: EdgeKeyBits, tree_index: int = 0
+    tree: Tree, bits: Mapping[EdgeRef, int], tree_index: int = 0
 ) -> tuple[int, tuple[Broadcast, ...]]:
     """Propagation that rebuilds the tree's incident lists and walks them
-    breadth-first from the reference edge, children sorted: the oracle for
-    ``pinkey.propagate_tree``, which follows ``Tree.walk``."""
+    breadth-first from the reference edge, children sorted; ``bits`` maps
+    each edge to its bit.  The oracle for one tree of ``pinkey.run_protocol``,
+    which follows ``Tree.walk``: returns (shared bit, broadcasts)."""
     for edge in tree.edges:
-        if edge not in keys.bits:
+        if edge not in bits:
             raise InvalidTreeError(f"no key bit for tree edge {edge}")
     reference = tree.edges[0]
-    shared = keys.bits[reference]
+    shared = bits[reference]
     incident: dict[int, list] = {}
     for edge in tree.edges:
         incident.setdefault(edge[0], []).append(edge)
@@ -540,7 +553,7 @@ def reference_propagate_tree(
             broadcasts.append(Broadcast(
                 tree=tree_index,
                 terminal=speaker,
-                bit=shared ^ keys.bits[edge],
+                bit=shared ^ bits[edge],
                 support=(reference, edge),
             ))
             queue.append(edge[1] if edge[0] == speaker else edge[0])
@@ -616,10 +629,11 @@ def per_tree_run_protocol(
     for ``pinkey.run_protocol``, which works once per group."""
     edge_order = graph.edge_refs()
     index = {edge: k for k, edge in enumerate(edge_order)}
+    bits = dict(zip(edge_order, keys.bits))
     key_bits, key_rows, transcript, transcript_rows = [], [], [], []
     used: set = set()
     for tree_index, tree in enumerate(packing.trees):
-        shared, broadcasts = reference_propagate_tree(tree, keys, tree_index)
+        shared, broadcasts = reference_propagate_tree(tree, bits, tree_index)
         key_bits.append(shared)
         key_rows.append((index[tree.edges[0]],))
         for broadcast in broadcasts:
@@ -636,7 +650,7 @@ def per_tree_run_protocol(
         key_bits=tuple(key_bits),
         transcript=tuple(transcript),
         residual_edges=residual_edges,
-        residual_bits=tuple(keys.bits[e] for e in residual_edges),
+        residual_bits=tuple(bits[e] for e in residual_edges),
         edge_order=edge_order,
         key_map=Gf2Matrix(tuple(key_rows), len(edge_order)),
         transcript_map=Gf2Matrix(tuple(transcript_rows), len(edge_order)),

@@ -142,6 +142,37 @@ class TestRankMethod:
             assert report.uniformity_deficit == key_length - key_rank
 
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_all_fields_match_dense_elimination_on_cyclic_rows(self, seed):
+        # hand-built maps: the transcript rows crowd a few columns, so they
+        # close cycles (through ground too), and key rows fall both inside
+        # and outside the transcript's span
+        rng = random.Random(seed)
+        run = spanning_run(Multigraph(4, {(1, 2): 2, (1, 3): 2, (1, 4): 2,
+                                          (2, 3): 1, (3, 4): 2}), seed)
+        edges = len(run.edge_order)
+        crowded = rng.sample(range(edges), 4)
+
+        def row(columns):
+            return tuple(rng.sample(columns, rng.choice((1, 2, 2))))
+
+        transcript_rows = tuple(row(crowded) for _ in run.transcript)
+        key_rows = tuple(row(rng.choice((crowded, range(edges)))) for _ in run.key_bits)
+        assert gf2_rank(transcript_rows, edges) < len(transcript_rows)
+        variant = replace(run, transcript_map=Gf2Matrix(transcript_rows, edges),
+                          key_map=Gf2Matrix(key_rows, edges))
+        key_rank = elimination_gf2_rank(dense_gf2_rows(key_rows), edges)
+        transcript_rank = elimination_gf2_rank(dense_gf2_rows(transcript_rows), edges)
+        joint_rank = elimination_gf2_rank(dense_gf2_rows(key_rows + transcript_rows),
+                                          edges)
+        key_length = len(run.key_bits)
+        report = security_index_rank(variant)
+        assert report.security_index == key_length - joint_rank + transcript_rank
+        assert report.key_entropy == key_rank
+        assert report.key_given_transcript == joint_rank - transcript_rank
+        assert report.uniformity_deficit == key_length - key_rank
+
+
 class TestBruteForceMethod:
     def test_path_run(self):
         report = security_index_bruteforce(path_run())
@@ -222,7 +253,7 @@ class TestBruteForceMethod:
         joint: Counter = Counter()
         transcript_marginal: Counter = Counter()
         for bits in itertools.product((0, 1), repeat=len(edges)):
-            keys = EdgeKeyBits(dict(zip(edges, bits)))
+            keys = EdgeKeyBits(bits)
             run = run_protocol(graph, packing, keys, target)
             key_value = run.key_bits
             transcript_value = tuple(b.bit for b in run.transcript)

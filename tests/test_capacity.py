@@ -28,6 +28,7 @@ from helpers import (
     random_exact_model,
     random_pmf_model,
     random_terminal_set,
+    singleton_assignment,
 )
 
 TRIANGLE = PinModel.from_weights(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
@@ -102,7 +103,7 @@ class TestObjective:
 
     def test_triangle_singletons(self):
         family = subset_family(3, FULL3)
-        lam = WeightAssignment.on_singletons(family)
+        lam = singleton_assignment(family)
         assert capacity_objective(TRIANGLE, FULL3, lam) == 3
 
     def test_invalid_assignment_rejected(self):
@@ -242,7 +243,7 @@ class TestEntropyObjective:
         rng = random.Random(6)
         model = random_pmf_model(rng, m=3)
         family = subset_family(3, FULL3)
-        lam = WeightAssignment.on_singletons(family)
+        lam = singleton_assignment(family)
         total = sum(model.mi(i, j) for (i, j) in model.pairs())
         assert entropy_objective(model, FULL3, lam) == pytest.approx(total, abs=1e-9)
         assert capacity_objective(model, FULL3, lam) == pytest.approx(total, abs=1e-12)
@@ -252,14 +253,14 @@ class TestEntropyObjective:
         model = PinModel.from_pmfs(2, {(1, 2): pmf})
         target = TerminalSet.of(1, 2)
         family = subset_family(2, target)
-        lam = WeightAssignment.on_singletons(family)
+        lam = singleton_assignment(family)
         assert entropy_objective(model, target, lam) == pytest.approx(1.0, abs=1e-12)
         assert capacity_objective(model, target, lam) == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_pmf_rejected(self):
         model = PinModel.from_pmfs(3, {(1, 2): PairPmf.from_rows([[1.0]])})
         family = subset_family(3, FULL3)
-        lam = WeightAssignment.on_singletons(family)
+        lam = singleton_assignment(family)
         with pytest.raises(UnsupportedModeError):
             entropy_objective(model, FULL3, lam)
 

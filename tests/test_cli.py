@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinkey import MAX_TERMINALS
 from pinkey.cli import main
@@ -449,3 +455,77 @@ class TestParser:
         second = [run_cli(capsys, *request) for request in requests]
         assert all(code == 0 and out for code, out, _ in first)
         assert second == first
+
+
+# Model-file parts for the fuzz below: valid values, and malformed ones
+# drawn about one time in eight.
+_WEIGHTS = st.integers(0, 3) | st.sampled_from(["1/2", "2/3", "3/2", "0/5"])
+_BAD_WEIGHTS = st.sampled_from(["3/0", "x", "1/2/3", 1.5, True, False, -1, "-1/2",
+                                None, []])
+_PROBS = st.sampled_from([[0.5, 0.0, 0.0, 0.5], [0.25] * 4, [0.4, 0.1, 0.1, 0.4]])
+_BAD_PROBS = st.lists(
+    st.sampled_from([0.0, 0.25, 0.5, -0.25, math.nan, math.inf, True, "0.5"]),
+    min_size=3, max_size=5)
+_BAD_TERMINALS = st.sampled_from([0, 1, -3, 13, 10**6, "3", 3.0, True, None])
+
+
+def _rarely(draw, good, bad):
+    return draw(bad if draw(st.integers(0, 7)) == 7 else good)
+
+
+@st.composite
+def _model_text(draw):
+    m = draw(st.integers(2, 6))
+    doc = {"terminals": _rarely(draw, st.just(m), _BAD_TERMINALS)}
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    pairs += _rarely(draw, st.just([]), st.sampled_from([[(1, 1)], [(0, 2)],
+                                                         [(1, m + 1)], [(2, 1)]]))
+    kinds = _rarely(draw, st.sampled_from([("weights",), ("weights", "pmfs")]),
+                    st.sampled_from([("pmfs",), ()]))
+    if "weights" in kinds:
+        doc["weights"] = [{"i": i, "j": j, "value": _rarely(draw, _WEIGHTS, _BAD_WEIGHTS)}
+                          for i, j in pairs if draw(st.booleans())]
+    if "pmfs" in kinds:
+        doc["pmfs"] = [{"i": i, "j": j, "rows": 2, "cols": 2,
+                        "probs": _rarely(draw, _PROBS, _BAD_PROBS)}
+                       for i, j in pairs if draw(st.integers(0, 3)) == 3]
+    text = json.dumps(doc)
+    if draw(st.integers(0, 7)) == 7:  # a truncated file
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@st.composite
+def _flags(draw, command):
+    flags = []
+    if command != "validate" and draw(st.booleans()):
+        members = draw(st.lists(st.integers(-1, 8), max_size=4))
+        spec = ",".join(map(str, members)) or draw(st.sampled_from(["", "x", "1,,2"]))
+        flags.append(f"--set={spec}")
+    if command in ("pack", "simulate"):
+        if draw(st.booleans()):
+            flags.append(f"--scale={draw(st.integers(-2, 6))}")
+        if draw(st.booleans()):
+            flags.append(f"--mode={draw(st.sampled_from(['exact', 'greedy']))}")
+    if draw(st.booleans()):
+        flags.append(f"--format={draw(st.sampled_from(['text', 'structured']))}")
+    return flags
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_model_text(),
+           st.sampled_from(["capacity", "upper-bound", "pack", "simulate", "validate"])
+           .flatmap(lambda command: st.tuples(st.just(command), _flags(command))))
+    def test_random_model_files_end_in_documented_exit_codes(self, text, request):
+        command, flags = request
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "model.json"
+            path.write_text(text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path), *flags])
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4), err
+        assert err.count("\n") <= 1, err
+        assert "Traceback" not in out.getvalue() + err

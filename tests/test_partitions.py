@@ -42,8 +42,6 @@ class TestPartitionType:
         partition = Partition((0, 1, 0, 2))
         assert partition.atoms() == ((1, 3), (2,), (4,))
         assert partition.size == 3
-        assert partition.crosses(1, 2)
-        assert not partition.crosses(1, 3)
 
     def test_rejects_non_canonical(self):
         with pytest.raises(ValueError):
@@ -190,7 +188,7 @@ class TestNashWilliamsCount:
                     sum(
                         c
                         for (i, j), c in graph.multiplicities.items()
-                        if p.crosses(i, j)
+                        if p.assignment[i - 1] != p.assignment[j - 1]
                     ),
                     p.size - 1,
                 )

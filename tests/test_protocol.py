@@ -12,7 +12,6 @@ import pinkey.packing
 from pinkey import (
     EdgeKeyBits,
     InvalidPackingError,
-    InvalidTreeError,
     Multigraph,
     TerminalSet,
     Tree,
@@ -22,7 +21,6 @@ from pinkey import (
     flip_broadcast,
     gf2_rank,
     leak_key_bit,
-    propagate_tree,
     recover_key,
     run_protocol,
     spanning_packing,
@@ -54,6 +52,23 @@ def full_run(graph, seed=0):
     return run_protocol(graph, packing, keys, target)
 
 
+def one_tree_graph(tree):
+    """The least multigraph holding every edge of ``tree``."""
+    counts = {}
+    for i, j, c in tree.edges:
+        counts[(i, j)] = max(counts.get((i, j), 0), c + 1)
+    return Multigraph(max(tree.vertices()), counts)
+
+
+def one_tree_run(tree, bits):
+    """``run_protocol`` on the packing of ``tree`` alone, in the least graph
+    holding it; ``bits`` gives that graph's edge bits in canonical order."""
+    graph = one_tree_graph(tree)
+    target = TerminalSet(tree.vertices())
+    packing = TreePacking(graph=graph, target=target, groups=((tree, 1),))
+    return run_protocol(graph, packing, EdgeKeyBits(tuple(bits)), target)
+
+
 class TestDrawEdgeKeys:
     def test_deterministic(self):
         a = draw_edge_keys(DOUBLED_TRIANGLE, 42)
@@ -63,33 +78,41 @@ class TestDrawEdgeKeys:
 
     def test_empty_graph(self):
         graph = Multigraph(2, {(1, 2): 0})
-        assert draw_edge_keys(graph, 1).bits == {}
+        assert draw_edge_keys(graph, 1).bits == ()
+
+    def test_one_bit_per_edge_in_canonical_order(self):
+        keys = draw_edge_keys(DOUBLED_TRIANGLE, 42)
+        rng = random.Random(42)
+        assert keys.bits == tuple(rng.getrandbits(1)
+                                  for _ in DOUBLED_TRIANGLE.edge_refs())
+        assert keys.seed == 42
 
     def test_unbiased(self):
         graph = Multigraph(2, {(1, 2): 10_000})
         bits = draw_edge_keys(graph, 7).bits
-        ones = sum(bits.values())
+        ones = sum(bits)
         # 5 sigma band around n/2 for a fair coin
         assert abs(ones - 5000) < 5 * (10_000 * 0.25) ** 0.5
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            EdgeKeyBits({(1, 2, 0): 2})
+            EdgeKeyBits((1, 0, 2))
 
 
 class TestPropagateTree:
+    """Propagation over one tree, seen through ``run_protocol`` on a
+    one-tree packing."""
+
     def test_single_edge(self):
-        keys = EdgeKeyBits({(1, 2, 0): 1})
-        bit, broadcasts = propagate_tree(Tree(((1, 2, 0),)), keys)
-        assert bit == 1
-        assert broadcasts == ()
+        run = one_tree_run(Tree(((1, 2, 0),)), (1,))
+        assert run.key_bits == (1,)
+        assert run.transcript == ()
 
     def test_path_xor_bookkeeping(self):
-        keys = EdgeKeyBits({(1, 2, 0): 1, (2, 3, 0): 0})
-        bit, broadcasts = propagate_tree(Tree(((1, 2, 0), (2, 3, 0))), keys)
-        assert bit == 1
-        assert len(broadcasts) == 1
-        b = broadcasts[0]
+        run = one_tree_run(Tree(((1, 2, 0), (2, 3, 0))), (1, 0))
+        assert run.key_bits == (1,)
+        assert len(run.transcript) == 1
+        b = run.transcript[0]
         assert b.terminal == 2
         assert b.bit == 1  # 1 xor 0
         assert b.support == ((1, 2, 0), (2, 3, 0))
@@ -97,20 +120,20 @@ class TestPropagateTree:
 
     def test_star_supports(self):
         edges = ((1, 2, 0), (1, 3, 0), (1, 4, 0))
-        keys = EdgeKeyBits({e: b for e, b in zip(edges, (1, 0, 1))})
-        bit, broadcasts = propagate_tree(Tree(edges), keys)
+        run = one_tree_run(Tree(edges), (1, 0, 1))
+        (bit,) = run.key_bits
         assert bit == 1
-        assert len(broadcasts) == 2
+        assert len(run.transcript) == 2
         reference = (1, 2, 0)
-        for b in broadcasts:
+        for b in run.transcript:
             assert b.support[0] == reference
             assert b.support[1] != reference
             assert b.terminal == 1  # the hub already knows the bit
-            assert b.bit == bit ^ keys.bits[b.support[1]]
+            assert b.bit == bit ^ run.keys.bits[run.edge_order.index(b.support[1])]
 
     def test_missing_key_rejected(self):
-        with pytest.raises(InvalidTreeError):
-            propagate_tree(Tree(((1, 2, 0),)), EdgeKeyBits({}))
+        with pytest.raises(InvalidPackingError, match="0 key bits drawn for a graph of 1 edges"):
+            one_tree_run(Tree(((1, 2, 0),)), ())
 
     @given(st.integers(0, 10_000))
     def test_each_broadcast_informs_a_new_vertex(self, seed):
@@ -121,13 +144,13 @@ class TestPropagateTree:
         for k in range(1, n):
             u, v = sorted((labels[k], labels[rng.randrange(k)]))
             edges.append((u, v, rng.randint(0, 2)))
-        keys = EdgeKeyBits({edge: rng.getrandbits(1) for edge in edges})
         tree = Tree(tuple(edges))
-        bit, broadcasts = propagate_tree(tree, keys)
-        assert bit == keys.bits[tree.edges[0]]
-        assert len(broadcasts) == len(edges) - 1
+        graph = one_tree_graph(tree)
+        run = one_tree_run(tree, [rng.getrandbits(1) for _ in graph.edge_refs()])
+        assert run.key_bits == (run.keys.bits[graph.edge_refs().index(tree.edges[0])],)
+        assert len(run.transcript) == len(edges) - 1
         informed = set(tree.edges[0][:2])
-        for b in broadcasts:
+        for b in run.transcript:
             assert b.terminal in informed
             assert b.informed_terminal not in informed
             informed.add(b.informed_terminal)
@@ -138,11 +161,14 @@ class TestPropagateTree:
         rng = random.Random(seed)
         edges = random_tree_edges(rng, rng.randint(2, 9))
         rng.shuffle(edges)
-        keys = EdgeKeyBits({edge: rng.getrandbits(1) for edge in edges})
         tree = Tree(tuple(edges))
-        index = rng.randint(0, 5)
-        assert propagate_tree(tree, keys, index) == \
-            reference_propagate_tree(tree, keys, index)
+        graph = one_tree_graph(tree)
+        bits = [rng.getrandbits(1) for _ in graph.edge_refs()]
+        run = one_tree_run(tree, bits)
+        shared, broadcasts = reference_propagate_tree(
+            tree, dict(zip(graph.edge_refs(), bits)))
+        assert run.key_bits == (shared,)
+        assert run.transcript == broadcasts
 
 
 class TestRunProtocol:
@@ -181,13 +207,15 @@ class TestRunProtocol:
     def test_deterministic(self):
         assert full_run(DOUBLED_TRIANGLE, seed=9) == full_run(DOUBLED_TRIANGLE, seed=9)
 
-    def test_edge_index(self):
-        run = full_run(DOUBLED_TRIANGLE)
-        for k, edge in enumerate(run.edge_order):
-            assert run.edge_index(edge) == k
-        for miss in ((0, 1, 0), (1, 2, 2), (1, 4, 0), (3, 4, 0)):
-            with pytest.raises(KeyError, match="not in this run"):
-                run.edge_index(miss)
+    @pytest.mark.parametrize("change", (-1, 1))
+    def test_rejects_bit_count_other_than_edge_count(self, change):
+        target = TerminalSet.full(3)
+        packing = spanning_packing(DOUBLED_TRIANGLE)
+        bits = draw_edge_keys(DOUBLED_TRIANGLE, 0).bits
+        keys = EdgeKeyBits(bits[:-1] if change < 0 else bits + (1,))
+        with pytest.raises(InvalidPackingError,
+                           match=f"{6 + change} key bits drawn for a graph of 6 edges"):
+            run_protocol(DOUBLED_TRIANGLE, packing, keys, target)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_transcript_rows_index_the_supports(self, seed):
@@ -200,7 +228,8 @@ class TestRunProtocol:
             variants += [flip_broadcast(run, 0), leak_key_bit(run, 0, 0)]
         for variant in variants:
             assert variant.transcript_map.rows == tuple(
-                (variant.edge_index(b.support[0]), variant.edge_index(b.support[1]))
+                (variant.edge_order.index(b.support[0]),
+                 variant.edge_order.index(b.support[1]))
                 for b in variant.transcript)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -212,7 +241,7 @@ class TestRunProtocol:
         assert len(run.key_bits) + len(run.transcript) + len(run.residual_bits) == edges
         # stacked key, transcript and residual-unit rows are invertible
         rows = list(run.key_map.rows) + list(run.transcript_map.rows)
-        rows += [(run.edge_index(e),) for e in run.residual_edges]
+        rows += [(run.edge_order.index(e),) for e in run.residual_edges]
         assert len(rows) == edges
         assert gf2_rank(rows, edges) == edges
         assert elimination_gf2_rank(dense_gf2_rows(rows), edges) == edges
@@ -297,7 +326,7 @@ class TestRecoverKey:
         graph = Multigraph(3, {(1, 2): 1, (2, 3): 1})
         target = TerminalSet.of(1, 3)
         packing = steiner_packing(graph, target)
-        keys = EdgeKeyBits({(1, 2, 0): 1, (2, 3, 0): 1})
+        keys = EdgeKeyBits((1, 1))
         run = run_protocol(graph, packing, keys, target)
         # terminal 3 decodes via the broadcast and its own edge bit
         assert recover_key(run, 3) == run.key_bits
@@ -383,7 +412,8 @@ class TestTranscriptExport:
                  if l.startswith("broadcast ")]
         assert lines == [
             f"broadcast tree={b.tree} terminal={b.terminal} bit={b.bit} "
-            f"support={run.edge_index(b.support[0])},{run.edge_index(b.support[1])}"
+            f"support={run.edge_order.index(b.support[0])},"
+            f"{run.edge_order.index(b.support[1])}"
             for b in run.transcript]
 
     def test_hex_encoding(self):
