@@ -53,6 +53,14 @@ class _UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as one ``error: ...`` line, like
+    every other usage error; subparsers are built from the same class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _parse_terminals(spec: str | None, model: PinModel) -> TerminalSet:
     if spec is None:
         return TerminalSet.full(model.m)
@@ -236,7 +244,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pinkey",
         description="Secret-key capacity, tree packing and protocol "
         "simulation for pairwise independent networks",

@@ -1,16 +1,33 @@
 """Partition bounds: the crossing-weight upper bound and tree-packing counts.
 
 ``min_ratio`` is the one routine for the minimum over partitions of
-crossing weight / (atoms - 1).  It serves ``best_partition`` (the capacity
-upper bound), ``nash_williams_count`` (its floor on edge multiplicities with
-A = all terminals) and the exact Steiner search in ``packing`` (its floor on
-the remaining edge capacities, as the pruning bound).
+crossing weight / (atoms - 1): it alone scales the weights to integers and
+compares ratios.  It serves ``best_partition`` (the capacity upper bound),
+``nash_williams_count`` (its floor on edge multiplicities with A = all
+terminals) and the exact Steiner search in ``packing`` (its floor on the
+remaining edge capacities, as the pruning bound).
 
-Partitions of the terminals stream out as restricted-growth strings, so
-enumeration is canonical and duplicate-free without materializing the whole
-Bell-number family.  Only partitions with at least two atoms are considered
-(the one-atom partition would divide by zero), and for a target set A only
-partitions whose every atom meets A qualify.
+Partitions of the terminals are restricted-growth strings (RGS), so each
+appears once, in canonical order.  Only partitions with at least two atoms
+are considered (the one-atom partition would divide by zero), and for a
+target set A only partitions whose every atom meets A qualify.
+``enumerate_partitions`` streams all of them, without materializing the
+Bell-number family; it feeds the exact-Steiner list and is the test
+oracle for the other two callers.
+
+``best_partition`` and ``nash_williams_count`` instead walk the same RGS
+order with branch and bound (``pruned_partitions``).  A prefix carries its
+crossing and, for each later terminal, its weight into each prefix atom.
+A later terminal joins at most one atom, so the final crossing is at least
+the prefix crossing plus, over the later terminals, their weight to the
+prefix minus their weight to their heaviest prefix atom; and since every
+new atom needs a target terminal of its own, the final atom count is at
+most the open atoms plus the target terminals left over once every open
+atom without one has been given one.  A prefix whose best possible ratio
+cannot strictly beat the incumbent is cut.  The incumbent changes only on
+a strict improvement, so the search returns the same value and the same
+RGS-first minimizer as the full scan, and it stops at crossing 0 as the
+scan does.
 """
 
 from __future__ import annotations
@@ -18,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import SizeLimitError
 from .model import Multigraph, Pair, PinModel, TerminalSet
@@ -55,23 +72,30 @@ class Partition:
         return tuple(tuple(a) for a in out)
 
 
-def enumerate_partitions(
-    m: int, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
-) -> Iterator[Partition]:
-    """Stream partitions of 1..m with >= 2 atoms, every atom meeting the
-    target; atoms that can no longer be fixed by later target terminals
-    prune the search early."""
+def _target_counts(
+    m: int, target: TerminalSet, cap: int
+) -> tuple[list[bool], list[int]]:
+    """Per terminal position, whether it is in the target, and how many
+    target terminals come at or after each position."""
     target.validate_within(m)
     if m > cap:
         raise SizeLimitError(
             f"m={m} exceeds the partition-enumeration cap {cap}"
         )
     in_target = [t in target for t in range(1, m + 1)]
-    # target terminals strictly after position k
     remaining = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         remaining[k] = remaining[k + 1] + (1 if in_target[k] else 0)
+    return in_target, remaining
 
+
+def enumerate_partitions(
+    m: int, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
+) -> Iterator[Partition]:
+    """Stream partitions of 1..m with >= 2 atoms, every atom meeting the
+    target; atoms that can no longer be fixed by later target terminals
+    prune the search early."""
+    in_target, remaining = _target_counts(m, target, cap)
     assignment = [0] * m
 
     def rec(k: int, natoms: int, unfixed: int) -> Iterator[Partition]:
@@ -99,6 +123,79 @@ def enumerate_partitions(
     yield from rec(0, 0, 0)
 
 
+# Called by ``min_ratio`` with the integer-scaled (i, j, weight) items and
+# the incumbent test ``beaten(crossing, parts)``; yields partitions in RGS
+# order, skipping every prefix that ``beaten`` rules out.
+PartitionSearch = Callable[
+    [list[tuple], Callable[[int, int], bool]], Iterator[Partition]
+]
+
+
+def pruned_partitions(
+    m: int, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
+) -> PartitionSearch:
+    """Branch and bound over the partitions ``enumerate_partitions``
+    streams, in the same order: a prefix is cut when no completion can
+    strictly beat the incumbent (see the module docstring)."""
+    in_target, remaining = _target_counts(m, target, cap)
+
+    def search(items: list[tuple],
+               beaten: Callable[[int, int], bool]) -> Iterator[Partition]:
+        weight = [[0] * m for _ in range(m)]
+        for i, j, value in items:
+            weight[i][j] = weight[j][i] = value
+        # into[t][a]: weight from a later terminal t to the prefix in atom a
+        # (0 for atoms not yet opened); prefix[t]: its weight to the prefix
+        into = [[0] * m for _ in range(m)]
+        prefix = [0] * m
+        has_target = [False] * m
+        assignment = [0] * m
+
+        def rec(k: int, natoms: int, unfixed: int,
+                crossing: int) -> Iterator[Partition]:
+            # unfixed = atoms opened so far that contain no target terminal
+            if k == m:
+                yield Partition(tuple(assignment))
+                return
+            fixes = in_target[k]
+            row = weight[k]
+            later = range(k + 1, m)
+            for t in later:
+                prefix[t] += row[t]
+            for atom in range(natoms + 1):
+                opening = atom == natoms
+                if opening:
+                    new_unfixed = unfixed + (0 if fixes else 1)
+                else:
+                    new_unfixed = unfixed - (
+                        1 if fixes and not has_target[atom] else 0)
+                if new_unfixed > remaining[k + 1]:
+                    continue  # not enough target terminals left to fix every atom
+                new_natoms = natoms + (1 if opening else 0)
+                max_atoms = new_natoms + remaining[k + 1] - new_unfixed
+                if max_atoms < 2:
+                    continue
+                new_crossing = crossing + prefix[k] - into[k][atom]
+                for t in later:
+                    into[t][atom] += row[t]
+                bound = new_crossing + sum(
+                    prefix[t] - max(into[t]) for t in later)
+                if not beaten(bound, max_atoms - 1):
+                    assignment[k] = atom
+                    held = has_target[atom]
+                    has_target[atom] = held or fixes
+                    yield from rec(k + 1, new_natoms, new_unfixed, new_crossing)
+                    has_target[atom] = held
+                for t in later:
+                    into[t][atom] -= row[t]
+            for t in later:
+                prefix[t] -= row[t]
+
+        yield from rec(0, 0, 0, 0)
+
+    return search
+
+
 def _nonzero_items(table: Mapping[Pair, Fraction | int]) -> list[tuple]:
     return [(i - 1, j - 1, v) for (i, j), v in table.items() if v]
 
@@ -112,21 +209,30 @@ def _crossing(items: list[tuple], assignment: tuple[int, ...]) -> Fraction | int
 
 
 def min_ratio(
-    table: Mapping[Pair, Fraction | int], partitions: Iterable[Partition]
+    table: Mapping[Pair, Fraction | int],
+    partitions: Iterable[Partition] | PartitionSearch,
 ) -> tuple[Fraction, Partition]:
     """Minimum over the partitions of crossing value / (atoms - 1), with the
     first partition attaining it; ``table`` maps pairs to weights or edge
     multiplicities.  Values are scaled to integers by their common
     denominator and compared by cross-multiplication, so the loop builds no
-    Fraction per partition."""
+    Fraction per partition.  ``partitions`` is either scanned in order or,
+    as a ``PartitionSearch``, walked with the incumbent as its bound."""
     scale = math.lcm(*(v.denominator for v in table.values()))
     items = [(i, j, int(v * scale)) for i, j, v in _nonzero_items(table)]
     best: Partition | None = None
     best_crossing, best_parts = 0, 1
+
+    def beaten(crossing: int, parts: int) -> bool:
+        """True when crossing / parts does not strictly beat the incumbent."""
+        return best is not None and crossing * best_parts >= best_crossing * parts
+
+    if callable(partitions):
+        partitions = partitions(items, beaten)
     for partition in partitions:
         crossing = _crossing(items, partition.assignment)
         parts = partition.size - 1
-        if best is None or crossing * best_parts < best_crossing * parts:
+        if not beaten(crossing, parts):
             best, best_crossing, best_parts = partition, crossing, parts
             if crossing == 0:
                 break
@@ -148,7 +254,7 @@ def best_partition(
 ) -> tuple[Fraction, Partition]:
     """Minimum of crossing-weight / (atoms - 1) with a minimizing partition."""
     model.require_exact("partition bound")
-    return min_ratio(model.weights, enumerate_partitions(model.m, target, cap=cap))
+    return min_ratio(model.weights, pruned_partitions(model.m, target, cap=cap))
 
 
 def upper_bound(
@@ -178,5 +284,5 @@ def nash_williams_count(
     min over partitions of floor(crossing edges / (atoms - 1))."""
     if graph.m < 2:
         return 0
-    partitions = enumerate_partitions(graph.m, TerminalSet.full(graph.m), cap=cap)
-    return math.floor(min_ratio(graph.multiplicities, partitions)[0])
+    search = pruned_partitions(graph.m, TerminalSet.full(graph.m), cap=cap)
+    return math.floor(min_ratio(graph.multiplicities, search)[0])

@@ -189,17 +189,14 @@ def verify_linear_maps(run: ProtocolRun) -> bool:
 
 def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
     """Reconstruct the group key at a target terminal from its own incident
-    edge bits plus the public transcript, read once: O(|F| + trees)."""
+    edge bits plus the public transcript, read at most once: O(|F| + trees),
+    and O(trees) when the terminal holds every reference edge."""
     if terminal not in run.target:
         raise ValueError(
             f"terminal {terminal} is outside the target set "
             f"{run.target.members}; recovery is only guaranteed inside it"
         )
-    first: dict[int, Broadcast] = {}
-    for broadcast in run.transcript:
-        edge = broadcast.support[1]
-        if terminal in (edge[0], edge[1]):
-            first.setdefault(broadcast.tree, broadcast)
+    first: dict[int, Broadcast] | None = None  # per tree, built on first need
     bits = run.keys.bits
     offsets = run.graph.pair_offsets()
     recovered: list[int] = []
@@ -210,6 +207,12 @@ def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
             start = offsets[reference[:2]] + reference[2]
             recovered += bits[start:start + copies]
         else:
+            if first is None:
+                first = {}
+                for broadcast in run.transcript:
+                    edge = broadcast.support[1]
+                    if terminal in (edge[0], edge[1]):
+                        first.setdefault(broadcast.tree, broadcast)
             for tree_index in range(first_tree, first_tree + copies):
                 broadcast = first.get(tree_index)
                 if broadcast is None:

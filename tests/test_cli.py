@@ -443,6 +443,27 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("command", ["pack", "simulate", "capacity"])
+    def test_subcommand_help_exits_zero(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: pinkey {command}")
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["pack", TRIANGLE, "--scale", "abc"],
+        ["pack", TRIANGLE, "--set", "-1,2"],
+        ["upper-bound", TRIANGLE, "--bogus"],
+        ["pack"],
+        [],
+        ["frobnicate", TRIANGLE],
+    ])
+    def test_rejected_command_line_is_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_repeated_calls_give_identical_output(self, capsys):
         requests = [
             ("capacity", TRIANGLE),
@@ -512,7 +533,35 @@ def _flags(draw, command):
     return flags
 
 
+# Flag lists that argparse itself rejects: a value of the wrong type or
+# choice, a value that looks like an option, a flag without its value, an
+# unknown flag, a stray positional (with no model path, it stands in for
+# the model, which then fails to load).
+_REJECTED = st.sampled_from([
+    ["--scale", "abc"], ["--scale=1.5"], ["--set", "-1,2"], ["--set"],
+    ["--seed", "x"], ["--mode", "fast"], ["--format=yaml"], ["--bogus"],
+    ["-x"], ["extra"],
+])
+
+
 class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["capacity", "upper-bound", "pack", "simulate", "validate"]),
+           st.booleans(), st.lists(_REJECTED, min_size=1, max_size=2),
+           st.booleans())
+    def test_rejected_flags_end_in_one_error_line(self, command, model, rejected,
+                                                  first):
+        flags = [token for flag in rejected for token in flag]
+        argv = [command] + ([TRIANGLE] if model else [])
+        argv = [command] + flags + argv[1:] if first else argv + flags
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code == 2, (argv, err)
+        assert out.getvalue() == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
     @settings(max_examples=300, deadline=None)
     @given(_model_text(),
            st.sampled_from(["capacity", "upper-bound", "pack", "simulate", "validate"])

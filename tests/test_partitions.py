@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinkey import (
     Multigraph,
@@ -18,7 +21,7 @@ from pinkey import (
     spanning_rate,
     upper_bound,
 )
-from pinkey.partitions import min_ratio
+from pinkey.partitions import min_ratio, pruned_partitions
 
 from helpers import (
     brute_nash_williams,
@@ -211,3 +214,60 @@ class TestRateConvergence:
             count = nash_williams_count(realize_multigraph(model, n))
             assert Fraction(count, n) <= rate
             assert rate - Fraction(count, n) < Fraction(model.m - 1, n)
+
+
+# Weight tables for the pruned search: random ones and the tie-heavy shapes
+# (many partitions share the optimal ratio, so only the RGS order picks the
+# reported one), each with its terminals relabeled at random.
+_SHAPES = ("random", "path", "cycle", "two_triangles", "zero_rows")
+
+
+@st.composite
+def _shaped_models(draw):
+    shape = draw(st.sampled_from(_SHAPES))
+    m = draw(st.integers(6 if shape == "two_triangles" else 2, 8))
+    label = [0] + draw(st.permutations(range(1, m + 1)))
+    value = draw(st.sampled_from([1, 2, Fraction(1, 2), Fraction(5, 3)]))
+    if shape == "random":
+        edges = {(i, j): draw(st.sampled_from([0, 0, 1, 2, 3, Fraction(1, 2)]))
+                 for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+    elif shape in ("path", "cycle"):
+        edges = {(i, i + 1): value for i in range(1, m)}
+        if shape == "cycle" and m > 2:
+            edges[(1, m)] = value
+    elif shape == "two_triangles":
+        edges = {pair: value for pair in
+                 [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (3, 4)]}
+    else:  # random weights, some terminals with no correlated pair at all
+        silent = draw(st.sets(st.integers(1, m), max_size=m - 1))
+        edges = {(i, j): draw(st.sampled_from([0, 1, 2]))
+                 for i in range(1, m + 1) for j in range(i + 1, m + 1)
+                 if i not in silent and j not in silent}
+    weights = {tuple(sorted((label[i], label[j]))): w for (i, j), w in edges.items()}
+    size = draw(st.sampled_from([2, m, draw(st.integers(2, m))]))
+    target = TerminalSet(tuple(draw(st.permutations(range(1, m + 1)))[:size]))
+    return PinModel.from_weights(m, weights), target
+
+
+class TestPrunedSearch:
+    @settings(max_examples=250, deadline=None)
+    @given(_shaped_models())
+    def test_best_partition_matches_full_scan(self, case):
+        model, target = case
+        value, partition = best_partition(model, target)
+        expected = min_ratio(model.weights, enumerate_partitions(model.m, target))
+        assert (value, partition.assignment) == (expected[0], expected[1].assignment)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_shaped_models(), st.integers(1, 6))
+    def test_nash_williams_count_matches_full_scan(self, case, scale):
+        model, _ = case
+        graph = realize_multigraph(model, scale * base_scale(model))
+        full = TerminalSet.full(graph.m)
+        expected = math.floor(
+            min_ratio(graph.multiplicities, enumerate_partitions(graph.m, full))[0])
+        assert nash_williams_count(graph) == expected
+
+    def test_cap(self):
+        with pytest.raises(SizeLimitError):
+            pruned_partitions(13, TerminalSet.of(1, 2))

@@ -368,6 +368,22 @@ class TestRecoverKey:
         self.check_matches_scan(
             run_protocol(doubled, paths, draw_edge_keys(doubled, seed), pair))
 
+    def test_terminal_holding_every_reference_edge_skips_the_transcript(self):
+        # on the path 1-2-3 every unit path starts with edge (1, 2)
+        graph = Multigraph(3, {(1, 2): 3, (2, 3): 2})
+        target = TerminalSet.of(1, 3)
+        run = run_protocol(graph, steiner_packing(graph, target),
+                           draw_edge_keys(graph, 4), target)
+
+        class Unread(tuple):
+            def __iter__(self):
+                raise AssertionError("the transcript was read")
+
+        unread = replace(run, transcript=Unread(run.transcript))
+        assert recover_key(unread, 1) == run.key_bits
+        with pytest.raises(AssertionError, match="transcript was read"):
+            recover_key(unread, 3)
+
     @staticmethod
     def check_matches_scan(run):
         target, packing = run.target, run.packing

@@ -116,6 +116,22 @@ def test_matches_fraction_tableau_on_capacity_lps(m, seed):
     assert solve_lp(costs, rows, [Fraction(1)] * m, basis) == expected
 
 
+@pytest.mark.parametrize("m", range(2, 8))
+def test_capacity_lp_sweep_matches_fraction_tableau(m):
+    # LP k of 400 has m = 2 + k % 6 terminals, and each m runs through every
+    # target size in turn, with random members and weights
+    rng = random.Random(1000 + m)
+    for k in range(m - 2, 400, 6):
+        model = random_exact_model(rng, m=m)
+        size = 2 + (k // 6) % (m - 1)
+        family = subset_family(m, random_terminal_set(rng, m, size))
+        costs = _lp_costs(model, family)
+        rows = [[mask >> t & 1 for mask in family.subsets] for t in range(m)]
+        basis = [family.index_of(1 << t) for t in range(m)]
+        result = solve_lp(costs, rows, [1] * m, basis)
+        assert result == fraction_solve_lp(costs, rows, [1] * m, basis)
+
+
 def test_capacity_meets_partition_bound_at_nine_terminals():
     # A = M is a tight case of the paper: C(M) equals the partition bound.
     model = random_exact_model(random.Random(9), m=9, zero_chance=0.0)
