@@ -127,10 +127,13 @@ def loads_model(text: str) -> PinModel:
             for p in probs:
                 if isinstance(p, bool) or not isinstance(p, (int, float)):
                     _fail(f"{context}: non-numeric probability {p!r}")
-            table = [
-                [float(probs[r * cols + c]) for c in range(cols)]
-                for r in range(rows)
-            ]
+            try:
+                table = [
+                    [float(probs[r * cols + c]) for c in range(cols)]
+                    for r in range(rows)
+                ]
+            except OverflowError:
+                _fail(f"{context}: a probability is too large for a float")
             try:
                 pmfs[pair] = PairPmf.from_rows(table)
             except ValueError as exc:

@@ -7,13 +7,17 @@ Three packing routes, each certified by an independent count:
   graph, then flow decomposition into distinct paths with multiplicities);
 * edge-disjoint spanning trees via matroid-union augmentation (grow k
   forests simultaneously, swapping along exchange chains), with k taken
-  from the partition-count formula as the termination certificate; each
-  forest is a set of parent pointers, so "does this forest join u and v"
-  is two root climbs and a forest path is two climbs toward the root.
-  Forest components only merge, so each vertex pair keeps, for the whole
-  packing, the least forest that may still separate it; the exchange
-  search checks each edge when it is labeled and asks each forest about
-  a pair at most once.  The work k·|E| is capped;
+  from the partition-count formula as the termination certificate.  The
+  k forests are kept as runs of shifted copies of one forest, which
+  become the (tree, copies) groups; each forest is a set of parent
+  pointers, so "does this forest join u and v" is two root climbs and a
+  forest path is two climbs toward the root.  Pairs are inserted in
+  canonical order: the least run that separates a pair takes as many of
+  its copies as it has members, and only a copy that no run separates
+  runs the exchange search, which asks each distinct forest shape (pair
+  set) once per labeled pair.  Forest components only merge, so each
+  vertex pair keeps, for the whole packing, the least forest that may
+  still separate it.  The work k·|E| is capped;
 * Steiner packings for intermediate target sets: exact by depth-first
   search over edge-disjoint trees, pruned by the partition bound
   ``partitions.min_ratio`` on the remaining capacities (capped, the
@@ -29,7 +33,7 @@ copy k of a group is its tree with every edge's copy number raised by k.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,7 +49,9 @@ STEINER_EXACT_EDGE_CAP = 24
 # realized edges on every route: a packing holds one tree per group, but
 # ``pack`` and ``simulate`` still print every copy and every broadcast
 PACKING_EDGE_CAP = 300_000
-# trees times edges: each of the |E| insertions may ask all k forests
+# trees times edges: when every forest has its own shape, each of the |E|
+# insertions may still ask all k forests; runs of shifted forests make the
+# usual cost follow distinct pairs and shapes instead
 SPANNING_WORK_CAP = 2 * 10**6
 
 
@@ -154,7 +160,7 @@ class TreePacking:
                         f"tree {first + past - copy} uses edge {(i, j, past)} "
                         f"but the graph has {have} copies of pair ({i}, {j})")
                 start = offsets[(i, j)] + copy
-                if copies == 1:  # every spanning group: one byte to test and set
+                if copies == 1:  # one byte to test and set
                     clash = start if used[start] else -1
                     used[start] = 1
                 else:
@@ -294,16 +300,31 @@ def max_disjoint_paths(graph: Multigraph, s: int, t: int) -> TreePacking:
 # ---------------------------------------------------------------------------
 
 
-class _Forest:
-    """Mutable forest on 1..m: parent[v] = (next vertex toward v's root, edge)."""
+def _pair_bit(i: int, j: int) -> int:
+    """Pair (i, j), i < j, as one bit: (j-1)(j-2)/2 + i-1 numbers the pairs."""
+    return 1 << ((j - 1) * (j - 2) // 2 + i - 1)
 
-    __slots__ = ("parent",)
+
+class _Forest:
+    """Mutable forest on 1..m: parent[v] = (next vertex toward v's root, edge).
+    ``shape`` is the forest's pair set, the sum of its pairs' ``_pair_bit``s;
+    a forest holds at most one edge per pair."""
+
+    __slots__ = ("parent", "shape")
 
     def __init__(self) -> None:
         self.parent: dict[int, tuple[int, EdgeRef]] = {}
+        self.shape = 0
 
     def edges(self) -> list[EdgeRef]:
         return [edge for _, edge in self.parent.values()]
+
+    def shifted(self, by: int) -> _Forest:
+        """A copy with every edge's copy number raised by ``by``."""
+        copy = _Forest()
+        copy.parent = {v: (up, (i, j, c + by)) for v, (up, (i, j, c)) in self.parent.items()}
+        copy.shape = self.shape
+        return copy
 
     def path_edges(self, u: int, v: int) -> list[EdgeRef] | None:
         """Edges of the unique u-v path from v's end, or None if disconnected."""
@@ -338,6 +359,7 @@ class _Forest:
         i, j = edge[0], edge[1]
         if self.joins(i, j):
             raise AssertionError(f"adding {edge} would close a cycle")
+        self.shape ^= _pair_bit(i, j)
         x, link = i, (j, edge)  # re-root i's tree at i, then hang i below j
         while True:
             up = self.parent.get(x)
@@ -351,96 +373,162 @@ class _Forest:
         for child in edge[:2]:
             if child in self.parent and self.parent[child][1] == edge:
                 del self.parent[child]
+                self.shape ^= _pair_bit(edge[0], edge[1])
                 return
         raise AssertionError(f"edge {edge} is not in this forest")
 
 
-def _open_forest(
-    forests: list[_Forest], pair: Pair, open_from: dict[Pair, int]
-) -> int | None:
-    """The least forest that separates pair, or None if every forest joins it.
+class _ForestRuns:
+    """The k forests of a spanning packing as runs of shifted copies.
 
-    Forests below ``open_from[pair]`` are known to join the pair.  That
-    stays true for the whole packing, because a forest's components only
-    merge (see ``_augment``), so the pointer only moves forward.
-    """
-    index = open_from.get(pair, 0)
-    u, v = pair
-    while index < len(forests) and forests[index].joins(u, v):
-        index += 1
-    open_from[pair] = index
-    return index if index < len(forests) else None
+    Run r is ``forests[r]`` and its shifts by 1, 2, ...: forest
+    ``starts[r] + t`` of the packing is ``forests[r]`` with every edge's
+    copy number raised by t, up to the next start (``starts[-1]`` is k).
+    A run is split where one of its forests changes, and after each insert
+    a run that continues the shift of the run before it joins it, so the
+    runs stay maximal and few.  Forest indices name the same forests
+    throughout; only the runs that hold them change.
 
-
-def _augment(
-    forests: list[_Forest],
-    new_edge: EdgeRef,
-    open_from: dict[Pair, int],
-) -> bool:
-    """Insert new_edge into the forest union via exchange chains.
-
-    Breadth-first labeling over forest edges: a dequeued edge x labels the
-    edges on its path in each forest, in forest order; the search succeeds
-    at the first labeled edge that some forest separates, which goes into
-    the least such forest, and the swaps are unwound back to new_edge.
-    Returns False when the edge lies in the span of every forest (a full
-    clump).  Three facts keep the forest queries few:
+    Three facts keep the forest queries few:
 
     * A forest's components only merge.  A direct add joins two of them.
       A swap puts in an edge whose endpoints the forest already joins and
       takes out an edge of the path between them, so the components stay
-      as they were.  Hence "the least forest that may separate pair p" only
-      moves forward, and ``open_from`` keeps it per pair across the whole
-      packing (``_open_forest``).
-    * The exchange can be found when an edge is labeled.  Forests do not
-      change during the search, so the first labeled edge, in FIFO order,
-      that has a separating forest is where the search succeeds; each edge
-      is checked as soon as it is labeled, not when it is dequeued.
-    * Only the first labeled edge of a vertex pair matters.  A parallel
-      copy has the same endpoints, hence no separating forest either and
-      the same path in every forest, which the first copy labels when it
-      is dequeued.  So each pair is labeled, checked and dequeued at most
-      once per search, and each forest is asked about it once.
+      as they were.  Hence "the least forest that may separate pair p"
+      only moves forward, and ``open_from`` keeps it per pair across the
+      whole packing (``open_run``).
+    * The members of a run have one pair set, hence one set of components,
+      so one ``joins`` answers for the run, and a direct fit of c parallel
+      copies puts copy t into member t of the least separating run, as one
+      copy at a time would: each member then joins the pair, the next not.
+    * An exchange search labels vertex pairs.  A forest whose pair set
+      equals an earlier forest's has the same path, as pairs, so it labels
+      nothing new and is asked only once per dequeued edge.
     """
-    parent: dict[EdgeRef, tuple[EdgeRef, int] | None] = {new_edge: None}
-    index = _open_forest(forests, new_edge[:2], open_from)
-    if index is not None:
-        _unwind(forests, parent, new_edge, index)
-        return True
-    labeled = {new_edge[:2]}  # vertex pairs
-    queue = deque([new_edge])
-    while queue:
-        x = queue.popleft()
-        for i, forest in enumerate(forests):
-            for y in forest.path_edges(x[0], x[1]):
-                pair = y[:2]
-                if pair not in labeled:
-                    labeled.add(pair)
-                    parent[y] = (x, i)
-                    index = _open_forest(forests, pair, open_from)
-                    if index is not None:
-                        _unwind(forests, parent, y, index)
-                        return True
-                    queue.append(y)
-    return False
 
+    __slots__ = ("forests", "starts", "open_from")
 
-def _unwind(
-    forests: list[_Forest],
-    parent: Mapping[EdgeRef, tuple[EdgeRef, int] | None],
-    current: EdgeRef,
-    index: int,
-) -> None:
-    """Put current into forest index, then swap each labeled edge into the
-    forest that labeled it, in place of its label, back to the new edge."""
-    forests[index].add(current)
-    entry = parent[current]
-    while entry is not None:
-        prev_edge, holder = entry
-        forests[holder].remove(current)
-        forests[holder].add(prev_edge)
-        current = prev_edge
+    def __init__(self, k: int) -> None:
+        self.forests = [_Forest()]
+        self.starts = [0, k]
+        self.open_from: dict[Pair, int] = {}
+
+    def split(self, r: int, n: int) -> None:
+        """Make the first n > 0 members of run r a run of their own."""
+        start, end = self.starts[r], self.starts[r + 1]
+        if start + n < end:
+            self.forests.insert(r + 1, self.forests[r].shifted(n))
+            self.starts.insert(r + 1, start + n)
+
+    def open_run(self, pair: Pair) -> int | None:
+        """The least run that separates pair, or None if every run joins it."""
+        forests, starts = self.forests, self.starts
+        # forests below the pointer join the pair; a run the pointer falls
+        # inside has joining members, hence joins the pair in every member
+        r = bisect_left(starts, self.open_from.get(pair, 0))
+        u, v = pair
+        while r < len(forests) and forests[r].joins(u, v):
+            r += 1
+        self.open_from[pair] = starts[r]
+        return r if r < len(forests) else None
+
+    def insert(self, edge: EdgeRef, most: int) -> int:
+        """Put in edge and, with it, up to ``most`` - 1 of the next copies of
+        its pair; returns how many went in, 0 when the edge lies in the span
+        of every forest (a full clump)."""
+        r = self.open_run(edge[:2])
+        if r is None:
+            if not self._augment(edge):
+                return 0
+            placed = 1
+        else:
+            placed = min(most, self.starts[r + 1] - self.starts[r])
+            self.split(r, placed)
+            self.forests[r].add(edge)
+        self._merge()
+        return placed
+
+    def _merge(self) -> None:
+        """Join each run that continues the shift of the run before it."""
+        forests, starts = self.forests, self.starts
+        r = 1
+        while r < len(forests):
+            first, forest = forests[r - 1], forests[r]
+            by = starts[r] - starts[r - 1]
+            if first.shape == forest.shape and set(forest.edges()) == {
+                    (i, j, c + by) for i, j, c in first.edges()}:
+                del forests[r], starts[r]
+            else:
+                r += 1
+
+    def _augment(self, new_edge: EdgeRef) -> bool:
+        """Insert one edge that no forest separates via exchange chains;
+        False when it lies in the span of every forest (a full clump).
+
+        Breadth-first labeling over forest edges: a dequeued edge x labels
+        the edges on its path in each forest, in forest order; the search
+        succeeds at the first labeled edge, in FIFO order, that some forest
+        separates, which goes into the least such forest, and the swaps are
+        unwound back to the new edge.  Forests do not change during the search, so each edge
+        is checked when it is labeled.  Only the first labeled edge of a
+        vertex pair matters: a parallel copy has the same endpoints, hence
+        no separating forest either and the same path in every forest.
+        The first forest of each pair set is the first member of a run, so
+        a labeled edge and its labeling forest are those of that run.
+        """
+        shapes: dict[int, tuple[int, _Forest]] = {}  # each shape's first run
+        for start, forest in zip(self.starts, self.forests):
+            shapes.setdefault(forest.shape, (start, forest))
+        parent: dict[EdgeRef, tuple[EdgeRef, int] | None] = {new_edge: None}
+        labeled = {new_edge[:2]}  # vertex pairs
+        queue = deque([new_edge])
+        while queue:
+            x = queue.popleft()
+            for start, forest in shapes.values():
+                for y in forest.path_edges(x[0], x[1]):
+                    pair = y[:2]
+                    if pair not in labeled:
+                        labeled.add(pair)
+                        parent[y] = (x, start)
+                        target = self.open_run(pair)
+                        if target is not None:
+                            self._unwind(parent, y, self.starts[target])
+                            return True
+                        queue.append(y)
+        return False
+
+    def _unwind(
+        self,
+        parent: Mapping[EdgeRef, tuple[EdgeRef, int] | None],
+        current: EdgeRef,
+        index: int,
+    ) -> None:
+        """Put current into forest index, then swap each labeled edge into
+        the forest that labeled it, in place of its label, back to the new
+        edge.  Each forest changed is the first member of its run (no run
+        changes during the search), and is split off it first."""
+        moves = [(index, None, current)]  # (forest, edge out, edge in)
         entry = parent[current]
+        while entry is not None:
+            prev_edge, holder = entry
+            moves.append((holder, current, prev_edge))
+            current = prev_edge
+            entry = parent[current]
+        changed = {}
+        for forest_index, _, _ in moves:
+            if forest_index not in changed:
+                r = bisect_left(self.starts, forest_index)
+                self.split(r, 1)
+                changed[forest_index] = self.forests[r]
+        for forest_index, out, into in moves:
+            if out is not None:
+                changed[forest_index].remove(out)
+            changed[forest_index].add(into)
+
+    def groups(self) -> tuple[tuple[Tree, int], ...]:
+        """One (tree, copies) group per run."""
+        return tuple((Tree(tuple(forest.edges())), end - start) for forest, start, end
+                     in zip(self.forests, self.starts, self.starts[1:]))
 
 
 def spanning_packing(graph: Multigraph) -> TreePacking:
@@ -459,27 +547,23 @@ def spanning_packing(graph: Multigraph) -> TreePacking:
         )
     if certified == 0:
         return TreePacking(graph=graph, target=target, groups=())
-    forests = [_Forest() for _ in range(certified)]
+    runs = _ForestRuns(certified)
     goal = certified * (graph.m - 1)
     total = 0
-    dead_pairs: set[Pair] = set()
-    open_from: dict[Pair, int] = {}
-    for edge in graph.edge_refs():
-        if total == goal:
-            break
-        pair = (edge[0], edge[1])
-        if pair in dead_pairs:
-            continue  # parallel copies share a span; once blocked, always blocked
-        if _augment(forests, edge, open_from):
-            total += 1
-        else:
-            dead_pairs.add(pair)
+    for i, j in graph.support_pairs():  # canonical order, copy by copy
+        count = graph.multiplicities[(i, j)]
+        copy = 0
+        while copy < count and total < goal:
+            placed = runs.insert((i, j, copy), min(count - copy, goal - total))
+            if not placed:
+                break  # parallel copies share a span; once blocked, always blocked
+            copy += placed
+            total += placed
     if total != goal:
         raise AssertionError(
             f"matroid union packed {total} edges, expected {goal}"
         )
-    groups = tuple((Tree(tuple(f.edges())), 1) for f in forests)
-    return TreePacking(graph=graph, target=target, groups=groups)
+    return TreePacking(graph=graph, target=target, groups=runs.groups())
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,20 @@ class TestValidateCommand:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("command", ["validate", "upper-bound"])
+    @pytest.mark.parametrize("probs", [f"[1{'0' * 400}, 0]", f"[0, -1{'0' * 400}]"],
+                             ids=["huge", "huge_negative"])
+    def test_probability_too_large_for_a_float_rejected(self, capsys, tmp_path,
+                                                         command, probs):
+        path = tmp_path / "huge.json"
+        path.write_text('{"terminals": 2, "pmfs": [{"i": 1, "j": 2, "rows": 1,'
+                        f' "cols": 2, "probs": {probs}}}]}}')
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "too large for a float" in err
+
     def test_float_mode_capacity_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "pmf.json"
         path.write_text(
@@ -485,7 +499,8 @@ _BAD_WEIGHTS = st.sampled_from(["3/0", "x", "1/2/3", 1.5, True, False, -1, "-1/2
                                 None, []])
 _PROBS = st.sampled_from([[0.5, 0.0, 0.0, 0.5], [0.25] * 4, [0.4, 0.1, 0.1, 0.4]])
 _BAD_PROBS = st.lists(
-    st.sampled_from([0.0, 0.25, 0.5, -0.25, math.nan, math.inf, True, "0.5"]),
+    st.sampled_from([0.0, 0.25, 0.5, -0.25, math.nan, math.inf, True, "0.5",
+                     10**400]),
     min_size=3, max_size=5)
 _BAD_TERMINALS = st.sampled_from([0, 1, -3, 13, 10**6, "3", 3.0, True, None])
 

@@ -1,9 +1,11 @@
 import itertools
 import random
 import re
+import runpy
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -30,7 +32,8 @@ from pinkey import (
     steiner_packing,
     steiner_rate_lower_bound,
 )
-from pinkey.packing import SPANNING_WORK_CAP, _bound_partitions, _Forest, _max_flow
+from pinkey.packing import (
+    SPANNING_WORK_CAP, _bound_partitions, _Forest, _ForestRuns, _max_flow)
 
 from helpers import (
     _ReferenceForest,
@@ -68,8 +71,23 @@ TIE_HEAVY_GRAPHS = {
         4, {(2, 3): 25, (1, 2): 1, (1, 3): 1, (1, 4): 1, (2, 4): 2}),
     "two_triangles": Multigraph(
         6, {(1, 2): 40, (1, 3): 2, (2, 3): 2, (4, 5): 9, (4, 6): 9, (5, 6): 9}),
+    "two_triangles_joined": Multigraph(
+        6, {(1, 2): 40, (1, 3): 2, (2, 3): 2, (3, 4): 9, (4, 5): 9, (4, 6): 9,
+            (5, 6): 9}),
     "isolated_vertex": Multigraph(4, {(1, 2): 12, (1, 3): 12, (2, 3): 12}),
 }
+
+
+def ladder_graph(row: str) -> Multigraph:
+    # the instance as scripts/ladder.py builds it, so both measure the same graph
+    ladder = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "ladder.py"))
+    return dict(ladder["spanning_rows"]())[row]
+
+
+def assert_maximal_runs(packing: TreePacking) -> None:
+    # no group continues the shift of the group before it
+    for (tree, copies), (after, _) in zip(packing.groups, packing.groups[1:]):
+        assert after.edges != tuple((i, j, c + copies) for i, j, c in tree.edges)
 
 
 def assert_valid_packing(packing: TreePacking) -> None:
@@ -177,6 +195,12 @@ class TestForest:
                 forest.add(edge)
                 reference.add(edge)
             assert sorted(forest.edges()) == sorted(reference.edges())
+            assert forest.shape == sum(1 << ((j - 1) * (j - 2) // 2 + i - 1)
+                                       for i, j, _ in reference.edges())
+            moved = forest.shifted(3)
+            assert moved.shape == forest.shape
+            assert sorted(moved.edges()) == sorted(
+                (i, j, c + 3) for i, j, c in reference.edges())
             for u, v in itertools.permutations(range(1, m + 1), 2):
                 path = reference.path_edges(u, v)
                 assert forest.path_edges(u, v) == path
@@ -459,37 +483,68 @@ class TestSpanningPacking:
     def test_same_trees_as_reference_search(self, seed):
         # up to 25 parallel copies: exchange chains and dead pairs are common
         graph = random_multigraph(random.Random(seed), max_m=7, max_mult=25)
-        assert spanning_packing(graph) == reference_spanning_packing(graph)
+        packing = spanning_packing(graph)
+        reference = reference_spanning_packing(graph)  # one group per tree
+        assert tuple(packing.trees) == tuple(reference.trees)
+        assert packing.count == reference.count
+        assert_maximal_runs(packing)
 
     @pytest.mark.parametrize("name", TIE_HEAVY_GRAPHS)
     def test_same_trees_as_reference_search_on_ties(self, name):
         graph = TIE_HEAVY_GRAPHS[name]
         packing = spanning_packing(graph)
-        assert packing == reference_spanning_packing(graph)
-        assert packing.count == nash_williams_count(graph)
+        reference = reference_spanning_packing(graph)
+        assert tuple(packing.trees) == tuple(reference.trees)
+        assert packing.count == reference.count == nash_williams_count(graph)
+        assert_maximal_runs(packing)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_forest_components_only_coarsen(self, seed, monkeypatch):
-        # the per-pair resume pointer of _augment relies on this
+        # the per-pair resume pointer of _ForestRuns.open_run relies on this
         graph = random_multigraph(random.Random(seed), max_m=7, max_mult=25)
-        augment = pinkey.packing._augment
+        insert = _ForestRuns.insert
         vertices = range(1, graph.m + 1)
 
-        def roots(forest):
-            # each vertex's least fellow in its tree stands for the tree
-            return {v: min(x for x in vertices if forest.joins(v, x)) for v in vertices}
+        def member_roots(runs):
+            # per forest of the packing, each vertex's least fellow in its
+            # tree stands for the tree; a run's members share their forest's
+            roots = []
+            for forest, start, end in zip(runs.forests, runs.starts, runs.starts[1:]):
+                of = {v: min(x for x in vertices if forest.joins(v, x)) for v in vertices}
+                roots += [of] * (end - start)
+            return roots
 
-        def checked(forests, new_edge, open_from):
-            before = [roots(f) for f in forests]
-            fitted = augment(forests, new_edge, open_from)
-            for forest, was in zip(forests, before):
-                now = roots(forest)
+        def checked(runs, edge, most):
+            before = member_roots(runs)
+            placed = insert(runs, edge, most)
+            after = member_roots(runs)
+            assert len(before) == len(after) == runs.starts[-1]
+            for was, now in zip(before, after):
                 for u, v in itertools.combinations(vertices, 2):
                     assert was[u] != was[v] or now[u] == now[v]
-            return fitted
+            return placed
 
-        monkeypatch.setattr(pinkey.packing, "_augment", checked)
+        monkeypatch.setattr(_ForestRuns, "insert", checked)
         assert spanning_packing(graph).count == nash_williams_count(graph)
+
+    def test_work_follows_forest_shapes(self, monkeypatch):
+        # the 9-terminal graph has k = 490 trees with few distinct pair
+        # sets; one forest per tree made 799,666 path queries here
+        graph = ladder_graph("found9")
+        calls = []
+        path_edges = _Forest.path_edges
+
+        def counted(forest, u, v):
+            calls.append(None)
+            return path_edges(forest, u, v)
+
+        monkeypatch.setattr(_Forest, "path_edges", counted)
+        packing = spanning_packing(graph)
+        assert packing.count == 490
+        assert len(calls) <= 80_000
+        assert len(packing.groups) == 34
+        assert_maximal_runs(packing)
+        assert len(spanning_packing(complete_multigraph(6, 40)).groups) == 3
 
     def test_work_cap(self):
         # k trees over |E| edges: 1414 * 1414 is just under the cap

@@ -384,6 +384,38 @@ class TestRecoverKey:
         with pytest.raises(AssertionError, match="transcript was read"):
             recover_key(unread, 3)
 
+    @pytest.mark.parametrize("graph", [
+        Multigraph(4, {(i, j): 8 for i in range(1, 5) for j in range(i + 1, 5)}),
+        # the two triangles of the tie-heavy packing set, which alone are
+        # disconnected, joined by nine copies of pair (3, 4)
+        Multigraph(6, {(1, 2): 40, (1, 3): 2, (2, 3): 2, (3, 4): 9, (4, 5): 9,
+                       (4, 6): 9, (5, 6): 9}),
+    ], ids=["K4x8", "joined_two_triangles"])
+    def test_merged_spanning_groups_recover_and_show_tampering(self, graph):
+        run = full_run(graph, seed=3)
+        groups = run.packing.groups
+        assert all(copies > 1 for _, copies in groups)
+        # every group's reference edge misses some terminal, which must read
+        # the transcript to recover that group's bits
+        assert all(any(t not in tree.edges[0][:2] for t in run.target)
+                   for tree, _ in groups)
+        for terminal in run.target:
+            assert recover_key(run, terminal) == scan_recover_key(run, terminal)
+            assert recover_key(run, terminal) == run.key_bits
+        copy_of = [k for _, copies in groups for k in range(copies)]
+        later = [index for index, b in enumerate(run.transcript) if copy_of[b.tree] > 0]
+        assert later
+        for index in later:
+            broadcast = run.transcript[index]
+            tampered = flip_broadcast(run, index)
+            for terminal in run.target:
+                recovered = recover_key(tampered, terminal)
+                assert recovered == scan_recover_key(tampered, terminal)
+                wrong = [k for k, (got, bit) in enumerate(zip(recovered, run.key_bits))
+                         if got != bit]
+                informed = terminal == broadcast.informed_terminal
+                assert wrong == ([broadcast.tree] if informed else [])
+
     @staticmethod
     def check_matches_scan(run):
         target, packing = run.target, run.packing

@@ -1,6 +1,8 @@
 """Smoke tests: the example scripts run against the current API."""
 
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,19 @@ def test_capacity_gap_survey():
                         "--terminals", "4")
     assert result.returncode == 0, result.stderr
     assert "case" in result.stdout.splitlines()[0]
+
+
+def test_ladder_writes_a_bench_file(tmp_path):
+    result = run_script("ladder.py", "--label", "smoke", "--repeat", "1",
+                        "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert report["label"] == "smoke"
+    assert report["python"] == platform.python_version()
+    assert report["revision"]
+    rows = {row["row"]: row for row in report["rows"]}
+    assert list(rows) == ["spanning/found9", "spanning/K4x300", "spanning/K6x210"] + [
+        f"spanning/random_m{m}" for m in range(9, 13)]
+    assert rows["spanning/K4x300"]["trees"] == 600
+    assert rows["spanning/K4x300"]["groups"] == 2
+    assert all(row["best_s"] == min(row["times_s"]) for row in rows.values())
