@@ -2,7 +2,8 @@
 """Time a fixed, seeded ladder of instances and write BENCH_<label>.json.
 
 Every instance is rebuilt from this file alone, so two checkouts run the
-same ladder.  The rows so far are spanning-tree packings (``A = M``):
+same ladder.  The ``spanning/`` rows are spanning-tree packings
+(``A = M``):
 
 * ``found9``: a random 9-terminal graph, pair weights below times 37
   (k = 490 trees over 3,922 edges, near the spanning work cap);
@@ -11,9 +12,15 @@ same ladder.  The rows so far are spanning-tree packings (``A = M``):
 * ``random_m9`` .. ``random_m12``: integer-random graphs, one
   ``randint(0, 6)`` per pair (i < j, row-major) from ``random.Random(m)``.
 
+The ``capacity/`` rows ``dense_m9`` .. ``dense_m12`` solve the capacity
+LP at ``A = M`` on dense-random models: pair weight ``randint(0, 6)`` over
+``randint(1, 3)``, drawn in that order per pair (i < j, row-major) from
+``random.Random(m)``.
+
 Each row reports the best of ``--repeat`` wall-clock times of one
-``spanning_packing`` call, with the tree and group counts it returned.
-The ladder is a record, not a gate.
+``spanning_packing`` or ``solve_capacity`` call, with what it returned:
+tree and group counts, or the capacity and the LP's column count.  The
+ladder is a record, not a gate.
 
     PYTHONPATH=src python scripts/ladder.py --label mybranch
 """
@@ -25,9 +32,11 @@ import platform
 import random
 import subprocess
 import time
+from fractions import Fraction
 from pathlib import Path
 
-from pinkey import Multigraph, spanning_packing
+from pinkey import (Multigraph, PinModel, TerminalSet, format_rational,
+                    solve_capacity, spanning_packing)
 
 ROOT = Path(__file__).resolve().parent.parent
 FOUND9_WEIGHTS = (1, 2, 0, 2, 5, 4, 1, 4, 3, 6, 0, 1, 0, 3, 1, 0, 5, 1, 3, 5, 4, 5,
@@ -53,6 +62,15 @@ def spanning_rows() -> list[tuple[str, Multigraph]]:
     return rows + [(f"random_m{m}", integer_random(m)) for m in range(9, 13)]
 
 
+def dense_random(m: int) -> PinModel:
+    rng = random.Random(m)
+    weights = {}
+    for pair in itertools.combinations(range(1, m + 1), 2):
+        numerator = rng.randint(0, 6)
+        weights[pair] = Fraction(numerator, rng.randint(1, 3))
+    return PinModel.from_weights(m, weights)
+
+
 def git_revision() -> str:
     def git(*args: str) -> str:
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
@@ -65,20 +83,37 @@ def git_revision() -> str:
         return "unknown"
 
 
-def run_row(name: str, graph: Multigraph, repeat: int) -> dict:
+def timed(call, repeat: int):
+    """The last result of ``repeat`` calls, with the best and all times."""
     times = []
     for _ in range(repeat):
         start = time.perf_counter()
-        packing = spanning_packing(graph)
+        result = call()
         times.append(time.perf_counter() - start)
+    return result, {"best_s": min(times), "times_s": times}
+
+
+def spanning_row(name: str, graph: Multigraph, repeat: int) -> dict:
+    packing, timing = timed(lambda: spanning_packing(graph), repeat)
     return {
         "row": f"spanning/{name}",
         "terminals": graph.m,
         "edges": graph.total_edges(),
         "trees": packing.count,
         "groups": len(packing.groups),
-        "best_s": min(times),
-        "times_s": times,
+        **timing,
+    }
+
+
+def capacity_row(m: int, repeat: int) -> dict:
+    model = dense_random(m)
+    result, timing = timed(lambda: solve_capacity(model, TerminalSet.full(m)), repeat)
+    return {
+        "row": f"capacity/dense_m{m}",
+        "terminals": m,
+        "columns": len(result.assignment.values),
+        "value": format_rational(result.value),
+        **timing,
     }
 
 
@@ -93,10 +128,15 @@ def main() -> None:
         parser.error("--repeat must be positive")
     rows = []
     for name, graph in spanning_rows():
-        row = run_row(name, graph, args.repeat)
+        row = spanning_row(name, graph, args.repeat)
         rows.append(row)
         print(f"{row['row']:<20} |E| = {row['edges']:>5}  trees {row['trees']:>4}  "
               f"groups {row['groups']:>4}  best {row['best_s']:.4f} s")
+    for m in range(9, 13):
+        row = capacity_row(m, args.repeat)
+        rows.append(row)
+        print(f"{row['row']:<20} columns {row['columns']:>4}  "
+              f"C = {row['value']:<8} best {row['best_s']:.4f} s")
     report = {
         "label": args.label,
         "revision": git_revision(),

@@ -24,7 +24,7 @@ from typing import Mapping
 from .errors import InvalidAssignmentError, SizeLimitError, UnsupportedModeError
 from .model import Pair, PinModel, TerminalSet, all_pairs, base_scale
 from .partitions import DEFAULT_TERMINAL_CAP
-from .simplex import SimplexResult, solve_lp
+from .simplex import solve_lp
 
 CONSISTENCY_TOLERANCE = 1e-9
 
@@ -151,9 +151,10 @@ def _objective(model: PinModel, coeffs: Mapping[Pair, Fraction]):
     return sum(float(c) * model.mi(i, j) for (i, j), c in coeffs.items())
 
 
-def _lp_costs(model: PinModel, family: SubsetFamily) -> list[Fraction]:
+def _lp_costs(model: PinModel, family: SubsetFamily) -> tuple[list[int], int]:
     """Per subset, the weight of the pairs it separates (lower terminal
-    inside, higher outside), summed as integers over the base scale."""
+    inside, higher outside), as integers over the base scale; returns the
+    costs and that scale."""
     weights = model.require_exact("capacity LP costs")
     scale = base_scale(model)
     terms = [
@@ -161,20 +162,12 @@ def _lp_costs(model: PinModel, family: SubsetFamily) -> list[Fraction]:
         for (i, j), w in weights.items()
         if w
     ]
-    return [
-        Fraction(sum(w for inside, outside, w in terms
-                     if mask & inside and not mask & outside), scale)
+    costs = [
+        sum(w for inside, outside, w in terms
+            if mask & inside and not mask & outside)
         for mask in family.subsets
     ]
-
-
-def _cover_lp(family: SubsetFamily, costs: list[Fraction]) -> SimplexResult:
-    """Minimize ``costs`` over the family's weight polytope, starting from
-    the singleton basis.  Row t is the 0/1 indicator of the subsets that
-    hold terminal t + 1; each row must sum to one."""
-    rows = [[mask >> t & 1 for mask in family.subsets] for t in range(family.m)]
-    basis = [family.index_of(1 << t) for t in range(family.m)]
-    return solve_lp(costs, rows, [1] * family.m, basis)
+    return costs, scale
 
 
 @dataclass(frozen=True)
@@ -193,18 +186,18 @@ def solve_capacity(
     model.require_exact("capacity LP")
     target.validate_within(model.m)
     family = subset_family(model.m, target, cap=cap)
-    result = _cover_lp(family, _lp_costs(model, family))
+    costs, scale = _lp_costs(model, family)
+    result = solve_lp(costs, family.subsets, family.m)
+    value = result.value / scale
     assignment = WeightAssignment(family, result.solution)
     assignment.validate()
     coeffs = pair_coefficients(assignment)
     check = _objective(model, coeffs)
-    if check != result.value:
+    if check != value:
         raise ArithmeticError(
-            f"simplex value {result.value} disagrees with the objective {check}"
+            f"simplex value {value} disagrees with the objective {check}"
         )
-    return CapacityResult(
-        value=result.value, assignment=assignment, coefficients=coeffs
-    )
+    return CapacityResult(value=value, assignment=assignment, coefficients=coeffs)
 
 
 def sample_vertex(
@@ -214,13 +207,13 @@ def sample_vertex(
 
     Per-terminal normalization of random numbers does not respect the
     coupled constraints, so instead the LP is solved with a random rational
-    objective; the optimal basic solution is a vertex.
+    objective p/q (q <= 6), scaled by 60 to integers; the optimal basic
+    solution is a vertex.
     """
-    costs = [
-        Fraction(rng.randint(-24, 24), rng.randint(1, 6))
-        for _ in range(len(family))
-    ]
-    assignment = WeightAssignment(family, _cover_lp(family, costs).solution)
+    draws = [(rng.randint(-24, 24), rng.randint(1, 6)) for _ in family.subsets]
+    costs = [p * 60 // q for p, q in draws]
+    result = solve_lp(costs, family.subsets, family.m)
+    assignment = WeightAssignment(family, result.solution)
     assignment.validate()
     return assignment
 

@@ -16,6 +16,7 @@ immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -300,9 +301,11 @@ class Multigraph:
             pair = canonical_pair(i, j)
             if pair[1] > self.m:
                 raise ValueError(f"pair {pair} outside vertices 1..{self.m}")
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise ValueError(f"multiplicity for {pair} is not an integer: {count!r}")
             if count < 0:
                 raise ValueError(f"negative multiplicity for {pair}: {count}")
-            table[pair] = int(count)
+            table[pair] = count
         object.__setattr__(self, "multiplicities", table)
 
     def multiplicity(self, i: int, j: int) -> int:
@@ -370,18 +373,21 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: object) -> Fraction:
-    """Parse an integer or a ``p/q`` / ``p`` string into a Fraction."""
+    """Parse an integer or a ``p/q`` / ``p`` string into a Fraction.
+
+    Strings are ASCII digits only, with an optional leading ``-`` and no
+    spaces, signs elsewhere or digit separators."""
     if isinstance(text, bool):
         raise ValueError(f"expected a rational, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        parts = text.strip().split("/")
+        match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text)
+        if match is None:
+            raise ValueError(f"malformed rational {text!r}")
+        numerator, denominator = match.group(1, 2)
         try:
-            if len(parts) == 1:
-                return Fraction(int(parts[0]))
-            if len(parts) == 2:
-                return Fraction(int(parts[0]), int(parts[1]))
-        except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(int(numerator), int(denominator or 1))
+        except (ValueError, ZeroDivisionError) as exc:  # zero or too many digits
             raise ValueError(f"malformed rational {text!r}") from exc
     raise ValueError(f"expected an integer or 'p/q' string, got {text!r}")

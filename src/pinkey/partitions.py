@@ -11,19 +11,21 @@ Partitions of the terminals are restricted-growth strings (RGS), so each
 appears once, in canonical order.  Only partitions with at least two atoms
 are considered (the one-atom partition would divide by zero), and for a
 target set A only partitions whose every atom meets A qualify.
-``enumerate_partitions`` streams all of them, without materializing the
-Bell-number family; it feeds the exact-Steiner list and is the test
-oracle for the other two callers.
+They are walked in RGS order by one search, ``pruned_partitions``.
+``best_partition`` and ``nash_williams_count`` run it as a branch and
+bound; ``enumerate_partitions`` runs it with a bound that never cuts and
+streams every partition, without materializing the Bell-number family;
+that stream feeds the exact-Steiner list and, through ``min_ratio``, is
+the test oracle for the other two callers.
 
-``best_partition`` and ``nash_williams_count`` instead walk the same RGS
-order with branch and bound (``pruned_partitions``).  A prefix carries its
-crossing and, for each later terminal, its weight into each prefix atom.
-A later terminal joins at most one atom, so the final crossing is at least
-the prefix crossing plus, over the later terminals, their weight to the
-prefix minus their weight to their heaviest prefix atom; and since every
-new atom needs a target terminal of its own, the final atom count is at
-most the open atoms plus the target terminals left over once every open
-atom without one has been given one.  A prefix whose best possible ratio
+In the branch and bound, a prefix carries its crossing and, for each
+later terminal, its weight into each prefix atom.  A later terminal joins
+at most one atom, so the final crossing is at least the prefix crossing
+plus, over the later terminals, their weight to the prefix minus their
+weight to their heaviest prefix atom; and since every new atom needs a
+target terminal of its own, the final atom count is at most the open
+atoms plus the target terminals left over once every open atom without
+one has been given one.  A prefix whose best possible ratio
 cannot strictly beat the incumbent is cut.  The incumbent changes only on
 a strict improvement, so the search returns the same value and the same
 RGS-first minimizer as the full scan, and it stops at crossing 0 as the
@@ -72,55 +74,13 @@ class Partition:
         return tuple(tuple(a) for a in out)
 
 
-def _target_counts(
-    m: int, target: TerminalSet, cap: int
-) -> tuple[list[bool], list[int]]:
-    """Per terminal position, whether it is in the target, and how many
-    target terminals come at or after each position."""
-    target.validate_within(m)
-    if m > cap:
-        raise SizeLimitError(
-            f"m={m} exceeds the partition-enumeration cap {cap}"
-        )
-    in_target = [t in target for t in range(1, m + 1)]
-    remaining = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        remaining[k] = remaining[k + 1] + (1 if in_target[k] else 0)
-    return in_target, remaining
-
-
 def enumerate_partitions(
     m: int, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
 ) -> Iterator[Partition]:
     """Stream partitions of 1..m with >= 2 atoms, every atom meeting the
-    target; atoms that can no longer be fixed by later target terminals
-    prune the search early."""
-    in_target, remaining = _target_counts(m, target, cap)
-    assignment = [0] * m
-
-    def rec(k: int, natoms: int, unfixed: int) -> Iterator[Partition]:
-        # unfixed = atoms opened so far that contain no target terminal
-        if k == m:
-            if natoms >= 2 and unfixed == 0:
-                yield Partition(tuple(assignment))
-            return
-        fixes = in_target[k]
-        for atom in range(natoms + 1):
-            opening = atom == natoms
-            if opening:
-                new_unfixed = unfixed + (0 if fixes else 1)
-            else:
-                # does this atom currently lack a target terminal?
-                lacks = not any(
-                    in_target[t] for t in range(k) if assignment[t] == atom
-                )
-                new_unfixed = unfixed - (1 if lacks and fixes else 0)
-            if new_unfixed > remaining[k + 1]:
-                continue  # not enough target terminals left to fix every atom
-            assignment[k] = atom
-            yield from rec(k + 1, natoms + (1 if opening else 0), new_unfixed)
-
-    yield from rec(0, 0, 0)
+    target, in RGS order: the pruned search with nothing to prune against
+    (its target-terminal counts still cut hopeless prefixes early)."""
+    yield from pruned_partitions(m, target, cap)([], lambda crossing, parts: False)
 
 
 # Called by ``min_ratio`` with the integer-scaled (i, j, weight) items and
@@ -137,7 +97,16 @@ def pruned_partitions(
     """Branch and bound over the partitions ``enumerate_partitions``
     streams, in the same order: a prefix is cut when no completion can
     strictly beat the incumbent (see the module docstring)."""
-    in_target, remaining = _target_counts(m, target, cap)
+    target.validate_within(m)
+    if m > cap:
+        raise SizeLimitError(
+            f"m={m} exceeds the partition-enumeration cap {cap}"
+        )
+    # whether each terminal is in the target; target terminals at or after k
+    in_target = [t in target for t in range(1, m + 1)]
+    remaining = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        remaining[k] = remaining[k + 1] + (1 if in_target[k] else 0)
 
     def search(items: list[tuple],
                beaten: Callable[[int, int], bool]) -> Iterator[Partition]:

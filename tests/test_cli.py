@@ -436,6 +436,16 @@ class TestValidateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "too large for a float" in err
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663/\u0662", " 3 ", "+3", "3/ 2"])
+    def test_lenient_rational_rejected(self, capsys, tmp_path, value):
+        path = tmp_path / "lenient.json"
+        path.write_text(json.dumps(
+            {"terminals": 2, "weights": [{"i": 1, "j": 2, "value": value}]}))
+        code, out, err = run_cli(capsys, "capacity", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "malformed rational" in err
+
     def test_float_mode_capacity_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "pmf.json"
         path.write_text(
@@ -496,7 +506,8 @@ class TestParser:
 # drawn about one time in eight.
 _WEIGHTS = st.integers(0, 3) | st.sampled_from(["1/2", "2/3", "3/2", "0/5"])
 _BAD_WEIGHTS = st.sampled_from(["3/0", "x", "1/2/3", 1.5, True, False, -1, "-1/2",
-                                None, []])
+                                None, [], "1_0", "\u0663/\u0662", " 3 ", "+3",
+                                "3/ 2"])
 _PROBS = st.sampled_from([[0.5, 0.0, 0.0, 0.5], [0.25] * 4, [0.4, 0.1, 0.1, 0.4]])
 _BAD_PROBS = st.lists(
     st.sampled_from([0.0, 0.25, 0.5, -0.25, math.nan, math.inf, True, "0.5",

@@ -222,6 +222,11 @@ class TestMultigraph:
         with pytest.raises(ValueError):
             Multigraph(2, {(1, 2): -1})
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, Fraction(2), "2", None])
+    def test_rejects_non_integer_multiplicity(self, count):
+        with pytest.raises(ValueError, match="not an integer"):
+            Multigraph(3, {(1, 2): 1, (2, 3): count})
+
     def test_edge_refs_canonical(self):
         graph = Multigraph(3, {(2, 3): 2, (1, 2): 1})
         assert graph.edge_refs() == ((1, 2, 0), (2, 3, 0), (2, 3, 1))
@@ -252,6 +257,8 @@ class TestRationalFormatting:
         assert parse_rational("3/2") == Fraction(3, 2)
         assert parse_rational("7") == Fraction(7)
         assert parse_rational(4) == Fraction(4)
-        for bad in ("1.5", "3/0", "a/b", True, None):
+        assert parse_rational("-1/2") == Fraction(-1, 2)
+        for bad in ("1.5", "3/0", "a/b", True, None,
+                    "1_0", "\u0663/\u0662", " 3 ", "+3", "3/ 2"):
             with pytest.raises(ValueError):
                 parse_rational(bad)

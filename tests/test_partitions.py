@@ -82,7 +82,11 @@ class TestEnumeration:
         rng = random.Random(seed)
         m = rng.randint(2, 5)
         target = random_terminal_set(rng, m)
-        streamed = [atoms_as_sets(p) for p in enumerate_partitions(m, target)]
+        partitions = list(enumerate_partitions(m, target))
+        assignments = [p.assignment for p in partitions]
+        # RGS order, strictly increasing: this order fixes the first minimizer
+        assert all(a < b for a, b in zip(assignments, assignments[1:]))
+        streamed = [atoms_as_sets(p) for p in partitions]
         assert len(set(streamed)) == len(streamed)  # duplicate-free
         expected = set()
         for partition in brute_partitions(m):

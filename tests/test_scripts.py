@@ -43,7 +43,10 @@ def test_ladder_writes_a_bench_file(tmp_path):
     assert report["revision"]
     rows = {row["row"]: row for row in report["rows"]}
     assert list(rows) == ["spanning/found9", "spanning/K4x300", "spanning/K6x210"] + [
-        f"spanning/random_m{m}" for m in range(9, 13)]
+        f"spanning/random_m{m}" for m in range(9, 13)] + [
+        f"capacity/dense_m{m}" for m in range(9, 13)]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
+    assert rows["capacity/dense_m12"]["value"] == "653/66"
+    assert rows["capacity/dense_m12"]["columns"] == 2 ** 12 - 2
     assert all(row["best_s"] == min(row["times_s"]) for row in rows.values())

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,97 +9,91 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from pinkey import TerminalSet, solve_capacity, subset_family, upper_bound
-from pinkey.capacity import _cover_lp, _lp_costs
+from pinkey.capacity import _lp_costs
 from pinkey.simplex import solve_lp
 
 from helpers import fraction_solve_lp, random_exact_model, random_terminal_set
 
 
+def _dense(masks, m):
+    """The cover LP as the oracle takes it: 0/1 rows, rhs 1, and the
+    singleton columns as the identity basis."""
+    rows = [[mask >> t & 1 for mask in masks] for t in range(m)]
+    basis = [masks.index(1 << t) for t in range(m)]
+    return rows, [1] * m, basis
+
+
 def test_single_constraint():
-    # min x + 2y  s.t.  x + y = 1  ->  1 at (1, 0)
-    result = solve_lp(
-        costs=[Fraction(1), Fraction(2)],
-        rows=[[Fraction(1), Fraction(1)]],
-        rhs=[Fraction(1)],
-        basis=[0],
-    )
-    assert result.value == 1
-    assert result.solution == (Fraction(1), Fraction(0))
+    # one terminal, one column: min 5x  s.t.  x = 1
+    result = solve_lp([5], [0b1], 1)
+    assert result.value == 5
+    assert result.solution == (Fraction(1),)
+    assert result.basis == (0,)
 
 
 def test_prefers_cheap_column():
-    # min 3x + y + 0s  s.t.  x + y + s = 2  ->  0 at s = 2
-    result = solve_lp(
-        costs=[Fraction(3), Fraction(1), Fraction(0)],
-        rows=[[Fraction(1), Fraction(1), Fraction(1)]],
-        rhs=[Fraction(2)],
-        basis=[2],
-    )
-    assert result.value == 0
+    # {1} + {2} costs 4, {1, 2} costs 3: the pair covers both at once
+    result = solve_lp([2, 2, 3], [0b01, 0b10, 0b11], 2)
+    assert result.value == 3
+    assert result.solution == (Fraction(0), Fraction(0), Fraction(1))
+    # degenerate tie in the ratio test: the lower basic index leaves
+    assert result.basis == (2, 1)
 
 
 def test_exact_fractions():
-    # min x  s.t.  3x + y = 1 with basis on y -> 0; then force x via cost on y
-    result = solve_lp(
-        costs=[Fraction(1), Fraction(5)],
-        rows=[[Fraction(3), Fraction(1)]],
-        rhs=[Fraction(1)],
-        basis=[1],
-    )
-    # entering x: ratio 1/3, objective 1/3 < 5
-    assert result.value == Fraction(1, 3)
-    assert result.solution[0] == Fraction(1, 3)
+    # the three pairs of three terminals, each at cost 1, against singletons
+    # at cost 2: every pair at weight 1/2 covers each terminal exactly once
+    masks = [0b001, 0b010, 0b100, 0b011, 0b101, 0b110]
+    result = solve_lp([2, 2, 2, 1, 1, 1], masks, 3)
+    assert result.value == Fraction(3, 2)
+    assert result.solution == (0, 0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+
+
+def test_negative_costs_and_value_in_cost_units():
+    # costs need not be positive; the value is in the units of the costs
+    result = solve_lp([-3, 4, -5], [0b10, 0b01, 0b11], 2)
+    assert result.value == -5
+    assert result.solution == (0, 0, 1)
+    assert result.basis == (1, 2)  # the singleton of terminal 0 is column 1
 
 
 def test_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_lp([Fraction(1)], [[Fraction(1)]], [Fraction(1), Fraction(2)], [0])
+    with pytest.raises(ValueError, match="costs"):
+        solve_lp([1, 2], [0b1], 1)
 
 
-def test_infeasible_start_rejected():
-    with pytest.raises(ValueError):
-        solve_lp([Fraction(1)], [[Fraction(1)]], [Fraction(-1)], [0])
+@pytest.mark.parametrize("bad", [0, 0b1000, -1])
+def test_mask_out_of_range_rejected(bad):
+    with pytest.raises(ValueError, match="nonempty subset"):
+        solve_lp([1, 1, 1, 1], [0b001, 0b010, 0b100, bad], 3)
 
 
-@pytest.mark.parametrize("basis", [[0], [1], [2], [-1]])
-def test_basis_must_name_identity_columns(basis):
-    # neither column is e_0 (2 and 1/2), and 2 and -1 name no column
-    rows = [[Fraction(2), Fraction(1, 2)]]
-    with pytest.raises(ValueError, match="identity"):
-        solve_lp([Fraction(1), Fraction(1)], rows, [Fraction(1)], basis)
-
-
-def _outcome(solver, costs, rows, rhs, basis):
-    try:
-        return solver(costs, rows, rhs, basis)
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc)
+@pytest.mark.parametrize("masks", [[0b01], [0b10, 0b11], [0b01, 0b11], []])
+def test_every_singleton_must_be_a_column(masks):
+    with pytest.raises(ValueError, match="singleton"):
+        solve_lp([1] * len(masks), masks, 2)
 
 
 _rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 
 
 @st.composite
-def general_lps(draw):
-    """[permuted identity | rational block] x = b >= 0, any-sign costs;
-    unbounded problems included."""
-    m = draw(st.integers(1, 5))
-    n = m + draw(st.integers(0, 6))
-    order = draw(st.permutations(range(n)))
-    basis = list(order[:m])
-    rows = [[draw(_rationals) for _ in range(n)] for _ in range(m)]
-    for i, row in enumerate(rows):
-        for k, var in enumerate(basis):
-            row[var] = Fraction(int(i == k))
-    rhs = [abs(draw(_rationals)) for _ in range(m)]
-    costs = [draw(_rationals) for _ in range(n)]
-    return costs, rows, rhs, basis
+def cover_lps(draw):
+    """Distinct nonempty masks over m terminals holding every singleton, in
+    shuffled order, with any-sign rational costs cleared to ints."""
+    m = draw(st.integers(1, 6))
+    others = draw(st.sets(st.integers(1, (1 << m) - 1), max_size=12))
+    masks = draw(st.permutations(sorted(others | {1 << t for t in range(m)})))
+    costs = draw(st.lists(_rationals, min_size=len(masks), max_size=len(masks)))
+    scale = math.lcm(*(c.denominator for c in costs))
+    return [int(c * scale) for c in costs], list(masks), m
 
 
-@given(general_lps())
+@given(cover_lps())
 @settings(max_examples=300, deadline=None)
-def test_matches_fraction_tableau_on_general_lps(lp):
-    assert _outcome(solve_lp, *lp) == _outcome(fraction_solve_lp, *lp)
+def test_matches_fraction_tableau_on_cover_lps(lp):
+    costs, masks, m = lp
+    assert solve_lp(costs, masks, m) == fraction_solve_lp(costs, *_dense(masks, m))
 
 
 @given(st.integers(2, 8), st.integers(0, 10_000))
@@ -107,13 +102,9 @@ def test_matches_fraction_tableau_on_capacity_lps(m, seed):
     rng = random.Random(seed)
     model = random_exact_model(rng, m=m)
     family = subset_family(m, random_terminal_set(rng, m))
-    costs = _lp_costs(model, family)
-    rows = [[Fraction(mask >> t & 1) for mask in family.subsets]
-            for t in range(m)]
-    basis = [family.index_of(1 << t) for t in range(m)]
-    expected = fraction_solve_lp(costs, rows, [Fraction(1)] * m, basis)
-    assert _cover_lp(family, costs) == expected
-    assert solve_lp(costs, rows, [Fraction(1)] * m, basis) == expected
+    costs, _ = _lp_costs(model, family)
+    expected = fraction_solve_lp(costs, *_dense(family.subsets, m))
+    assert solve_lp(costs, family.subsets, m) == expected
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -125,11 +116,9 @@ def test_capacity_lp_sweep_matches_fraction_tableau(m):
         model = random_exact_model(rng, m=m)
         size = 2 + (k // 6) % (m - 1)
         family = subset_family(m, random_terminal_set(rng, m, size))
-        costs = _lp_costs(model, family)
-        rows = [[mask >> t & 1 for mask in family.subsets] for t in range(m)]
-        basis = [family.index_of(1 << t) for t in range(m)]
-        result = solve_lp(costs, rows, [1] * m, basis)
-        assert result == fraction_solve_lp(costs, rows, [1] * m, basis)
+        costs, _ = _lp_costs(model, family)
+        result = solve_lp(costs, family.subsets, m)
+        assert result == fraction_solve_lp(costs, *_dense(family.subsets, m))
 
 
 def test_capacity_meets_partition_bound_at_nine_terminals():
@@ -139,31 +128,21 @@ def test_capacity_meets_partition_bound_at_nine_terminals():
     assert solve_capacity(model, full).value == upper_bound(model, full)
 
 
-def _random_problem(rng: random.Random, m: int, extra: int):
-    """[I | R] x = b with b >= 0 and nonnegative costs: feasible, bounded."""
-    n = m + extra
-    rows = []
-    for i in range(m):
-        row = [Fraction(1 if j == i else 0) for j in range(m)]
-        row += [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(extra)]
-        rows.append(row)
-    rhs = [Fraction(rng.randint(0, 6), rng.randint(1, 2)) for _ in range(m)]
-    costs = [Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(n)]
-    return costs, rows, rhs, list(range(m))
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_matches_scipy(seed):
     rng = random.Random(seed)
     m = rng.randint(1, 4)
-    extra = rng.randint(1, 5)
-    costs, rows, rhs, basis = _random_problem(rng, m, extra)
-    exact = solve_lp(costs, rows, rhs, basis)
+    others = [mask for mask in range(1, 1 << m) if mask & (mask - 1)]
+    masks = [1 << t for t in range(m)] + rng.sample(others, rng.randint(0, len(others)))
+    rng.shuffle(masks)
+    costs = [rng.randint(-9, 9) for _ in masks]
+    exact = solve_lp(costs, masks, m)
 
+    rows, rhs, _ = _dense(masks, m)
     reference = linprog(
-        c=np.array([float(c) for c in costs]),
-        A_eq=np.array([[float(v) for v in row] for row in rows]),
-        b_eq=np.array([float(b) for b in rhs]),
+        c=np.array(costs, dtype=float),
+        A_eq=np.array(rows, dtype=float),
+        b_eq=np.array(rhs, dtype=float),
         bounds=[(0, None)] * len(costs),
         method="highs",
     )
