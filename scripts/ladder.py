@@ -17,10 +17,18 @@ LP at ``A = M`` on dense-random models: pair weight ``randint(0, 6)`` over
 ``randint(1, 3)``, drawn in that order per pair (i < j, row-major) from
 ``random.Random(m)``.
 
+The ``protocol/`` rows ``path_30k``, ``path_100k`` and ``path_300k`` run
+the key protocol on the three-terminal path with half the edges on pair
+(1, 2) and half on (2, 3), target {1, 3}: one group of 2-edge paths, one
+broadcast per copy.  The packing and the edge bits (seed 0) are made once;
+each timed call gets a fresh equal graph, so it builds the edge order as a
+CLI request does, then runs ``run_protocol`` and ``audit``.
+
 Each row reports the best of ``--repeat`` wall-clock times of one
-``spanning_packing`` or ``solve_capacity`` call, with what it returned:
-tree and group counts, or the capacity and the LP's column count.  The
-ladder is a record, not a gate.
+``spanning_packing``, ``solve_capacity`` or protocol-plus-audit call, with
+what it returned: tree and group counts, the capacity and the LP's column
+count, or the key and transcript bit counts.  The ladder is a record, not
+a gate.
 
     PYTHONPATH=src python scripts/ladder.py --label mybranch
 """
@@ -35,8 +43,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from pinkey import (Multigraph, PinModel, TerminalSet, format_rational,
-                    solve_capacity, spanning_packing)
+from pinkey import (Multigraph, PinModel, TerminalSet, audit, draw_edge_keys,
+                    format_rational, run_protocol, solve_capacity, spanning_packing,
+                    steiner_packing)
 
 ROOT = Path(__file__).resolve().parent.parent
 FOUND9_WEIGHTS = (1, 2, 0, 2, 5, 4, 1, 4, 3, 6, 0, 1, 0, 3, 1, 0, 5, 1, 3, 5, 4, 5,
@@ -117,6 +126,29 @@ def capacity_row(m: int, repeat: int) -> dict:
     }
 
 
+def protocol_row(edges: int, repeat: int) -> dict:
+    pairs = {(1, 2): edges // 2, (2, 3): edges - edges // 2}
+    graph = Multigraph(3, pairs)
+    target = TerminalSet.of(1, 3)
+    packing = steiner_packing(graph, target)
+    keys = draw_edge_keys(graph, 0)
+
+    def protocol_and_audit():
+        run = run_protocol(Multigraph(3, pairs), packing, keys, target)
+        return run, audit(run)
+
+    (run, report), timing = timed(protocol_and_audit, repeat)
+    return {
+        "row": f"protocol/path_{edges // 1000}k",
+        "terminals": 3,
+        "edges": edges,
+        "key_bits": len(run.key_bits),
+        "transcript_bits": len(run.transcript_bits),
+        "audit_passed": report.passed,
+        **timing,
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -137,6 +169,11 @@ def main() -> None:
         rows.append(row)
         print(f"{row['row']:<20} columns {row['columns']:>4}  "
               f"C = {row['value']:<8} best {row['best_s']:.4f} s")
+    for edges in (30_000, 100_000, 300_000):
+        row = protocol_row(edges, args.repeat)
+        rows.append(row)
+        print(f"{row['row']:<20} |E| = {row['edges']:>6}  |K| = {row['key_bits']:>6}  "
+              f"|F| = {row['transcript_bits']:>6}  best {row['best_s']:.4f} s")
     report = {
         "label": args.label,
         "revision": git_revision(),

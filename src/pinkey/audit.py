@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .errors import AuditFailureError, SizeLimitError
 from . import gf2
-from .protocol import Broadcast, ProtocolRun, recover_key
+from .protocol import ProtocolRun, recover_key
 
 BRUTEFORCE_EDGE_CAP = 20
 
@@ -202,23 +202,16 @@ def flip_broadcast(run: ProtocolRun, index: int) -> ProtocolRun:
     broadcast whose ``informed_terminal`` is in the target set to make the
     audit fail; helpers outside the target never re-decode).
     """
-    original = run.transcript[index]
-    tampered = Broadcast(
-        tree=original.tree,
-        terminal=original.terminal,
-        bit=original.bit ^ 1,
-        support=original.support,
-    )
-    transcript = (run.transcript[:index] + (tampered,)
-                  + run.transcript[index + 1:])
-    return replace(run, transcript=transcript)
+    transcript_bits = list(run.transcript_bits)
+    transcript_bits[index] ^= 1
+    return replace(run, transcript_bits=tuple(transcript_bits))
 
 
 def leak_key_bit(run: ProtocolRun, key_index: int, broadcast_index: int) -> ProtocolRun:
     """Copy of the run with one key bit replaced by a broadcast bit (value
     and map row both), so the key visibly leaks into the transcript."""
     key_bits = list(run.key_bits)
-    key_bits[key_index] = run.transcript[broadcast_index].bit
+    key_bits[key_index] = run.transcript_bits[broadcast_index]
     key_rows = list(run.key_map.rows)
     key_rows[key_index] = run.transcript_map.rows[broadcast_index]
     return replace(

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable
 
 from .audit import audit
@@ -34,7 +35,7 @@ from .model import PinModel, TerminalSet, base_scale, format_rational, realize_m
 from .modelfile import load_model
 from .partitions import best_partition
 from .packing import TreePacking, steiner_packing
-from .protocol import draw_edge_keys, export_transcript, run_protocol
+from .protocol import ProtocolRun, draw_edge_keys, export_transcript, run_protocol
 
 FORMAT_VERSION = 1
 
@@ -77,11 +78,20 @@ def _parse_terminals(spec: str | None, model: PinModel) -> TerminalSet:
 
 
 def _emit(args: argparse.Namespace, report: dict,
-          render_text: Callable[[], list[str]]) -> None:
-    """Print the report; the text lines are built only in text mode."""
+          render_text: Callable[[], list[str]],
+          spliced: dict[str, Callable[[], str]] | None = None) -> None:
+    """Print the report; the text lines are built only in text mode.  In
+    structured mode, ``spliced`` maps report keys to functions that render
+    their values as JSON text: each goes in at its key's sorted position,
+    in place of the null that ``json.dumps`` writes there."""
     if args.format == "structured":
         report["format_version"] = FORMAT_VERSION
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        spliced = spliced or {}
+        report.update(dict.fromkeys(spliced))
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        for key, render in spliced.items():
+            text = text.replace(f'"{key}":null', f'"{key}":{render()}', 1)
+        print(text)
     else:
         for line in render_text():
             print(line)
@@ -146,7 +156,8 @@ def _cmd_upper_bound(args: argparse.Namespace) -> int:
 
 def _packed(args: argparse.Namespace) -> tuple[dict, TreePacking]:
     """The front end of ``pack`` and ``simulate``: realize the model at the
-    requested scale, pack it, and report the fields both commands share."""
+    requested scale, pack it, and report the fields both commands share
+    (``trees`` is spliced in by ``_emit``)."""
     model = load_model(args.model)
     target = _parse_terminals(args.set, model)
     scale = args.scale if args.scale is not None else base_scale(model)
@@ -161,9 +172,29 @@ def _packed(args: argparse.Namespace) -> tuple[dict, TreePacking]:
         "edge_total": graph.total_edges(),
         "tree_count": packing.count,
         "rate": format_rational(Fraction(packing.count, scale)),
-        "trees": list(packing.copy_edges()),  # JSON writes tuples as arrays
     }
     return report, packing
+
+
+def _trees_json(packing: TreePacking) -> str:
+    """The ``trees`` field: each copy's sorted edges as [i,j,copy] arrays.
+    A group's copies differ only in their copy numbers, so one template per
+    group takes each copy's numbers at once."""
+    parts: list[str] = []
+    for tree, copies in packing.groups:
+        template = "[" + ",".join("[%d,%d,%%d]" % (i, j) for i, j, _ in tree.edges) + "]"
+        parts += map(template.__mod__,
+                     zip(*(range(c, c + copies) for _, _, c in tree.edges)))
+    return "[" + ",".join(parts) + "]"
+
+
+def _transcript_json(run: ProtocolRun) -> str:
+    """The ``transcript`` field: one object per broadcast, from the columns."""
+    rows = run.transcript_map.rows
+    return "[" + ",".join(map(
+        '{"bit":%d,"support":[%d,%d],"terminal":%d,"tree":%d}'.__mod__,
+        zip(run.transcript_bits, map(itemgetter(0), rows), map(itemgetter(1), rows),
+            run.speakers, run.broadcast_trees))) + "]"
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
@@ -172,7 +203,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         f"scale n = {report['scale']}, edges = {report['edge_total']}",
         f"packed {packing.count} edge-disjoint trees (rate {report['rate']})",
     ] + [f"  tree {index}: " + " ".join(f"{i}-{j}#{c}" for i, j, c in edges)
-         for index, edges in enumerate(report["trees"])])
+         for index, edges in enumerate(packing.copy_edges())],
+        {"trees": lambda: _trees_json(packing)})
     return EXIT_OK
 
 
@@ -184,7 +216,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report.update({
         "seed": args.seed,
         "key_bits": len(run.key_bits),
-        "transcript_bits": len(run.transcript),
+        "transcript_bits": len(run.transcript_bits),
         "residual_bits": len(run.residual_bits),
         "security_index": format_rational(report_card.security_index),
         "audit_method": report_card.method,
@@ -193,20 +225,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for t in sorted(report_card.recoverability)
         ],
         "audit_passed": report_card.passed,
-        "transcript": [
-            {
-                "tree": b.tree,
-                "terminal": b.terminal,
-                "bit": b.bit,
-                "support": list(row),
-            }
-            for b, row in zip(run.transcript, run.transcript_map.rows)
-        ],
     })
     _emit(args, report, lambda: [
         f"scale n = {report['scale']}, seed = {args.seed}",
         f"key bits |K| = {len(run.key_bits)}, transcript |F| = "
-        f"{len(run.transcript)}, residual |K_R| = {len(run.residual_bits)}",
+        f"{len(run.transcript_bits)}, residual |K_R| = {len(run.residual_bits)}",
         f"security index s = {format_rational(report_card.security_index)} "
         f"({report_card.method})",
         "recovery: "
@@ -215,7 +238,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for t, ok in sorted(report_card.recoverability.items())
         ),
         "transcript:",
-    ] + ["  " + line for line in export_transcript(run).splitlines()])
+    ] + ["  " + line for line in export_transcript(run).splitlines()],
+        {"trees": lambda: _trees_json(packing),
+         "transcript": lambda: _transcript_json(run)})
     if not report_card.passed:
         print("audit failed", file=sys.stderr)
         return EXIT_AUDIT

@@ -438,32 +438,47 @@ class _ForestRuns:
         of every forest (a full clump)."""
         r = self.open_run(edge[:2])
         if r is None:
-            if not self._augment(edge):
+            changed = self._augment(edge)
+            if not changed:
                 return 0
             placed = 1
         else:
             placed = min(most, self.starts[r + 1] - self.starts[r])
             self.split(r, placed)
             self.forests[r].add(edge)
-        self._merge()
+            changed = (self.starts[r],)
+        self._merge(changed)
         return placed
 
-    def _merge(self) -> None:
-        """Join each run that continues the shift of the run before it."""
+    def _merge(self, changed: Iterable[int]) -> None:
+        """Join each run that continues the shift of the run before it,
+        looking only at the two boundaries of each run that starts at a
+        forest index in ``changed``.  Every other boundary lies between
+        runs whose forests the insert left as they were (a split's tail is
+        its run shifted), so they still do not join.  A joined run meets its
+        next neighbour at once, and that boundary is checked in turn."""
         forests, starts = self.forests, self.starts
-        r = 1
-        while r < len(forests):
-            first, forest = forests[r - 1], forests[r]
-            by = starts[r] - starts[r - 1]
-            if first.shape == forest.shape and set(forest.edges()) == {
-                    (i, j, c + by) for i, j, c in first.edges()}:
+        k = starts[-1]
+        boundaries = set()
+        for start in changed:
+            r = bisect_left(starts, start)
+            boundaries.update((start, starts[r + 1]))
+        for boundary in sorted(boundaries):
+            r = bisect_left(starts, boundary)
+            if not 0 < boundary < k or starts[r] != boundary:
+                continue  # the packing's ends, or a run already joined
+            while r < len(forests):
+                first, forest = forests[r - 1], forests[r]
+                by = starts[r] - starts[r - 1]
+                if first.shape != forest.shape or set(forest.edges()) != {
+                        (i, j, c + by) for i, j, c in first.edges()}:
+                    break
                 del forests[r], starts[r]
-            else:
-                r += 1
 
-    def _augment(self, new_edge: EdgeRef) -> bool:
-        """Insert one edge that no forest separates via exchange chains;
-        False when it lies in the span of every forest (a full clump).
+    def _augment(self, new_edge: EdgeRef) -> Iterable[int]:
+        """Insert one edge that no forest separates via exchange chains and
+        return the indices of the forests it changed; none when the edge
+        lies in the span of every forest (a full clump).
 
         Breadth-first labeling over forest edges: a dequeued edge x labels
         the edges on its path in each forest, in forest order; the search
@@ -492,21 +507,21 @@ class _ForestRuns:
                         parent[y] = (x, start)
                         target = self.open_run(pair)
                         if target is not None:
-                            self._unwind(parent, y, self.starts[target])
-                            return True
+                            return self._unwind(parent, y, self.starts[target])
                         queue.append(y)
-        return False
+        return ()
 
     def _unwind(
         self,
         parent: Mapping[EdgeRef, tuple[EdgeRef, int] | None],
         current: EdgeRef,
         index: int,
-    ) -> None:
+    ) -> Iterable[int]:
         """Put current into forest index, then swap each labeled edge into
         the forest that labeled it, in place of its label, back to the new
-        edge.  Each forest changed is the first member of its run (no run
-        changes during the search), and is split off it first."""
+        edge; returns the indices of the forests changed.  Each is the first
+        member of its run (no run changes during the search), and is split
+        off it first."""
         moves = [(index, None, current)]  # (forest, edge out, edge in)
         entry = parent[current]
         while entry is not None:
@@ -524,6 +539,7 @@ class _ForestRuns:
             if out is not None:
                 changed[forest_index].remove(out)
             changed[forest_index].add(into)
+        return changed.keys()
 
     def groups(self) -> tuple[tuple[Tree, int], ...]:
         """One (tree, copies) group per run."""

@@ -78,16 +78,18 @@ def enumerate_partitions(
     m: int, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
 ) -> Iterator[Partition]:
     """Stream partitions of 1..m with >= 2 atoms, every atom meeting the
-    target, in RGS order: the pruned search with nothing to prune against
-    (its target-terminal counts still cut hopeless prefixes early)."""
-    yield from pruned_partitions(m, target, cap)([], lambda crossing, parts: False)
+    target, in RGS order: the pruned search with nothing to prune against,
+    so it skips the crossing bound (its target-terminal counts still cut
+    hopeless prefixes early)."""
+    yield from pruned_partitions(m, target, cap)([], None)
 
 
 # Called by ``min_ratio`` with the integer-scaled (i, j, weight) items and
 # the incumbent test ``beaten(crossing, parts)``; yields partitions in RGS
-# order, skipping every prefix that ``beaten`` rules out.
+# order, skipping every prefix that ``beaten`` rules out.  With ``beaten``
+# None nothing is cut and no bound is computed.
 PartitionSearch = Callable[
-    [list[tuple], Callable[[int, int], bool]], Iterator[Partition]
+    [list[tuple], Callable[[int, int], bool] | None], Iterator[Partition]
 ]
 
 
@@ -109,7 +111,7 @@ def pruned_partitions(
         remaining[k] = remaining[k + 1] + (1 if in_target[k] else 0)
 
     def search(items: list[tuple],
-               beaten: Callable[[int, int], bool]) -> Iterator[Partition]:
+               beaten: Callable[[int, int], bool] | None) -> Iterator[Partition]:
         weight = [[0] * m for _ in range(m)]
         for i, j, value in items:
             weight[i][j] = weight[j][i] = value
@@ -128,7 +130,8 @@ def pruned_partitions(
                 return
             fixes = in_target[k]
             row = weight[k]
-            later = range(k + 1, m)
+            # with nothing to prune against the bound's terms stay unread
+            later = range(k + 1, m) if beaten is not None else ()
             for t in later:
                 prefix[t] += row[t]
             for atom in range(natoms + 1):
@@ -147,9 +150,9 @@ def pruned_partitions(
                 new_crossing = crossing + prefix[k] - into[k][atom]
                 for t in later:
                     into[t][atom] += row[t]
-                bound = new_crossing + sum(
-                    prefix[t] - max(into[t]) for t in later)
-                if not beaten(bound, max_atoms - 1):
+                if beaten is None or not beaten(
+                        new_crossing + sum(prefix[t] - max(into[t]) for t in later),
+                        max_atoms - 1):
                     assignment[k] = atom
                     held = has_target[atom]
                     has_target[atom] = held or fixes

@@ -11,13 +11,16 @@ their adjacency for each path, key recovery that rescans the transcript
 once per tree, the tree shape check by a separate depth-first search,
 propagation that rebuilds each tree's incident lists, flow decomposition
 one unit path at a time, hex packing by shifting one bit at a time, the
-brute-force secrecy audit over the whole 2^|E| assignment space, and
-packings and protocol runs built one tree per copy.
+brute-force secrecy audit over the whole 2^|E| assignment space,
+packings and protocol runs built one tree per copy, and the structured
+``pack``/``simulate`` report built as one dict and encoded by one
+``json.dumps``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import Counter, deque
 from fractions import Fraction
@@ -42,7 +45,14 @@ from pinkey import (
     Tree,
     TreePacking,
     WeightAssignment,
+    audit,
+    base_scale,
+    draw_edge_keys,
+    format_rational,
+    load_model,
     nash_williams_count,
+    realize_multigraph,
+    steiner_packing,
 )
 from pinkey.audit import _dyadic_entropy
 from pinkey.simplex import SimplexResult
@@ -648,7 +658,9 @@ def per_tree_run_protocol(
         keys=keys,
         target=target,
         key_bits=tuple(key_bits),
-        transcript=tuple(transcript),
+        transcript_bits=tuple(b.bit for b in transcript),
+        speakers=tuple(b.terminal for b in transcript),
+        broadcast_trees=tuple(b.tree for b in transcript),
         residual_edges=residual_edges,
         residual_bits=tuple(bits[e] for e in residual_edges),
         edge_order=edge_order,
@@ -716,3 +728,61 @@ def gray_code_bruteforce(
         uniformity_deficit=Fraction(key_length) - key_entropy,
         method="bruteforce",
     )
+
+
+def json_dumps_report(
+    command: str,
+    model_path: str,
+    members: Sequence[int] | None = None,
+    scale: int | None = None,
+    mode: str = "exact",
+    seed: int = 0,
+) -> str:
+    """The structured output of ``pinkey pack`` or ``pinkey simulate``, one
+    line: the report as one dict, trees read from ``packing.trees``, the
+    run from ``per_tree_run_protocol`` and each broadcast turned into a
+    dict, all encoded by one ``json.dumps``.  The oracle for the CLI, which
+    renders ``trees`` and ``transcript`` from the groups and columns."""
+    model = load_model(model_path)
+    target = TerminalSet(tuple(members)) if members else TerminalSet.full(model.m)
+    scale = scale if scale is not None else base_scale(model)
+    graph = realize_multigraph(model, scale)
+    packing = steiner_packing(graph, target, mode=mode)
+    report = {
+        "command": command,
+        "terminals": model.m,
+        "set": list(target.members),
+        "scale": scale,
+        "mode": mode,
+        "edge_total": graph.total_edges(),
+        "tree_count": packing.count,
+        "rate": format_rational(Fraction(packing.count, scale)),
+        "trees": [tree.edges for tree in packing.trees],
+    }
+    if command == "simulate":
+        run = per_tree_run_protocol(graph, packing, draw_edge_keys(graph, seed), target)
+        report_card = audit(run)
+        report.update({
+            "seed": seed,
+            "key_bits": len(run.key_bits),
+            "transcript_bits": len(run.transcript),
+            "residual_bits": len(run.residual_bits),
+            "security_index": format_rational(report_card.security_index),
+            "audit_method": report_card.method,
+            "recovered": [
+                {"terminal": t, "ok": report_card.recoverability[t]}
+                for t in sorted(report_card.recoverability)
+            ],
+            "audit_passed": report_card.passed,
+            "transcript": [
+                {
+                    "tree": b.tree,
+                    "terminal": b.terminal,
+                    "bit": b.bit,
+                    "support": list(row),
+                }
+                for b, row in zip(run.transcript, run.transcript_map.rows)
+            ],
+        })
+    report["format_version"] = 1
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"

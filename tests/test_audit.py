@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from pinkey import (
     BRUTEFORCE_EDGE_CAP,
     AuditFailureError,
-    Broadcast,
     EdgeKeyBits,
     Gf2Matrix,
     Multigraph,
@@ -316,8 +315,9 @@ def chained_runs(draw):
     return replace(
         base,
         key_bits=(0,) * len(key_rows),
-        transcript=tuple(Broadcast(0, 1, 0, (order[0], order[1]))
-                         for _ in transcript_rows),
+        transcript_bits=(0,) * len(transcript_rows),
+        speakers=(1,) * len(transcript_rows),
+        broadcast_trees=(0,) * len(transcript_rows),
         residual_edges=residual,
         residual_bits=(0,) * len(residual),
         key_map=Gf2Matrix(key_rows, edges),

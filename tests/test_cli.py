@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from pinkey import MAX_TERMINALS
 from pinkey.cli import main
+
+from helpers import json_dumps_report
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = Path(__file__).parent / "goldens"
@@ -288,6 +291,91 @@ class TestTextRenderingOnDemand:
         code, out, _ = run_cli(capsys, "simulate", TRIANGLE)
         assert code == 0
         assert "  broadcast tree=0 " in out
+
+
+def _integer_model_file(directory, m, weights) -> str:
+    """A model file whose pair weights are the given integers (0 omitted)."""
+    path = Path(directory) / f"model_{len(os.listdir(directory))}.json"
+    path.write_text(json.dumps({"terminals": m, "weights": [
+        {"i": i, "j": j, "value": w} for (i, j), w in sorted(weights.items()) if w]}))
+    return str(path)
+
+
+def _structured(command, path, members, mode, seed):
+    argv = [command, path, "--mode", mode, "--format", "structured"]
+    if members:
+        argv += ["--set", ",".join(map(str, members))]
+    if command == "simulate":
+        argv += ["--seed", str(seed)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestStructuredRenderingAgainstOracle:
+    """``trees`` and ``transcript`` are rendered from the groups and the
+    transcript columns; the bytes must be those of the one-dict,
+    one-``json.dumps`` report in ``helpers.json_dumps_report``."""
+
+    ROUTES = ("paths", "spanning", "exact", "greedy")
+
+    @staticmethod
+    def members(route, m, rng):
+        if route == "paths":
+            return sorted(rng.sample(range(1, m + 1), 2))
+        if route == "spanning":
+            return None
+        return sorted(rng.sample(range(1, m + 1), rng.randint(3, m - 1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(ROUTES))
+    def test_pack_and_simulate_match_the_oracle(self, tmp_path_factory, seed, route):
+        rng = random.Random(seed)
+        m = rng.randint(2, 5) if route in ("paths", "spanning") else rng.randint(4, 5)
+        # at most 20 edges, under the exact Steiner cap; zero weights can
+        # disconnect the target and leave no tree at all
+        weights = {(i, j): rng.choice((0, 0, 1, 1, 2, 3))
+                   for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+        members = self.members(route, m, rng)
+        mode = "greedy" if route == "greedy" else "exact"
+        path = _integer_model_file(tmp_path_factory.mktemp("models"), m, weights)
+        for command in ("pack", "simulate"):
+            code, out = _structured(command, path, members, mode, seed)
+            assert code == 0
+            assert out == json_dumps_report(command, path, members, mode=mode, seed=seed)
+
+    @pytest.mark.parametrize("name, m, weights, members, mode, shape", [
+        # disconnected target: zero trees, an empty transcript
+        ("no_tree", 4, {(1, 2): 2, (3, 4): 3}, (1, 4), "exact", "0 trees"),
+        ("no_spanning_tree", 3, {(1, 2): 3}, None, "exact", "0 trees"),
+        # direct edges only: single-edge trees, no broadcasts
+        ("single_edges", 2, {(1, 2): 4}, None, "exact", "no broadcasts"),
+        ("direct_pair", 3, {(1, 3): 3}, (1, 3), "exact", "no broadcasts"),
+        # groups of several copies that broadcast
+        ("path_copies", 3, {(1, 2): 4, (2, 3): 3}, (1, 3), "exact", "copies"),
+        ("spanning_copies", 4, {(i, j): 4 for i in range(1, 5) for j in range(i + 1, 5)},
+         None, "exact", "copies"),
+        ("greedy_copies", 4, {(1, 2): 4, (2, 4): 4, (1, 3): 2, (3, 4): 4, (1, 4): 2},
+         (1, 2, 4), "greedy", "copies"),
+    ])
+    def test_edge_shapes_match_the_oracle(self, tmp_path, name, m, weights, members,
+                                          mode, shape):
+        path = _integer_model_file(tmp_path, m, weights)
+        for command in ("pack", "simulate"):
+            code, out = _structured(command, path, members, mode, 7)
+            assert code == 0
+            assert out == json_dumps_report(command, path, members, mode=mode, seed=7)
+        doc = json.loads(out)
+        if shape == "0 trees":
+            assert doc["trees"] == doc["transcript"] == []
+        elif shape == "no broadcasts":
+            assert doc["tree_count"] > 1 and doc["transcript"] == []
+            assert all(len(tree) == 1 for tree in doc["trees"])
+        else:
+            assert doc["transcript"]
+            assert doc["tree_count"] > len({tuple(tuple(p[:2]) for p in tree)
+                                            for tree in doc["trees"]})
 
 
 class TestPackCommandFaults:

@@ -527,6 +527,30 @@ class TestSpanningPacking:
         monkeypatch.setattr(_ForestRuns, "insert", checked)
         assert spanning_packing(graph).count == nash_williams_count(graph)
 
+    @pytest.mark.parametrize("graph", [
+        random_multigraph(random.Random(seed), max_m=7, max_mult=25) for seed in range(30)
+    ] + list(TIE_HEAVY_GRAPHS.values()))
+    def test_runs_stay_maximal_after_every_insert(self, graph, monkeypatch):
+        # _merge looks only at the boundaries of the runs an insert changed;
+        # a scan of every boundary afterwards must find nothing left to join
+        insert = _ForestRuns.insert
+        inserts = []
+
+        def checked(runs, edge, most):
+            placed = insert(runs, edge, most)
+            forests, starts = runs.forests, runs.starts
+            for r in range(1, len(forests)):
+                by = starts[r] - starts[r - 1]
+                assert set(forests[r].edges()) != {
+                    (i, j, c + by) for i, j, c in forests[r - 1].edges()}
+            inserts.append(placed)
+            return placed
+
+        monkeypatch.setattr(_ForestRuns, "insert", checked)
+        packing = spanning_packing(graph)
+        assert len(inserts) > 0 or packing.count == 0
+        assert tuple(packing.trees) == tuple(reference_spanning_packing(graph).trees)
+
     def test_work_follows_forest_shapes(self, monkeypatch):
         # the 9-terminal graph has k = 490 trees with few distinct pair
         # sets; one forest per tree made 799,666 path queries here

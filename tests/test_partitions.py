@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -95,6 +97,30 @@ class TestEnumeration:
             if all(any(v in target for v in atom) for atom in partition):
                 expected.add(frozenset(frozenset(a) for a in partition))
         assert set(streamed) == expected
+
+    def test_stream_is_pinned(self):
+        # one SHA-256 over every stream for m = 2..8 and every target of
+        # two or more terminals: the order and content must not move
+        digest = hashlib.sha256()
+        count = 0
+        for m in range(2, 9):
+            for size in range(2, m + 1):
+                for members in itertools.combinations(range(1, m + 1), size):
+                    for partition in enumerate_partitions(m, TerminalSet(members)):
+                        digest.update(bytes(partition.assignment))
+                        count += 1
+        assert (count, digest.hexdigest()[:16]) == (299_883, "837be19ad0bea3de")
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_bound_free_search_matches_the_never_cutting_bound(self, m):
+        # enumerate_partitions skips the crossing bound; walking the same
+        # search with a bound that never cuts must give the same stream
+        rng = random.Random(m)
+        for target in (TerminalSet.full(m), random_terminal_set(rng, m)):
+            search = pruned_partitions(m, target)
+            items = [(i, j, rng.randint(0, 5)) for i in range(m) for j in range(i + 1, m)]
+            assert list(search([], None)) == list(enumerate_partitions(m, target)) == list(
+                search(items, lambda crossing, parts: False))
 
 
 class TestCrossingWeight:

@@ -16,6 +16,7 @@ from pinkey import (
     TerminalSet,
     Tree,
     TreePacking,
+    audit,
     draw_edge_keys,
     export_transcript,
     flip_broadcast,
@@ -106,7 +107,8 @@ class TestPropagateTree:
     def test_single_edge(self):
         run = one_tree_run(Tree(((1, 2, 0),)), (1,))
         assert run.key_bits == (1,)
-        assert run.transcript == ()
+        assert tuple(run.transcript) == ()
+        assert run.transcript_bits == run.speakers == run.broadcast_trees == ()
 
     def test_path_xor_bookkeeping(self):
         run = one_tree_run(Tree(((1, 2, 0), (2, 3, 0))), (1, 0))
@@ -168,7 +170,7 @@ class TestPropagateTree:
         shared, broadcasts = reference_propagate_tree(
             tree, dict(zip(graph.edge_refs(), bits)))
         assert run.key_bits == (shared,)
-        assert run.transcript == broadcasts
+        assert tuple(run.transcript) == broadcasts
 
 
 class TestRunProtocol:
@@ -178,7 +180,8 @@ class TestRunProtocol:
         keys = draw_edge_keys(UNIT_TRIANGLE, 0)
         run = run_protocol(UNIT_TRIANGLE, packing, keys, target)
         assert run.key_bits == ()
-        assert run.transcript == ()
+        assert tuple(run.transcript) == ()
+        assert run.transcript_bits == run.speakers == run.broadcast_trees == ()
         assert len(run.residual_edges) == 3
 
     def test_doubled_triangle_accounting(self):
@@ -304,11 +307,38 @@ class TestGroupsAgainstPerCopyOracles:
         run = run_protocol(graph, packing, keys, target)
         oracle = per_tree_run_protocol(graph, packing, keys, target)
         assert run.key_bits == oracle.key_bits
-        assert run.transcript == oracle.transcript
+        assert tuple(run.transcript) == tuple(oracle.transcript)
+        assert run.transcript_bits == oracle.transcript_bits
+        assert run.speakers == oracle.speakers
+        assert run.broadcast_trees == oracle.broadcast_trees
         assert run.key_map == oracle.key_map
         assert run.transcript_map == oracle.transcript_map
         assert run.residual_edges == oracle.residual_edges
         assert run.residual_bits == oracle.residual_bits
+
+    @given(st.integers(0, 10_000), st.sampled_from(("paths", "spanning", "greedy", "exact")))
+    @settings(deadline=None)
+    def test_columnar_run_matches_the_per_tree_run(self, seed, route):
+        # every column, and the Broadcast view built from them, against the
+        # run that propagates one tree per copy and builds each Broadcast
+        rng = random.Random(seed)
+        m = rng.randint(2, 5) if route in ("paths", "spanning") else rng.randint(4, 5)
+        graph = Multigraph(m, {(i, j): rng.choice((0, 1, 2, 3))
+                               for i in range(1, m + 1) for j in range(i + 1, m + 1)})
+        if route == "paths":
+            target = random_terminal_set(rng, m, 2)
+        elif route == "spanning":
+            target = TerminalSet.full(m)
+        else:
+            target = random_terminal_set(rng, m, rng.randint(3, m - 1))
+        packing = steiner_packing(graph, target,
+                                  mode="greedy" if route == "greedy" else "exact")
+        keys = draw_edge_keys(graph, seed)
+        run = run_protocol(graph, packing, keys, target)
+        oracle = per_tree_run_protocol(graph, packing, keys, target)
+        assert tuple(run.transcript) == tuple(oracle.transcript)
+        assert len(run.transcript) == len(oracle.transcript) == len(run.transcript_bits)
+        assert run == oracle
 
     def test_multi_copy_groups_appear(self):
         # the property above must see groups of several copies
@@ -379,7 +409,10 @@ class TestRecoverKey:
             def __iter__(self):
                 raise AssertionError("the transcript was read")
 
-        unread = replace(run, transcript=Unread(run.transcript))
+            def __getitem__(self, index):
+                raise AssertionError("the transcript was read")
+
+        unread = replace(run, transcript_bits=Unread(run.transcript_bits))
         assert recover_key(unread, 1) == run.key_bits
         with pytest.raises(AssertionError, match="transcript was read"):
             recover_key(unread, 3)
@@ -408,6 +441,7 @@ class TestRecoverKey:
         for index in later:
             broadcast = run.transcript[index]
             tampered = flip_broadcast(run, index)
+            assert not audit(tampered, bruteforce_cap=0).passed
             for terminal in run.target:
                 recovered = recover_key(tampered, terminal)
                 assert recovered == scan_recover_key(tampered, terminal)
@@ -416,6 +450,31 @@ class TestRecoverKey:
                 informed = terminal == broadcast.informed_terminal
                 assert wrong == ([broadcast.tree] if informed else [])
 
+    def test_flip_on_a_later_path_copy_fails_the_audit(self):
+        # a path packing whose groups hold several copies: flipping any
+        # broadcast of a copy after the first misleads exactly the terminal
+        # it informs, as the transcript scan says, and the audit fails
+        # whenever that terminal is in the target
+        graph = Multigraph(4, {(1, 2): 3, (2, 3): 3, (3, 4): 3, (1, 4): 1})
+        target = TerminalSet.of(1, 4)
+        run = run_protocol(graph, steiner_packing(graph, target),
+                           draw_edge_keys(graph, 11), target)
+        assert any(copies > 1 and tree.walk for tree, copies in run.packing.groups)
+        copy_of = [k for _, copies in run.packing.groups for k in range(copies)]
+        later = [index for index, tree in enumerate(run.broadcast_trees)
+                 if copy_of[tree] > 0]
+        informs = [run.transcript[index].informed_terminal for index in later]
+        assert 4 in informs and {2, 3} & set(informs)
+        for index, informed in zip(later, informs):
+            tampered = flip_broadcast(run, index)
+            for terminal in target:
+                recovered = recover_key(tampered, terminal)
+                assert recovered == scan_recover_key(tampered, terminal)
+                assert (recovered != run.key_bits) == (terminal == informed)
+            report = audit(tampered)
+            assert report.recoverability == {t: t != informed for t in target}
+            assert report.passed == (informed not in target)
+
     @staticmethod
     def check_matches_scan(run):
         target, packing = run.target, run.packing
@@ -423,11 +482,23 @@ class TestRecoverKey:
         variants += [flip_broadcast(run, k) for k in range(len(run.transcript))]
         variants += [leak_key_bit(run, i, k) for i in range(len(run.key_bits))
                      for k in range(len(run.transcript))]
-        # moving a broadcast to the next tree can leave a tree without one
-        for k, b in enumerate(run.transcript):
-            moved = replace(b, tree=(b.tree + 1) % packing.count)
-            variants.append(replace(
-                run, transcript=run.transcript[:k] + (moved,) + run.transcript[k + 1:]))
+        # a broadcast moved to the next tree breaks the layout that reading
+        # by position relies on: a terminal that must read the transcript
+        # gets an error, one that holds every reference edge its key
+        direct = [t for t in target
+                  if all(t in tree.edges[0][:2] for tree, _ in packing.groups)]
+        for k in range(len(run.transcript_bits)):
+            trees = list(run.broadcast_trees)
+            trees[k] = (trees[k] + 1) % packing.count
+            moved = replace(run, broadcast_trees=tuple(trees))
+            if moved == run:
+                continue
+            for terminal in target:
+                if terminal in direct:
+                    assert recover_key(moved, terminal) == scan_recover_key(moved, terminal)
+                else:
+                    with pytest.raises(InvalidPackingError, match="do not follow"):
+                        recover_key(moved, terminal)
         for variant in variants:
             for terminal in target:
                 try:

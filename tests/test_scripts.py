@@ -44,9 +44,16 @@ def test_ladder_writes_a_bench_file(tmp_path):
     rows = {row["row"]: row for row in report["rows"]}
     assert list(rows) == ["spanning/found9", "spanning/K4x300", "spanning/K6x210"] + [
         f"spanning/random_m{m}" for m in range(9, 13)] + [
-        f"capacity/dense_m{m}" for m in range(9, 13)]
+        f"capacity/dense_m{m}" for m in range(9, 13)] + [
+        f"protocol/path_{size}k" for size in (30, 100, 300)]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
     assert rows["capacity/dense_m12"]["value"] == "653/66"
     assert rows["capacity/dense_m12"]["columns"] == 2 ** 12 - 2
+    for size in (30, 100, 300):
+        row = rows[f"protocol/path_{size}k"]
+        # half the edges carry key bits, the other half one broadcast each
+        assert row["edges"] == size * 1000
+        assert row["key_bits"] == row["transcript_bits"] == size * 500
+        assert row["audit_passed"] is True
     assert all(row["best_s"] == min(row["times_s"]) for row in rows.values())
