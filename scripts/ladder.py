@@ -28,9 +28,12 @@ Each row reports the best of ``--repeat`` wall-clock times of one
 ``spanning_packing``, ``solve_capacity`` or protocol-plus-audit call, with
 what it returned: tree and group counts, the capacity and the LP's column
 count, or the key and transcript bit counts.  The ladder is a record, not
-a gate.
+a gate.  ``--compare BASE.json HEAD.json`` reads two such files instead
+and prints each row's best times and the HEAD/BASE ratio (below 1 where
+HEAD is faster); a row only one file has gets ``-`` for the other.
 
     PYTHONPATH=src python scripts/ladder.py --label mybranch
+    PYTHONPATH=src python scripts/ladder.py --compare BENCH_main.json BENCH_mybranch.json
 """
 
 import argparse
@@ -149,13 +152,39 @@ def protocol_row(edges: int, repeat: int) -> dict:
     }
 
 
+def compare(base_path: Path, head_path: Path) -> list[str]:
+    """Lines of per-row best times of two ladder files and HEAD/BASE, rows
+    in BASE's order and then HEAD's own."""
+    base, head = (json.loads(path.read_text(encoding="utf-8"))
+                  for path in (base_path, head_path))
+    best = [{row["row"]: row["best_s"] for row in report["rows"]}
+            for report in (base, head)]
+    names = list(best[0]) + [name for name in best[1] if name not in best[0]]
+    lines = [f"BASE {base['label']} ({base['revision']})",
+             f"HEAD {head['label']} ({head['revision']})",
+             f"{'row':<24} {'BASE s':>9} {'HEAD s':>9} {'HEAD/BASE':>9}"]
+    for name in names:
+        times = [side.get(name) for side in best]
+        shown = ["-" if t is None else f"{t:.4f}" for t in times]
+        ratio = "-" if None in times or not times[0] else f"{times[1] / times[0]:.3f}"
+        lines.append(f"{name:<24} {shown[0]:>9} {shown[1]:>9} {ratio:>9}")
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    parser.add_argument("--label", help="names BENCH_<label>.json")
     parser.add_argument("--repeat", type=int, default=5, help="runs per row (best kept)")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("BASE", "HEAD"),
+                        help="compare two BENCH_*.json files instead of timing")
     args = parser.parse_args()
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return
+    if args.label is None:
+        parser.error("--label is required unless --compare is given")
     if args.repeat < 1:
         parser.error("--repeat must be positive")
     rows = []

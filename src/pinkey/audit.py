@@ -4,7 +4,8 @@ The security index is log|K| - H(K|F): zero exactly when the group key is
 uniform and independent of the transcript.  Because key and transcript are
 GF(2)-linear in i.i.d. uniform edge bits, conditional entropies are matrix
 ranks (spanning-forest sizes, since every map row names one or two edges),
-so the index is computed in exact integer arithmetic in about linear time.
+so the index is computed in exact integer arithmetic, one union-find step
+per block step of the maps (per group and walk step on an honest run).
 A brute-force enumeration of edge-bit assignments provides an independent
 check at small sizes (dyadic joint distributions, again exact).  Rows that
 share no edge are independent, so it enumerates each block of edge-sharing
@@ -48,9 +49,9 @@ class SecurityReport:
 def security_index_rank(run: ProtocolRun) -> SecurityReport:
     """Security index via GF(2) ranks of the recorded linear maps."""
     key_rank = run.key_map.rank()
-    # one forest over the transcript rows, continued with the key rows
-    transcript_rank, joint_rank = gf2._forest_sizes(
-        run.key_map.ncols, run.transcript_map.rows, run.key_map.rows)
+    # one forest over the transcript blocks, continued with the key blocks
+    transcript_rank, joint_rank = gf2._forest_sizes(run.transcript_map.blocks,
+                                                    run.key_map.blocks)
     key_given_transcript = Fraction(joint_rank - transcript_rank)
     key_length = len(run.key_bits)
     return SecurityReport(
@@ -94,7 +95,7 @@ def security_index_bruteforce(
     keeps each step O(1): one edge bit flips, so the image is updated by
     XOR with that edge's column.  The cap still applies to |E|.
     """
-    edges = len(run.edge_order)
+    edges = run.graph.total_edges()
     if edges > edge_cap:
         raise SizeLimitError(
             f"brute force is capped at {edge_cap} edges, got {edges}"
@@ -166,7 +167,7 @@ def audit(
     """
     rank_report = security_index_rank(run)
     method = "rank"
-    if len(run.edge_order) <= bruteforce_cap:
+    if run.graph.total_edges() <= bruteforce_cap:
         brute = security_index_bruteforce(run, edge_cap=bruteforce_cap)
         if (brute.security_index != rank_report.security_index
                 or brute.key_given_transcript != rank_report.key_given_transcript):
@@ -217,5 +218,5 @@ def leak_key_bit(run: ProtocolRun, key_index: int, broadcast_index: int) -> Prot
     return replace(
         run,
         key_bits=tuple(key_bits),
-        key_map=gf2.Gf2Matrix(tuple(key_rows), run.key_map.ncols),
+        key_map=gf2.Gf2Matrix.from_rows(key_rows, run.key_map.ncols),
     )

@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable
 
 from .audit import audit
@@ -190,10 +189,9 @@ def _trees_json(packing: TreePacking) -> str:
 
 def _transcript_json(run: ProtocolRun) -> str:
     """The ``transcript`` field: one object per broadcast, from the columns."""
-    rows = run.transcript_map.rows
     return "[" + ",".join(map(
         '{"bit":%d,"support":[%d,%d],"terminal":%d,"tree":%d}'.__mod__,
-        zip(run.transcript_bits, map(itemgetter(0), rows), map(itemgetter(1), rows),
+        zip(run.transcript_bits, *run.transcript_map.row_columns(),
             run.speakers, run.broadcast_trees))) + "]"
 
 

@@ -53,6 +53,7 @@ PACKING_EDGE_CAP = 300_000
 # insertions may still ask all k forests; runs of shifted forests make the
 # usual cost follow distinct pairs and shapes instead
 SPANNING_WORK_CAP = 2 * 10**6
+_FLIP_BYTE = bytes([1, 0]) + bytes(254)  # bytes.translate table: 0 <-> 1
 
 
 @dataclass(frozen=True)
@@ -170,10 +171,37 @@ class TreePacking:
                     raise InvalidPackingError(
                         f"edge {(i, j, copy + clash - start)} used twice")
             first += copies
+        # kept outside the dataclass fields, like ``Multigraph.edge_refs``
+        object.__setattr__(self, "_residual_mask", bytes(used.translate(_FLIP_BYTE)))
 
     @property
     def count(self) -> int:
         return sum(copies for _, copies in self.groups)
+
+    def residual_mask(self) -> bytes:
+        """One byte per edge in canonical order: 1 where no tree uses the
+        edge, from the marks of the packing check."""
+        return self._residual_mask
+
+    def broadcast_trees(self) -> tuple[int, ...]:
+        """The tree index of every walk step of every copy, in the key
+        protocol's transcript layout: group by group and, within a group,
+        copy by copy in walk order.  Each walk step fills the indices of
+        all its group's copies by one slice; built on the first call and
+        kept outside the dataclass fields, like ``Multigraph.edge_refs``."""
+        trees = self.__dict__.get("_broadcast_trees")
+        if trees is None:
+            layout = [0] * sum(len(tree.walk) * copies for tree, copies in self.groups)
+            start = first = 0  # the group's first broadcast and first tree
+            for tree, copies in self.groups:
+                steps = len(tree.walk)
+                end = start + steps * copies
+                for s in range(start, start + steps):
+                    layout[s:end:steps] = range(first, first + copies)
+                start, first = end, first + copies
+            trees = tuple(layout)
+            object.__setattr__(self, "_broadcast_trees", trees)
+        return trees
 
     def copy_edges(self) -> Iterator[tuple[EdgeRef, ...]]:
         """Each copy's sorted edges, in the order of ``trees``, without

@@ -9,17 +9,19 @@ already-informed endpoint of each further edge e broadcasts b XOR k_e,
 which lets the far endpoint recover b.  Every broadcast is therefore the
 GF(2) sum of exactly two edge bits, and the group key, transcript and
 residual bits together form a bijection of the edge bits.  The edge bits
-are one tuple in canonical edge order and each map row is kept as the
-canonical indices of its one or two edges, so every bit is read by index.
+are one tuple in canonical edge order, so every bit is read by index.
+
 The copies of a packing group share one walk, and copy k's edges sit k
 places after copy 0's in canonical order, so each group's walk is read
-once and each walk step fills all of the group's copies with slices.
-
-The transcript is kept as columns (bits, speakers, tree indices, and the
-transcript map's rows for the supports), laid out group by group and,
-within a group, copy by copy in walk order: the broadcast of walk step s
-of copy k of a group whose broadcasts start at position p sits at
-``p + k * steps + s``.
+once and each walk step fills all of the group's copies with slices.  The
+transcript is kept as columns (bits, speakers, tree indices), laid out
+group by group and, within a group, copy by copy in walk order: the
+broadcast of walk step s of copy k of a group whose broadcasts start at
+position p sits at ``p + k * steps + s``.  The two GF(2) maps follow the
+same layout as ``Gf2Matrix`` blocks: per group, one key block of one
+(reference) step and one transcript block with a (reference, edge) step
+per walk step, so checking, applying and ranking them costs one step per
+group and walk step, not one per row.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import itemgetter, xor
+from operator import xor
 from typing import Sequence
 
 from .errors import InvalidPackingError
@@ -114,7 +116,8 @@ class ProtocolRun:
     Broadcast r is sent by ``speakers[r]`` in tree ``broadcast_trees[r]``,
     carries ``transcript_bits[r]`` and sums the two edges named by
     ``transcript_map.rows[r]`` (reference edge first); ``transcript`` reads
-    the same columns as ``Broadcast`` objects.  The accounting identity
+    the same columns as ``Broadcast`` objects.  The residual bits are those
+    of the edges no tree uses, in canonical order.  The accounting identity
     |E| = |K| + |F| + |K_R| holds structurally, and the stacked index rows
     (key and residual edges, broadcast edge pairs) form an invertible square
     GF(2) matrix in the edge bits.
@@ -128,48 +131,40 @@ class ProtocolRun:
     transcript_bits: tuple[int, ...]
     speakers: tuple[int, ...]
     broadcast_trees: tuple[int, ...]
-    residual_edges: tuple[EdgeRef, ...]
     residual_bits: tuple[int, ...]
-    edge_order: tuple[EdgeRef, ...]
     key_map: Gf2Matrix
     transcript_map: Gf2Matrix
 
     def __post_init__(self) -> None:
-        edges = len(self.edge_order)
+        edges = self.graph.total_edges()
         broadcasts = len(self.transcript_bits)
-        if len(self.key_bits) + broadcasts + len(self.residual_edges) != edges:
+        if len(self.key_bits) + broadcasts + len(self.residual_bits) != edges:
             raise InvalidPackingError(
                 "edge accounting failed: |E| != |K| + |F| + |K_R|"
             )
         if len(self.speakers) != broadcasts or len(self.broadcast_trees) != broadcasts:
             raise InvalidPackingError("transcript bits, speakers and trees disagree")
-        if len(self.residual_bits) != len(self.residual_edges):
-            raise InvalidPackingError("residual bits and edges disagree")
         if self.key_map.nrows != len(self.key_bits) or self.key_map.ncols != edges:
             raise InvalidPackingError("key map has wrong shape")
         if self.transcript_map.nrows != broadcasts or self.transcript_map.ncols != edges:
             raise InvalidPackingError("transcript map has wrong shape")
 
     @property
+    def edge_order(self) -> tuple[EdgeRef, ...]:
+        """Every edge in canonical order: the columns of both maps."""
+        return self.graph.edge_refs()
+
+    @property
+    def residual_edges(self) -> tuple[EdgeRef, ...]:
+        """The edges no tree uses, in canonical order: where the residual
+        bits come from."""
+        return tuple(compress(self.graph.edge_refs(), self.packing.residual_mask()))
+
+    @property
     def transcript(self) -> Sequence[Broadcast]:
         """The broadcasts in transcript order, each built when it is read;
         its length is the column length."""
         return _Broadcasts(self)
-
-
-def _broadcast_trees(packing: TreePacking) -> tuple[int, ...]:
-    """The tree index of every broadcast, in the transcript layout: each
-    walk step of a group fills the indices of all its copies at once."""
-    groups = packing.groups
-    trees = [0] * sum(len(tree.walk) * copies for tree, copies in groups)
-    start = first = 0  # the group's first broadcast and first tree
-    for tree, copies in groups:
-        steps = len(tree.walk)
-        end = start + steps * copies
-        for s in range(start, start + steps):
-            trees[s:end:steps] = range(first, first + copies)
-        start, first = end, first + copies
-    return tuple(trees)
 
 
 def run_protocol(
@@ -188,42 +183,39 @@ def run_protocol(
         raise InvalidPackingError(
             f"packing targets {packing.target.members}, requested {target.members}"
         )
-    edge_order = graph.edge_refs()
+    edges = graph.total_edges()
     bits = keys.bits
-    if len(bits) != len(edge_order):
+    if len(bits) != edges:
         raise InvalidPackingError(
-            f"{len(bits)} key bits drawn for a graph of {len(edge_order)} edges")
+            f"{len(bits)} key bits drawn for a graph of {edges} edges")
     offsets = graph.pair_offsets()
 
     broadcasts = sum(len(tree.walk) * copies for tree, copies in packing.groups)
     key_bits: list[int] = []
-    key_rows: list[tuple[int]] = []
+    key_blocks = []
     transcript_bits = [0] * broadcasts
     speakers = [0] * broadcasts
-    transcript_rows: list = [None] * broadcasts
-    # a tree edge is named by its copy's key row or by one transcript row
-    residual = bytearray(b"\x01") * len(edge_order)
+    transcript_blocks = []
     start = 0  # the group's first broadcast
     for tree, copies in packing.groups:
         # the reference edge supplies each copy's shared bit; every further
         # edge, in walk order, costs one broadcast by an informed speaker
         i, j, c = tree.edges[0]
         reference = offsets[(i, j)] + c
-        references = range(reference, reference + copies)
         shared = bits[reference:reference + copies]
         key_bits += shared
-        key_rows += zip(references)
-        residual[reference:reference + copies] = bytes(copies)
+        key_blocks.append((copies, ((reference, None),)))
         steps = len(tree.walk)
         end = start + steps * copies
+        walk_steps = []
         for s, (speaker, (i, j, c)) in enumerate(tree.walk, start):
             position = offsets[(i, j)] + c
             transcript_bits[s:end:steps] = map(xor, shared,
                                                bits[position:position + copies])
             speakers[s:end:steps] = repeat(speaker, copies)
-            transcript_rows[s:end:steps] = zip(references,
-                                               range(position, position + copies))
-            residual[position:position + copies] = bytes(copies)
+            walk_steps.append((reference, position))
+        if walk_steps:
+            transcript_blocks.append((copies, tuple(walk_steps)))
         start = end
 
     run = ProtocolRun(
@@ -234,12 +226,10 @@ def run_protocol(
         key_bits=tuple(key_bits),
         transcript_bits=tuple(transcript_bits),
         speakers=tuple(speakers),
-        broadcast_trees=_broadcast_trees(packing),
-        residual_edges=tuple(compress(edge_order, residual)),
-        residual_bits=tuple(compress(bits, residual)),
-        edge_order=edge_order,
-        key_map=Gf2Matrix(tuple(key_rows), len(edge_order)),
-        transcript_map=Gf2Matrix(tuple(transcript_rows), len(edge_order)),
+        broadcast_trees=packing.broadcast_trees(),
+        residual_bits=tuple(compress(bits, packing.residual_mask())),
+        key_map=Gf2Matrix(tuple(key_blocks), edges),
+        transcript_map=Gf2Matrix(tuple(transcript_blocks), edges),
     )
     if not verify_linear_maps(run):
         raise AssertionError("recorded linear maps disagree with run values")
@@ -286,7 +276,7 @@ def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
             recovered += bits[reference:reference + copies]
         else:
             if not checked:
-                if run.broadcast_trees != _broadcast_trees(run.packing):
+                if run.broadcast_trees != run.packing.broadcast_trees():
                     raise InvalidPackingError(
                         "broadcast tree indices do not follow the packing's layout")
                 checked = True
@@ -317,19 +307,18 @@ def export_transcript(run: ProtocolRun) -> str:
     """Line-oriented replayable record of a run.
 
     One ``broadcast`` line per message with the two support edge indices
-    (into canonical edge order, read from the transcript map's row); key and
-    residual bit strings in hex with explicit bit lengths; the drawing seed
-    first.
+    (into canonical edge order, read from the transcript map's columns);
+    key and residual bit strings in hex with explicit bit lengths; the
+    drawing seed first.
     """
     lines = [
         f"seed {run.keys.seed if run.keys.seed is not None else 'none'}",
-        f"edges {len(run.edge_order)}",
+        f"edges {run.graph.total_edges()}",
         f"trees {run.packing.count}",
         f"key bits={len(run.key_bits)} hex={_bits_to_hex(run.key_bits)}",
         f"residual bits={len(run.residual_bits)} hex={_bits_to_hex(run.residual_bits)}",
     ]
-    rows = run.transcript_map.rows
     lines += map("broadcast tree=%d terminal=%d bit=%d support=%d,%d".__mod__,
                  zip(run.broadcast_trees, run.speakers, run.transcript_bits,
-                     map(itemgetter(0), rows), map(itemgetter(1), rows)))
+                     *run.transcript_map.row_columns()))
     return "\n".join(lines) + "\n"

@@ -8,7 +8,8 @@ LP by a dense Bland simplex over Fractions.  Earlier forms of rewritten
 production routines are kept as differential oracles: spanning packing
 that scans every labeled edge against every forest, forests that search
 their adjacency for each path, key recovery that rescans the transcript
-once per tree, the tree shape check by a separate depth-first search,
+once per tree, GF(2) maps checked, applied and ranked one row at a
+time, the tree shape check by a separate depth-first search,
 propagation that rebuilds each tree's incident lists, flow decomposition
 one unit path at a time, hex packing by shifting one bit at a time, the
 brute-force secrecy audit over the whole 2^|E| assignment space,
@@ -285,6 +286,69 @@ def elimination_gf2_rank(rows: list[int], ncols: int) -> int:
         if top == len(work):
             break
     return rank
+
+
+def block_rows(blocks) -> list[tuple[int, ...]]:
+    """The rows of ``(copies, steps)`` GF(2) blocks, one at a time in row
+    order: copy k of step (first, second) is ``(first + k, second + k)``,
+    or ``(first + k,)`` when second is None.  The row-layout oracle for
+    ``pinkey.Gf2Matrix``."""
+    rows = []
+    for copies, steps in blocks:
+        for k in range(copies):
+            for first, second in steps:
+                rows.append((first + k,) if second is None else (first + k, second + k))
+    return rows
+
+
+def row_forest_sizes(ncols: int, *segments) -> list[int]:
+    """One spanning forest grown over the segments' rows in turn, one
+    union-find step per row, column ``ncols`` as ground; entry s is the
+    rank of segments 0..s together.  The per-row oracle for
+    ``pinkey.gf2._forest_sizes``, which steps once per block step."""
+    parent = list(range(ncols + 1))
+    rank = 0
+    sizes = []
+    for rows in segments:
+        for row in rows:
+            first, second = (row[0], ncols) if len(row) == 1 else row
+            while parent[first] != first:  # path halving
+                parent[first] = first = parent[parent[first]]
+            while parent[second] != second:
+                parent[second] = second = parent[parent[second]]
+            if first != second:
+                parent[first] = second
+                rank += 1
+        sizes.append(rank)
+    return sizes
+
+
+class RowGf2Matrix:
+    """A GF(2) matrix kept as one index tuple per row, checked, applied and
+    ranked one row at a time: the per-row oracle for ``pinkey.Gf2Matrix``,
+    which works once per block step."""
+
+    def __init__(self, rows, ncols: int) -> None:
+        if ncols < 0:
+            raise ValueError("column count must be nonnegative")
+        for r, row in enumerate(rows):
+            if len(row) == 2:
+                first, second = row
+                if first != second and 0 <= first < ncols and 0 <= second < ncols:
+                    continue
+            elif len(row) == 1 and 0 <= row[0] < ncols:
+                continue
+            raise ValueError(f"row {r} must name one or two distinct columns "
+                             f"in range({ncols}), got {row!r}")
+        self.rows = tuple(rows)
+        self.ncols = ncols
+
+    def rank(self) -> int:
+        return row_forest_sizes(self.ncols, self.rows)[0]
+
+    def apply(self, bits) -> tuple[int, ...]:
+        return tuple(bits[row[0]] ^ bits[row[1]] if len(row) == 2 else bits[row[0]]
+                     for row in self.rows)
 
 
 def bitmask_splits(m: int, target: TerminalSet) -> list[tuple[int, ...]]:
@@ -661,11 +725,9 @@ def per_tree_run_protocol(
         transcript_bits=tuple(b.bit for b in transcript),
         speakers=tuple(b.terminal for b in transcript),
         broadcast_trees=tuple(b.tree for b in transcript),
-        residual_edges=residual_edges,
         residual_bits=tuple(bits[e] for e in residual_edges),
-        edge_order=edge_order,
-        key_map=Gf2Matrix(tuple(key_rows), len(edge_order)),
-        transcript_map=Gf2Matrix(tuple(transcript_rows), len(edge_order)),
+        key_map=Gf2Matrix.from_rows(key_rows, len(edge_order)),
+        transcript_map=Gf2Matrix.from_rows(transcript_rows, len(edge_order)),
     )
 
 

@@ -68,19 +68,19 @@ class TestGf2:
         assert gf2_rank([], 4) == 0
 
     def test_matrix_apply(self):
-        matrix = Gf2Matrix(((0, 1), (1, 2), (2,)), 3)
+        matrix = Gf2Matrix.from_rows(((0, 1), (1, 2), (2,)), 3)
         assert matrix.apply([1, 0, 0]) == (1, 0, 0)
         assert matrix.apply([1, 1, 0]) == (0, 1, 0)
         assert matrix.apply([1, 1, 1]) == (0, 0, 1)
 
     def test_rejects_overflow_row(self):
         with pytest.raises(ValueError):
-            Gf2Matrix(((2,),), 2)
+            Gf2Matrix.from_rows(((2,),), 2)
 
     @pytest.mark.parametrize("row", [(), (0, 1, 2), (1, 1), (0, 3), (-1,)])
     def test_rejects_malformed_row(self, row):
         with pytest.raises(ValueError, match="one or two distinct columns"):
-            Gf2Matrix(((0,), row), 3)
+            Gf2Matrix.from_rows(((0,), row), 3)
 
     @given(st.integers(1, 60).flatmap(lambda ncols: st.tuples(
         st.just(ncols),
@@ -92,7 +92,7 @@ class TestGf2:
         ncols, rows = case
         expected = elimination_gf2_rank(dense_gf2_rows(rows), ncols)
         assert gf2_rank(rows, ncols) == expected
-        assert Gf2Matrix(tuple(rows), ncols).rank() == expected
+        assert Gf2Matrix.from_rows(tuple(rows), ncols).rank() == expected
 
 
 class TestRankMethod:
@@ -158,8 +158,8 @@ class TestRankMethod:
         transcript_rows = tuple(row(crowded) for _ in run.transcript)
         key_rows = tuple(row(rng.choice((crowded, range(edges)))) for _ in run.key_bits)
         assert gf2_rank(transcript_rows, edges) < len(transcript_rows)
-        variant = replace(run, transcript_map=Gf2Matrix(transcript_rows, edges),
-                          key_map=Gf2Matrix(key_rows, edges))
+        variant = replace(run, transcript_map=Gf2Matrix.from_rows(transcript_rows, edges),
+                          key_map=Gf2Matrix.from_rows(key_rows, edges))
         key_rank = elimination_gf2_rank(dense_gf2_rows(key_rows), edges)
         transcript_rank = elimination_gf2_rank(dense_gf2_rows(transcript_rows), edges)
         joint_rank = elimination_gf2_rank(dense_gf2_rows(key_rows + transcript_rows),
@@ -310,18 +310,16 @@ def chained_runs(draw):
     split = draw(st.integers(1, max(1, len(rows) - 1)))
     transcript_rows, key_rows = tuple(rows[:split]), tuple(rows[split:])
     base = spanning_run(Multigraph(2, {(1, 2): edges}))
-    order = base.edge_order
-    residual = order[:edges - len(rows)]
+    residual = edges - len(rows)
     return replace(
         base,
         key_bits=(0,) * len(key_rows),
         transcript_bits=(0,) * len(transcript_rows),
         speakers=(1,) * len(transcript_rows),
         broadcast_trees=(0,) * len(transcript_rows),
-        residual_edges=residual,
-        residual_bits=(0,) * len(residual),
-        key_map=Gf2Matrix(key_rows, edges),
-        transcript_map=Gf2Matrix(transcript_rows, edges),
+        residual_bits=(0,) * residual,
+        key_map=Gf2Matrix.from_rows(key_rows, edges),
+        transcript_map=Gf2Matrix.from_rows(transcript_rows, edges),
     )
 
 

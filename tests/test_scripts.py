@@ -57,3 +57,31 @@ def test_ladder_writes_a_bench_file(tmp_path):
         assert row["key_bits"] == row["transcript_bits"] == size * 500
         assert row["audit_passed"] is True
     assert all(row["best_s"] == min(row["times_s"]) for row in rows.values())
+
+
+def test_ladder_compare_prints_best_times_and_ratios(tmp_path):
+    def bench(label, rows):
+        path = tmp_path / f"BENCH_{label}.json"
+        path.write_text(json.dumps({
+            "label": label, "revision": f"rev-{label}",
+            "rows": [{"row": row, "best_s": best, "times_s": [best]}
+                     for row, best in rows]}))
+        return str(path)
+
+    base = bench("base", [("spanning/a", 0.2), ("protocol/b", 0.1)])
+    head = bench("head", [("spanning/a", 0.05), ("capacity/c", 0.3)])
+    result = run_script("ladder.py", "--compare", base, head)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[:2] == ["BASE base (rev-base)", "HEAD head (rev-head)"]
+    assert [line.split() for line in lines[3:]] == [
+        ["spanning/a", "0.2000", "0.0500", "0.250"],
+        ["protocol/b", "0.1000", "-", "-"],
+        ["capacity/c", "-", "0.3000", "-"],
+    ]
+
+
+def test_ladder_needs_a_label_to_time():
+    result = run_script("ladder.py")
+    assert result.returncode == 2
+    assert "--label is required" in result.stderr
