@@ -113,12 +113,13 @@ class Gf2Matrix:
         object.__setattr__(self, "blocks", blocks)
         nrows = 0
         for b, (copies, steps) in enumerate(blocks):
-            if copies < 1:
+            if type(copies) is not int or copies < 1:
                 raise ValueError(f"block {b} needs a positive copy count, got {copies!r}")
             last = ncols - copies  # the largest start that fits every copy
             for s, (first, second) in enumerate(steps):
-                if 0 <= first <= last and (second is None or (
-                        0 <= second <= last and first != second)):
+                # type() rather than isinstance: a bool is no column start
+                if type(first) is int and 0 <= first <= last and (second is None or (
+                        type(second) is int and 0 <= second <= last and first != second)):
                     continue
                 raise ValueError(
                     f"block {b} step {s} must name one or two distinct columns "

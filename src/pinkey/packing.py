@@ -183,26 +183,6 @@ class TreePacking:
         edge, from the marks of the packing check."""
         return self._residual_mask
 
-    def broadcast_trees(self) -> tuple[int, ...]:
-        """The tree index of every walk step of every copy, in the key
-        protocol's transcript layout: group by group and, within a group,
-        copy by copy in walk order.  Each walk step fills the indices of
-        all its group's copies by one slice; built on the first call and
-        kept outside the dataclass fields, like ``Multigraph.edge_refs``."""
-        trees = self.__dict__.get("_broadcast_trees")
-        if trees is None:
-            layout = [0] * sum(len(tree.walk) * copies for tree, copies in self.groups)
-            start = first = 0  # the group's first broadcast and first tree
-            for tree, copies in self.groups:
-                steps = len(tree.walk)
-                end = start + steps * copies
-                for s in range(start, start + steps):
-                    layout[s:end:steps] = range(first, first + copies)
-                start, first = end, first + copies
-            trees = tuple(layout)
-            object.__setattr__(self, "_broadcast_trees", trees)
-        return trees
-
     def copy_edges(self) -> Iterator[tuple[EdgeRef, ...]]:
         """Each copy's sorted edges, in the order of ``trees``, without
         building a ``Tree`` per copy."""

@@ -243,12 +243,6 @@ def spanning_rate(model: PinModel, cap: int = DEFAULT_TERMINAL_CAP) -> Fraction:
     return upper_bound(model, TerminalSet.full(model.m), cap=cap)
 
 
-def crossing_edges(graph: Multigraph, partition: Partition) -> int:
-    if len(partition.assignment) != graph.m:
-        raise ValueError("partition and graph have different vertex counts")
-    return _crossing(_nonzero_items(graph.multiplicities), partition.assignment)
-
-
 def nash_williams_count(
     graph: Multigraph, cap: int = DEFAULT_TERMINAL_CAP
 ) -> int:

@@ -11,23 +11,24 @@ GF(2) sum of exactly two edge bits, and the group key, transcript and
 residual bits together form a bijection of the edge bits.  The edge bits
 are one tuple in canonical edge order, so every bit is read by index.
 
+The packing alone therefore fixes the key and the transcript as linear
+maps of the edge bits, and a run computes its bits by applying them.
 The copies of a packing group share one walk, and copy k's edges sit k
-places after copy 0's in canonical order, so each group's walk is read
-once and each walk step fills all of the group's copies with slices.  The
-transcript is kept as columns (bits, speakers, tree indices), laid out
-group by group and, within a group, copy by copy in walk order: the
-broadcast of walk step s of copy k of a group whose broadcasts start at
-position p sits at ``p + k * steps + s``.  The two GF(2) maps follow the
-same layout as ``Gf2Matrix`` blocks: per group, one key block of one
-(reference) step and one transcript block with a (reference, edge) step
-per walk step, so checking, applying and ranking them costs one step per
-group and walk step, not one per row.
+places after copy 0's in canonical order, so each map is one
+``Gf2Matrix`` block per group: a key block of one (reference) step and a
+transcript block with a (reference, edge) step per walk step.  The
+transcript is laid out group by group and, within a group, copy by copy
+in walk order: the broadcast of walk step s of copy k of a group whose
+broadcasts start at position p sits at ``p + k * steps + s``.  Only this
+module knows that layout; the speaker and tree-index columns are derived
+from the packing in it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from operator import xor
 from typing import Sequence
@@ -113,24 +114,23 @@ class _Broadcasts(Sequence[Broadcast]):
 class ProtocolRun:
     """A complete execution: key bits, transcript, residuals, linear maps.
 
-    Broadcast r is sent by ``speakers[r]`` in tree ``broadcast_trees[r]``,
-    carries ``transcript_bits[r]`` and sums the two edges named by
-    ``transcript_map.rows[r]`` (reference edge first); ``transcript`` reads
-    the same columns as ``Broadcast`` objects.  The residual bits are those
-    of the edges no tree uses, in canonical order.  The accounting identity
-    |E| = |K| + |F| + |K_R| holds structurally, and the stacked index rows
-    (key and residual edges, broadcast edge pairs) form an invertible square
-    GF(2) matrix in the edge bits.
+    Only what the packing does not fix is stored; ``graph`` and ``target``
+    are the packing's, and the ``speakers`` and ``broadcast_trees``
+    columns are derived from its groups.  Broadcast r is sent by
+    ``speakers[r]`` in tree ``broadcast_trees[r]``, carries
+    ``transcript_bits[r]`` and sums the two edges named by
+    ``transcript_map.rows[r]`` (reference edge first); ``transcript``
+    reads the same columns as ``Broadcast`` objects.  The residual bits
+    are those of the edges no tree uses, in canonical order.  The
+    accounting identity |E| = |K| + |F| + |K_R| holds structurally, and
+    the stacked index rows (key and residual edges, broadcast edge pairs)
+    form an invertible square GF(2) matrix in the edge bits.
     """
 
-    graph: Multigraph
     packing: TreePacking
     keys: EdgeKeyBits
-    target: TerminalSet
     key_bits: tuple[int, ...]
     transcript_bits: tuple[int, ...]
-    speakers: tuple[int, ...]
-    broadcast_trees: tuple[int, ...]
     residual_bits: tuple[int, ...]
     key_map: Gf2Matrix
     transcript_map: Gf2Matrix
@@ -142,12 +142,38 @@ class ProtocolRun:
             raise InvalidPackingError(
                 "edge accounting failed: |E| != |K| + |F| + |K_R|"
             )
-        if len(self.speakers) != broadcasts or len(self.broadcast_trees) != broadcasts:
-            raise InvalidPackingError("transcript bits, speakers and trees disagree")
         if self.key_map.nrows != len(self.key_bits) or self.key_map.ncols != edges:
             raise InvalidPackingError("key map has wrong shape")
         if self.transcript_map.nrows != broadcasts or self.transcript_map.ncols != edges:
             raise InvalidPackingError("transcript map has wrong shape")
+
+    @property
+    def graph(self) -> Multigraph:
+        return self.packing.graph
+
+    @property
+    def target(self) -> TerminalSet:
+        return self.packing.target
+
+    @cached_property
+    def speakers(self) -> tuple[int, ...]:
+        """The sender of every broadcast, in transcript order: each group's
+        walk speakers once per copy."""
+        speakers: list[int] = []
+        for tree, copies in self.packing.groups:
+            speakers += [speaker for speaker, _ in tree.walk] * copies
+        return tuple(speakers)
+
+    @cached_property
+    def broadcast_trees(self) -> tuple[int, ...]:
+        """The tree index of every broadcast, in transcript order: each
+        copy's index once per walk step of its group."""
+        trees: list[int] = []
+        first = 0  # the group's first tree
+        for tree, copies in self.packing.groups:
+            trees += [k for k in range(first, first + copies) for _ in tree.walk]
+            first += copies
+        return tuple(trees)
 
     @property
     def edge_order(self) -> tuple[EdgeRef, ...]:
@@ -173,10 +199,9 @@ def run_protocol(
     keys: EdgeKeyBits,
     target: TerminalSet,
 ) -> ProtocolRun:
-    """Execute propagation over every tree of a packing: each group's walk
-    is read once, and each walk step fills the transcript columns of all
-    the group's copies by slice assignment.  ``keys`` must hold one bit per
-    edge of ``graph``."""
+    """Execute propagation over every tree of a packing: build the key and
+    transcript maps, one block each per group, and apply them to the edge
+    bits.  ``keys`` must hold one bit per edge of ``graph``."""
     if packing.graph != graph:
         raise InvalidPackingError("packing was built for a different graph")
     if packing.target != target:
@@ -190,50 +215,28 @@ def run_protocol(
             f"{len(bits)} key bits drawn for a graph of {edges} edges")
     offsets = graph.pair_offsets()
 
-    broadcasts = sum(len(tree.walk) * copies for tree, copies in packing.groups)
-    key_bits: list[int] = []
     key_blocks = []
-    transcript_bits = [0] * broadcasts
-    speakers = [0] * broadcasts
     transcript_blocks = []
-    start = 0  # the group's first broadcast
     for tree, copies in packing.groups:
         # the reference edge supplies each copy's shared bit; every further
-        # edge, in walk order, costs one broadcast by an informed speaker
+        # edge, in walk order, costs one broadcast: reference XOR edge
         i, j, c = tree.edges[0]
         reference = offsets[(i, j)] + c
-        shared = bits[reference:reference + copies]
-        key_bits += shared
         key_blocks.append((copies, ((reference, None),)))
-        steps = len(tree.walk)
-        end = start + steps * copies
-        walk_steps = []
-        for s, (speaker, (i, j, c)) in enumerate(tree.walk, start):
-            position = offsets[(i, j)] + c
-            transcript_bits[s:end:steps] = map(xor, shared,
-                                               bits[position:position + copies])
-            speakers[s:end:steps] = repeat(speaker, copies)
-            walk_steps.append((reference, position))
-        if walk_steps:
-            transcript_blocks.append((copies, tuple(walk_steps)))
-        start = end
-
-    run = ProtocolRun(
-        graph=graph,
+        if tree.walk:
+            transcript_blocks.append((copies, tuple(
+                (reference, offsets[(i, j)] + c) for _, (i, j, c) in tree.walk)))
+    key_map = Gf2Matrix(tuple(key_blocks), edges)
+    transcript_map = Gf2Matrix(tuple(transcript_blocks), edges)
+    return ProtocolRun(
         packing=packing,
         keys=keys,
-        target=target,
-        key_bits=tuple(key_bits),
-        transcript_bits=tuple(transcript_bits),
-        speakers=tuple(speakers),
-        broadcast_trees=packing.broadcast_trees(),
+        key_bits=key_map.apply(bits),
+        transcript_bits=transcript_map.apply(bits),
         residual_bits=tuple(compress(bits, packing.residual_mask())),
-        key_map=Gf2Matrix(tuple(key_blocks), edges),
-        transcript_map=Gf2Matrix(tuple(transcript_blocks), edges),
+        key_map=key_map,
+        transcript_map=transcript_map,
     )
-    if not verify_linear_maps(run):
-        raise AssertionError("recorded linear maps disagree with run values")
-    return run
 
 
 def verify_linear_maps(run: ProtocolRun) -> bool:
@@ -254,9 +257,7 @@ def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
     Per group, the terminal either holds the reference edge, and so every
     copy's shared bit, or decodes at the first walk step s whose edge it
     holds: copy k's bit is its transcript bit at ``p + k * steps + s``
-    XOR its copy of that edge.  Reading by position needs the run's tree
-    indices to follow that layout, which one tuple comparison checks the
-    first time the transcript is read.
+    XOR its copy of that edge.
     """
     if terminal not in run.target:
         raise ValueError(
@@ -266,7 +267,6 @@ def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
     bits = run.keys.bits
     offsets = run.graph.pair_offsets()
     recovered: list[int] = []
-    checked = False
     start = first = 0  # the group's first broadcast and first tree
     for tree, copies in run.packing.groups:
         steps = len(tree.walk)
@@ -275,11 +275,6 @@ def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
             reference = offsets[(i, j)] + c
             recovered += bits[reference:reference + copies]
         else:
-            if not checked:
-                if run.broadcast_trees != run.packing.broadcast_trees():
-                    raise InvalidPackingError(
-                        "broadcast tree indices do not follow the packing's layout")
-                checked = True
             for s, (_, (i, j, c)) in enumerate(tree.walk, start):
                 if terminal == i or terminal == j:
                     break

@@ -697,10 +697,15 @@ def per_copy_trees(
 
 def per_tree_run_protocol(
     graph: Multigraph, packing: TreePacking, keys: EdgeKeyBits, target: TerminalSet
-) -> ProtocolRun:
+) -> tuple[ProtocolRun, tuple[Broadcast, ...]]:
     """Propagation over each tree of ``packing.trees`` in turn, edges found
     by an all-edge index and residuals by a set scan: the per-copy oracle
-    for ``pinkey.run_protocol``, which works once per group."""
+    for ``pinkey.run_protocol``, which works once per group.  Returns the
+    run and the ``Broadcast`` objects that ``reference_propagate_tree``
+    built, which hold the speakers and tree indices independently of the
+    columns a run derives from its packing."""
+    if packing.graph != graph or packing.target != target:
+        raise InvalidPackingError("packing was built for another graph or target")
     edge_order = graph.edge_refs()
     index = {edge: k for k, edge in enumerate(edge_order)}
     bits = dict(zip(edge_order, keys.bits))
@@ -716,19 +721,16 @@ def per_tree_run_protocol(
             transcript_rows.append((index[reference], index[edge]))
         used.update(tree.edges)
     residual_edges = tuple(e for e in edge_order if e not in used)
-    return ProtocolRun(
-        graph=graph,
+    run = ProtocolRun(
         packing=packing,
         keys=keys,
-        target=target,
         key_bits=tuple(key_bits),
         transcript_bits=tuple(b.bit for b in transcript),
-        speakers=tuple(b.terminal for b in transcript),
-        broadcast_trees=tuple(b.tree for b in transcript),
         residual_bits=tuple(bits[e] for e in residual_edges),
         key_map=Gf2Matrix.from_rows(key_rows, len(edge_order)),
         transcript_map=Gf2Matrix.from_rows(transcript_rows, len(edge_order)),
     )
+    return run, tuple(transcript)
 
 
 def shift_bits_to_hex(bits: tuple[int, ...]) -> str:
@@ -822,12 +824,14 @@ def json_dumps_report(
         "trees": [tree.edges for tree in packing.trees],
     }
     if command == "simulate":
-        run = per_tree_run_protocol(graph, packing, draw_edge_keys(graph, seed), target)
+        run, broadcasts = per_tree_run_protocol(graph, packing,
+                                                draw_edge_keys(graph, seed), target)
+        index = {edge: k for k, edge in enumerate(graph.edge_refs())}
         report_card = audit(run)
         report.update({
             "seed": seed,
             "key_bits": len(run.key_bits),
-            "transcript_bits": len(run.transcript),
+            "transcript_bits": len(broadcasts),
             "residual_bits": len(run.residual_bits),
             "security_index": format_rational(report_card.security_index),
             "audit_method": report_card.method,
@@ -841,9 +845,9 @@ def json_dumps_report(
                     "tree": b.tree,
                     "terminal": b.terminal,
                     "bit": b.bit,
-                    "support": list(row),
+                    "support": [index[edge] for edge in b.support],
                 }
-                for b, row in zip(run.transcript, run.transcript_map.rows)
+                for b in broadcasts
             ],
         })
     report["format_version"] = 1

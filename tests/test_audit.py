@@ -315,8 +315,6 @@ def chained_runs(draw):
         base,
         key_bits=(0,) * len(key_rows),
         transcript_bits=(0,) * len(transcript_rows),
-        speakers=(1,) * len(transcript_rows),
-        broadcast_trees=(0,) * len(transcript_rows),
         residual_bits=(0,) * residual,
         key_map=Gf2Matrix.from_rows(key_rows, edges),
         transcript_map=Gf2Matrix.from_rows(transcript_rows, edges),

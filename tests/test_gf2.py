@@ -136,9 +136,18 @@ class TestBlocksAgainstRowOracle:
         ((2, ((0, 3),)),),
         ((1, ((0, 4),)),),
         ((5, ((0, None),)),),
+        ((1.5, ((0, None),)),),
+        ((2.0, ((0, None),)),),
+        ((True, ((0, None),)),),
+        ((1, ((0.0, None),)),),
+        ((1, ((1, 2.0),)),),
+        ((1, ((True, None),)),),
+        ((1, ((0, True),)),),
     ], ids=["zero_copies", "negative_copies", "same_start", "negative_start",
             "first_past_end", "second_past_end", "second_out_of_range",
-            "more_copies_than_columns"])
+            "more_copies_than_columns", "fractional_copies", "float_copies",
+            "bool_copies", "float_first", "float_second", "bool_first",
+            "bool_second"])
     def test_rejects_bad_blocks(self, blocks):
         with pytest.raises(ValueError):
             Gf2Matrix(blocks, 4)
