@@ -1,12 +1,14 @@
 """Secret-key capacity as an exact LP over the subset-weight polytope.
 
 The qualifying subsets for a target set A are the nonempty strict subsets
-of the terminals that do not contain all of A.  A weight assignment puts
-a fractional weight on each subset so that the weights covering any given
-terminal sum to one; the capacity is the minimum, over assignments, of the
-weighted sum of pairwise correlations separated by the subsets.  With
-rational weights the minimum is rational and is attained at a polytope
-vertex, which the exact simplex returns.
+of the terminals that do not contain all of A; as bitmasks, they are the
+LP's columns.  A weight assignment puts a fractional weight on each subset
+so that the weights covering any given terminal sum to one; the capacity is
+the minimum, over assignments, of the weighted sum of pairwise correlations
+separated by the subsets.  With rational weights the minimum is rational
+and is attained at a polytope vertex, which the exact simplex returns.
+An assignment's ``weights`` map subset bitmasks to the nonzero weights
+only, so a vertex holds at most m entries, one per basic variable.
 
 A second, entropy-based form of the same objective is available for
 pmf-backed models; agreement between the two (within 1e-9) is a strong
@@ -16,7 +18,6 @@ end-to-end check of the entropy bookkeeping.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -24,35 +25,19 @@ from typing import Mapping
 from .errors import InvalidAssignmentError, SizeLimitError, UnsupportedModeError
 from .model import Pair, PinModel, TerminalSet, all_pairs, base_scale
 from .partitions import DEFAULT_TERMINAL_CAP
-from .simplex import solve_lp
+from .simplex import SimplexResult, solve_lp
 
 CONSISTENCY_TOLERANCE = 1e-9
 
 
-def _mask_members(mask: int) -> tuple[int, ...]:
-    return tuple(t + 1 for t in range(mask.bit_length()) if mask >> t & 1)
-
-
 @dataclass(frozen=True)
 class SubsetFamily:
-    """All qualifying subsets for (m, A), as bitmasks in ascending order."""
+    """All qualifying subsets for (m, A), as bitmasks in ascending order:
+    the columns of the capacity LP."""
 
     m: int
     target: TerminalSet
     subsets: tuple[int, ...]
-    per_terminal: tuple[tuple[int, ...], ...]  # indices of subsets holding i
-
-    def index_of(self, mask: int) -> int:
-        index = bisect_left(self.subsets, mask)
-        if index == len(self.subsets) or self.subsets[index] != mask:
-            raise KeyError(f"subset mask {mask:#x} is not in the family")
-        return index
-
-    def members(self, index: int) -> tuple[int, ...]:
-        return _mask_members(self.subsets[index])
-
-    def __len__(self) -> int:
-        return len(self.subsets)
 
 
 def subset_family(
@@ -69,36 +54,39 @@ def subset_family(
     subsets = tuple(
         mask for mask in range(1, (1 << m) - 1) if (mask & amask) != amask
     )
-    per_terminal = tuple(
-        tuple(k for k, mask in enumerate(subsets) if mask >> t & 1)
-        for t in range(m)
-    )
-    return SubsetFamily(m=m, target=target, subsets=subsets,
-                        per_terminal=per_terminal)
+    return SubsetFamily(m=m, target=target, subsets=subsets)
 
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Fractional weights on a subset family, one value per subset."""
+    """Fractional weights on the qualifying subsets for (m, A), held as
+    their support: ``weights`` maps each subset bitmask with a nonzero
+    weight to that weight, in ascending mask order (zeros are dropped)."""
 
-    family: SubsetFamily
-    values: tuple[Fraction, ...]
+    m: int
+    target: TerminalSet
+    weights: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.family):
-            raise InvalidAssignmentError(
-                f"expected {len(self.family)} weights, got {len(self.values)}"
-            )
+        self.target.validate_within(self.m)
+        full, amask = (1 << self.m) - 1, self.target.mask()
+        for mask in self.weights:
+            if type(mask) is not int or not 0 < mask < full or mask & amask == amask:
+                raise InvalidAssignmentError(
+                    f"subset mask {mask!r} is not a qualifying subset for "
+                    f"m={self.m}, A={self.target.members}")
+        object.__setattr__(self, "weights", {
+            mask: value for mask, value in sorted(self.weights.items()) if value})
 
     def validate(self) -> None:
-        one = Fraction(1)
-        for value in self.values:
+        weights = self.weights
+        for value in weights.values():
             if value < 0 or value > 1:
                 raise InvalidAssignmentError(f"weight {value} outside [0, 1]")
-        values = self.values
-        for t, indices in enumerate(self.family.per_terminal):
-            total = sum((values[k] for k in indices if values[k]), Fraction(0))
-            if total != one:
+        for t in range(self.m):
+            total = sum((v for mask, v in weights.items() if mask >> t & 1),
+                        Fraction(0))
+            if total != 1:
                 raise InvalidAssignmentError(
                     f"weights covering terminal {t + 1} sum to {total}, "
                     "expected exactly 1"
@@ -107,21 +95,16 @@ class WeightAssignment:
     def support(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """Nonzero weights as (subset members, value) pairs."""
         return tuple(
-            (self.family.members(k), v)
-            for k, v in enumerate(self.values)
-            if v
+            (tuple(t + 1 for t in range(mask.bit_length()) if mask >> t & 1), v)
+            for mask, v in self.weights.items()
         )
 
 
 def pair_coefficients(assignment: WeightAssignment) -> dict[Pair, Fraction]:
     """For each pair, the total weight of subsets separating it (lower
     terminal inside, higher outside)."""
-    family = assignment.family
-    coeffs = {pair: Fraction(0) for pair in all_pairs(family.m)}
-    for k, mask in enumerate(family.subsets):
-        value = assignment.values[k]
-        if not value:
-            continue
+    coeffs = {pair: Fraction(0) for pair in all_pairs(assignment.m)}
+    for mask, value in assignment.weights.items():
         for (i, j) in coeffs:
             if mask >> (i - 1) & 1 and not mask >> (j - 1) & 1:
                 coeffs[(i, j)] += value
@@ -136,7 +119,7 @@ def capacity_objective(
     Returns a Fraction on exact models, a float on pmf-backed ones.
     """
     target.validate_within(model.m)
-    if assignment.family.m != model.m or assignment.family.target != target:
+    if (assignment.m, assignment.target) != (model.m, target):
         raise InvalidAssignmentError("assignment built for a different (m, A)")
     assignment.validate()
     return _objective(model, pair_coefficients(assignment))
@@ -170,6 +153,15 @@ def _lp_costs(model: PinModel, family: SubsetFamily) -> tuple[list[int], int]:
     return costs, scale
 
 
+def _basic_assignment(family: SubsetFamily, result: SimplexResult) -> WeightAssignment:
+    """The LP's basic solution as a checked assignment: only the m basic
+    columns can carry a nonzero weight."""
+    assignment = WeightAssignment(family.m, family.target, {
+        family.subsets[var]: result.solution[var] for var in result.basis})
+    assignment.validate()
+    return assignment
+
+
 @dataclass(frozen=True)
 class CapacityResult:
     """Exact capacity value with one optimal vertex assignment."""
@@ -189,8 +181,7 @@ def solve_capacity(
     costs, scale = _lp_costs(model, family)
     result = solve_lp(costs, family.subsets, family.m)
     value = result.value / scale
-    assignment = WeightAssignment(family, result.solution)
-    assignment.validate()
+    assignment = _basic_assignment(family, result)
     coeffs = pair_coefficients(assignment)
     check = _objective(model, coeffs)
     if check != value:
@@ -212,10 +203,7 @@ def sample_vertex(
     """
     draws = [(rng.randint(-24, 24), rng.randint(1, 6)) for _ in family.subsets]
     costs = [p * 60 // q for p, q in draws]
-    result = solve_lp(costs, family.subsets, family.m)
-    assignment = WeightAssignment(family, result.solution)
-    assignment.validate()
-    return assignment
+    return _basic_assignment(family, solve_lp(costs, family.subsets, family.m))
 
 
 def entropy_objective(
@@ -228,7 +216,7 @@ def entropy_objective(
     per-pair additivity of the source.  Every pair must carry a pmf.
     """
     target.validate_within(model.m)
-    if assignment.family.m != model.m or assignment.family.target != target:
+    if (assignment.m, assignment.target) != (model.m, target):
         raise InvalidAssignmentError("assignment built for a different (m, A)")
     assignment.validate()
     pmfs = {}
@@ -243,10 +231,7 @@ def entropy_objective(
 
     total = sum(pmf.joint_entropy() for pmf in pmfs.values())
     penalty = 0.0
-    for k, mask in enumerate(assignment.family.subsets):
-        weight = float(assignment.values[k])
-        if not weight:
-            continue
+    for mask, weight in assignment.weights.items():
         conditional = 0.0
         for (i, j), pmf in pmfs.items():
             i_in = bool(mask >> (i - 1) & 1)
@@ -258,7 +243,7 @@ def entropy_objective(
                 conditional += pmf.row_given_col_entropy()
             elif j_in:
                 conditional += pmf.col_given_row_entropy()
-        penalty += weight * conditional
+        penalty += float(weight) * conditional
     return total - penalty
 
 

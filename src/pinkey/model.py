@@ -139,6 +139,9 @@ class TerminalSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for t in self.members:  # type() rather than isinstance: a bool is no terminal
+            if type(t) is not int:
+                raise ValueError(f"terminal {t!r} is not an integer")
         members = tuple(sorted(set(self.members)))
         if len(members) < 2:
             raise ValueError("a terminal set needs at least two terminals")

@@ -67,6 +67,9 @@ class Tree:
     _vertices: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        for i, j, copy in self.edges:  # before sorting: a bool or float compares as a number
+            if type(i) is not int or type(j) is not int or type(copy) is not int:
+                raise InvalidTreeError(f"malformed edge ({i}, {j}, {copy})")
         edges = tuple(sorted(self.edges))
         object.__setattr__(self, "edges", edges)
         if not edges:

@@ -146,6 +146,12 @@ class ProtocolRun:
             raise InvalidPackingError("key map has wrong shape")
         if self.transcript_map.nrows != broadcasts or self.transcript_map.ncols != edges:
             raise InvalidPackingError("transcript map has wrong shape")
+        steps = sum(copies * len(tree.walk) for tree, copies in self.packing.groups)
+        if self.key_map.nrows != self.packing.count or broadcasts != steps:
+            raise InvalidPackingError(
+                f"maps of {self.key_map.nrows} key rows and {broadcasts} broadcasts "
+                f"do not fit a packing of {self.packing.count} trees and {steps} "
+                "walk steps")
 
     @property
     def graph(self) -> Multigraph:

@@ -5,7 +5,9 @@ exhaustive bipartition enumeration, partitions via a plain recursive
 builder, Steiner packing by undirected brute force over all tree subsets,
 GF(2) rank by column-scan elimination, two-atom splits by bitmask, and the
 LP by a dense Bland simplex over Fractions.  Earlier forms of rewritten
-production routines are kept as differential oracles: spanning packing
+production routines are kept as differential oracles: weight
+assignments checked and summed densely, one value per qualifying subset
+and per-terminal index lists, spanning packing
 that scans every labeled edge against every forest, forests that search
 their adjacency for each path, key recovery that rescans the transcript
 once per tree, GF(2) maps checked, applied and ranked one row at a
@@ -33,6 +35,7 @@ from pinkey import (
     EdgeKeyBits,
     EdgeRef,
     Gf2Matrix,
+    InvalidAssignmentError,
     InvalidPackingError,
     InvalidTreeError,
     Multigraph,
@@ -124,12 +127,9 @@ def random_terminal_set(rng: random.Random, m: int, size: int | None = None) -> 
     return TerminalSet(tuple(rng.sample(range(1, m + 1), size)))
 
 
-def singleton_assignment(family: SubsetFamily) -> WeightAssignment:
+def singleton_assignment(m: int, target: TerminalSet) -> WeightAssignment:
     """The always-feasible assignment: weight 1 on every singleton."""
-    values = [Fraction(0)] * len(family)
-    for t in range(family.m):
-        values[family.index_of(1 << t)] = Fraction(1)
-    return WeightAssignment(family, tuple(values))
+    return WeightAssignment(m, target, {1 << t: Fraction(1) for t in range(m)})
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +570,89 @@ def scan_recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
     return tuple(recovered)
 
 
+def dense_values(family: SubsetFamily, assignment: WeightAssignment) -> tuple[Fraction, ...]:
+    """One weight per subset of the family, in its order, zero off the
+    assignment's support."""
+    return tuple(assignment.weights.get(mask, Fraction(0)) for mask in family.subsets)
+
+
+def dense_validate(family: SubsetFamily, values: Sequence[Fraction]) -> None:
+    """The assignment check over one value per family subset, each
+    terminal's sum read through its list of subset indices: the oracle for
+    ``WeightAssignment.validate``, which reads only the support."""
+    if len(values) != len(family.subsets):
+        raise InvalidAssignmentError(
+            f"expected {len(family.subsets)} weights, got {len(values)}")
+    for value in values:
+        if value < 0 or value > 1:
+            raise InvalidAssignmentError(f"weight {value} outside [0, 1]")
+    per_terminal = [[k for k, mask in enumerate(family.subsets) if mask >> t & 1]
+                    for t in range(family.m)]
+    for t, indices in enumerate(per_terminal):
+        total = sum((values[k] for k in indices if values[k]), Fraction(0))
+        if total != 1:
+            raise InvalidAssignmentError(
+                f"weights covering terminal {t + 1} sum to {total}, "
+                "expected exactly 1"
+            )
+
+
+def dense_support(family: SubsetFamily, values: Sequence[Fraction]) -> tuple:
+    """Nonzero weights as (subset members, value) pairs, members read off
+    the mask one terminal at a time."""
+    return tuple(
+        (tuple(t + 1 for t in range(family.m) if mask >> t & 1), value)
+        for mask, value in zip(family.subsets, values) if value)
+
+
+def dense_pair_coefficients(
+    family: SubsetFamily, values: Sequence[Fraction]
+) -> dict[tuple[int, int], Fraction]:
+    """Per pair, the total weight of the family subsets separating it (lower
+    terminal inside, higher outside), every subset visited."""
+    coeffs = {}
+    for i in range(1, family.m + 1):
+        for j in range(i + 1, family.m + 1):
+            coeffs[(i, j)] = sum(
+                (value for mask, value in zip(family.subsets, values)
+                 if mask >> (i - 1) & 1 and not mask >> (j - 1) & 1),
+                Fraction(0))
+    return coeffs
+
+
+def dense_entropy_objective(
+    model: PinModel, family: SubsetFamily, values: Sequence[Fraction]
+) -> float:
+    """The entropy form of the capacity objective over every family subset,
+    zeros skipped, in the same floating-point order as
+    ``pinkey.entropy_objective``."""
+    dense_validate(family, values)
+    pmfs = {pair: model.pmf(*pair) for pair in model.pairs()}
+    penalty = 0.0
+    for mask, value in zip(family.subsets, values):
+        weight = float(value)
+        if not weight:
+            continue
+        conditional = 0.0
+        for (i, j), pmf in pmfs.items():
+            i_in, j_in = mask >> (i - 1) & 1, mask >> (j - 1) & 1
+            if i_in and j_in:
+                conditional += pmf.joint_entropy()
+            elif i_in:
+                conditional += pmf.row_given_col_entropy()
+            elif j_in:
+                conditional += pmf.col_given_row_entropy()
+        penalty += weight * conditional
+    return sum(pmf.joint_entropy() for pmf in pmfs.values()) - penalty
+
+
 def reference_tree_check(edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The tree shape check with a separate connectivity search: returns
     (sorted edges, sorted vertices) or raises ``InvalidTreeError`` with the
     message ``pinkey.Tree`` must give."""
+    for (i, j, copy) in edges:
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, copy)):
+            raise InvalidTreeError(f"malformed edge ({i}, {j}, {copy})")
     edges = tuple(sorted(edges))
     if not edges:
         raise InvalidTreeError("a tree needs at least one edge")

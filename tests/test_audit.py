@@ -16,8 +16,11 @@ from pinkey import (
     EdgeKeyBits,
     Gf2Matrix,
     Multigraph,
+    ProtocolRun,
     SizeLimitError,
     TerminalSet,
+    Tree,
+    TreePacking,
     audit,
     draw_edge_keys,
     flip_broadcast,
@@ -293,11 +296,16 @@ def leak_variants(run):
 @st.composite
 def chained_runs(draw):
     """Hand-built runs on 3..14 edges whose index rows chain into large
-    blocks, mix key and transcript rows, and leave some edges unused."""
+    blocks, mix key and transcript rows, and leave some edges unused.
+
+    The rows are drawn first; the packing is then built to fit their
+    counts, k key rows and t broadcasts: k - 1 one-edge (1, 2) trees, one
+    1-to-2 path tree of t + 1 edges through vertices 3..t + 2, and the
+    remaining (1, 2) copies unused."""
     edges = draw(st.integers(3, 14))
-    used = draw(st.permutations(range(edges)))[:edges - draw(st.integers(1, 2))]
+    used = draw(st.permutations(range(edges)))[:edges - draw(st.integers(1, min(2, edges - 2)))]
     rows = []
-    for i in range(1, len(used)):
+    for i in range(len(used)):
         j = draw(st.integers(0, i))  # i starts a new block
         rows.append((used[i], used[j]) if j < i else (used[i],))
     extras = draw(st.lists(
@@ -307,14 +315,21 @@ def chained_runs(draw):
         if not any(set(extra) == set(row) for row in rows):
             rows.append(extra)
     rows = draw(st.permutations(rows))
-    split = draw(st.integers(1, max(1, len(rows) - 1)))
+    split = draw(st.integers(1, len(rows) - 1))
     transcript_rows, key_rows = tuple(rows[:split]), tuple(rows[split:])
-    base = spanning_run(Multigraph(2, {(1, 2): edges}))
+    keys, steps = len(key_rows), len(transcript_rows)
     residual = edges - len(rows)
-    return replace(
-        base,
-        key_bits=(0,) * len(key_rows),
-        transcript_bits=(0,) * len(transcript_rows),
+    path = [1, *range(3, steps + 3), 2]
+    pairs = {tuple(sorted(pair)): 1 for pair in zip(path, path[1:])}
+    graph = Multigraph(steps + 2, {**pairs, (1, 2): keys - 1 + residual})
+    groups = ((Tree(tuple((*pair, 0) for pair in pairs)), 1),)
+    if keys > 1:
+        groups += ((Tree(((1, 2, 0),)), keys - 1),)
+    return ProtocolRun(
+        packing=TreePacking(graph, TerminalSet.of(1, 2), groups),
+        keys=EdgeKeyBits((0,) * edges),
+        key_bits=(0,) * keys,
+        transcript_bits=(0,) * steps,
         residual_bits=(0,) * residual,
         key_map=Gf2Matrix.from_rows(key_rows, edges),
         transcript_map=Gf2Matrix.from_rows(transcript_rows, edges),

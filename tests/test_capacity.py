@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinkey import (
     InvalidAssignmentError,
@@ -21,10 +23,17 @@ from pinkey import (
     subset_family,
     upper_bound,
 )
+from pinkey.capacity import _lp_costs
 from pinkey.model import PairPmf
+from pinkey.simplex import solve_lp
 
 from helpers import (
     brute_min_cut,
+    dense_entropy_objective,
+    dense_pair_coefficients,
+    dense_support,
+    dense_validate,
+    dense_values,
     random_exact_model,
     random_pmf_model,
     random_terminal_set,
@@ -37,7 +46,8 @@ FULL3 = TerminalSet.full(3)
 
 
 def members_of(family):
-    return {family.members(k) for k in range(len(family))}
+    return {tuple(t + 1 for t in range(family.m) if mask >> t & 1)
+            for mask in family.subsets}
 
 
 class TestSubsetFamily:
@@ -47,7 +57,7 @@ class TestSubsetFamily:
 
     def test_three_terminals_full_target(self):
         family = subset_family(3, FULL3)
-        assert len(family) == 6
+        assert len(family.subsets) == 6
         assert members_of(family) == {
             (1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
         }
@@ -56,67 +66,57 @@ class TestSubsetFamily:
         family = subset_family(3, TerminalSet.of(1, 2))
         assert members_of(family) == {(1,), (2,), (3,), (1, 3), (2, 3)}
 
-    def test_per_terminal_lists(self):
-        family = subset_family(3, FULL3)
-        for t in range(3):
-            for k in family.per_terminal[t]:
-                assert t + 1 in family.members(k)
-
-    def test_index_of(self):
-        family = subset_family(3, TerminalSet.of(1, 2))
-        for k, mask in enumerate(family.subsets):
-            assert family.index_of(mask) == k
-        for miss in (0, 0b011, 0b111, 0b1000):  # empty, holds A, full, too big
-            with pytest.raises(KeyError, match="not in the family"):
-                family.index_of(miss)
-
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             subset_family(13, TerminalSet.of(1, 2))
         # raising the cap explicitly lets larger families through
         family = subset_family(13, TerminalSet.of(1, 2), cap=13)
-        assert len(family) == 2**13 - 1 - 2**11
+        assert len(family.subsets) == 2**13 - 1 - 2**11
 
 
-def _assignment(family, weights: dict[tuple[int, ...], Fraction]):
-    values = [Fraction(0)] * len(family)
-    for members, value in weights.items():
-        mask = 0
-        for t in members:
-            mask |= 1 << (t - 1)
-        values[family.index_of(mask)] = value
-    return WeightAssignment(family, tuple(values))
+def _assignment(m, target, weights: dict[tuple[int, ...], Fraction]):
+    return WeightAssignment(m, target, {
+        sum(1 << (t - 1) for t in members): value
+        for members, value in weights.items()})
 
 
 class TestObjective:
     def test_two_terminal_forced(self):
         model = PinModel.from_weights(2, {(1, 2): Fraction(3, 2)})
-        family = subset_family(2, TerminalSet.of(1, 2))
-        lam = _assignment(family, {(1,): Fraction(1), (2,): Fraction(1)})
+        lam = _assignment(2, TerminalSet.of(1, 2), {(1,): Fraction(1), (2,): Fraction(1)})
         assert capacity_objective(model, TerminalSet.of(1, 2), lam) == Fraction(3, 2)
 
     def test_triangle_pairs_half(self):
-        family = subset_family(3, FULL3)
         half = Fraction(1, 2)
-        lam = _assignment(family, {(1, 2): half, (1, 3): half, (2, 3): half})
+        lam = _assignment(3, FULL3, {(1, 2): half, (1, 3): half, (2, 3): half})
         assert capacity_objective(TRIANGLE, FULL3, lam) == Fraction(3, 2)
 
     def test_triangle_singletons(self):
-        family = subset_family(3, FULL3)
-        lam = singleton_assignment(family)
+        lam = singleton_assignment(3, FULL3)
         assert capacity_objective(TRIANGLE, FULL3, lam) == 3
 
     def test_invalid_assignment_rejected(self):
-        family = subset_family(3, FULL3)
-        bad = _assignment(family, {(1, 2): Fraction(1)})  # terminal 3 uncovered
+        bad = _assignment(3, FULL3, {(1, 2): Fraction(1)})  # terminal 3 uncovered
         with pytest.raises(InvalidAssignmentError):
             capacity_objective(TRIANGLE, FULL3, bad)
 
     def test_out_of_range_weight_rejected(self):
-        family = subset_family(2, TerminalSet.of(1, 2))
-        bad = WeightAssignment(family, (Fraction(2), Fraction(-1)))
-        with pytest.raises(InvalidAssignmentError):
+        bad = WeightAssignment(2, TerminalSet.of(1, 2), {0b01: Fraction(2), 0b10: Fraction(-1)})
+        with pytest.raises(InvalidAssignmentError, match=r"^weight 2 outside \[0, 1\]$"):
             bad.validate()
+        # masks that are no qualifying subset for m = 3, A = {1, 2}: empty,
+        # every terminal, all of A, a terminal past m, not an int
+        for mask in (0, 0b111, 0b011, 0b1011, 0b1000, 1.0, True):
+            with pytest.raises(InvalidAssignmentError, match="not a qualifying subset"):
+                WeightAssignment(3, TerminalSet.of(1, 2), {0b100: Fraction(1), mask: Fraction(0)})
+
+    def test_zero_weights_dropped_and_masks_sorted(self):
+        lam = WeightAssignment(3, FULL3, {0b110: Fraction(1), 0b010: Fraction(0),
+                                          0b001: Fraction(1)})
+        assert list(lam.weights.items()) == [(0b001, Fraction(1)), (0b110, Fraction(1))]
+        assert lam == WeightAssignment(3, FULL3, {0b001: 1, 0b110: 1})
+        assert lam.support() == (((1,), Fraction(1)), ((2, 3), Fraction(1)))
+        lam.validate()
 
 
 class TestSolveCapacity:
@@ -148,6 +148,20 @@ class TestSolveCapacity:
         assert capacity_objective(TRIANGLE, FULL3, result.assignment) == result.value
         assert result.coefficients == pair_coefficients(result.assignment)
 
+    def test_weights_are_the_lp_solution_support(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            model = random_exact_model(rng, m=rng.randint(2, 6))
+            target = random_terminal_set(rng, model.m)
+            family = subset_family(model.m, target)
+            costs, _ = _lp_costs(model, family)
+            solution = solve_lp(costs, family.subsets, model.m).solution
+            assignment = solve_capacity(model, target).assignment
+            assert (assignment.m, assignment.target) == (model.m, target)
+            assert assignment.weights == {
+                mask: value for mask, value in zip(family.subsets, solution) if value}
+            assert len(assignment.weights) <= model.m
+
 
 class TestPolytopeProperties:
     def test_coefficient_symmetry_at_random_vertices(self):
@@ -160,18 +174,18 @@ class TestPolytopeProperties:
             for i in range(1, m + 1):
                 for j in range(i + 1, m + 1):
                     forward = sum(
-                        lam.values[k]
-                        for k, mask in enumerate(family.subsets)
+                        value
+                        for mask, value in lam.weights.items()
                         if mask >> (i - 1) & 1 and not mask >> (j - 1) & 1
                     )
                     backward = sum(
-                        lam.values[k]
-                        for k, mask in enumerate(family.subsets)
+                        value
+                        for mask, value in lam.weights.items()
                         if mask >> (j - 1) & 1 and not mask >> (i - 1) & 1
                     )
                     both = sum(
-                        lam.values[k]
-                        for k, mask in enumerate(family.subsets)
+                        value
+                        for mask, value in lam.weights.items()
                         if mask >> (i - 1) & 1 and mask >> (j - 1) & 1
                     )
                     assert forward == backward == 1 - both
@@ -187,13 +201,10 @@ class TestPolytopeProperties:
             for lam in vertices:
                 assert best <= capacity_objective(model, target, lam)
             # rational convex combinations stay exactly feasible
-            mixed = WeightAssignment(
-                family,
-                tuple(
-                    (a + b) / 2
-                    for a, b in zip(vertices[0].values, vertices[1].values)
-                ),
-            )
+            first, second = vertices[0].weights, vertices[1].weights
+            mixed = WeightAssignment(model.m, target, {
+                mask: (first.get(mask, 0) + second.get(mask, 0)) / 2
+                for mask in first.keys() | second.keys()})
             assert best <= capacity_objective(model, target, mixed)
 
     def test_monotone_in_weights(self):
@@ -242,8 +253,7 @@ class TestEntropyObjective:
     def test_singletons_reproduce_total_mi(self):
         rng = random.Random(6)
         model = random_pmf_model(rng, m=3)
-        family = subset_family(3, FULL3)
-        lam = singleton_assignment(family)
+        lam = singleton_assignment(3, FULL3)
         total = sum(model.mi(i, j) for (i, j) in model.pairs())
         assert entropy_objective(model, FULL3, lam) == pytest.approx(total, abs=1e-9)
         assert capacity_objective(model, FULL3, lam) == pytest.approx(total, abs=1e-12)
@@ -252,15 +262,13 @@ class TestEntropyObjective:
         pmf = PairPmf.from_rows([[0.5, 0.0], [0.0, 0.5]])
         model = PinModel.from_pmfs(2, {(1, 2): pmf})
         target = TerminalSet.of(1, 2)
-        family = subset_family(2, target)
-        lam = singleton_assignment(family)
+        lam = singleton_assignment(2, target)
         assert entropy_objective(model, target, lam) == pytest.approx(1.0, abs=1e-12)
         assert capacity_objective(model, target, lam) == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_pmf_rejected(self):
         model = PinModel.from_pmfs(3, {(1, 2): PairPmf.from_rows([[1.0]])})
-        family = subset_family(3, FULL3)
-        lam = singleton_assignment(family)
+        lam = singleton_assignment(3, FULL3)
         with pytest.raises(UnsupportedModeError):
             entropy_objective(model, FULL3, lam)
 
@@ -270,3 +278,58 @@ class TestEntropyObjective:
         report = check_objective_consistency(model, FULL3, trials=30, seed=11)
         assert report.passed, f"max discrepancy {report.max_discrepancy}"
         assert report.trials == 30
+
+
+def _rejection(check):
+    """The message of the ``InvalidAssignmentError`` a check raises, or None."""
+    try:
+        check()
+    except InvalidAssignmentError as exc:
+        return str(exc)
+    return None
+
+
+class TestSupportFormAgainstDenseOracle:
+    """The support form against the dense one-value-per-subset oracle."""
+
+    @given(st.integers(2, 6), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_vertices_mixes_and_perturbed_mixes(self, m, seed):
+        rng = random.Random(seed)
+        target = random_terminal_set(rng, m)
+        family = subset_family(m, target)
+        model = random_pmf_model(rng, m=m, max_alpha=2)
+        first = dense_values(family, sample_vertex(family, rng))
+        second = dense_values(family, sample_vertex(family, rng))
+        share = Fraction(rng.randint(0, 4), 4)
+        mixed = tuple(share * a + (1 - share) * b for a, b in zip(first, second))
+        perturbed = list(mixed)
+        for k in rng.sample(range(len(perturbed)), rng.randint(1, 2)):
+            perturbed[k] += Fraction(rng.choice((-1, 1)) * rng.randint(1, 3),
+                                     rng.randint(1, 4))
+        for values in (first, second, mixed, tuple(perturbed)):
+            assignment = WeightAssignment(m, target, dict(zip(family.subsets, values)))
+            assert dense_values(family, assignment) == values
+            assert assignment.support() == dense_support(family, values)
+            assert pair_coefficients(assignment) == dense_pair_coefficients(family, values)
+            rejected = _rejection(assignment.validate)
+            assert rejected == _rejection(lambda: dense_validate(family, values))
+            if rejected is None:
+                assert entropy_objective(model, target, assignment) == \
+                    dense_entropy_objective(model, family, values)
+            else:
+                with pytest.raises(InvalidAssignmentError, match="^" + re.escape(rejected)):
+                    entropy_objective(model, target, assignment)
+
+    @given(st.integers(2, 6), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_sample_vertex_is_the_dense_lp_solution(self, m, seed):
+        # the support read from the basis holds every nonzero of the dense
+        # solution the same draws give
+        rng = random.Random(seed)
+        family = subset_family(m, random_terminal_set(rng, m))
+        vertex = sample_vertex(family, random.Random(seed))
+        replay = random.Random(seed)
+        draws = [(replay.randint(-24, 24), replay.randint(1, 6)) for _ in family.subsets]
+        solution = solve_lp([p * 60 // q for p, q in draws], family.subsets, m).solution
+        assert dense_values(family, vertex) == solution

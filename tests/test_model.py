@@ -95,6 +95,14 @@ class TestTerminalSet:
         with pytest.raises(ValueError):
             TerminalSet.of(0, 1)
 
+    def test_rejects_entries_that_are_not_ints(self):
+        # a float or bool would sort, mask and compare as a number
+        for members in ((1.5, 3), (1.0, 3), (True, 3), (1, 2, "3"), (1, None)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                TerminalSet(members)
+        with pytest.raises(ValueError, match=r"^terminal 1\.5 is not an integer$"):
+            TerminalSet((1.5, 3))
+
     def test_mask(self):
         assert TerminalSet.of(1, 3).mask() == 0b101
 

@@ -127,6 +127,15 @@ class TestTreeType:
         with pytest.raises(InvalidTreeError):
             Tree(((1, 2, 0), (1, 2, 0)))
 
+    def test_rejects_entries_that_are_not_ints(self):
+        for edge in ((1, 2, 0.5), (1.0, 2, 0), (True, 2, 0), (1, 2, False), (1, 2, None)):
+            with pytest.raises(InvalidTreeError, match=r"^malformed edge \("):
+                Tree(((2, 3, 0), edge))
+        # one of them used to pack: the check runs before any packing
+        with pytest.raises(InvalidTreeError, match=r"^malformed edge \(1\.0, 2, 0\)$"):
+            TreePacking(Multigraph(2, {(1, 2): 1}), TerminalSet.of(1, 2),
+                        ((Tree(((1.0, 2, 0),)), 1),))
+
     def test_equality_hash_and_repr_follow_edges_only(self):
         a = Tree(((2, 3, 0), (1, 2, 1), (2, 4, 0)))
         b = Tree(((1, 2, 1), (2, 4, 0), (2, 3, 0)))
@@ -152,7 +161,8 @@ class TestTreeType:
 def _random_edge_list(rng: random.Random) -> list:
     """A tree, or a tree spoiled into a forest, a cycle, a cycle beside a
     second tree (as many vertices as a tree would have), a repeated edge or
-    a malformed edge, or a few arbitrary edges; in shuffled order."""
+    a malformed edge (out of range, or an entry that is a float or a bool),
+    or a few arbitrary edges; in shuffled order."""
     kind = rng.choice(("tree", "forest", "cycle", "cycle_forest", "duplicate",
                        "malformed", "arbitrary"))
     edges = random_tree_edges(rng, rng.randint(2, 9))
@@ -164,7 +174,8 @@ def _random_edge_list(rng: random.Random) -> list:
     elif kind == "duplicate":
         edges.append(rng.choice(edges))
     elif kind == "malformed":
-        i, j, copy = rng.choice(((0, 2, 0), (3, 3, 0), (4, 2, 0), (1, 2, -1)))
+        i, j, copy = rng.choice(((0, 2, 0), (3, 3, 0), (4, 2, 0), (1, 2, -1),
+                                 (1, 2, 0.5), (1.0, 2, 0), (True, 2, 0), (1, 2, False)))
         edges.append((i, j, copy))
     elif kind == "arbitrary":
         edges = [(rng.randint(0, 5), rng.randint(0, 5), rng.randint(-1, 1))

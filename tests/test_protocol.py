@@ -11,6 +11,7 @@ import pinkey.packing
 
 from pinkey import (
     EdgeKeyBits,
+    Gf2Matrix,
     InvalidPackingError,
     Multigraph,
     TerminalSet,
@@ -209,6 +210,27 @@ class TestRunProtocol:
 
     def test_deterministic(self):
         assert full_run(DOUBLED_TRIANGLE, seed=9) == full_run(DOUBLED_TRIANGLE, seed=9)
+
+    def test_rejects_maps_that_do_not_fit_the_packing(self):
+        # every variant keeps |E| = |K| + |F| + |K_R| and each map's shape
+        four = full_run(Multigraph(2, {(1, 2): 4}))  # four one-edge trees
+        with pytest.raises(InvalidPackingError, match=re.escape(
+                "maps of 1 key rows and 1 broadcasts do not fit a packing of "
+                "4 trees and 0 walk steps")):
+            replace(four, key_bits=(0,), transcript_bits=(0,), residual_bits=(0, 0),
+                    key_map=Gf2Matrix.from_rows([(0,)], 4),
+                    transcript_map=Gf2Matrix.from_rows([(1, 2)], 4))
+        unit = full_run(UNIT_TRIANGLE)  # one key row, one broadcast, one residual
+        with pytest.raises(InvalidPackingError, match="1 key rows and 2 broadcasts"):
+            replace(unit, transcript_bits=(0, 0), residual_bits=(),
+                    transcript_map=Gf2Matrix.from_rows(unit.transcript_map.rows + ((2,),), 3))
+        doubled = full_run(DOUBLED_TRIANGLE)  # a key row moved into the transcript
+        with pytest.raises(InvalidPackingError, match="2 key rows and 4 broadcasts"):
+            replace(doubled, key_bits=doubled.key_bits[1:],
+                    transcript_bits=doubled.transcript_bits + doubled.key_bits[:1],
+                    key_map=Gf2Matrix.from_rows(doubled.key_map.rows[1:], 6),
+                    transcript_map=Gf2Matrix.from_rows(
+                        doubled.transcript_map.rows + doubled.key_map.rows[:1], 6))
 
     @pytest.mark.parametrize("change", (-1, 1))
     def test_rejects_bit_count_other_than_edge_count(self, change):
