@@ -24,10 +24,20 @@ broadcast per copy.  The packing and the edge bits (seed 0) are made once;
 each timed call gets a fresh equal graph, so it builds the edge order as a
 CLI request does, then runs ``run_protocol`` and ``audit``.
 
+The ``steiner/`` rows run exact ``steiner_packing``:
+
+* ``set_s1``: the Steiner set, 40 graphs drawn from ``random.Random(7)``:
+  per graph m = ``randint(5, 7)``, then ``randint(0, 3)`` edges per pair
+  (i < j, row-major), then k = ``randint(3, m - 1)`` and A =
+  ``sample(range(1, m + 1), k)``; a graph with more than 40 edges is
+  skipped, and the rest are packed with ``edge_cap=40``;
+* ``path_m20``: the 20-terminal unit path with A = {1, 2, 3}.
+
 Each row reports the best of ``--repeat`` wall-clock times of one
-``spanning_packing``, ``solve_capacity`` or protocol-plus-audit call, with
-what it returned: tree and group counts, the capacity and the LP's column
-count, or the key and transcript bit counts.  The ladder is a record, not
+``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
+pass of exact Steiner packings, with what it returned: tree and group
+counts, the capacity and the LP's column count, the key and transcript
+bit counts, or the graph count and total trees.  The ladder is a record, not
 a gate.  ``--compare BASE.json HEAD.json`` reads two such files instead
 and prints each row's best times and the HEAD/BASE ratio (below 1 where
 HEAD is faster); a row only one file has gets ``-`` for the other.
@@ -81,6 +91,23 @@ def dense_random(m: int) -> PinModel:
         numerator = rng.randint(0, 6)
         weights[pair] = Fraction(numerator, rng.randint(1, 3))
     return PinModel.from_weights(m, weights)
+
+
+def steiner_set() -> list[tuple[Multigraph, TerminalSet]]:
+    rng = random.Random(7)
+    cases = []
+    while len(cases) < 40:
+        m = rng.randint(5, 7)
+        graph = weighted(m, [rng.randint(0, 3) for _ in range(m * (m - 1) // 2)], 1)
+        target = TerminalSet.of(*rng.sample(range(1, m + 1), rng.randint(3, m - 1)))
+        if graph.total_edges() <= 40:
+            cases.append((graph, target))
+    return cases
+
+
+def steiner_rows() -> list[tuple[str, list[tuple[Multigraph, TerminalSet]]]]:
+    path = Multigraph(20, {(i, i + 1): 1 for i in range(1, 20)})
+    return [("set_s1", steiner_set()), ("path_m20", [(path, TerminalSet.of(1, 2, 3))])]
 
 
 def git_revision() -> str:
@@ -153,6 +180,18 @@ def protocol_row(edges: int, repeat: int) -> dict:
     }
 
 
+def steiner_row(name: str, cases, repeat: int) -> dict:
+    packings, timing = timed(
+        lambda: [steiner_packing(graph, target, edge_cap=40) for graph, target in cases],
+        repeat)
+    return {
+        "row": f"steiner/{name}",
+        "graphs": len(cases),
+        "trees": sum(packing.count for packing in packings),
+        **timing,
+    }
+
+
 def compare(base_path: Path, head_path: Path) -> list[str]:
     """Lines of per-row best times of two ladder files and HEAD/BASE, rows
     in BASE's order and then HEAD's own."""
@@ -204,6 +243,11 @@ def main() -> None:
         rows.append(row)
         print(f"{row['row']:<20} |E| = {row['edges']:>6}  |K| = {row['key_bits']:>6}  "
               f"|F| = {row['transcript_bits']:>6}  best {row['best_s']:.4f} s")
+    for name, cases in steiner_rows():
+        row = steiner_row(name, cases, args.repeat)
+        rows.append(row)
+        print(f"{row['row']:<20} graphs {row['graphs']:>3}  trees {row['trees']:>4}  "
+              f"best {row['best_s']:.4f} s")
     report = {
         "label": args.label,
         "revision": git_revision(),

@@ -70,11 +70,14 @@ class WeightAssignment:
     def __post_init__(self) -> None:
         self.target.validate_within(self.m)
         full, amask = (1 << self.m) - 1, self.target.mask()
-        for mask in self.weights:
+        for mask, value in self.weights.items():
             if type(mask) is not int or not 0 < mask < full or mask & amask == amask:
                 raise InvalidAssignmentError(
                     f"subset mask {mask!r} is not a qualifying subset for "
                     f"m={self.m}, A={self.target.members}")
+            if type(value) is not int and type(value) is not Fraction:
+                raise InvalidAssignmentError(
+                    f"weight {value!r} of subset mask {mask} is not an int or a Fraction")
         object.__setattr__(self, "weights", {
             mask: value for mask, value in sorted(self.weights.items()) if value})
 

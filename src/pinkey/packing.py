@@ -19,10 +19,10 @@ Three packing routes, each certified by an independent count:
   vertex pair keeps, for the whole packing, the least forest that may
   still separate it.  The work k·|E| is capped;
 * Steiner packings for intermediate target sets: exact by depth-first
-  search over edge-disjoint trees, pruned by the partition bound
-  ``partitions.min_ratio`` on the remaining capacities (capped, the
-  problem is NP-hard), or a deterministic shortest-path greedy that
-  lower-bounds the optimum.
+  search over edge-disjoint trees, pruned by the partition bound on the
+  remaining capacities, asked of ``partitions.min_ratio`` as a threshold
+  question (capped, the problem is NP-hard), or a deterministic
+  shortest-path greedy that lower-bounds the optimum.
 
 Edge copies are assigned canonically (sorted pair, then 0..e_ij-1), so
 packings are reproducible run to run.  A packing is a tuple of (tree,
@@ -32,7 +32,6 @@ copy k of a group is its tree with every edge's copy number raised by k.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -67,9 +66,10 @@ class Tree:
     _vertices: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for i, j, copy in self.edges:  # before sorting: a bool or float compares as a number
-            if type(i) is not int or type(j) is not int or type(copy) is not int:
-                raise InvalidTreeError(f"malformed edge ({i}, {j}, {copy})")
+        for edge in self.edges:  # before sorting: a bool or float compares as a number
+            if not (isinstance(edge, tuple) and len(edge) == 3
+                    and all(type(x) is int for x in edge)):
+                raise InvalidTreeError(f"malformed edge {edge!r}")
         edges = tuple(sorted(self.edges))
         object.__setattr__(self, "edges", edges)
         if not edges:
@@ -80,7 +80,7 @@ class Tree:
         for edge in edges:
             i, j, copy = edge
             if not (1 <= i < j) or copy < 0:
-                raise InvalidTreeError(f"malformed edge ({i}, {j}, {copy})")
+                raise InvalidTreeError(f"malformed edge {edge!r}")
             incident.setdefault(i, []).append(edge)
             incident.setdefault(j, []).append(edge)
         order = list(edges[0][:2])
@@ -731,23 +731,6 @@ def _steiner_tree_candidates(
     return sorted(found)
 
 
-def _bound_partitions(m: int, target: TerminalSet) -> list[partitions.Partition]:
-    """Partitions used for the packing upper bound during exact search.
-
-    Any subset of qualifying partitions yields a valid (weaker) bound, so
-    for larger m only the two-atom splits are used: those qualifying for
-    {a0, b}, with a0 the least target terminal and b any other.
-    """
-    if m <= 8:
-        return list(partitions.enumerate_partitions(m, target, cap=m))
-    a0 = target.members[0]
-    return list(dict.fromkeys(
-        split
-        for b in target.members[1:]
-        for split in partitions.enumerate_partitions(m, TerminalSet.of(a0, b), cap=m)
-    ))
-
-
 def _exact_steiner(
     graph: Multigraph, target: TerminalSet, edge_cap: int
 ) -> TreePacking:
@@ -758,7 +741,7 @@ def _exact_steiner(
             f"this graph has {total} (use greedy mode)"
         )
     candidates = _steiner_tree_candidates(graph.support_pairs(), target, graph.m)
-    bound_partitions = _bound_partitions(graph.m, target)
+    search = partitions.pruned_partitions(graph.m, target, cap=graph.m)
     caps = dict(graph.multiplicities)
 
     greedy = _greedy_steiner(graph, target)
@@ -768,10 +751,10 @@ def _exact_steiner(
 
     def dfs(start: int, count: int) -> None:
         nonlocal best_count, best_choice
-        # cuts only subtrees that cannot beat best_count, so the packing
-        # found does not depend on which valid bound is used
-        bound = partitions.min_ratio(caps, bound_partitions)[0]
-        if count + math.floor(bound) <= best_count:
+        # cuts only subtrees that cannot beat best_count (some partition
+        # holds fewer than best_count - count + 1 more trees), so the
+        # packing found does not depend on which valid bound is used
+        if partitions.min_ratio(caps, search, below=best_count - count + 1) is not None:
             return
         for index in range(start, len(candidates)):
             pairs = candidates[index]

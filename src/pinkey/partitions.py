@@ -4,8 +4,8 @@
 crossing weight / (atoms - 1): it alone scales the weights to integers and
 compares ratios.  It serves ``best_partition`` (the capacity upper bound),
 ``nash_williams_count`` (its floor on edge multiplicities with A = all
-terminals) and the exact Steiner search in ``packing`` (its floor on the
-remaining edge capacities, as the pruning bound).
+terminals) and the exact Steiner search in ``packing`` (whether the
+remaining edge capacities go below a tree count, as the pruning bound).
 
 Partitions of the terminals are restricted-growth strings (RGS), so each
 appears once, in canonical order.  Only partitions with at least two atoms
@@ -13,10 +13,11 @@ are considered (the one-atom partition would divide by zero), and for a
 target set A only partitions whose every atom meets A qualify.
 They are walked in RGS order by one search, ``pruned_partitions``.
 ``best_partition`` and ``nash_williams_count`` run it as a branch and
-bound; ``enumerate_partitions`` runs it with a bound that never cuts and
-streams every partition, without materializing the Bell-number family;
-that stream feeds the exact-Steiner list and, through ``min_ratio``, is
-the test oracle for the other two callers.
+bound, and the exact Steiner search runs it in threshold mode, asking
+only whether some partition goes below a given ratio;
+``enumerate_partitions`` runs it with a bound that never cuts and
+streams every partition, without materializing the Bell-number family,
+as the test oracle for the other callers.
 
 In the branch and bound, a prefix carries its crossing and, for each
 later terminal, its weight into each prefix atom.  A later terminal joins
@@ -183,21 +184,27 @@ def _crossing(items: list[tuple], assignment: tuple[int, ...]) -> Fraction | int
 def min_ratio(
     table: Mapping[Pair, Fraction | int],
     partitions: Iterable[Partition] | PartitionSearch,
-) -> tuple[Fraction, Partition]:
+    below: int | None = None,
+) -> tuple[Fraction, Partition] | Partition | None:
     """Minimum over the partitions of crossing value / (atoms - 1), with the
     first partition attaining it; ``table`` maps pairs to weights or edge
     multiplicities.  Values are scaled to integers by their common
     denominator and compared by cross-multiplication, so the loop builds no
     Fraction per partition.  ``partitions`` is either scanned in order or,
-    as a ``PartitionSearch``, walked with the incumbent as its bound."""
+    as a ``PartitionSearch``, walked with the incumbent as its bound.
+
+    With ``below`` the incumbent starts at that ratio and the first
+    partition strictly below it is returned, or None when there is none:
+    the search then cuts every prefix that cannot go below the threshold."""
     scale = math.lcm(*(v.denominator for v in table.values()))
     items = [(i, j, int(v * scale)) for i, j, v in _nonzero_items(table)]
     best: Partition | None = None
-    best_crossing, best_parts = 0, 1
+    # the incumbent ratio; 1 / 0 stands for infinity until the first partition
+    best_crossing, best_parts = (1, 0) if below is None else (below * scale, 1)
 
     def beaten(crossing: int, parts: int) -> bool:
         """True when crossing / parts does not strictly beat the incumbent."""
-        return best is not None and crossing * best_parts >= best_crossing * parts
+        return crossing * best_parts >= best_crossing * parts
 
     if callable(partitions):
         partitions = partitions(items, beaten)
@@ -205,9 +212,13 @@ def min_ratio(
         crossing = _crossing(items, partition.assignment)
         parts = partition.size - 1
         if not beaten(crossing, parts):
+            if below is not None:
+                return partition
             best, best_crossing, best_parts = partition, crossing, parts
             if crossing == 0:
                 break
+    if below is not None:
+        return None
     if best is None:
         raise ValueError("no partition to minimize over")
     return Fraction(best_crossing, best_parts * scale), best

@@ -351,19 +351,6 @@ class RowGf2Matrix:
                      for row in self.rows)
 
 
-def bitmask_splits(m: int, target: TerminalSet) -> list[tuple[int, ...]]:
-    """Canonical assignments of every two-atom split of 1..m whose sides
-    both meet the target, one bitmask per side up to complement."""
-    amask = target.mask()
-    out = []
-    for mask in range(1, 1 << (m - 1)):
-        if (mask & amask) and ((~mask) & amask):
-            assignment = tuple(0 if mask >> t & 1 else 1 for t in range(m))
-            first = assignment[0]
-            out.append(tuple(a ^ first for a in assignment))
-    return out
-
-
 def fraction_solve_lp(
     costs: Sequence[Fraction],
     rows: Sequence[Sequence[Fraction]],
@@ -650,9 +637,10 @@ def reference_tree_check(edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The tree shape check with a separate connectivity search: returns
     (sorted edges, sorted vertices) or raises ``InvalidTreeError`` with the
     message ``pinkey.Tree`` must give."""
-    for (i, j, copy) in edges:
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, copy)):
-            raise InvalidTreeError(f"malformed edge ({i}, {j}, {copy})")
+    for edge in edges:
+        if not isinstance(edge, tuple) or len(edge) != 3 or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in edge):
+            raise InvalidTreeError(f"malformed edge {edge!r}")
     edges = tuple(sorted(edges))
     if not edges:
         raise InvalidTreeError("a tree needs at least one edge")

@@ -109,6 +109,12 @@ class TestObjective:
         for mask in (0, 0b111, 0b011, 0b1011, 0b1000, 1.0, True):
             with pytest.raises(InvalidAssignmentError, match="not a qualifying subset"):
                 WeightAssignment(3, TerminalSet.of(1, 2), {0b100: Fraction(1), mask: Fraction(0)})
+        # weights that are neither an int nor a Fraction, zero ones included
+        for value in (1.0, 0.0, "1", True, False, None):
+            with pytest.raises(InvalidAssignmentError,
+                               match=f"^weight {re.escape(repr(value))} of subset mask 2 "
+                                     "is not an int or a Fraction$"):
+                WeightAssignment(2, TerminalSet.of(1, 2), {0b01: Fraction(1), 0b10: value})
 
     def test_zero_weights_dropped_and_masks_sorted(self):
         lam = WeightAssignment(3, FULL3, {0b110: Fraction(1), 0b010: Fraction(0),

@@ -215,6 +215,13 @@ class TestPackCommand:
         assert code == 0
         assert json.loads(out)["scale"] == 1
 
+    def test_exact_steiner_on_a_long_unit_path(self, capsys, tmp_path):
+        path = _integer_model_file(tmp_path, 20, {(i, i + 1): 1 for i in range(1, 20)})
+        code, out, _ = run_cli(capsys, "pack", path, "--set", "1,2,3",
+                               "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["tree_count"] == 1
+
     def test_invalid_scale(self, capsys, tmp_path):
         doc = {"terminals": 2, "weights": [{"i": 1, "j": 2, "value": "3/2"}]}
         path = tmp_path / "half.json"

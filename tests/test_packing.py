@@ -33,11 +33,10 @@ from pinkey import (
     steiner_rate_lower_bound,
 )
 from pinkey.packing import (
-    SPANNING_WORK_CAP, _bound_partitions, _Forest, _ForestRuns, _max_flow)
+    SPANNING_WORK_CAP, _Forest, _ForestRuns, _max_flow)
 
 from helpers import (
     _ReferenceForest,
-    bitmask_splits,
     brute_min_cut,
     brute_steiner_packing_count,
     random_multigraph,
@@ -131,6 +130,11 @@ class TestTreeType:
         for edge in ((1, 2, 0.5), (1.0, 2, 0), (True, 2, 0), (1, 2, False), (1, 2, None)):
             with pytest.raises(InvalidTreeError, match=r"^malformed edge \("):
                 Tree(((2, 3, 0), edge))
+        # edges that are not 3-tuples fail the same way, not in unpacking
+        for edge, shown in (((1, 2), r"\(1, 2\)"), ((1, 2, 0, 0), r"\(1, 2, 0, 0\)"),
+                            (5, "5")):
+            with pytest.raises(InvalidTreeError, match=f"^malformed edge {shown}$"):
+                Tree((edge,))
         # one of them used to pack: the check runs before any packing
         with pytest.raises(InvalidTreeError, match=r"^malformed edge \(1\.0, 2, 0\)$"):
             TreePacking(Multigraph(2, {(1, 2): 1}), TerminalSet.of(1, 2),
@@ -161,8 +165,8 @@ class TestTreeType:
 def _random_edge_list(rng: random.Random) -> list:
     """A tree, or a tree spoiled into a forest, a cycle, a cycle beside a
     second tree (as many vertices as a tree would have), a repeated edge or
-    a malformed edge (out of range, or an entry that is a float or a bool),
-    or a few arbitrary edges; in shuffled order."""
+    a malformed edge (out of range, an entry that is a float or a bool, or
+    not a 3-tuple), or a few arbitrary edges; in shuffled order."""
     kind = rng.choice(("tree", "forest", "cycle", "cycle_forest", "duplicate",
                        "malformed", "arbitrary"))
     edges = random_tree_edges(rng, rng.randint(2, 9))
@@ -174,9 +178,9 @@ def _random_edge_list(rng: random.Random) -> list:
     elif kind == "duplicate":
         edges.append(rng.choice(edges))
     elif kind == "malformed":
-        i, j, copy = rng.choice(((0, 2, 0), (3, 3, 0), (4, 2, 0), (1, 2, -1),
-                                 (1, 2, 0.5), (1.0, 2, 0), (True, 2, 0), (1, 2, False)))
-        edges.append((i, j, copy))
+        edges.append(rng.choice(((0, 2, 0), (3, 3, 0), (4, 2, 0), (1, 2, -1),
+                                 (1, 2, 0.5), (1.0, 2, 0), (True, 2, 0), (1, 2, False),
+                                 (1, 2), (1, 2, 0, 0), 5)))
     elif kind == "arbitrary":
         edges = [(rng.randint(0, 5), rng.randint(0, 5), rng.randint(-1, 1))
                  for _ in range(rng.randint(0, 6))]
@@ -635,7 +639,7 @@ class TestSteinerPacking:
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_unchanged_without_pruning_bound(self, seed, monkeypatch):
         rng = random.Random(seed)
-        m = rng.randint(4, 10)
+        m = rng.randint(4, 14)
         pairs = list(itertools.combinations(range(1, m + 1), 2))
         counts = dict.fromkeys(pairs, 0)
         for _ in range(rng.randint(m, 16)):
@@ -643,18 +647,10 @@ class TestSteinerPacking:
         graph = Multigraph(m, counts)
         target = random_terminal_set(rng, m, size=rng.randint(3, m - 1))
         pruned = steiner_packing(graph, target, mode="exact")
+        # no partition below any threshold: the bound never cuts
         monkeypatch.setattr(pinkey.partitions, "min_ratio",
-                            lambda table, partitions: (Fraction(10**9), None))
+                            lambda table, partitions, below: None)
         assert steiner_packing(graph, target, mode="exact") == pruned
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_wide_bound_splits_match_bitmask(self, seed):
-        rng = random.Random(seed)
-        m = rng.randint(9, 11)
-        target = random_terminal_set(rng, m)
-        splits = [p.assignment for p in _bound_partitions(m, target)]
-        assert len(set(splits)) == len(splits)
-        assert sorted(splits) == sorted(bitmask_splits(m, target))
 
     @given(st.integers(0, 10_000))
     def test_greedy_tree_leaves_are_targets(self, seed):
@@ -676,6 +672,17 @@ class TestSteinerPacking:
         graph = Multigraph(4, counts)
         packing = steiner_packing(graph, TerminalSet.of(1, 2, 4), mode=mode)
         assert packing.count == 0
+
+    def test_exact_long_unit_path_is_bounded_by_the_partition_search(self):
+        # 20 terminals: every node asks the one pruned partition search
+        # whether a partition goes below the needed tree count, and the
+        # split {1} | rest answers at once
+        path = Multigraph(20, {(i, i + 1): 1 for i in range(1, 20)})
+        start = time.perf_counter()
+        packing = steiner_packing(path, TerminalSet.of(1, 2, 3), mode="exact")
+        assert time.perf_counter() - start < 1.0
+        assert packing.count == 1
+        assert packing.trees[0].pairs() == ((1, 2), (2, 3))
 
     def test_exact_cap(self):
         heavy = Multigraph(5, {p: 3 for p in itertools.combinations(range(1, 6), 2)})

@@ -298,6 +298,26 @@ class TestPrunedSearch:
             min_ratio(graph.multiplicities, enumerate_partitions(graph.m, full))[0])
         assert nash_williams_count(graph) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 7).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.integers(0, 4), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2),
+        st.sets(st.integers(1, m), min_size=2),
+        st.integers(1, 5))))
+    def test_threshold_query_matches_the_oracle_minimum(self, case):
+        m, values, members, below = case
+        table = dict(zip(itertools.combinations(range(1, m + 1), 2), values))
+        target = TerminalSet(tuple(sorted(members)))
+        found = min_ratio(table, pruned_partitions(m, target), below=below)
+        oracle = min_ratio(table, enumerate_partitions(m, target))[0]
+        if oracle >= below:
+            assert found is None
+        else:
+            assert found in set(enumerate_partitions(m, target))
+            side = found.assignment
+            crossing = sum(w for (i, j), w in table.items() if side[i - 1] != side[j - 1])
+            assert Fraction(crossing, found.size - 1) < below
+
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             pruned_partitions(13, TerminalSet.of(1, 2))

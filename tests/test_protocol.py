@@ -353,7 +353,8 @@ class TestGroupsAgainstPerCopyOracles:
             target = TerminalSet.full(m)
         else:
             target = random_terminal_set(rng, m, rng.randint(3, m - 1))
-        packing = steiner_packing(graph, target,
+        # up to 30 edges at m = 5, above the default exact-search cap of 24
+        packing = steiner_packing(graph, target, edge_cap=30,
                                   mode="greedy" if route == "greedy" else "exact")
         keys = draw_edge_keys(graph, seed)
         run = run_protocol(graph, packing, keys, target)

@@ -45,7 +45,8 @@ def test_ladder_writes_a_bench_file(tmp_path):
     assert list(rows) == ["spanning/found9", "spanning/K4x300", "spanning/K6x210"] + [
         f"spanning/random_m{m}" for m in range(9, 13)] + [
         f"capacity/dense_m{m}" for m in range(9, 13)] + [
-        f"protocol/path_{size}k" for size in (30, 100, 300)]
+        f"protocol/path_{size}k" for size in (30, 100, 300)] + [
+        "steiner/set_s1", "steiner/path_m20"]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
     assert rows["capacity/dense_m12"]["value"] == "653/66"
@@ -56,6 +57,8 @@ def test_ladder_writes_a_bench_file(tmp_path):
         assert row["edges"] == size * 1000
         assert row["key_bits"] == row["transcript_bits"] == size * 500
         assert row["audit_passed"] is True
+    assert (rows["steiner/set_s1"]["graphs"], rows["steiner/set_s1"]["trees"]) == (40, 185)
+    assert (rows["steiner/path_m20"]["graphs"], rows["steiner/path_m20"]["trees"]) == (1, 1)
     assert all(row["best_s"] == min(row["times_s"]) for row in rows.values())
 
 
