@@ -12,10 +12,13 @@ same ladder.  The ``spanning/`` rows are spanning-tree packings
 * ``random_m9`` .. ``random_m12``: integer-random graphs, one
   ``randint(0, 6)`` per pair (i < j, row-major) from ``random.Random(m)``.
 
-The ``capacity/`` rows ``dense_m9`` .. ``dense_m12`` solve the capacity
-LP at ``A = M`` on dense-random models: pair weight ``randint(0, 6)`` over
-``randint(1, 3)``, drawn in that order per pair (i < j, row-major) from
-``random.Random(m)``.
+The ``capacity/`` rows solve the capacity LP on dense-random models: pair
+weight ``randint(0, 6)`` over ``randint(1, 3)``, drawn in that order per
+pair (i < j, row-major) from ``random.Random(m)``.  They cover the LP's
+three target regimes at m = 9 .. 12: ``dense_m9`` .. ``dense_m12`` at
+``A = M``, ``dense_m9_pair`` .. at A = {1, 2}, and ``dense_m9_half`` .. at
+A = {1, .., ceil(m/2)}.  The ``bound/`` rows ``dense_m9`` .. ``dense_m12``
+compute ``upper_bound`` on the same models at ``A = M``.
 
 The ``protocol/`` rows ``path_30k``, ``path_100k`` and ``path_300k`` run
 the key protocol on the three-terminal path with half the edges on pair
@@ -49,20 +52,28 @@ HEAD is faster); a row only one file has gets ``-`` for the other.
 import argparse
 import itertools
 import json
+import math
+import os
 import platform
 import random
 import subprocess
+import sys
+import tempfile
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from pinkey import (Multigraph, PinModel, TerminalSet, audit, draw_edge_keys,
                     format_rational, run_protocol, solve_capacity, spanning_packing,
-                    steiner_packing, subset_family)
+                    steiner_packing, subset_family, upper_bound)
 
 ROOT = Path(__file__).resolve().parent.parent
 FOUND9_WEIGHTS = (1, 2, 0, 2, 5, 4, 1, 4, 3, 6, 0, 1, 0, 3, 1, 0, 5, 1, 3, 5, 4, 5,
                   3, 4, 6, 1, 5, 6, 5, 4, 3, 1, 4, 5, 0, 3)
+CAPACITY_TARGETS = (("", TerminalSet.full),
+                    ("_pair", lambda m: TerminalSet.of(1, 2)),
+                    ("_half", lambda m: TerminalSet.of(*range(1, math.ceil(m / 2) + 1))))
 
 
 def weighted(m: int, weights, copies: int) -> Multigraph:
@@ -110,9 +121,9 @@ def steiner_rows() -> list[tuple[str, list[tuple[Multigraph, TerminalSet]]]]:
     return [("set_s1", steiner_set()), ("path_m20", [(path, TerminalSet.of(1, 2, 3))])]
 
 
-def git_revision() -> str:
+def git_revision(root: Path) -> str:
     def git(*args: str) -> str:
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
                               text=True, check=True).stdout.strip()
 
     try:
@@ -132,10 +143,9 @@ def timed(call, repeat: int):
     return result, {"best_s": min(times), "times_s": times}
 
 
-def spanning_row(name: str, graph: Multigraph, repeat: int) -> dict:
+def spanning_row(graph: Multigraph, repeat: int) -> dict:
     packing, timing = timed(lambda: spanning_packing(graph), repeat)
     return {
-        "row": f"spanning/{name}",
         "terminals": graph.m,
         "edges": graph.total_edges(),
         "trees": packing.count,
@@ -144,15 +154,23 @@ def spanning_row(name: str, graph: Multigraph, repeat: int) -> dict:
     }
 
 
-def capacity_row(m: int, repeat: int) -> dict:
+def capacity_row(m: int, target: TerminalSet, repeat: int) -> dict:
     model = dense_random(m)
-    target = TerminalSet.full(m)
     result, timing = timed(lambda: solve_capacity(model, target), repeat)
     return {
-        "row": f"capacity/dense_m{m}",
         "terminals": m,
         "columns": len(subset_family(m, target).subsets),
         "value": format_rational(result.value),
+        **timing,
+    }
+
+
+def bound_row(m: int, repeat: int) -> dict:
+    model = dense_random(m)
+    value, timing = timed(lambda: upper_bound(model, TerminalSet.full(m)), repeat)
+    return {
+        "terminals": m,
+        "value": format_rational(value),
         **timing,
     }
 
@@ -170,7 +188,6 @@ def protocol_row(edges: int, repeat: int) -> dict:
 
     (run, report), timing = timed(protocol_and_audit, repeat)
     return {
-        "row": f"protocol/path_{edges // 1000}k",
         "terminals": 3,
         "edges": edges,
         "key_bits": len(run.key_bits),
@@ -180,30 +197,58 @@ def protocol_row(edges: int, repeat: int) -> dict:
     }
 
 
-def steiner_row(name: str, cases, repeat: int) -> dict:
+def steiner_row(cases, repeat: int) -> dict:
     packings, timing = timed(
         lambda: [steiner_packing(graph, target, edge_cap=40) for graph, target in cases],
         repeat)
     return {
-        "row": f"steiner/{name}",
         "graphs": len(cases),
         "trees": sum(packing.count for packing in packings),
         **timing,
     }
 
 
-def compare(base_path: Path, head_path: Path) -> list[str]:
-    """Lines of per-row best times of two ladder files and HEAD/BASE, rows
-    in BASE's order and then HEAD's own."""
-    base, head = (json.loads(path.read_text(encoding="utf-8"))
-                  for path in (base_path, head_path))
-    best = [{row["row"]: row["best_s"] for row in report["rows"]}
-            for report in (base, head)]
+def ladder() -> list[tuple[str, object]]:
+    """Every row's name and a call that times it given ``repeat`` and
+    returns its fields, in ladder order."""
+    rows = [(f"spanning/{name}", partial(spanning_row, graph))
+            for name, graph in spanning_rows()]
+    rows += [(f"capacity/dense_m{m}{suffix}", partial(capacity_row, m, target(m)))
+             for suffix, target in CAPACITY_TARGETS for m in range(9, 13)]
+    rows += [(f"bound/dense_m{m}", partial(bound_row, m)) for m in range(9, 13)]
+    rows += [(f"protocol/path_{edges // 1000}k", partial(protocol_row, edges))
+             for edges in (30_000, 100_000, 300_000)]
+    rows += [(f"steiner/{name}", partial(steiner_row, cases))
+             for name, cases in steiner_rows()]
+    return rows
+
+
+def describe(row: dict) -> str:
+    family = row["row"].split("/")[0]
+    if family == "spanning":
+        text = (f"|E| = {row['edges']:>5}  trees {row['trees']:>4}  "
+                f"groups {row['groups']:>4}")
+    elif family == "capacity":
+        text = f"columns {row['columns']:>4}  C = {row['value']:<8}"
+    elif family == "bound":
+        text = f"C^ub = {row['value']:<8}"
+    elif family == "protocol":
+        text = (f"|E| = {row['edges']:>6}  |K| = {row['key_bits']:>6}  "
+                f"|F| = {row['transcript_bits']:>6}")
+    else:
+        text = f"graphs {row['graphs']:>3}  trees {row['trees']:>4}"
+    return f"{row['row']:<24} {text}  best {row['best_s']:.4f} s"
+
+
+def table(sides: list[str], best: list[dict], prefix: str) -> list[str]:
+    """Lines of per-row best times of two sides and HEAD/BASE, rows in
+    BASE's order and then HEAD's own."""
     names = list(best[0]) + [name for name in best[1] if name not in best[0]]
-    lines = [f"BASE {base['label']} ({base['revision']})",
-             f"HEAD {head['label']} ({head['revision']})",
+    lines = [f"BASE {sides[0]}", f"HEAD {sides[1]}",
              f"{'row':<24} {'BASE s':>9} {'HEAD s':>9} {'HEAD/BASE':>9}"]
     for name in names:
+        if not name.startswith(prefix):
+            continue
         times = [side.get(name) for side in best]
         shown = ["-" if t is None else f"{t:.4f}" for t in times]
         ratio = "-" if None in times or not times[0] else f"{times[1] / times[0]:.3f}"
@@ -211,46 +256,69 @@ def compare(base_path: Path, head_path: Path) -> list[str]:
     return lines
 
 
+def compare_files(paths: list[Path], prefix: str) -> list[str]:
+    reports = [json.loads(path.read_text(encoding="utf-8")) for path in paths]
+    return table([f"{report['label']} ({report['revision']})" for report in reports],
+                 [{row["row"]: row["best_s"] for row in report["rows"]}
+                  for report in reports], prefix)
+
+
+def compare_roots(roots: list[Path], rounds: int, prefix: str) -> list[str]:
+    """Time the ladder against each root's ``src`` in fresh interpreters,
+    ``rounds`` times, the side that goes first alternating per round."""
+    best: list[dict] = [{}, {}]
+    with tempfile.TemporaryDirectory() as out:
+        for k in range(rounds):
+            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                subprocess.run(
+                    [sys.executable, __file__, "--label", f"side{side}", "--repeat", "1",
+                     "--out", out, "--rows", prefix],
+                    env=dict(os.environ, PYTHONPATH=str(roots[side] / "src")),
+                    stdout=subprocess.DEVNULL, check=True)
+                report = json.loads(Path(out, f"BENCH_side{side}.json").read_text(
+                    encoding="utf-8"))
+                for row in report["rows"]:
+                    name = row["row"]
+                    best[side][name] = min(row["best_s"], best[side].get(name, math.inf))
+    return table([f"{root} ({git_revision(root)})" for root in roots], best, prefix)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", help="names BENCH_<label>.json")
-    parser.add_argument("--repeat", type=int, default=5, help="runs per row (best kept)")
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="runs per row, or rounds per side given two roots "
+                             "(best kept)")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument("--rows", default="", metavar="PREFIX",
+                        help="only the rows whose name starts with PREFIX")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BASE", "HEAD"),
-                        help="compare two BENCH_*.json files instead of timing")
+                        help="compare two BENCH_*.json files or two checkout roots "
+                             "instead of timing")
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be positive")
     if args.compare:
-        print("\n".join(compare(*args.compare)))
+        if all(path.is_file() for path in args.compare):
+            print("\n".join(compare_files(args.compare, args.rows)))
+        elif all((path / "src" / "pinkey").is_dir() for path in args.compare):
+            roots = [path.resolve() for path in args.compare]
+            print("\n".join(compare_roots(roots, args.repeat, args.rows)))
+        else:
+            parser.error("--compare takes two BENCH_*.json files or two checkout "
+                         "roots holding src/pinkey")
         return
     if args.label is None:
         parser.error("--label is required unless --compare is given")
-    if args.repeat < 1:
-        parser.error("--repeat must be positive")
     rows = []
-    for name, graph in spanning_rows():
-        row = spanning_row(name, graph, args.repeat)
-        rows.append(row)
-        print(f"{row['row']:<20} |E| = {row['edges']:>5}  trees {row['trees']:>4}  "
-              f"groups {row['groups']:>4}  best {row['best_s']:.4f} s")
-    for m in range(9, 13):
-        row = capacity_row(m, args.repeat)
-        rows.append(row)
-        print(f"{row['row']:<20} columns {row['columns']:>4}  "
-              f"C = {row['value']:<8} best {row['best_s']:.4f} s")
-    for edges in (30_000, 100_000, 300_000):
-        row = protocol_row(edges, args.repeat)
-        rows.append(row)
-        print(f"{row['row']:<20} |E| = {row['edges']:>6}  |K| = {row['key_bits']:>6}  "
-              f"|F| = {row['transcript_bits']:>6}  best {row['best_s']:.4f} s")
-    for name, cases in steiner_rows():
-        row = steiner_row(name, cases, args.repeat)
-        rows.append(row)
-        print(f"{row['row']:<20} graphs {row['graphs']:>3}  trees {row['trees']:>4}  "
-              f"best {row['best_s']:.4f} s")
+    for name, time_row in ladder():
+        if name.startswith(args.rows):
+            rows.append({"row": name, **time_row(args.repeat)})
+            print(describe(rows[-1]))
     report = {
         "label": args.label,
-        "revision": git_revision(),
+        "revision": git_revision(ROOT),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeat": args.repeat,

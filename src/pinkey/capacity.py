@@ -6,9 +6,9 @@ LP's columns.  A weight assignment puts a fractional weight on each subset
 so that the weights covering any given terminal sum to one; the capacity is
 the minimum, over assignments, of the weighted sum of pairwise correlations
 separated by the subsets.  With rational weights the minimum is rational
-and is attained at a polytope vertex, which the exact simplex returns.
-An assignment's ``weights`` map subset bitmasks to the nonzero weights
-only, so a vertex holds at most m entries, one per basic variable.
+and is attained at a polytope vertex: the exact simplex returns the one
+Bland's rule reaches, whatever its pricing.  An assignment's ``weights``
+map subset bitmasks to the nonzero weights only, at most m at a vertex.
 
 A second, entropy-based form of the same objective is available for
 pmf-backed models; agreement between the two (within 1e-9) is a strong

@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,13 +45,20 @@ def test_ladder_writes_a_bench_file(tmp_path):
     rows = {row["row"]: row for row in report["rows"]}
     assert list(rows) == ["spanning/found9", "spanning/K4x300", "spanning/K6x210"] + [
         f"spanning/random_m{m}" for m in range(9, 13)] + [
-        f"capacity/dense_m{m}" for m in range(9, 13)] + [
+        f"capacity/dense_m{m}{suffix}" for suffix in ("", "_pair", "_half")
+        for m in range(9, 13)] + [
+        f"bound/dense_m{m}" for m in range(9, 13)] + [
         f"protocol/path_{size}k" for size in (30, 100, 300)] + [
         "steiner/set_s1", "steiner/path_m20"]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
     assert rows["capacity/dense_m12"]["value"] == "653/66"
     assert rows["capacity/dense_m12"]["columns"] == 2 ** 12 - 2
+    assert rows["capacity/dense_m12_pair"]["columns"] == 2 ** 12 - 2 ** 10 - 1
+    assert rows["capacity/dense_m12_half"]["columns"] == 2 ** 12 - 2 ** 6 - 1
+    for m in range(9, 13):
+        # at A = M the capacity equals the partition bound
+        assert rows[f"bound/dense_m{m}"]["value"] == rows[f"capacity/dense_m{m}"]["value"]
     for size in (30, 100, 300):
         row = rows[f"protocol/path_{size}k"]
         # half the edges carry key bits, the other half one broadcast each
@@ -82,6 +90,33 @@ def test_ladder_compare_prints_best_times_and_ratios(tmp_path):
         ["protocol/b", "0.1000", "-", "-"],
         ["capacity/c", "-", "0.3000", "-"],
     ]
+
+
+def test_ladder_compare_times_two_roots_interleaved(tmp_path):
+    roots = [tmp_path / "base", tmp_path / "head"]
+    for root in roots:
+        shutil.copytree(ROOT / "src", root / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    result = run_script("ladder.py", "--compare", *map(str, roots), "--repeat", "2",
+                        "--rows", "capacity/dense_m9")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith(f"BASE {roots[0]} (")
+    assert lines[1].startswith(f"HEAD {roots[1]} (")
+    table = [line.split() for line in lines[3:]]
+    assert [row[0] for row in table] == [
+        "capacity/dense_m9", "capacity/dense_m9_pair", "capacity/dense_m9_half"]
+    for _, base, head, ratio in table:
+        assert float(base) > 0 and float(head) > 0
+        assert float(ratio) > 0
+
+
+def test_ladder_compare_rejects_a_file_and_a_root(tmp_path):
+    bench = tmp_path / "BENCH_x.json"
+    bench.write_text("{}")
+    result = run_script("ladder.py", "--compare", str(bench), str(ROOT))
+    assert result.returncode == 2
+    assert "two checkout roots" in result.stderr
 
 
 def test_ladder_needs_a_label_to_time():
