@@ -17,7 +17,13 @@ weight ``randint(0, 6)`` over ``randint(1, 3)``, drawn in that order per
 pair (i < j, row-major) from ``random.Random(m)``.  They cover the LP's
 three target regimes at m = 9 .. 12: ``dense_m9`` .. ``dense_m12`` at
 ``A = M``, ``dense_m9_pair`` .. at A = {1, 2}, and ``dense_m9_half`` .. at
-A = {1, .., ceil(m/2)}.  The ``bound/`` rows ``dense_m9`` .. ``dense_m12``
+A = {1, .., ceil(m/2)}.  ``capacity/floor_m6`` is the fixed per-request
+floor of small LPs: ``solve_capacity`` plus ``best_partition``, as the
+``capacity`` command runs them, over 34 models with m = 6, each drawn
+from ``random.Random(6)`` with three targets in turn (|A| = 2, 3, 6):
+per pair (i < j, row-major) a quarter are zero and the rest weigh
+``randint(1, 8)`` over ``randint(1, 4)``, then A = ``sample(range(1, 7),
+|A|)``.  The ``bound/`` rows ``dense_m9`` .. ``dense_m12``
 compute ``upper_bound`` on the same models at ``A = M``.
 
 The ``protocol/`` rows ``path_30k``, ``path_100k`` and ``path_300k`` run
@@ -38,9 +44,10 @@ The ``steiner/`` rows run exact ``steiner_packing``:
 
 Each row reports the best of ``--repeat`` wall-clock times of one
 ``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
-pass of exact Steiner packings, with what it returned: tree and group
-counts, the capacity and the LP's column count, the key and transcript
-bit counts, or the graph count and total trees.  The ladder is a record, not
+pass of LPs or exact Steiner packings, with what it returned: tree and
+group counts, the capacity and the LP's column count, each target size,
+capacity and bound of the floor set, the key and transcript bit counts,
+or the graph count and total trees.  The ladder is a record, not
 a gate.  ``--compare BASE.json HEAD.json`` reads two such files instead
 and prints each row's best times and the HEAD/BASE ratio (below 1 where
 HEAD is faster); a row only one file has gets ``-`` for the other.
@@ -64,13 +71,14 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from pinkey import (Multigraph, PinModel, TerminalSet, audit, draw_edge_keys,
-                    format_rational, run_protocol, solve_capacity, spanning_packing,
-                    steiner_packing, subset_family, upper_bound)
+from pinkey import (Multigraph, PinModel, TerminalSet, audit, best_partition,
+                    draw_edge_keys, format_rational, run_protocol, solve_capacity,
+                    spanning_packing, steiner_packing, subset_family, upper_bound)
 
 ROOT = Path(__file__).resolve().parent.parent
 FOUND9_WEIGHTS = (1, 2, 0, 2, 5, 4, 1, 4, 3, 6, 0, 1, 0, 3, 1, 0, 5, 1, 3, 5, 4, 5,
                   3, 4, 6, 1, 5, 6, 5, 4, 3, 1, 4, 5, 0, 3)
+FLOOR_COPIES = 34
 CAPACITY_TARGETS = (("", TerminalSet.full),
                     ("_pair", lambda m: TerminalSet.of(1, 2)),
                     ("_half", lambda m: TerminalSet.of(*range(1, math.ceil(m / 2) + 1))))
@@ -102,6 +110,20 @@ def dense_random(m: int) -> PinModel:
         numerator = rng.randint(0, 6)
         weights[pair] = Fraction(numerator, rng.randint(1, 3))
     return PinModel.from_weights(m, weights)
+
+
+def floor_set() -> list[tuple[PinModel, TerminalSet]]:
+    rng = random.Random(6)
+    cases = []
+    for _ in range(FLOOR_COPIES):
+        for size in (2, 3, 6):
+            weights = {}
+            for pair in itertools.combinations(range(1, 7), 2):
+                if rng.random() >= 0.25:
+                    weights[pair] = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+            target = TerminalSet.of(*rng.sample(range(1, 7), size))
+            cases.append((PinModel.from_weights(6, weights), target))
+    return cases
 
 
 def steiner_set() -> list[tuple[Multigraph, TerminalSet]]:
@@ -165,6 +187,19 @@ def capacity_row(m: int, target: TerminalSet, repeat: int) -> dict:
     }
 
 
+def floor_row(cases, repeat: int) -> dict:
+    pairs, timing = timed(
+        lambda: [(solve_capacity(model, target).value, best_partition(model, target)[0])
+                 for model, target in cases], repeat)
+    return {
+        "lps": len(cases),
+        "sizes": [len(target) for _, target in cases],
+        "capacities": [format_rational(capacity) for capacity, _ in pairs],
+        "bounds": [format_rational(bound) for _, bound in pairs],
+        **timing,
+    }
+
+
 def bound_row(m: int, repeat: int) -> dict:
     model = dense_random(m)
     value, timing = timed(lambda: upper_bound(model, TerminalSet.full(m)), repeat)
@@ -215,6 +250,7 @@ def ladder() -> list[tuple[str, object]]:
             for name, graph in spanning_rows()]
     rows += [(f"capacity/dense_m{m}{suffix}", partial(capacity_row, m, target(m)))
              for suffix, target in CAPACITY_TARGETS for m in range(9, 13)]
+    rows.append(("capacity/floor_m6", partial(floor_row, floor_set())))
     rows += [(f"bound/dense_m{m}", partial(bound_row, m)) for m in range(9, 13)]
     rows += [(f"protocol/path_{edges // 1000}k", partial(protocol_row, edges))
              for edges in (30_000, 100_000, 300_000)]
@@ -228,6 +264,9 @@ def describe(row: dict) -> str:
     if family == "spanning":
         text = (f"|E| = {row['edges']:>5}  trees {row['trees']:>4}  "
                 f"groups {row['groups']:>4}")
+    elif row["row"] == "capacity/floor_m6":
+        tight = sum(c == b for c, b in zip(row["capacities"], row["bounds"]))
+        text = f"LPs {row['lps']:>4}  tight {tight:>4}"
     elif family == "capacity":
         text = f"columns {row['columns']:>4}  C = {row['value']:<8}"
     elif family == "bound":

@@ -10,6 +10,15 @@ and is attained at a polytope vertex: the exact simplex returns the one
 Bland's rule reaches, whatever its pricing.  An assignment's ``weights``
 map subset bitmasks to the nonzero weights only, at most m at a vertex.
 
+The LP's integer costs come from one table over all masks, built by a
+recurrence on each mask's lowest terminal in O(2^m) additions.
+``solve_capacity`` checks the solver's vertex in the solver's own
+integers, the basic values ``β`` over the denominator ``d``: every ``β``
+lies in ``[0, d]``, the ``β`` covering each terminal sum to ``d``, and the
+objective recomputed from the model's weights equals the solver's
+``C_B·β``.  Fractions are built only for what it returns: the value, the
+m support weights and the pair coefficients.
+
 A second, entropy-based form of the same objective is available for
 pmf-backed models; agreement between the two (within 1e-9) is a strong
 end-to-end check of the entropy bookkeeping.
@@ -140,29 +149,57 @@ def _objective(model: PinModel, coeffs: Mapping[Pair, Fraction]):
 def _lp_costs(model: PinModel, family: SubsetFamily) -> tuple[list[int], int]:
     """Per subset, the weight of the pairs it separates (lower terminal
     inside, higher outside), as integers over the base scale; returns the
-    costs and that scale."""
+    costs and that scale.
+
+    One table holds the cost of every mask.  With t the lowest terminal of
+    B, ``c(B) = c(B - t) + Σ_{j > t, j ∉ B} w_tj``, and the row sum is
+    ``w_t(above t) - w_t(B above t)``, read from a subset-sum table of
+    row t over the terminals above t; so the table costs O(2^m) additions."""
     weights = model.require_exact("capacity LP costs")
-    scale = base_scale(model)
-    terms = [
-        (1 << (i - 1), 1 << (j - 1), w.numerator * (scale // w.denominator))
-        for (i, j), w in weights.items()
-        if w
-    ]
-    costs = [
-        sum(w for inside, outside, w in terms
-            if mask & inside and not mask & outside)
-        for mask in family.subsets
-    ]
-    return costs, scale
+    scale, m = base_scale(model), family.m
+    rows = [[0] * (m - 1 - t) for t in range(m)]
+    for (i, j), w in weights.items():
+        if w:
+            rows[i - 1][j - i - 1] = w.numerator * (scale // w.denominator)
+    table = [0] * (1 << m)
+    for t in range(m - 1, -1, -1):
+        sums = [0]  # sums[H]: row t's weight on the terminals t + 1 + (bits of H)
+        for w in rows[t]:
+            sums += [s + w for s in sums] if w else sums
+        total, step = sums[-1], 2 << t
+        # the masks H << (t + 1), then the same masks with t added
+        table[1 << t::step] = [c + total - s for c, s in zip(table[::step], sums)]
+    return [table[mask] for mask in family.subsets], scale
 
 
-def _basic_assignment(family: SubsetFamily, result: SimplexResult) -> WeightAssignment:
-    """The LP's basic solution as a checked assignment: only the m basic
-    columns can carry a nonzero weight."""
-    assignment = WeightAssignment(family.m, family.target, {
-        family.subsets[var]: result.solution[var] for var in result.basis})
-    assignment.validate()
-    return assignment
+def _vertex(family: SubsetFamily,
+            result: SimplexResult) -> tuple[WeightAssignment, dict[int, int]]:
+    """The LP's vertex as an assignment, with its support as integers
+    (mask to ``β``, over the denominator ``result.d``).
+
+    The checks of ``WeightAssignment.validate`` run on the integers: every
+    basic ``β`` lies in ``[0, d]``, and the ``β`` covering each terminal sum
+    to ``d``.  Only the m basic columns can carry a nonzero weight."""
+    m, d = family.m, result.d
+    support, cover = {}, [0] * m
+    for var, b in zip(result.basis, result.beta):
+        if not 0 <= b <= d:
+            raise InvalidAssignmentError(f"weight {Fraction(b, d)} outside [0, 1]")
+        if b:
+            mask = family.subsets[var]
+            support[mask] = b
+            for t in range(mask.bit_length()):
+                if mask >> t & 1:
+                    cover[t] += b
+    for t, total in enumerate(cover):
+        if total != d:
+            raise InvalidAssignmentError(
+                f"weights covering terminal {t + 1} sum to {Fraction(total, d)}, "
+                "expected exactly 1"
+            )
+    assignment = WeightAssignment(m, family.target, {
+        mask: Fraction(b, d) for mask, b in support.items()})
+    return assignment, support
 
 
 @dataclass(frozen=True)
@@ -177,21 +214,36 @@ class CapacityResult:
 def solve_capacity(
     model: PinModel, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
 ) -> CapacityResult:
-    """Exact minimum of the capacity objective over all valid assignments."""
-    model.require_exact("capacity LP")
+    """Exact minimum of the capacity objective over all valid assignments.
+
+    Besides ``_vertex``'s checks, the objective recomputed from the model's
+    weights, ``Σ_pairs (w_ij·scale) · sep_ij`` with ``sep_ij`` the ``β`` of
+    the basic subsets holding i but not j, must equal the LP's ``C_B·β``."""
+    weights = model.require_exact("capacity LP")
     target.validate_within(model.m)
     family = subset_family(model.m, target, cap=cap)
     costs, scale = _lp_costs(model, family)
     result = solve_lp(costs, family.subsets, family.m)
-    value = result.value / scale
-    assignment = _basic_assignment(family, result)
-    coeffs = pair_coefficients(assignment)
-    check = _objective(model, coeffs)
-    if check != value:
+    assignment, support = _vertex(family, result)
+    d, pairs, columns = result.d, list(all_pairs(family.m)), list(support.items())
+    seps, objective = [], 0
+    for i, j in pairs:
+        inside, outside = 1 << (i - 1), 1 << (j - 1)
+        sep = 0
+        for mask, b in columns:
+            if mask & inside and not mask & outside:
+                sep += b
+        seps.append(sep)
+        w = weights[(i, j)]
+        objective += w.numerator * (scale // w.denominator) * sep
+    if objective != result.objective:
         raise ArithmeticError(
-            f"simplex value {value} disagrees with the objective {check}"
+            f"simplex value {Fraction(result.objective, d * scale)} disagrees "
+            f"with the objective {Fraction(objective, d * scale)}"
         )
-    return CapacityResult(value=value, assignment=assignment, coefficients=coeffs)
+    coeffs = {pair: Fraction(sep, d) for pair, sep in zip(pairs, seps)}
+    return CapacityResult(value=Fraction(objective, d * scale), assignment=assignment,
+                          coefficients=coeffs)
 
 
 def sample_vertex(
@@ -206,7 +258,7 @@ def sample_vertex(
     """
     draws = [(rng.randint(-24, 24), rng.randint(1, 6)) for _ in family.subsets]
     costs = [p * 60 // q for p, q in draws]
-    return _basic_assignment(family, solve_lp(costs, family.subsets, family.m))
+    return _vertex(family, solve_lp(costs, family.subsets, family.m))[0]
 
 
 def entropy_objective(

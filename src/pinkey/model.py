@@ -183,7 +183,7 @@ class TerminalSet:
 def _normalize_weights(
     m: int, weights: Mapping[Pair, object]
 ) -> dict[Pair, Fraction]:
-    table: dict[Pair, Fraction] = {pair: Fraction(0) for pair in all_pairs(m)}
+    table: dict[Pair, Fraction] = dict.fromkeys(all_pairs(m), Fraction(0))
     explicit: dict[Pair, Fraction] = {}
     for (i, j), value in weights.items():
         pair = canonical_pair(i, j)

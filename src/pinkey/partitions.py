@@ -197,7 +197,8 @@ def min_ratio(
     partition strictly below it is returned, or None when there is none:
     the search then cuts every prefix that cannot go below the threshold."""
     scale = math.lcm(*(v.denominator for v in table.values()))
-    items = [(i, j, int(v * scale)) for i, j, v in _nonzero_items(table)]
+    items = [(i, j, v.numerator * (scale // v.denominator))
+             for i, j, v in _nonzero_items(table)]
     best: Partition | None = None
     # the incumbent ratio; 1 / 0 stands for infinity until the first partition
     best_crossing, best_parts = (1, 0) if below is None else (below * scale, 1)

@@ -41,11 +41,15 @@ Three phases share the one pivot routine:
 
 So ``value`` and ``solution`` are always Bland's, while ``basis`` is only
 a basis of that vertex: at a degenerate vertex phase 1's may differ.
+
+The result also carries the final tableau's integers ``d``, ``beta``
+(``β``, aligned with ``basis``) and ``objective`` (``C_B·β``), so a
+caller can check the vertex without Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,11 +57,16 @@ from typing import Sequence
 @dataclass(frozen=True)
 class SimplexResult:
     """An optimal vertex; ``basis`` names m independent columns that hold
-    the support of ``solution``."""
+    the support of ``solution``.  The same vertex in the solver's integers:
+    ``beta[i] / d`` is the value of column ``basis[i]``, and ``objective / d``
+    is ``value``.  Equality compares only the rational fields."""
 
     value: Fraction
     solution: tuple[Fraction, ...]
     basis: tuple[int, ...]
+    d: int = field(compare=False)
+    beta: tuple[int, ...] = field(compare=False)
+    objective: int = field(compare=False)
 
 
 class _Tableau:
@@ -76,11 +85,11 @@ class _Tableau:
                    [1] * m, duals, sum(duals), list(base))
 
     def result(self, n: int) -> SimplexResult:
-        solution = [Fraction(0)] * n
+        d, solution = self.d, [Fraction(0)] * n
         for var, v in zip(self.base, self.values):
-            solution[var] = Fraction(v, self.d)
-        return SimplexResult(Fraction(self.objective, self.d), tuple(solution),
-                             tuple(self.base))
+            solution[var] = Fraction(v, d)
+        return SimplexResult(Fraction(self.objective, d), tuple(solution),
+                             tuple(self.base), d, tuple(self.values), self.objective)
 
 
 def _pivot(tableau: _Tableau, enter: int, mask: int, reduced: int) -> int:

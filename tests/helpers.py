@@ -5,8 +5,8 @@ exhaustive bipartition enumeration, partitions via a plain recursive
 builder, Steiner packing by undirected brute force over all tree subsets,
 GF(2) rank by column-scan elimination, two-atom splits by bitmask, and the
 LP by a dense Bland simplex over Fractions.  Earlier forms of rewritten
-production routines are kept as differential oracles: weight
-assignments checked and summed densely, one value per qualifying subset
+production routines are kept as differential oracles: LP costs summed
+over every pair for every subset, weight assignments checked and summed densely, one value per qualifying subset
 and per-terminal index lists, spanning packing
 that scans every labeled edge against every forest, forests that search
 their adjacency for each path, key recovery that rescans the transcript
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from collections import Counter, deque
 from fractions import Fraction
@@ -429,8 +430,12 @@ def fraction_solve_lp(
     solution = [Fraction(0)] * n
     for i, var in enumerate(base):
         solution[var] = tableau[i][n]
+    value = -reduced[n]
+    # the integer fields over the least common denominator, not |det B|
+    d = math.lcm(value.denominator, *(solution[var].denominator for var in base))
     return SimplexResult(
-        value=-reduced[n], solution=tuple(solution), basis=tuple(base)
+        value=value, solution=tuple(solution), basis=tuple(base), d=d,
+        beta=tuple(int(solution[var] * d) for var in base), objective=int(value * d),
     )
 
 
@@ -555,6 +560,23 @@ def scan_recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
                 f"terminal {terminal} has no incident edge in tree {tree_index}"
             )
     return tuple(recovered)
+
+
+def pairwise_lp_costs(model: PinModel, family: SubsetFamily) -> list[int]:
+    """Per family subset, the weight over the base scale of the pairs it
+    separates (lower terminal inside, higher outside), every pair summed
+    for every subset: the oracle for ``capacity._lp_costs``."""
+    scale = base_scale(model)
+    terms = [
+        (1 << (i - 1), 1 << (j - 1), w.numerator * (scale // w.denominator))
+        for (i, j), w in model.weights.items()
+        if w
+    ]
+    return [
+        sum(w for inside, outside, w in terms
+            if mask & inside and not mask & outside)
+        for mask in family.subsets
+    ]
 
 
 def dense_values(family: SubsetFamily, assignment: WeightAssignment) -> tuple[Fraction, ...]:

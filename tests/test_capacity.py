@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from pinkey import (
     TerminalSet,
     UnsupportedModeError,
     WeightAssignment,
+    base_scale,
     capacity_objective,
     check_objective_consistency,
     entropy_objective,
@@ -23,6 +25,7 @@ from pinkey import (
     subset_family,
     upper_bound,
 )
+import pinkey.capacity as capacity_module
 from pinkey.capacity import _lp_costs
 from pinkey.model import PairPmf
 from pinkey.simplex import solve_lp
@@ -34,6 +37,7 @@ from helpers import (
     dense_support,
     dense_validate,
     dense_values,
+    pairwise_lp_costs,
     random_exact_model,
     random_pmf_model,
     random_terminal_set,
@@ -167,6 +171,66 @@ class TestSolveCapacity:
             assert assignment.weights == {
                 mask: value for mask, value in zip(family.subsets, solution) if value}
             assert len(assignment.weights) <= model.m
+
+
+class TestIntegerPath:
+    """The cost recurrence and the checks on the LP's integers against
+    the per-pair cost sum and the Fraction objective."""
+
+    @given(st.integers(2, 9), st.integers(0, 2**32), st.sampled_from([0.0, 0.25, 0.75]))
+    @settings(max_examples=60, deadline=None)
+    def test_cost_recurrence_matches_pairwise_sum(self, m, seed, zero_chance):
+        rng = random.Random(seed)
+        model = random_exact_model(rng, m=m, zero_chance=zero_chance)
+        family = subset_family(m, random_terminal_set(rng, m))
+        costs, scale = _lp_costs(model, family)
+        assert scale == base_scale(model)
+        assert costs == pairwise_lp_costs(model, family)
+
+    def test_cost_recurrence_on_dense_twelve_terminals(self):
+        model = random_exact_model(random.Random(12), m=12, zero_chance=0.0)
+        family = subset_family(12, TerminalSet.full(12))
+        assert _lp_costs(model, family)[0] == pairwise_lp_costs(model, family)
+
+    def test_all_zero_weights_cost_nothing(self):
+        model = PinModel.from_weights(5, {})
+        family = subset_family(5, TerminalSet.of(2, 4))
+        assert _lp_costs(model, family) == ([0] * len(family.subsets), 1)
+
+    @given(st.integers(2, 7), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_checks_agree_with_the_fraction_objective(self, m, seed):
+        rng = random.Random(seed)
+        model = random_exact_model(rng, m=m)
+        target = random_terminal_set(rng, m)
+        result = solve_capacity(model, target)
+        result.assignment.validate()
+        assert capacity_objective(model, target, result.assignment) == result.value
+        assert result.coefficients == pair_coefficients(result.assignment)
+
+    def test_wrong_costs_fail_the_objective_check(self, monkeypatch):
+        real_lp_costs = capacity_module._lp_costs
+
+        def costs_off_by_one(*args):
+            costs, scale = real_lp_costs(*args)
+            return [c + 1 for c in costs], scale
+
+        monkeypatch.setattr(capacity_module, "_lp_costs", costs_off_by_one)
+        with pytest.raises(ArithmeticError, match="^simplex value 3 disagrees "
+                                                  "with the objective 3/2$"):
+            solve_capacity(TRIANGLE, FULL3)
+
+    def test_negative_basic_value_fails_the_range_check(self, monkeypatch):
+        real_solve_lp = capacity_module.solve_lp
+
+        def first_basic_value_negative(*args):
+            result = real_solve_lp(*args)
+            return replace(result, beta=(-1,) + result.beta[1:])
+
+        monkeypatch.setattr(capacity_module, "solve_lp", first_basic_value_negative)
+        # the triangle's vertex is 1/2 on each pair, so d = 2
+        with pytest.raises(InvalidAssignmentError, match=r"^weight -1/2 outside \[0, 1\]$"):
+            solve_capacity(TRIANGLE, FULL3)
 
 
 class TestPolytopeProperties:

@@ -109,11 +109,11 @@ class TestCapacityCommand:
 
         real_solve_lp = capacity_module.solve_lp
 
-        def off_by_a_seventh(*args):
+        def objective_off_by_one(*args):
             result = real_solve_lp(*args)
-            return replace(result, value=result.value + Fraction(1, 7))
+            return replace(result, objective=result.objective + 1)
 
-        monkeypatch.setattr(capacity_module, "solve_lp", off_by_a_seventh)
+        monkeypatch.setattr(capacity_module, "solve_lp", objective_off_by_one)
         code, out, err = run_cli(capsys, "capacity", TRIANGLE)
         assert code == 1
         assert out == ""
@@ -144,14 +144,13 @@ class TestCapacityCommand:
 
         real_solve_lp = capacity_module.solve_lp
 
-        def basic_variable_off_by_a_seventh(*args):
+        def basic_value_off_by_one(*args):
             result = real_solve_lp(*args)
-            solution = list(result.solution)
-            solution[result.basis[0]] += Fraction(1, 7)
-            return replace(result, solution=tuple(solution))
+            beta = list(result.beta)
+            beta[0] += 1
+            return replace(result, beta=tuple(beta))
 
-        monkeypatch.setattr(capacity_module, "solve_lp",
-                            basic_variable_off_by_a_seventh)
+        monkeypatch.setattr(capacity_module, "solve_lp", basic_value_off_by_one)
         code, out, err = run_cli(capsys, "capacity", TRIANGLE)
         assert code == 1
         assert out == ""

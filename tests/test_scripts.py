@@ -6,6 +6,7 @@ import platform
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,7 +47,7 @@ def test_ladder_writes_a_bench_file(tmp_path):
     assert list(rows) == ["spanning/found9", "spanning/K4x300", "spanning/K6x210"] + [
         f"spanning/random_m{m}" for m in range(9, 13)] + [
         f"capacity/dense_m{m}{suffix}" for suffix in ("", "_pair", "_half")
-        for m in range(9, 13)] + [
+        for m in range(9, 13)] + ["capacity/floor_m6"] + [
         f"bound/dense_m{m}" for m in range(9, 13)] + [
         f"protocol/path_{size}k" for size in (30, 100, 300)] + [
         "steiner/set_s1", "steiner/path_m20"]
@@ -59,6 +60,14 @@ def test_ladder_writes_a_bench_file(tmp_path):
     for m in range(9, 13):
         # at A = M the capacity equals the partition bound
         assert rows[f"bound/dense_m{m}"]["value"] == rows[f"capacity/dense_m{m}"]["value"]
+    floor = rows["capacity/floor_m6"]
+    assert floor["lps"] == 102
+    assert floor["sizes"] == [2, 3, 6] * 34
+    for size, capacity, bound in zip(floor["sizes"], floor["capacities"], floor["bounds"]):
+        # tight at |A| = 2 and A = M, a bound everywhere
+        assert Fraction(capacity) <= Fraction(bound)
+        if size in (2, 6):
+            assert capacity == bound
     for size in (30, 100, 300):
         row = rows[f"protocol/path_{size}k"]
         # half the edges carry key bits, the other half one broadcast each
