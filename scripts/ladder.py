@@ -40,7 +40,11 @@ The ``steiner/`` rows run exact ``steiner_packing``:
   (i < j, row-major), then k = ``randint(3, m - 1)`` and A =
   ``sample(range(1, m + 1), k)``; a graph with more than 40 edges is
   skipped, and the rest are packed with ``edge_cap=40``;
-* ``path_m20``: the 20-terminal unit path with A = {1, 2, 3}.
+* ``set_s2``: the Steiner set at scale 2, its first 20 graphs with every
+  multiplicity doubled, packed with ``edge_cap=80``;
+* ``path_m20``: the 20-terminal unit path with A = {1, 2, 3};
+* ``grid_corners``: the 4x4 grid, vertices 1..16 row by row and 24 unit
+  edges, with A = its corners {1, 4, 13, 16}.
 
 Each row reports the best of ``--repeat`` wall-clock times of one
 ``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
@@ -126,21 +130,27 @@ def floor_set() -> list[tuple[PinModel, TerminalSet]]:
     return cases
 
 
-def steiner_set() -> list[tuple[Multigraph, TerminalSet]]:
+def steiner_set(scale: int) -> list[tuple[Multigraph, TerminalSet, int]]:
+    """The first 40 / scale graphs of the Steiner set, multiplicities times
+    scale, each with its edge cap 40 * scale."""
     rng = random.Random(7)
     cases = []
-    while len(cases) < 40:
+    while len(cases) < 40 // scale:
         m = rng.randint(5, 7)
-        graph = weighted(m, [rng.randint(0, 3) for _ in range(m * (m - 1) // 2)], 1)
+        weights = [rng.randint(0, 3) for _ in range(m * (m - 1) // 2)]
         target = TerminalSet.of(*rng.sample(range(1, m + 1), rng.randint(3, m - 1)))
-        if graph.total_edges() <= 40:
-            cases.append((graph, target))
+        if sum(weights) <= 40:
+            cases.append((weighted(m, weights, scale), target, 40 * scale))
     return cases
 
 
-def steiner_rows() -> list[tuple[str, list[tuple[Multigraph, TerminalSet]]]]:
+def steiner_rows() -> list[tuple[str, list[tuple[Multigraph, TerminalSet, int]]]]:
     path = Multigraph(20, {(i, i + 1): 1 for i in range(1, 20)})
-    return [("set_s1", steiner_set()), ("path_m20", [(path, TerminalSet.of(1, 2, 3))])]
+    grid = Multigraph(16, {(v, v + step): 1 for v in range(1, 17) for step in (1, 4)
+                           if (step == 1 and v % 4) or (step == 4 and v <= 12)})
+    return [("set_s1", steiner_set(1)), ("set_s2", steiner_set(2)),
+            ("path_m20", [(path, TerminalSet.of(1, 2, 3), 40)]),
+            ("grid_corners", [(grid, TerminalSet.of(1, 4, 13, 16), 40)])]
 
 
 def git_revision(root: Path) -> str:
@@ -234,8 +244,8 @@ def protocol_row(edges: int, repeat: int) -> dict:
 
 def steiner_row(cases, repeat: int) -> dict:
     packings, timing = timed(
-        lambda: [steiner_packing(graph, target, edge_cap=40) for graph, target in cases],
-        repeat)
+        lambda: [steiner_packing(graph, target, edge_cap=cap)
+                 for graph, target, cap in cases], repeat)
     return {
         "graphs": len(cases),
         "trees": sum(packing.count for packing in packings),

@@ -19,10 +19,12 @@ Three packing routes, each certified by an independent count:
   vertex pair keeps, for the whole packing, the least forest that may
   still separate it.  The work k·|E| is capped;
 * Steiner packings for intermediate target sets: exact by depth-first
-  search over edge-disjoint trees, pruned by the partition bound on the
+  search over edge-disjoint minimal Steiner trees, listed by attaching one
+  path per target terminal, pruned by the partition bound on the
   remaining capacities, asked of ``partitions.min_ratio`` as a threshold
-  question (capped, the problem is NP-hard), or a deterministic
-  shortest-path greedy that lower-bounds the optimum.
+  question on entry and again after a child improves the incumbent
+  (capped, the problem is NP-hard), or a deterministic shortest-path
+  greedy that lower-bounds the optimum and is the search's incumbent.
 
 Edge copies are assigned canonically (sorted pair, then 0..e_ij-1), so
 packings are reproducible run to run.  A packing is a tuple of (tree,
@@ -670,64 +672,70 @@ def _assign_copies(
     return TreePacking(graph=graph, target=target, groups=tuple(groups))
 
 
-def _greedy_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
+def _greedy_choice(
+    graph: Multigraph, target: TerminalSet
+) -> list[tuple[tuple[Pair, ...], int]]:
+    """The greedy trees as (pairs, 1) entries, in the order they are taken."""
     caps = dict(graph.multiplicities)
     chosen: list[tuple[tuple[Pair, ...], int]] = []
     while True:
         tree_pairs = _approx_steiner_tree(caps, target)
         if tree_pairs is None:
-            break
+            return chosen
         for pair in tree_pairs:
             caps[pair] -= 1
         chosen.append((tree_pairs, 1))
-    return _assign_copies(graph, target, chosen)
+
+
+def _greedy_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
+    return _assign_copies(graph, target, _greedy_choice(graph, target))
 
 
 def _steiner_tree_candidates(
-    support: Iterable[Pair], target: TerminalSet, m: int
+    support: Iterable[Pair], target: TerminalSet
 ) -> list[tuple[Pair, ...]]:
-    """Every minimal Steiner tree over the support pairs, each exactly once.
+    """Every minimal Steiner tree over the support pairs, each exactly once,
+    sorted.
 
-    Trees grow from the least target terminal one leaf at a time; banning
-    earlier siblings before each recursive call makes the enumeration
-    duplicate-free.  Minimality (every leaf a target) is forced because a
-    tree already covering the target cannot shed a non-target leaf by
-    growing further.
+    The tree starts at the least target terminal.  Each step takes the
+    least target terminal not yet in it and branches on every simple path
+    from that terminal which meets the tree only at its last vertex.  A
+    minimal tree (every leaf a target) fixes each step's path, the tree
+    path from that terminal to the part built so far, so it arises once;
+    and every tree built has only targets as leaves, so none is filtered.
     """
-    pair_neighbors: dict[int, list[Pair]] = {}
-    for pair in sorted(support):
-        pair_neighbors.setdefault(pair[0], []).append(pair)
-        pair_neighbors.setdefault(pair[1], []).append(pair)
-    targets = set(target)
-    root = min(target)
+    adjacency = _support_adjacency(support)
+    members = target.members
+    inside = {members[0]}  # the tree's vertices
+    tree: list[Pair] = []
     found: list[tuple[Pair, ...]] = []
 
-    def rec(tree: frozenset[Pair], vertices: frozenset[int],
-            banned: frozenset[Pair]) -> None:
-        if targets <= vertices:
-            degree: Counter = Counter()
-            for (i, j) in tree:
-                degree[i] += 1
-                degree[j] += 1
-            if all(v in targets for v, d in degree.items() if d == 1):
-                found.append(tuple(sorted(tree)))
-            return
-        extensions = sorted(
-            {
-                pair
-                for v in vertices
-                for pair in pair_neighbors.get(v, ())
-                if pair not in banned
-                and ((pair[0] in vertices) != (pair[1] in vertices))
-            }
-        )
-        blocked = banned
-        for pair in extensions:
-            new_vertex = pair[1] if pair[0] in vertices else pair[0]
-            rec(tree | {pair}, vertices | {new_vertex}, blocked)
-            blocked = blocked | {pair}
+    def attach(next_target: int) -> None:
+        """Add a path from the least target not in the tree, which is
+        ``members[next_target]`` or a later one: the tree only grows."""
+        while next_target < len(members) and members[next_target] in inside:
+            next_target += 1
+        if next_target == len(members):
+            found.append(tuple(sorted(tree)))
+        else:
+            extend([members[next_target]], next_target)
 
-    rec(frozenset(), frozenset({root}), frozenset())
+    def extend(path: list[int], next_target: int) -> None:
+        """Branch on every way to go on from the open path's last vertex."""
+        for w in adjacency.get(path[-1], ()):
+            if w in inside:  # the path ends here: add it to the tree
+                tree.extend((a, b) if a < b else (b, a)
+                            for a, b in zip(path, path[1:] + [w]))
+                inside.update(path)
+                attach(next_target + 1)
+                inside.difference_update(path)
+                del tree[len(tree) - len(path):]
+            elif w not in path:
+                path.append(w)
+                extend(path, next_target)
+                path.pop()
+
+    attach(1)
     return sorted(found)
 
 
@@ -740,25 +748,33 @@ def _exact_steiner(
             f"exact Steiner packing is capped at {edge_cap} edges; "
             f"this graph has {total} (use greedy mode)"
         )
-    candidates = _steiner_tree_candidates(graph.support_pairs(), target, graph.m)
+    candidates = _steiner_tree_candidates(graph.support_pairs(), target)
     search = partitions.pruned_partitions(graph.m, target, cap=graph.m)
     caps = dict(graph.multiplicities)
 
-    greedy = _greedy_steiner(graph, target)
-    best_count = greedy.count
-    best_choice = [(tree.pairs(), copies) for tree, copies in greedy.groups]
+    best_choice = _greedy_choice(graph, target)
+    best_count = len(best_choice)
     chosen: list[int] = []
+
+    def beaten(count: int) -> bool:
+        """Whether no packing that extends this node's can beat
+        ``best_count``: some partition holds fewer than ``best_count -
+        count + 1`` more trees.  Only such subtrees are cut, so the packing
+        found does not depend on which valid bound is used, or when."""
+        return partitions.min_ratio(caps, search, below=best_count - count + 1) is not None
 
     def dfs(start: int, count: int) -> None:
         nonlocal best_count, best_choice
-        # cuts only subtrees that cannot beat best_count (some partition
-        # holds fewer than best_count - count + 1 more trees), so the
-        # packing found does not depend on which valid bound is used
-        if partitions.min_ratio(caps, search, below=best_count - count + 1) is not None:
+        if beaten(count):
             return
+        asked = best_count
         for index in range(start, len(candidates)):
             pairs = candidates[index]
             if all(caps[p] > 0 for p in pairs):
+                if best_count != asked:  # a child improved: ask again
+                    if beaten(count):
+                        return
+                    asked = best_count
                 for p in pairs:
                     caps[p] -= 1
                 chosen.append(index)

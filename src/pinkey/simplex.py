@@ -42,31 +42,55 @@ Three phases share the one pivot routine:
 So ``value`` and ``solution`` are always Bland's, while ``basis`` is only
 a basis of that vertex: at a degenerate vertex phase 1's may differ.
 
-The result also carries the final tableau's integers ``d``, ``beta``
-(``β``, aligned with ``basis``) and ``objective`` (``C_B·β``), so a
-caller can check the vertex without Fractions.
+The result holds the final tableau's integers ``d``, ``beta`` (``β``,
+aligned with ``basis``) and ``objective`` (``C_B·β``), so a caller can
+check the vertex without Fractions; ``value`` and ``solution`` are built
+from them only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexResult:
-    """An optimal vertex; ``basis`` names m independent columns that hold
-    the support of ``solution``.  The same vertex in the solver's integers:
-    ``beta[i] / d`` is the value of column ``basis[i]``, and ``objective / d``
-    is ``value``.  Equality compares only the rational fields."""
+    """An optimal vertex over ``columns`` columns, in the solver's integers:
+    ``beta[i] / d`` is the value of column ``basis[i]``, whose m columns are
+    independent and hold the vertex's support, and ``objective / d`` is its
+    cost.  The rational ``value`` and ``solution`` are built when first
+    read.  Equality compares ``value``, ``solution`` and ``basis``."""
 
-    value: Fraction
-    solution: tuple[Fraction, ...]
     basis: tuple[int, ...]
-    d: int = field(compare=False)
-    beta: tuple[int, ...] = field(compare=False)
-    objective: int = field(compare=False)
+    d: int
+    beta: tuple[int, ...]
+    objective: int
+    columns: int
+
+    @cached_property
+    def value(self) -> Fraction:
+        return Fraction(self.objective, self.d)
+
+    @cached_property
+    def solution(self) -> tuple[Fraction, ...]:
+        solution = [Fraction(0)] * self.columns
+        for var, b in zip(self.basis, self.beta):
+            solution[var] = Fraction(b, self.d)
+        return tuple(solution)
+
+    def _key(self) -> tuple:
+        return self.value, self.solution, self.basis
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimplexResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 class _Tableau:
@@ -85,11 +109,8 @@ class _Tableau:
                    [1] * m, duals, sum(duals), list(base))
 
     def result(self, n: int) -> SimplexResult:
-        d, solution = self.d, [Fraction(0)] * n
-        for var, v in zip(self.base, self.values):
-            solution[var] = Fraction(v, d)
-        return SimplexResult(Fraction(self.objective, d), tuple(solution),
-                             tuple(self.base), d, tuple(self.values), self.objective)
+        return SimplexResult(tuple(self.base), self.d, tuple(self.values),
+                             self.objective, n)
 
 
 def _pivot(tableau: _Tableau, enter: int, mask: int, reduced: int) -> int:

@@ -15,7 +15,9 @@ time, the tree shape check by a separate depth-first search,
 propagation that rebuilds each tree's incident lists, flow decomposition
 one unit path at a time, hex packing by shifting one bit at a time, the
 brute-force secrecy audit over the whole 2^|E| assignment space,
-packings and protocol runs built one tree per copy, and the structured
+packings and protocol runs built one tree per copy, Steiner candidates
+grown one edge at a time and the exact Steiner search that checks its
+bound only when a node is entered, and the structured
 ``pack``/``simulate`` report built as one dict and encoded by one
 ``json.dumps``.
 """
@@ -59,6 +61,7 @@ from pinkey import (
     realize_multigraph,
     steiner_packing,
 )
+import pinkey.partitions
 from pinkey.audit import _dyadic_entropy
 from pinkey.simplex import SimplexResult
 
@@ -257,6 +260,89 @@ def brute_steiner_packing_count(graph: Multigraph, target: TerminalSet) -> int:
     return search(0)
 
 
+def subtree_steiner_candidates(
+    support, target: TerminalSet
+) -> list[tuple[tuple[int, int], ...]]:
+    """Every minimal Steiner tree over the support pairs, sorted: the
+    oracle for ``pinkey.packing._steiner_tree_candidates``, which attaches
+    whole paths.
+
+    Trees grow from the least target terminal one leaf at a time; banning
+    earlier siblings before each recursive call makes the enumeration
+    duplicate-free.  Every subtree that covers the target is kept when its
+    leaves are all targets: growing it further cannot shed a leaf.
+    """
+    pair_neighbors: dict[int, list[tuple[int, int]]] = {}
+    for pair in sorted(support):
+        pair_neighbors.setdefault(pair[0], []).append(pair)
+        pair_neighbors.setdefault(pair[1], []).append(pair)
+    targets = set(target)
+    found = []
+
+    def rec(tree: frozenset, vertices: frozenset, banned: frozenset) -> None:
+        if targets <= vertices:
+            degree = Counter(v for pair in tree for v in pair)
+            if all(v in targets for v, d in degree.items() if d == 1):
+                found.append(tuple(sorted(tree)))
+            return
+        extensions = sorted({
+            pair
+            for v in vertices
+            for pair in pair_neighbors.get(v, ())
+            if pair not in banned and (pair[0] in vertices) != (pair[1] in vertices)
+        })
+        blocked = banned
+        for pair in extensions:
+            new_vertex = pair[1] if pair[0] in vertices else pair[0]
+            rec(tree | {pair}, vertices | {new_vertex}, blocked)
+            blocked = blocked | {pair}
+
+    rec(frozenset(), frozenset({min(target)}), frozenset())
+    return sorted(found)
+
+
+def reference_exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
+    """Exact Steiner packing by the one-tree-at-a-time search over the
+    subtree enumerator's candidates, cut only when a node is entered: the
+    oracle for ``steiner_packing(..., mode="exact")``, which also re-asks
+    the partition bound after a child improves the incumbent.  Starts from
+    the greedy packing and returns the first maximum the search meets,
+    copies numbered per pair in tree order; no edge cap."""
+    candidates = subtree_steiner_candidates(graph.support_pairs(), target)
+    search = pinkey.partitions.pruned_partitions(graph.m, target, cap=graph.m)
+    caps = dict(graph.multiplicities)
+    best = [tree.pairs() for tree in steiner_packing(graph, target, mode="greedy").trees]
+    chosen: list[tuple[tuple[int, int], ...]] = []
+
+    def dfs(start: int) -> None:
+        nonlocal best
+        if pinkey.partitions.min_ratio(
+                caps, search, below=len(best) - len(chosen) + 1) is not None:
+            return
+        for index in range(start, len(candidates)):
+            pairs = candidates[index]
+            if all(caps[p] > 0 for p in pairs):
+                for p in pairs:
+                    caps[p] -= 1
+                chosen.append(pairs)
+                if len(chosen) > len(best):
+                    best = list(chosen)
+                dfs(index)
+                chosen.pop()
+                for p in pairs:
+                    caps[p] += 1
+
+    dfs(0)
+    used: Counter = Counter()
+    groups = []
+    for pairs, run in itertools.groupby(best):
+        copies = len(list(run))
+        groups.append((Tree(tuple((i, j, used[(i, j)]) for i, j in pairs)), copies))
+        for pair in pairs:
+            used[pair] += copies
+    return TreePacking(graph=graph, target=target, groups=tuple(groups))
+
+
 def dense_gf2_rows(rows) -> list[int]:
     """Index rows (tuples of column indices) as int bitmasks, bit k for
     column k, the input of ``elimination_gf2_rank``."""
@@ -434,8 +520,8 @@ def fraction_solve_lp(
     # the integer fields over the least common denominator, not |det B|
     d = math.lcm(value.denominator, *(solution[var].denominator for var in base))
     return SimplexResult(
-        value=value, solution=tuple(solution), basis=tuple(base), d=d,
-        beta=tuple(int(solution[var] * d) for var in base), objective=int(value * d),
+        basis=tuple(base), d=d, beta=tuple(int(solution[var] * d) for var in base),
+        objective=int(value * d), columns=n,
     )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pinkey.partitions
@@ -33,18 +33,21 @@ from pinkey import (
     steiner_rate_lower_bound,
 )
 from pinkey.packing import (
-    SPANNING_WORK_CAP, _Forest, _ForestRuns, _max_flow)
+    SPANNING_WORK_CAP, STEINER_EXACT_EDGE_CAP, _Forest, _ForestRuns, _max_flow,
+    _steiner_tree_candidates)
 
 from helpers import (
     _ReferenceForest,
     brute_min_cut,
     brute_steiner_packing_count,
     random_multigraph,
+    reference_exact_steiner,
     reference_spanning_packing,
     random_small_model,
     random_terminal_set,
     random_tree_edges,
     reference_tree_check,
+    subtree_steiner_candidates,
     unit_walk_path_edges,
 )
 
@@ -75,6 +78,28 @@ TIE_HEAVY_GRAPHS = {
             (5, 6): 9}),
     "isolated_vertex": Multigraph(4, {(1, 2): 12, (1, 3): 12, (2, 3): 12}),
 }
+
+
+# vertices 1..16 row by row, 24 unit edges; its corners are 1, 4, 13 and 16
+GRID_4X4 = Multigraph(16, {(v, v + step): 1 for v in range(1, 17) for step in (1, 4)
+                           if (step == 1 and v % 4) or (step == 4 and v <= 12)})
+
+
+@st.composite
+def steiner_instances(draw):
+    """A multigraph with multiplicities up to 4 within the exact edge cap,
+    and a target A with 3 <= |A| < m, its least terminal isolated in a
+    quarter of the draws; sparse supports often leave the target
+    disconnected."""
+    m = draw(st.integers(4, 7))
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    counts = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 4),
+                                  min_size=m - 1, max_size=2 * m))
+    members = draw(st.lists(st.integers(1, m), min_size=3, max_size=m - 1, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        counts = {pair: c for pair, c in counts.items() if min(members) not in pair}
+    assume(sum(counts.values()) <= STEINER_EXACT_EDGE_CAP)
+    return Multigraph(m, counts), TerminalSet(tuple(members))
 
 
 def ladder_graph(row: str) -> Multigraph:
@@ -651,6 +676,32 @@ class TestSteinerPacking:
         monkeypatch.setattr(pinkey.partitions, "min_ratio",
                             lambda table, partitions, below: None)
         assert steiner_packing(graph, target, mode="exact") == pruned
+
+    @given(steiner_instances())
+    @example((Multigraph(5, {(2, 3): 4, (3, 4): 2, (4, 5): 3}), TerminalSet.of(1, 3, 5)))
+    @example((Multigraph(6, {(1, 2): 3, (2, 3): 2, (1, 3): 1, (4, 5): 4, (5, 6): 2}),
+              TerminalSet.of(1, 3, 5)))
+    @settings(max_examples=150, deadline=None)
+    def test_candidates_and_packing_match_the_oracles(self, instance):
+        # the first example isolates the root, the second splits the target
+        graph, target = instance
+        assert _steiner_tree_candidates(graph.support_pairs(), target) == (
+            subtree_steiner_candidates(graph.support_pairs(), target))
+        assert steiner_packing(graph, target, mode="exact") == (
+            reference_exact_steiner(graph, target))
+
+    @pytest.mark.parametrize("members, count", [
+        ((1, 4, 13, 16), 2728), ((1, 4, 6, 13, 16), 4528)])
+    def test_grid_candidate_counts(self, members, count):
+        candidates = _steiner_tree_candidates(GRID_4X4.support_pairs(),
+                                              TerminalSet(members))
+        assert len(candidates) == len(set(candidates)) == count
+        assert candidates == sorted(candidates)
+
+    def test_grid_corners_pack_two_trees(self):
+        packing = steiner_packing(GRID_4X4, TerminalSet.of(1, 4, 13, 16), mode="exact")
+        assert_valid_packing(packing)
+        assert packing.count == 2
 
     @given(st.integers(0, 10_000))
     def test_greedy_tree_leaves_are_targets(self, seed):

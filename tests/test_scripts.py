@@ -50,7 +50,7 @@ def test_ladder_writes_a_bench_file(tmp_path):
         for m in range(9, 13)] + ["capacity/floor_m6"] + [
         f"bound/dense_m{m}" for m in range(9, 13)] + [
         f"protocol/path_{size}k" for size in (30, 100, 300)] + [
-        "steiner/set_s1", "steiner/path_m20"]
+        "steiner/set_s1", "steiner/set_s2", "steiner/path_m20", "steiner/grid_corners"]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
     assert rows["capacity/dense_m12"]["value"] == "653/66"
@@ -75,7 +75,10 @@ def test_ladder_writes_a_bench_file(tmp_path):
         assert row["key_bits"] == row["transcript_bits"] == size * 500
         assert row["audit_passed"] is True
     assert (rows["steiner/set_s1"]["graphs"], rows["steiner/set_s1"]["trees"]) == (40, 185)
+    assert (rows["steiner/set_s2"]["graphs"], rows["steiner/set_s2"]["trees"]) == (20, 167)
     assert (rows["steiner/path_m20"]["graphs"], rows["steiner/path_m20"]["trees"]) == (1, 1)
+    assert (rows["steiner/grid_corners"]["graphs"],
+            rows["steiner/grid_corners"]["trees"]) == (1, 2)
     assert all(row["best_s"] == min(row["times_s"]) for row in rows.values())
 
 

@@ -197,6 +197,21 @@ def test_certificate_matches_vertex_enumeration():
     assert paths["fast"] and paths["fallback"]
 
 
+def test_rational_view_is_built_when_read_and_compared_by_value():
+    costs, masks = [1, 3, 2, 2, 0, 0], [1, 2, 4, 3, 5, 6]
+    result = solve_lp(costs, masks, 3)
+    assert "value" not in vars(result) and "solution" not in vars(result)
+    assert result.value == Fraction(result.objective, result.d) == 1
+    assert result.solution == (0, 0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+    # the same vertex over another denominator is equal; another basis is not
+    doubled = simplex.SimplexResult(result.basis, 2 * result.d,
+                                    tuple(2 * b for b in result.beta),
+                                    2 * result.objective, result.columns)
+    assert doubled == result and hash(doubled) == hash(result)
+    assert simplex.SimplexResult(result.basis[::-1], result.d, result.beta[::-1],
+                                 result.objective, result.columns) != result
+
+
 def test_shared_optimum_returns_blands_vertex():
     # most-negative pricing stops at {1: 1, 6: 1}, an optimal vertex of
     # value 1 that is not Bland's; the certificate sees the tie and the
