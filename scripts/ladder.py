@@ -46,15 +46,27 @@ The ``steiner/`` rows run exact ``steiner_packing``:
 * ``grid_corners``: the 4x4 grid, vertices 1..16 row by row and 24 unit
   edges, with A = its corners {1, 4, 13, 16}.
 
+The ``cli/load_floor`` row is the front end every CLI request runs:
+``load_model`` and then ``realize_multigraph`` at the base scale, over 120
+model files written to a temporary directory.  They are drawn from
+``random.Random(5)``, 30 times over m = 3, 4, 5, 6: ``randint(m + 1,
+min(16, 3 * pairs))`` half-units, each on a ``choice`` of the pairs
+(i < j, row-major) that hold fewer than 3, so every weight is in
+{0, 1/2, 1, 3/2} and at most 16 edges are realized; zero pairs are left
+out of the file, as in the benchmark's ``desk`` models.
+
 Each row reports the best of ``--repeat`` wall-clock times of one
 ``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
-pass of LPs or exact Steiner packings, with what it returned: tree and
-group counts, the capacity and the LP's column count, each target size,
-capacity and bound of the floor set, the key and transcript bit counts,
-or the graph count and total trees.  The ladder is a record, not
-a gate.  ``--compare BASE.json HEAD.json`` reads two such files instead
-and prints each row's best times and the HEAD/BASE ratio (below 1 where
-HEAD is faster); a row only one file has gets ``-`` for the other.
+pass of LPs, exact Steiner packings or model loads, with what it
+returned: tree and group counts, the capacity and the LP's column count,
+each target size, capacity and bound of the floor set, the key and
+transcript bit counts, the graph count and total trees, or the model
+count and total edges.  The ladder is a record, not a gate.
+``--compare BASE.json HEAD.json`` reads two such files instead and
+prints each row's best times and the HEAD/BASE ratio (below 1 where HEAD
+is faster); a row only one file has gets ``-`` for the other.  Given two
+checkout roots, ``--compare`` times both in ``--repeat`` rounds of fresh
+interpreters, each timing every row ``--repeat`` times.
 
     PYTHONPATH=src python scripts/ladder.py --label mybranch
     PYTHONPATH=src python scripts/ladder.py --compare BENCH_main.json BENCH_mybranch.json
@@ -75,14 +87,16 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from pinkey import (Multigraph, PinModel, TerminalSet, audit, best_partition,
-                    draw_edge_keys, format_rational, run_protocol, solve_capacity,
-                    spanning_packing, steiner_packing, subset_family, upper_bound)
+from pinkey import (Multigraph, PinModel, TerminalSet, audit, base_scale, best_partition,
+                    draw_edge_keys, format_rational, load_model, realize_multigraph,
+                    run_protocol, solve_capacity, spanning_packing, steiner_packing,
+                    subset_family, upper_bound)
 
 ROOT = Path(__file__).resolve().parent.parent
 FOUND9_WEIGHTS = (1, 2, 0, 2, 5, 4, 1, 4, 3, 6, 0, 1, 0, 3, 1, 0, 5, 1, 3, 5, 4, 5,
                   3, 4, 6, 1, 5, 6, 5, 4, 3, 1, 4, 5, 0, 3)
 FLOOR_COPIES = 34
+LOAD_COPIES = 30
 CAPACITY_TARGETS = (("", TerminalSet.full),
                     ("_pair", lambda m: TerminalSet.of(1, 2)),
                     ("_half", lambda m: TerminalSet.of(*range(1, math.ceil(m / 2) + 1))))
@@ -151,6 +165,21 @@ def steiner_rows() -> list[tuple[str, list[tuple[Multigraph, TerminalSet, int]]]
     return [("set_s1", steiner_set(1)), ("set_s2", steiner_set(2)),
             ("path_m20", [(path, TerminalSet.of(1, 2, 3), 40)]),
             ("grid_corners", [(grid, TerminalSet.of(1, 4, 13, 16), 40)])]
+
+
+def load_set() -> list[str]:
+    """The JSON texts of the ``cli/load_floor`` model files."""
+    rng = random.Random(5)
+    texts = []
+    for _ in range(LOAD_COPIES):
+        for m in (3, 4, 5, 6):
+            units = dict.fromkeys(itertools.combinations(range(1, m + 1), 2), 0)
+            for _ in range(rng.randint(m + 1, min(16, 3 * len(units)))):
+                units[rng.choice([pair for pair, u in units.items() if u < 3])] += 1
+            texts.append(json.dumps({"terminals": m, "weights": [
+                {"i": i, "j": j, "value": f"{u}/2" if u % 2 else u // 2}
+                for (i, j), u in units.items() if u]}))
+    return texts
 
 
 def git_revision(root: Path) -> str:
@@ -253,6 +282,23 @@ def steiner_row(cases, repeat: int) -> dict:
     }
 
 
+def load_row(texts: list[str], repeat: int) -> dict:
+    with tempfile.TemporaryDirectory() as work:
+        paths = []
+        for k, text in enumerate(texts):
+            path = Path(work, f"model_{k:03d}.json")
+            path.write_text(text + "\n", encoding="utf-8")
+            paths.append(str(path))
+        graphs, timing = timed(
+            lambda: [realize_multigraph(model, base_scale(model))
+                     for model in map(load_model, paths)], repeat)
+    return {
+        "models": len(graphs),
+        "edges": sum(graph.total_edges() for graph in graphs),
+        **timing,
+    }
+
+
 def ladder() -> list[tuple[str, object]]:
     """Every row's name and a call that times it given ``repeat`` and
     returns its fields, in ladder order."""
@@ -266,6 +312,7 @@ def ladder() -> list[tuple[str, object]]:
              for edges in (30_000, 100_000, 300_000)]
     rows += [(f"steiner/{name}", partial(steiner_row, cases))
              for name, cases in steiner_rows()]
+    rows.append(("cli/load_floor", partial(load_row, load_set())))
     return rows
 
 
@@ -284,6 +331,8 @@ def describe(row: dict) -> str:
     elif family == "protocol":
         text = (f"|E| = {row['edges']:>6}  |K| = {row['key_bits']:>6}  "
                 f"|F| = {row['transcript_bits']:>6}")
+    elif family == "cli":
+        text = f"models {row['models']:>4}  edges {row['edges']:>5}"
     else:
         text = f"graphs {row['graphs']:>3}  trees {row['trees']:>4}"
     return f"{row['row']:<24} {text}  best {row['best_s']:.4f} s"
@@ -314,14 +363,16 @@ def compare_files(paths: list[Path], prefix: str) -> list[str]:
 
 def compare_roots(roots: list[Path], rounds: int, prefix: str) -> list[str]:
     """Time the ladder against each root's ``src`` in fresh interpreters,
-    ``rounds`` times, the side that goes first alternating per round."""
+    ``rounds`` times, the side that goes first alternating per round.  Each
+    interpreter also times every row ``rounds`` times, so a millisecond row's
+    best is not one cold call."""
     best: list[dict] = [{}, {}]
     with tempfile.TemporaryDirectory() as out:
         for k in range(rounds):
             for side in ((0, 1) if k % 2 == 0 else (1, 0)):
                 subprocess.run(
-                    [sys.executable, __file__, "--label", f"side{side}", "--repeat", "1",
-                     "--out", out, "--rows", prefix],
+                    [sys.executable, __file__, "--label", f"side{side}",
+                     "--repeat", str(rounds), "--out", out, "--rows", prefix],
                     env=dict(os.environ, PYTHONPATH=str(roots[side] / "src")),
                     stdout=subprocess.DEVNULL, check=True)
                 report = json.loads(Path(out, f"BENCH_side{side}.json").read_text(
@@ -337,8 +388,8 @@ def main() -> None:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", help="names BENCH_<label>.json")
     parser.add_argument("--repeat", type=int, default=5,
-                        help="runs per row, or rounds per side given two roots "
-                             "(best kept)")
+                        help="runs per row (best kept); given two roots, also "
+                             "the rounds of fresh interpreters per side")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--rows", default="", metavar="PREFIX",
                         help="only the rows whose name starts with PREFIX")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -49,6 +50,9 @@ EXIT_AUDIT = 4
 _INVARIANT_ERRORS = (InvalidAssignmentError, InvalidPackingError, InvalidTreeError)
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 class _UsageError(Exception):
     pass
 
@@ -61,12 +65,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    """A flag's integer: ``-?[0-9]+``, the rule of model files, not all
+    that ``int()`` takes (spaces, ``+``, ``_`` or non-ASCII digits)."""
+    try:
+        if _INTEGER.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_terminals(spec: str | None, model: PinModel) -> TerminalSet:
     if spec is None:
         return TerminalSet.full(model.m)
     try:
-        members = tuple(int(part) for part in spec.split(","))
-    except ValueError:
+        members = tuple(map(_integer, spec.split(",")))
+    except argparse.ArgumentTypeError:
         raise _UsageError(f"--set expects comma-separated integers, got {spec!r}")
     try:
         target = TerminalSet(members)
@@ -247,7 +262,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    nonzero = sum(1 for pair in model.pairs() if model.mi(*pair) > 0)
+    if model.exact:  # counted exactly: a tiny weight is no float zero
+        nonzero = sum(1 for weight in model.weights.values() if weight)
+    else:
+        nonzero = sum(1 for pair in model.pairs() if model.mi(*pair) > 0)
     report = {
         "command": "validate",
         "terminals": model.m,
@@ -305,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument(
             "--scale",
-            type=int,
+            type=_integer,
             help="blocklength n (default: the model's base scale)",
         )
         p.add_argument(
@@ -316,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name == "simulate":
             p.add_argument(
-                "--seed", type=int, default=0, help="edge-key seed (default 0)"
+                "--seed", type=_integer, default=0, help="edge-key seed (default 0)"
             )
         p.set_defaults(func=handler)
 

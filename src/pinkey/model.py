@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidScaleError, SizeLimitError, UnsupportedModeError
@@ -52,9 +53,8 @@ def canonical_pair(i: int, j: int) -> Pair:
 
 
 def all_pairs(m: int) -> Iterator[Pair]:
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            yield (i, j)
+    """Every pair ``(i, j)`` with ``1 <= i < j <= m``, in row-major order."""
+    return combinations(range(1, m + 1), 2)
 
 
 def _entropy(probabilities: Iterable[float]) -> float:
@@ -189,8 +189,9 @@ def _normalize_weights(
         pair = canonical_pair(i, j)
         if pair[1] > m:
             raise ValueError(f"pair {pair} is outside terminals 1..{m}")
-        weight = Fraction(value)  # type: ignore[arg-type]
-        if weight < 0:
+        # a Fraction is kept as it is; Fraction() checks anything else
+        weight = value if type(value) is Fraction else Fraction(value)  # type: ignore
+        if weight.numerator < 0:
             raise ValueError(f"weight for pair {pair} is negative: {weight}")
         if pair in explicit and explicit[pair] != weight:
             raise ValueError(f"conflicting weights for pair {pair}")
@@ -357,14 +358,17 @@ def base_scale(model: PinModel) -> int:
 
 
 def realize_multigraph(model: PinModel, n: int) -> Multigraph:
-    """Multigraph with exactly ``n * weight`` parallel edges per pair."""
+    """Multigraph with exactly ``n * weight`` parallel edges per pair.
+
+    Counted in integers: n is a multiple of the base scale, so every
+    weight's denominator divides it."""
     weights = model.require_exact("multigraph realization")
     n0 = base_scale(model)
     if n <= 0 or n % n0 != 0:
         raise InvalidScaleError(
             f"scale {n} is not a positive multiple of the base scale {n0}"
         )
-    counts = {pair: int(w * n) for pair, w in weights.items()}
+    counts = {pair: w.numerator * (n // w.denominator) for pair, w in weights.items()}
     return Multigraph(m=model.m, multiplicities=counts)
 
 
@@ -375,17 +379,20 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: object) -> Fraction:
     """Parse an integer or a ``p/q`` / ``p`` string into a Fraction.
 
     Strings are ASCII digits only, with an optional leading ``-`` and no
     spaces, signs elsewhere or digit separators."""
-    if isinstance(text, bool):
-        raise ValueError(f"expected a rational, got {text!r}")
     if isinstance(text, int):
+        if isinstance(text, bool):
+            raise ValueError(f"expected a rational, got {text!r}")
         return Fraction(text)
     if isinstance(text, str):
-        match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text)
+        match = _RATIONAL.fullmatch(text)
         if match is None:
             raise ValueError(f"malformed rational {text!r}")
         numerator, denominator = match.group(1, 2)

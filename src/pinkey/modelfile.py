@@ -12,47 +12,79 @@ At least one of ``weights`` / ``pmfs`` must be present.  Unknown fields are
 rejected, as are duplicate pairs, self-pairs, out-of-range terminals and
 negative weights.  A file with ``weights`` is an exact-mode model; a file
 with only ``pmfs`` is float-mode.
+
+The file is checked in one pass, each check in one place:
+
+* ``loads_model`` checks the top level, then each record once: that it is
+  an object with exactly its fields (``_field_error`` names what is
+  wrong), its pair (``_pair_of``: integer ``i`` and ``j``, no self-pair,
+  both in 1..m), that the pair is new, and its value (``parse_rational``
+  in ``model``: an int, or a ``p`` / ``p/q`` string of ASCII digits, then
+  the sign by its numerator) or its pmf table.  A record's ``weights[k]``
+  context and every message are built only when a check fails.
+* ``PinModel`` fills in the zero pairs, keeps the parsed Fractions as they
+  are, repeats the checks that library callers need (pair range, sign,
+  conflicting pairs) and compares each pmf with its weight.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Any
+import os
+from typing import Any, NoReturn
 
 from .errors import ModelFormatError
 from .model import (
+    Pair,
     PairPmf,
     PinModel,
-    canonical_pair,
     check_terminal_count,
     format_rational,
     parse_rational,
 )
 
 _TOP_FIELDS = {"terminals", "weights", "pmfs"}
-_WEIGHT_FIELDS = {"i", "j", "value"}
-_PMF_FIELDS = {"i", "j", "rows", "cols", "probs"}
+_WEIGHT_FIELDS = frozenset(("i", "j", "value"))
+_PMF_FIELDS = frozenset(("i", "j", "rows", "cols", "probs"))
 
 
-def _fail(message: str) -> None:
+def _fail(message: str) -> NoReturn:
     raise ModelFormatError(message)
 
 
+def _not_an_integer(value: Any, context: str) -> NoReturn:
+    _fail(f"{context}: expected an integer, got {value!r}")
+
+
 def _require_int(value: Any, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{context}: expected an integer, got {value!r}")
+    if type(value) is not int:  # type() rather than isinstance: no bools
+        _not_an_integer(value, context)
     return value
 
 
-def _pair_of(record: dict, m: int, context: str) -> tuple[int, int]:
-    i = _require_int(record["i"], f"{context}.i")
-    j = _require_int(record["j"], f"{context}.j")
+def _field_error(record: Any, fields: frozenset, names: str, context: str) -> NoReturn:
+    """Raise for a record that is not an object with exactly ``fields``."""
+    if not isinstance(record, dict):
+        _fail(f"{context}: expected an object")
+    unknown = record.keys() - fields
+    if unknown:
+        _fail(f"{context}: unknown fields {sorted(unknown)}")
+    _fail(f"{context}: needs exactly fields {names}")
+
+
+def _pair_of(record: dict, m: int, field: str, k: int) -> Pair:
+    """The canonical pair of record ``field[k]``."""
+    i = record["i"]
+    j = record["j"]
+    if type(i) is not int:
+        _not_an_integer(i, f"{field}[{k}].i")
+    if type(j) is not int:
+        _not_an_integer(j, f"{field}[{k}].j")
     if i == j:
-        _fail(f"{context}: self-pair ({i}, {j})")
+        _fail(f"{field}[{k}]: self-pair ({i}, {j})")
     if not (1 <= i <= m and 1 <= j <= m):
-        _fail(f"{context}: pair ({i}, {j}) outside terminals 1..{m}")
-    return canonical_pair(i, j)
+        _fail(f"{field}[{k}]: pair ({i}, {j}) outside terminals 1..{m}")
+    return (i, j) if i < j else (j, i)
 
 
 def loads_model(text: str) -> PinModel:
@@ -81,23 +113,17 @@ def loads_model(text: str) -> PinModel:
             _fail("'weights' must be a list of records")
         weights = {}
         for k, record in enumerate(doc["weights"]):
-            context = f"weights[{k}]"
-            if not isinstance(record, dict):
-                _fail(f"{context}: expected an object")
-            unknown = set(record) - _WEIGHT_FIELDS
-            if unknown:
-                _fail(f"{context}: unknown fields {sorted(unknown)}")
-            if set(record) != _WEIGHT_FIELDS:
-                _fail(f"{context}: needs exactly fields i, j, value")
-            pair = _pair_of(record, m, context)
+            if type(record) is not dict or record.keys() != _WEIGHT_FIELDS:
+                _field_error(record, _WEIGHT_FIELDS, "i, j, value", f"weights[{k}]")
+            pair = _pair_of(record, m, "weights", k)
             if pair in weights:
-                _fail(f"{context}: duplicate pair {pair}")
+                _fail(f"weights[{k}]: duplicate pair {pair}")
             try:
                 value = parse_rational(record["value"])
             except ValueError as exc:
-                raise ModelFormatError(f"{context}.value: {exc}") from exc
-            if value < 0:
-                _fail(f"{context}: negative weight {format_rational(value)}")
+                raise ModelFormatError(f"weights[{k}].value: {exc}") from exc
+            if value.numerator < 0:
+                _fail(f"weights[{k}]: negative weight {format_rational(value)}")
             weights[pair] = value
 
     pmfs = {}
@@ -106,14 +132,9 @@ def loads_model(text: str) -> PinModel:
             _fail("'pmfs' must be a list of records")
         for k, record in enumerate(doc["pmfs"]):
             context = f"pmfs[{k}]"
-            if not isinstance(record, dict):
-                _fail(f"{context}: expected an object")
-            unknown = set(record) - _PMF_FIELDS
-            if unknown:
-                _fail(f"{context}: unknown fields {sorted(unknown)}")
-            if set(record) != _PMF_FIELDS:
-                _fail(f"{context}: needs exactly fields i, j, rows, cols, probs")
-            pair = _pair_of(record, m, context)
+            if type(record) is not dict or record.keys() != _PMF_FIELDS:
+                _field_error(record, _PMF_FIELDS, "i, j, rows, cols, probs", context)
+            pair = _pair_of(record, m, "pmfs", k)
             if pair in pmfs:
                 _fail(f"{context}: duplicate pair {pair}")
             rows = _require_int(record["rows"], f"{context}.rows")
@@ -147,8 +168,9 @@ def loads_model(text: str) -> PinModel:
         raise ModelFormatError(str(exc)) from exc
 
 
-def load_model(path: str | Path) -> PinModel:
-    return loads_model(Path(path).read_text(encoding="utf-8"))
+def load_model(path: str | os.PathLike) -> PinModel:
+    with open(path, encoding="utf-8") as handle:
+        return loads_model(handle.read())
 
 
 def dumps_model(model: PinModel) -> str:
@@ -173,5 +195,6 @@ def dumps_model(model: PinModel) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def dump_model(model: PinModel, path: str | Path) -> None:
-    Path(path).write_text(dumps_model(model), encoding="utf-8")
+def dump_model(model: PinModel, path: str | os.PathLike) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(dumps_model(model))

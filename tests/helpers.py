@@ -17,9 +17,10 @@ one unit path at a time, hex packing by shifting one bit at a time, the
 brute-force secrecy audit over the whole 2^|E| assignment space,
 packings and protocol runs built one tree per copy, Steiner candidates
 grown one edge at a time and the exact Steiner search that checks its
-bound only when a node is entered, and the structured
+bound only when a node is entered, the structured
 ``pack``/``simulate`` report built as one dict and encoded by one
-``json.dumps``.
+``json.dumps``, and the model-file loader that builds every record's
+context and field sets up front.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import Counter, deque
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -41,6 +43,8 @@ from pinkey import (
     InvalidAssignmentError,
     InvalidPackingError,
     InvalidTreeError,
+    MAX_TERMINALS,
+    ModelFormatError,
     Multigraph,
     PairPmf,
     PinModel,
@@ -1027,3 +1031,132 @@ def json_dumps_report(
         })
     report["format_version"] = 1
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _reference_parse_rational(text: object) -> Fraction:
+    if isinstance(text, bool):
+        raise ValueError(f"expected a rational, got {text!r}")
+    if isinstance(text, int):
+        return Fraction(text)
+    if isinstance(text, str):
+        match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text)
+        if match is None:
+            raise ValueError(f"malformed rational {text!r}")
+        numerator, denominator = match.group(1, 2)
+        try:
+            return Fraction(int(numerator), int(denominator or 1))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed rational {text!r}") from exc
+    raise ValueError(f"expected an integer or 'p/q' string, got {text!r}")
+
+
+def reference_loads_model(text: str) -> PinModel:
+    """The model-file loader that checks every record with set builds and
+    messages made up front, and parses values by an uncompiled pattern."""
+
+    def fail(message: str) -> None:
+        raise ModelFormatError(message)
+
+    def require_int(value, context: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            fail(f"{context}: expected an integer, got {value!r}")
+        return value
+
+    def pair_of(record: dict, m: int, context: str) -> tuple[int, int]:
+        i = require_int(record["i"], f"{context}.i")
+        j = require_int(record["j"], f"{context}.j")
+        if i == j:
+            fail(f"{context}: self-pair ({i}, {j})")
+        if not (1 <= i <= m and 1 <= j <= m):
+            fail(f"{context}: pair ({i}, {j}) outside terminals 1..{m}")
+        return (min(i, j), max(i, j))
+
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        fail("top level must be a JSON object")
+    unknown = set(doc) - {"terminals", "weights", "pmfs"}
+    if unknown:
+        fail(f"unknown top-level fields: {sorted(unknown)}")
+    if "terminals" not in doc:
+        fail("missing required field 'terminals'")
+    m = require_int(doc["terminals"], "terminals")
+    if m < 2:
+        fail(f"terminals must be >= 2, got {m}")
+    if m > MAX_TERMINALS:
+        raise SizeLimitError(
+            f"terminals={m} exceeds the model cap MAX_TERMINALS={MAX_TERMINALS}")
+    if "weights" not in doc and "pmfs" not in doc:
+        fail("at least one of 'weights' / 'pmfs' must be present")
+
+    weights = None
+    if "weights" in doc:
+        if not isinstance(doc["weights"], list):
+            fail("'weights' must be a list of records")
+        weights = {}
+        for k, record in enumerate(doc["weights"]):
+            context = f"weights[{k}]"
+            if not isinstance(record, dict):
+                fail(f"{context}: expected an object")
+            unknown = set(record) - {"i", "j", "value"}
+            if unknown:
+                fail(f"{context}: unknown fields {sorted(unknown)}")
+            if set(record) != {"i", "j", "value"}:
+                fail(f"{context}: needs exactly fields i, j, value")
+            pair = pair_of(record, m, context)
+            if pair in weights:
+                fail(f"{context}: duplicate pair {pair}")
+            try:
+                value = _reference_parse_rational(record["value"])
+            except ValueError as exc:
+                raise ModelFormatError(f"{context}.value: {exc}") from exc
+            if value < 0:
+                fail(f"{context}: negative weight {format_rational(value)}")
+            weights[pair] = value
+
+    pmfs = {}
+    fields = {"i", "j", "rows", "cols", "probs"}
+    if "pmfs" in doc:
+        if not isinstance(doc["pmfs"], list):
+            fail("'pmfs' must be a list of records")
+        for k, record in enumerate(doc["pmfs"]):
+            context = f"pmfs[{k}]"
+            if not isinstance(record, dict):
+                fail(f"{context}: expected an object")
+            unknown = set(record) - fields
+            if unknown:
+                fail(f"{context}: unknown fields {sorted(unknown)}")
+            if set(record) != fields:
+                fail(f"{context}: needs exactly fields i, j, rows, cols, probs")
+            pair = pair_of(record, m, context)
+            if pair in pmfs:
+                fail(f"{context}: duplicate pair {pair}")
+            rows = require_int(record["rows"], f"{context}.rows")
+            cols = require_int(record["cols"], f"{context}.cols")
+            if rows < 1 or cols < 1:
+                fail(f"{context}: alphabet sizes must be positive")
+            probs = record["probs"]
+            if not isinstance(probs, list) or len(probs) != rows * cols:
+                fail(f"{context}: probs must be a row-major list of length "
+                     f"{rows * cols}")
+            for p in probs:
+                if isinstance(p, bool) or not isinstance(p, (int, float)):
+                    fail(f"{context}: non-numeric probability {p!r}")
+            try:
+                table = [[float(probs[r * cols + c]) for c in range(cols)]
+                         for r in range(rows)]
+            except OverflowError:
+                fail(f"{context}: a probability is too large for a float")
+            try:
+                pmfs[pair] = PairPmf.from_rows(table)
+            except ValueError as exc:
+                raise ModelFormatError(f"{context}: {exc}") from exc
+
+    try:
+        if weights is not None:
+            return PinModel.from_weights(m, weights, pmfs)
+        return PinModel.from_pmfs(m, pmfs)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc

@@ -486,6 +486,21 @@ class TestValidateCommand:
         assert doc["exact"] is True
         assert doc["base_scale"] == 1
 
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_underflowing_weight_counts_as_correlated(self, capsys, tmp_path,
+                                                      structured):
+        # 1/10^400 is 0.0 as a float, but it is a nonzero weight
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"terminals": 3, "weights": [
+            {"i": 1, "j": 2, "value": "1/1" + "0" * 400}, {"i": 2, "j": 3, "value": 1}]}))
+        argv = ["validate", str(path)] + (["--format", "structured"] if structured else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if structured:
+            assert json.loads(out)["pairs_nonzero"] == 2
+        else:
+            assert "2 correlated pairs" in out
+
     def test_unknown_field_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"terminals": 2, "weights": [], "color": "red"}')
@@ -575,6 +590,11 @@ class TestParser:
         ["pack"],
         [],
         ["frobnicate", TRIANGLE],
+        # flag integers follow the model-file rule -?[0-9]+, not int()
+        ["pack", TRIANGLE, "--set", "1,\u0662"],
+        ["capacity", TRIANGLE, "--set", " 1,+2"],
+        ["pack", TRIANGLE, "--scale", "\u0662"],
+        ["simulate", TRIANGLE, "--seed", "1_0"],
     ])
     def test_rejected_command_line_is_one_error_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -653,14 +673,14 @@ def _flags(draw, command):
     return flags
 
 
-# Flag lists that argparse itself rejects: a value of the wrong type or
-# choice, a value that looks like an option, a flag without its value, an
+# Flag lists that argparse itself rejects: a value of the wrong type
+# (flag integers are -?[0-9]+ only) or choice, a value that looks like an option, a flag without its value, an
 # unknown flag, a stray positional (with no model path, it stands in for
 # the model, which then fails to load).
 _REJECTED = st.sampled_from([
-    ["--scale", "abc"], ["--scale=1.5"], ["--set", "-1,2"], ["--set"],
-    ["--seed", "x"], ["--mode", "fast"], ["--format=yaml"], ["--bogus"],
-    ["-x"], ["extra"],
+    ["--scale", "abc"], ["--scale=1.5"], ["--scale", "\u0662"], ["--set", "-1,2"],
+    ["--set"], ["--seed", "x"], ["--seed", "1_0"], ["--mode", "fast"],
+    ["--format=yaml"], ["--bogus"], ["-x"], ["extra"],
 ])
 
 

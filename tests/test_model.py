@@ -207,10 +207,22 @@ class TestRealizeMultigraph:
 
     def test_rejects_scale_off_progression(self):
         model = PinModel.from_weights(2, {(1, 2): Fraction(3, 2)})
-        with pytest.raises(InvalidScaleError):
-            realize_multigraph(model, 3)
-        with pytest.raises(InvalidScaleError):
-            realize_multigraph(model, 0)
+        for n in (3, 0, -2):
+            with pytest.raises(InvalidScaleError) as err:
+                realize_multigraph(model, n)
+            assert str(err.value) == (
+                f"scale {n} is not a positive multiple of the base scale 2")
+
+    @given(st.integers(0, 2_000), st.integers(2, 7), st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_are_weight_times_scale(self, seed, m, k):
+        from helpers import random_exact_model
+
+        model = random_exact_model(random.Random(seed), m=m, max_num=40, max_den=12)
+        n = k * base_scale(model)
+        graph = realize_multigraph(model, n)
+        assert graph.multiplicities == {
+            pair: int(w * n) for pair, w in model.weights.items()}
 
     @given(st.integers(0, 2_000), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)

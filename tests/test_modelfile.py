@@ -1,11 +1,14 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pinkey import ModelFormatError, dumps_model, load_model, loads_model
+from pinkey import ModelFormatError, SizeLimitError, dumps_model, load_model, loads_model
 
-from helpers import random_exact_model, random_pmf_model
+from helpers import random_exact_model, random_pmf_model, reference_loads_model
 
 VALID = """
 {
@@ -108,3 +111,85 @@ def test_weight_pmf_mismatch_rejected():
     """
     with pytest.raises(ModelFormatError):
         loads_model(text)
+
+
+# Record parts for the loader property below: valid values, and malformed
+# values, ends and record shapes, each drawn about one time in ten, so that
+# a malformed file usually fails past its first record.
+_VALUES = st.integers(0, 5) | st.sampled_from(
+    ["1/2", "3/2", "7", "0/5", "-0", "-0/3", "007/010", "12/8"])
+_BAD_VALUES = st.sampled_from(
+    [True, False, 1.5, -1, "-1/2", "-3/6", "1/0", "1" * 4301, "1/" + "2" * 4301,
+     "x", None, [], {}, " 3", "+3", "1_0", "\u0663", "3/ 2", "1/2/3", "1.5", ""])
+_BAD_ENDS = st.sampled_from([True, False, 1.0, "1", None, [1], -1, 99])
+_PROBS = st.sampled_from([[0.5, 0.0, 0.0, 0.5], [0.25] * 4, [1.0, 0, 0, 0]])
+_BAD_RECORDS = st.sampled_from([[], [1, 2], 3, "i", None, True])
+
+
+def _rarely(draw) -> bool:
+    return draw(st.sampled_from([False] * 9 + [True]))
+
+
+@st.composite
+def _record(draw, kind, m, pair):
+    i, j = pair if draw(st.booleans()) else pair[::-1]
+    if _rarely(draw):  # a self-pair or an end outside 1..m
+        i, j = draw(st.sampled_from([(i, i), (i, m + 1), (m + 1, j), (0, j)]))
+    record = {"i": draw(_BAD_ENDS) if _rarely(draw) else i,
+              "j": draw(_BAD_ENDS) if _rarely(draw) else j}
+    if kind == "weights":
+        record["value"] = draw(_BAD_VALUES if _rarely(draw) else _VALUES)
+    else:
+        record.update(rows=2, cols=2, probs=draw(_PROBS))
+    if _rarely(draw):
+        shape = draw(st.sampled_from(["extra", "missing", "other"]))
+        if shape == "extra":
+            record["extra"] = 1
+        elif shape == "missing":
+            del record[draw(st.sampled_from(sorted(record)))]
+        else:
+            record = draw(_BAD_RECORDS)
+    return record
+
+
+@st.composite
+def _model_document(draw):
+    m = draw(st.integers(2, 5))
+    terminals = draw(st.sampled_from([1, 0, 257, True, 3.0, "3", None])) if (
+        _rarely(draw)) else m
+    doc = {"terminals": terminals}
+    all_pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    for kind in draw(st.sampled_from([("weights",)] * 3 + [("weights", "pmfs"),
+                                                          ("pmfs",)])):
+        pairs = draw(st.permutations(all_pairs))[:draw(st.integers(0, len(all_pairs)))]
+        if pairs and _rarely(draw):  # a duplicate, maybe reversed
+            pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+        doc[kind] = [draw(_record(kind, m, pair)) for pair in pairs]
+        if _rarely(draw):
+            doc[kind] = {"i": 1}
+    return json.dumps(doc)
+
+
+def _outcome(load, text):
+    try:
+        model = load(text)
+    except (ModelFormatError, SizeLimitError) as exc:
+        return type(exc), str(exc)
+    if model.weights is not None:
+        assert all(type(w) is Fraction for w in model.weights.values())
+    return model
+
+
+@settings(max_examples=400, deadline=None)
+@given(_model_document())
+def test_loader_matches_the_reference(text):
+    # the same model, or the same error with the same message
+    assert _outcome(loads_model, text) == _outcome(reference_loads_model, text)
+
+
+@pytest.mark.parametrize("value,weight", [
+    ("-0", 0), ("-0/3", 0), ("007/010", Fraction(7, 10)), (0, 0),
+    ("12/8", Fraction(3, 2))])
+def test_leading_zeros_and_negative_zero_load(value, weight):
+    text = json.dumps({"terminals": 2, "weights": [{"i": 2, "j": 1, "value": value}]})
+    assert loads_model(text).weight(1, 2) == weight

@@ -50,7 +50,8 @@ def test_ladder_writes_a_bench_file(tmp_path):
         for m in range(9, 13)] + ["capacity/floor_m6"] + [
         f"bound/dense_m{m}" for m in range(9, 13)] + [
         f"protocol/path_{size}k" for size in (30, 100, 300)] + [
-        "steiner/set_s1", "steiner/set_s2", "steiner/path_m20", "steiner/grid_corners"]
+        "steiner/set_s1", "steiner/set_s2", "steiner/path_m20", "steiner/grid_corners",
+        "cli/load_floor"]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
     assert rows["capacity/dense_m12"]["value"] == "653/66"
@@ -79,6 +80,8 @@ def test_ladder_writes_a_bench_file(tmp_path):
     assert (rows["steiner/path_m20"]["graphs"], rows["steiner/path_m20"]["trees"]) == (1, 1)
     assert (rows["steiner/grid_corners"]["graphs"],
             rows["steiner/grid_corners"]["trees"]) == (1, 2)
+    # 30 models for each m = 3..6, every one realized at its base scale
+    assert (rows["cli/load_floor"]["models"], rows["cli/load_floor"]["edges"]) == (120, 1167)
     assert all(row["best_s"] == min(row["times_s"]) for row in rows.values())
 
 
