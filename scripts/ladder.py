@@ -10,7 +10,12 @@ same ladder.  The ``spanning/`` rows are spanning-tree packings
 * ``K4x300`` and ``K6x210``: complete graphs with 300 and 210 copies of
   every pair;
 * ``random_m9`` .. ``random_m12``: integer-random graphs, one
-  ``randint(0, 6)`` per pair (i < j, row-major) from ``random.Random(m)``.
+  ``randint(0, 6)`` per pair (i < j, row-major) from ``random.Random(m)``;
+* ``bridge_K6x20``: two K6 with 20 copies of every pair, on 1..6 and
+  7..12, joined by the one edge (6, 7): 54 trees by the degree and edge
+  count, 1 in fact, so the packing falls back to the partition count;
+* ``dense_m20``: the integer-random graph at m = 20, past the partition
+  search's terminal cap.
 
 The ``capacity/`` rows solve the capacity LP on dense-random models: pair
 weight ``randint(0, 6)`` over ``randint(1, 3)``, drawn in that order per
@@ -55,7 +60,9 @@ min(16, 3 * pairs))`` half-units, each on a ``choice`` of the pairs
 {0, 1/2, 1, 3/2} and at most 16 edges are realized; zero pairs are left
 out of the file, as in the benchmark's ``desk`` models.
 
-Each row reports the best of ``--repeat`` wall-clock times of one
+A row whose call raises ``SizeLimitError`` reports the message as
+``limit`` and no times.  Each row reports the best of ``--repeat``
+wall-clock times of one
 ``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
 pass of LPs, exact Steiner packings or model loads, with what it
 returned: tree and group counts, the capacity and the LP's column count,
@@ -66,7 +73,9 @@ count and total edges.  The ladder is a record, not a gate.
 prints each row's best times and the HEAD/BASE ratio (below 1 where HEAD
 is faster); a row only one file has gets ``-`` for the other.  Given two
 checkout roots, ``--compare`` times both in ``--repeat`` rounds of fresh
-interpreters, each timing every row ``--repeat`` times.
+interpreters, each timing every row ``--repeat`` times, and adds each row's
+median over rounds of that round's HEAD/BASE ratio of bests, which pairs
+the two sides of a round against the drift between interpreters.
 
     PYTHONPATH=src python scripts/ladder.py --label mybranch
     PYTHONPATH=src python scripts/ladder.py --compare BENCH_main.json BENCH_mybranch.json
@@ -79,6 +88,7 @@ import math
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -87,10 +97,10 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from pinkey import (Multigraph, PinModel, TerminalSet, audit, base_scale, best_partition,
-                    draw_edge_keys, format_rational, load_model, realize_multigraph,
-                    run_protocol, solve_capacity, spanning_packing, steiner_packing,
-                    subset_family, upper_bound)
+from pinkey import (Multigraph, PinModel, SizeLimitError, TerminalSet, audit, base_scale,
+                    best_partition, draw_edge_keys, format_rational, load_model,
+                    realize_multigraph, run_protocol, solve_capacity, spanning_packing,
+                    steiner_packing, subset_family, upper_bound)
 
 ROOT = Path(__file__).resolve().parent.parent
 FOUND9_WEIGHTS = (1, 2, 0, 2, 5, 4, 1, 4, 3, 6, 0, 1, 0, 3, 1, 0, 5, 1, 3, 5, 4, 5,
@@ -118,7 +128,11 @@ def spanning_rows() -> list[tuple[str, Multigraph]]:
         ("K4x300", weighted(4, [1] * 6, 300)),
         ("K6x210", weighted(6, [1] * 15, 210)),
     ]
-    return rows + [(f"random_m{m}", integer_random(m)) for m in range(9, 13)]
+    rows += [(f"random_m{m}", integer_random(m)) for m in range(9, 13)]
+    bridge = {(i + side, j + side): 20 for side in (0, 6)
+              for i, j in itertools.combinations(range(1, 7), 2)}
+    return rows + [("bridge_K6x20", Multigraph(12, bridge | {(6, 7): 1})),
+                   ("dense_m20", integer_random(20))]
 
 
 def dense_random(m: int) -> PinModel:
@@ -318,6 +332,8 @@ def ladder() -> list[tuple[str, object]]:
 
 def describe(row: dict) -> str:
     family = row["row"].split("/")[0]
+    if "limit" in row:
+        return f"{row['row']:<24} {row['limit']}"
     if family == "spanning":
         text = (f"|E| = {row['edges']:>5}  trees {row['trees']:>4}  "
                 f"groups {row['groups']:>4}")
@@ -338,27 +354,37 @@ def describe(row: dict) -> str:
     return f"{row['row']:<24} {text}  best {row['best_s']:.4f} s"
 
 
-def table(sides: list[str], best: list[dict], prefix: str) -> list[str]:
+def table(sides: list[str], best: list[dict], prefix: str,
+          medians: dict | None = None) -> list[str]:
     """Lines of per-row best times of two sides and HEAD/BASE, rows in
-    BASE's order and then HEAD's own."""
+    BASE's order and then HEAD's own; with ``medians``, a column of each
+    row's median per-round HEAD/BASE."""
     names = list(best[0]) + [name for name in best[1] if name not in best[0]]
+    header = f"{'row':<24} {'BASE s':>9} {'HEAD s':>9} {'HEAD/BASE':>9}"
     lines = [f"BASE {sides[0]}", f"HEAD {sides[1]}",
-             f"{'row':<24} {'BASE s':>9} {'HEAD s':>9} {'HEAD/BASE':>9}"]
+             header if medians is None else f"{header} {'median':>9}"]
     for name in names:
         if not name.startswith(prefix):
             continue
         times = [side.get(name) for side in best]
         shown = ["-" if t is None else f"{t:.4f}" for t in times]
         ratio = "-" if None in times or not times[0] else f"{times[1] / times[0]:.3f}"
-        lines.append(f"{name:<24} {shown[0]:>9} {shown[1]:>9} {ratio:>9}")
+        line = f"{name:<24} {shown[0]:>9} {shown[1]:>9} {ratio:>9}"
+        if medians is not None:
+            line += f" {medians[name]:>9.3f}" if name in medians else f" {'-':>9}"
+        lines.append(line)
     return lines
+
+
+def best_times(report: dict) -> dict:
+    """Each timed row's best time; rows that hit a size limit have none."""
+    return {row["row"]: row["best_s"] for row in report["rows"] if "best_s" in row}
 
 
 def compare_files(paths: list[Path], prefix: str) -> list[str]:
     reports = [json.loads(path.read_text(encoding="utf-8")) for path in paths]
     return table([f"{report['label']} ({report['revision']})" for report in reports],
-                 [{row["row"]: row["best_s"] for row in report["rows"]}
-                  for report in reports], prefix)
+                 [best_times(report) for report in reports], prefix)
 
 
 def compare_roots(roots: list[Path], rounds: int, prefix: str) -> list[str]:
@@ -366,21 +392,32 @@ def compare_roots(roots: list[Path], rounds: int, prefix: str) -> list[str]:
     ``rounds`` times, the side that goes first alternating per round.  Each
     interpreter also times every row ``rounds`` times, so a millisecond row's
     best is not one cold call."""
-    best: list[dict] = [{}, {}]
+    runs: list[list[dict]] = []  # per round, each side's best time per row
     with tempfile.TemporaryDirectory() as out:
         for k in range(rounds):
+            times: list[dict] = [{}, {}]
             for side in ((0, 1) if k % 2 == 0 else (1, 0)):
                 subprocess.run(
                     [sys.executable, __file__, "--label", f"side{side}",
                      "--repeat", str(rounds), "--out", out, "--rows", prefix],
                     env=dict(os.environ, PYTHONPATH=str(roots[side] / "src")),
                     stdout=subprocess.DEVNULL, check=True)
-                report = json.loads(Path(out, f"BENCH_side{side}.json").read_text(
-                    encoding="utf-8"))
-                for row in report["rows"]:
-                    name = row["row"]
-                    best[side][name] = min(row["best_s"], best[side].get(name, math.inf))
-    return table([f"{root} ({git_revision(root)})" for root in roots], best, prefix)
+                times[side] = best_times(json.loads(
+                    Path(out, f"BENCH_side{side}.json").read_text(encoding="utf-8")))
+            runs.append(times)
+    best: list[dict] = [{}, {}]
+    for times in runs:
+        for side in (0, 1):
+            for name, t in times[side].items():
+                best[side][name] = min(t, best[side].get(name, math.inf))
+    medians = {}
+    for name in best[0].keys() & best[1].keys():
+        ratios = [head[name] / base[name] for base, head in runs
+                  if name in base and name in head and base[name]]
+        if ratios:
+            medians[name] = statistics.median(ratios)
+    return table([f"{root} ({git_revision(root)})" for root in roots], best, prefix,
+                 medians)
 
 
 def main() -> None:
@@ -414,7 +451,11 @@ def main() -> None:
     rows = []
     for name, time_row in ladder():
         if name.startswith(args.rows):
-            rows.append({"row": name, **time_row(args.repeat)})
+            try:
+                fields = time_row(args.repeat)
+            except SizeLimitError as exc:
+                fields = {"limit": str(exc)}
+            rows.append({"row": name, **fields})
             print(describe(rows[-1]))
     report = {
         "label": args.label,

@@ -187,7 +187,7 @@ def _normalize_weights(
     explicit: dict[Pair, Fraction] = {}
     for (i, j), value in weights.items():
         pair = canonical_pair(i, j)
-        if pair[1] > m:
+        if pair[0] < 1 or pair[1] > m:
             raise ValueError(f"pair {pair} is outside terminals 1..{m}")
         # a Fraction is kept as it is; Fraction() checks anything else
         weight = value if type(value) is Fraction else Fraction(value)  # type: ignore
@@ -219,7 +219,7 @@ class PinModel:
         check_terminal_count(self.m)
         pmfs = {canonical_pair(i, j): pmf for (i, j), pmf in self.pmfs.items()}
         for pair in pmfs:
-            if pair[1] > self.m:
+            if pair[0] < 1 or pair[1] > self.m:
                 raise ValueError(f"pmf pair {pair} outside terminals 1..{self.m}")
         object.__setattr__(self, "pmfs", pmfs)
         if self.weights is not None:
@@ -303,7 +303,7 @@ class Multigraph:
         table: dict[Pair, int] = {pair: 0 for pair in all_pairs(self.m)}
         for (i, j), count in self.multiplicities.items():
             pair = canonical_pair(i, j)
-            if pair[1] > self.m:
+            if pair[0] < 1 or pair[1] > self.m:
                 raise ValueError(f"pair {pair} outside vertices 1..{self.m}")
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ValueError(f"multiplicity for {pair} is not an integer: {count!r}")

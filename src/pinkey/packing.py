@@ -6,18 +6,22 @@ Three packing routes, each certified by an independent count:
   the minimum cut (augmenting-path search on the collapsed integer-capacity
   graph, then flow decomposition into distinct paths with multiplicities);
 * edge-disjoint spanning trees via matroid-union augmentation (grow k
-  forests simultaneously, swapping along exchange chains), with k taken
-  from the partition-count formula as the termination certificate.  The
-  k forests are kept as runs of shifted copies of one forest, which
-  become the (tree, copies) groups; each forest is a set of parent
-  pointers, so "does this forest join u and v" is two root climbs and a
-  forest path is two climbs toward the root.  Pairs are inserted in
-  canonical order: the least run that separates a pair takes as many of
-  its copies as it has members, and only a copy that no run separates
-  runs the exchange search, which asks each distinct forest shape (pair
-  set) once per labeled pair.  Forest components only merge, so each
-  vertex pair keeps, for the whole packing, the least forest that may
-  still separate it.  The work k·|E| is capped;
+  forests simultaneously, swapping along exchange chains).  k is first
+  b = min(least degree, floor(|E| / (m - 1))), the floor ratio of a named
+  partition ({v} | rest, or all singletons), so b bounds the count and
+  packing b trees certifies it; the union stops once b is out of reach,
+  and only then is k taken from the partition-count formula.  The k
+  forests are kept as runs of shifted copies of one forest, which become
+  the (tree, copies) groups; two runs join when their forests' copy
+  numbers, less the forest indices, agree pair by pair.  Each forest is a
+  set of parent pointers, so "does this forest join u and v" is two root
+  climbs and a forest path is two climbs toward the root.  Pairs are
+  inserted in canonical order: the least run that separates a pair takes
+  as many of its copies as it has members, and only a copy that no run
+  separates runs the exchange search, which asks each distinct forest
+  shape (pair set) once per labeled pair.  Forest components only merge,
+  so each vertex pair keeps, for the whole packing, the least forest that
+  may still separate it.  The work k·|E| is capped;
 * Steiner packings for intermediate target sets: exact by depth-first
   search over edge-disjoint minimal Steiner trees, listed by attaching one
   path per target terminal, pruned by the partition bound on the
@@ -321,22 +325,28 @@ def _pair_bit(i: int, j: int) -> int:
 class _Forest:
     """Mutable forest on 1..m: parent[v] = (next vertex toward v's root, edge).
     ``shape`` is the forest's pair set, the sum of its pairs' ``_pair_bit``s;
-    a forest holds at most one edge per pair."""
+    a forest holds at most one edge per pair.  ``index`` is the forest's
+    place in the packing, fixed for life, and ``rel`` maps each pair to its
+    edge's copy number minus ``index``."""
 
-    __slots__ = ("parent", "shape")
+    __slots__ = ("parent", "shape", "index", "rel")
 
-    def __init__(self) -> None:
+    def __init__(self, index: int) -> None:
         self.parent: dict[int, tuple[int, EdgeRef]] = {}
         self.shape = 0
+        self.index = index
+        self.rel: dict[Pair, int] = {}
 
     def edges(self) -> list[EdgeRef]:
         return [edge for _, edge in self.parent.values()]
 
     def shifted(self, by: int) -> _Forest:
-        """A copy with every edge's copy number raised by ``by``."""
-        copy = _Forest()
+        """A copy at index + ``by`` with every edge's copy number raised by
+        ``by``, so with the same ``rel``."""
+        copy = _Forest(self.index + by)
         copy.parent = {v: (up, (i, j, c + by)) for v, (up, (i, j, c)) in self.parent.items()}
         copy.shape = self.shape
+        copy.rel = self.rel.copy()
         return copy
 
     def path_edges(self, u: int, v: int) -> list[EdgeRef] | None:
@@ -373,6 +383,7 @@ class _Forest:
         if self.joins(i, j):
             raise AssertionError(f"adding {edge} would close a cycle")
         self.shape ^= _pair_bit(i, j)
+        self.rel[(i, j)] = edge[2] - self.index
         x, link = i, (j, edge)  # re-root i's tree at i, then hang i below j
         while True:
             up = self.parent.get(x)
@@ -387,6 +398,7 @@ class _Forest:
             if child in self.parent and self.parent[child][1] == edge:
                 del self.parent[child]
                 self.shape ^= _pair_bit(edge[0], edge[1])
+                del self.rel[edge[:2]]
                 return
         raise AssertionError(f"edge {edge} is not in this forest")
 
@@ -400,7 +412,10 @@ class _ForestRuns:
     A run is split where one of its forests changes, and after each insert
     a run that continues the shift of the run before it joins it, so the
     runs stay maximal and few.  Forest indices name the same forests
-    throughout; only the runs that hold them change.
+    throughout; only the runs that hold them change.  Each ``forests[r]``
+    has index ``starts[r]``: a split makes a new forest at the new start
+    and a join drops the later run's, so a run continues the shift of the
+    run before it exactly when the two forests' ``rel`` maps are equal.
 
     Three facts keep the forest queries few:
 
@@ -422,7 +437,7 @@ class _ForestRuns:
     __slots__ = ("forests", "starts", "open_from")
 
     def __init__(self, k: int) -> None:
-        self.forests = [_Forest()]
+        self.forests = [_Forest(0)]
         self.starts = [0, k]
         self.open_from: dict[Pair, int] = {}
 
@@ -480,12 +495,7 @@ class _ForestRuns:
             r = bisect_left(starts, boundary)
             if not 0 < boundary < k or starts[r] != boundary:
                 continue  # the packing's ends, or a run already joined
-            while r < len(forests):
-                first, forest = forests[r - 1], forests[r]
-                by = starts[r] - starts[r - 1]
-                if first.shape != forest.shape or set(forest.edges()) != {
-                        (i, j, c + by) for i, j, c in first.edges()}:
-                    break
+            while r < len(forests) and forests[r - 1].rel == forests[r].rel:
                 del forests[r], starts[r]
 
     def _augment(self, new_edge: EdgeRef) -> Iterable[int]:
@@ -560,38 +570,67 @@ class _ForestRuns:
                      in zip(self.forests, self.starts, self.starts[1:]))
 
 
-def spanning_packing(graph: Multigraph) -> TreePacking:
-    """A maximum packing of edge-disjoint spanning trees; its size equals
-    the partition-count formula."""
-    if graph.m < 2:
-        raise ValueError("spanning packing needs at least two vertices")
-    target = TerminalSet.full(graph.m)
-    certified = nash_williams_count(graph)
-    total_edges = graph.total_edges()
-    if certified * total_edges > SPANNING_WORK_CAP:
-        raise SizeLimitError(
-            f"spanning packing is capped at k*|E| = {SPANNING_WORK_CAP}; this "
-            f"graph has k = {certified} trees and |E| = {total_edges} edges, "
-            f"k*|E| = {certified * total_edges}"
-        )
-    if certified == 0:
-        return TreePacking(graph=graph, target=target, groups=())
-    runs = _ForestRuns(certified)
-    goal = certified * (graph.m - 1)
+def _union(graph: Multigraph, k: int) -> _ForestRuns | None:
+    """k forests holding k(m - 1) edges, inserted in canonical order, or
+    None when the graph has no k edge-disjoint spanning trees.  The search
+    stops as soon as the edges placed and the copies of the pairs not yet
+    reached fall below k(m - 1)."""
+    runs = _ForestRuns(k)
+    goal = k * (graph.m - 1)
     total = 0
+    later = graph.total_edges()
     for i, j in graph.support_pairs():  # canonical order, copy by copy
         count = graph.multiplicities[(i, j)]
+        later -= count
         copy = 0
         while copy < count and total < goal:
             placed = runs.insert((i, j, copy), min(count - copy, goal - total))
             if not placed:
-                break  # parallel copies share a span; once blocked, always blocked
+                # parallel copies share a span; once blocked, always blocked
+                if total + later < goal:
+                    return None
+                break
             copy += placed
             total += placed
-    if total != goal:
-        raise AssertionError(
-            f"matroid union packed {total} edges, expected {goal}"
-        )
+    return runs if total == goal else None
+
+
+def spanning_packing(graph: Multigraph) -> TreePacking:
+    """A maximum packing of edge-disjoint spanning trees; its size equals
+    the partition-count formula.
+
+    The union first asks for b = min(least degree, floor(|E| / (m - 1)))
+    trees: the floor ratios of the m partitions {v} | rest and of the
+    all-singletons partition, so b is at least the count.  Packing b trees
+    proves the count is b, that named partition being the certificate.
+    When b·|E| is over the work cap, or the union falls short, the count
+    comes from ``nash_williams_count`` and the union packs that many.
+    """
+    if graph.m < 2:
+        raise ValueError("spanning packing needs at least two vertices")
+    target = TerminalSet.full(graph.m)
+    total_edges = graph.total_edges()
+    degree = [0] * (graph.m + 1)
+    for (i, j), count in graph.multiplicities.items():
+        degree[i] += count
+        degree[j] += count
+    bound = min(min(degree[1:]), total_edges // (graph.m - 1))
+    if bound == 0:
+        return TreePacking(graph=graph, target=target, groups=())
+    runs = _union(graph, bound) if bound * total_edges <= SPANNING_WORK_CAP else None
+    if runs is None:
+        certified = nash_williams_count(graph)
+        if certified * total_edges > SPANNING_WORK_CAP:
+            raise SizeLimitError(
+                f"spanning packing is capped at k*|E| = {SPANNING_WORK_CAP}; this "
+                f"graph has k = {certified} trees and |E| = {total_edges} edges, "
+                f"k*|E| = {certified * total_edges}"
+            )
+        if certified == 0:
+            return TreePacking(graph=graph, target=target, groups=())
+        runs = _union(graph, certified)
+        if runs is None:
+            raise AssertionError(f"matroid union packed fewer than {certified} trees")
     return TreePacking(graph=graph, target=target, groups=runs.groups())
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -426,6 +427,50 @@ class TestSpanningWorkCap:
         assert out == ""
         assert err.startswith("error: spanning packing is capped at k*|E|")
         assert err.count("\n") == 1
+
+
+class TestSpanningAboveThePartitionCap:
+    """With A = M the packing proves its own count when the degree bound
+    b = min(least degree, floor(|E| / (m - 1))) is met, or when b = 0, so
+    past the partition search's 12 terminals only the other graphs exit 3."""
+
+    @staticmethod
+    def dense_m20(directory) -> str:
+        # the ladder's spanning/dense_m20: randint(0, 6) per pair, row-major
+        rng = random.Random(20)
+        pairs = itertools.combinations(range(1, 21), 2)
+        return _integer_model_file(directory, 20, {pair: rng.randint(0, 6) for pair in pairs})
+
+    @pytest.mark.parametrize("command", ["pack", "simulate"])
+    def test_dense_m20_packs_its_degree_bound(self, capsys, tmp_path, command):
+        path = self.dense_m20(tmp_path)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, path, "--format", "structured")
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["edge_total"], doc["tree_count"]) == (519, 27)
+        assert doc.get("audit_passed", True) is True
+
+    @pytest.mark.parametrize("command", ["pack", "simulate"])
+    def test_isolated_terminal_packs_nothing(self, capsys, tmp_path, command):
+        # terminal 13 meets no edge: b = 0
+        pairs = itertools.combinations(range(1, 13), 2)
+        path = _integer_model_file(tmp_path, 13, dict.fromkeys(pairs, 1))
+        code, out, err = run_cli(capsys, command, path, "--format", "structured")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["tree_count"] == 0
+
+    @pytest.mark.parametrize("command", ["pack", "simulate"])
+    def test_bridged_m14_still_needs_the_partition_count(self, capsys, tmp_path,
+                                                          command):
+        # two K7 of weight 2 joined by one edge: b = 6 trees, in fact 1
+        weights = {(i + side, j + side): 2 for side in (0, 7)
+                   for i, j in itertools.combinations(range(1, 8), 2)}
+        path = _integer_model_file(tmp_path, 14, weights | {(7, 8): 1})
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (3, "")
+        assert err == "error: m=14 exceeds the partition-enumeration cap 12\n"
 
 
 class TestPackingEdgeCap:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,17 @@ class TestPinModel:
         with pytest.raises(ValueError):
             PinModel.from_weights(2, {(1, 1): 1})
 
+    @pytest.mark.parametrize("pair, shown", [
+        ((0, 1), (0, 1)), ((1, 0), (0, 1)), ((-1, 2), (-1, 2)), ((1, 3), (1, 3))])
+    def test_rejects_pairs_outside_the_terminals(self, pair, shown):
+        with pytest.raises(ValueError, match=re.escape(
+                f"pair {shown} is outside terminals 1..2")):
+            PinModel.from_weights(2, {pair: 1, (1, 2): 1})
+        pmf = PairPmf.from_rows([[1.0]])
+        with pytest.raises(ValueError, match=re.escape(
+                f"pmf pair {shown} outside terminals 1..2")):
+            PinModel.from_pmfs(2, {pair: pmf})
+
     def test_terminal_cap(self):
         assert PinModel.from_weights(MAX_TERMINALS, {}).m == MAX_TERMINALS
         with pytest.raises(SizeLimitError, match="MAX_TERMINALS"):
@@ -246,6 +258,13 @@ class TestMultigraph:
     def test_rejects_non_integer_multiplicity(self, count):
         with pytest.raises(ValueError, match="not an integer"):
             Multigraph(3, {(1, 2): 1, (2, 3): count})
+
+    @pytest.mark.parametrize("pair, shown", [
+        ((0, 1), (0, 1)), ((2, 0), (0, 2)), ((-3, 1), (-3, 1)), ((1, 3), (1, 3))])
+    def test_rejects_pairs_outside_the_vertices(self, pair, shown):
+        with pytest.raises(ValueError, match=re.escape(
+                f"pair {shown} outside vertices 1..2")):
+            Multigraph(2, {(1, 2): 1, pair: 1})
 
     def test_edge_refs_canonical(self):
         graph = Multigraph(3, {(2, 3): 2, (1, 2): 1})

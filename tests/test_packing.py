@@ -102,6 +102,25 @@ def steiner_instances(draw):
     return Multigraph(m, counts), TerminalSet(tuple(members))
 
 
+@st.composite
+def bridged_multigraphs(draw):
+    """Two clusters, 1..cut and the rest (each of two vertices or more
+    from m = 4 on), with 1 to 12 copies of each pair inside and at most
+    one across, in a quarter of the draws with one vertex's row all zeros:
+    the degree bound min(least degree, floor(|E| / (m - 1))) then often
+    exceeds the tree count, or is 0."""
+    m = draw(st.integers(2, 8))
+    cut = draw(st.integers(min(2, m - 1), max(2, m - 2)))
+    isolated = draw(st.integers(1, m)) if draw(st.integers(0, 3)) == 0 else None
+    counts = {}
+    for i, j in itertools.combinations(range(1, m + 1), 2):
+        inside = (i <= cut) == (j <= cut)
+        counts[(i, j)] = draw(st.integers(1, 12) if inside else st.integers(0, 1))
+        if isolated in (i, j):
+            counts[(i, j)] = 0
+    return Multigraph(m, counts)
+
+
 def ladder_graph(row: str) -> Multigraph:
     # the instance as scripts/ladder.py builds it, so both measure the same graph
     ladder = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "ladder.py"))
@@ -218,7 +237,8 @@ class TestForest:
     def test_paths_and_edges_match_the_reference_forest(self, seed):
         rng = random.Random(seed)
         m = rng.randint(2, 8)
-        forest, reference = _Forest(), _ReferenceForest()
+        index = rng.randint(0, 5)
+        forest, reference = _Forest(index), _ReferenceForest()
         for _ in range(rng.randint(1, 40)):
             held = reference.edges()
             if held and rng.random() < 0.3:
@@ -237,8 +257,10 @@ class TestForest:
             assert sorted(forest.edges()) == sorted(reference.edges())
             assert forest.shape == sum(1 << ((j - 1) * (j - 2) // 2 + i - 1)
                                        for i, j, _ in reference.edges())
+            assert forest.rel == {(i, j): c - index for i, j, c in reference.edges()}
             moved = forest.shifted(3)
             assert moved.shape == forest.shape
+            assert (moved.index, moved.rel) == (index + 3, forest.rel)
             assert sorted(moved.edges()) == sorted(
                 (i, j, c + 3) for i, j, c in reference.edges())
             for u, v in itertools.permutations(range(1, m + 1), 2):
@@ -247,7 +269,7 @@ class TestForest:
                 assert forest.joins(u, v) == (path is not None)
 
     def test_remove_rejects_an_absent_edge(self):
-        forest = _Forest()
+        forest = _Forest(0)
         forest.add((1, 2, 0))
         with pytest.raises(AssertionError, match="not in this forest"):
             forest.remove((1, 2, 1))
@@ -609,6 +631,50 @@ class TestSpanningPacking:
         assert len(packing.groups) == 34
         assert_maximal_runs(packing)
         assert len(spanning_packing(complete_multigraph(6, 40)).groups) == 3
+
+    @given(bridged_multigraphs())
+    @example(Multigraph(6, {(1, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 1, (4, 5): 3,
+                            (4, 6): 3, (5, 6): 3}))
+    @example(Multigraph(4, {(1, 2): 5, (1, 3): 5, (2, 3): 5, (1, 4): 0}))
+    @settings(deadline=None)
+    def test_same_trees_as_reference_when_the_degree_bound_is_not_met(self, graph):
+        packing = spanning_packing(graph)
+        assert tuple(packing.trees) == tuple(reference_spanning_packing(graph).trees)
+        assert packing.count == nash_williams_count(graph)
+        assert_maximal_runs(packing)
+
+    def test_degree_bound_certifies_without_the_partition_count(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("the partition count was asked")
+
+        monkeypatch.setattr(pinkey.packing, "nash_williams_count", refuse)
+        assert spanning_packing(complete_multigraph(4, 300)).count == 600
+        # b = 2: the third copy of (1, 2) is blocked, and then the two
+        # copies still to come are exactly the two edges missing
+        assert spanning_packing(Multigraph(3, {(1, 2): 3, (1, 3): 1, (2, 3): 1})).count == 2
+        assert spanning_packing(Multigraph(3, {(1, 2): 4})).count == 0  # b = 0
+
+    def test_union_stops_once_the_bound_is_out_of_reach(self, monkeypatch):
+        # two K6 x 20 joined by one edge: b = 54, one tree in fact; the
+        # first cluster alone shows 54 trees cannot be reached
+        graph = ladder_graph("bridge_K6x20")
+        events = []
+        insert, count = _ForestRuns.insert, pinkey.packing.nash_williams_count
+
+        def recorded_insert(runs, edge, most):
+            events.append(edge[:2])
+            return insert(runs, edge, most)
+
+        def recorded_count(graph):
+            events.append("count")
+            return count(graph)
+
+        monkeypatch.setattr(_ForestRuns, "insert", recorded_insert)
+        monkeypatch.setattr(pinkey.packing, "nash_williams_count", recorded_count)
+        packing = spanning_packing(graph)
+        assert packing.count == 1
+        assert events.count("count") == 1
+        assert all(max(pair) <= 6 for pair in events[:events.index("count")])
 
     def test_work_cap(self):
         # k trees over |E| edges: 1414 * 1414 is just under the cap

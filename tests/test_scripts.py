@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import runpy
 import shutil
 import subprocess
 import sys
@@ -46,6 +47,7 @@ def test_ladder_writes_a_bench_file(tmp_path):
     rows = {row["row"]: row for row in report["rows"]}
     assert list(rows) == ["spanning/found9", "spanning/K4x300", "spanning/K6x210"] + [
         f"spanning/random_m{m}" for m in range(9, 13)] + [
+        "spanning/bridge_K6x20", "spanning/dense_m20"] + [
         f"capacity/dense_m{m}{suffix}" for suffix in ("", "_pair", "_half")
         for m in range(9, 13)] + ["capacity/floor_m6"] + [
         f"bound/dense_m{m}" for m in range(9, 13)] + [
@@ -54,6 +56,12 @@ def test_ladder_writes_a_bench_file(tmp_path):
         "cli/load_floor"]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
+    # the degree bound says 54 trees, the bridge allows 1
+    assert (rows["spanning/bridge_K6x20"]["edges"], rows["spanning/bridge_K6x20"]["trees"]) == (
+        601, 1)
+    # past the partition search's cap: the union packs the degree bound
+    assert (rows["spanning/dense_m20"]["terminals"], rows["spanning/dense_m20"]["trees"]) == (
+        20, 27)
     assert rows["capacity/dense_m12"]["value"] == "653/66"
     assert rows["capacity/dense_m12"]["columns"] == 2 ** 12 - 2
     assert rows["capacity/dense_m12_pair"]["columns"] == 2 ** 12 - 2 ** 10 - 1
@@ -118,12 +126,41 @@ def test_ladder_compare_times_two_roots_interleaved(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[0].startswith(f"BASE {roots[0]} (")
     assert lines[1].startswith(f"HEAD {roots[1]} (")
+    assert lines[2].split() == ["row", "BASE", "s", "HEAD", "s", "HEAD/BASE", "median"]
     table = [line.split() for line in lines[3:]]
     assert [row[0] for row in table] == [
         "capacity/dense_m9", "capacity/dense_m9_pair", "capacity/dense_m9_half"]
-    for _, base, head, ratio in table:
+    for _, base, head, ratio, median in table:
         assert float(base) > 0 and float(head) > 0
-        assert float(ratio) > 0
+        assert float(ratio) > 0 and float(median) > 0
+
+
+def test_ladder_compare_median_pairs_each_round(tmp_path, monkeypatch):
+    # three rounds of fake interpreters: HEAD's best of bests is half BASE's,
+    # but the median of the per-round ratios is 0.9; a row that hit a size
+    # limit at BASE shows no time and no ratio there
+    ladder = runpy.run_path(str(ROOT / "scripts" / "ladder.py"))
+    head_times = iter([0.5, 2.0, 0.9])
+
+    def fake_run(argv, env=None, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, stdout="rev", stderr="")
+        out = Path(argv[argv.index("--out") + 1])
+        label = argv[argv.index("--label") + 1]
+        if env["PYTHONPATH"].startswith(str(tmp_path / "base")):
+            rows = [{"row": "spanning/a", "best_s": 1.0}, {"row": "spanning/b", "limit": "cap"}]
+        else:
+            rows = [{"row": "spanning/a", "best_s": next(head_times)},
+                    {"row": "spanning/b", "best_s": 0.25}]
+        (out / f"BENCH_{label}.json").write_text(json.dumps({"rows": rows}))
+        return subprocess.CompletedProcess(argv, 0)
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    lines = ladder["compare_roots"]([tmp_path / "base", tmp_path / "head"], 3, "spanning/")
+    assert [line.split() for line in lines[3:]] == [
+        ["spanning/a", "1.0000", "0.5000", "0.500", "0.900"],
+        ["spanning/b", "-", "0.2500", "-", "-"],
+    ]
 
 
 def test_ladder_compare_rejects_a_file_and_a_root(tmp_path):
