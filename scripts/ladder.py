@@ -22,7 +22,11 @@ weight ``randint(0, 6)`` over ``randint(1, 3)``, drawn in that order per
 pair (i < j, row-major) from ``random.Random(m)``.  They cover the LP's
 three target regimes at m = 9 .. 12: ``dense_m9`` .. ``dense_m12`` at
 ``A = M``, ``dense_m9_pair`` .. at A = {1, 2}, and ``dense_m9_half`` .. at
-A = {1, .., ceil(m/2)}.  ``capacity/floor_m6`` is the fixed per-request
+A = {1, .., ceil(m/2)}.  ``unit_K12_pair`` and ``unit_K12_half`` solve it on
+the unit complete graph K12 (every weight 1) at A = {1, 2} (C = 11) and
+A = {1, .., 6}: a tie-heavy LP whose optimum is shared by many vertices,
+so the solver reruns Bland's rule and the vertex check reads a degenerate
+basis.  ``capacity/floor_m6`` is the fixed per-request
 floor of small LPs: ``solve_capacity`` plus ``best_partition``, as the
 ``capacity`` command runs them, over 34 models with m = 6, each drawn
 from ``random.Random(6)`` with three targets in turn (|A| = 2, 3, 6):
@@ -229,12 +233,11 @@ def spanning_row(graph: Multigraph, repeat: int) -> dict:
     }
 
 
-def capacity_row(m: int, target: TerminalSet, repeat: int) -> dict:
-    model = dense_random(m)
+def capacity_row(model: PinModel, target: TerminalSet, repeat: int) -> dict:
     result, timing = timed(lambda: solve_capacity(model, target), repeat)
     return {
-        "terminals": m,
-        "columns": len(subset_family(m, target).subsets),
+        "terminals": model.m,
+        "columns": len(subset_family(model.m, target).subsets),
         "value": format_rational(result.value),
         **timing,
     }
@@ -318,8 +321,11 @@ def ladder() -> list[tuple[str, object]]:
     returns its fields, in ladder order."""
     rows = [(f"spanning/{name}", partial(spanning_row, graph))
             for name, graph in spanning_rows()]
-    rows += [(f"capacity/dense_m{m}{suffix}", partial(capacity_row, m, target(m)))
+    rows += [(f"capacity/dense_m{m}{suffix}", partial(capacity_row, dense_random(m), target(m)))
              for suffix, target in CAPACITY_TARGETS for m in range(9, 13)]
+    unit = PinModel.from_weights(12, dict.fromkeys(itertools.combinations(range(1, 13), 2), 1))
+    rows += [(f"capacity/unit_K12{suffix}", partial(capacity_row, unit, target(12)))
+             for suffix, target in CAPACITY_TARGETS[1:]]
     rows.append(("capacity/floor_m6", partial(floor_row, floor_set())))
     rows += [(f"bound/dense_m{m}", partial(bound_row, m)) for m in range(9, 13)]
     rows += [(f"protocol/path_{edges // 1000}k", partial(protocol_row, edges))

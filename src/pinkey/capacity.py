@@ -10,14 +10,13 @@ and is attained at a polytope vertex: the exact simplex returns the one
 Bland's rule reaches, whatever its pricing.  An assignment's ``weights``
 map subset bitmasks to the nonzero weights only, at most m at a vertex.
 
-The LP's integer costs come from one table over all masks, built by a
-recurrence on each mask's lowest terminal in O(2^m) additions.
-``solve_capacity`` checks the solver's vertex in the solver's own
-integers, the basic values ``β`` over the denominator ``d``: every ``β``
-lies in ``[0, d]``, the ``β`` covering each terminal sum to ``d``, and the
-objective recomputed from the model's weights equals the solver's
-``C_B·β``.  Fractions are built only for what it returns: the value, the
-m support weights and the pair coefficients.
+The LP's integer costs come from one table over all masks, built from
+the model's ``base_weights`` by a recurrence on each mask's lowest
+terminal in O(2^m) additions.  Assignments are checked and priced as
+integers ``β`` over a denominator ``d`` by one cover check and one
+separation routine: on the solver's vertex in ``solve_capacity``, and on
+an assignment over its least common denominator in the library calls.
+Fractions are built only for what is returned.
 
 A second, entropy-based form of the same objective is available for
 pmf-backed models; agreement between the two (within 1e-9) is a strong
@@ -26,6 +25,7 @@ end-to-end check of the entropy bookkeeping.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,18 +91,13 @@ class WeightAssignment:
             mask: value for mask, value in sorted(self.weights.items()) if value})
 
     def validate(self) -> None:
-        weights = self.weights
-        for value in weights.values():
-            if value < 0 or value > 1:
-                raise InvalidAssignmentError(f"weight {value} outside [0, 1]")
-        for t in range(self.m):
-            total = sum((v for mask, v in weights.items() if mask >> t & 1),
-                        Fraction(0))
-            if total != 1:
-                raise InvalidAssignmentError(
-                    f"weights covering terminal {t + 1} sum to {total}, "
-                    "expected exactly 1"
-                )
+        _check_cover(self.m, *self._integers())
+
+    def _integers(self) -> tuple[dict[int, int], int]:
+        """Mask to ``β``, and ``d``: the weights over their least common denominator."""
+        d = math.lcm(*(v.denominator for v in self.weights.values()))
+        return {mask: v.numerator * (d // v.denominator)
+                for mask, v in self.weights.items()}, d
 
     def support(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """Nonzero weights as (subset members, value) pairs."""
@@ -112,15 +107,51 @@ class WeightAssignment:
         )
 
 
+def _check_cover(m: int, support: Mapping[int, int], d: int) -> None:
+    """The cover check on ``β`` over ``d``: each in ``[0, d]``, and the
+    ``β`` of the subsets holding each terminal summing to ``d``."""
+    for b in support.values():
+        if not 0 <= b <= d:
+            raise InvalidAssignmentError(f"weight {Fraction(b, d)} outside [0, 1]")
+    for t in range(m):
+        total = sum(b for mask, b in support.items() if mask >> t & 1)
+        if total != d:
+            raise InvalidAssignmentError(
+                f"weights covering terminal {t + 1} sum to {Fraction(total, d)}, "
+                "expected exactly 1")
+
+
+def _separations(m: int, support: Mapping[int, int]) -> dict[Pair, int]:
+    """Per pair, the ``β`` of the subsets separating it (lower terminal
+    inside, higher outside)."""
+    columns, seps = list(support.items()), {}
+    for i, j in all_pairs(m):
+        inside, outside = 1 << (i - 1), 1 << (j - 1)
+        sep = 0
+        for mask, b in columns:
+            if mask & inside and not mask & outside:
+                sep += b
+        seps[(i, j)] = sep
+    return seps
+
+
+def _checked(model: PinModel, target: TerminalSet,
+             assignment: WeightAssignment) -> tuple[dict[int, int], int]:
+    """The assignment over its least common denominator, once it is built
+    for (m, A) and passes the cover check."""
+    target.validate_within(model.m)
+    if (assignment.m, assignment.target) != (model.m, target):
+        raise InvalidAssignmentError("assignment built for a different (m, A)")
+    support, d = assignment._integers()
+    _check_cover(model.m, support, d)
+    return support, d
+
+
 def pair_coefficients(assignment: WeightAssignment) -> dict[Pair, Fraction]:
     """For each pair, the total weight of subsets separating it (lower
     terminal inside, higher outside)."""
-    coeffs = {pair: Fraction(0) for pair in all_pairs(assignment.m)}
-    for mask, value in assignment.weights.items():
-        for (i, j) in coeffs:
-            if mask >> (i - 1) & 1 and not mask >> (j - 1) & 1:
-                coeffs[(i, j)] += value
-    return coeffs
+    support, d = assignment._integers()
+    return {pair: Fraction(sep, d) for pair, sep in _separations(assignment.m, support).items()}
 
 
 def capacity_objective(
@@ -130,37 +161,30 @@ def capacity_objective(
 
     Returns a Fraction on exact models, a float on pmf-backed ones.
     """
-    target.validate_within(model.m)
-    if (assignment.m, assignment.target) != (model.m, target):
-        raise InvalidAssignmentError("assignment built for a different (m, A)")
-    assignment.validate()
-    return _objective(model, pair_coefficients(assignment))
-
-
-def _objective(model: PinModel, coeffs: Mapping[Pair, Fraction]):
+    support, d = _checked(model, target, assignment)
+    seps = _separations(model.m, support)
     if model.exact:
-        return sum(
-            (c * model.weight(i, j) for (i, j), c in coeffs.items()),
-            Fraction(0),
-        )
-    return sum(float(c) * model.mi(i, j) for (i, j), c in coeffs.items())
+        base = model.base_weights
+        return Fraction(sum(base[pair] * sep for pair, sep in seps.items()),
+                        d * base_scale(model))
+    return sum(sep / d * model.mi(i, j) for (i, j), sep in seps.items())
 
 
 def _lp_costs(model: PinModel, family: SubsetFamily) -> tuple[list[int], int]:
-    """Per subset, the weight of the pairs it separates (lower terminal
-    inside, higher outside), as integers over the base scale; returns the
-    costs and that scale.
+    """Per subset, the base weights of the pairs it separates (lower
+    terminal inside, higher outside); returns the costs and the base
+    scale they are over.
 
     One table holds the cost of every mask.  With t the lowest terminal of
     B, ``c(B) = c(B - t) + Σ_{j > t, j ∉ B} w_tj``, and the row sum is
     ``w_t(above t) - w_t(B above t)``, read from a subset-sum table of
     row t over the terminals above t; so the table costs O(2^m) additions."""
-    weights = model.require_exact("capacity LP costs")
-    scale, m = base_scale(model), family.m
+    model.require_exact("capacity LP costs")
+    m = family.m
     rows = [[0] * (m - 1 - t) for t in range(m)]
-    for (i, j), w in weights.items():
+    for (i, j), w in model.base_weights.items():
         if w:
-            rows[i - 1][j - i - 1] = w.numerator * (scale // w.denominator)
+            rows[i - 1][j - i - 1] = w
     table = [0] * (1 << m)
     for t in range(m - 1, -1, -1):
         sums = [0]  # sums[H]: row t's weight on the terminals t + 1 + (bits of H)
@@ -169,37 +193,18 @@ def _lp_costs(model: PinModel, family: SubsetFamily) -> tuple[list[int], int]:
         total, step = sums[-1], 2 << t
         # the masks H << (t + 1), then the same masks with t added
         table[1 << t::step] = [c + total - s for c, s in zip(table[::step], sums)]
-    return [table[mask] for mask in family.subsets], scale
+    return [table[mask] for mask in family.subsets], base_scale(model)
 
 
 def _vertex(family: SubsetFamily,
             result: SimplexResult) -> tuple[WeightAssignment, dict[int, int]]:
     """The LP's vertex as an assignment, with its support as integers
-    (mask to ``β``, over the denominator ``result.d``).
-
-    The checks of ``WeightAssignment.validate`` run on the integers: every
-    basic ``β`` lies in ``[0, d]``, and the ``β`` covering each terminal sum
-    to ``d``.  Only the m basic columns can carry a nonzero weight."""
-    m, d = family.m, result.d
-    support, cover = {}, [0] * m
-    for var, b in zip(result.basis, result.beta):
-        if not 0 <= b <= d:
-            raise InvalidAssignmentError(f"weight {Fraction(b, d)} outside [0, 1]")
-        if b:
-            mask = family.subsets[var]
-            support[mask] = b
-            for t in range(mask.bit_length()):
-                if mask >> t & 1:
-                    cover[t] += b
-    for t, total in enumerate(cover):
-        if total != d:
-            raise InvalidAssignmentError(
-                f"weights covering terminal {t + 1} sum to {Fraction(total, d)}, "
-                "expected exactly 1"
-            )
-    assignment = WeightAssignment(m, family.target, {
-        mask: Fraction(b, d) for mask, b in support.items()})
-    return assignment, support
+    (mask to ``β``, over the denominator ``result.d``), after the cover
+    check.  Only the m basic columns can carry a nonzero weight."""
+    support = {family.subsets[var]: b for var, b in zip(result.basis, result.beta) if b}
+    _check_cover(family.m, support, result.d)
+    return WeightAssignment(family.m, family.target, {
+        mask: Fraction(b, result.d) for mask, b in support.items()}), support
 
 
 @dataclass(frozen=True)
@@ -216,32 +221,24 @@ def solve_capacity(
 ) -> CapacityResult:
     """Exact minimum of the capacity objective over all valid assignments.
 
-    Besides ``_vertex``'s checks, the objective recomputed from the model's
-    weights, ``Σ_pairs (w_ij·scale) · sep_ij`` with ``sep_ij`` the ``β`` of
-    the basic subsets holding i but not j, must equal the LP's ``C_B·β``."""
-    weights = model.require_exact("capacity LP")
+    Besides the cover check, the objective recomputed from the base
+    weights, ``Σ_pairs (w_ij·n0) · sep_ij`` with ``sep_ij`` the ``β`` of the
+    basic subsets holding i but not j, must equal the LP's ``C_B·β``."""
+    model.require_exact("capacity LP")
     target.validate_within(model.m)
     family = subset_family(model.m, target, cap=cap)
     costs, scale = _lp_costs(model, family)
     result = solve_lp(costs, family.subsets, family.m)
     assignment, support = _vertex(family, result)
-    d, pairs, columns = result.d, list(all_pairs(family.m)), list(support.items())
-    seps, objective = [], 0
-    for i, j in pairs:
-        inside, outside = 1 << (i - 1), 1 << (j - 1)
-        sep = 0
-        for mask, b in columns:
-            if mask & inside and not mask & outside:
-                sep += b
-        seps.append(sep)
-        w = weights[(i, j)]
-        objective += w.numerator * (scale // w.denominator) * sep
+    d, base = result.d, model.base_weights
+    seps = _separations(family.m, support)
+    objective = sum(base[pair] * sep for pair, sep in seps.items())
     if objective != result.objective:
         raise ArithmeticError(
             f"simplex value {Fraction(result.objective, d * scale)} disagrees "
             f"with the objective {Fraction(objective, d * scale)}"
         )
-    coeffs = {pair: Fraction(sep, d) for pair, sep in zip(pairs, seps)}
+    coeffs = {pair: Fraction(sep, d) for pair, sep in seps.items()}
     return CapacityResult(value=Fraction(objective, d * scale), assignment=assignment,
                           coefficients=coeffs)
 
@@ -270,10 +267,7 @@ def entropy_objective(
     conditional entropies of each subset given its complement, using the
     per-pair additivity of the source.  Every pair must carry a pmf.
     """
-    target.validate_within(model.m)
-    if (assignment.m, assignment.target) != (model.m, target):
-        raise InvalidAssignmentError("assignment built for a different (m, A)")
-    assignment.validate()
+    _checked(model, target, assignment)
     pmfs = {}
     for pair in all_pairs(model.m):
         pmf = model.pmf(*pair)

@@ -7,6 +7,10 @@ bounds, tree packing); float-mode models derive their weights from per-pair
 joint pmfs and are used for the entropy-based consistency checks, where
 results carry a 1e-9 comparison tolerance.
 
+An exact model's ``base_weights``, ``w_ij · n0`` over the base scale
+``n0`` (the edge multiplicities of G(n0)), are the one integer form of its
+weights: the multigraphs, the capacity LP and the partition bound read them.
+
 Terminals are 1-indexed throughout.  Zero-weight pairs are stored
 explicitly, so sparse inputs are legal; since that costs ``m(m-1)/2``
 entries, a model has at most ``MAX_TERMINALS`` terminals.  All types are
@@ -39,7 +43,9 @@ MAX_TERMINALS = 256
 
 
 def check_terminal_count(m: int) -> None:
-    """Raise ``SizeLimitError`` past ``MAX_TERMINALS``."""
+    """Raise on a count that is not an int, or past ``MAX_TERMINALS``."""
+    if type(m) is not int:  # type() rather than isinstance: a bool is no count
+        raise ValueError(f"terminal count {m!r} is not an integer")
     if m > MAX_TERMINALS:
         raise SizeLimitError(
             f"terminals={m} exceeds the model cap MAX_TERMINALS={MAX_TERMINALS}"
@@ -214,9 +220,9 @@ class PinModel:
     pmfs: Mapping[Pair, PairPmf]
 
     def __post_init__(self) -> None:
+        check_terminal_count(self.m)
         if self.m < 2:
             raise ValueError(f"need at least two terminals, got m={self.m}")
-        check_terminal_count(self.m)
         pmfs = {canonical_pair(i, j): pmf for (i, j), pmf in self.pmfs.items()}
         for pair in pmfs:
             if pair[0] < 1 or pair[1] > self.m:
@@ -259,6 +265,20 @@ class PinModel:
             )
         return self.weights
 
+    @property
+    def base_weights(self) -> Mapping[Pair, int]:
+        """``w_ij · n0`` per pair, ``n0`` the base scale; built on the first
+        read and kept outside the dataclass fields."""
+        return self._base("integer base weights")[1]
+
+    def _base(self, operation: str) -> tuple[int, Mapping[Pair, int]]:
+        if "_base_table" not in self.__dict__:
+            weights = self.require_exact(operation)
+            n0 = math.lcm(*(w.denominator for w in weights.values()))
+            object.__setattr__(self, "_base_table", (n0, {
+                pair: w.numerator * (n0 // w.denominator) for pair, w in weights.items()}))
+        return self.__dict__["_base_table"]
+
     def weight(self, i: int, j: int) -> Fraction:
         return self.require_exact("rational weight lookup")[canonical_pair(i, j)]
 
@@ -298,6 +318,7 @@ class Multigraph:
     multiplicities: Mapping[Pair, int]
 
     def __post_init__(self) -> None:
+        check_terminal_count(self.m)
         if self.m < 1:
             raise ValueError(f"need at least one vertex, got m={self.m}")
         table: dict[Pair, int] = {pair: 0 for pair in all_pairs(self.m)}
@@ -353,23 +374,19 @@ class Multigraph:
 def base_scale(model: PinModel) -> int:
     """Least n making every scaled weight integral; valid scales are its
     positive multiples."""
-    weights = model.require_exact("base scale")
-    return math.lcm(*(w.denominator for w in weights.values()))
+    return model._base("base scale")[0]
 
 
 def realize_multigraph(model: PinModel, n: int) -> Multigraph:
-    """Multigraph with exactly ``n * weight`` parallel edges per pair.
-
-    Counted in integers: n is a multiple of the base scale, so every
-    weight's denominator divides it."""
-    weights = model.require_exact("multigraph realization")
-    n0 = base_scale(model)
+    """Multigraph with exactly ``n * weight`` parallel edges per pair: the
+    base weights times ``n / n0``, n being a multiple of the base scale."""
+    n0, base = model._base("multigraph realization")
     if n <= 0 or n % n0 != 0:
         raise InvalidScaleError(
             f"scale {n} is not a positive multiple of the base scale {n0}"
         )
-    counts = {pair: w.numerator * (n // w.denominator) for pair, w in weights.items()}
-    return Multigraph(m=model.m, multiplicities=counts)
+    copies = n // n0
+    return Multigraph(model.m, {pair: b * copies for pair, b in base.items()})
 
 
 def format_rational(value: Fraction) -> str:

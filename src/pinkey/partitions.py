@@ -1,11 +1,12 @@
 """Partition bounds: the crossing-weight upper bound and tree-packing counts.
 
 ``min_ratio`` is the one routine for the minimum over partitions of
-crossing weight / (atoms - 1): it alone scales the weights to integers and
-compares ratios.  It serves ``best_partition`` (the capacity upper bound),
-``nash_williams_count`` (its floor on edge multiplicities with A = all
-terminals) and the exact Steiner search in ``packing`` (whether the
-remaining edge capacities go below a tree count, as the pruning bound).
+crossing weight / (atoms - 1), on integer tables only.  It serves
+``best_partition`` (the capacity upper bound, on the model's
+``base_weights``, divided by the base scale once), ``nash_williams_count``
+(its floor on edge multiplicities with A = all terminals) and the exact
+Steiner search in ``packing`` (whether the remaining edge capacities go
+below a tree count, as the pruning bound).
 
 Partitions of the terminals are restricted-growth strings (RGS), so each
 appears once, in canonical order.  Only partitions with at least two atoms
@@ -27,10 +28,10 @@ weight to their heaviest prefix atom; and since every new atom needs a
 target terminal of its own, the final atom count is at most the open
 atoms plus the target terminals left over once every open atom without
 one has been given one.  A prefix whose best possible ratio
-cannot strictly beat the incumbent is cut.  The incumbent changes only on
-a strict improvement, so the search returns the same value and the same
-RGS-first minimizer as the full scan, and it stops at crossing 0 as the
-scan does.
+cannot strictly beat the incumbent is cut.  At a leaf the bound is the
+partition's own ratio, so every partition yielded, with its crossing, is
+a strict improvement and becomes the incumbent: the search returns the
+same value and RGS-first minimizer as a full scan, stopping at crossing 0.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import SizeLimitError
-from .model import Multigraph, Pair, PinModel, TerminalSet
+from .model import Multigraph, Pair, PinModel, TerminalSet, base_scale
 
 DEFAULT_TERMINAL_CAP = 12
 
@@ -82,15 +83,16 @@ def enumerate_partitions(
     target, in RGS order: the pruned search with nothing to prune against,
     so it skips the crossing bound (its target-terminal counts still cut
     hopeless prefixes early)."""
-    yield from pruned_partitions(m, target, cap)([], None)
+    for _, partition in pruned_partitions(m, target, cap)([], None):
+        yield partition
 
 
-# Called by ``min_ratio`` with the integer-scaled (i, j, weight) items and
-# the incumbent test ``beaten(crossing, parts)``; yields partitions in RGS
-# order, skipping every prefix that ``beaten`` rules out.  With ``beaten``
-# None nothing is cut and no bound is computed.
+# Called by ``min_ratio`` with the integer (i, j, weight) items and the
+# incumbent test ``beaten(crossing, parts)``; yields (crossing, partition)
+# in RGS order, skipping every prefix that ``beaten`` rules out.  With
+# ``beaten`` None nothing is cut and the crossings read 0.
 PartitionSearch = Callable[
-    [list[tuple], Callable[[int, int], bool] | None], Iterator[Partition]
+    [list[tuple], Callable[[int, int], bool] | None], Iterator[tuple[int, Partition]]
 ]
 
 
@@ -111,8 +113,8 @@ def pruned_partitions(
     for k in range(m - 1, -1, -1):
         remaining[k] = remaining[k + 1] + (1 if in_target[k] else 0)
 
-    def search(items: list[tuple],
-               beaten: Callable[[int, int], bool] | None) -> Iterator[Partition]:
+    def search(items: list[tuple], beaten: Callable[[int, int], bool] | None
+               ) -> Iterator[tuple[int, Partition]]:
         weight = [[0] * m for _ in range(m)]
         for i, j, value in items:
             weight[i][j] = weight[j][i] = value
@@ -124,10 +126,10 @@ def pruned_partitions(
         assignment = [0] * m
 
         def rec(k: int, natoms: int, unfixed: int,
-                crossing: int) -> Iterator[Partition]:
+                crossing: int) -> Iterator[tuple[int, Partition]]:
             # unfixed = atoms opened so far that contain no target terminal
             if k == m:
-                yield Partition(tuple(assignment))
+                yield crossing, Partition(tuple(assignment))
                 return
             fixes = in_target[k]
             row = weight[k]
@@ -169,60 +171,41 @@ def pruned_partitions(
     return search
 
 
-def _nonzero_items(table: Mapping[Pair, Fraction | int]) -> list[tuple]:
+def _items(table: Mapping[Pair, int]) -> list[tuple[int, int, int]]:
     return [(i - 1, j - 1, v) for (i, j), v in table.items() if v]
 
 
-def _crossing(items: list[tuple], assignment: tuple[int, ...]) -> Fraction | int:
-    total = 0
-    for i, j, value in items:
-        if assignment[i] != assignment[j]:
-            total += value
-    return total
-
-
 def min_ratio(
-    table: Mapping[Pair, Fraction | int],
-    partitions: Iterable[Partition] | PartitionSearch,
-    below: int | None = None,
+    table: Mapping[Pair, int], search: PartitionSearch, below: int | None = None,
 ) -> tuple[Fraction, Partition] | Partition | None:
-    """Minimum over the partitions of crossing value / (atoms - 1), with the
-    first partition attaining it; ``table`` maps pairs to weights or edge
-    multiplicities.  Values are scaled to integers by their common
-    denominator and compared by cross-multiplication, so the loop builds no
-    Fraction per partition.  ``partitions`` is either scanned in order or,
-    as a ``PartitionSearch``, walked with the incumbent as its bound.
+    """Minimum over the partitions of crossing / (atoms - 1), with the
+    first partition attaining it; ``table`` maps pairs to integer weights
+    or edge multiplicities.  The search is walked with the incumbent as its
+    bound, and ratios are compared by cross-multiplication, so no Fraction
+    is built per partition.
 
     With ``below`` the incumbent starts at that ratio and the first
     partition strictly below it is returned, or None when there is none:
     the search then cuts every prefix that cannot go below the threshold."""
-    scale = math.lcm(*(v.denominator for v in table.values()))
-    items = [(i, j, v.numerator * (scale // v.denominator))
-             for i, j, v in _nonzero_items(table)]
     best: Partition | None = None
     # the incumbent ratio; 1 / 0 stands for infinity until the first partition
-    best_crossing, best_parts = (1, 0) if below is None else (below * scale, 1)
+    best_crossing, best_parts = (1, 0) if below is None else (below, 1)
 
     def beaten(crossing: int, parts: int) -> bool:
         """True when crossing / parts does not strictly beat the incumbent."""
         return crossing * best_parts >= best_crossing * parts
 
-    if callable(partitions):
-        partitions = partitions(items, beaten)
-    for partition in partitions:
-        crossing = _crossing(items, partition.assignment)
-        parts = partition.size - 1
-        if not beaten(crossing, parts):
-            if below is not None:
-                return partition
-            best, best_crossing, best_parts = partition, crossing, parts
-            if crossing == 0:
-                break
+    for crossing, partition in search(_items(table), beaten):
+        if below is not None:
+            return partition
+        best, best_crossing, best_parts = partition, crossing, partition.size - 1
+        if crossing == 0:
+            break
     if below is not None:
         return None
     if best is None:
         raise ValueError("no partition to minimize over")
-    return Fraction(best_crossing, best_parts * scale), best
+    return Fraction(best_crossing, best_parts), best
 
 
 def crossing_weight(model: PinModel, partition: Partition) -> Fraction:
@@ -230,7 +213,9 @@ def crossing_weight(model: PinModel, partition: Partition) -> Fraction:
     model.require_exact("crossing weight")
     if len(partition.assignment) != model.m:
         raise ValueError("partition and model have different terminal counts")
-    return Fraction(_crossing(_nonzero_items(model.weights), partition.assignment))
+    side = partition.assignment
+    crossing = sum(v for i, j, v in _items(model.base_weights) if side[i] != side[j])
+    return Fraction(crossing, base_scale(model))
 
 
 def best_partition(
@@ -238,7 +223,9 @@ def best_partition(
 ) -> tuple[Fraction, Partition]:
     """Minimum of crossing-weight / (atoms - 1) with a minimizing partition."""
     model.require_exact("partition bound")
-    return min_ratio(model.weights, pruned_partitions(model.m, target, cap=cap))
+    value, partition = min_ratio(model.base_weights,
+                                 pruned_partitions(model.m, target, cap=cap))
+    return value / base_scale(model), partition
 
 
 def upper_bound(

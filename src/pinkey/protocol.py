@@ -48,14 +48,9 @@ class EdgeKeyBits:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        try:
-            only_bits = set(self.bits) <= {0, 1}
-        except TypeError:  # an unhashable entry is no bit either
-            only_bits = False
-        if not only_bits:
-            for k, bit in enumerate(self.bits):
-                if bit not in (0, 1):
-                    raise ValueError(f"edge bit {k} is the non-bit value {bit!r}")
+        for k, bit in enumerate(self.bits):  # type(), not isinstance: a bool is no bit
+            if type(bit) is not int or bit < 0 or bit > 1:
+                raise ValueError(f"edge bit {k} is the non-bit value {bit!r}")
 
 
 def draw_edge_keys(graph: Multigraph, seed: int) -> EdgeKeyBits:

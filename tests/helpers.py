@@ -7,7 +7,9 @@ GF(2) rank by column-scan elimination, two-atom splits by bitmask, and the
 LP by a dense Bland simplex over Fractions.  Earlier forms of rewritten
 production routines are kept as differential oracles: LP costs summed
 over every pair for every subset, weight assignments checked and summed densely, one value per qualifying subset
-and per-terminal index lists, spanning packing
+and per-terminal index lists, assignments checked, separated and priced
+in Fractions, the partition minimum by a scan that recounts each
+partition's crossing over Fraction tables, spanning packing
 that scans every labeled edge against every forest, forests that search
 their adjacency for each path, key recovery that rescans the transcript
 once per tree, GF(2) maps checked, applied and ranked one row at a
@@ -67,6 +69,7 @@ from pinkey import (
 )
 import pinkey.partitions
 from pinkey.audit import _dyadic_entropy
+from pinkey.model import all_pairs
 from pinkey.simplex import SimplexResult
 
 
@@ -743,6 +746,105 @@ def dense_entropy_objective(
                 conditional += pmf.col_given_row_entropy()
         penalty += weight * conditional
     return sum(pmf.joint_entropy() for pmf in pmfs.values()) - penalty
+
+
+def reference_validate(assignment: WeightAssignment) -> None:
+    """The assignment check in Fractions, every weight's range and then
+    each terminal's sum: the oracle for ``WeightAssignment.validate``,
+    which checks the weights over their common denominator."""
+    weights = assignment.weights
+    for value in weights.values():
+        if value < 0 or value > 1:
+            raise InvalidAssignmentError(f"weight {value} outside [0, 1]")
+    for t in range(assignment.m):
+        total = sum((v for mask, v in weights.items() if mask >> t & 1),
+                    Fraction(0))
+        if total != 1:
+            raise InvalidAssignmentError(
+                f"weights covering terminal {t + 1} sum to {total}, "
+                "expected exactly 1"
+            )
+
+
+def reference_pair_coefficients(assignment: WeightAssignment) -> dict[tuple[int, int], Fraction]:
+    """For each pair, the total weight of subsets separating it (lower
+    terminal inside, higher outside), summed in Fractions: the oracle for
+    ``pinkey.pair_coefficients``."""
+    coeffs = {pair: Fraction(0) for pair in all_pairs(assignment.m)}
+    for mask, value in assignment.weights.items():
+        for (i, j) in coeffs:
+            if mask >> (i - 1) & 1 and not mask >> (j - 1) & 1:
+                coeffs[(i, j)] += value
+    return coeffs
+
+
+def reference_objective(model: PinModel, target: TerminalSet, assignment: WeightAssignment):
+    """The capacity objective from the Fraction check and coefficients, each
+    coefficient times the model's weight: the oracle for
+    ``pinkey.capacity_objective``, which sums base weights times
+    separations in integers."""
+    target.validate_within(model.m)
+    if (assignment.m, assignment.target) != (model.m, target):
+        raise InvalidAssignmentError("assignment built for a different (m, A)")
+    reference_validate(assignment)
+    coeffs = reference_pair_coefficients(assignment)
+    if model.exact:
+        return sum(
+            (c * model.weight(i, j) for (i, j), c in coeffs.items()),
+            Fraction(0),
+        )
+    return sum(float(c) * model.mi(i, j) for (i, j), c in coeffs.items())
+
+
+def _nonzero_items(table: Mapping[tuple[int, int], Fraction | int]) -> list[tuple]:
+    return [(i - 1, j - 1, v) for (i, j), v in table.items() if v]
+
+
+def _crossing(items: list[tuple], assignment: tuple[int, ...]) -> Fraction | int:
+    total = 0
+    for i, j, value in items:
+        if assignment[i] != assignment[j]:
+            total += value
+    return total
+
+
+def reference_min_ratio(
+    table: Mapping[tuple[int, int], Fraction | int],
+    partitions,
+    below: int | None = None,
+):
+    """Minimum over a stream of partitions of crossing value / (atoms - 1),
+    with the first partition attaining it, each partition's crossing
+    recounted and compared with the incumbent; ``table`` may hold
+    Fractions, scaled to integers by their common denominator.  With
+    ``below``, the first partition strictly below it, or None.  The oracle
+    for ``partitions.min_ratio``, which takes integer tables and the
+    pruned search only."""
+    scale = math.lcm(*(v.denominator for v in table.values()))
+    items = [(i, j, v.numerator * (scale // v.denominator))
+             for i, j, v in _nonzero_items(table)]
+    best = None
+    # the incumbent ratio; 1 / 0 stands for infinity until the first partition
+    best_crossing, best_parts = (1, 0) if below is None else (below * scale, 1)
+
+    def beaten(crossing: int, parts: int) -> bool:
+        """True when crossing / parts does not strictly beat the incumbent."""
+        return crossing * best_parts >= best_crossing * parts
+
+    for partition in partitions:
+        crossing = _crossing(items, partition.assignment)
+        parts = partition.size - 1
+        if not beaten(crossing, parts):
+            if below is not None:
+                return partition
+            best, best_crossing, best_parts = partition, crossing, parts
+            if crossing == 0:
+                break
+    if below is not None:
+        return None
+    if best is None:
+        raise ValueError("no partition to minimize over")
+    return Fraction(best_crossing, best_parts * scale), best
 
 
 def reference_tree_check(edges) -> tuple[tuple[int, ...], tuple[int, ...]]:

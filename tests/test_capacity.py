@@ -41,6 +41,9 @@ from helpers import (
     random_exact_model,
     random_pmf_model,
     random_terminal_set,
+    reference_objective,
+    reference_pair_coefficients,
+    reference_validate,
     singleton_assignment,
 )
 
@@ -204,9 +207,11 @@ class TestIntegerPath:
         model = random_exact_model(rng, m=m)
         target = random_terminal_set(rng, m)
         result = solve_capacity(model, target)
-        result.assignment.validate()
-        assert capacity_objective(model, target, result.assignment) == result.value
-        assert result.coefficients == pair_coefficients(result.assignment)
+        # the library calls share the solver's integer routines, so the
+        # vertex is checked against the Fraction forms they replaced
+        reference_validate(result.assignment)
+        assert reference_objective(model, target, result.assignment) == result.value
+        assert result.coefficients == reference_pair_coefficients(result.assignment)
 
     def test_wrong_costs_fail_the_objective_check(self, monkeypatch):
         real_lp_costs = capacity_module._lp_costs
@@ -403,3 +408,58 @@ class TestSupportFormAgainstDenseOracle:
         draws = [(replay.randint(-24, 24), replay.randint(1, 6)) for _ in family.subsets]
         solution = solve_lp([p * 60 // q for p, q in draws], family.subsets, m).solution
         assert dense_values(family, vertex) == solution
+
+
+def _outcome(call):
+    """("value", what the call returned), or the type and message of what it raised."""
+    try:
+        return "value", call()
+    except Exception as exc:  # the oracle must raise the same
+        return type(exc), str(exc)
+
+
+class TestIntegerFormAgainstFractionOracle:
+    """``validate``, ``pair_coefficients`` and ``capacity_objective`` run the
+    solver's integer cover check and separation sums on the assignment over
+    its least common denominator; the Fraction forms they replaced are the
+    oracle, on valid and invalid assignments alike."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_values_or_same_errors(self, data):
+        m = data.draw(st.integers(2, 6), label="m")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        target = random_terminal_set(rng, m)
+        family = subset_family(m, target)
+        if data.draw(st.booleans(), label="exact"):
+            model = random_exact_model(rng, m=m)
+        else:
+            model = random_pmf_model(rng, m=m, max_alpha=2)
+        kind = data.draw(st.sampled_from(
+            ["vertex", "mix", "perturbed", "random", "ints"]), label="kind")
+        some = rng.sample(family.subsets, rng.randint(0, min(5, len(family.subsets))))
+        if kind == "random":  # any weights, in or out of [0, 1], on any subsets
+            weights = {mask: Fraction(rng.randint(-2, 6), rng.randint(1, 4)) for mask in some}
+        elif kind == "ints":  # int weights, mostly 0 and 1, sometimes 2 or -1
+            weights = {mask: rng.choice((0, 1, 1, 1, 2, -1)) for mask in some}
+        else:
+            weights = dict(sample_vertex(family, rng).weights)
+            if kind == "mix":
+                other, share = sample_vertex(family, rng).weights, Fraction(rng.randint(0, 4), 4)
+                weights = {mask: share * weights.get(mask, 0) + (1 - share) * other.get(mask, 0)
+                           for mask in weights.keys() | other.keys()}
+            elif kind == "perturbed":  # a bad cover, and sometimes a weight outside [0, 1]
+                mask = rng.choice(family.subsets)
+                weights[mask] = weights.get(mask, Fraction(0)) + Fraction(
+                    rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 4))
+        assignment = WeightAssignment(m, target, weights)
+        assert _outcome(assignment.validate) == _outcome(lambda: reference_validate(assignment))
+        coefficients = pair_coefficients(assignment)
+        assert coefficients == reference_pair_coefficients(assignment)
+        assert all(type(c) is Fraction for c in coefficients.values())
+        asked = target if data.draw(st.booleans(), label="same target") else (
+            random_terminal_set(rng, m))
+        found = _outcome(lambda: capacity_objective(model, asked, assignment))
+        assert found == _outcome(lambda: reference_objective(model, asked, assignment))
+        if found[0] == "value":
+            assert type(found[1]) is (Fraction if model.exact else float)

@@ -158,6 +158,14 @@ class TestPinModel:
         with pytest.raises(SizeLimitError, match="MAX_TERMINALS"):
             PinModel.from_pmfs(10**11, {})
 
+    @pytest.mark.parametrize("m", [True, 3.0, Fraction(3), "3", None])
+    def test_rejects_terminal_counts_that_are_not_ints(self, m):
+        with pytest.raises(ValueError, match=re.escape(
+                f"terminal count {m!r} is not an integer")):
+            PinModel.from_weights(m, {})
+        with pytest.raises(ValueError, match="not an integer"):
+            PinModel.from_pmfs(m, {})
+
     def test_pmf_weight_agreement_enforced(self):
         correlated = PairPmf.from_rows([[0.5, 0.0], [0.0, 0.5]])
         PinModel.from_weights(2, {(1, 2): 1}, pmfs={(1, 2): correlated})
@@ -196,6 +204,28 @@ class TestBaseScale:
             3, {(1, 2): Fraction(1, 2), (2, 3): Fraction(1, 3)}
         )
         assert base_scale(model) == 6
+
+    def test_base_weights_are_the_multiplicities_at_the_base_scale(self):
+        model = PinModel.from_weights(
+            4, {(1, 2): Fraction(1, 2), (2, 3): Fraction(4, 3), (1, 4): 2})
+        assert model.base_weights == {(1, 2): 3, (1, 3): 0, (1, 4): 12,
+                                      (2, 3): 8, (2, 4): 0, (3, 4): 0}
+        assert model.base_weights == realize_multigraph(model, 6).multiplicities
+
+    def test_base_weights_built_once_outside_the_fields(self):
+        model = PinModel.from_weights(3, {(1, 2): Fraction(1, 2), (2, 3): 1})
+        fresh = PinModel.from_weights(3, {(1, 2): Fraction(1, 2), (2, 3): 1})
+        text = repr(model)
+        assert model.base_weights is model.base_weights
+        assert model == fresh
+        assert repr(model) == text == repr(fresh)
+
+    def test_float_mode_has_no_base_weights(self):
+        model = PinModel.from_pmfs(2, {(1, 2): PairPmf.from_rows([[1.0]])})
+        with pytest.raises(UnsupportedModeError, match="^integer base weights needs"):
+            model.base_weights
+        with pytest.raises(UnsupportedModeError, match="^multigraph realization needs"):
+            realize_multigraph(model, 1)
 
 
 class TestRealizeMultigraph:
@@ -250,6 +280,19 @@ class TestRealizeMultigraph:
 
 
 class TestMultigraph:
+    def test_terminal_cap(self):
+        assert Multigraph(MAX_TERMINALS, {}).m == MAX_TERMINALS
+        # rejected before the m(m-1)/2 pair table is built
+        for m in (MAX_TERMINALS + 1, 3000, 10**11):
+            with pytest.raises(SizeLimitError, match="MAX_TERMINALS"):
+                Multigraph(m, {})
+
+    @pytest.mark.parametrize("m", [True, 3.0, Fraction(3), "3", None])
+    def test_rejects_vertex_counts_that_are_not_ints(self, m):
+        with pytest.raises(ValueError, match=re.escape(
+                f"terminal count {m!r} is not an integer")):
+            Multigraph(m, {})
+
     def test_rejects_negative_multiplicity(self):
         with pytest.raises(ValueError):
             Multigraph(2, {(1, 2): -1})

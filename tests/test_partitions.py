@@ -31,6 +31,7 @@ from helpers import (
     random_exact_model,
     random_multigraph,
     random_terminal_set,
+    reference_min_ratio,
 )
 
 TRIANGLE = PinModel.from_weights(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
@@ -114,13 +115,19 @@ class TestEnumeration:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_bound_free_search_matches_the_never_cutting_bound(self, m):
         # enumerate_partitions skips the crossing bound; walking the same
-        # search with a bound that never cuts must give the same stream
+        # search with a bound that never cuts must give the same stream,
+        # each partition with its own crossing
         rng = random.Random(m)
         for target in (TerminalSet.full(m), random_terminal_set(rng, m)):
             search = pruned_partitions(m, target)
             items = [(i, j, rng.randint(0, 5)) for i in range(m) for j in range(i + 1, m)]
-            assert list(search([], None)) == list(enumerate_partitions(m, target)) == list(
-                search(items, lambda crossing, parts: False))
+            streamed = list(enumerate_partitions(m, target))
+            assert [p for _, p in search([], None)] == streamed
+            walked = list(search(items, lambda crossing, parts: False))
+            assert [p for _, p in walked] == streamed
+            for crossing, p in walked:
+                side = p.assignment
+                assert crossing == sum(w for i, j, w in items if side[i] != side[j])
 
 
 class TestCrossingWeight:
@@ -176,7 +183,7 @@ class TestUpperBound:
 
     def test_no_partition_is_an_error(self):
         with pytest.raises(ValueError):
-            min_ratio(TRIANGLE.weights, [])
+            min_ratio(TRIANGLE.base_weights, lambda items, beaten: iter(()))
 
 
 class TestSpanningRate:
@@ -285,7 +292,7 @@ class TestPrunedSearch:
     def test_best_partition_matches_full_scan(self, case):
         model, target = case
         value, partition = best_partition(model, target)
-        expected = min_ratio(model.weights, enumerate_partitions(model.m, target))
+        expected = reference_min_ratio(model.weights, enumerate_partitions(model.m, target))
         assert (value, partition.assignment) == (expected[0], expected[1].assignment)
 
     @settings(max_examples=150, deadline=None)
@@ -295,7 +302,7 @@ class TestPrunedSearch:
         graph = realize_multigraph(model, scale * base_scale(model))
         full = TerminalSet.full(graph.m)
         expected = math.floor(
-            min_ratio(graph.multiplicities, enumerate_partitions(graph.m, full))[0])
+            reference_min_ratio(graph.multiplicities, enumerate_partitions(graph.m, full))[0])
         assert nash_williams_count(graph) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -309,7 +316,7 @@ class TestPrunedSearch:
         table = dict(zip(itertools.combinations(range(1, m + 1), 2), values))
         target = TerminalSet(tuple(sorted(members)))
         found = min_ratio(table, pruned_partitions(m, target), below=below)
-        oracle = min_ratio(table, enumerate_partitions(m, target))[0]
+        oracle = reference_min_ratio(table, enumerate_partitions(m, target))[0]
         if oracle >= below:
             assert found is None
         else:

@@ -100,6 +100,15 @@ class TestDrawEdgeKeys:
         with pytest.raises(ValueError):
             EdgeKeyBits((1, 0, 2))
 
+    @pytest.mark.parametrize("bits, k, shown", [
+        ((False, True, False), 0, "False"), ((0, 1, True), 2, "True"),
+        ((1, 1.0), 1, "1.0"), ((0, [1]), 1, "[1]")])
+    def test_rejects_entries_that_are_not_ints(self, bits, k, shown):
+        # True == 1, but a bool bit would reach the hex export as "True"
+        with pytest.raises(ValueError,
+                           match=rf"^edge bit {k} is the non-bit value {re.escape(shown)}$"):
+            EdgeKeyBits(bits)
+
 
 class TestPropagateTree:
     """Propagation over one tree, seen through ``run_protocol`` on a

@@ -49,7 +49,8 @@ def test_ladder_writes_a_bench_file(tmp_path):
         f"spanning/random_m{m}" for m in range(9, 13)] + [
         "spanning/bridge_K6x20", "spanning/dense_m20"] + [
         f"capacity/dense_m{m}{suffix}" for suffix in ("", "_pair", "_half")
-        for m in range(9, 13)] + ["capacity/floor_m6"] + [
+        for m in range(9, 13)] + ["capacity/unit_K12_pair", "capacity/unit_K12_half",
+                                  "capacity/floor_m6"] + [
         f"bound/dense_m{m}" for m in range(9, 13)] + [
         f"protocol/path_{size}k" for size in (30, 100, 300)] + [
         "steiner/set_s1", "steiner/set_s2", "steiner/path_m20", "steiner/grid_corners",
@@ -66,6 +67,10 @@ def test_ladder_writes_a_bench_file(tmp_path):
     assert rows["capacity/dense_m12"]["columns"] == 2 ** 12 - 2
     assert rows["capacity/dense_m12_pair"]["columns"] == 2 ** 12 - 2 ** 10 - 1
     assert rows["capacity/dense_m12_half"]["columns"] == 2 ** 12 - 2 ** 6 - 1
+    # the unit K12: every two terminals are joined by 11 edge-disjoint paths
+    assert rows["capacity/unit_K12_pair"]["value"] == "11"
+    assert rows["capacity/unit_K12_pair"]["columns"] == 2 ** 12 - 2 ** 10 - 1
+    assert rows["capacity/unit_K12_half"]["columns"] == 2 ** 12 - 2 ** 6 - 1
     for m in range(9, 13):
         # at A = M the capacity equals the partition bound
         assert rows[f"bound/dense_m{m}"]["value"] == rows[f"capacity/dense_m{m}"]["value"]
