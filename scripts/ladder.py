@@ -38,9 +38,11 @@ compute ``upper_bound`` on the same models at ``A = M``.
 The ``protocol/`` rows ``path_30k``, ``path_100k`` and ``path_300k`` run
 the key protocol on the three-terminal path with half the edges on pair
 (1, 2) and half on (2, 3), target {1, 3}: one group of 2-edge paths, one
-broadcast per copy.  The packing and the edge bits (seed 0) are made once;
-each timed call gets a fresh equal graph, so it builds the edge order as a
-CLI request does, then runs ``run_protocol`` and ``audit``.
+broadcast per copy.  The packing's groups and the edge bits (seed 0) are
+made once, and so is one fresh ``TreePacking`` of those groups on a fresh
+equal graph per timed call, untimed, as a CLI request builds its packing.
+Each timed call runs ``run_protocol`` and ``audit`` on its own packing,
+so no call reads what an earlier call cached.
 
 The ``steiner/`` rows run exact ``steiner_packing``:
 
@@ -101,8 +103,8 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from pinkey import (Multigraph, PinModel, SizeLimitError, TerminalSet, audit, base_scale,
-                    best_partition, draw_edge_keys, format_rational, load_model,
+from pinkey import (Multigraph, PinModel, SizeLimitError, TerminalSet, TreePacking, audit,
+                    base_scale, best_partition, draw_edge_keys, format_rational, load_model,
                     realize_multigraph, run_protocol, solve_capacity, spanning_packing,
                     steiner_packing, subset_family, upper_bound)
 
@@ -270,11 +272,12 @@ def protocol_row(edges: int, repeat: int) -> dict:
     pairs = {(1, 2): edges // 2, (2, 3): edges - edges // 2}
     graph = Multigraph(3, pairs)
     target = TerminalSet.of(1, 3)
-    packing = steiner_packing(graph, target)
+    groups = steiner_packing(graph, target).groups
     keys = draw_edge_keys(graph, 0)
+    fresh = [TreePacking(Multigraph(3, pairs), target, groups) for _ in range(repeat)]
 
     def protocol_and_audit():
-        run = run_protocol(Multigraph(3, pairs), packing, keys, target)
+        run = run_protocol(fresh.pop(), keys)
         return run, audit(run)
 
     (run, report), timing = timed(protocol_and_audit, repeat)

@@ -45,7 +45,7 @@ def main() -> None:
         print(f"  tree {k}: " + " ".join(f"{i}-{j}#{c}" for (i, j, c) in tree.edges))
 
     keys = draw_edge_keys(graph, args.seed)
-    run = run_protocol(graph, packing, keys, target)
+    run = run_protocol(packing, keys)
     print("\ntranscript:")
     print(export_transcript(run), end="")
 

@@ -15,8 +15,9 @@ the model's ``base_weights`` by a recurrence on each mask's lowest
 terminal in O(2^m) additions.  Assignments are checked and priced as
 integers ``β`` over a denominator ``d`` by one cover check and one
 separation routine: on the solver's vertex in ``solve_capacity``, and on
-an assignment over its least common denominator in the library calls.
-Fractions are built only for what is returned.
+an assignment over its least common denominator in the library calls,
+which take A from the assignment.  Fractions are built only for what is
+returned.
 
 A second, entropy-based form of the same objective is available for
 pmf-backed models; agreement between the two (within 1e-9) is a strong
@@ -135,13 +136,12 @@ def _separations(m: int, support: Mapping[int, int]) -> dict[Pair, int]:
     return seps
 
 
-def _checked(model: PinModel, target: TerminalSet,
-             assignment: WeightAssignment) -> tuple[dict[int, int], int]:
+def _checked(model: PinModel, assignment: WeightAssignment) -> tuple[dict[int, int], int]:
     """The assignment over its least common denominator, once it is built
-    for (m, A) and passes the cover check."""
-    target.validate_within(model.m)
-    if (assignment.m, assignment.target) != (model.m, target):
-        raise InvalidAssignmentError("assignment built for a different (m, A)")
+    for the model's m and passes the cover check."""
+    if assignment.m != model.m:
+        raise InvalidAssignmentError(
+            f"assignment built for m={assignment.m}, model has m={model.m}")
     support, d = assignment._integers()
     _check_cover(model.m, support, d)
     return support, d
@@ -154,14 +154,13 @@ def pair_coefficients(assignment: WeightAssignment) -> dict[Pair, Fraction]:
     return {pair: Fraction(sep, d) for pair, sep in _separations(assignment.m, support).items()}
 
 
-def capacity_objective(
-    model: PinModel, target: TerminalSet, assignment: WeightAssignment
-):
-    """Weighted-separation objective at a valid assignment.
+def capacity_objective(model: PinModel, assignment: WeightAssignment):
+    """Weighted-separation objective at a valid assignment, for the target
+    the assignment was built for.
 
     Returns a Fraction on exact models, a float on pmf-backed ones.
     """
-    support, d = _checked(model, target, assignment)
+    support, d = _checked(model, assignment)
     seps = _separations(model.m, support)
     if model.exact:
         base = model.base_weights
@@ -258,16 +257,14 @@ def sample_vertex(
     return _vertex(family, solve_lp(costs, family.subsets, family.m))[0]
 
 
-def entropy_objective(
-    model: PinModel, target: TerminalSet, assignment: WeightAssignment
-) -> float:
+def entropy_objective(model: PinModel, assignment: WeightAssignment) -> float:
     """Same objective computed from per-pair entropies (float bits).
 
     Expands the global-entropy form: total joint entropy minus the weighted
     conditional entropies of each subset given its complement, using the
     per-pair additivity of the source.  Every pair must carry a pmf.
     """
-    _checked(model, target, assignment)
+    _checked(model, assignment)
     pmfs = {}
     for pair in all_pairs(model.m):
         pmf = model.pmf(*pair)
@@ -321,8 +318,8 @@ def check_objective_consistency(
     gaps = []
     for _ in range(trials):
         assignment = sample_vertex(family, rng)
-        direct = capacity_objective(model, target, assignment)
-        entropic = entropy_objective(model, target, assignment)
+        direct = capacity_objective(model, assignment)
+        entropic = entropy_objective(model, assignment)
         gaps.append(abs(float(direct) - entropic))
     return ConsistencyReport(
         trials=trials,

@@ -224,7 +224,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     report, packing = _packed(args)
     keys = draw_edge_keys(packing.graph, args.seed)
-    run = run_protocol(packing.graph, packing, keys, packing.target)
+    run = run_protocol(packing, keys)
     report_card = audit(run)
     report.update({
         "seed": args.seed,

@@ -195,6 +195,8 @@ def _normalize_weights(
         pair = canonical_pair(i, j)
         if pair[0] < 1 or pair[1] > m:
             raise ValueError(f"pair {pair} is outside terminals 1..{m}")
+        if type(value) is bool:  # Fraction() would take it as 0 or 1
+            raise ValueError(f"weight for pair {pair} is not a rational: {value!r}")
         # a Fraction is kept as it is; Fraction() checks anything else
         weight = value if type(value) is Fraction else Fraction(value)  # type: ignore
         if weight.numerator < 0:
@@ -310,6 +312,9 @@ class PinModel:
 class Multigraph:
     """Integer edge multiplicities on terminals ``1..m``, no self-loops.
 
+    ``multiplicities`` becomes the table of every pair ``(i, j)``, i < j, in
+    sorted order, whatever the order and orientation of the entries; a pair
+    given twice must get the same count both times.
     Connectivity is checked per-query, not at construction: disconnected
     inputs are legal and simply pack zero trees.
     """
@@ -322,6 +327,7 @@ class Multigraph:
         if self.m < 1:
             raise ValueError(f"need at least one vertex, got m={self.m}")
         table: dict[Pair, int] = {pair: 0 for pair in all_pairs(self.m)}
+        given: dict[Pair, int] = {}
         for (i, j), count in self.multiplicities.items():
             pair = canonical_pair(i, j)
             if pair[0] < 1 or pair[1] > self.m:
@@ -330,6 +336,8 @@ class Multigraph:
                 raise ValueError(f"multiplicity for {pair} is not an integer: {count!r}")
             if count < 0:
                 raise ValueError(f"negative multiplicity for {pair}: {count}")
+            if given.setdefault(pair, count) != count:
+                raise ValueError(f"conflicting multiplicities for pair {pair}")
             table[pair] = count
         object.__setattr__(self, "multiplicities", table)
 
@@ -340,7 +348,7 @@ class Multigraph:
         return sum(self.multiplicities.values())
 
     def support_pairs(self) -> tuple[Pair, ...]:
-        return tuple(p for p in sorted(self.multiplicities) if self.multiplicities[p])
+        return tuple(pair for pair, count in self.multiplicities.items() if count)
 
     def edge_refs(self) -> tuple[EdgeRef, ...]:
         """All edges in canonical order: sorted pair, then copy 0..e_ij-1.
@@ -351,8 +359,8 @@ class Multigraph:
         """
         refs = self.__dict__.get("_edge_refs")
         if refs is None:
-            refs = tuple((i, j, c) for (i, j) in sorted(self.multiplicities)
-                         for c in range(self.multiplicities[(i, j)]))
+            refs = tuple((i, j, c) for (i, j), count in self.multiplicities.items()
+                         for c in range(count))
             object.__setattr__(self, "_edge_refs", refs)
         return refs
 
@@ -364,9 +372,9 @@ class Multigraph:
         if offsets is None:
             offsets = {}
             start = 0
-            for pair in sorted(self.multiplicities):
+            for pair, count in self.multiplicities.items():
                 offsets[pair] = start
-                start += self.multiplicities[pair]
+                start += count
             object.__setattr__(self, "_pair_offsets", offsets)
         return offsets
 
@@ -381,9 +389,9 @@ def realize_multigraph(model: PinModel, n: int) -> Multigraph:
     """Multigraph with exactly ``n * weight`` parallel edges per pair: the
     base weights times ``n / n0``, n being a multiple of the base scale."""
     n0, base = model._base("multigraph realization")
-    if n <= 0 or n % n0 != 0:
+    if type(n) is not int or n <= 0 or n % n0 != 0:  # type(): a bool is no scale
         raise InvalidScaleError(
-            f"scale {n} is not a positive multiple of the base scale {n0}"
+            f"scale {n!r} is not a positive multiple of the base scale {n0}"
         )
     copies = n // n0
     return Multigraph(model.m, {pair: b * copies for pair, b in base.items()})

@@ -225,7 +225,7 @@ def _max_flow(graph: Multigraph, s: int, t: int) -> tuple[int, dict]:
         queue = deque([s])
         while queue and t not in parent:
             u = queue.popleft()
-            for v in sorted(residual[u]):
+            for v in residual[u]:  # ascending: rows filled in pair-table order
                 if v not in parent and residual[u][v] > 0:
                     parent[v] = u
                     queue.append(v)

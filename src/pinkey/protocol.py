@@ -12,7 +12,8 @@ residual bits together form a bijection of the edge bits.  The edge bits
 are one tuple in canonical edge order, so every bit is read by index.
 
 The packing alone therefore fixes the key and the transcript as linear
-maps of the edge bits, and a run computes its bits by applying them.
+maps of the edge bits, and a run, given only the packing and the edge
+bits, computes its bits by applying them.
 The copies of a packing group share one walk, and copy k's edges sit k
 places after copy 0's in canonical order, so each map is one
 ``Gf2Matrix`` block per group: a key block of one (reference) step and a
@@ -194,27 +195,16 @@ class ProtocolRun:
         return _Broadcasts(self)
 
 
-def run_protocol(
-    graph: Multigraph,
-    packing: TreePacking,
-    keys: EdgeKeyBits,
-    target: TerminalSet,
-) -> ProtocolRun:
+def run_protocol(packing: TreePacking, keys: EdgeKeyBits) -> ProtocolRun:
     """Execute propagation over every tree of a packing: build the key and
     transcript maps, one block each per group, and apply them to the edge
-    bits.  ``keys`` must hold one bit per edge of ``graph``."""
-    if packing.graph != graph:
-        raise InvalidPackingError("packing was built for a different graph")
-    if packing.target != target:
-        raise InvalidPackingError(
-            f"packing targets {packing.target.members}, requested {target.members}"
-        )
-    edges = graph.total_edges()
+    bits.  ``keys`` must hold one bit per edge of ``packing.graph``."""
+    edges = packing.graph.total_edges()
     bits = keys.bits
     if len(bits) != edges:
         raise InvalidPackingError(
             f"{len(bits)} key bits drawn for a graph of {edges} edges")
-    offsets = graph.pair_offsets()
+    offsets = packing.graph.pair_offsets()
 
     key_blocks = []
     transcript_blocks = []

@@ -778,14 +778,14 @@ def reference_pair_coefficients(assignment: WeightAssignment) -> dict[tuple[int,
     return coeffs
 
 
-def reference_objective(model: PinModel, target: TerminalSet, assignment: WeightAssignment):
+def reference_objective(model: PinModel, assignment: WeightAssignment):
     """The capacity objective from the Fraction check and coefficients, each
     coefficient times the model's weight: the oracle for
     ``pinkey.capacity_objective``, which sums base weights times
     separations in integers."""
-    target.validate_within(model.m)
-    if (assignment.m, assignment.target) != (model.m, target):
-        raise InvalidAssignmentError("assignment built for a different (m, A)")
+    if assignment.m != model.m:
+        raise InvalidAssignmentError(
+            f"assignment built for m={assignment.m}, model has m={model.m}")
     reference_validate(assignment)
     coeffs = reference_pair_coefficients(assignment)
     if model.exact:
@@ -977,7 +977,7 @@ def per_copy_trees(
 
 
 def per_tree_run_protocol(
-    graph: Multigraph, packing: TreePacking, keys: EdgeKeyBits, target: TerminalSet
+    packing: TreePacking, keys: EdgeKeyBits
 ) -> tuple[ProtocolRun, tuple[Broadcast, ...]]:
     """Propagation over each tree of ``packing.trees`` in turn, edges found
     by an all-edge index and residuals by a set scan: the per-copy oracle
@@ -985,9 +985,7 @@ def per_tree_run_protocol(
     run and the ``Broadcast`` objects that ``reference_propagate_tree``
     built, which hold the speakers and tree indices independently of the
     columns a run derives from its packing."""
-    if packing.graph != graph or packing.target != target:
-        raise InvalidPackingError("packing was built for another graph or target")
-    edge_order = graph.edge_refs()
+    edge_order = packing.graph.edge_refs()
     index = {edge: k for k, edge in enumerate(edge_order)}
     bits = dict(zip(edge_order, keys.bits))
     key_bits, key_rows, transcript, transcript_rows = [], [], [], []
@@ -1105,8 +1103,7 @@ def json_dumps_report(
         "trees": [tree.edges for tree in packing.trees],
     }
     if command == "simulate":
-        run, broadcasts = per_tree_run_protocol(graph, packing,
-                                                draw_edge_keys(graph, seed), target)
+        run, broadcasts = per_tree_run_protocol(packing, draw_edge_keys(graph, seed))
         index = {edge: k for k, edge in enumerate(graph.edge_refs())}
         report_card = audit(run)
         report.update({

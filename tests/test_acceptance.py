@@ -178,7 +178,7 @@ def test_criterion_5_protocol_recovery_and_accounting():
         target = random_terminal_set(rng, graph.m)
         packing = steiner_packing(graph, target, mode="greedy")
         keys = draw_edge_keys(graph, seed)
-        run = run_protocol(graph, packing, keys, target)
+        run = run_protocol(packing, keys)
         assert (
             len(run.key_bits) + len(run.transcript) + len(run.residual_bits)
             == graph.total_edges()
@@ -204,7 +204,7 @@ def test_criterion_6_perfect_secrecy_and_falsifiability():
         graph = random_multigraph(rng, max_m=5, max_mult=2)
         target = random_terminal_set(rng, graph.m)
         packing = steiner_packing(graph, target, mode="greedy")
-        run = run_protocol(graph, packing, draw_edge_keys(graph, seed), target)
+        run = run_protocol(packing, draw_edge_keys(graph, seed))
         rank_report = security_index_rank(run)
         assert rank_report.security_index == 0
         rank_checked += 1

@@ -51,14 +51,14 @@ def path_run(seed=0):
     target = TerminalSet.of(1, 3)
     packing = steiner_packing(PATH_GRAPH, target)
     keys = draw_edge_keys(PATH_GRAPH, seed)
-    return run_protocol(PATH_GRAPH, packing, keys, target)
+    return run_protocol(packing, keys)
 
 
 def spanning_run(graph, seed=0):
     target = TerminalSet.full(graph.m)
     packing = spanning_packing(graph)
     keys = draw_edge_keys(graph, seed)
-    return run_protocol(graph, packing, keys, target)
+    return run_protocol(packing, keys)
 
 
 class TestGf2:
@@ -124,7 +124,7 @@ class TestRankMethod:
         graph = random_multigraph(rng, max_m=5, max_mult=3)
         target = random_terminal_set(rng, graph.m)
         packing = steiner_packing(graph, target, mode="greedy")
-        run = run_protocol(graph, packing, draw_edge_keys(graph, seed), target)
+        run = run_protocol(packing, draw_edge_keys(graph, seed))
         variants = [run] + [leak_key_bit(run, i, k)
                             for i in range(len(run.key_bits))
                             for k in range(len(run.transcript))]
@@ -194,8 +194,7 @@ class TestBruteForceMethod:
         # 21 edges: one over the default cap, within the caller's
         graph = Multigraph(3, {(1, 2): 1, (2, 3): 20})
         target = TerminalSet.of(1, 3)
-        run = run_protocol(graph, steiner_packing(graph, target),
-                           draw_edge_keys(graph, 0), target)
+        run = run_protocol(steiner_packing(graph, target), draw_edge_keys(graph, 0))
         assert len(run.edge_order) == BRUTEFORCE_EDGE_CAP + 1 == 21
         assert audit(run).method == "rank"
         report = audit(run, bruteforce_cap=21)
@@ -225,7 +224,7 @@ class TestBruteForceMethod:
         graph = random_multigraph(rng, max_m=4, max_mult=2)
         target = random_terminal_set(rng, graph.m)
         packing = steiner_packing(graph, target, mode="greedy")
-        run = run_protocol(graph, packing, draw_edge_keys(graph, seed), target)
+        run = run_protocol(packing, draw_edge_keys(graph, seed))
         if len(run.edge_order) > 12:
             pytest.skip("keep brute force quick")
         variants = [run] + [leak_key_bit(run, i, k)
@@ -256,7 +255,7 @@ class TestBruteForceMethod:
         transcript_marginal: Counter = Counter()
         for bits in itertools.product((0, 1), repeat=len(edges)):
             keys = EdgeKeyBits(bits)
-            run = run_protocol(graph, packing, keys, target)
+            run = run_protocol(packing, keys)
             key_value = run.key_bits
             transcript_value = tuple(b.bit for b in run.transcript)
             joint[(key_value, transcript_value)] += 1
@@ -272,7 +271,7 @@ class TestBruteForceMethod:
         key_length = len(packing.trees)
         s_empirical = key_length - h_key_given_transcript
 
-        reference = run_protocol(graph, packing, draw_edge_keys(graph, 0), target)
+        reference = run_protocol(packing, draw_edge_keys(graph, 0))
         assert float(security_index_rank(reference).security_index) == \
             pytest.approx(s_empirical, abs=1e-9)
         assert float(security_index_bruteforce(reference).security_index) == \
@@ -347,10 +346,8 @@ class TestBlockBruteForce:
         assume(graph.total_edges() <= 14)
         target = random_terminal_set(rng, graph.m)
         keys = draw_edge_keys(graph, seed)
-        runs = [run_protocol(graph, steiner_packing(graph, target, mode="greedy"),
-                             keys, target),
-                run_protocol(graph, spanning_packing(graph), keys,
-                             TerminalSet.full(graph.m))]
+        runs = [run_protocol(steiner_packing(graph, target, mode="greedy"), keys),
+                run_protocol(spanning_packing(graph), keys)]
         for run in runs:
             for variant in leak_variants(run):
                 assert security_index_bruteforce(variant) == \
@@ -365,8 +362,7 @@ class TestBlockBruteForce:
         # one 15-vertex path tree: every row holds its reference edge
         graph = Multigraph(15, {(v, v + 1): 1 for v in range(1, 15)})
         target = TerminalSet.of(1, 15)
-        run = run_protocol(graph, steiner_packing(graph, target),
-                           draw_edge_keys(graph, 5), target)
+        run = run_protocol(steiner_packing(graph, target), draw_edge_keys(graph, 5))
         assert len(run.edge_order) == 14 and run.packing.count == 1
         for variant in leak_variants(run):
             assert security_index_bruteforce(variant) == \
@@ -426,7 +422,7 @@ class TestAudit:
         graph = random_multigraph(rng, max_m=5, max_mult=3)
         target = random_terminal_set(rng, graph.m)
         packing = steiner_packing(graph, target, mode="greedy")
-        run = run_protocol(graph, packing, draw_edge_keys(graph, seed), target)
+        run = run_protocol(packing, draw_edge_keys(graph, seed))
         report = audit(run, bruteforce_cap=14)
         assert report.passed
         assert report.security_index == 0

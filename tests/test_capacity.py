@@ -91,21 +91,29 @@ class TestObjective:
     def test_two_terminal_forced(self):
         model = PinModel.from_weights(2, {(1, 2): Fraction(3, 2)})
         lam = _assignment(2, TerminalSet.of(1, 2), {(1,): Fraction(1), (2,): Fraction(1)})
-        assert capacity_objective(model, TerminalSet.of(1, 2), lam) == Fraction(3, 2)
+        assert capacity_objective(model, lam) == Fraction(3, 2)
 
     def test_triangle_pairs_half(self):
         half = Fraction(1, 2)
         lam = _assignment(3, FULL3, {(1, 2): half, (1, 3): half, (2, 3): half})
-        assert capacity_objective(TRIANGLE, FULL3, lam) == Fraction(3, 2)
+        assert capacity_objective(TRIANGLE, lam) == Fraction(3, 2)
 
     def test_triangle_singletons(self):
         lam = singleton_assignment(3, FULL3)
-        assert capacity_objective(TRIANGLE, FULL3, lam) == 3
+        assert capacity_objective(TRIANGLE, lam) == 3
+
+    def test_rejects_an_assignment_for_another_m(self):
+        lam = singleton_assignment(2, TerminalSet.of(1, 2))
+        model = PinModel.from_pmfs(3, {})
+        for objective in (capacity_objective, entropy_objective):
+            with pytest.raises(InvalidAssignmentError, match=re.escape(
+                    "assignment built for m=2, model has m=3")):
+                objective(model, lam)
 
     def test_invalid_assignment_rejected(self):
         bad = _assignment(3, FULL3, {(1, 2): Fraction(1)})  # terminal 3 uncovered
         with pytest.raises(InvalidAssignmentError):
-            capacity_objective(TRIANGLE, FULL3, bad)
+            capacity_objective(TRIANGLE, bad)
 
     def test_out_of_range_weight_rejected(self):
         bad = WeightAssignment(2, TerminalSet.of(1, 2), {0b01: Fraction(2), 0b10: Fraction(-1)})
@@ -158,7 +166,7 @@ class TestSolveCapacity:
 
     def test_result_invariant(self):
         result = solve_capacity(TRIANGLE, FULL3)
-        assert capacity_objective(TRIANGLE, FULL3, result.assignment) == result.value
+        assert capacity_objective(TRIANGLE, result.assignment) == result.value
         assert result.coefficients == pair_coefficients(result.assignment)
 
     def test_weights_are_the_lp_solution_support(self):
@@ -210,7 +218,7 @@ class TestIntegerPath:
         # the library calls share the solver's integer routines, so the
         # vertex is checked against the Fraction forms they replaced
         reference_validate(result.assignment)
-        assert reference_objective(model, target, result.assignment) == result.value
+        assert reference_objective(model, result.assignment) == result.value
         assert result.coefficients == reference_pair_coefficients(result.assignment)
 
     def test_wrong_costs_fail_the_objective_check(self, monkeypatch):
@@ -274,13 +282,13 @@ class TestPolytopeProperties:
             family = subset_family(model.m, target)
             vertices = [sample_vertex(family, rng) for _ in range(4)]
             for lam in vertices:
-                assert best <= capacity_objective(model, target, lam)
+                assert best <= capacity_objective(model, lam)
             # rational convex combinations stay exactly feasible
             first, second = vertices[0].weights, vertices[1].weights
             mixed = WeightAssignment(model.m, target, {
                 mask: (first.get(mask, 0) + second.get(mask, 0)) / 2
                 for mask in first.keys() | second.keys()})
-            assert best <= capacity_objective(model, target, mixed)
+            assert best <= capacity_objective(model, mixed)
 
     def test_monotone_in_weights(self):
         rng = random.Random(2)
@@ -330,22 +338,22 @@ class TestEntropyObjective:
         model = random_pmf_model(rng, m=3)
         lam = singleton_assignment(3, FULL3)
         total = sum(model.mi(i, j) for (i, j) in model.pairs())
-        assert entropy_objective(model, FULL3, lam) == pytest.approx(total, abs=1e-9)
-        assert capacity_objective(model, FULL3, lam) == pytest.approx(total, abs=1e-12)
+        assert entropy_objective(model, lam) == pytest.approx(total, abs=1e-9)
+        assert capacity_objective(model, lam) == pytest.approx(total, abs=1e-12)
 
     def test_correlated_bit_pair(self):
         pmf = PairPmf.from_rows([[0.5, 0.0], [0.0, 0.5]])
         model = PinModel.from_pmfs(2, {(1, 2): pmf})
         target = TerminalSet.of(1, 2)
         lam = singleton_assignment(2, target)
-        assert entropy_objective(model, target, lam) == pytest.approx(1.0, abs=1e-12)
-        assert capacity_objective(model, target, lam) == pytest.approx(1.0, abs=1e-12)
+        assert entropy_objective(model, lam) == pytest.approx(1.0, abs=1e-12)
+        assert capacity_objective(model, lam) == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_pmf_rejected(self):
         model = PinModel.from_pmfs(3, {(1, 2): PairPmf.from_rows([[1.0]])})
         lam = singleton_assignment(3, FULL3)
         with pytest.raises(UnsupportedModeError):
-            entropy_objective(model, FULL3, lam)
+            entropy_objective(model, lam)
 
     def test_consistency_check(self):
         rng = random.Random(7)
@@ -390,11 +398,11 @@ class TestSupportFormAgainstDenseOracle:
             rejected = _rejection(assignment.validate)
             assert rejected == _rejection(lambda: dense_validate(family, values))
             if rejected is None:
-                assert entropy_objective(model, target, assignment) == \
+                assert entropy_objective(model, assignment) == \
                     dense_entropy_objective(model, family, values)
             else:
                 with pytest.raises(InvalidAssignmentError, match="^" + re.escape(rejected)):
-                    entropy_objective(model, target, assignment)
+                    entropy_objective(model, assignment)
 
     @given(st.integers(2, 6), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
@@ -457,9 +465,7 @@ class TestIntegerFormAgainstFractionOracle:
         coefficients = pair_coefficients(assignment)
         assert coefficients == reference_pair_coefficients(assignment)
         assert all(type(c) is Fraction for c in coefficients.values())
-        asked = target if data.draw(st.booleans(), label="same target") else (
-            random_terminal_set(rng, m))
-        found = _outcome(lambda: capacity_objective(model, asked, assignment))
-        assert found == _outcome(lambda: reference_objective(model, asked, assignment))
+        found = _outcome(lambda: capacity_objective(model, assignment))
+        assert found == _outcome(lambda: reference_objective(model, assignment))
         if found[0] == "value":
             assert type(found[1]) is (Fraction if model.exact else float)

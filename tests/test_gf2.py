@@ -169,8 +169,7 @@ def honest_run(rng, seed):
                            for i in range(1, m + 1) for j in range(i + 1, m + 1)})
     size = rng.choice((2, m, rng.randint(2, m)))
     target = TerminalSet.full(m) if size == m else random_terminal_set(rng, m, size)
-    return run_protocol(graph, steiner_packing(graph, target, mode="greedy"),
-                        draw_edge_keys(graph, seed), target)
+    return run_protocol(steiner_packing(graph, target, mode="greedy"), draw_edge_keys(graph, seed))
 
 
 def protocol_runs(seed):
@@ -218,7 +217,6 @@ class TestProtocolMaps:
     def test_one_key_block_per_group_on_a_multi_copy_packing(self):
         graph = Multigraph(4, {(1, 2): 3, (2, 4): 2, (1, 3): 1, (3, 4): 2, (1, 4): 1})
         target = TerminalSet.of(1, 4)
-        run = run_protocol(graph, steiner_packing(graph, target),
-                           draw_edge_keys(graph, 0), target)
+        run = run_protocol(steiner_packing(graph, target), draw_edge_keys(graph, 0))
         assert [copies for copies, _ in run.key_map.blocks] == [2, 1, 1]
         assert len(run.key_map.blocks) == len(run.packing.groups)

@@ -23,6 +23,8 @@ from pinkey import (
     realize_multigraph,
 )
 
+from pinkey.model import all_pairs
+
 from helpers import random_pmf
 
 
@@ -135,6 +137,12 @@ class TestPinModel:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             PinModel.from_weights(2, {(1, 2): Fraction(-1, 2)})
+
+    @pytest.mark.parametrize("weight", [True, False])
+    def test_rejects_bool_weights(self, weight):
+        with pytest.raises(ValueError, match=re.escape(
+                f"weight for pair (1, 2) is not a rational: {weight!r}")):
+            PinModel.from_weights(2, {(1, 2): weight})
 
     def test_rejects_self_pair(self):
         with pytest.raises(ValueError):
@@ -255,6 +263,13 @@ class TestRealizeMultigraph:
             assert str(err.value) == (
                 f"scale {n} is not a positive multiple of the base scale 2")
 
+    @pytest.mark.parametrize("n", [True, 2.0, Fraction(2), "2", None])
+    def test_rejects_scales_that_are_not_ints(self, n):
+        model = PinModel.from_weights(2, {(1, 2): 1})  # base scale 1
+        with pytest.raises(InvalidScaleError, match=re.escape(
+                f"scale {n!r} is not a positive multiple of the base scale 1")):
+            realize_multigraph(model, n)
+
     @given(st.integers(0, 2_000), st.integers(2, 7), st.integers(1, 40))
     @settings(max_examples=80, deadline=None)
     def test_counts_are_weight_times_scale(self, seed, m, k):
@@ -308,6 +323,29 @@ class TestMultigraph:
         with pytest.raises(ValueError, match=re.escape(
                 f"pair {shown} outside vertices 1..2")):
             Multigraph(2, {(1, 2): 1, pair: 1})
+
+    def test_conflicting_entries_rejected(self):
+        for entries in ({(1, 2): 3, (2, 1): 5}, {(2, 1): 5, (1, 2): 3}):
+            with pytest.raises(ValueError, match=re.escape(
+                    "conflicting multiplicities for pair (1, 2)")):
+                Multigraph(2, entries)
+        # equal repeats are fine, as in PinModel
+        assert Multigraph(2, {(1, 2): 3, (2, 1): 3}).multiplicity(1, 2) == 3
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pair_table_is_in_sorted_order(self, seed):
+        # entries in any order and orientation give the table in all_pairs
+        # order, which the edge order, offsets and max flow read unsorted
+        rng = random.Random(seed)
+        m = rng.randint(1, 7)
+        entries = [((j, i) if rng.random() < 0.5 else (i, j), rng.randint(0, 3))
+                   for i, j in all_pairs(m) if rng.random() < 0.7]
+        rng.shuffle(entries)
+        graph = Multigraph(m, dict(entries))
+        assert list(graph.multiplicities) == list(all_pairs(m)) == sorted(graph.multiplicities)
+        assert list(graph.pair_offsets()) == list(all_pairs(m))
+        assert graph.edge_refs() == tuple(sorted(graph.edge_refs()))
+        assert graph.support_pairs() == tuple(sorted(graph.support_pairs()))
 
     def test_edge_refs_canonical(self):
         graph = Multigraph(3, {(2, 3): 2, (1, 2): 1})

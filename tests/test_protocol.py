@@ -51,7 +51,7 @@ def full_run(graph, seed=0):
     target = TerminalSet.full(graph.m)
     packing = spanning_packing(graph)
     keys = draw_edge_keys(graph, seed)
-    return run_protocol(graph, packing, keys, target)
+    return run_protocol(packing, keys)
 
 
 def one_tree_graph(tree):
@@ -68,7 +68,7 @@ def one_tree_run(tree, bits):
     graph = one_tree_graph(tree)
     target = TerminalSet(tree.vertices())
     packing = TreePacking(graph=graph, target=target, groups=((tree, 1),))
-    return run_protocol(graph, packing, EdgeKeyBits(tuple(bits)), target)
+    return run_protocol(packing, EdgeKeyBits(tuple(bits)))
 
 
 class TestDrawEdgeKeys:
@@ -188,7 +188,7 @@ class TestRunProtocol:
         target = TerminalSet.full(3)
         packing = TreePacking(graph=UNIT_TRIANGLE, target=target, groups=())
         keys = draw_edge_keys(UNIT_TRIANGLE, 0)
-        run = run_protocol(UNIT_TRIANGLE, packing, keys, target)
+        run = run_protocol(packing, keys)
         assert run.key_bits == ()
         assert tuple(run.transcript) == ()
         assert run.transcript_bits == run.speakers == run.broadcast_trees == ()
@@ -206,16 +206,11 @@ class TestRunProtocol:
                 len(run.residual_bits)) == (1, 1, 1)
 
     def test_rejects_foreign_packing(self):
+        # keys drawn for another graph fail the bit count
         packing = spanning_packing(UNIT_TRIANGLE)
         keys = draw_edge_keys(DOUBLED_TRIANGLE, 0)
         with pytest.raises(InvalidPackingError):
-            run_protocol(DOUBLED_TRIANGLE, packing, keys, TerminalSet.full(3))
-
-    def test_rejects_wrong_target(self):
-        packing = spanning_packing(UNIT_TRIANGLE)
-        keys = draw_edge_keys(UNIT_TRIANGLE, 0)
-        with pytest.raises(InvalidPackingError):
-            run_protocol(UNIT_TRIANGLE, packing, keys, TerminalSet.of(1, 2))
+            run_protocol(packing, keys)
 
     def test_deterministic(self):
         assert full_run(DOUBLED_TRIANGLE, seed=9) == full_run(DOUBLED_TRIANGLE, seed=9)
@@ -249,7 +244,7 @@ class TestRunProtocol:
         keys = EdgeKeyBits(bits[:-1] if change < 0 else bits + (1,))
         with pytest.raises(InvalidPackingError,
                            match=f"{6 + change} key bits drawn for a graph of 6 edges"):
-            run_protocol(DOUBLED_TRIANGLE, packing, keys, target)
+            run_protocol(packing, keys)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_transcript_rows_index_the_supports(self, seed):
@@ -335,8 +330,8 @@ class TestGroupsAgainstPerCopyOracles:
                    for (a, _), (b, _) in zip(packing.groups, packing.groups[1:]))
 
         keys = draw_edge_keys(graph, seed)
-        run = run_protocol(graph, packing, keys, target)
-        oracle, broadcasts = per_tree_run_protocol(graph, packing, keys, target)
+        run = run_protocol(packing, keys)
+        oracle, broadcasts = per_tree_run_protocol(packing, keys)
         assert run.key_bits == oracle.key_bits
         assert tuple(run.transcript) == broadcasts
         assert run.transcript_bits == oracle.transcript_bits
@@ -366,8 +361,8 @@ class TestGroupsAgainstPerCopyOracles:
         packing = steiner_packing(graph, target, edge_cap=30,
                                   mode="greedy" if route == "greedy" else "exact")
         keys = draw_edge_keys(graph, seed)
-        run = run_protocol(graph, packing, keys, target)
-        oracle, broadcasts = per_tree_run_protocol(graph, packing, keys, target)
+        run = run_protocol(packing, keys)
+        oracle, broadcasts = per_tree_run_protocol(packing, keys)
         assert tuple(run.transcript) == broadcasts
         assert len(run.transcript) == len(broadcasts) == len(run.transcript_bits)
         assert run == oracle
@@ -396,7 +391,7 @@ class TestRecoverKey:
         target = TerminalSet.of(1, 3)
         packing = steiner_packing(graph, target)
         keys = EdgeKeyBits((1, 1))
-        run = run_protocol(graph, packing, keys, target)
+        run = run_protocol(packing, keys)
         # terminal 3 decodes via the broadcast and its own edge bit
         assert recover_key(run, 3) == run.key_bits
         # terminal 1 holds the reference edge and ignores the transcript
@@ -414,7 +409,7 @@ class TestRecoverKey:
         target = random_terminal_set(rng, graph.m)
         packing = steiner_packing(graph, target, mode="greedy")
         keys = draw_edge_keys(graph, seed)
-        run = run_protocol(graph, packing, keys, target)
+        run = run_protocol(packing, keys)
         for terminal in target:
             assert recover_key(run, terminal) == run.key_bits
 
@@ -426,7 +421,7 @@ class TestRecoverKey:
         target = random_terminal_set(rng, graph.m)
         packing = steiner_packing(graph, target, mode="greedy")
         self.check_matches_scan(
-            run_protocol(graph, packing, draw_edge_keys(graph, seed), target))
+            run_protocol(packing, draw_edge_keys(graph, seed)))
         # a path packing of doubled multiplicities: every path is a group
         # of an even number of copies
         small = random_multigraph(rng, max_m=5, max_mult=3)
@@ -435,14 +430,13 @@ class TestRecoverKey:
         paths = steiner_packing(doubled, pair)
         assert all(copies % 2 == 0 for _, copies in paths.groups)
         self.check_matches_scan(
-            run_protocol(doubled, paths, draw_edge_keys(doubled, seed), pair))
+            run_protocol(paths, draw_edge_keys(doubled, seed)))
 
     def test_terminal_holding_every_reference_edge_skips_the_transcript(self):
         # on the path 1-2-3 every unit path starts with edge (1, 2)
         graph = Multigraph(3, {(1, 2): 3, (2, 3): 2})
         target = TerminalSet.of(1, 3)
-        run = run_protocol(graph, steiner_packing(graph, target),
-                           draw_edge_keys(graph, 4), target)
+        run = run_protocol(steiner_packing(graph, target), draw_edge_keys(graph, 4))
 
         class Unread(tuple):
             def __iter__(self):
@@ -496,8 +490,7 @@ class TestRecoverKey:
         # whenever that terminal is in the target
         graph = Multigraph(4, {(1, 2): 3, (2, 3): 3, (3, 4): 3, (1, 4): 1})
         target = TerminalSet.of(1, 4)
-        run = run_protocol(graph, steiner_packing(graph, target),
-                           draw_edge_keys(graph, 11), target)
+        run = run_protocol(steiner_packing(graph, target), draw_edge_keys(graph, 11))
         assert any(copies > 1 and tree.walk for tree, copies in run.packing.groups)
         copy_of = [k for _, copies in run.packing.groups for k in range(copies)]
         later = [index for index, tree in enumerate(run.broadcast_trees)
