@@ -64,17 +64,25 @@ model files written to a temporary directory.  They are drawn from
 min(16, 3 * pairs))`` half-units, each on a ``choice`` of the pairs
 (i < j, row-major) that hold fewer than 3, so every weight is in
 {0, 1/2, 1, 3/2} and at most 16 edges are realized; zero pairs are left
-out of the file, as in the benchmark's ``desk`` models.
+out of the file, as in the benchmark's ``desk`` models.  The
+``cli/argv_floor`` row is the argument step of ``pinkey.cli.main`` (the
+fast path, then argparse if that returns None) over 600 command lines:
+each of the five commands with its full flag set (``--set 1,2``,
+``--scale 2``, ``--mode exact``, ``--seed 7``, ``--format structured``,
+as the command takes them) on each of the 120 ``cli/load_floor`` paths.
+It reports ``argvs`` and ``fast``, how many took the fast path; a
+checkout without the fast path times argparse alone and reports 0.
 
 A row whose call raises ``SizeLimitError`` reports the message as
 ``limit`` and no times.  Each row reports the best of ``--repeat``
 wall-clock times of one
 ``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
-pass of LPs, exact Steiner packings or model loads, with what it
-returned: tree and group counts, the capacity and the LP's column count,
-each target size, capacity and bound of the floor set, the key and
-transcript bit counts, the graph count and total trees, or the model
-count and total edges.  The ladder is a record, not a gate.
+pass of LPs, exact Steiner packings, model loads or argument steps, with
+what it returned: tree and group counts, the capacity and the LP's
+column count, each target size, capacity and bound of the floor set,
+the key and transcript bit counts, the graph count and total trees, the
+model count and total edges, or the command-line counts.  The ladder is
+a record, not a gate.
 ``--compare BASE.json HEAD.json`` reads two such files instead and
 prints each row's best times and the HEAD/BASE ratio (below 1 where HEAD
 is faster); a row only one file has gets ``-`` for the other.  Given two
@@ -103,6 +111,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
+import pinkey.cli
 from pinkey import (Multigraph, PinModel, SizeLimitError, TerminalSet, TreePacking, audit,
                     base_scale, best_partition, draw_edge_keys, format_rational, load_model,
                     realize_multigraph, run_protocol, solve_capacity, spanning_packing,
@@ -113,6 +122,16 @@ FOUND9_WEIGHTS = (1, 2, 0, 2, 5, 4, 1, 4, 3, 6, 0, 1, 0, 3, 1, 0, 5, 1, 3, 5, 4,
                   3, 4, 6, 1, 5, 6, 5, 4, 3, 1, 4, 5, 0, 3)
 FLOOR_COPIES = 34
 LOAD_COPIES = 30
+# each command with its full flag set, in the order the benchmark's requests
+# write their flags
+ARGV_TAILS = {
+    "capacity": ["--set", "1,2", "--format", "structured"],
+    "upper-bound": ["--set", "1,2", "--format", "structured"],
+    "pack": ["--set", "1,2", "--scale", "2", "--mode", "exact", "--format", "structured"],
+    "simulate": ["--set", "1,2", "--scale", "2", "--mode", "exact", "--seed", "7",
+                 "--format", "structured"],
+    "validate": ["--format", "structured"],
+}
 CAPACITY_TARGETS = (("", TerminalSet.full),
                     ("_pair", lambda m: TerminalSet.of(1, 2)),
                     ("_half", lambda m: TerminalSet.of(*range(1, math.ceil(m / 2) + 1))))
@@ -302,19 +321,41 @@ def steiner_row(cases, repeat: int) -> dict:
     }
 
 
+def write_models(work: str, texts: list[str]) -> list[str]:
+    """Write each model text to its own file; returns the paths in order."""
+    paths = []
+    for k, text in enumerate(texts):
+        path = Path(work, f"model_{k:03d}.json")
+        path.write_text(text + "\n", encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
 def load_row(texts: list[str], repeat: int) -> dict:
     with tempfile.TemporaryDirectory() as work:
-        paths = []
-        for k, text in enumerate(texts):
-            path = Path(work, f"model_{k:03d}.json")
-            path.write_text(text + "\n", encoding="utf-8")
-            paths.append(str(path))
+        paths = write_models(work, texts)
         graphs, timing = timed(
             lambda: [realize_multigraph(model, base_scale(model))
                      for model in map(load_model, paths)], repeat)
     return {
         "models": len(graphs),
         "edges": sum(graph.total_edges() for graph in graphs),
+        **timing,
+    }
+
+
+def argv_row(texts: list[str], repeat: int) -> dict:
+    # main's argument step; a checkout without the fast path uses argparse alone
+    fast_args = getattr(pinkey.cli, "_fast_args", lambda argv: None)
+    parse_args = pinkey.cli._PARSER.parse_args
+    with tempfile.TemporaryDirectory() as work:
+        argvs = [[command, path, *tail] for path in write_models(work, texts)
+                 for command, tail in ARGV_TAILS.items()]
+        parsed, timing = timed(
+            lambda: [fast_args(argv) or parse_args(argv) for argv in argvs], repeat)
+    return {
+        "argvs": len(parsed),
+        "fast": sum(fast_args(argv) is not None for argv in argvs),
         **timing,
     }
 
@@ -335,7 +376,9 @@ def ladder() -> list[tuple[str, object]]:
              for edges in (30_000, 100_000, 300_000)]
     rows += [(f"steiner/{name}", partial(steiner_row, cases))
              for name, cases in steiner_rows()]
-    rows.append(("cli/load_floor", partial(load_row, load_set())))
+    texts = load_set()
+    rows.append(("cli/load_floor", partial(load_row, texts)))
+    rows.append(("cli/argv_floor", partial(argv_row, texts)))
     return rows
 
 
@@ -356,6 +399,8 @@ def describe(row: dict) -> str:
     elif family == "protocol":
         text = (f"|E| = {row['edges']:>6}  |K| = {row['key_bits']:>6}  "
                 f"|F| = {row['transcript_bits']:>6}")
+    elif row["row"] == "cli/argv_floor":
+        text = f"argvs {row['argvs']:>4}  fast {row['fast']:>4}"
     elif family == "cli":
         text = f"models {row['models']:>4}  edges {row['edges']:>5}"
     else:

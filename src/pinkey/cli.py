@@ -7,6 +7,13 @@ emits one line of versioned JSON with sorted keys, so identical inputs
 ``p/q`` strings (plain ``p`` for integers); exact mode never prints
 floats.
 
+A well-formed command line (a command, its model path, then that
+command's own ``--flag value`` pairs, each flag at most once) is read
+straight into the Namespace that argparse would build, with the flags,
+types, choices and defaults read off the one parser.  Anything else, help,
+abbreviations, ``--flag=value`` and every error included, goes through
+argparse, so every usage message and exit code still comes from it.
+
 Exit codes: 0 success, 2 usage or parse error, 3 size-limit, 4 audit
 failure, 1 internal error.
 """
@@ -348,9 +355,54 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _grammar(parser: argparse.ArgumentParser) -> dict[str, tuple[dict, str, dict]]:
+    """Each command's defaults, its one positional and its one-value long
+    flags, read off the built parser: no second table to drift from it."""
+    commands, = (action for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    grammar = {}
+    for name, sub in commands.choices.items():
+        defaults = {commands.dest: name, **sub._defaults}
+        defaults.update((action.dest, action.default) for action in sub._actions
+                        if action.default is not argparse.SUPPRESS)
+        positional, = (action.dest for action in sub._actions if not action.option_strings)
+        flags = {option: action for action in sub._actions if action.nargs is None
+                 for option in action.option_strings if option.startswith("--")}
+        grammar[name] = defaults, positional, flags
+    return grammar
+
+
+_GRAMMAR = _grammar(_PARSER)
+
+
+def _fast_args(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's Namespace for a command, its model path and its own
+    ``--flag value`` pairs, each flag at most once; None for any other line
+    and for a value that starts with ``-`` (argparse's negative numbers)."""
+    if not argv or argv[0] not in _GRAMMAR or len(argv) % 2 or argv[1][:1] in ("", "-"):
+        return None
+    defaults, positional, flags = _GRAMMAR[argv[0]]
+    pairs = dict(zip(argv[2::2], argv[3::2]))
+    args = {**defaults, positional: argv[1]}
+    for flag, text in pairs.items():
+        action = flags.get(flag)
+        if action is None or text[:1] == "-":
+            return None
+        try:  # the action's own type: a value fails exactly where argparse's does
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        args[action.dest] = value
+    # fewer pairs than flags: a flag repeats
+    return argparse.Namespace(**args) if 2 * len(pairs) == len(argv) - 2 else None
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(argv)
+        args = _fast_args(argv) or _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -195,10 +195,14 @@ def _normalize_weights(
         pair = canonical_pair(i, j)
         if pair[0] < 1 or pair[1] > m:
             raise ValueError(f"pair {pair} is outside terminals 1..{m}")
-        if type(value) is bool:  # Fraction() would take it as 0 or 1
+        # exactly an int or a Fraction (type(), not isinstance: a bool is
+        # no weight); no float or string, as in Multigraph
+        if type(value) is Fraction:
+            weight = value
+        elif type(value) is int:
+            weight = Fraction(value)
+        else:
             raise ValueError(f"weight for pair {pair} is not a rational: {value!r}")
-        # a Fraction is kept as it is; Fraction() checks anything else
-        weight = value if type(value) is Fraction else Fraction(value)  # type: ignore
         if weight.numerator < 0:
             raise ValueError(f"weight for pair {pair} is negative: {weight}")
         if pair in explicit and explicit[pair] != weight:

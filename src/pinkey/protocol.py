@@ -55,7 +55,11 @@ class EdgeKeyBits:
 
 
 def draw_edge_keys(graph: Multigraph, seed: int) -> EdgeKeyBits:
-    """Deterministic i.i.d. uniform bits in canonical edge order."""
+    """Deterministic i.i.d. uniform bits in canonical edge order.  The seed
+    must be non-negative: ``random.Random`` seeds ``-s`` exactly as ``s``,
+    so a negative seed would replay another seed's bits."""
+    if seed < 0:
+        raise ValueError(f"edge-key seed must be non-negative, got {seed}")
     getrandbits = random.Random(seed).getrandbits
     return EdgeKeyBits(bits=tuple(map(getrandbits, repeat(1, graph.total_edges()))),
                        seed=seed)

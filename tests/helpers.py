@@ -22,18 +22,22 @@ grown one edge at a time and the exact Steiner search that checks its
 bound only when a node is entered, the structured
 ``pack``/``simulate`` report built as one dict and encoded by one
 ``json.dumps``, and the model-file loader that builds every record's
-context and field sets up front.
+context and field sets up front.  ``load_workloads`` gives the
+benchmark's request pools.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import math
 import random
 import re
+import sys
 from collections import Counter, deque
 from fractions import Fraction
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from pinkey import (
@@ -1259,3 +1263,20 @@ def reference_loads_model(text: str) -> PinModel:
         return PinModel.from_pmfs(m, pmfs)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
+
+
+WORKLOADS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, loaded from its file without writing
+    bytecode next to it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    before = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = before
+    return module

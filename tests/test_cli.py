@@ -13,13 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinkey import MAX_TERMINALS
-from pinkey.cli import main
+from pinkey import MAX_TERMINALS, STEINER_EXACT_EDGE_CAP
+from pinkey.cli import _PARSER, _fast_args, main
 
-from helpers import json_dumps_report
+from helpers import json_dumps_report, load_workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = Path(__file__).parent / "goldens"
@@ -253,6 +253,13 @@ class TestSimulateCommand:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("flag", [("--seed", "-5"), ("--seed=-5",)])
+    def test_negative_seed_is_usage_error(self, capsys, flag):
+        # Random(-5) seeds as Random(5): the run would repeat seed 5's
+        code, out, err = run_cli(capsys, "simulate", TRIANGLE, "--scale", "4", *flag)
+        assert (code, out) == (2, "")
+        assert err == "error: edge-key seed must be non-negative, got -5\n"
+
     def test_text_output_contains_transcript(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", PATH_MODEL, "--set", "1,3")
         assert code == 0
@@ -337,13 +344,17 @@ class TestStructuredRenderingAgainstOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(ROUTES))
+    @example(3241, "exact")  # 25 edges as drawn
     def test_pack_and_simulate_match_the_oracle(self, tmp_path_factory, seed, route):
         rng = random.Random(seed)
         m = rng.randint(2, 5) if route in ("paths", "spanning") else rng.randint(4, 5)
-        # at most 20 edges, under the exact Steiner cap; zero weights can
-        # disconnect the target and leave no tree at all
+        # zero weights can disconnect the target and leave no tree at all;
+        # an m = 5 draw can pass the exact Steiner cap (up to 30 edges), so
+        # edges come off drawn pairs until it is met
         weights = {(i, j): rng.choice((0, 0, 1, 1, 2, 3))
                    for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+        while sum(weights.values()) > STEINER_EXACT_EDGE_CAP:
+            weights[rng.choice([pair for pair, w in weights.items() if w])] -= 1
         members = self.members(route, m, rng)
         mode = "greedy" if route == "greedy" else "exact"
         path = _integer_model_file(tmp_path_factory.mktemp("models"), m, weights)
@@ -640,6 +651,8 @@ class TestParser:
         ["capacity", TRIANGLE, "--set", " 1,+2"],
         ["pack", TRIANGLE, "--scale", "\u0662"],
         ["simulate", TRIANGLE, "--seed", "1_0"],
+        # past int()'s digit limit: still argparse's one line, on either path
+        ["simulate", TRIANGLE, "--seed", "9" * 5000],
     ])
     def test_rejected_command_line_is_one_error_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -659,6 +672,144 @@ class TestParser:
         second = [run_cli(capsys, *request) for request in requests]
         assert all(code == 0 and out for code, out, _ in first)
         assert second == first
+
+
+# Command-line parts for the fast-path property: each command's own flags
+# with good values, values that argparse rejects or reads by its own rules,
+# and tokens the fast path leaves to argparse.
+_COMMAND_FLAGS = {
+    "capacity": ("--set", "--format"),
+    "upper-bound": ("--set", "--format"),
+    "pack": ("--set", "--format", "--scale", "--mode"),
+    "simulate": ("--set", "--format", "--scale", "--mode", "--seed"),
+    "validate": ("--format",),
+}
+_ALL_FLAGS = ("--set", "--format", "--scale", "--mode", "--seed")
+_GOOD_VALUES = {
+    "--set": ("1,2", "3,1,2", "x", ""),
+    "--format": ("text", "structured"),
+    "--scale": ("1", "2", "0", "007"),
+    "--mode": ("exact", "greedy"),
+    "--seed": ("0", "7", "123456789012345678901234567890"),
+}
+# values argparse reads by its own rules (a leading "-"), and per flag the
+# values its type or choices reject: int() takes " 1", "+2", "1_0" and
+# "\u0662", _integer does not, and "9" * 5000 is past int()'s digit limit
+_DASH_VALUES = ("-5", "-1,2", "-0", "-", "--", "--set", "-h")
+_INT_REJECTED = (" 1", "+2", "1_0", "\u0662", "1.5", "", "9" * 5000)
+_REJECTED_VALUES = {
+    "--set": (),
+    "--format": ("yaml", "Text", ""),
+    "--scale": _INT_REJECTED,
+    "--mode": ("fast", "Exact", ""),
+    "--seed": _INT_REJECTED,
+}
+_STRAY_TOKENS = ("-h", "--help", "--", "-x", "--bogus", "extra", "validate")
+_VALUE_EDITS = ("rejected", "dash", "repeat")
+_SHAPE_EDITS = ("command", "model", "no model", "other flag", "abbreviation", "equals",
+                "stray")
+
+
+@st.composite
+def _argvs(draw):
+    """A well-formed command line (a command, a model path and some of its
+    own flags in any order), then up to two edits of its values and up to
+    two of its shape, which argparse may read or reject."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    model = draw(st.sampled_from(["model.json", TRIANGLE, "a b", "5"]))
+    parts = [[flag, draw(st.sampled_from(_GOOD_VALUES[flag]))]
+             for flag in draw(st.permutations(_COMMAND_FLAGS[command]))
+             if draw(st.booleans())]
+    edits = (draw(st.lists(st.sampled_from(_VALUE_EDITS), max_size=2))
+             + draw(st.lists(st.sampled_from(_SHAPE_EDITS), max_size=2)))
+    for edit in edits:
+        where = draw(st.integers(0, len(parts)))
+        pairs = [part for part in parts if len(part) == 2]
+        pair = draw(st.sampled_from(pairs)) if pairs else [None, None]
+        rejected = _REJECTED_VALUES.get(pair[0], ())
+        if edit == "command":
+            command = draw(st.sampled_from(["capacit", "Pack", "simulate ", "-h", "", "--help"]))
+        elif edit == "model":
+            model = draw(st.sampled_from(["", "-m", "--set", "--"]))
+        elif edit == "no model":
+            model = None
+        elif edit in ("rejected", "dash"):
+            pair[1] = draw(st.sampled_from(rejected if edit == "rejected" and rejected
+                                           else _DASH_VALUES))
+        elif edit == "repeat" and pair[0] is not None:
+            parts.insert(where, [pair[0], draw(st.sampled_from(
+                _GOOD_VALUES.get(pair[0], ()) + rejected + _DASH_VALUES))])
+        elif edit == "other flag":
+            flag = draw(st.sampled_from(_ALL_FLAGS))
+            parts.insert(where, [flag, draw(st.sampled_from(_GOOD_VALUES[flag]))])
+        elif edit == "abbreviation" and pair[0] is not None and len(pair[0]) > 2:
+            pair[0] = pair[0][:draw(st.integers(2, len(pair[0]) - 1))]
+        elif edit == "equals" and pair[0] is not None:
+            pair[:] = [f"{pair[0]}={pair[1]}"]
+        elif edit == "stray":
+            parts.insert(where, [draw(st.sampled_from(_STRAY_TOKENS))])
+    return [command] + ([] if model is None else [model]) + [
+        token for part in parts for token in part]
+
+
+def _argparse_result(argv):
+    """argparse's Namespace for argv, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return f"exit {exc.code}"
+
+
+class TestFastPath:
+    """``main`` parses a well-formed command line without argparse; the
+    Namespace must be argparse's, and anything else is left to argparse."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(_argvs())
+    def test_fast_path_is_none_or_argparses_namespace(self, argv):
+        fast = _fast_args(argv)
+        assert fast is None or fast == _argparse_result(argv), argv
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+    def test_every_well_formed_argv_takes_the_fast_path(self, command):
+        # with and without each flag, in the order benchmark requests write them
+        values = {"--set": "2,1", "--scale": "4", "--mode": "greedy", "--seed": "3",
+                  "--format": "structured"}
+        flags = [flag for flag in values if flag in _COMMAND_FLAGS[command]]
+        for used in itertools.product((False, True), repeat=len(flags)):
+            argv = [command, "model.json"] + [
+                token for flag, on in zip(flags, used) if on for token in (flag, values[flag])]
+            fast = _fast_args(argv)
+            assert fast is not None, argv
+            assert fast == _argparse_result(argv)
+
+    @pytest.mark.parametrize("workload", ["analyze", "span", "wide", "desk"])
+    def test_every_benchmark_request_takes_the_fast_path(self, workload):
+        pool = load_workloads().build(workload, 1)
+        for request in pool.requests:
+            argv = request.argv("model_000.json")
+            fast = _fast_args(argv)
+            assert fast is not None, argv
+            assert fast == _argparse_result(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", TRIANGLE, "--scale", "2", "--seed", "3", "--format", "structured"],
+        ["capacity", PATH_MODEL, "--set", "1,3"],
+        ["pack", TRIANGLE, "--mode=greedy"],
+        ["simulate", TRIANGLE, "--seed", "-5"],
+        ["pack", TRIANGLE, "--scale", "x"],
+        ["upper-bound", "--help"],
+    ])
+    def test_main_reads_sys_argv_when_given_none(self, capsys, monkeypatch, argv):
+        expected = run_cli(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["pinkey", *argv])
+        if _fast_args(argv) is not None:  # real command lines take the fast path too
+            monkeypatch.setattr(_PARSER, "parse_args", None)
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
 
 
 # Model-file parts for the fuzz below: valid values, and malformed ones

@@ -138,7 +138,9 @@ class TestPinModel:
         with pytest.raises(ValueError):
             PinModel.from_weights(2, {(1, 2): Fraction(-1, 2)})
 
-    @pytest.mark.parametrize("weight", [True, False])
+    # exactly an int or a Fraction: Fraction() would take a bool as 0 or 1,
+    # a float or a string as a rational, and fail on None or a list
+    @pytest.mark.parametrize("weight", [True, False, None, [1], 1.5, "1/2"])
     def test_rejects_bool_weights(self, weight):
         with pytest.raises(ValueError, match=re.escape(
                 f"weight for pair (1, 2) is not a rational: {weight!r}")):

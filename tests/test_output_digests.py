@@ -4,22 +4,18 @@ Each pool of ``perfbench/workloads.py`` is built for seeds 1 and 2, its
 model files are written under a temporary directory, and every request runs
 through ``pinkey.cli.main`` in pool order.  The SHA-256 of each request's
 exit code and stdout, fed in that order, must match the pinned digest, so
-any change to any output, structured or exit code, shows here.  The
-workloads module is loaded from its file and writes no bytecode.
+any change to any output, structured or exit code, shows here.
 """
 
 import contextlib
 import hashlib
-import importlib.util
 import io
-import sys
-from pathlib import Path
 
 import pytest
 
 from pinkey.cli import main
 
-WORKLOADS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+from helpers import load_workloads
 
 DIGESTS = {
     (1, "analyze"): "3e75e5df7be01808",
@@ -35,15 +31,7 @@ DIGESTS = {
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_FILE)
-    module = importlib.util.module_from_spec(spec)
-    before = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = before
-    return module
+    return load_workloads()
 
 
 @pytest.mark.parametrize("seed, workload", sorted(DIGESTS))

@@ -82,6 +82,13 @@ class TestDrawEdgeKeys:
         graph = Multigraph(2, {(1, 2): 0})
         assert draw_edge_keys(graph, 1).bits == ()
 
+    @pytest.mark.parametrize("seed", [-1, -5, -2**70])
+    def test_rejects_negative_seed(self, seed):
+        # Random(-s) seeds exactly as Random(s), so -5 would replay seed 5
+        with pytest.raises(ValueError, match=re.escape(
+                f"edge-key seed must be non-negative, got {seed}")):
+            draw_edge_keys(DOUBLED_TRIANGLE, seed)
+
     def test_one_bit_per_edge_in_canonical_order(self):
         keys = draw_edge_keys(DOUBLED_TRIANGLE, 42)
         rng = random.Random(42)
