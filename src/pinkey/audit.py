@@ -9,8 +9,8 @@ per block step of the maps (per group and walk step on an honest run).
 A brute-force enumeration of edge-bit assignments provides an independent
 check at small sizes (dyadic joint distributions, again exact).  Rows that
 share no edge are independent, so it enumerates each block of edge-sharing
-rows on its own, at a cost of sum_b 2^|E_b| rather than 2^|E|; its cap
-still applies to the total edge count |E|.
+rows on its own, at a cost of sum_b 2^|E_b| rather than 2^|E|; its cap,
+``BRUTEFORCE_EDGE_CAP``, still applies to the total edge count |E|.
 
 Fault-injection helpers build tampered copies of a run so tests can show
 the audits actually fail on bad runs.
@@ -81,9 +81,7 @@ def _dyadic_entropy(counts: Counter, total_bits: int) -> Fraction:
     return Fraction(total_bits) - Fraction(weighted, 1 << total_bits)
 
 
-def security_index_bruteforce(
-    run: ProtocolRun, edge_cap: int = BRUTEFORCE_EDGE_CAP
-) -> SecurityReport:
+def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
     """Security index by enumerating edge-bit assignments, block by block.
 
     Two map rows share a block when they share an edge (a union-find over
@@ -96,9 +94,9 @@ def security_index_bruteforce(
     XOR with that edge's column.  The cap still applies to |E|.
     """
     edges = run.graph.total_edges()
-    if edges > edge_cap:
+    if edges > BRUTEFORCE_EDGE_CAP:
         raise SizeLimitError(
-            f"brute force is capped at {edge_cap} edges, got {edges}"
+            f"brute force is capped at {BRUTEFORCE_EDGE_CAP} edges, got {edges}"
         )
     rows = run.transcript_map.rows + run.key_map.rows
     parent = list(range(edges))
@@ -154,11 +152,7 @@ def security_index_bruteforce(
     )
 
 
-def audit(
-    run: ProtocolRun,
-    strict: bool = False,
-    bruteforce_cap: int = BRUTEFORCE_EDGE_CAP,
-) -> SecurityReport:
+def audit(run: ProtocolRun, strict: bool = False) -> SecurityReport:
     """Full audit: per-terminal recovery plus the exact security index.
 
     The rank method always runs; brute force cross-checks it whenever the
@@ -167,8 +161,8 @@ def audit(
     """
     rank_report = security_index_rank(run)
     method = "rank"
-    if run.graph.total_edges() <= bruteforce_cap:
-        brute = security_index_bruteforce(run, edge_cap=bruteforce_cap)
+    if run.graph.total_edges() <= BRUTEFORCE_EDGE_CAP:
+        brute = security_index_bruteforce(run)
         if (brute.security_index != rank_report.security_index
                 or brute.key_given_transcript != rank_report.key_given_transcript):
             raise AuditFailureError(

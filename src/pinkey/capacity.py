@@ -20,8 +20,9 @@ which take A from the assignment.  Fractions are built only for what is
 returned.
 
 A second, entropy-based form of the same objective is available for
-pmf-backed models; agreement between the two (within 1e-9) is a strong
-end-to-end check of the entropy bookkeeping.
+pmf-backed models; agreement between the two (within
+``CONSISTENCY_TOLERANCE``) is a strong end-to-end check of the entropy
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Mapping
 
 from .errors import InvalidAssignmentError, SizeLimitError, UnsupportedModeError
 from .model import Pair, PinModel, TerminalSet, all_pairs, base_scale
-from .partitions import DEFAULT_TERMINAL_CAP
+from . import partitions
 from .simplex import SimplexResult, solve_lp
 
 CONSISTENCY_TOLERANCE = 1e-9
@@ -50,16 +51,13 @@ class SubsetFamily:
     subsets: tuple[int, ...]
 
 
-def subset_family(
-    m: int, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
-) -> SubsetFamily:
-    """Enumerate every nonempty strict subset of 1..m not containing A."""
+def subset_family(m: int, target: TerminalSet) -> SubsetFamily:
+    """Enumerate every nonempty strict subset of 1..m not containing A, up
+    to ``partitions.TERMINAL_CAP`` terminals."""
     target.validate_within(m)
-    if m > cap:
+    if m > partitions.TERMINAL_CAP:
         raise SizeLimitError(
-            f"m={m} exceeds the subset-enumeration cap {cap} "
-            f"(2^{m} - ... subsets); raise cap explicitly to proceed"
-        )
+            f"m={m} exceeds the subset-enumeration cap {partitions.TERMINAL_CAP}")
     amask = target.mask()
     subsets = tuple(
         mask for mask in range(1, (1 << m) - 1) if (mask & amask) != amask
@@ -215,17 +213,14 @@ class CapacityResult:
     coefficients: Mapping[Pair, Fraction]
 
 
-def solve_capacity(
-    model: PinModel, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
-) -> CapacityResult:
+def solve_capacity(model: PinModel, target: TerminalSet) -> CapacityResult:
     """Exact minimum of the capacity objective over all valid assignments.
 
     Besides the cover check, the objective recomputed from the base
     weights, ``Σ_pairs (w_ij·n0) · sep_ij`` with ``sep_ij`` the ``β`` of the
     basic subsets holding i but not j, must equal the LP's ``C_B·β``."""
     model.require_exact("capacity LP")
-    target.validate_within(model.m)
-    family = subset_family(model.m, target, cap=cap)
+    family = subset_family(model.m, target)
     costs, scale = _lp_costs(model, family)
     result = solve_lp(costs, family.subsets, family.m)
     assignment, support = _vertex(family, result)
@@ -297,20 +292,15 @@ def entropy_objective(model: PinModel, assignment: WeightAssignment) -> float:
 class ConsistencyReport:
     trials: int
     max_discrepancy: float
-    tolerance: float = CONSISTENCY_TOLERANCE
     discrepancies: tuple[float, ...] = field(repr=False, default=())
 
     @property
     def passed(self) -> bool:
-        return self.max_discrepancy <= self.tolerance
+        return self.max_discrepancy <= CONSISTENCY_TOLERANCE
 
 
 def check_objective_consistency(
-    model: PinModel,
-    target: TerminalSet,
-    trials: int,
-    seed: int = 0,
-    tolerance: float = CONSISTENCY_TOLERANCE,
+    model: PinModel, target: TerminalSet, trials: int, seed: int = 0
 ) -> ConsistencyReport:
     """Compare the two objective forms at random vertices of the polytope."""
     rng = random.Random(seed)
@@ -324,6 +314,5 @@ def check_objective_consistency(
     return ConsistencyReport(
         trials=trials,
         max_discrepancy=max(gaps, default=0.0),
-        tolerance=tolerance,
         discrepancies=tuple(gaps),
     )

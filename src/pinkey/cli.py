@@ -42,7 +42,8 @@ from .model import PinModel, TerminalSet, base_scale, format_rational, realize_m
 from .modelfile import load_model
 from .partitions import best_partition
 from .packing import TreePacking, steiner_packing
-from .protocol import ProtocolRun, draw_edge_keys, export_transcript, run_protocol
+from .protocol import (ProtocolRun, check_seed, draw_edge_keys, export_transcript,
+                       run_protocol)
 
 FORMAT_VERSION = 1
 
@@ -229,6 +230,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    check_seed(args.seed)  # before the packing, which may take seconds
     report, packing = _packed(args)
     keys = draw_edge_keys(packing.graph, args.seed)
     run = run_protocol(packing, keys)

@@ -38,7 +38,7 @@ EdgeRef = tuple[int, int, int]  # (i, j, copy) with i < j and 0 <= copy
 PMF_SUM_TOLERANCE = 1e-12
 WEIGHT_MATCH_TOLERANCE = 1e-9
 # Every model stores all m(m-1)/2 pairs (32640 at the cap).  The exact
-# solvers stop far lower (``partitions.DEFAULT_TERMINAL_CAP``).
+# solvers stop far lower (``partitions.TERMINAL_CAP``).
 MAX_TERMINALS = 256
 
 

@@ -21,14 +21,18 @@ Three packing routes, each certified by an independent count:
   separates runs the exchange search, which asks each distinct forest
   shape (pair set) once per labeled pair.  Forest components only merge,
   so each vertex pair keeps, for the whole packing, the least forest that
-  may still separate it.  The work k·|E| is capped;
+  may still separate it.  The work k·|E| is capped by ``SPANNING_WORK_CAP``;
 * Steiner packings for intermediate target sets: exact by depth-first
   search over edge-disjoint minimal Steiner trees, listed by attaching one
   path per target terminal, pruned by the partition bound on the
   remaining capacities, asked of ``partitions.min_ratio`` as a threshold
   question on entry and again after a child improves the incumbent
-  (capped, the problem is NP-hard), or a deterministic shortest-path
-  greedy that lower-bounds the optimum and is the search's incumbent.
+  (capped by ``STEINER_EXACT_EDGE_CAP``, the problem is NP-hard), or a
+  deterministic shortest-path greedy that lower-bounds the optimum and is
+  the search's incumbent.
+
+Every route is capped at ``PACKING_EDGE_CAP`` realized edges.  Each cap is
+a module constant, read when its check runs.
 
 Edge copies are assigned canonically (sorted pair, then 0..e_ij-1), so
 packings are reproducible run to run.  A packing is a tuple of (tree,
@@ -778,13 +782,11 @@ def _steiner_tree_candidates(
     return sorted(found)
 
 
-def _exact_steiner(
-    graph: Multigraph, target: TerminalSet, edge_cap: int
-) -> TreePacking:
+def _exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
     total = graph.total_edges()
-    if total > edge_cap:
+    if total > STEINER_EXACT_EDGE_CAP:
         raise SizeLimitError(
-            f"exact Steiner packing is capped at {edge_cap} edges; "
+            f"exact Steiner packing is capped at {STEINER_EXACT_EDGE_CAP} edges; "
             f"this graph has {total} (use greedy mode)"
         )
     candidates = _steiner_tree_candidates(graph.support_pairs(), target)
@@ -830,10 +832,7 @@ def _exact_steiner(
 
 
 def steiner_packing(
-    graph: Multigraph,
-    target: TerminalSet,
-    mode: str = "exact",
-    edge_cap: int = STEINER_EXACT_EDGE_CAP,
+    graph: Multigraph, target: TerminalSet, mode: str = "exact"
 ) -> TreePacking:
     """Edge-disjoint trees spanning the target set.
 
@@ -854,18 +853,14 @@ def steiner_packing(
         return spanning_packing(graph)
     if mode == "greedy":
         return _greedy_steiner(graph, target)
-    return _exact_steiner(graph, target, edge_cap)
+    return _exact_steiner(graph, target)
 
 
 def steiner_rate_lower_bound(
-    model: PinModel,
-    target: TerminalSet,
-    n: int,
-    mode: str = "exact",
-    edge_cap: int = STEINER_EXACT_EDGE_CAP,
+    model: PinModel, target: TerminalSet, n: int, mode: str = "exact"
 ) -> Fraction:
     """Packing count over blocklength at scale n; in exact mode this never
     exceeds the capacity."""
     graph = realize_multigraph(model, n)
-    packing = steiner_packing(graph, target, mode=mode, edge_cap=edge_cap)
+    packing = steiner_packing(graph, target, mode=mode)
     return Fraction(packing.count, n)

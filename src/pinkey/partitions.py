@@ -44,7 +44,9 @@ from typing import Callable, Iterator, Mapping
 from .errors import SizeLimitError
 from .model import Multigraph, Pair, PinModel, TerminalSet, base_scale
 
-DEFAULT_TERMINAL_CAP = 12
+# the terminal count past which no partition search runs, read at each
+# search; the capacity LP's subset enumeration reads it too
+TERMINAL_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -76,14 +78,12 @@ class Partition:
         return tuple(tuple(a) for a in out)
 
 
-def enumerate_partitions(
-    m: int, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
-) -> Iterator[Partition]:
+def enumerate_partitions(m: int, target: TerminalSet) -> Iterator[Partition]:
     """Stream partitions of 1..m with >= 2 atoms, every atom meeting the
     target, in RGS order: the pruned search with nothing to prune against,
     so it skips the crossing bound (its target-terminal counts still cut
     hopeless prefixes early)."""
-    for _, partition in pruned_partitions(m, target, cap)([], None):
+    for _, partition in pruned_partitions(m, target)([], None):
         yield partition
 
 
@@ -97,12 +97,16 @@ PartitionSearch = Callable[
 
 
 def pruned_partitions(
-    m: int, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
+    m: int, target: TerminalSet, cap: int | None = None
 ) -> PartitionSearch:
     """Branch and bound over the partitions ``enumerate_partitions``
     streams, in the same order: a prefix is cut when no completion can
-    strictly beat the incumbent (see the module docstring)."""
+    strictly beat the incumbent (see the module docstring).  ``cap``
+    defaults to ``TERMINAL_CAP``; the exact Steiner search, which its
+    edge cap limits instead, passes m."""
     target.validate_within(m)
+    if cap is None:
+        cap = TERMINAL_CAP
     if m > cap:
         raise SizeLimitError(
             f"m={m} exceeds the partition-enumeration cap {cap}"
@@ -218,36 +222,30 @@ def crossing_weight(model: PinModel, partition: Partition) -> Fraction:
     return Fraction(crossing, base_scale(model))
 
 
-def best_partition(
-    model: PinModel, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
-) -> tuple[Fraction, Partition]:
+def best_partition(model: PinModel, target: TerminalSet) -> tuple[Fraction, Partition]:
     """Minimum of crossing-weight / (atoms - 1) with a minimizing partition."""
     model.require_exact("partition bound")
     value, partition = min_ratio(model.base_weights,
-                                 pruned_partitions(model.m, target, cap=cap))
+                                 pruned_partitions(model.m, target))
     return value / base_scale(model), partition
 
 
-def upper_bound(
-    model: PinModel, target: TerminalSet, cap: int = DEFAULT_TERMINAL_CAP
-) -> Fraction:
+def upper_bound(model: PinModel, target: TerminalSet) -> Fraction:
     """Capacity upper bound: min over qualifying partitions of the
     normalized crossing weight."""
-    return best_partition(model, target, cap=cap)[0]
+    return best_partition(model, target)[0]
 
 
-def spanning_rate(model: PinModel, cap: int = DEFAULT_TERMINAL_CAP) -> Fraction:
+def spanning_rate(model: PinModel) -> Fraction:
     """Upper bound with A = all terminals; equals the supremum of
     spanning-tree packing rates over valid scales."""
-    return upper_bound(model, TerminalSet.full(model.m), cap=cap)
+    return upper_bound(model, TerminalSet.full(model.m))
 
 
-def nash_williams_count(
-    graph: Multigraph, cap: int = DEFAULT_TERMINAL_CAP
-) -> int:
+def nash_williams_count(graph: Multigraph) -> int:
     """Exact maximum number of edge-disjoint spanning trees, by the
     min over partitions of floor(crossing edges / (atoms - 1))."""
     if graph.m < 2:
         return 0
-    search = pruned_partitions(graph.m, TerminalSet.full(graph.m), cap=cap)
+    search = pruned_partitions(graph.m, TerminalSet.full(graph.m))
     return math.floor(min_ratio(graph.multiplicities, search)[0])

@@ -54,12 +54,18 @@ class EdgeKeyBits:
                 raise ValueError(f"edge bit {k} is the non-bit value {bit!r}")
 
 
-def draw_edge_keys(graph: Multigraph, seed: int) -> EdgeKeyBits:
-    """Deterministic i.i.d. uniform bits in canonical edge order.  The seed
-    must be non-negative: ``random.Random`` seeds ``-s`` exactly as ``s``,
-    so a negative seed would replay another seed's bits."""
+def check_seed(seed: int) -> None:
+    """Raise unless the edge-key seed is non-negative: ``random.Random``
+    seeds ``-s`` exactly as ``s``, so a negative seed would replay another
+    seed's bits."""
     if seed < 0:
         raise ValueError(f"edge-key seed must be non-negative, got {seed}")
+
+
+def draw_edge_keys(graph: Multigraph, seed: int) -> EdgeKeyBits:
+    """Deterministic i.i.d. uniform bits in canonical edge order, from a
+    seed that ``check_seed`` accepts."""
+    check_seed(seed)
     getrandbits = random.Random(seed).getrandbits
     return EdgeKeyBits(bits=tuple(map(getrandbits, repeat(1, graph.total_edges()))),
                        seed=seed)

@@ -76,6 +76,10 @@ from pinkey.audit import _dyadic_entropy
 from pinkey.model import all_pairs
 from pinkey.simplex import SimplexResult
 
+# the module itself: the package's ``pinkey.audit`` is the function, so
+# tests patch ``BRUTEFORCE_EDGE_CAP`` here
+AUDIT_MODULE = importlib.import_module("pinkey.audit")
+
 
 def random_exact_model(
     rng: random.Random,

@@ -11,6 +11,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from pinkey import (
     TerminalSet,
     audit,
@@ -37,6 +39,7 @@ from pinkey import (
 from pinkey.cli import main as cli_main
 
 from helpers import (
+    AUDIT_MODULE,
     brute_min_cut,
     random_exact_model,
     random_multigraph,
@@ -220,7 +223,9 @@ def test_criterion_6_perfect_secrecy_and_falsifiability():
         if reachable and faults_checked < 50:
             # flip a broadcast a target terminal actually decodes through
             flipped = flip_broadcast(run, reachable[seed % len(reachable)])
-            flip_rep = audit(flipped, bruteforce_cap=0)
+            with pytest.MonkeyPatch.context() as patch:  # rank audit only
+                patch.setattr(AUDIT_MODULE, "BRUTEFORCE_EDGE_CAP", 0)
+                flip_rep = audit(flipped)
             leaky = leak_key_bit(
                 run, seed % len(run.key_bits), seed % len(run.transcript)
             )

@@ -36,6 +36,7 @@ from pinkey import (
 )
 
 from helpers import (
+    AUDIT_MODULE,
     dense_gf2_rows,
     elimination_gf2_rank,
     gray_code_bruteforce,
@@ -190,20 +191,22 @@ class TestBruteForceMethod:
         with pytest.raises(SizeLimitError):
             security_index_bruteforce(spanning_run(big))
 
-    def test_audit_passes_its_cap_through(self):
-        # 21 edges: one over the default cap, within the caller's
+    def test_audit_passes_its_cap_through(self, monkeypatch):
+        # 21 edges: one over the default cap, within the patched one
         graph = Multigraph(3, {(1, 2): 1, (2, 3): 20})
         target = TerminalSet.of(1, 3)
         run = run_protocol(steiner_packing(graph, target), draw_edge_keys(graph, 0))
         assert len(run.edge_order) == BRUTEFORCE_EDGE_CAP + 1 == 21
         assert audit(run).method == "rank"
-        report = audit(run, bruteforce_cap=21)
-        assert report.method == "rank+bruteforce"
-        assert report.security_index == 0
         with pytest.raises(SizeLimitError, match="capped at 20 edges, got 21$"):
             security_index_bruteforce(run)
+        monkeypatch.setattr(AUDIT_MODULE, "BRUTEFORCE_EDGE_CAP", 21)
+        report = audit(run)
+        assert report.method == "rank+bruteforce"
+        assert report.security_index == 0
+        monkeypatch.setattr(AUDIT_MODULE, "BRUTEFORCE_EDGE_CAP", 3)
         with pytest.raises(SizeLimitError, match="capped at 3 edges, got 21$"):
-            security_index_bruteforce(run, edge_cap=3)
+            security_index_bruteforce(run)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_rank(self, seed):
@@ -368,12 +371,13 @@ class TestBlockBruteForce:
             assert security_index_bruteforce(variant) == \
                 gray_code_bruteforce(variant)
 
-    def test_21_edge_spanning_run_cross_checks_quickly(self):
+    def test_21_edge_spanning_run_cross_checks_quickly(self, monkeypatch):
         # K3 x 7: ten two-edge trees and a residual edge
         run = spanning_run(Multigraph(3, {(1, 2): 7, (1, 3): 7, (2, 3): 7}))
         assert len(run.edge_order) == 21 and run.packing.count == 10
+        monkeypatch.setattr(AUDIT_MODULE, "BRUTEFORCE_EDGE_CAP", 21)
         start = time.perf_counter()
-        report = audit(run, bruteforce_cap=21)
+        report = audit(run)
         assert time.perf_counter() - start < 1.0
         assert report.method == "rank+bruteforce"
         assert report.security_index == 0
@@ -417,13 +421,14 @@ class TestAudit:
         assert audit(run).security_index == 0
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_random_runs_are_clean(self, seed):
+    def test_random_runs_are_clean(self, seed, monkeypatch):
         rng = random.Random(seed)
         graph = random_multigraph(rng, max_m=5, max_mult=3)
         target = random_terminal_set(rng, graph.m)
         packing = steiner_packing(graph, target, mode="greedy")
         run = run_protocol(packing, draw_edge_keys(graph, seed))
-        report = audit(run, bruteforce_cap=14)
+        monkeypatch.setattr(AUDIT_MODULE, "BRUTEFORCE_EDGE_CAP", 14)
+        report = audit(run)
         assert report.passed
         assert report.security_index == 0
         assert report.uniformity_deficit == 0

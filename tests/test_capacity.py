@@ -26,6 +26,7 @@ from pinkey import (
     upper_bound,
 )
 import pinkey.capacity as capacity_module
+import pinkey.partitions
 from pinkey.capacity import _lp_costs
 from pinkey.model import PairPmf
 from pinkey.simplex import solve_lp
@@ -73,11 +74,12 @@ class TestSubsetFamily:
         family = subset_family(3, TerminalSet.of(1, 2))
         assert members_of(family) == {(1,), (2,), (3,), (1, 3), (2, 3)}
 
-    def test_cap(self):
-        with pytest.raises(SizeLimitError):
+    def test_cap(self, monkeypatch):
+        with pytest.raises(SizeLimitError, match="^m=13 exceeds the subset-enumeration cap 12$"):
             subset_family(13, TerminalSet.of(1, 2))
-        # raising the cap explicitly lets larger families through
-        family = subset_family(13, TerminalSet.of(1, 2), cap=13)
+        # raising the one terminal cap lets larger families through
+        monkeypatch.setattr(pinkey.partitions, "TERMINAL_CAP", 13)
+        family = subset_family(13, TerminalSet.of(1, 2))
         assert len(family.subsets) == 2**13 - 1 - 2**11
 
 

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pinkey.packing
+import pinkey.partitions
 from pinkey import MAX_TERMINALS, STEINER_EXACT_EDGE_CAP
 from pinkey.cli import _PARSER, _fast_args, main
 
-from helpers import json_dumps_report, load_workloads
+from helpers import AUDIT_MODULE, json_dumps_report, load_workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = Path(__file__).parent / "goldens"
@@ -103,6 +105,12 @@ class TestCapacityCommand:
         code, _, err = run_cli(capsys, "capacity", str(path))
         assert code == 3
         assert "cap" in err
+
+    def test_size_limit_message_names_the_cap(self, capsys, tmp_path):
+        path = _integer_model_file(tmp_path, 13, {(1, 2): 1})
+        code, out, err = run_cli(capsys, "capacity", path)
+        assert (code, out) == (3, "")
+        assert err == "error: m=13 exceeds the subset-enumeration cap 12\n"
 
     def test_simplex_disagreement_is_internal_error(self, capsys, monkeypatch):
         import pinkey.capacity as capacity_module
@@ -259,6 +267,19 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", TRIANGLE, "--scale", "4", *flag)
         assert (code, out) == (2, "")
         assert err == "error: edge-key seed must be non-negative, got -5\n"
+
+    def test_negative_seed_is_refused_before_packing(self, capsys, monkeypatch, tmp_path):
+        import pinkey.cli as cli_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("packed before the seed was checked")
+
+        monkeypatch.setattr(cli_module, "steiner_packing", refuse)
+        # the second model is past the packing edge cap: the seed goes first
+        for path in (TRIANGLE, _integer_model_file(tmp_path, 2, {(1, 2): 10**8})):
+            code, out, err = run_cli(capsys, "simulate", path, "--seed", "-1")
+            assert (code, out) == (2, "")
+            assert err == "error: edge-key seed must be non-negative, got -1\n"
 
     def test_text_output_contains_transcript(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", PATH_MODEL, "--set", "1,3")
@@ -506,6 +527,48 @@ class TestPackingEdgeCap:
         assert out == ""
         assert err.startswith("error: tree packing is capped at |E| = ")
         assert err.count("\n") == 1
+
+
+class TestPatchedCapsReachTheCommands:
+    """Each size cap is one module constant, read when its check runs, so
+    setting it moves the limit the commands apply."""
+
+    def test_steiner_edge_cap(self, capsys, monkeypatch, tmp_path):
+        weights = {(1, 2): 3, (1, 3): 3, (1, 4): 2, (1, 5): 2, (2, 3): 3,
+                   (2, 4): 2, (2, 5): 3, (3, 4): 2, (3, 5): 3, (4, 5): 2}
+        path = _integer_model_file(tmp_path, 5, weights)
+        argv = ("pack", path, "--set", "1,2,3", "--format", "structured")
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (3, "error: exact Steiner packing is capped at 24 edges; "
+                                  "this graph has 25 (use greedy mode)\n")
+        monkeypatch.setattr(pinkey.packing, "STEINER_EXACT_EDGE_CAP", 30)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["edge_total"], doc["tree_count"]) == (25, 9)
+
+    def test_bruteforce_edge_cap(self, capsys, monkeypatch, tmp_path):
+        # K3 x 7: 21 edges, one over the default cap
+        path = _integer_model_file(tmp_path, 3, {(1, 2): 7, (1, 3): 7, (2, 3): 7})
+        argv = ("simulate", path, "--format", "structured")
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, json.loads(out)["audit_method"]) == (0, "rank")
+        monkeypatch.setattr(AUDIT_MODULE, "BRUTEFORCE_EDGE_CAP", 21)
+        code, out, _ = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        assert (code, doc["edge_total"], doc["audit_method"]) == (0, 21, "rank+bruteforce")
+        assert doc["audit_passed"] is True
+
+    @pytest.mark.parametrize("command", ["capacity", "upper-bound"])
+    def test_terminal_cap(self, capsys, monkeypatch, tmp_path, command):
+        path = _integer_model_file(tmp_path, 13, {(1, 2): 1})
+        code, _, _ = run_cli(capsys, command, path, "--set", "1,2")
+        assert code == 3
+        monkeypatch.setattr(pinkey.partitions, "TERMINAL_CAP", 13)
+        code, out, err = run_cli(capsys, command, path, "--set", "1,2",
+                                 "--format", "structured")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["upper_bound"] == "1"
 
 
 class TestPathPipelineMemory:

@@ -31,6 +31,7 @@ from pinkey import (
 )
 
 from helpers import (
+    AUDIT_MODULE,
     dense_gf2_rows,
     elimination_gf2_rank,
     per_copy_trees,
@@ -365,8 +366,10 @@ class TestGroupsAgainstPerCopyOracles:
         else:
             target = random_terminal_set(rng, m, rng.randint(3, m - 1))
         # up to 30 edges at m = 5, above the default exact-search cap of 24
-        packing = steiner_packing(graph, target, edge_cap=30,
-                                  mode="greedy" if route == "greedy" else "exact")
+        with pytest.MonkeyPatch.context() as patch:  # a fixture would span examples
+            patch.setattr(pinkey.packing, "STEINER_EXACT_EDGE_CAP", 30)
+            packing = steiner_packing(graph, target,
+                                      mode="greedy" if route == "greedy" else "exact")
         keys = draw_edge_keys(graph, seed)
         run = run_protocol(packing, keys)
         oracle, broadcasts = per_tree_run_protocol(packing, keys)
@@ -464,10 +467,11 @@ class TestRecoverKey:
         Multigraph(6, {(1, 2): 40, (1, 3): 2, (2, 3): 2, (3, 4): 9, (4, 5): 9,
                        (4, 6): 9, (5, 6): 9}),
     ], ids=["K4x8", "joined_two_triangles"])
-    def test_merged_spanning_groups_recover_and_show_tampering(self, graph):
+    def test_merged_spanning_groups_recover_and_show_tampering(self, graph, monkeypatch):
         run = full_run(graph, seed=3)
         groups = run.packing.groups
         assert all(copies > 1 for _, copies in groups)
+        monkeypatch.setattr(AUDIT_MODULE, "BRUTEFORCE_EDGE_CAP", 0)  # rank audit only
         # every group's reference edge misses some terminal, which must read
         # the transcript to recover that group's bits
         assert all(any(t not in tree.edges[0][:2] for t in run.target)
@@ -481,7 +485,7 @@ class TestRecoverKey:
         for index in later:
             broadcast = run.transcript[index]
             tampered = flip_broadcast(run, index)
-            assert not audit(tampered, bruteforce_cap=0).passed
+            assert not audit(tampered).passed
             for terminal in run.target:
                 recovered = recover_key(tampered, terminal)
                 assert recovered == scan_recover_key(tampered, terminal)
