@@ -77,17 +77,25 @@ each of the five commands with its full flag set (``--set 1,2``,
 ``--scale 2``, ``--mode exact``, ``--seed 7``, ``--format structured``,
 as the command takes them) on each of the 120 ``cli/load_floor`` paths.
 It reports ``argvs`` and ``fast``, how many took the fast path; a
-checkout without the fast path times argparse alone and reports 0.
+checkout without the fast path times argparse alone and reports 0.  The
+``cli/import_floor`` row is the import every CLI process pays: ``import
+pinkey.cli`` in ``--repeat`` fresh interpreters on the same ``src``, each
+timing the import itself, so interpreter start-up is left out.  One
+untimed interpreter first writes the bytecode to a temporary cache that
+the timed ones read.  It reports ``modules``, how many entries the import
+adds to ``sys.modules``, a count that must repeat exactly in every
+interpreter.
 
 A row whose call raises ``SizeLimitError`` reports the message as
 ``limit`` and no times.  Each row reports the best of ``--repeat``
 wall-clock times of one
 ``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
-pass of LPs, exact Steiner packings, model loads or argument steps, with
-what it returned: tree and group counts, the capacity and the LP's
-column count, each target size, capacity and bound of the floor set,
-the key and transcript bit counts, the graph count and total trees, the
-model count and total edges, or the command-line counts.  The ladder is
+pass of LPs, exact Steiner packings, model loads, argument steps or
+imports, with what it returned: tree and group counts, the capacity and
+the LP's column count, each target size, capacity and bound of the floor
+set, the key and transcript bit counts, the graph count and total trees,
+the model count and total edges, the command-line counts or the module
+count.  The ladder is
 a record, not a gate.
 ``--compare BASE.json HEAD.json`` reads two such files instead and
 prints each row's best times and the HEAD/BASE ratio (below 1 where HEAD
@@ -372,6 +380,35 @@ def argv_row(texts: list[str], repeat: int) -> dict:
     }
 
 
+IMPORT_CHILD = (
+    "import sys, time\n"
+    "before = len(sys.modules)\n"
+    "start = time.perf_counter()\n"
+    "import pinkey.cli\n"
+    "print(time.perf_counter() - start, len(sys.modules) - before)\n"
+)
+
+
+def import_row(repeat: int) -> dict:
+    times, modules = [], set()
+    with tempfile.TemporaryDirectory() as cache:
+        # the children import the pinkey this process imported, with warm bytecode
+        env = {name: value for name, value in os.environ.items()
+               if name != "PYTHONDONTWRITEBYTECODE"}
+        env.update(PYTHONPATH=str(Path(pinkey.cli.__file__).parent.parent),
+                   PYTHONPYCACHEPREFIX=cache)
+        for k in range(repeat + 1):
+            out = subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env,
+                                 capture_output=True, text=True, check=True).stdout.split()
+            if k:  # the first child writes the bytecode
+                times.append(float(out[0]))
+                modules.add(int(out[1]))
+    if len(modules) != 1:
+        raise RuntimeError(f"import pinkey.cli added {sorted(modules)} modules across "
+                           "fresh interpreters")
+    return {"modules": modules.pop(), "best_s": min(times), "times_s": times}
+
+
 def ladder() -> list[tuple[str, object]]:
     """Every row's name and a call that times it given ``repeat`` and
     returns its fields, in ladder order."""
@@ -391,6 +428,7 @@ def ladder() -> list[tuple[str, object]]:
     texts = load_set()
     rows.append(("cli/load_floor", partial(load_row, texts)))
     rows.append(("cli/argv_floor", partial(argv_row, texts)))
+    rows.append(("cli/import_floor", import_row))
     return rows
 
 
@@ -413,6 +451,8 @@ def describe(row: dict) -> str:
                 f"|F| = {row['transcript_bits']:>6}")
     elif row["row"] == "cli/argv_floor":
         text = f"argvs {row['argvs']:>4}  fast {row['fast']:>4}"
+    elif row["row"] == "cli/import_floor":
+        text = f"modules {row['modules']:>4}"
     elif family == "cli":
         text = f"models {row['models']:>4}  edges {row['edges']:>5}"
     else:

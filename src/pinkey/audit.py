@@ -19,27 +19,37 @@ the audits actually fail on bad runs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import AuditFailureError, SizeLimitError
 from . import gf2
 from .protocol import ProtocolRun, recover_key
+from .value import Value, replace
 
 BRUTEFORCE_EDGE_CAP = 20
 
 
-@dataclass(frozen=True)
-class SecurityReport:
-    """Exact secrecy figures for one run; everything rational, no floats."""
+class SecurityReport(Value):
+    """Exact secrecy figures for one run; everything rational, no floats.
+    ``recoverability`` defaults to a new empty dict."""
 
+    _fields = ("security_index", "key_entropy", "key_given_transcript",
+               "uniformity_deficit", "method", "recoverability")
     security_index: Fraction
     key_entropy: Fraction
     key_given_transcript: Fraction
     uniformity_deficit: Fraction  # key length minus key entropy
     method: str
-    recoverability: Mapping[int, bool] = field(default_factory=dict)
+    recoverability: Mapping[int, bool]
+
+    def __init__(self, security_index: Fraction, key_entropy: Fraction,
+                 key_given_transcript: Fraction, uniformity_deficit: Fraction,
+                 method: str, recoverability: Mapping[int, bool] | None = None) -> None:
+        self._store(security_index=security_index, key_entropy=key_entropy,
+                    key_given_transcript=key_given_transcript,
+                    uniformity_deficit=uniformity_deficit, method=method,
+                    recoverability={} if recoverability is None else recoverability)
 
     @property
     def passed(self) -> bool:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -37,18 +36,22 @@ from .errors import InvalidAssignmentError, SizeLimitError, UnsupportedModeError
 from .model import Pair, PinModel, TerminalSet, all_pairs, base_scale
 from . import partitions
 from .simplex import SimplexResult, solve_lp
+from .value import Value
 
 CONSISTENCY_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
+class SubsetFamily(Value):
     """All qualifying subsets for (m, A), as bitmasks in ascending order:
     the columns of the capacity LP."""
 
+    _fields = ("m", "target", "subsets")
     m: int
     target: TerminalSet
     subsets: tuple[int, ...]
+
+    def __init__(self, m: int, target: TerminalSet, subsets: tuple[int, ...]) -> None:
+        self._store(m=m, target=target, subsets=subsets)
 
 
 def subset_family(m: int, target: TerminalSet) -> SubsetFamily:
@@ -65,29 +68,29 @@ def subset_family(m: int, target: TerminalSet) -> SubsetFamily:
     return SubsetFamily(m=m, target=target, subsets=subsets)
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
+class WeightAssignment(Value):
     """Fractional weights on the qualifying subsets for (m, A), held as
     their support: ``weights`` maps each subset bitmask with a nonzero
     weight to that weight, in ascending mask order (zeros are dropped)."""
 
+    _fields = ("m", "target", "weights")
     m: int
     target: TerminalSet
     weights: Mapping[int, Fraction]
 
-    def __post_init__(self) -> None:
-        self.target.validate_within(self.m)
-        full, amask = (1 << self.m) - 1, self.target.mask()
-        for mask, value in self.weights.items():
+    def __init__(self, m: int, target: TerminalSet, weights: Mapping[int, Fraction]) -> None:
+        target.validate_within(m)
+        full, amask = (1 << m) - 1, target.mask()
+        for mask, value in weights.items():
             if type(mask) is not int or not 0 < mask < full or mask & amask == amask:
                 raise InvalidAssignmentError(
                     f"subset mask {mask!r} is not a qualifying subset for "
-                    f"m={self.m}, A={self.target.members}")
+                    f"m={m}, A={target.members}")
             if type(value) is not int and type(value) is not Fraction:
                 raise InvalidAssignmentError(
                     f"weight {value!r} of subset mask {mask} is not an int or a Fraction")
-        object.__setattr__(self, "weights", {
-            mask: value for mask, value in sorted(self.weights.items()) if value})
+        self._store(m=m, target=target, weights={
+            mask: value for mask, value in sorted(weights.items()) if value})
 
     def validate(self) -> None:
         _check_cover(self.m, *self._integers())
@@ -204,13 +207,17 @@ def _vertex(family: SubsetFamily,
         mask: Fraction(b, result.d) for mask, b in support.items()}), support
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(Value):
     """Exact capacity value with one optimal vertex assignment."""
 
+    _fields = ("value", "assignment", "coefficients")
     value: Fraction
     assignment: WeightAssignment
     coefficients: Mapping[Pair, Fraction]
+
+    def __init__(self, value: Fraction, assignment: WeightAssignment,
+                 coefficients: Mapping[Pair, Fraction]) -> None:
+        self._store(value=value, assignment=assignment, coefficients=coefficients)
 
 
 def solve_capacity(model: PinModel, target: TerminalSet) -> CapacityResult:
@@ -288,11 +295,23 @@ def entropy_objective(model: PinModel, assignment: WeightAssignment) -> float:
     return total - penalty
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Value):
+    """The largest gap between the two objective forms over ``trials``
+    random vertices, with every gap; the repr leaves the gaps out."""
+
+    _fields = ("trials", "max_discrepancy", "discrepancies")
     trials: int
     max_discrepancy: float
-    discrepancies: tuple[float, ...] = field(repr=False, default=())
+    discrepancies: tuple[float, ...]
+
+    def __init__(self, trials: int, max_discrepancy: float,
+                 discrepancies: tuple[float, ...] = ()) -> None:
+        self._store(trials=trials, max_discrepancy=max_discrepancy,
+                    discrepancies=discrepancies)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(trials={self.trials!r}, "
+                f"max_discrepancy={self.max_discrepancy!r})")
 
     @property
     def passed(self) -> bool:

@@ -21,10 +21,11 @@ the same loop runs per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import xor
 from typing import Sequence
+
+from .value import Value
 
 Row = tuple[int, ...]
 Step = tuple[int, int | None]  # (first column start, second start or None)
@@ -96,21 +97,19 @@ def _forest_sizes(*segments: Sequence[Block]) -> list[int]:
     return sizes
 
 
-@dataclass(frozen=True, eq=False)
-class Gf2Matrix:
+class Gf2Matrix(Value):
     """Matrix over ``ncols`` columns, held as blocks (see the module
     docstring); every row sums one column or two distinct ones.  Two
     matrices are equal when their column counts and rows are."""
 
+    _fields = ("blocks", "ncols")
     blocks: tuple[Block, ...]
     ncols: int
 
-    def __post_init__(self) -> None:
-        if self.ncols < 0:
+    def __init__(self, blocks: Sequence[Block], ncols: int) -> None:
+        if ncols < 0:
             raise ValueError("column count must be nonnegative")
-        ncols = self.ncols
-        blocks = tuple(self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+        blocks = tuple(blocks)
         nrows = 0
         for b, (copies, steps) in enumerate(blocks):
             if type(copies) is not int or copies < 1:
@@ -126,7 +125,7 @@ class Gf2Matrix:
                     f"in range({ncols}) for each of its {copies} copies, "
                     f"got {(first, second)!r}")
             nrows += copies * len(steps)
-        object.__setattr__(self, "_nrows", nrows)
+        self._store(blocks=blocks, ncols=ncols, _nrows=nrows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Row], ncols: int) -> Gf2Matrix:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidScaleError, SizeLimitError, UnsupportedModeError
+from .value import Value
 
 # Exact weights live in fractions.Fraction: arbitrary precision, stored in
 # lowest terms with a positive denominator.
@@ -68,20 +68,20 @@ def _entropy(probabilities: Iterable[float]) -> float:
     return -sum(p * math.log2(p) for p in probabilities if p > 0.0)
 
 
-@dataclass(frozen=True)
-class PairPmf:
+class PairPmf(Value):
     """Joint pmf of one reciprocal pair, rows indexed by the lower terminal."""
 
+    _fields = ("probs",)
     probs: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.probs or not self.probs[0]:
+    def __init__(self, probs: tuple[tuple[float, ...], ...]) -> None:
+        if not probs or not probs[0]:
             raise ValueError("pmf table must be non-empty")
-        width = len(self.probs[0])
-        if any(len(row) != width for row in self.probs):
+        width = len(probs[0])
+        if any(len(row) != width for row in probs):
             raise ValueError("pmf table must be rectangular")
         total = 0.0
-        for row in self.probs:
+        for row in probs:
             for p in row:
                 if not math.isfinite(p):
                     raise ValueError(f"non-finite probability {p}")
@@ -90,6 +90,7 @@ class PairPmf:
                 total += p
         if abs(total - 1.0) > PMF_SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        self._store(probs=probs)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> "PairPmf":
@@ -138,22 +139,22 @@ def mutual_information(pmf: PairPmf) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class TerminalSet:
+class TerminalSet(Value):
     """A sorted set of at least two terminals seeking a shared key."""
 
+    _fields = ("members",)
     members: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for t in self.members:  # type() rather than isinstance: a bool is no terminal
+    def __init__(self, members: tuple[int, ...]) -> None:
+        for t in members:  # type() rather than isinstance: a bool is no terminal
             if type(t) is not int:
                 raise ValueError(f"terminal {t!r} is not an integer")
-        members = tuple(sorted(set(self.members)))
+        members = tuple(sorted(set(members)))
         if len(members) < 2:
             raise ValueError("a terminal set needs at least two terminals")
         if members[0] < 1:
             raise ValueError(f"terminals are 1-indexed, got {members[0]}")
-        object.__setattr__(self, "members", members)
+        self._store(members=members)
 
     @classmethod
     def of(cls, *terminals: int) -> "TerminalSet":
@@ -212,8 +213,7 @@ def _normalize_weights(
     return table
 
 
-@dataclass(frozen=True)
-class PinModel:
+class PinModel(Value):
     """Source model: terminal count plus symmetric pairwise weights.
 
     ``weights`` is present exactly for exact-mode models.  ``pmfs`` may back
@@ -221,29 +221,30 @@ class PinModel:
     (pairs without a pmf have weight zero).
     """
 
+    _fields = ("m", "weights", "pmfs")
     m: int
     weights: Mapping[Pair, Fraction] | None
     pmfs: Mapping[Pair, PairPmf]
 
-    def __post_init__(self) -> None:
-        check_terminal_count(self.m)
-        if self.m < 2:
-            raise ValueError(f"need at least two terminals, got m={self.m}")
-        pmfs = {canonical_pair(i, j): pmf for (i, j), pmf in self.pmfs.items()}
+    def __init__(self, m: int, weights: Mapping[Pair, Fraction] | None,
+                 pmfs: Mapping[Pair, PairPmf]) -> None:
+        check_terminal_count(m)
+        if m < 2:
+            raise ValueError(f"need at least two terminals, got m={m}")
+        pmfs = {canonical_pair(i, j): pmf for (i, j), pmf in pmfs.items()}
         for pair in pmfs:
-            if pair[0] < 1 or pair[1] > self.m:
-                raise ValueError(f"pmf pair {pair} outside terminals 1..{self.m}")
-        object.__setattr__(self, "pmfs", pmfs)
-        if self.weights is not None:
-            table = _normalize_weights(self.m, self.weights)
-            object.__setattr__(self, "weights", table)
+            if pair[0] < 1 or pair[1] > m:
+                raise ValueError(f"pmf pair {pair} outside terminals 1..{m}")
+        if weights is not None:
+            weights = _normalize_weights(m, weights)
             for pair, pmf in pmfs.items():
-                drift = abs(mutual_information(pmf) - float(table[pair]))
+                drift = abs(mutual_information(pmf) - float(weights[pair]))
                 if drift > WEIGHT_MATCH_TOLERANCE:
                     raise ValueError(
                         f"pmf for pair {pair} disagrees with its weight "
                         f"by {drift:.3g} bits"
                     )
+        self._store(m=m, weights=weights, pmfs=pmfs)
 
     @classmethod
     def from_weights(
@@ -274,14 +275,14 @@ class PinModel:
     @property
     def base_weights(self) -> Mapping[Pair, int]:
         """``w_ij · n0`` per pair, ``n0`` the base scale; built on the first
-        read and kept outside the dataclass fields."""
+        read and kept outside the fields."""
         return self._base("integer base weights")[1]
 
     def _base(self, operation: str) -> tuple[int, Mapping[Pair, int]]:
         if "_base_table" not in self.__dict__:
             weights = self.require_exact(operation)
             n0 = math.lcm(*(w.denominator for w in weights.values()))
-            object.__setattr__(self, "_base_table", (n0, {
+            self._store(_base_table=(n0, {
                 pair: w.numerator * (n0 // w.denominator) for pair, w in weights.items()}))
         return self.__dict__["_base_table"]
 
@@ -312,8 +313,7 @@ class PinModel:
         )
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(Value):
     """Integer edge multiplicities on terminals ``1..m``, no self-loops.
 
     ``multiplicities`` becomes the table of every pair ``(i, j)``, i < j, in
@@ -323,19 +323,20 @@ class Multigraph:
     inputs are legal and simply pack zero trees.
     """
 
+    _fields = ("m", "multiplicities")
     m: int
     multiplicities: Mapping[Pair, int]
 
-    def __post_init__(self) -> None:
-        check_terminal_count(self.m)
-        if self.m < 1:
-            raise ValueError(f"need at least one vertex, got m={self.m}")
-        table: dict[Pair, int] = {pair: 0 for pair in all_pairs(self.m)}
+    def __init__(self, m: int, multiplicities: Mapping[Pair, int]) -> None:
+        check_terminal_count(m)
+        if m < 1:
+            raise ValueError(f"need at least one vertex, got m={m}")
+        table: dict[Pair, int] = {pair: 0 for pair in all_pairs(m)}
         given: dict[Pair, int] = {}
-        for (i, j), count in self.multiplicities.items():
+        for (i, j), count in multiplicities.items():
             pair = canonical_pair(i, j)
-            if pair[0] < 1 or pair[1] > self.m:
-                raise ValueError(f"pair {pair} outside vertices 1..{self.m}")
+            if pair[0] < 1 or pair[1] > m:
+                raise ValueError(f"pair {pair} outside vertices 1..{m}")
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ValueError(f"multiplicity for {pair} is not an integer: {count!r}")
             if count < 0:
@@ -343,7 +344,7 @@ class Multigraph:
             if given.setdefault(pair, count) != count:
                 raise ValueError(f"conflicting multiplicities for pair {pair}")
             table[pair] = count
-        object.__setattr__(self, "multiplicities", table)
+        self._store(m=m, multiplicities=table)
 
     def multiplicity(self, i: int, j: int) -> int:
         return self.multiplicities[canonical_pair(i, j)]
@@ -357,7 +358,7 @@ class Multigraph:
     def edge_refs(self) -> tuple[EdgeRef, ...]:
         """All edges in canonical order: sorted pair, then copy 0..e_ij-1.
 
-        Built on the first call and kept outside the dataclass fields, so
+        Built on the first call and kept outside the fields, so
         equality and repr ignore it; later calls return the same tuple of
         the same edge tuples.
         """
@@ -365,7 +366,7 @@ class Multigraph:
         if refs is None:
             refs = tuple((i, j, c) for (i, j), count in self.multiplicities.items()
                          for c in range(count))
-            object.__setattr__(self, "_edge_refs", refs)
+            self._store(_edge_refs=refs)
         return refs
 
     def pair_offsets(self) -> Mapping[Pair, int]:
@@ -379,7 +380,7 @@ class Multigraph:
             for pair, count in self.multiplicities.items():
                 offsets[pair] = start
                 start += count
-            object.__setattr__(self, "_pair_offsets", offsets)
+            self._store(_pair_offsets=offsets)
         return offsets
 
 

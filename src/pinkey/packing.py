@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -53,6 +52,7 @@ from .errors import InvalidPackingError, InvalidTreeError, SizeLimitError
 from .model import EdgeRef, Multigraph, Pair, PinModel, TerminalSet, realize_multigraph
 from . import partitions
 from .partitions import nash_williams_count
+from .value import Value
 
 STEINER_EXACT_EDGE_CAP = 24
 # realized edges on every route: a packing holds one tree per group, but
@@ -65,23 +65,23 @@ SPANNING_WORK_CAP = 2 * 10**6
 _FLIP_BYTE = bytes([1, 0]) + bytes(254)  # bytes.translate table: 0 <-> 1
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(Value):
     """A tree subgraph, edges named as (i, j, copy) into the parallel edges;
     ``walk`` holds (speaker, edge) per further edge, breadth-first from the
-    least edge, the speaker being the endpoint reached first."""
+    least edge, the speaker being the endpoint reached first.  Equality and
+    repr read ``edges`` alone."""
 
+    _fields = ("edges",)
     edges: tuple[EdgeRef, ...]
-    walk: tuple[tuple[int, EdgeRef], ...] = field(init=False, compare=False, repr=False)
-    _vertices: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    walk: tuple[tuple[int, EdgeRef], ...]
+    _vertices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for edge in self.edges:  # before sorting: a bool or float compares as a number
+    def __init__(self, edges: tuple[EdgeRef, ...]) -> None:
+        for edge in edges:  # before sorting: a bool or float compares as a number
             if not (isinstance(edge, tuple) and len(edge) == 3
                     and all(type(x) is int for x in edge)):
                 raise InvalidTreeError(f"malformed edge {edge!r}")
-        edges = tuple(sorted(self.edges))
-        object.__setattr__(self, "edges", edges)
+        edges = tuple(sorted(edges))
         if not edges:
             raise InvalidTreeError("a tree needs at least one edge")
         if len(set(edges)) != len(edges):
@@ -105,8 +105,7 @@ class Tree:
                     walk.append((speaker, edge))
         if len(incident) != len(edges) + 1 or len(walk) != len(edges) - 1:
             raise InvalidTreeError("edges do not form a connected acyclic graph")
-        object.__setattr__(self, "walk", tuple(walk))
-        object.__setattr__(self, "_vertices", tuple(sorted(incident)))
+        self._store(edges=edges, walk=tuple(walk), _vertices=tuple(sorted(incident)))
 
     def vertices(self) -> tuple[int, ...]:
         return self._vertices
@@ -136,32 +135,32 @@ class _CopyTrees(Sequence[Tree]):
         return Tree(tuple((i, j, c + shift) for i, j, c in self._groups[group][0].edges))
 
 
-@dataclass(frozen=True)
-class TreePacking:
+class TreePacking(Value):
     """Pairwise edge-disjoint trees, each spanning the target set, kept as
     (tree, copies) groups.  Copy k of a group is its tree with every edge's
     copy number raised by k, so edge (i, j, c + k) sits at canonical index
     ``graph.pair_offsets()[(i, j)] + c + k`` and a group's copies of one
     edge fill one index range."""
 
+    _fields = ("graph", "target", "groups")
     graph: Multigraph
     target: TerminalSet
     groups: tuple[tuple[Tree, int], ...]
 
-    def __post_init__(self) -> None:
-        self.target.validate_within(self.graph.m)
-        groups = tuple(self.groups)
-        object.__setattr__(self, "groups", groups)
-        multiplicities = self.graph.multiplicities
-        offsets = self.graph.pair_offsets()
-        used = bytearray(self.graph.total_edges())
+    def __init__(self, graph: Multigraph, target: TerminalSet,
+                 groups: Iterable[tuple[Tree, int]]) -> None:
+        target.validate_within(graph.m)
+        groups = tuple(groups)
+        multiplicities = graph.multiplicities
+        offsets = graph.pair_offsets()
+        used = bytearray(graph.total_edges())
         first = 0  # per-copy index of the group's first tree
         for tree, copies in groups:
             if type(copies) is not int or copies < 1:
                 raise InvalidPackingError(
                     f"tree {first} needs a positive copy count, got {copies!r}")
             vertices = tree.vertices()
-            missing = [t for t in self.target if t not in vertices]
+            missing = [t for t in target if t not in vertices]
             if missing:
                 raise InvalidPackingError(
                     f"tree {first} with reference edge {tree.edges[0]} "
@@ -184,8 +183,9 @@ class TreePacking:
                     raise InvalidPackingError(
                         f"edge {(i, j, copy + clash - start)} used twice")
             first += copies
-        # kept outside the dataclass fields, like ``Multigraph.edge_refs``
-        object.__setattr__(self, "_residual_mask", bytes(used.translate(_FLIP_BYTE)))
+        # kept outside the fields, like ``Multigraph.edge_refs``
+        self._store(graph=graph, target=target, groups=groups,
+                    _residual_mask=bytes(used.translate(_FLIP_BYTE)))
 
     @property
     def count(self) -> int:

@@ -37,39 +37,40 @@ same value and RGS-first minimizer as a full scan, stopping at crossing 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
 from .errors import SizeLimitError
 from .model import Multigraph, Pair, PinModel, TerminalSet, base_scale
+from .value import Value
 
 # the terminal count past which no partition search runs, read at each
 # search; the capacity LP's subset enumeration reads it too
 TERMINAL_CAP = 12
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Canonical partition: ``assignment[t]`` is the atom of terminal t+1,
-    atoms numbered by first appearance."""
+    atoms numbered by first appearance; ``size`` counts the atoms."""
 
+    _fields = ("assignment",)
     assignment: tuple[int, ...]
-    size: int = field(init=False, repr=False, compare=False)
+    size: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, assignment: tuple[int, ...]) -> None:
         seen = 0
-        for k, atom in enumerate(self.assignment):
-            if atom > seen:
+        for k, atom in enumerate(assignment):
+            # type() rather than isinstance: a bool is no atom
+            if type(atom) is not int or not 0 <= atom <= seen:
                 raise ValueError(
-                    f"assignment {self.assignment} is not in canonical "
+                    f"assignment {assignment} is not in canonical "
                     f"restricted-growth form at position {k}"
                 )
             if atom == seen:
                 seen += 1
         if seen < 2:
             raise ValueError("a partition needs at least two atoms")
-        object.__setattr__(self, "size", seen)
+        self._store(assignment=assignment, size=seen)
 
     def atoms(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.size)]

@@ -28,7 +28,6 @@ from the packing in it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import xor
@@ -38,20 +37,22 @@ from .errors import InvalidPackingError
 from .gf2 import Gf2Matrix
 from .model import EdgeRef, Multigraph, TerminalSet
 from .packing import TreePacking
+from .value import Value
 
 
-@dataclass(frozen=True)
-class EdgeKeyBits:
+class EdgeKeyBits(Value):
     """One uniform bit per multigraph edge, in canonical edge order: bit k
     belongs to ``graph.edge_refs()[k]``.  The seed is kept for replay."""
 
+    _fields = ("bits", "seed")
     bits: tuple[int, ...]
-    seed: int | None = None
+    seed: int | None
 
-    def __post_init__(self) -> None:
-        for k, bit in enumerate(self.bits):  # type(), not isinstance: a bool is no bit
+    def __init__(self, bits: tuple[int, ...], seed: int | None = None) -> None:
+        for k, bit in enumerate(bits):  # type(), not isinstance: a bool is no bit
             if type(bit) is not int or bit < 0 or bit > 1:
                 raise ValueError(f"edge bit {k} is the non-bit value {bit!r}")
+        self._store(bits=bits, seed=seed)
 
 
 def check_seed(seed: int) -> None:
@@ -71,21 +72,27 @@ def draw_edge_keys(graph: Multigraph, seed: int) -> EdgeKeyBits:
                        seed=seed)
 
 
-@dataclass(frozen=True)
-class Broadcast:
+class Broadcast(Value):
     """One public message: the sum of the reference-edge bit and one other
     edge bit, sent by the already-informed endpoint of that edge."""
 
+    _fields = ("tree", "terminal", "bit", "support")
     tree: int
     terminal: int
     bit: int
     support: tuple[EdgeRef, EdgeRef]  # (reference edge, propagated edge)
 
-    def __post_init__(self) -> None:
-        if len(set(self.support)) != 2:
+    def __init__(self, tree: int, terminal: int, bit: int,
+                 support: tuple[EdgeRef, EdgeRef]) -> None:
+        # type() rather than isinstance: a bool is no index, terminal or bit
+        if type(tree) is not int or type(terminal) is not int:
+            raise ValueError(f"broadcast tree and terminal must be integers, "
+                             f"got {tree!r} and {terminal!r}")
+        if len(set(support)) != 2:
             raise ValueError("broadcast support must be two distinct edges")
-        if self.bit not in (0, 1):
-            raise ValueError(f"broadcast bit must be 0/1, got {self.bit!r}")
+        if type(bit) is not int or bit not in (0, 1):
+            raise ValueError(f"broadcast bit must be 0/1, got {bit!r}")
+        self._store(tree=tree, terminal=terminal, bit=bit, support=support)
 
     @property
     def informed_terminal(self) -> int:
@@ -116,8 +123,7 @@ class _Broadcasts(Sequence[Broadcast]):
                          tuple(order[k] for k in run.transcript_map.rows[position]))
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
+class ProtocolRun(Value):
     """A complete execution: key bits, transcript, residuals, linear maps.
 
     Only what the packing does not fix is stored; ``graph`` and ``target``
@@ -133,6 +139,8 @@ class ProtocolRun:
     form an invertible square GF(2) matrix in the edge bits.
     """
 
+    _fields = ("packing", "keys", "key_bits", "transcript_bits", "residual_bits",
+               "key_map", "transcript_map")
     packing: TreePacking
     keys: EdgeKeyBits
     key_bits: tuple[int, ...]
@@ -141,23 +149,28 @@ class ProtocolRun:
     key_map: Gf2Matrix
     transcript_map: Gf2Matrix
 
-    def __post_init__(self) -> None:
-        edges = self.graph.total_edges()
-        broadcasts = len(self.transcript_bits)
-        if len(self.key_bits) + broadcasts + len(self.residual_bits) != edges:
+    def __init__(self, packing: TreePacking, keys: EdgeKeyBits, key_bits: tuple[int, ...],
+                 transcript_bits: tuple[int, ...], residual_bits: tuple[int, ...],
+                 key_map: Gf2Matrix, transcript_map: Gf2Matrix) -> None:
+        edges = packing.graph.total_edges()
+        broadcasts = len(transcript_bits)
+        if len(key_bits) + broadcasts + len(residual_bits) != edges:
             raise InvalidPackingError(
                 "edge accounting failed: |E| != |K| + |F| + |K_R|"
             )
-        if self.key_map.nrows != len(self.key_bits) or self.key_map.ncols != edges:
+        if key_map.nrows != len(key_bits) or key_map.ncols != edges:
             raise InvalidPackingError("key map has wrong shape")
-        if self.transcript_map.nrows != broadcasts or self.transcript_map.ncols != edges:
+        if transcript_map.nrows != broadcasts or transcript_map.ncols != edges:
             raise InvalidPackingError("transcript map has wrong shape")
-        steps = sum(copies * len(tree.walk) for tree, copies in self.packing.groups)
-        if self.key_map.nrows != self.packing.count or broadcasts != steps:
+        steps = sum(copies * len(tree.walk) for tree, copies in packing.groups)
+        if key_map.nrows != packing.count or broadcasts != steps:
             raise InvalidPackingError(
-                f"maps of {self.key_map.nrows} key rows and {broadcasts} broadcasts "
-                f"do not fit a packing of {self.packing.count} trees and {steps} "
+                f"maps of {key_map.nrows} key rows and {broadcasts} broadcasts "
+                f"do not fit a packing of {packing.count} trees and {steps} "
                 "walk steps")
+        self._store(packing=packing, keys=keys, key_bits=key_bits,
+                    transcript_bits=transcript_bits, residual_bits=residual_bits,
+                    key_map=key_map, transcript_map=transcript_map)
 
     @property
     def graph(self) -> Multigraph:

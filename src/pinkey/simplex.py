@@ -50,25 +50,30 @@ from them only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from .value import Value
 
-@dataclass(frozen=True, eq=False)
-class SimplexResult:
+
+class SimplexResult(Value):
     """An optimal vertex over ``columns`` columns, in the solver's integers:
     ``beta[i] / d`` is the value of column ``basis[i]``, whose m columns are
     independent and hold the vertex's support, and ``objective / d`` is its
     cost.  The rational ``value`` and ``solution`` are built when first
     read.  Equality compares ``value``, ``solution`` and ``basis``."""
 
+    _fields = ("basis", "d", "beta", "objective", "columns")
     basis: tuple[int, ...]
     d: int
     beta: tuple[int, ...]
     objective: int
     columns: int
+
+    def __init__(self, basis: tuple[int, ...], d: int, beta: tuple[int, ...],
+                 objective: int, columns: int) -> None:
+        self._store(basis=basis, d=d, beta=beta, objective=objective, columns=columns)
 
     @cached_property
     def value(self) -> Fraction:

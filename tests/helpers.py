@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from pinkey import (
-    BRUTEFORCE_EDGE_CAP,
     Broadcast,
     EdgeKeyBits,
     EdgeRef,
@@ -49,7 +48,6 @@ from pinkey import (
     InvalidAssignmentError,
     InvalidPackingError,
     InvalidTreeError,
-    MAX_TERMINALS,
     ModelFormatError,
     Multigraph,
     PairPmf,
@@ -72,8 +70,8 @@ from pinkey import (
     steiner_packing,
 )
 import pinkey.partitions
-from pinkey.audit import _dyadic_entropy
-from pinkey.model import all_pairs
+from pinkey.audit import BRUTEFORCE_EDGE_CAP, _dyadic_entropy
+from pinkey.model import MAX_TERMINALS, all_pairs
 from pinkey.simplex import SimplexResult
 
 # the module itself: the package's ``pinkey.audit`` is the function, so

@@ -3,7 +3,6 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pinkey import (
-    BRUTEFORCE_EDGE_CAP,
     AuditFailureError,
     EdgeKeyBits,
     Gf2Matrix,
@@ -34,6 +32,8 @@ from pinkey import (
     steiner_packing,
     verify_linear_maps,
 )
+from pinkey.audit import BRUTEFORCE_EDGE_CAP
+from pinkey.value import replace
 
 from helpers import (
     AUDIT_MODULE,

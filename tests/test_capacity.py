@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,6 +29,7 @@ import pinkey.partitions
 from pinkey.capacity import _lp_costs
 from pinkey.model import PairPmf
 from pinkey.simplex import solve_lp
+from pinkey.value import replace
 
 from helpers import (
     brute_min_cut,

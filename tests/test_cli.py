@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 import pinkey.packing
 import pinkey.partitions
-from pinkey import MAX_TERMINALS, STEINER_EXACT_EDGE_CAP
 from pinkey.cli import _PARSER, _fast_args, main
+from pinkey.model import MAX_TERMINALS
+from pinkey.packing import STEINER_EXACT_EDGE_CAP
+from pinkey.value import replace
 
 from helpers import AUDIT_MODULE, json_dumps_report, load_workloads
 
@@ -114,7 +116,6 @@ class TestCapacityCommand:
 
     def test_simplex_disagreement_is_internal_error(self, capsys, monkeypatch):
         import pinkey.capacity as capacity_module
-        from dataclasses import replace
 
         real_solve_lp = capacity_module.solve_lp
 
@@ -149,7 +150,6 @@ class TestCapacityCommand:
 
     def test_bad_simplex_solution_is_internal_error(self, capsys, monkeypatch):
         import pinkey.capacity as capacity_module
-        from dataclasses import replace
 
         real_solve_lp = capacity_module.solve_lp
 
@@ -290,7 +290,6 @@ class TestSimulateCommand:
 
     def test_audit_failure_exit_code(self, capsys, monkeypatch):
         import pinkey.cli as cli_module
-        from dataclasses import replace
 
         real_audit = cli_module.audit
 

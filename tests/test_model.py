@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinkey import (
-    MAX_TERMINALS,
     InvalidScaleError,
     Multigraph,
     PairPmf,
@@ -23,7 +22,7 @@ from pinkey import (
     realize_multigraph,
 )
 
-from pinkey.model import all_pairs
+from pinkey.model import MAX_TERMINALS, all_pairs
 
 from helpers import random_pmf
 

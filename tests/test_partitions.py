@@ -54,6 +54,11 @@ class TestPartitionType:
             Partition((1, 0))
         with pytest.raises(ValueError):
             Partition((0, 2))
+        # a negative atom would be counted as its own atom by crossing_weight,
+        # and a bool or float compares as a number
+        for assignment in ((0, 1, -1), (0, 1, True), (0, True), (0, 1.0), (0, 1, "1")):
+            with pytest.raises(ValueError, match="restricted-growth"):
+                Partition(assignment)
 
     def test_rejects_single_atom(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 import pinkey.packing
 
 from pinkey import (
+    Broadcast,
     EdgeKeyBits,
     Gf2Matrix,
     InvalidPackingError,
@@ -29,6 +29,7 @@ from pinkey import (
     steiner_packing,
     verify_linear_maps,
 )
+from pinkey.value import replace
 
 from helpers import (
     AUDIT_MODULE,
@@ -116,6 +117,25 @@ class TestDrawEdgeKeys:
         with pytest.raises(ValueError,
                            match=rf"^edge bit {k} is the non-bit value {re.escape(shown)}$"):
             EdgeKeyBits(bits)
+
+
+class TestBroadcast:
+    SUPPORT = ((1, 2, 0), (2, 3, 0))
+
+    def test_informed_terminal(self):
+        assert Broadcast(0, 2, 1, self.SUPPORT).informed_terminal == 3
+
+    @pytest.mark.parametrize("tree, terminal, bit", [
+        (True, 2, 1), (0, True, 1), (0, 2, True), (0, 2, False), (0.0, 2, 1),
+        (0, 2.0, 1), (0, 2, 1.0), (0, "2", 1), (0, 2, 2)])
+    def test_rejects_fields_that_are_not_ints(self, tree, terminal, bit):
+        # type() rather than isinstance, as for EdgeKeyBits: True == 1
+        with pytest.raises(ValueError):
+            Broadcast(tree, terminal, bit, self.SUPPORT)
+
+    def test_rejects_a_repeated_support_edge(self):
+        with pytest.raises(ValueError, match="two distinct edges"):
+            Broadcast(0, 2, 1, ((1, 2, 0), (1, 2, 0)))
 
 
 class TestPropagateTree:

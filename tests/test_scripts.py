@@ -54,7 +54,7 @@ def test_ladder_writes_a_bench_file(tmp_path):
         f"bound/dense_m{m}" for m in range(9, 13)] + [
         f"protocol/path_{size}k" for size in (30, 100, 300)] + [
         "steiner/set_s1", "steiner/set_s2", "steiner/path_m20", "steiner/grid_corners",
-        "cli/load_floor", "cli/argv_floor"]
+        "cli/load_floor", "cli/argv_floor", "cli/import_floor"]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
     # the degree bound says 54 trees, the bridge allows 1
@@ -97,6 +97,9 @@ def test_ladder_writes_a_bench_file(tmp_path):
     assert (rows["cli/load_floor"]["models"], rows["cli/load_floor"]["edges"]) == (120, 1167)
     # five commands with every flag on each of those paths, all on the fast path
     assert rows["cli/argv_floor"]["argvs"] == rows["cli/argv_floor"]["fast"] == 600
+    # the import adds at least pinkey's own modules, timed inside the child
+    assert rows["cli/import_floor"]["modules"] >= 13
+    assert 0 < rows["cli/import_floor"]["best_s"] < 5
     assert all(row["best_s"] == min(row["times_s"]) for row in rows.values())
 
 

@@ -1,11 +1,15 @@
 """Checks on the source tree itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "pinkey").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "pinkey").glob("*.py"))
 
 
 def test_sources_found():
@@ -47,3 +51,17 @@ def test_module_level_imports_are_used(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in read)
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every CLI run pays for what ``import pinkey.cli`` loads; ``dataclasses``
+    # alone pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, pinkey.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
