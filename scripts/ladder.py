@@ -15,7 +15,13 @@ same ladder.  The ``spanning/`` rows are spanning-tree packings
   7..12, joined by the one edge (6, 7): 54 trees by the degree and edge
   count, 1 in fact, so the packing falls back to the partition count;
 * ``dense_m20``: the integer-random graph at m = 20, past the partition
-  search's terminal cap.
+  search's terminal cap;
+* ``scaled_floor``: 112 graphs shaped like the benchmark's ``span``
+  requests, drawn from ``random.Random(8)``, 28 times over m = 3, 4, 5, 6:
+  one ``choice`` of (0, 1, 1, 2, 2, 3, 3, 4) per pair (i < j, row-major),
+  redrawn until connected, then times the scale n that puts the edge
+  count nearest a ``randint(100, 200)`` within 100 .. 200.  It reports the
+  graph count and the total edges, trees and groups.
 
 The ``capacity/`` rows solve the capacity LP on dense-random models: pair
 weight ``randint(0, 6)`` over ``randint(1, 3)``, drawn in that order per
@@ -137,6 +143,7 @@ FOUND9_WEIGHTS = (1, 2, 0, 2, 5, 4, 1, 4, 3, 6, 0, 1, 0, 3, 1, 0, 5, 1, 3, 5, 4,
                   3, 4, 6, 1, 5, 6, 5, 4, 3, 1, 4, 5, 0, 3)
 FLOOR_COPIES = 34
 LOAD_COPIES = 30
+SCALED_COPIES = 28
 # each command with its full flag set, in the order the benchmark's requests
 # write their flags
 ARGV_TAILS = {
@@ -173,6 +180,26 @@ def spanning_rows() -> list[tuple[str, Multigraph]]:
               for i, j in itertools.combinations(range(1, 7), 2)}
     return rows + [("bridge_K6x20", Multigraph(12, bridge | {(6, 7): 1})),
                    ("dense_m20", integer_random(20))]
+
+
+def scaled_set() -> list[Multigraph]:
+    """The ``spanning/scaled_floor`` graphs."""
+    rng = random.Random(8)
+    graphs = []
+    for m in (3, 4, 5, 6) * SCALED_COPIES:
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
+        reached = set()
+        while len(reached) < m:
+            weights = [rng.choice((0, 1, 1, 2, 2, 3, 3, 4)) for _ in pairs]
+            reached = {1}
+            for _ in range(m):  # m sweeps reach every vertex joined to 1
+                reached |= {v for pair, w in zip(pairs, weights)
+                            if w and reached.intersection(pair) for v in pair}
+        total = sum(weights)
+        goal = rng.randint(100, 200)
+        scale = max(math.ceil(100 / total), min(200 // total, round(goal / total)))
+        graphs.append(weighted(m, weights, scale))
+    return graphs
 
 
 def dense_random(m: int) -> PinModel:
@@ -266,6 +293,17 @@ def spanning_row(graph: Multigraph, repeat: int) -> dict:
         "edges": graph.total_edges(),
         "trees": packing.count,
         "groups": len(packing.groups),
+        **timing,
+    }
+
+
+def spanning_set_row(graphs: list[Multigraph], repeat: int) -> dict:
+    packings, timing = timed(lambda: [spanning_packing(graph) for graph in graphs], repeat)
+    return {
+        "graphs": len(graphs),
+        "edges": sum(graph.total_edges() for graph in graphs),
+        "trees": sum(packing.count for packing in packings),
+        "groups": sum(len(packing.groups) for packing in packings),
         **timing,
     }
 
@@ -414,6 +452,7 @@ def ladder() -> list[tuple[str, object]]:
     returns its fields, in ladder order."""
     rows = [(f"spanning/{name}", partial(spanning_row, graph))
             for name, graph in spanning_rows()]
+    rows.append(("spanning/scaled_floor", partial(spanning_set_row, scaled_set())))
     rows += [(f"capacity/dense_m{m}{suffix}", partial(capacity_row, dense_random(m), target(m)))
              for suffix, target in CAPACITY_TARGETS for m in range(9, 13)]
     unit = PinModel.from_weights(12, dict.fromkeys(itertools.combinations(range(1, 13), 2), 1))
@@ -439,6 +478,8 @@ def describe(row: dict) -> str:
     if family == "spanning":
         text = (f"|E| = {row['edges']:>5}  trees {row['trees']:>4}  "
                 f"groups {row['groups']:>4}")
+        if "graphs" in row:
+            text = f"graphs {row['graphs']:>3}  {text}"
     elif row["row"] == "capacity/floor_m6":
         tight = sum(c == b for c, b in zip(row["capacities"], row["bounds"]))
         text = f"LPs {row['lps']:>4}  tight {tight:>4}"

@@ -107,8 +107,8 @@ class Gf2Matrix(Value):
     ncols: int
 
     def __init__(self, blocks: Sequence[Block], ncols: int) -> None:
-        if ncols < 0:
-            raise ValueError("column count must be nonnegative")
+        if type(ncols) is not int or ncols < 0:  # a bool or float is no count
+            raise ValueError(f"column count must be a nonnegative int, got {ncols!r}")
         blocks = tuple(blocks)
         nrows = 0
         for b, (copies, steps) in enumerate(blocks):

@@ -19,9 +19,11 @@ Three packing routes, each certified by an independent count:
   inserted in canonical order: the least run that separates a pair takes
   as many of its copies as it has members, and only a copy that no run
   separates runs the exchange search, which asks each distinct forest
-  shape (pair set) once per labeled pair.  Forest components only merge,
-  so each vertex pair keeps, for the whole packing, the least forest that
-  may still separate it.  The work k·|E| is capped by ``SPANNING_WORK_CAP``;
+  shape (pair set) once per labeled pair.  A search that ends in one
+  swap places the next copies too, each by that swap shifted into the next
+  members of both runs it touched.  Forest components only merge, so each
+  vertex pair keeps, for the whole packing, the least forest that may
+  still separate it.  The work k·|E| is capped by ``SPANNING_WORK_CAP``;
 * Steiner packings for intermediate target sets: exact by depth-first
   search over edge-disjoint minimal Steiner trees, listed by attaching one
   path per target terminal, pruned by the partition bound on the
@@ -421,7 +423,7 @@ class _ForestRuns:
     and a join drops the later run's, so a run continues the shift of the
     run before it exactly when the two forests' ``rel`` maps are equal.
 
-    Three facts keep the forest queries few:
+    Four facts keep the forest queries few:
 
     * A forest's components only merge.  A direct add joins two of them.
       A swap puts in an edge whose endpoints the forest already joins and
@@ -436,6 +438,21 @@ class _ForestRuns:
     * An exchange search labels vertex pairs.  A forest whose pair set
       equals an earlier forest's has the same path, as pairs, so it labels
       nothing new and is asked only once per dequeued edge.
+    * One swap places a run of copies.  Say the search for edge e, of
+      pair u-v, labels y straight from e in h, the first member of run H,
+      and T is the least run that separates y's pair.  For every t < L =
+      min(copies asked for, |H|, |T|), putting e + t in place of y + t in
+      member h + t and y + t into member T + t is what the search for copy
+      t does after copies 0 .. t-1.  Every run still joins u and v.  The
+      members before h + t keep their u-v paths, as pairs: T's changed
+      members gained y, which joined two components other than u and v's,
+      and H's changed members have the pair u-v as their whole path, so
+      they label nothing new.  Hence the same pairs are labeled in the same
+      order, still none separated by any run (components only merge), and
+      y's pair is first labeled in member h + t.  Its shape S_H is no
+      earlier member's: not S_H - y + e of H's changed members, nor that
+      of T's, whose u-v path misses y.  T's changed members join y's pair
+      and member T + t does not, so y + t goes there.
     """
 
     __slots__ = ("forests", "starts", "open_from")
@@ -470,10 +487,7 @@ class _ForestRuns:
         of every forest (a full clump)."""
         r = self.open_run(edge[:2])
         if r is None:
-            changed = self._augment(edge)
-            if not changed:
-                return 0
-            placed = 1
+            placed, changed = self._augment(edge, most)
         else:
             placed = min(most, self.starts[r + 1] - self.starts[r])
             self.split(r, placed)
@@ -502,10 +516,12 @@ class _ForestRuns:
             while r < len(forests) and forests[r - 1].rel == forests[r].rel:
                 del forests[r], starts[r]
 
-    def _augment(self, new_edge: EdgeRef) -> Iterable[int]:
-        """Insert one edge that no forest separates via exchange chains and
-        return the indices of the forests it changed; none when the edge
-        lies in the span of every forest (a full clump).
+    def _augment(self, new_edge: EdgeRef, most: int) -> tuple[int, Iterable[int]]:
+        """Insert an edge that no forest separates via exchange chains, with
+        up to ``most`` - 1 of the next copies of its pair when one swap
+        places them all (the fourth fact); returns how many went in and the
+        indices of the forests changed, (0, ()) when the edge lies in the
+        span of every forest (a full clump).
 
         Breadth-first labeling over forest edges: a dequeued edge x labels
         the edges on its path in each forest, in forest order; the search
@@ -534,21 +550,25 @@ class _ForestRuns:
                         parent[y] = (x, start)
                         target = self.open_run(pair)
                         if target is not None:
-                            return self._unwind(parent, y, self.starts[target])
+                            return self._unwind(parent, y, self.starts[target], most)
                         queue.append(y)
-        return ()
+        return 0, ()
 
     def _unwind(
         self,
         parent: Mapping[EdgeRef, tuple[EdgeRef, int] | None],
         current: EdgeRef,
         index: int,
-    ) -> Iterable[int]:
+        most: int,
+    ) -> tuple[int, Iterable[int]]:
         """Put current into forest index, then swap each labeled edge into
         the forest that labeled it, in place of its label, back to the new
-        edge; returns the indices of the forests changed.  Each is the first
-        member of its run (no run changes during the search), and is split
-        off it first."""
+        edge; returns how many copies went in and the indices of the forests
+        changed.  Each is the first member of its run (no run changes during
+        the search).  A chain of one swap is made in the first L members of
+        both runs at once, L = min(``most``, both run lengths), by changing
+        their first forest once it is split off at L; a longer chain, in the
+        first member alone."""
         moves = [(index, None, current)]  # (forest, edge out, edge in)
         entry = parent[current]
         while entry is not None:
@@ -556,17 +576,21 @@ class _ForestRuns:
             moves.append((holder, current, prev_edge))
             current = prev_edge
             entry = parent[current]
+        starts = self.starts
+        width = 1
+        if len(moves) == 2:  # each forest index starts its run
+            width = min(most, *(starts[bisect_right(starts, f)] - f for f, _, _ in moves))
         changed = {}
         for forest_index, _, _ in moves:
             if forest_index not in changed:
-                r = bisect_left(self.starts, forest_index)
-                self.split(r, 1)
+                r = bisect_left(starts, forest_index)
+                self.split(r, width)
                 changed[forest_index] = self.forests[r]
         for forest_index, out, into in moves:
             if out is not None:
                 changed[forest_index].remove(out)
             changed[forest_index].add(into)
-        return changed.keys()
+        return width, changed.keys()
 
     def groups(self) -> tuple[tuple[Tree, int], ...]:
         """One (tree, copies) group per run."""

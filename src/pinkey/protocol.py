@@ -42,7 +42,8 @@ from .value import Value
 
 class EdgeKeyBits(Value):
     """One uniform bit per multigraph edge, in canonical edge order: bit k
-    belongs to ``graph.edge_refs()[k]``.  The seed is kept for replay."""
+    belongs to ``graph.edge_refs()[k]``.  The seed is kept for replay, so
+    it is None or one that ``check_seed`` accepts."""
 
     _fields = ("bits", "seed")
     bits: tuple[int, ...]
@@ -52,13 +53,18 @@ class EdgeKeyBits(Value):
         for k, bit in enumerate(bits):  # type(), not isinstance: a bool is no bit
             if type(bit) is not int or bit < 0 or bit > 1:
                 raise ValueError(f"edge bit {k} is the non-bit value {bit!r}")
+        if seed is not None:
+            check_seed(seed)
         self._store(bits=bits, seed=seed)
 
 
 def check_seed(seed: int) -> None:
-    """Raise unless the edge-key seed is non-negative: ``random.Random``
+    """Raise unless the edge-key seed is a non-negative int: ``random.Random``
     seeds ``-s`` exactly as ``s``, so a negative seed would replay another
-    seed's bits."""
+    seed's bits, and a bool, float or string would not print as a seed
+    that replays them."""
+    if type(seed) is not int:  # type(), not isinstance: a bool is no seed
+        raise ValueError(f"edge-key seed must be an int, got {seed!r}")
     if seed < 0:
         raise ValueError(f"edge-key seed must be non-negative, got {seed}")
 

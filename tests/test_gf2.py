@@ -6,6 +6,7 @@ row at a time over the rows that ``helpers.block_rows`` lays out.
 """
 
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -151,6 +152,13 @@ class TestBlocksAgainstRowOracle:
     def test_rejects_bad_blocks(self, blocks):
         with pytest.raises(ValueError):
             Gf2Matrix(blocks, 4)
+
+    @pytest.mark.parametrize("blocks, ncols", [
+        (((1, ((0, None),)),), 2.5), ((), True), ((), 3.0), ((), "4"), ((), -1)])
+    def test_rejects_a_column_count_that_is_not_a_nonnegative_int(self, blocks, ncols):
+        with pytest.raises(ValueError, match=re.escape(
+                f"column count must be a nonnegative int, got {ncols!r}")):
+            Gf2Matrix(blocks, ncols)
 
     @pytest.mark.parametrize("row", [(), (0, 1, 2)])
     def test_from_rows_rejects_rows_of_other_lengths(self, row):

@@ -80,6 +80,12 @@ TIE_HEAVY_GRAPHS = {
 }
 
 
+# 9 times a 5-terminal graph: one exchange search per copy made 20 here,
+# in sequences of one swap, each the one before shifted by one forest
+TRACE_GRAPH = Multigraph(5, {(1, 2): 18, (1, 3): 27, (1, 4): 18, (1, 5): 18, (2, 3): 27,
+                             (2, 4): 18, (2, 5): 36, (3, 4): 9, (3, 5): 9, (4, 5): 9})
+
+
 # vertices 1..16 row by row, 24 unit edges; its corners are 1, 4, 13 and 16
 GRID_4X4 = Multigraph(16, {(v, v + step): 1 for v in range(1, 17) for step in (1, 4)
                            if (step == 1 and v % 4) or (step == 4 and v <= 12)})
@@ -119,6 +125,18 @@ def bridged_multigraphs(draw):
         if isolated in (i, j):
             counts[(i, j)] = 0
     return Multigraph(m, counts)
+
+
+@st.composite
+def scaled_multigraphs(draw):
+    """n times a base graph with pair weights 0..4 on m <= 6 vertices, n
+    <= 40 and at most 200 edges, the sizes of the ``span`` requests: the
+    runs of shifted forests are long, so one exchange search often places
+    many copies."""
+    m = draw(st.integers(2, 6))
+    base = {pair: draw(st.integers(0, 4)) for pair in itertools.combinations(range(1, m + 1), 2)}
+    n = draw(st.integers(1, max(1, min(40, 200 // max(1, sum(base.values()))))))
+    return Multigraph(m, {pair: w * n for pair, w in base.items()})
 
 
 def ladder_graph(row: str) -> Multigraph:
@@ -559,6 +577,35 @@ class TestSpanningPacking:
         assert tuple(packing.trees) == tuple(reference.trees)
         assert packing.count == reference.count == nash_williams_count(graph)
         assert_maximal_runs(packing)
+
+    @given(scaled_multigraphs())
+    @example(TRACE_GRAPH)
+    @settings(deadline=None)
+    def test_same_trees_as_reference_search_on_scaled_graphs(self, graph):
+        packing = spanning_packing(graph)
+        assert tuple(packing.trees) == tuple(reference_spanning_packing(graph).trees)
+        assert packing.count == nash_williams_count(graph)
+        assert_maximal_runs(packing)
+
+    @pytest.mark.parametrize("graph, searches, trees, groups", [
+        (complete_multigraph(4, 300), 1, 600, 2),
+        (complete_multigraph(6, 210), 3, 630, 3),
+        (TRACE_GRAPH, 5, 47, 9),
+    ], ids=["K4x300", "K6x210", "trace"])
+    def test_one_exchange_search_per_shifted_run_of_copies(
+            self, graph, searches, trees, groups, monkeypatch):
+        # a search that ends in one swap places every copy that the swap,
+        # shifted, places; one search per copy made 300, 630 and 20 here
+        augment = _ForestRuns._augment
+        calls = []
+
+        def counted(runs, edge, most):
+            calls.append(edge)
+            return augment(runs, edge, most)
+
+        monkeypatch.setattr(_ForestRuns, "_augment", counted)
+        packing = spanning_packing(graph)
+        assert (len(calls), packing.count, len(packing.groups)) == (searches, trees, groups)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_forest_components_only_coarsen(self, seed, monkeypatch):

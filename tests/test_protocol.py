@@ -118,6 +118,17 @@ class TestDrawEdgeKeys:
                            match=rf"^edge bit {k} is the non-bit value {re.escape(shown)}$"):
             EdgeKeyBits(bits)
 
+    @pytest.mark.parametrize("seed, message", [
+        ("abc", "must be an int, got 'abc'"), (True, "must be an int, got True"),
+        (2.5, "must be an int, got 2.5"), (-3, "must be non-negative, got -3")])
+    def test_rejects_a_seed_that_does_not_replay(self, seed, message):
+        # the transcript prints the seed as its replay line
+        with pytest.raises(ValueError, match=f"^edge-key seed {re.escape(message)}$"):
+            EdgeKeyBits((1,), seed=seed)
+        with pytest.raises(ValueError, match=f"^edge-key seed {re.escape(message)}$"):
+            draw_edge_keys(DOUBLED_TRIANGLE, seed)
+        assert EdgeKeyBits((1,), seed=0).seed == 0
+
 
 class TestBroadcast:
     SUPPORT = ((1, 2, 0), (2, 3, 0))

@@ -47,7 +47,7 @@ def test_ladder_writes_a_bench_file(tmp_path):
     rows = {row["row"]: row for row in report["rows"]}
     assert list(rows) == ["spanning/found9", "spanning/K4x300", "spanning/K6x210"] + [
         f"spanning/random_m{m}" for m in range(9, 13)] + [
-        "spanning/bridge_K6x20", "spanning/dense_m20"] + [
+        "spanning/bridge_K6x20", "spanning/dense_m20", "spanning/scaled_floor"] + [
         f"capacity/dense_m{m}{suffix}" for suffix in ("", "_pair", "_half")
         for m in range(9, 13)] + ["capacity/unit_K12_pair", "capacity/unit_K12_half",
                                   "capacity/floor_m6"] + [
@@ -63,6 +63,9 @@ def test_ladder_writes_a_bench_file(tmp_path):
     # past the partition search's cap: the union packs the degree bound
     assert (rows["spanning/dense_m20"]["terminals"], rows["spanning/dense_m20"]["trees"]) == (
         20, 27)
+    scaled = rows["spanning/scaled_floor"]
+    assert (scaled["graphs"], scaled["trees"], scaled["groups"]) == (112, 4794, 642)
+    assert 100 * 112 <= scaled["edges"] <= 200 * 112
     assert rows["capacity/dense_m12"]["value"] == "653/66"
     assert rows["capacity/dense_m12"]["columns"] == 2 ** 12 - 2
     assert rows["capacity/dense_m12_pair"]["columns"] == 2 ** 12 - 2 ** 10 - 1
