@@ -33,12 +33,16 @@ the unit complete graph K12 (every weight 1) at A = {1, 2} (C = 11) and
 A = {1, .., 6}: a tie-heavy LP whose optimum is shared by many vertices,
 so the solver reruns Bland's rule and the vertex check reads a degenerate
 basis.  ``capacity/floor_m6`` is the fixed per-request
-floor of small LPs: ``solve_capacity`` plus ``best_partition``, as the
-``capacity`` command runs them, over 34 models with m = 6, each drawn
-from ``random.Random(6)`` with three targets in turn (|A| = 2, 3, 6):
-per pair (i < j, row-major) a quarter are zero and the rest weigh
-``randint(1, 8)`` over ``randint(1, 4)``, then A = ``sample(range(1, 7),
-|A|)``.  The ``bound/`` rows ``dense_m9`` .. ``dense_m12``
+floor of small LPs: what the ``capacity`` command computes, that is
+``solve_capacity``, then the bound ``certified_bound`` reads off the
+vertex, and ``best_partition`` only where it declines, over 34 models
+with m = 6, each drawn from ``random.Random(6)`` with three targets in
+turn (|A| = 2, 3, 6): per pair (i < j, row-major) a quarter are zero and
+the rest weigh ``randint(1, 8)`` over ``randint(1, 4)``, then A =
+``sample(range(1, 7), |A|)``.  It reports ``certified``, how many bounds
+came from the vertex; a checkout without ``certified_bound`` runs
+``best_partition`` for every bound, as its command does, and reports 0.
+The ``bound/`` rows ``dense_m9`` .. ``dense_m12``
 compute ``upper_bound`` on the same models at ``A = M``.
 
 The ``protocol/`` rows ``path_30k``, ``path_100k`` and ``path_300k`` run
@@ -99,10 +103,10 @@ wall-clock times of one
 pass of LPs, exact Steiner packings, model loads, argument steps or
 imports, with what it returned: tree and group counts, the capacity and
 the LP's column count, each target size, capacity and bound of the floor
-set, the key and transcript bit counts, the graph count and total trees,
-the model count and total edges, the command-line counts or the module
-count.  The ladder is
-a record, not a gate.
+set and its certified count, the key and transcript bit counts, the
+graph count and total trees, the model count and total edges, the
+command-line counts or the module count.  The ladder is a record, not a
+gate.
 ``--compare BASE.json HEAD.json`` reads two such files instead and
 prints each row's best times and the HEAD/BASE ratio (below 1 where HEAD
 is faster); a row only one file has gets ``-`` for the other.  Given two
@@ -131,6 +135,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
+import pinkey.capacity
 import pinkey.cli
 import pinkey.packing
 from pinkey import (Multigraph, PinModel, SizeLimitError, TerminalSet, TreePacking, audit,
@@ -319,14 +324,24 @@ def capacity_row(model: PinModel, target: TerminalSet, repeat: int) -> dict:
 
 
 def floor_row(cases, repeat: int) -> dict:
-    pairs, timing = timed(
-        lambda: [(solve_capacity(model, target).value, best_partition(model, target)[0])
-                 for model, target in cases], repeat)
+    # the capacity command's work; a checkout without the certificate searches always
+    certify = getattr(pinkey.capacity, "certified_bound", lambda model, result: None)
+
+    def capacity_and_bound(model: PinModel, target: TerminalSet):
+        result = solve_capacity(model, target)
+        bound = certify(model, result)
+        if bound is None:
+            return result.value, best_partition(model, target)[0], False
+        return result.value, bound, True
+
+    triples, timing = timed(
+        lambda: [capacity_and_bound(model, target) for model, target in cases], repeat)
     return {
         "lps": len(cases),
         "sizes": [len(target) for _, target in cases],
-        "capacities": [format_rational(capacity) for capacity, _ in pairs],
-        "bounds": [format_rational(bound) for _, bound in pairs],
+        "capacities": [format_rational(capacity) for capacity, _, _ in triples],
+        "bounds": [format_rational(bound) for _, bound, _ in triples],
+        "certified": sum(certified for _, _, certified in triples),
         **timing,
     }
 
@@ -482,7 +497,8 @@ def describe(row: dict) -> str:
             text = f"graphs {row['graphs']:>3}  {text}"
     elif row["row"] == "capacity/floor_m6":
         tight = sum(c == b for c, b in zip(row["capacities"], row["bounds"]))
-        text = f"LPs {row['lps']:>4}  tight {tight:>4}"
+        text = (f"LPs {row['lps']:>4}  tight {tight:>4}  "
+                f"certified {row['certified']:>4}")
     elif family == "capacity":
         text = f"columns {row['columns']:>4}  C = {row['value']:<8}"
     elif family == "bound":

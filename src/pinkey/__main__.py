@@ -1,0 +1,2 @@
+from .cli import main
+raise SystemExit(main())

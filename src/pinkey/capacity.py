@@ -19,6 +19,11 @@ an assignment over its least common denominator in the library calls,
 which take A from the assignment.  Fractions are built only for what is
 returned.
 
+The vertex also certifies the partition upper bound whenever its support
+is the co-atoms of a qualifying partition whose ratio is the capacity:
+``certified_bound`` checks that in integers, so the partition search runs
+only when the vertex has another shape.
+
 A second, entropy-based form of the same objective is available for
 pmf-backed models; agreement between the two (within
 ``CONSISTENCY_TOLERANCE``) is a strong end-to-end check of the entropy
@@ -242,6 +247,35 @@ def solve_capacity(model: PinModel, target: TerminalSet) -> CapacityResult:
     coeffs = {pair: Fraction(sep, d) for pair, sep in seps.items()}
     return CapacityResult(value=Fraction(objective, d * scale), assignment=assignment,
                           coefficients=coeffs)
+
+
+def certified_bound(model: PinModel, result: CapacityResult) -> Fraction | None:
+    """The partition upper bound ``C^ub(A)`` read off the optimal vertex,
+    or None when the vertex does not certify it.
+
+    The complements of the support masks are taken as the atoms of a
+    partition P.  When they are pairwise disjoint and cover the terminals,
+    P qualifies for the bound: a qualifying subset is neither empty nor
+    everything, so there are k >= 2 atoms, and it leaves out a target
+    terminal, so each atom meets A.  When moreover their crossing on the
+    base weights over (k - 1) times the base scale equals ``result.value``,
+    then ``C^ub <= ratio(P) = C <= C^ub``, the last step because weight
+    1 / (k - 1) on each co-atom is a valid assignment whose objective is
+    P's ratio."""
+    full, seen = (1 << model.m) - 1, 0
+    atoms = [full ^ mask for mask in result.assignment.weights]
+    for atom in atoms:
+        if atom & seen:
+            return None
+        seen |= atom
+    if seen != full:
+        return None
+    crossing = sum(w for (i, j), w in model.base_weights.items()
+                   if not any(atom >> (i - 1) & atom >> (j - 1) & 1 for atom in atoms))
+    value, parts = result.value, len(atoms) - 1
+    if crossing * value.denominator != value.numerator * parts * base_scale(model):
+        return None
+    return value
 
 
 def sample_vertex(

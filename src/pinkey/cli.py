@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .audit import audit
-from .capacity import solve_capacity
+from .capacity import certified_bound, solve_capacity
 from .errors import (
     AuditFailureError,
     InvalidAssignmentError,
@@ -130,13 +130,15 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     target = _parse_terminals(args.set, model)
     result = solve_capacity(model, target)
-    bound, _ = best_partition(model, target)
-    tight_expected = len(target) == 2 or len(target) == model.m
-    if tight_expected and result.value != bound:
-        raise ArithmeticError(
-            f"capacity {format_rational(result.value)} and "
-            f"upper bound {format_rational(bound)} must coincide for this set"
-        )
+    bound = certified_bound(model, result)
+    if bound is None:  # the vertex is not partition-shaped: search, and cross-check
+        bound, _ = best_partition(model, target)
+        tight_expected = len(target) == 2 or len(target) == model.m
+        if tight_expected and result.value != bound:
+            raise ArithmeticError(
+                f"capacity {format_rational(result.value)} and "
+                f"upper bound {format_rational(bound)} must coincide for this set"
+            )
     report = {
         "command": "capacity",
         "terminals": model.m,

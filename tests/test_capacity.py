@@ -1,5 +1,7 @@
+import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,9 @@ from pinkey import (
     UnsupportedModeError,
     WeightAssignment,
     base_scale,
+    best_partition,
     capacity_objective,
+    certified_bound,
     check_objective_consistency,
     entropy_objective,
     min_cut,
@@ -184,6 +188,103 @@ class TestSolveCapacity:
             assert assignment.weights == {
                 mask: value for mask, value in zip(family.subsets, solution) if value}
             assert len(assignment.weights) <= model.m
+
+
+# Models for the certificate: exact random weights, dense or sparse, and
+# the tie-heavy unit shapes, terminals relabeled at random, with a target
+# of any size from 2 to m.
+_SHAPES = ("dense", "sparse", "cycle", "path", "star", "complete")
+
+
+def _shaped_case(rng: random.Random, shape: str, m: int) -> tuple[PinModel, TerminalSet]:
+    if shape in ("dense", "sparse"):
+        model = random_exact_model(rng, m=m, zero_chance=0.25 if shape == "dense" else 0.7)
+    else:
+        label = [0] + rng.sample(range(1, m + 1), m)
+        if shape == "complete":
+            pairs = list(itertools.combinations(range(1, m + 1), 2))
+        elif shape == "star":
+            pairs = [(1, j) for j in range(2, m + 1)]
+        else:
+            pairs = [(i, i + 1) for i in range(1, m)]
+            if shape == "cycle" and m > 2:
+                pairs.append((1, m))
+        model = PinModel.from_weights(
+            m, {tuple(sorted((label[i], label[j]))): 1 for i, j in pairs})
+    return model, random_terminal_set(rng, m)
+
+
+def _hand_built(m, target, weights: dict[tuple[int, ...], Fraction], value):
+    """A result that only ``certified_bound`` reads: no LP produced it."""
+    return capacity_module.CapacityResult(
+        value=Fraction(value), assignment=_assignment(m, target, weights), coefficients={})
+
+
+class TestCertifiedBound:
+    """Each hand-built result below fails one of the certificate's checks
+    and passes the others, so dropping that check would certify it."""
+
+    def test_partition_shaped_vertex_certifies_its_value(self):
+        result = solve_capacity(TRIANGLE, FULL3)
+        assert result.assignment.weights == {0b011: Fraction(1, 2), 0b101: Fraction(1, 2),
+                                             0b110: Fraction(1, 2)}
+        assert certified_bound(TRIANGLE, result) == Fraction(3, 2)
+
+    # every ratio a shape check's failure could be misread as on the triangle
+    _VALUES = (0, 1, Fraction(3, 2), 2, 3)
+
+    @pytest.mark.parametrize("value", _VALUES)
+    def test_overlapping_complements(self, value):
+        # the singletons' complements {2,3}, {1,3}, {1,2} overlap
+        result = _hand_built(3, FULL3, {(1,): 1, (2,): 1, (3,): 1}, value)
+        assert certified_bound(TRIANGLE, result) is None
+
+    @pytest.mark.parametrize("value", _VALUES)
+    def test_complements_that_miss_a_terminal(self, value):
+        # complements {3} and {2} leave terminal 1 out
+        result = _hand_built(3, FULL3, {(1, 2): 1, (1, 3): 1}, value)
+        assert certified_bound(TRIANGLE, result) is None
+
+    @pytest.mark.parametrize("value", _VALUES)
+    def test_single_support_mask(self, value):
+        # one complement never covers the terminals
+        result = _hand_built(3, FULL3, {(1, 2): 1}, value)
+        assert certified_bound(TRIANGLE, result) is None
+
+    def test_no_atom_without_a_target_terminal(self):
+        # an atom missing A has a co-atom holding all of A, which no
+        # assignment can carry: the certificate needs no check of its own
+        with pytest.raises(InvalidAssignmentError, match="not a qualifying subset"):
+            _hand_built(3, TerminalSet.of(1, 2), {(2, 3): 1, (1, 3): 1, (1, 2): 1}, 1)
+
+    def test_crossing_ratio_other_than_the_capacity(self):
+        co_atoms = {(1, 2): Fraction(1, 2), (1, 3): Fraction(1, 2), (2, 3): Fraction(1, 2)}
+        for value in (1, Fraction(7, 4), 3):
+            assert certified_bound(TRIANGLE, _hand_built(3, FULL3, co_atoms, value)) is None
+        # the crossing is over the base scale: halved weights, halved bound
+        halved = PinModel.from_weights(3, dict.fromkeys(TRIANGLE.weights, Fraction(1, 2)))
+        assert base_scale(halved) == 2
+        assert certified_bound(halved, _hand_built(3, FULL3, co_atoms, Fraction(3, 2))) is None
+        assert certified_bound(halved, solve_capacity(halved, FULL3)) == Fraction(3, 4)
+
+    @given(st.sampled_from(_SHAPES), st.integers(2, 8), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_certified_bound_is_the_searched_bound(self, shape, m, seed):
+        model, target = _shaped_case(random.Random(seed), shape, m)
+        bound = certified_bound(model, solve_capacity(model, target))
+        assert bound is None or bound == best_partition(model, target)[0]
+
+    def test_seeded_sweep_meets_both_branches(self):
+        # the property above would pass vacuously if either branch never ran
+        rng, outcomes = random.Random(31), Counter()
+        for shape in _SHAPES:
+            for _ in range(20):
+                model, target = _shaped_case(rng, shape, rng.randint(2, 8))
+                bound = certified_bound(model, solve_capacity(model, target))
+                if bound is not None:
+                    assert bound == best_partition(model, target)[0]
+                outcomes[bound is not None] += 1
+        assert outcomes[True] and outcomes[False]
 
 
 class TestIntegerPath:

@@ -132,9 +132,15 @@ class TestCapacityCommand:
 
 
     def test_capacity_bound_disagreement_is_internal_error(self, capsys,
-                                                           monkeypatch):
+                                                           monkeypatch, tmp_path):
+        # one pair (2, 3) with A = {2, 3}: Bland's vertex is the three
+        # singletons, whose complements overlap, so the vertex certifies no
+        # bound and the searched one is cross-checked
         import pinkey.cli as cli_module
 
+        path = tmp_path / "one_pair.json"
+        path.write_text(json.dumps({"terminals": 3,
+                                    "weights": [{"i": 2, "j": 3, "value": 1}]}))
         real_best_partition = cli_module.best_partition
 
         def off_by_a_seventh(*args):
@@ -142,11 +148,24 @@ class TestCapacityCommand:
             return bound + Fraction(1, 7), partition
 
         monkeypatch.setattr(cli_module, "best_partition", off_by_a_seventh)
-        code, out, err = run_cli(capsys, "capacity", TRIANGLE)
+        code, out, err = run_cli(capsys, "capacity", str(path), "--set", "2,3")
         assert code == 1
         assert out == ""
         assert err.startswith("internal error: ArithmeticError: capacity")
         assert err.count("\n") == 1
+
+    def test_certified_capacity_runs_no_partition_search(self, capsys, monkeypatch):
+        # the triangle's vertex is the co-atoms of the all-singletons
+        # partition, whose ratio 3/2 is the capacity: the bound needs no search
+        import pinkey.cli as cli_module
+
+        def no_search(*args):
+            raise RuntimeError("best_partition was called")
+
+        monkeypatch.setattr(cli_module, "best_partition", no_search)
+        code, out, _ = run_cli(capsys, "capacity", TRIANGLE, "--format", "structured")
+        assert code == 0
+        assert out == (GOLDENS / "triangle_capacity.json").read_text()
 
     def test_bad_simplex_solution_is_internal_error(self, capsys, monkeypatch):
         import pinkey.capacity as capacity_module
@@ -593,6 +612,24 @@ class TestPathPipelineMemory:
             timeout=120)
         assert child.returncode == 0, child.stderr
         assert int(child.stderr.split()[-1]) < 400 * 1024  # kilobytes on Linux
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv,code", [
+        (["capacity", TRIANGLE, "--format", "structured"], 0),
+        (["capacity", TRIANGLE, "--set", "1,x"], 2),
+    ])
+    def test_python_dash_m_pinkey_exits_with_mains_code(self, argv, code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-m", "pinkey", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert child.returncode == code, child.stderr
+        if code == 0:
+            assert child.stdout == (GOLDENS / "triangle_capacity.json").read_text()
+        else:
+            assert child.stdout == "" and child.stderr.startswith("error:")
 
 
 class TestValidateCommand:

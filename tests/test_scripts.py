@@ -80,6 +80,8 @@ def test_ladder_writes_a_bench_file(tmp_path):
     floor = rows["capacity/floor_m6"]
     assert floor["lps"] == 102
     assert floor["sizes"] == [2, 3, 6] * 34
+    # every vertex of the floor set is partition-shaped: no bound is searched for
+    assert floor["certified"] == 102
     for size, capacity, bound in zip(floor["sizes"], floor["capacities"], floor["bounds"]):
         # tight at |A| = 2 and A = M, a bound everywhere
         assert Fraction(capacity) <= Fraction(bound)
