@@ -94,7 +94,7 @@ timing the import itself, so interpreter start-up is left out.  One
 untimed interpreter first writes the bytecode to a temporary cache that
 the timed ones read.  It reports ``modules``, how many entries the import
 adds to ``sys.modules``, a count that must repeat exactly in every
-interpreter.
+interpreter, and ``argparse``, whether the import loaded it.
 
 A row whose call raises ``SizeLimitError`` reports the message as
 ``limit`` and no times.  Each row reports the best of ``--repeat``
@@ -418,9 +418,10 @@ def load_row(texts: list[str], repeat: int) -> dict:
 
 
 def argv_row(texts: list[str], repeat: int) -> dict:
-    # main's argument step; a checkout without the fast path uses argparse alone
+    # main's argument step; a checkout without the fast path uses argparse
+    # alone, and one that builds its parser on demand has no _PARSER
     fast_args = getattr(pinkey.cli, "_fast_args", lambda argv: None)
-    parse_args = pinkey.cli._PARSER.parse_args
+    parse_args = (getattr(pinkey.cli, "_PARSER", None) or pinkey.cli.build_parser()).parse_args
     with tempfile.TemporaryDirectory() as work:
         argvs = [[command, path, *tail] for path in write_models(work, texts)
                  for command, tail in ARGV_TAILS.items()]
@@ -438,12 +439,13 @@ IMPORT_CHILD = (
     "before = len(sys.modules)\n"
     "start = time.perf_counter()\n"
     "import pinkey.cli\n"
-    "print(time.perf_counter() - start, len(sys.modules) - before)\n"
+    "print(time.perf_counter() - start, len(sys.modules) - before,\n"
+    "      'argparse' in sys.modules)\n"
 )
 
 
 def import_row(repeat: int) -> dict:
-    times, modules = [], set()
+    times, modules, argparse_loaded = [], set(), set()
     with tempfile.TemporaryDirectory() as cache:
         # the children import the pinkey this process imported, with warm bytecode
         env = {name: value for name, value in os.environ.items()
@@ -456,10 +458,12 @@ def import_row(repeat: int) -> dict:
             if k:  # the first child writes the bytecode
                 times.append(float(out[0]))
                 modules.add(int(out[1]))
-    if len(modules) != 1:
-        raise RuntimeError(f"import pinkey.cli added {sorted(modules)} modules across "
-                           "fresh interpreters")
-    return {"modules": modules.pop(), "best_s": min(times), "times_s": times}
+                argparse_loaded.add(out[2] == "True")
+    if len(modules) != 1 or len(argparse_loaded) != 1:
+        raise RuntimeError(f"import pinkey.cli added {sorted(modules)} modules, argparse "
+                           f"loaded {sorted(argparse_loaded)}, across fresh interpreters")
+    return {"modules": modules.pop(), "argparse": argparse_loaded.pop(),
+            "best_s": min(times), "times_s": times}
 
 
 def ladder() -> list[tuple[str, object]]:
@@ -509,7 +513,7 @@ def describe(row: dict) -> str:
     elif row["row"] == "cli/argv_floor":
         text = f"argvs {row['argvs']:>4}  fast {row['fast']:>4}"
     elif row["row"] == "cli/import_floor":
-        text = f"modules {row['modules']:>4}"
+        text = f"modules {row['modules']:>4}  argparse {'yes' if row['argparse'] else 'no':>3}"
     elif family == "cli":
         text = f"models {row['models']:>4}  edges {row['edges']:>5}"
     else:

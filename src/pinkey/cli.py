@@ -7,12 +7,15 @@ emits one line of versioned JSON with sorted keys, so identical inputs
 ``p/q`` strings (plain ``p`` for integers); exact mode never prints
 floats.
 
-A well-formed command line (a command, its model path, then that
-command's own ``--flag value`` pairs, each flag at most once) is read
-straight into the Namespace that argparse would build, with the flags,
-types, choices and defaults read off the one parser.  Anything else, help,
-abbreviations, ``--flag=value`` and every error included, goes through
-argparse, so every usage message and exit code still comes from it.
+The commands are declared once, as data in ``_COMMANDS``.  A well-formed
+command line (a command, its model path, then that command's own ``--flag
+value`` pairs, each flag at most once) is read straight from that table
+into the arguments that argparse would give.  Anything else, help,
+abbreviations, ``--flag=value``, values that start with ``-`` and every
+error included, goes to the argparse parser that ``build_parser`` builds
+from the same table on first use, so every usage message and exit code
+still comes from argparse, and a process that needs no parser never
+imports it.
 
 Exit codes: 0 success, 2 usage or parse error, 3 size-limit, 4 audit
 failure, 1 internal error.
@@ -20,11 +23,12 @@ failure, 1 internal error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
+from types import SimpleNamespace
 from typing import Callable
 
 from .audit import audit
@@ -65,31 +69,23 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a rejected command line as one ``error: ...`` line, like
-    every other usage error; subparsers are built from the same class."""
-
-    def error(self, message: str):
-        self.exit(EXIT_USAGE, f"error: {message}\n")
-
-
-def _integer(text: str) -> int:
+def _integer(text: str) -> int | None:
     """A flag's integer: ``-?[0-9]+``, the rule of model files, not all
-    that ``int()`` takes (spaces, ``+``, ``_`` or non-ASCII digits)."""
-    try:
-        if _INTEGER.fullmatch(text):
+    that ``int()`` takes (spaces, ``+``, ``_`` or non-ASCII digits); None
+    for any other text."""
+    if _INTEGER.fullmatch(text):
+        try:
             return int(text)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
 
 
 def _parse_terminals(spec: str | None, model: PinModel) -> TerminalSet:
     if spec is None:
         return TerminalSet.full(model.m)
-    try:
-        members = tuple(map(_integer, spec.split(",")))
-    except argparse.ArgumentTypeError:
+    members = tuple(map(_integer, spec.split(",")))
+    if None in members:
         raise _UsageError(f"--set expects comma-separated integers, got {spec!r}")
     try:
         target = TerminalSet(members)
@@ -99,7 +95,7 @@ def _parse_terminals(spec: str | None, model: PinModel) -> TerminalSet:
     return target
 
 
-def _emit(args: argparse.Namespace, report: dict,
+def _emit(args: SimpleNamespace, report: dict,
           render_text: Callable[[], list[str]],
           spliced: dict[str, Callable[[], str]] | None = None) -> None:
     """Print the report; the text lines are built only in text mode.  In
@@ -126,7 +122,7 @@ def _serialize_weights(result) -> list[dict]:
     ]
 
 
-def _cmd_capacity(args: argparse.Namespace) -> int:
+def _cmd_capacity(args: SimpleNamespace) -> int:
     model = load_model(args.model)
     target = _parse_terminals(args.set, model)
     result = solve_capacity(model, target)
@@ -158,7 +154,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_upper_bound(args: argparse.Namespace) -> int:
+def _cmd_upper_bound(args: SimpleNamespace) -> int:
     model = load_model(args.model)
     target = _parse_terminals(args.set, model)
     bound, partition = best_partition(model, target)
@@ -178,7 +174,7 @@ def _cmd_upper_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _packed(args: argparse.Namespace) -> tuple[dict, TreePacking]:
+def _packed(args: SimpleNamespace) -> tuple[dict, TreePacking]:
     """The front end of ``pack`` and ``simulate``: realize the model at the
     requested scale, pack it, and report the fields both commands share
     (``trees`` is spliced in by ``_emit``)."""
@@ -220,7 +216,7 @@ def _transcript_json(run: ProtocolRun) -> str:
             run.speakers, run.broadcast_trees))) + "]"
 
 
-def _cmd_pack(args: argparse.Namespace) -> int:
+def _cmd_pack(args: SimpleNamespace) -> int:
     report, packing = _packed(args)
     _emit(args, report, lambda: [
         f"scale n = {report['scale']}, edges = {report['edge_total']}",
@@ -231,7 +227,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: SimpleNamespace) -> int:
     check_seed(args.seed)  # before the packing, which may take seconds
     report, packing = _packed(args)
     keys = draw_edge_keys(packing.graph, args.seed)
@@ -271,7 +267,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     model = load_model(args.model)
     if model.exact:  # counted exactly: a tiny weight is no float zero
         nonzero = sum(1 for weight in model.weights.values() if weight)
@@ -295,118 +291,103 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every command, declared once: its help, its handler, its one positional
+# (name, help) and its flags in usage order, each as (type, choices,
+# default, help).  A type is str, or int for a value that ``_integer``
+# reads.  ``_fast_args`` reads the table, and ``build_parser`` builds
+# argparse's tree from it, so the two cannot drift apart.
+_MODEL = ("model", "path to a JSON model file")
+_SET = {"--set": (str, None, None, "comma-separated target terminals (default: all)")}
+_FORMAT = {"--format": (str, ("text", "structured"), "text",
+                        "output format (structured = one line of JSON)")}
+_PACKING = {
+    "--scale": (int, None, None, "blocklength n (default: the model's base scale)"),
+    "--mode": (str, ("exact", "greedy"), "exact",
+               "Steiner packing mode for intermediate target sets"),
+}
+_SEED = {"--seed": (int, None, 0, "edge-key seed (default 0)")}
+_COMMANDS = {
+    "capacity": ("exact capacity and upper bound", _cmd_capacity, _MODEL,
+                 _SET | _FORMAT),
+    "upper-bound": ("partition upper bound only", _cmd_upper_bound, _MODEL,
+                    _SET | _FORMAT),
+    "pack": ("construct a tree packing", _cmd_pack, _MODEL,
+             _SET | _FORMAT | _PACKING),
+    "simulate": ("construct a tree packing and run the key protocol", _cmd_simulate,
+                 _MODEL, _SET | _FORMAT | _PACKING | _SEED),
+    "validate": ("check a model file against the schema", _cmd_validate, _MODEL,
+                 _FORMAT),
+}
+
+
+@cache
+def build_parser():
+    """argparse's parser for ``_COMMANDS``, built on the first call and
+    shared after it.  Only the lines ``_fast_args`` declines need it: help,
+    abbreviations, ``--flag=value``, values that start with ``-`` and
+    every error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports a rejected command line as one ``error: ...`` line, like
+        every other usage error; subparsers are built from the same class."""
+
+        def error(self, message: str):
+            self.exit(EXIT_USAGE, f"error: {message}\n")
+
+    def integer(text: str) -> int:
+        value = _integer(text)
+        if value is None:  # in argparse's own words for a rejected int
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return value
+
     parser = _Parser(
         prog="pinkey",
         description="Secret-key capacity, tree packing and protocol "
         "simulation for pairwise independent networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_set: bool = True) -> None:
-        p.add_argument("model", help="path to a JSON model file")
-        if with_set:
-            p.add_argument(
-                "--set",
-                help="comma-separated target terminals (default: all)",
-            )
-        p.add_argument(
-            "--format",
-            choices=("text", "structured"),
-            default="text",
-            help="output format (structured = one line of JSON)",
-        )
-
-    p = sub.add_parser("capacity", help="exact capacity and upper bound")
-    common(p)
-    p.set_defaults(func=_cmd_capacity)
-
-    p = sub.add_parser("upper-bound", help="partition upper bound only")
-    common(p)
-    p.set_defaults(func=_cmd_upper_bound)
-
-    for name, handler in (("pack", _cmd_pack), ("simulate", _cmd_simulate)):
-        p = sub.add_parser(
-            name,
-            help="construct a tree packing"
-            + (" and run the key protocol" if name == "simulate" else ""),
-        )
-        common(p)
-        p.add_argument(
-            "--scale",
-            type=_integer,
-            help="blocklength n (default: the model's base scale)",
-        )
-        p.add_argument(
-            "--mode",
-            choices=("exact", "greedy"),
-            default="exact",
-            help="Steiner packing mode for intermediate target sets",
-        )
-        if name == "simulate":
-            p.add_argument(
-                "--seed", type=_integer, default=0, help="edge-key seed (default 0)"
-            )
+    for name, (help, handler, (positional, positional_help), flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        p.add_argument(positional, help=positional_help)
+        for flag, (kind, choices, default, flag_help) in flags.items():
+            p.add_argument(flag, type=integer if kind is int else None, choices=choices,
+                           default=default, help=flag_help)
         p.set_defaults(func=handler)
-
-    p = sub.add_parser("validate", help="check a model file against the schema")
-    common(p, with_set=False)
-    p.set_defaults(func=_cmd_validate)
     return parser
 
 
-# built once: parsing leaves it unchanged, and a build costs about 1 ms
-_PARSER = build_parser()
-
-
-def _grammar(parser: argparse.ArgumentParser) -> dict[str, tuple[dict, str, dict]]:
-    """Each command's defaults, its one positional and its one-value long
-    flags, read off the built parser: no second table to drift from it."""
-    commands, = (action for action in parser._actions
-                 if isinstance(action, argparse._SubParsersAction))
-    grammar = {}
-    for name, sub in commands.choices.items():
-        defaults = {commands.dest: name, **sub._defaults}
-        defaults.update((action.dest, action.default) for action in sub._actions
-                        if action.default is not argparse.SUPPRESS)
-        positional, = (action.dest for action in sub._actions if not action.option_strings)
-        flags = {option: action for action in sub._actions if action.nargs is None
-                 for option in action.option_strings if option.startswith("--")}
-        grammar[name] = defaults, positional, flags
-    return grammar
-
-
-_GRAMMAR = _grammar(_PARSER)
-
-
-def _fast_args(argv: list[str]) -> argparse.Namespace | None:
-    """argparse's Namespace for a command, its model path and its own
-    ``--flag value`` pairs, each flag at most once; None for any other line
-    and for a value that starts with ``-`` (argparse's negative numbers)."""
-    if not argv or argv[0] not in _GRAMMAR or len(argv) % 2 or argv[1][:1] in ("", "-"):
+def _fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's arguments for a command, its model path and its own
+    ``--flag value`` pairs, each flag at most once, read off ``_COMMANDS``;
+    None for any other line and for a value that starts with ``-``
+    (argparse's negative numbers)."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 or argv[1][:1] in ("", "-"):
         return None
-    defaults, positional, flags = _GRAMMAR[argv[0]]
+    _, handler, (positional, _), flags = _COMMANDS[argv[0]]
     pairs = dict(zip(argv[2::2], argv[3::2]))
-    args = {**defaults, positional: argv[1]}
-    for flag, text in pairs.items():
-        action = flags.get(flag)
-        if action is None or text[:1] == "-":
+    if 2 * len(pairs) != len(argv) - 2:  # a flag repeats
+        return None
+    args = {"command": argv[0], "func": handler, positional: argv[1]}
+    for flag, (kind, choices, default, _) in flags.items():
+        text = pairs.pop(flag, None)
+        if text is None:
+            value = default
+        elif text[:1] == "-":
             return None
-        try:  # the action's own type: a value fails exactly where argparse's does
-            value = text if action.type is None else action.type(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        args[action.dest] = value
-    # fewer pairs than flags: a flag repeats
-    return argparse.Namespace(**args) if 2 * len(pairs) == len(argv) - 2 else None
+        else:
+            value = text if kind is str else _integer(text)
+            if value is None or choices is not None and value not in choices:
+                return None
+        args[flag[2:]] = value
+    # what is left is a flag this command does not take
+    return None if pairs else SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _fast_args(argv) or _PARSER.parse_args(argv)
+        args = _fast_args(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

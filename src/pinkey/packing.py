@@ -813,7 +813,6 @@ def _exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
             f"exact Steiner packing is capped at {STEINER_EXACT_EDGE_CAP} edges; "
             f"this graph has {total} (use greedy mode)"
         )
-    candidates = _steiner_tree_candidates(graph.support_pairs(), target)
     search = partitions.pruned_partitions(graph.m, target, cap=graph.m)
     caps = dict(graph.multiplicities)
 
@@ -829,9 +828,8 @@ def _exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
         return partitions.min_ratio(caps, search, below=best_count - count + 1) is not None
 
     def dfs(start: int, count: int) -> None:
+        """Extend a packing of ``count`` trees that ``beaten`` did not cut."""
         nonlocal best_count, best_choice
-        if beaten(count):
-            return
         asked = best_count
         for index in range(start, len(candidates)):
             pairs = candidates[index]
@@ -846,12 +844,16 @@ def _exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
                 if count + 1 > best_count:
                     best_count = count + 1
                     best_choice = [(candidates[k], 1) for k in chosen]
-                dfs(index, count + 1)
+                if not beaten(count + 1):
+                    dfs(index, count + 1)
                 chosen.pop()
                 for p in pairs:
                     caps[p] += 1
 
-    dfs(0, 0)
+    # the root query settles most calls, before any candidate is listed
+    if not beaten(0):
+        candidates = _steiner_tree_candidates(graph.support_pairs(), target)
+        dfs(0, 0)
     return _assign_copies(graph, target, best_choice)
 
 

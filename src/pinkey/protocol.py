@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from operator import xor
 from typing import Sequence
 
@@ -50,9 +50,11 @@ class EdgeKeyBits(Value):
     seed: int | None
 
     def __init__(self, bits: tuple[int, ...], seed: int | None = None) -> None:
-        for k, bit in enumerate(bits):  # type(), not isinstance: a bool is no bit
-            if type(bit) is not int or bit < 0 or bit > 1:
-                raise ValueError(f"edge bit {k} is the non-bit value {bit!r}")
+        # type(), not isinstance: a bool is no bit
+        if not (set(map(type, bits)) <= {int} and set(bits) <= {0, 1}):
+            k = next(k for k, bit in enumerate(bits)
+                     if type(bit) is not int or bit not in (0, 1))
+            raise ValueError(f"edge bit {k} is the non-bit value {bits[k]!r}")
         if seed is not None:
             check_seed(seed)
         self._store(bits=bits, seed=seed)
@@ -69,13 +71,22 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"edge-key seed must be non-negative, got {seed}")
 
 
+# byte -> its top bit, as a ``bytes.translate`` table
+_TOP_BIT = bytes(byte >> 7 for byte in range(256))
+
+
 def draw_edge_keys(graph: Multigraph, seed: int) -> EdgeKeyBits:
     """Deterministic i.i.d. uniform bits in canonical edge order, from a
-    seed that ``check_seed`` accepts."""
+    seed that ``check_seed`` accepts.
+
+    Bit k is the bit ``getrandbits(1)`` would give on its k-th call: the
+    top bit of the generator's k-th 32-bit word.  One ``getrandbits(32 * n)``
+    draws the same n words, least significant first, so bit k is the top
+    bit of byte ``4k + 3`` of its little-endian bytes."""
     check_seed(seed)
-    getrandbits = random.Random(seed).getrandbits
-    return EdgeKeyBits(bits=tuple(map(getrandbits, repeat(1, graph.total_edges()))),
-                       seed=seed)
+    n = graph.total_edges()
+    words = random.Random(seed).getrandbits(32 * n).to_bytes(4 * n, "little")
+    return EdgeKeyBits(bits=tuple(words[3::4].translate(_TOP_BIT)), seed=seed)
 
 
 class Broadcast(Value):

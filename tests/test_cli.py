@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import pinkey.packing
 import pinkey.partitions
-from pinkey.cli import _PARSER, _fast_args, main
+import pinkey.cli
+from pinkey.cli import _COMMANDS, _fast_args, build_parser, main
 from pinkey.model import MAX_TERMINALS
 from pinkey.packing import STEINER_EXACT_EDGE_CAP
 from pinkey.value import replace
@@ -852,24 +853,30 @@ def _argvs(draw):
 
 
 def _argparse_result(argv):
-    """argparse's Namespace for argv, or the code it exits with."""
+    """The attributes of argparse's Namespace for argv, or the code it
+    exits with."""
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            return _PARSER.parse_args(argv)
+            return vars(build_parser().parse_args(argv))
         except SystemExit as exc:
             return f"exit {exc.code}"
 
 
+def _never_built():
+    raise AssertionError("the argparse parser was built")
+
+
 class TestFastPath:
-    """``main`` parses a well-formed command line without argparse; the
-    Namespace must be argparse's, and anything else is left to argparse."""
+    """``main`` parses a well-formed command line without argparse; every
+    attribute, ``func`` included, must be argparse's, and anything else is
+    left to argparse."""
 
     @settings(max_examples=2000, deadline=None)
     @given(_argvs())
     def test_fast_path_is_none_or_argparses_namespace(self, argv):
         fast = _fast_args(argv)
-        assert fast is None or fast == _argparse_result(argv), argv
+        assert fast is None or vars(fast) == _argparse_result(argv), argv
 
     @pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
     def test_every_well_formed_argv_takes_the_fast_path(self, command):
@@ -882,7 +889,7 @@ class TestFastPath:
                 token for flag, on in zip(flags, used) if on for token in (flag, values[flag])]
             fast = _fast_args(argv)
             assert fast is not None, argv
-            assert fast == _argparse_result(argv)
+            assert vars(fast) == _argparse_result(argv)
 
     @pytest.mark.parametrize("workload", ["analyze", "span", "wide", "desk"])
     def test_every_benchmark_request_takes_the_fast_path(self, workload):
@@ -891,7 +898,7 @@ class TestFastPath:
             argv = request.argv("model_000.json")
             fast = _fast_args(argv)
             assert fast is not None, argv
-            assert fast == _argparse_result(argv)
+            assert vars(fast) == _argparse_result(argv)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", TRIANGLE, "--scale", "2", "--seed", "3", "--format", "structured"],
@@ -905,10 +912,65 @@ class TestFastPath:
         expected = run_cli(capsys, *argv)
         monkeypatch.setattr(sys, "argv", ["pinkey", *argv])
         if _fast_args(argv) is not None:  # real command lines take the fast path too
-            monkeypatch.setattr(_PARSER, "parse_args", None)
+            monkeypatch.setattr(pinkey.cli, "build_parser", _never_built)
         code = main()
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == expected
+
+    def test_table_and_parser_agree_on_every_flag(self):
+        import argparse
+        parser = build_parser()
+        assert build_parser() is parser  # built once
+        commands, = (action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        assert commands.dest == "command"
+        assert list(commands.choices) == list(_COMMANDS)
+        assert [action.help for action in commands._choices_actions] == [
+            help_text for help_text, *_ in _COMMANDS.values()]
+        for name, (_, handler, (positional, positional_help), flags) in _COMMANDS.items():
+            sub = commands.choices[name]
+            assert sub._defaults == {"func": handler}
+            actions = [action for action in sub._actions
+                       if not isinstance(action, argparse._HelpAction)]
+            assert [(action.dest, action.option_strings, action.help, action.nargs)
+                    for action in actions] == [(positional, [], positional_help, None)] + [
+                (flag[2:], [flag], flag_help, None)
+                for flag, (_, _, _, flag_help) in flags.items()]
+            for action, (kind, choices, default, _) in zip(actions[1:], flags.values()):
+                assert (action.choices, action.default) == (choices, default), action
+                if kind is str:
+                    assert action.type is None
+                else:
+                    assert kind is int
+                    assert action.type("-12") == -12
+                    with pytest.raises(argparse.ArgumentTypeError,
+                                       match=r"^invalid int value: '\+12'$"):
+                        action.type("+12")
+
+    _CHILD = ("import sys\n"
+              "import pinkey.cli\n"
+              "code = pinkey.cli.main(sys.argv[1:])\n"
+              "print(code, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)),\n"
+              "      file=sys.stderr)\n")
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["capacity", TRIANGLE, "--format", "structured"], []),
+        (["simulate", TRIANGLE, "--scale", "2", "--seed", "3"], []),
+        (["validate", TRIANGLE], []),
+        (["pack", "--help"], ["argparse", "gettext", "locale"]),
+    ])
+    def test_only_a_declined_line_imports_argparse(self, argv, loaded):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", self._CHILD, *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stderr.split() == ["0", *loaded]
+        if loaded:
+            assert child.stdout.startswith("usage: pinkey pack [-h] [--set SET]")
+        else:
+            assert child.stdout
 
 
 # Model-file parts for the fuzz below: valid values, and malformed ones

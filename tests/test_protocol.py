@@ -98,6 +98,21 @@ class TestDrawEdgeKeys:
                                   for _ in DOUBLED_TRIANGLE.edge_refs())
         assert keys.seed == 42
 
+    @pytest.mark.parametrize("seed", [0, 1, 5, 12345, 2**31 - 1, 2**40])
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 100, 700, 5000])
+    def test_one_draw_gives_the_per_bit_draws(self, seed, n):
+        # getrandbits(32 * n) fills its words as n getrandbits(1) calls do
+        getrandbits = random.Random(seed).getrandbits
+        keys = draw_edge_keys(Multigraph(3, {(1, 2): n // 2, (2, 3): n - n // 2}), seed)
+        assert keys.bits == tuple(getrandbits(1) for _ in range(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**80), st.integers(0, 400))
+    def test_one_draw_gives_the_per_bit_draws_for_any_seed(self, seed, n):
+        getrandbits = random.Random(seed).getrandbits
+        keys = draw_edge_keys(Multigraph(2, {(1, 2): n}), seed)
+        assert keys.bits == tuple(getrandbits(1) for _ in range(n))
+
     def test_unbiased(self):
         graph = Multigraph(2, {(1, 2): 10_000})
         bits = draw_edge_keys(graph, 7).bits

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,10 +103,32 @@ def test_ladder_writes_a_bench_file(tmp_path):
     assert (rows["cli/load_floor"]["models"], rows["cli/load_floor"]["edges"]) == (120, 1167)
     # five commands with every flag on each of those paths, all on the fast path
     assert rows["cli/argv_floor"]["argvs"] == rows["cli/argv_floor"]["fast"] == 600
-    # the import adds at least pinkey's own modules, timed inside the child
+    # the import adds at least pinkey's own modules, timed inside the child,
+    # and leaves argparse to the command lines that need it
     assert rows["cli/import_floor"]["modules"] >= 13
+    assert rows["cli/import_floor"]["argparse"] is False
     assert 0 < rows["cli/import_floor"]["best_s"] < 5
     assert all(row["best_s"] == min(row["times_s"]) for row in rows.values())
+
+
+def test_ladder_argv_row_reads_either_checkouts_parser(monkeypatch):
+    # this checkout builds its parser on demand and has no _PARSER; an
+    # older one keeps its built parser there, and one without the fast
+    # path parses every line with it
+    ladder = runpy.run_path(str(ROOT / "scripts" / "ladder.py"))
+    cli = sys.modules["pinkey.cli"]
+    texts = ['{"terminals": 3, "weights": [{"i": 1, "j": 2, "value": 1}]}']
+    assert not hasattr(cli, "_PARSER")
+    row = ladder["argv_row"](texts, 1)
+    assert (row["argvs"], row["fast"]) == (5, 5)
+
+    parsed = []
+    monkeypatch.setattr(cli, "_PARSER", SimpleNamespace(parse_args=parsed.append),
+                        raising=False)
+    monkeypatch.delattr(cli, "build_parser")
+    monkeypatch.delattr(cli, "_fast_args")
+    row = ladder["argv_row"](texts, 1)
+    assert (row["argvs"], row["fast"], len(parsed)) == (5, 0, 5)
 
 
 def test_ladder_compare_prints_best_times_and_ratios(tmp_path):
