@@ -54,7 +54,7 @@ equal graph per timed call, untimed, as a CLI request builds its packing.
 Each timed call runs ``run_protocol`` and ``audit`` on its own packing,
 so no call reads what an earlier call cached.
 
-The ``steiner/`` rows run exact ``steiner_packing``:
+The ``steiner/`` rows run ``steiner_packing``, exact but for the last:
 
 * ``set_s1``: the Steiner set, 40 graphs drawn from ``random.Random(7)``:
   per graph m = ``randint(5, 7)``, then ``randint(0, 3)`` edges per pair
@@ -65,7 +65,13 @@ The ``steiner/`` rows run exact ``steiner_packing``:
   multiplicity doubled, packed with ``STEINER_EXACT_EDGE_CAP`` set to 80;
 * ``path_m20``: the 20-terminal unit path with A = {1, 2, 3};
 * ``grid_corners``: the 4x4 grid, vertices 1..16 row by row and 24 unit
-  edges, with A = its corners {1, 4, 13, 16}.
+  edges, with A = its corners {1, 4, 13, 16};
+* ``grid_5`` and ``grid_7``: the same grid with A = {1, 4, 6, 13, 16} and
+  A = {1, 3, 4, 6, 9, 13, 14}, where the greedy incumbent is one tree short;
+* ``robust_m16``: 16 terminals, 24 unit pairs (``ROBUST_M16``) and A =
+  {6, 8, 9, 10, 13, 14, 16}, again one tree over the greedy count;
+* ``greedy_m12``: greedy mode on ``greedy_m12()``, a 12-terminal graph at
+  about ``PACKING_EDGE_CAP`` edges, with A = {1, .., 6}.
 
 The two set rows raise the module constant around their calls and restore
 it after.  ``--compare`` against a root whose ``steiner_packing`` still
@@ -244,14 +250,34 @@ def steiner_set(scale: int) -> list[tuple[Multigraph, TerminalSet]]:
     return cases
 
 
-def steiner_rows() -> list[tuple[str, list[tuple[Multigraph, TerminalSet]], int | None]]:
-    """Each row's name, cases and exact-search edge cap (None: the default)."""
+# the 16-terminal model of the ``steiner/robust_m16`` row: 24 unit pairs
+ROBUST_M16 = ((1, 14), (1, 15), (2, 7), (2, 11), (3, 10), (3, 16), (4, 10), (4, 15),
+              (5, 7), (5, 11), (6, 7), (6, 13), (7, 9), (7, 14), (7, 16), (8, 9),
+              (8, 14), (9, 15), (10, 13), (10, 16), (11, 13), (11, 16), (12, 16), (14, 16))
+
+
+def greedy_m12() -> Multigraph:
+    """``randint(0, 4)`` per pair (i < j, row-major) from ``random.Random(12)``,
+    times the largest scale that keeps |E| within ``PACKING_EDGE_CAP``."""
+    rng = random.Random(12)
+    weights = [rng.randint(0, 4) for _ in range(66)]
+    return weighted(12, weights, pinkey.packing.PACKING_EDGE_CAP // sum(weights))
+
+
+def steiner_rows() -> list[tuple[str, list[tuple[Multigraph, TerminalSet]], int | None, str]]:
+    """Each row's name, cases, exact-search edge cap (None: the default)
+    and packing mode."""
     path = Multigraph(20, {(i, i + 1): 1 for i in range(1, 20)})
     grid = Multigraph(16, {(v, v + step): 1 for v in range(1, 17) for step in (1, 4)
                            if (step == 1 and v % 4) or (step == 4 and v <= 12)})
-    return [("set_s1", steiner_set(1), 40), ("set_s2", steiner_set(2), 80),
-            ("path_m20", [(path, TerminalSet.of(1, 2, 3))], None),
-            ("grid_corners", [(grid, TerminalSet.of(1, 4, 13, 16))], None)]
+    robust = Multigraph(16, dict.fromkeys(ROBUST_M16, 1))
+    return [("set_s1", steiner_set(1), 40, "exact"), ("set_s2", steiner_set(2), 80, "exact"),
+            ("path_m20", [(path, TerminalSet.of(1, 2, 3))], None, "exact"),
+            ("grid_corners", [(grid, TerminalSet.of(1, 4, 13, 16))], None, "exact"),
+            ("grid_5", [(grid, TerminalSet.of(1, 4, 6, 13, 16))], None, "exact"),
+            ("grid_7", [(grid, TerminalSet.of(1, 3, 4, 6, 9, 13, 14))], None, "exact"),
+            ("robust_m16", [(robust, TerminalSet.of(6, 8, 9, 10, 13, 14, 16))], None, "exact"),
+            ("greedy_m12", [(greedy_m12(), TerminalSet.of(*range(1, 7)))], None, "greedy")]
 
 
 def load_set() -> list[str]:
@@ -379,12 +405,13 @@ def protocol_row(edges: int, repeat: int) -> dict:
     }
 
 
-def steiner_row(cases, cap: int | None, repeat: int) -> dict:
+def steiner_row(cases, cap: int | None, mode: str, repeat: int) -> dict:
     default = pinkey.packing.STEINER_EXACT_EDGE_CAP
     pinkey.packing.STEINER_EXACT_EDGE_CAP = cap or default
     try:
         packings, timing = timed(
-            lambda: [steiner_packing(graph, target) for graph, target in cases], repeat)
+            lambda: [steiner_packing(graph, target, mode=mode) for graph, target in cases],
+            repeat)
     finally:
         pinkey.packing.STEINER_EXACT_EDGE_CAP = default
     return {
@@ -481,8 +508,8 @@ def ladder() -> list[tuple[str, object]]:
     rows += [(f"bound/dense_m{m}", partial(bound_row, m)) for m in range(9, 13)]
     rows += [(f"protocol/path_{edges // 1000}k", partial(protocol_row, edges))
              for edges in (30_000, 100_000, 300_000)]
-    rows += [(f"steiner/{name}", partial(steiner_row, cases, cap))
-             for name, cases, cap in steiner_rows()]
+    rows += [(f"steiner/{name}", partial(steiner_row, cases, cap, mode))
+             for name, cases, cap, mode in steiner_rows()]
     texts = load_set()
     rows.append(("cli/load_floor", partial(load_row, texts)))
     rows.append(("cli/argv_floor", partial(argv_row, texts)))

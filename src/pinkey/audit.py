@@ -9,7 +9,8 @@ per block step of the maps (per group and walk step on an honest run).
 A brute-force enumeration of edge-bit assignments provides an independent
 check at small sizes (dyadic joint distributions, again exact).  Rows that
 share no edge are independent, so it enumerates each block of edge-sharing
-rows on its own, at a cost of sum_b 2^|E_b| rather than 2^|E|; its cap,
+rows on its own, and blocks of one shape (a group's copies) once, at a
+cost of 2^|E_b| per distinct shape rather than 2^|E|; its cap,
 ``BRUTEFORCE_EDGE_CAP``, still applies to the total edge count |E|.
 
 Fault-injection helpers build tampered copies of a run so tests can show
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Mapping
+from itertools import accumulate
+from operator import xor
+from typing import Iterable, Mapping
 
 from .errors import AuditFailureError, SizeLimitError
 from . import gf2
@@ -73,14 +76,15 @@ def security_index_rank(run: ProtocolRun) -> SecurityReport:
     )
 
 
-def _dyadic_entropy(counts: Counter, total_bits: int) -> Fraction:
-    """Entropy of a distribution whose probabilities are counts / 2^total.
+def _log_weight(counts: Iterable[int]) -> int:
+    """Sum of count * log2(count) over a tally of 2^n equally likely
+    assignments, whose entropy is then n - weight / 2^n.
 
     Linear images of uniform bits have power-of-two fiber sizes, which keeps
-    the entropy an exact rational.
+    the weight an integer and the entropy an exact rational.
     """
     weighted = 0
-    for count in counts.values():
+    for count in counts:
         log = count.bit_length() - 1
         if count != 1 << log:
             raise ArithmeticError(
@@ -88,7 +92,7 @@ def _dyadic_entropy(counts: Counter, total_bits: int) -> Fraction:
                 "the run's maps are not linear"
             )
         weighted += count * log
-    return Fraction(total_bits) - Fraction(weighted, 1 << total_bits)
+    return weighted
 
 
 def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
@@ -97,11 +101,17 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
     Two map rows share a block when they share an edge (a union-find over
     edge indices).  Edge bits are i.i.d., so the blocks' (key, transcript)
     parts are independent and each entropy is the sum of the blocks'
-    entropies; an edge in no row adds nothing.  A block enumerates its own
-    2^|E_b| assignments into one exact joint tally, one int per image, and
-    splits the marginals off it by its key-row mask.  Gray-code iteration
-    keeps each step O(1): one edge bit flips, so the image is updated by
-    XOR with that edge's column.  The cap still applies to |E|.
+    entropies; an edge in no row adds nothing.  A block's distribution
+    depends only on its shape, its columns (each edge's rows, by first
+    appearance) and its key-row mask, so each distinct shape enumerates
+    its own 2^|E_b| assignments once, and its entropies count once per
+    block of that shape.  The enumeration runs in Gray-code order, where
+    one edge bit flips per step, so each image is the one before XOR that
+    edge's column; it runs three times, into exact tallies of the joint
+    images and of the images cut to the transcript rows and to the key
+    rows, one int per image.  Entropies add up as integers over 2^top, top the
+    widest block's edge count, and become Fractions for the report.  The
+    cap still applies to |E|.
     """
     edges = run.graph.total_edges()
     if edges > BRUTEFORCE_EDGE_CAP:
@@ -125,7 +135,7 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
         blocks.setdefault(find(row[0]), []).append(r)
 
     first_key_row = run.transcript_map.nrows
-    joint_entropy = transcript_entropy = key_entropy = Fraction(0)
+    shapes: Counter = Counter()  # (columns, key mask) -> blocks of that shape
     for members in blocks.values():
         local: dict[int, int] = {}  # edge index -> block column
         columns: list[int] = []
@@ -138,26 +148,29 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
                 columns[local[k]] |= 1 << bit
             if r >= first_key_row:
                 key_mask |= 1 << bit
-        joint: Counter = Counter({0: 1})
-        image = 0
-        for step in range(1, 1 << len(columns)):
-            image ^= columns[(step & -step).bit_length() - 1]
-            joint[image] += 1
-        key_marginal: Counter = Counter()
-        transcript_marginal: Counter = Counter()
-        for image, count in joint.items():
-            key_marginal[image & key_mask] += count
-            transcript_marginal[image & ~key_mask] += count
-        joint_entropy += _dyadic_entropy(joint, len(columns))
-        transcript_entropy += _dyadic_entropy(transcript_marginal, len(columns))
-        key_entropy += _dyadic_entropy(key_marginal, len(columns))
-    key_given_transcript = joint_entropy - transcript_entropy
-    key_length = len(run.key_bits)
+        shapes[(tuple(columns), key_mask)] += 1
+    top = max((len(columns) for columns, _ in shapes), default=0)
+    # joint, transcript and key entropies, each times 2^top, as every
+    # figure is until the report
+    entropies = [0, 0, 0]
+    for (columns, key_mask), alike in shapes.items():
+        n = len(columns)
+        for k, rows_kept in enumerate((-1, ~key_mask, key_mask)):
+            # Gray-code order: step s flips the column of s's lowest set bit,
+            # so the flips of n columns are those of n - 1, column n - 1,
+            # and those of n - 1 again
+            flips: list[int] = []
+            for column in columns:
+                flips = flips + [column & rows_kept] + flips
+            tally = Counter(accumulate(flips, xor, initial=0))
+            entropies[k] += alike * ((n << top) - (_log_weight(tally.values()) << (top - n)))
+    joint, transcript, key = entropies
+    length = len(run.key_bits) << top  # the key length, times 2^top too
     return SecurityReport(
-        security_index=Fraction(key_length) - key_given_transcript,
-        key_entropy=key_entropy,
-        key_given_transcript=key_given_transcript,
-        uniformity_deficit=Fraction(key_length) - key_entropy,
+        security_index=Fraction(length - joint + transcript, 1 << top),
+        key_entropy=Fraction(key, 1 << top),
+        key_given_transcript=Fraction(joint - transcript, 1 << top),
+        uniformity_deficit=Fraction(length - key, 1 << top),
         method="bruteforce",
     )
 

@@ -4,7 +4,10 @@ Three packing routes, each certified by an independent count:
 
 * edge-disjoint paths between two vertices, from a max-flow whose value is
   the minimum cut (augmenting-path search on the collapsed integer-capacity
-  graph, then flow decomposition into distinct paths with multiplicities);
+  graph, then flow decomposition into distinct paths with multiplicities).
+  The one flow routine, ``_max_flow``, takes a pair table on any vertex
+  set, can stop at a limit and can return a min cut's source side, so the
+  exact Steiner bound asks it too;
 * edge-disjoint spanning trees via matroid-union augmentation (grow k
   forests simultaneously, swapping along exchange chains).  k is first
   b = min(least degree, floor(|E| / (m - 1))), the floor ratio of a named
@@ -27,11 +30,16 @@ Three packing routes, each certified by an independent count:
 * Steiner packings for intermediate target sets: exact by depth-first
   search over edge-disjoint minimal Steiner trees, listed by attaching one
   path per target terminal, pruned by the partition bound on the
-  remaining capacities, asked of ``partitions.min_ratio`` as a threshold
-  question on entry and again after a child improves the incumbent
-  (capped by ``STEINER_EXACT_EDGE_CAP``, the problem is NP-hard), or a
-  deterministic shortest-path greedy that lower-bounds the optimum and is
-  the search's incumbent.
+  remaining capacities, asked as a threshold question on entry and again
+  after a child improves the incumbent (capped by
+  ``STEINER_EXACT_EDGE_CAP``, the problem is NP-hard).  Flows from the
+  least target, stopped at the threshold, answer for the two-atom
+  partitions; only when every flow reaches it does
+  ``partitions.min_ratio`` run, on the graph reduced by deleting pendant
+  non-targets and splicing each degree-2 non-target into one edge.  The
+  other mode is a deterministic shortest-path greedy that lower-bounds the
+  optimum and is the search's incumbent; it takes each tree as many
+  times as its pairs allow, so its searches follow the support's changes.
 
 Every route is capped at ``PACKING_EDGE_CAP`` realized edges.  Each cap is
 a module constant, read when its check runs.
@@ -218,21 +226,32 @@ class TreePacking(Value):
 # ---------------------------------------------------------------------------
 
 
-def _max_flow(graph: Multigraph, s: int, t: int) -> tuple[int, dict]:
-    """Integer max flow s->t; returns (value, {u: {v: net units u->v > 0}})."""
-    residual: dict[int, dict[int, int]] = {v: {} for v in range(1, graph.m + 1)}
-    for (i, j), count in graph.multiplicities.items():
-        if count:
-            residual[i][j] = count
-            residual[j][i] = count
+def _max_flow(capacity: Mapping[Pair, int], s: int, t: int, limit: int | None = None,
+              cut: bool = False) -> tuple[int, dict | set | None]:
+    """Integer max flow s->t over undirected pairs: ``capacity`` maps pairs
+    (i, j), i < j, in sorted order (as a ``Multigraph`` table) to integer
+    capacities, on whatever vertices they name.  Augmenting paths are
+    shortest, each vertex's neighbours read in ascending order, so the flow
+    found, and the path route's decomposition of it, are fixed.  With
+    ``limit`` the search stops once the value reaches it, so a value below
+    ``limit`` is the max flow.
+
+    Returns (value, {u: {v: net units u->v > 0}}); with ``cut``, (value,
+    the source side of a min cut: the vertices the residual graph still
+    reaches from s), the side None when ``limit`` stopped the search."""
+    residual: dict[int, dict[int, int]] = {s: {}, t: {}}
+    for (i, j), count in capacity.items():
+        if count:  # ascending rows: pairs come in sorted order
+            residual.setdefault(i, {})[j] = count
+            residual.setdefault(j, {})[i] = count
     value = 0
     while True:
         parent: dict[int, int | None] = {s: None}
         queue = deque([s])
         while queue and t not in parent:
             u = queue.popleft()
-            for v in residual[u]:  # ascending: rows filled in pair-table order
-                if v not in parent and residual[u][v] > 0:
+            for v, units in residual[u].items():
+                if units > 0 and v not in parent:
                     parent[v] = u
                     queue.append(v)
         if t not in parent:
@@ -248,8 +267,12 @@ def _max_flow(graph: Multigraph, s: int, t: int) -> tuple[int, dict]:
             residual[u][v] -= push
             residual[v][u] += push
         value += push
-    flow: dict[int, dict[int, int]] = {v: {} for v in range(1, graph.m + 1)}
-    for (i, j), count in graph.multiplicities.items():
+        if limit is not None and value >= limit:
+            break
+    if cut:
+        return value, None if t in parent else set(parent)
+    flow: dict[int, dict[int, int]] = {v: {} for v in residual}
+    for (i, j), count in capacity.items():
         if count:
             sent = count - residual[i][j]
             if sent > 0:
@@ -266,7 +289,7 @@ def min_cut(graph: Multigraph, s: int, t: int) -> int:
     for v in (s, t):
         if not 1 <= v <= graph.m:
             raise ValueError(f"vertex {v} outside 1..{graph.m}")
-    return _max_flow(graph, s, t)[0]
+    return _max_flow(graph.multiplicities, s, t, cut=True)[0]
 
 
 def _walk_path(flow: dict[int, dict[int, int]], s: int, t: int) -> tuple[list, int]:
@@ -305,7 +328,7 @@ def max_disjoint_paths(graph: Multigraph, s: int, t: int) -> TreePacking:
         raise ValueError("path endpoints must differ")
     target = TerminalSet.of(s, t)
     target.validate_within(graph.m)
-    value, flow = _max_flow(graph, s, t)
+    value, flow = _max_flow(graph.multiplicities, s, t)
     chosen = []
     walked = 0
     while walked < value:
@@ -742,16 +765,21 @@ def _assign_copies(
 def _greedy_choice(
     graph: Multigraph, target: TerminalSet
 ) -> list[tuple[tuple[Pair, ...], int]]:
-    """The greedy trees as (pairs, 1) entries, in the order they are taken."""
+    """The greedy trees as (pairs, copies) entries, in the order they are
+    taken.  The tree search reads only which pairs are still positive, so a
+    tree repeats until one of its pairs runs out: each is taken that many
+    times at once, and the number of searches follows the support's
+    changes, not the tree count."""
     caps = dict(graph.multiplicities)
     chosen: list[tuple[tuple[Pair, ...], int]] = []
     while True:
         tree_pairs = _approx_steiner_tree(caps, target)
         if tree_pairs is None:
             return chosen
+        copies = min(caps[pair] for pair in tree_pairs)
         for pair in tree_pairs:
-            caps[pair] -= 1
-        chosen.append((tree_pairs, 1))
+            caps[pair] -= copies
+        chosen.append((tree_pairs, copies))
 
 
 def _greedy_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
@@ -806,6 +834,46 @@ def _steiner_tree_candidates(
     return sorted(found)
 
 
+def _reduced_graph(
+    support: Mapping[Pair, int], target: TerminalSet
+) -> tuple[int, dict[Pair, int], TerminalSet]:
+    """(m', table, A'): the graph of the positive pairs with each non-target
+    vertex of degree at most 1 deleted and each of degree 2, between u and
+    v with caps a and b, replaced by an edge u-v of cap min(a, b) added to
+    u-v's own, until none is left; the vertices that remain, every target
+    among them, are relabelled 1..m', the targets first and in order, so
+    the partition search has fixed the atom count once it has placed them.
+
+    The least of crossing - need * (atoms - 1) over partitions whose every
+    atom meets the target is unchanged.  A non-target vertex is never an
+    atom by itself, and the atom counts match; placed in its heaviest
+    neighbour's atom, a pendant vertex crosses nothing, and a degree-2
+    vertex crosses nothing when both neighbours share an atom and
+    min(a, b) when they do not, which is what the new edge crosses."""
+    adjacency: dict[int, dict[int, int]] = {t: {} for t in target}
+    for (i, j), c in support.items():
+        adjacency.setdefault(i, {})[j] = c
+        adjacency.setdefault(j, {})[i] = c
+    pending = [v for v in adjacency if v not in target]
+    while pending:
+        x = pending.pop()
+        row = adjacency.get(x)
+        if row is None or len(row) > 2:
+            continue
+        del adjacency[x]
+        for u in row:
+            del adjacency[u][x]
+        if len(row) == 2:
+            (u, a), (v, b) = row.items()
+            adjacency[u][v] = adjacency[v][u] = adjacency[u].get(v, 0) + min(a, b)
+        pending.extend(u for u in row if u not in target)
+    order = [*target, *sorted(v for v in adjacency if v not in target)]
+    label = {v: k for k, v in enumerate(order, 1)}
+    table = {(label[u], label[v]): c for u, row in adjacency.items()
+             for v, c in row.items() if label[u] < label[v]}
+    return len(label), table, TerminalSet(tuple(range(1, len(target) + 1)))
+
+
 def _exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
     total = graph.total_edges()
     if total > STEINER_EXACT_EDGE_CAP:
@@ -813,19 +881,30 @@ def _exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
             f"exact Steiner packing is capped at {STEINER_EXACT_EDGE_CAP} edges; "
             f"this graph has {total} (use greedy mode)"
         )
-    search = partitions.pruned_partitions(graph.m, target, cap=graph.m)
     caps = dict(graph.multiplicities)
+    root, *others = target.members
 
     best_choice = _greedy_choice(graph, target)
-    best_count = len(best_choice)
+    best_count = sum(copies for _, copies in best_choice)
     chosen: list[int] = []
 
     def beaten(count: int) -> bool:
         """Whether no packing that extends this node's can beat
-        ``best_count``: some partition holds fewer than ``best_count -
-        count + 1`` more trees.  Only such subtrees are cut, so the packing
-        found does not depend on which valid bound is used, or when."""
-        return partitions.min_ratio(caps, search, below=best_count - count + 1) is not None
+        ``best_count``: some partition holds fewer than ``need =
+        best_count - count + 1`` more trees.  Only such subtrees are cut,
+        so the packing found does not depend on which valid bound is used,
+        or when.  Every two-atom partition separates the least target
+        from another, so flows from it, stopped at ``need``, answer for
+        all of them first; only when every flow reaches ``need`` does the
+        partition search run, on the reduced graph."""
+        need = best_count - count + 1
+        support = {pair: c for pair, c in caps.items() if c}
+        if any(_max_flow(support, root, t, limit=need, cut=True)[0] < need
+               for t in others):
+            return True
+        m, table, reduced = _reduced_graph(support, target)
+        search = partitions.pruned_partitions(m, reduced, cap=m)
+        return partitions.min_ratio(table, search, below=need) is not None
 
     def dfs(start: int, count: int) -> None:
         """Extend a packing of ``count`` trees that ``beaten`` did not cut."""

@@ -6,7 +6,8 @@ crossing weight / (atoms - 1), on integer tables only.  It serves
 ``base_weights``, divided by the base scale once), ``nash_williams_count``
 (its floor on edge multiplicities with A = all terminals) and the exact
 Steiner search in ``packing`` (whether the remaining edge capacities go
-below a tree count, as the pruning bound).
+below a tree count, as the pruning bound, asked on the reduced graph once
+max flows have ruled out every two-atom partition).
 
 Partitions of the terminals are restricted-growth strings (RGS), so each
 appears once, in canonical order.  Only partitions with at least two atoms
@@ -104,7 +105,7 @@ def pruned_partitions(
     streams, in the same order: a prefix is cut when no completion can
     strictly beat the incumbent (see the module docstring).  ``cap``
     defaults to ``TERMINAL_CAP``; the exact Steiner search, which its
-    edge cap limits instead, passes m."""
+    edge cap limits instead, passes its reduced graph's m."""
     target.validate_within(m)
     if cap is None:
         cap = TERMINAL_CAP

@@ -43,15 +43,18 @@ from .value import Value
 class EdgeKeyBits(Value):
     """One uniform bit per multigraph edge, in canonical edge order: bit k
     belongs to ``graph.edge_refs()[k]``.  The seed is kept for replay, so
-    it is None or one that ``check_seed`` accepts."""
+    it is None or one that ``check_seed`` accepts.  ``bits`` may come as
+    ``bytes``, as a draw makes them, and is then stored as a tuple."""
 
     _fields = ("bits", "seed")
     bits: tuple[int, ...]
     seed: int | None
 
     def __init__(self, bits: tuple[int, ...], seed: int | None = None) -> None:
-        # type(), not isinstance: a bool is no bit
-        if not (set(map(type, bits)) <= {int} and set(bits) <= {0, 1}):
+        if type(bits) is bytes and not bits.translate(None, b"\0\1"):
+            bits = tuple(bits)  # a draw's bytes, all 0 or 1: one pass in C
+        elif not (set(map(type, bits)) <= {int} and set(bits) <= {0, 1}):
+            # type(), not isinstance, above and here: a bool is no bit
             k = next(k for k, bit in enumerate(bits)
                      if type(bit) is not int or bit not in (0, 1))
             raise ValueError(f"edge bit {k} is the non-bit value {bits[k]!r}")
@@ -86,7 +89,7 @@ def draw_edge_keys(graph: Multigraph, seed: int) -> EdgeKeyBits:
     check_seed(seed)
     n = graph.total_edges()
     words = random.Random(seed).getrandbits(32 * n).to_bytes(4 * n, "little")
-    return EdgeKeyBits(bits=tuple(words[3::4].translate(_TOP_BIT)), seed=seed)
+    return EdgeKeyBits(bits=words[3::4].translate(_TOP_BIT), seed=seed)
 
 
 class Broadcast(Value):

@@ -15,11 +15,13 @@ their adjacency for each path, key recovery that rescans the transcript
 once per tree, GF(2) maps checked, applied and ranked one row at a
 time, the tree shape check by a separate depth-first search,
 propagation that rebuilds each tree's incident lists, flow decomposition
-one unit path at a time, hex packing by shifting one bit at a time, the
+one unit path at a time, the max flow on a whole multigraph without a
+limit or a cut mode, the greedy Steiner packing one tree per search, hex
+packing by shifting one bit at a time, the
 brute-force secrecy audit over the whole 2^|E| assignment space,
 packings and protocol runs built one tree per copy, Steiner candidates
-grown one edge at a time and the exact Steiner search that checks its
-bound only when a node is entered, the structured
+grown one edge at a time and the exact Steiner search that asks its
+bound of the whole remaining graph, only when a node is entered, the structured
 ``pack``/``simulate`` report built as one dict and encoded by one
 ``json.dumps``, and the model-file loader that builds every record's
 context and field sets up front.  ``load_workloads`` gives the
@@ -69,8 +71,9 @@ from pinkey import (
     realize_multigraph,
     steiner_packing,
 )
+import pinkey.packing
 import pinkey.partitions
-from pinkey.audit import BRUTEFORCE_EDGE_CAP, _dyadic_entropy
+from pinkey.audit import BRUTEFORCE_EDGE_CAP, _log_weight
 from pinkey.model import MAX_TERMINALS, all_pairs
 from pinkey.simplex import SimplexResult
 
@@ -349,6 +352,30 @@ def reference_exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacki
     used: Counter = Counter()
     groups = []
     for pairs, run in itertools.groupby(best):
+        copies = len(list(run))
+        groups.append((Tree(tuple((i, j, used[(i, j)]) for i, j in pairs)), copies))
+        for pair in pairs:
+            used[pair] += copies
+    return TreePacking(graph=graph, target=target, groups=tuple(groups))
+
+
+def one_tree_greedy_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
+    """The greedy Steiner packing one tree per search, each tree's pairs
+    lowered by one, copies numbered per pair in tree order: the oracle for
+    ``steiner_packing(..., mode="greedy")``, which takes each tree as many
+    times as its pairs allow at once."""
+    caps = dict(graph.multiplicities)
+    taken = []
+    while True:
+        pairs = pinkey.packing._approx_steiner_tree(caps, target)
+        if pairs is None:
+            break
+        for pair in pairs:
+            caps[pair] -= 1
+        taken.append(pairs)
+    used: Counter = Counter()
+    groups = []
+    for pairs, run in itertools.groupby(taken):
         copies = len(list(run))
         groups.append((Tree(tuple((i, j, used[(i, j)]) for i, j in pairs)), copies))
         for pair in pairs:
@@ -921,6 +948,50 @@ def reference_propagate_tree(
     return shared, tuple(broadcasts)
 
 
+def reference_max_flow(graph: Multigraph, s: int, t: int) -> tuple[int, dict]:
+    """Integer max flow s->t on a multigraph, returning (value, {u: {v: net
+    units u->v > 0}}) with a row for every vertex 1..m: the oracle for
+    ``pinkey.packing._max_flow``, the form it had before it took a pair
+    table on any vertex set, a limit and a cut mode."""
+    residual: dict[int, dict[int, int]] = {v: {} for v in range(1, graph.m + 1)}
+    for (i, j), count in graph.multiplicities.items():
+        if count:
+            residual[i][j] = count
+            residual[j][i] = count
+    value = 0
+    while True:
+        parent: dict[int, int | None] = {s: None}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for v in residual[u]:
+                if v not in parent and residual[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            break
+        path = []
+        v = t
+        while parent[v] is not None:
+            u = parent[v]
+            path.append((u, v))
+            v = u
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        value += push
+    flow: dict[int, dict[int, int]] = {v: {} for v in range(1, graph.m + 1)}
+    for (i, j), count in graph.multiplicities.items():
+        if count:
+            sent = count - residual[i][j]
+            if sent > 0:
+                flow[i][j] = sent
+            elif sent < 0:
+                flow[j][i] = -sent
+    return value, flow
+
+
 def walk_unit_path(flow: dict[int, dict[int, int]], s: int, t: int) -> list[int]:
     """One unit s->t path along positive flow, taking the least neighbor at
     each step; a cycle met on the way loses one unit and is cut off."""
@@ -1065,9 +1136,12 @@ def gray_code_bruteforce(
         key_marginal[image >> width] += count
         transcript_marginal[image & mask] += count
 
-    joint_entropy = _dyadic_entropy(joint, edges)
-    transcript_entropy = _dyadic_entropy(transcript_marginal, edges)
-    key_entropy = _dyadic_entropy(key_marginal, edges)
+    def entropy(tally: Counter) -> Fraction:
+        return Fraction(edges) - Fraction(_log_weight(tally.values()), 1 << edges)
+
+    joint_entropy = entropy(joint)
+    transcript_entropy = entropy(transcript_marginal)
+    key_entropy = entropy(key_marginal)
     key_given_transcript = joint_entropy - transcript_entropy
     key_length = len(run.key_bits)
     return SecurityReport(

@@ -436,8 +436,9 @@ class TestAudit:
 
 class TestDyadicEntropy:
     def test_rejects_non_power_of_two(self):
-        from pinkey.audit import _dyadic_entropy
+        from pinkey.audit import _log_weight
 
-        assert _dyadic_entropy(Counter({0: 4, 1: 4}), 3) == Fraction(1)
+        # 3 bits tallied 4 and 4: entropy 3 - 16 / 2^3 = 1
+        assert _log_weight(Counter({0: 4, 1: 4}).values()) == 16
         with pytest.raises(ArithmeticError):
-            _dyadic_entropy(Counter({0: 3, 1: 5}), 3)
+            _log_weight(Counter({0: 3, 1: 5}).values())

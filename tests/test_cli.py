@@ -524,6 +524,26 @@ class TestSpanningAboveThePartitionCap:
         assert err == "error: m=14 exceeds the partition-enumeration cap 12\n"
 
 
+class TestExactSteinerRobustness:
+    """Exact Steiner packing under the edge cap on a 16-terminal model whose
+    greedy incumbent is not optimal: the bound's flows and reduced graph
+    keep the search short."""
+
+    PAIRS = ((1, 14), (1, 15), (2, 7), (2, 11), (3, 10), (3, 16), (4, 10), (4, 15),
+             (5, 7), (5, 11), (6, 7), (6, 13), (7, 9), (7, 14), (7, 16), (8, 9),
+             (8, 14), (9, 15), (10, 13), (10, 16), (11, 13), (11, 16), (12, 16), (14, 16))
+
+    def test_sixteen_terminal_model_packs_quickly(self, capsys, tmp_path):
+        path = _integer_model_file(tmp_path, 16, dict.fromkeys(self.PAIRS, 1))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "pack", path, "--set", "6,8,9,10,13,14,16",
+                                 "--format", "structured")
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["edge_total"], doc["tree_count"]) == (24, 2)
+
+
 class TestPackingEdgeCap:
     """Every packing route builds one tree per packed copy; tiny files can
     ask for 10^8 edges."""

@@ -34,14 +34,17 @@ from pinkey import (
 )
 from pinkey.packing import (
     SPANNING_WORK_CAP, STEINER_EXACT_EDGE_CAP, _Forest, _ForestRuns, _max_flow,
-    _steiner_tree_candidates)
+    _reduced_graph, _steiner_tree_candidates)
 
 from helpers import (
     _ReferenceForest,
     brute_min_cut,
+    brute_partitions,
     brute_steiner_packing_count,
+    one_tree_greedy_steiner,
     random_multigraph,
     reference_exact_steiner,
+    reference_max_flow,
     reference_spanning_packing,
     random_small_model,
     random_terminal_set,
@@ -475,7 +478,7 @@ class TestPathDecomposition:
         rng = random.Random(seed)
         graph = random_multigraph(rng, max_m=7, max_mult=6)
         s, t = rng.sample(range(1, graph.m + 1), 2)
-        value, flow = _max_flow(graph, s, t)
+        value, flow = _max_flow(graph.multiplicities, s, t)
         expected = unit_walk_path_edges(value, flow, s, t)
         assert [tree.edges for tree in max_disjoint_paths(graph, s, t).trees] == expected
 
@@ -524,6 +527,47 @@ class TestPathDecomposition:
         monkeypatch.setattr(pinkey.packing, "_max_flow", lambda *args: (1, flow))
         with pytest.raises(AssertionError, match="paths carry 3 units, the flow 1"):
             max_disjoint_paths(Multigraph(2, {(1, 2): 3}), 1, 2)
+
+
+class TestFlowCore:
+    """``_max_flow`` on a pair table: its multigraph form before the limit
+    and the cut mode is the oracle on the path route's instances, and the
+    brute-force cut checks the limit and the cut side."""
+
+    @given(st.integers(0, 10_000))
+    def test_same_flow_as_the_multigraph_form(self, seed):
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, max_m=7, max_mult=6)
+        s, t = rng.sample(range(1, graph.m + 1), 2)
+        value, flow = _max_flow(graph.multiplicities, s, t)
+        expected_value, expected_flow = reference_max_flow(graph, s, t)
+        assert value == expected_value
+        assert ({u: row for u, row in flow.items() if row}
+                == {u: row for u, row in expected_flow.items() if row})
+
+    @given(st.integers(0, 10_000), st.integers(1, 12))
+    def test_limit_and_cut_side(self, seed, limit):
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, max_m=7, max_mult=6)
+        s, t = rng.sample(range(1, graph.m + 1), 2)
+        cut = brute_min_cut(graph, s, t)
+        value, side = _max_flow(graph.multiplicities, s, t, cut=True)
+        assert value == cut and s in side and t not in side
+        assert sum(c for (i, j), c in graph.multiplicities.items()
+                   if (i in side) != (j in side)) == cut
+        limited = _max_flow(graph.multiplicities, s, t, limit=limit, cut=True)
+        if cut < limit:
+            assert limited == (value, side)
+        else:
+            assert limited[0] >= limit and limited[1] is None
+
+    def test_any_vertex_set(self):
+        # the unit triangle on vertices 10, 20, 30, and 40 hung from 30 by
+        # two edges: the least min-cut side toward 40 is {10}
+        table = {(10, 20): 1, (10, 30): 1, (20, 30): 1, (30, 40): 2}
+        assert _max_flow(table, 10, 20) == (2, {10: {20: 1, 30: 1}, 20: {}, 30: {20: 1}, 40: {}})
+        assert _max_flow(table, 10, 40, cut=True) == (2, {10})
+        assert _max_flow(table, 10, 50, cut=True) == (0, {10, 20, 30, 40})
 
 
 class TestSpanningPacking:
@@ -838,9 +882,9 @@ class TestSteinerPacking:
         assert packing.count == 0
 
     def test_exact_long_unit_path_is_bounded_by_the_partition_search(self):
-        # 20 terminals: every node asks the one pruned partition search
-        # whether a partition goes below the needed tree count, and the
-        # split {1} | rest answers at once
+        # 20 terminals: every node asks whether a partition goes below the
+        # needed tree count, and the flow from 1 to 2, the split {1} | rest,
+        # answers at once
         path = Multigraph(20, {(i, i + 1): 1 for i in range(1, 20)})
         start = time.perf_counter()
         packing = steiner_packing(path, TerminalSet.of(1, 2, 3), mode="exact")
@@ -872,6 +916,108 @@ class TestSteinerPacking:
                 steiner_packing(over, TerminalSet(target), mode=mode)
 
 
+@st.composite
+def threshold_queries(draw):
+    """(m, caps, A, need): caps on m = 4..7 vertices, most pairs zero so
+    that pendant and series non-targets are common, 3 <= |A| < m, and a
+    tree count 1..4 to ask about."""
+    m = draw(st.integers(4, 7))
+    caps = {pair: draw(st.sampled_from((0, 0, 0, 1, 1, 2, 3)))
+            for pair in itertools.combinations(range(1, m + 1), 2)}
+    members = draw(st.lists(st.integers(1, m), min_size=3, max_size=m - 1, unique=True))
+    return m, caps, TerminalSet(tuple(members)), draw(st.integers(1, 4))
+
+
+def least_excess(m: int, caps, target: TerminalSet, need: int) -> int:
+    """The least crossing - need * (atoms - 1) over the partitions of 1..m
+    with two atoms or more, each meeting the target, by brute force."""
+    excess = []
+    for partition in brute_partitions(m):
+        if len(partition) > 1 and all(atom & set(target) for atom in partition):
+            atom_of = {v: k for k, atom in enumerate(partition) for v in atom}
+            crossing = sum(c for (i, j), c in caps.items() if atom_of[i] != atom_of[j])
+            excess.append(crossing - need * (len(partition) - 1))
+    return min(excess)
+
+
+class TestSteinerBound:
+    """The exact search's threshold question, whether some partition holds
+    fewer than ``need`` more trees: flows from the least target answer its
+    two-atom cases, and the partition search runs on the reduced graph."""
+
+    @given(threshold_queries())
+    @example((6, {(1, 2): 2, (2, 3): 1, (3, 4): 3, (4, 5): 1, (5, 6): 1, (1, 6): 0},
+              TerminalSet.of(1, 3, 5), 1))
+    @settings(max_examples=120, deadline=None)
+    def test_reduced_query_answers_as_the_full_one(self, query):
+        # the example splices the series vertices 2, 4 and deletes 6
+        m, caps, target, need = query
+        support = {pair: c for pair, c in caps.items() if c}
+        reduced_m, table, reduced_target = _reduced_graph(support, target)
+        assert reduced_target.members == tuple(range(1, len(target) + 1))
+        assert least_excess(reduced_m, table, reduced_target, need) == (
+            least_excess(m, caps, target, need))
+        full = pinkey.partitions.min_ratio(
+            caps, pinkey.partitions.pruned_partitions(m, target, cap=m), below=need)
+        reduced = pinkey.partitions.min_ratio(
+            table, pinkey.partitions.pruned_partitions(reduced_m, reduced_target,
+                                                       cap=reduced_m), below=need)
+        assert (full is None) == (reduced is None)
+
+    def test_reduction_shrinks_the_example(self):
+        caps = {(1, 2): 2, (2, 3): 1, (3, 4): 3, (4, 5): 1, (5, 6): 1}
+        assert _reduced_graph(caps, TerminalSet.of(1, 3, 5)) == (
+            3, {(1, 2): 1, (2, 3): 1}, TerminalSet.of(1, 2, 3))
+
+    @given(threshold_queries())
+    @settings(max_examples=120, deadline=None)
+    def test_pre_check_never_says_yes_where_the_search_finds_nothing(self, query):
+        m, caps, target, need = query
+        root, *others = target.members
+        support = {pair: c for pair, c in caps.items() if c}
+        full = pinkey.partitions.min_ratio(
+            caps, pinkey.partitions.pruned_partitions(m, target, cap=m), below=need)
+        for t in others:
+            value, side = _max_flow(support, root, t, limit=need, cut=True)
+            if value < need:
+                # the cut is a two-atom partition below the threshold
+                assert root in side and t not in side
+                assert sum(c for (i, j), c in caps.items()
+                           if (i in side) != (j in side)) == value
+                assert full is not None
+
+
+class TestGreedySteiner:
+    """Each greedy tree is taken as many times as its pairs allow; the loop
+    that took one tree per search is the oracle."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_same_groups_as_one_tree_per_search(self, seed):
+        rng = random.Random(seed)
+        graph = random_multigraph(rng, max_m=8, max_mult=rng.choice((2, 9, 40)))
+        if graph.m < 4:
+            return
+        target = random_terminal_set(rng, graph.m, size=rng.randint(3, graph.m - 1))
+        packing = steiner_packing(graph, target, mode="greedy")
+        assert packing == one_tree_greedy_steiner(graph, target)
+
+    def test_searches_follow_support_changes(self, monkeypatch):
+        graph = Multigraph(4, {(1, 2): 50_000, (2, 3): 40_000, (3, 4): 30_000,
+                               (1, 4): 20_000, (2, 4): 10_000})
+        searches = []
+        search = pinkey.packing._approx_steiner_tree
+        monkeypatch.setattr(pinkey.packing, "_approx_steiner_tree",
+                            lambda caps, target: searches.append(1) or search(caps, target))
+        packing = steiner_packing(graph, TerminalSet.of(1, 3, 4), mode="greedy")
+        # 20,000 trees 1-4-3, then 10,000 of 1-2-{3, 4} and of 1-2-3-4, each
+        # run ending when (1, 4), (2, 4) and (3, 4) run out; then 4 is cut off
+        assert [(tree.pairs(), copies) for tree, copies in packing.groups] == [
+            (((1, 4), (3, 4)), 20_000), (((1, 2), (2, 3), (2, 4)), 10_000),
+            (((1, 2), (2, 3), (3, 4)), 10_000)]
+        assert len(searches) == 4
+
+
 class TestSteinerRate:
     def test_triangle_full_scale_two(self):
         rate = steiner_rate_lower_bound(TRIANGLE_MODEL, TerminalSet.full(3), 2)
@@ -888,7 +1034,7 @@ class TestSteinerRate:
         model = random_small_model(rng, m)
         target = random_terminal_set(rng, m, size=3)
         n0 = base_scale(model)
-        if realize_multigraph(model, 2 * n0).total_edges() > 20:
+        if realize_multigraph(model, 2 * n0).total_edges() > STEINER_EXACT_EDGE_CAP:
             pytest.skip("instance too large for exact packing")
         capacity = solve_capacity(model, target).value
         rates = {}

@@ -124,6 +124,13 @@ class TestDrawEdgeKeys:
         with pytest.raises(ValueError):
             EdgeKeyBits((1, 0, 2))
 
+    def test_bytes_of_bits_become_the_tuple(self):
+        # the form a draw passes: one check over the bytes, a tuple stored
+        assert EdgeKeyBits(b"\x01\x00\x01", seed=4) == EdgeKeyBits((1, 0, 1), seed=4)
+        assert type(EdgeKeyBits(b"\x01").bits) is tuple
+        with pytest.raises(ValueError, match=r"^edge bit 2 is the non-bit value 2$"):
+            EdgeKeyBits(b"\x01\x00\x02")
+
     @pytest.mark.parametrize("bits, k, shown", [
         ((False, True, False), 0, "False"), ((0, 1, True), 2, "True"),
         ((1, 1.0), 1, "1.0"), ((0, [1]), 1, "[1]")])

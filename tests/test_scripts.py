@@ -55,6 +55,7 @@ def test_ladder_writes_a_bench_file(tmp_path):
         f"bound/dense_m{m}" for m in range(9, 13)] + [
         f"protocol/path_{size}k" for size in (30, 100, 300)] + [
         "steiner/set_s1", "steiner/set_s2", "steiner/path_m20", "steiner/grid_corners",
+        "steiner/grid_5", "steiner/grid_7", "steiner/robust_m16", "steiner/greedy_m12",
         "cli/load_floor", "cli/argv_floor", "cli/import_floor"]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
@@ -99,6 +100,10 @@ def test_ladder_writes_a_bench_file(tmp_path):
     assert (rows["steiner/path_m20"]["graphs"], rows["steiner/path_m20"]["trees"]) == (1, 1)
     assert (rows["steiner/grid_corners"]["graphs"],
             rows["steiner/grid_corners"]["trees"]) == (1, 2)
+    # one tree over the greedy incumbent in each
+    assert [rows[f"steiner/{name}"]["trees"] for name in ("grid_5", "grid_7", "robust_m16")] == [
+        2, 2, 2]
+    assert rows["steiner/greedy_m12"]["trees"] == 29_568
     # 30 models for each m = 3..6, every one realized at its base scale
     assert (rows["cli/load_floor"]["models"], rows["cli/load_floor"]["edges"]) == (120, 1167)
     # five commands with every flag on each of those paths, all on the fast path
