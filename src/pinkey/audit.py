@@ -118,7 +118,10 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
         raise SizeLimitError(
             f"brute force is capped at {BRUTEFORCE_EDGE_CAP} edges, got {edges}"
         )
-    rows = run.transcript_map.rows + run.key_map.rows
+    # every row's first and second edge, the transcript rows first
+    firsts, seconds = run.transcript_map.row_columns()
+    key_firsts, key_seconds = run.key_map.row_columns()
+    firsts, seconds = firsts + key_firsts, seconds + key_seconds
     parent = list(range(edges))
 
     def find(x: int) -> int:
@@ -127,12 +130,12 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
             x = parent[x]
         return x
 
-    for row in rows:
-        if len(row) == 2:
-            parent[find(row[0])] = find(row[1])
+    for first, second in zip(firsts, seconds):
+        if second is not None:
+            parent[find(first)] = find(second)
     blocks: dict[int, list[int]] = {}
-    for r, row in enumerate(rows):
-        blocks.setdefault(find(row[0]), []).append(r)
+    for r, first in enumerate(firsts):
+        blocks.setdefault(find(first), []).append(r)
 
     first_key_row = run.transcript_map.nrows
     shapes: Counter = Counter()  # (columns, key mask) -> blocks of that shape
@@ -141,7 +144,9 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
         columns: list[int] = []
         key_mask = 0
         for bit, r in enumerate(members):
-            for k in rows[r]:
+            for k in (firsts[r], seconds[r]):
+                if k is None:
+                    break
                 if k not in local:
                     local[k] = len(columns)
                     columns.append(0)

@@ -75,6 +75,7 @@ class PairPmf(Value):
     probs: tuple[tuple[float, ...], ...]
 
     def __init__(self, probs: tuple[tuple[float, ...], ...]) -> None:
+        probs = tuple(map(tuple, probs))
         if not probs or not probs[0]:
             raise ValueError("pmf table must be non-empty")
         width = len(probs[0])

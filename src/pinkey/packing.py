@@ -286,9 +286,7 @@ def min_cut(graph: Multigraph, s: int, t: int) -> int:
     """Minimum number of edges whose removal separates s from t."""
     if s == t:
         raise ValueError("cut endpoints must differ")
-    for v in (s, t):
-        if not 1 <= v <= graph.m:
-            raise ValueError(f"vertex {v} outside 1..{graph.m}")
+    TerminalSet.of(s, t).validate_within(graph.m)
     return _max_flow(graph.multiplicities, s, t, cut=True)[0]
 
 
@@ -903,8 +901,7 @@ def _exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
                for t in others):
             return True
         m, table, reduced = _reduced_graph(support, target)
-        search = partitions.pruned_partitions(m, reduced, cap=m)
-        return partitions.min_ratio(table, search, below=need) is not None
+        return partitions.min_ratio(table, m, reduced, below=need) is not None
 
     def dfs(start: int, count: int) -> None:
         """Extend a packing of ``count`` trees that ``beaten`` did not cut."""

@@ -44,16 +44,18 @@ class EdgeKeyBits(Value):
     """One uniform bit per multigraph edge, in canonical edge order: bit k
     belongs to ``graph.edge_refs()[k]``.  The seed is kept for replay, so
     it is None or one that ``check_seed`` accepts.  ``bits`` may come as
-    ``bytes``, as a draw makes them, and is then stored as a tuple."""
+    any sequence, ``bytes`` as a draw makes them, and is stored as a
+    tuple."""
 
     _fields = ("bits", "seed")
     bits: tuple[int, ...]
     seed: int | None
 
     def __init__(self, bits: tuple[int, ...], seed: int | None = None) -> None:
-        if type(bits) is bytes and not bits.translate(None, b"\0\1"):
-            bits = tuple(bits)  # a draw's bytes, all 0 or 1: one pass in C
-        elif not (set(map(type, bits)) <= {int} and set(bits) <= {0, 1}):
+        # a draw's bytes, all 0 or 1, are checked in one pass in C
+        drawn = type(bits) is bytes and not bits.translate(None, b"\0\1")
+        bits = tuple(bits)
+        if not drawn and not (set(map(type, bits)) <= {int} and set(bits) <= {0, 1}):
             # type(), not isinstance, above and here: a bool is no bit
             k = next(k for k, bit in enumerate(bits)
                      if type(bit) is not int or bit not in (0, 1))
@@ -104,6 +106,7 @@ class Broadcast(Value):
 
     def __init__(self, tree: int, terminal: int, bit: int,
                  support: tuple[EdgeRef, EdgeRef]) -> None:
+        support = tuple(support)
         # type() rather than isinstance: a bool is no index, terminal or bit
         if type(tree) is not int or type(terminal) is not int:
             raise ValueError(f"broadcast tree and terminal must be integers, "

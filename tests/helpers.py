@@ -325,7 +325,6 @@ def reference_exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacki
     the greedy packing and returns the first maximum the search meets,
     copies numbered per pair in tree order; no edge cap."""
     candidates = subtree_steiner_candidates(graph.support_pairs(), target)
-    search = pinkey.partitions.pruned_partitions(graph.m, target, cap=graph.m)
     caps = dict(graph.multiplicities)
     best = [tree.pairs() for tree in steiner_packing(graph, target, mode="greedy").trees]
     chosen: list[tuple[tuple[int, int], ...]] = []
@@ -333,7 +332,7 @@ def reference_exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacki
     def dfs(start: int) -> None:
         nonlocal best
         if pinkey.partitions.min_ratio(
-                caps, search, below=len(best) - len(chosen) + 1) is not None:
+                caps, graph.m, target, below=len(best) - len(chosen) + 1) is not None:
             return
         for index in range(start, len(candidates)):
             pairs = candidates[index]

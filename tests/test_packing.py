@@ -400,6 +400,16 @@ class TestMinCut:
         with pytest.raises(ValueError):
             min_cut(UNIT_TRIANGLE, 2, 2)
 
+    @pytest.mark.parametrize("vertex", [1.5, True, "1", 0, 4])
+    def test_malformed_vertex_rejected(self, vertex):
+        # the same check as max_disjoint_paths, through TerminalSet
+        graph = Multigraph(3, {(1, 3): 1, (2, 3): 2})
+        for s, t in ((vertex, 3), (3, vertex)):
+            with pytest.raises(ValueError):
+                min_cut(graph, s, t)
+            with pytest.raises(ValueError):
+                max_disjoint_paths(graph, s, t)
+
 
 class TestMaxDisjointPaths:
     def test_unit_triangle(self):
@@ -831,7 +841,7 @@ class TestSteinerPacking:
         pruned = steiner_packing(graph, target, mode="exact")
         # no partition below any threshold: the bound never cuts
         monkeypatch.setattr(pinkey.partitions, "min_ratio",
-                            lambda table, partitions, below: None)
+                            lambda table, m, target, below: None)
         assert steiner_packing(graph, target, mode="exact") == pruned
 
     @given(steiner_instances())
@@ -957,11 +967,8 @@ class TestSteinerBound:
         assert reduced_target.members == tuple(range(1, len(target) + 1))
         assert least_excess(reduced_m, table, reduced_target, need) == (
             least_excess(m, caps, target, need))
-        full = pinkey.partitions.min_ratio(
-            caps, pinkey.partitions.pruned_partitions(m, target, cap=m), below=need)
-        reduced = pinkey.partitions.min_ratio(
-            table, pinkey.partitions.pruned_partitions(reduced_m, reduced_target,
-                                                       cap=reduced_m), below=need)
+        full = pinkey.partitions.min_ratio(caps, m, target, below=need)
+        reduced = pinkey.partitions.min_ratio(table, reduced_m, reduced_target, below=need)
         assert (full is None) == (reduced is None)
 
     def test_reduction_shrinks_the_example(self):
@@ -975,8 +982,7 @@ class TestSteinerBound:
         m, caps, target, need = query
         root, *others = target.members
         support = {pair: c for pair, c in caps.items() if c}
-        full = pinkey.partitions.min_ratio(
-            caps, pinkey.partitions.pruned_partitions(m, target, cap=m), below=need)
+        full = pinkey.partitions.min_ratio(caps, m, target, below=need)
         for t in others:
             value, side = _max_flow(support, root, t, limit=need, cut=True)
             if value < need:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinkey.partitions
 from pinkey import (
     Multigraph,
     Partition,
@@ -23,7 +24,7 @@ from pinkey import (
     spanning_rate,
     upper_bound,
 )
-from pinkey.partitions import min_ratio, pruned_partitions
+from pinkey.partitions import _search, min_ratio
 
 from helpers import (
     brute_nash_williams,
@@ -124,11 +125,10 @@ class TestEnumeration:
         # each partition with its own crossing
         rng = random.Random(m)
         for target in (TerminalSet.full(m), random_terminal_set(rng, m)):
-            search = pruned_partitions(m, target)
             items = [(i, j, rng.randint(0, 5)) for i in range(m) for j in range(i + 1, m)]
             streamed = list(enumerate_partitions(m, target))
-            assert [p for _, p in search([], None)] == streamed
-            walked = list(search(items, lambda crossing, parts: False))
+            assert [p for _, p in _search(m, target, [], None)] == streamed
+            walked = list(_search(m, target, items, lambda crossing, parts: False))
             assert [p for _, p in walked] == streamed
             for crossing, p in walked:
                 side = p.assignment
@@ -186,9 +186,12 @@ class TestUpperBound:
         value, assignment = min(candidates)
         assert best_partition(model, target) == (value, Partition(assignment))
 
-    def test_no_partition_is_an_error(self):
+    def test_no_partition_is_an_error(self, monkeypatch):
+        # every target has a two-atom partition, so the raise is an
+        # invariant check: only a search that yields nothing reaches it
+        monkeypatch.setattr(pinkey.partitions, "_search", lambda *args: iter(()))
         with pytest.raises(ValueError):
-            min_ratio(TRIANGLE.base_weights, lambda items, beaten: iter(()))
+            min_ratio(TRIANGLE.base_weights, 3, TerminalSet.full(3))
 
 
 class TestSpanningRate:
@@ -320,7 +323,7 @@ class TestPrunedSearch:
         m, values, members, below = case
         table = dict(zip(itertools.combinations(range(1, m + 1), 2), values))
         target = TerminalSet(tuple(sorted(members)))
-        found = min_ratio(table, pruned_partitions(m, target), below=below)
+        found = min_ratio(table, m, target, below=below)
         oracle = reference_min_ratio(table, enumerate_partitions(m, target))[0]
         if oracle >= below:
             assert found is None
@@ -330,6 +333,32 @@ class TestPrunedSearch:
             crossing = sum(w for (i, j), w in table.items() if side[i - 1] != side[j - 1])
             assert Fraction(crossing, found.size - 1) < below
 
-    def test_cap(self):
-        with pytest.raises(SizeLimitError):
-            pruned_partitions(13, TerminalSet.of(1, 2))
+    def test_cap(self, monkeypatch):
+        # each entry point that walks a model's or a graph's partitions, on
+        # 13 terminals of which 13 meets no weight: the first leaf has
+        # crossing 0, so each runs at once when the cap allows it
+        full = TerminalSet.full(13)
+        entry_points = [
+            lambda: next(enumerate_partitions(13, full)),
+            lambda: best_partition(PinModel.from_weights(13, {(1, 2): 1}), full),
+            lambda: nash_williams_count(Multigraph(13, {(1, 2): 1})),
+        ]
+        for entry in entry_points:
+            with pytest.raises(SizeLimitError,
+                               match=r"^m=13 exceeds the partition-enumeration cap 12$"):
+                entry()
+        monkeypatch.setattr(pinkey.partitions, "TERMINAL_CAP", 13)
+        assert [entry() for entry in entry_points] == [
+            Partition((0,) * 12 + (1,)),
+            (0, Partition((0,) * 12 + (1,))),
+            0,
+        ]
+
+    def test_threshold_query_takes_no_cap(self):
+        # the exact Steiner search's edge cap bounds its queries instead
+        path = {(t, t + 1): 1 for t in range(1, 14)}
+        target = TerminalSet.of(1, 14)
+        assert min_ratio(path, 14, target, below=1) is None
+        del path[(7, 8)]
+        found = min_ratio(path, 14, target, below=1)
+        assert found.assignment == (0,) * 7 + (1,) * 7

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +66,39 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_no_cap_parameters():
+    # each size cap is one module constant read where its check runs, so
+    # no function takes a cap as an argument
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                arguments = node.args
+                for arg in [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                            arguments.vararg, arguments.kwarg]:
+                    if arg is not None and (arg.arg == "cap" or arg.arg.endswith("_cap")):
+                        found.append(f"{path.name}:{node.lineno} {arg.arg}")
+    assert found == []
+
+
+def test_readme_lists_every_cap():
+    # the README's cap list names each module-level ``*_CAP`` constant
+    # and the terminal limit on models, and nothing else
+    constants = {"model.MAX_TERMINALS"}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                constants.update(f"{path.stem}.{target.id}" for target in node.targets
+                                 if isinstance(target, ast.Name)
+                                 and target.id.endswith("_CAP"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"There are (\w+):(.*?)\.\s", readme, re.S)
+    assert listed is not None
+    names = re.findall(r"`([\w.]+)`", listed.group(2))
+    assert sorted(names) == sorted(constants)
+    assert listed.group(1) == ["one", "two", "three", "four", "five", "six", "seven",
+                               "eight", "nine", "ten"][len(names) - 1]

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from pinkey import (
+    Broadcast,
     ConsistencyReport,
     EdgeKeyBits,
     Gf2Matrix,
     Multigraph,
+    PairPmf,
     Partition,
     SecurityReport,
     TerminalSet,
@@ -92,3 +94,16 @@ def test_replace_runs_the_constructor_checks_again():
         replace(target, size=2)
     failed = replace(report(), recoverability={1: False})
     assert (failed.method, failed.passed) == ("rank", False)
+
+
+@pytest.mark.parametrize("build", [
+    lambda sequence: Partition(sequence([0, 1, 0])),
+    lambda sequence: PairPmf(sequence([sequence([0.5, 0.0]), sequence([0.0, 0.5])])),
+    lambda sequence: EdgeKeyBits(sequence([1, 0, 1]), seed=3),
+    lambda sequence: Broadcast(0, 1, 1, sequence([(1, 2, 0), (2, 3, 0)])),
+], ids=["Partition", "PairPmf", "EdgeKeyBits", "Broadcast"])
+def test_list_arguments_are_stored_as_tuples(build):
+    # a value built from lists equals and hashes as the one built from tuples
+    listed, tupled = build(list), build(tuple)
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
