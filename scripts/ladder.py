@@ -23,6 +23,13 @@ same ladder.  The ``spanning/`` rows are spanning-tree packings
   count nearest a ``randint(100, 200)`` within 100 .. 200.  It reports the
   graph count and the total edges, trees and groups.
 
+The ``paths/scaled_floor`` row runs ``max_disjoint_paths`` on 112 graphs
+shaped like the benchmark's ``wide`` requests: drawn as the
+``spanning/scaled_floor`` graphs are, but from ``random.Random(9)`` and with
+the edge count nearest a ``randint(400, 800)`` within 400 .. 800; the same
+generator then draws each graph's pair (s, t) with ``sample(range(1, m +
+1), 2)``.  It reports the graph count and the total edges and trees.
+
 The ``capacity/`` rows solve the capacity LP on dense-random models: pair
 weight ``randint(0, 6)`` over ``randint(1, 3)``, drawn in that order per
 pair (i < j, row-major) from ``random.Random(m)``.  They cover the LP's
@@ -106,7 +113,7 @@ A row whose call raises ``SizeLimitError`` reports the message as
 ``limit`` and no times.  Each row reports the best of ``--repeat``
 wall-clock times of one
 ``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
-pass of LPs, exact Steiner packings, model loads, argument steps or
+pass of path packings, LPs, exact Steiner packings, model loads, argument steps or
 imports, with what it returned: tree and group counts, the capacity and
 the LP's column count, each target size, capacity and bound of the floor
 set and its certified count, the key and transcript bit counts, the
@@ -146,8 +153,8 @@ import pinkey.cli
 import pinkey.packing
 from pinkey import (Multigraph, PinModel, SizeLimitError, TerminalSet, TreePacking, audit,
                     base_scale, best_partition, draw_edge_keys, format_rational, load_model,
-                    realize_multigraph, run_protocol, solve_capacity, spanning_packing,
-                    steiner_packing, subset_family, upper_bound)
+                    max_disjoint_paths, realize_multigraph, run_protocol, solve_capacity,
+                    spanning_packing, steiner_packing, subset_family, upper_bound)
 
 ROOT = Path(__file__).resolve().parent.parent
 FOUND9_WEIGHTS = (1, 2, 0, 2, 5, 4, 1, 4, 3, 6, 0, 1, 0, 3, 1, 0, 5, 1, 3, 5, 4, 5,
@@ -193,9 +200,8 @@ def spanning_rows() -> list[tuple[str, Multigraph]]:
                    ("dense_m20", integer_random(20))]
 
 
-def scaled_set() -> list[Multigraph]:
-    """The ``spanning/scaled_floor`` graphs."""
-    rng = random.Random(8)
+def scaled_set(rng: random.Random, lo: int, hi: int) -> list[Multigraph]:
+    """The graphs of a ``scaled_floor`` row, with edge totals in lo .. hi."""
     graphs = []
     for m in (3, 4, 5, 6) * SCALED_COPIES:
         pairs = list(itertools.combinations(range(1, m + 1), 2))
@@ -207,10 +213,17 @@ def scaled_set() -> list[Multigraph]:
                 reached |= {v for pair, w in zip(pairs, weights)
                             if w and reached.intersection(pair) for v in pair}
         total = sum(weights)
-        goal = rng.randint(100, 200)
-        scale = max(math.ceil(100 / total), min(200 // total, round(goal / total)))
+        goal = rng.randint(lo, hi)
+        scale = max(math.ceil(lo / total), min(hi // total, round(goal / total)))
         graphs.append(weighted(m, weights, scale))
     return graphs
+
+
+def paths_set() -> list[tuple[Multigraph, int, int]]:
+    """The ``paths/scaled_floor`` graphs, each with its target pair."""
+    rng = random.Random(9)
+    graphs = scaled_set(rng, 400, 800)
+    return [(graph, *rng.sample(range(1, graph.m + 1), 2)) for graph in graphs]
 
 
 def dense_random(m: int) -> PinModel:
@@ -335,6 +348,17 @@ def spanning_set_row(graphs: list[Multigraph], repeat: int) -> dict:
         "edges": sum(graph.total_edges() for graph in graphs),
         "trees": sum(packing.count for packing in packings),
         "groups": sum(len(packing.groups) for packing in packings),
+        **timing,
+    }
+
+
+def paths_set_row(cases: list[tuple[Multigraph, int, int]], repeat: int) -> dict:
+    packings, timing = timed(lambda: [max_disjoint_paths(graph, s, t) for graph, s, t in cases],
+                             repeat)
+    return {
+        "graphs": len(cases),
+        "edges": sum(graph.total_edges() for graph, _, _ in cases),
+        "trees": sum(packing.count for packing in packings),
         **timing,
     }
 
@@ -498,7 +522,9 @@ def ladder() -> list[tuple[str, object]]:
     returns its fields, in ladder order."""
     rows = [(f"spanning/{name}", partial(spanning_row, graph))
             for name, graph in spanning_rows()]
-    rows.append(("spanning/scaled_floor", partial(spanning_set_row, scaled_set())))
+    rows.append(("spanning/scaled_floor",
+                 partial(spanning_set_row, scaled_set(random.Random(8), 100, 200))))
+    rows.append(("paths/scaled_floor", partial(paths_set_row, paths_set())))
     rows += [(f"capacity/dense_m{m}{suffix}", partial(capacity_row, dense_random(m), target(m)))
              for suffix, target in CAPACITY_TARGETS for m in range(9, 13)]
     unit = PinModel.from_weights(12, dict.fromkeys(itertools.combinations(range(1, 13), 2), 1))
@@ -526,6 +552,8 @@ def describe(row: dict) -> str:
                 f"groups {row['groups']:>4}")
         if "graphs" in row:
             text = f"graphs {row['graphs']:>3}  {text}"
+    elif family == "paths":
+        text = f"graphs {row['graphs']:>3}  |E| = {row['edges']:>6}  trees {row['trees']:>5}"
     elif row["row"] == "capacity/floor_m6":
         tight = sum(c == b for c, b in zip(row["capacities"], row["bounds"]))
         text = (f"LPs {row['lps']:>4}  tight {tight:>4}  "

@@ -23,6 +23,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from operator import xor
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import AuditFailureError, SizeLimitError
@@ -35,7 +36,7 @@ BRUTEFORCE_EDGE_CAP = 20
 
 class SecurityReport(Value):
     """Exact secrecy figures for one run; everything rational, no floats.
-    ``recoverability`` defaults to a new empty dict."""
+    ``recoverability`` is kept as a read-only copy, hashed by its items."""
 
     _fields = ("security_index", "key_entropy", "key_given_transcript",
                "uniformity_deficit", "method", "recoverability")
@@ -52,7 +53,10 @@ class SecurityReport(Value):
         self._store(security_index=security_index, key_entropy=key_entropy,
                     key_given_transcript=key_given_transcript,
                     uniformity_deficit=uniformity_deficit, method=method,
-                    recoverability={} if recoverability is None else recoverability)
+                    recoverability=MappingProxyType(dict(recoverability or {})))
+
+    def __hash__(self) -> int:
+        return hash((*self._values()[:-1], frozenset(self.recoverability.items())))
 
     @property
     def passed(self) -> bool:

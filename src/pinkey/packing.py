@@ -5,9 +5,9 @@ Three packing routes, each certified by an independent count:
 * edge-disjoint paths between two vertices, from a max-flow whose value is
   the minimum cut (augmenting-path search on the collapsed integer-capacity
   graph, then flow decomposition into distinct paths with multiplicities).
-  The one flow routine, ``_max_flow``, takes a pair table on any vertex
-  set, can stop at a limit and can return a min cut's source side, so the
-  exact Steiner bound asks it too;
+  The one flow routine, ``_max_flow``, runs on neighbour rows over any
+  vertex set, can stop at a limit and can return a min cut's source side,
+  so the exact Steiner bound asks it too;
 * edge-disjoint spanning trees via matroid-union augmentation (grow k
   forests simultaneously, swapping along exchange chains).  k is first
   b = min(least degree, floor(|E| / (m - 1))), the floor ratio of a named
@@ -40,6 +40,10 @@ Three packing routes, each certified by an independent count:
   other mode is a deterministic shortest-path greedy that lower-bounds the
   optimum and is the search's incumbent; it takes each tree as many
   times as its pairs allow, so its searches follow the support's changes.
+
+The flow core, the Steiner reduction and both Steiner searches read one
+graph form, built by ``_neighbours`` alone: neighbour rows ``{v: {w: count}}``
+over the positive pairs, each row ascending, the order every search reads.
 
 Every route is capped at ``PACKING_EDGE_CAP`` realized edges.  Each cap is
 a module constant, read when its check runs.
@@ -221,29 +225,46 @@ class TreePacking(Value):
         return _CopyTrees(self.groups)
 
 
+def _check_edge_cap(graph: Multigraph) -> None:
+    """Refuse a graph over ``PACKING_EDGE_CAP`` realized edges."""
+    if graph.total_edges() > PACKING_EDGE_CAP:
+        raise SizeLimitError(f"tree packing is capped at |E| = {PACKING_EDGE_CAP} "
+                             f"edges; this graph has |E| = {graph.total_edges()}")
+
+
 # ---------------------------------------------------------------------------
 # Paths between two terminals (max-flow / min-cut)
 # ---------------------------------------------------------------------------
 
 
-def _max_flow(capacity: Mapping[Pair, int], s: int, t: int, limit: int | None = None,
-              cut: bool = False) -> tuple[int, dict | set | None]:
-    """Integer max flow s->t over undirected pairs: ``capacity`` maps pairs
-    (i, j), i < j, in sorted order (as a ``Multigraph`` table) to integer
-    capacities, on whatever vertices they name.  Augmenting paths are
-    shortest, each vertex's neighbours read in ascending order, so the flow
-    found, and the path route's decomposition of it, are fixed.  With
-    ``limit`` the search stops once the value reaches it, so a value below
-    ``limit`` is the max flow.
+_Rows = dict[int, dict[int, int]]
 
-    Returns (value, {u: {v: net units u->v > 0}}); with ``cut``, (value,
-    the source side of a min cut: the vertices the residual graph still
-    reaches from s), the side None when ``limit`` stopped the search."""
-    residual: dict[int, dict[int, int]] = {s: {}, t: {}}
-    for (i, j), count in capacity.items():
-        if count:  # ascending rows: pairs come in sorted order
-            residual.setdefault(i, {})[j] = count
-            residual.setdefault(j, {})[i] = count
+
+def _neighbours(table: Mapping[Pair, int]) -> _Rows:
+    """Neighbour rows {v: {w: count}} of a pair table's positive pairs, each
+    in both rows; a sorted table, as a ``Multigraph``'s, gives ascending rows."""
+    rows: _Rows = {}
+    for (i, j), count in table.items():
+        if count > 0:
+            rows.setdefault(i, {})[j] = count
+            rows.setdefault(j, {})[i] = count
+    return rows
+
+
+def _max_flow(rows: _Rows, s: int, t: int, limit: int | None = None,
+              cut: bool = False) -> tuple[int, dict | set | None]:
+    """Integer max flow s->t over undirected pairs, given as neighbour rows
+    of integer capacities on any vertices; the rows are copied as the
+    residual graph.  Augmenting paths are shortest, each row read in its
+    ascending order, so the flow found, and the path route's decomposition
+    of it, are fixed.  With ``limit`` the search stops once the value
+    reaches it, so a value below ``limit`` is the max flow.
+
+    Returns (value, {u: {v: net units u->v > 0}}), read off the residual
+    rows; with ``cut``, (value, the source side of a min cut: the vertices
+    the residual graph still reaches from s), the side None when ``limit``
+    stopped the search."""
+    residual = {s: {}, t: {}} | {v: dict(row) for v, row in rows.items()}
     value = 0
     while True:
         parent: dict[int, int | None] = {s: None}
@@ -271,14 +292,12 @@ def _max_flow(capacity: Mapping[Pair, int], s: int, t: int, limit: int | None = 
             break
     if cut:
         return value, None if t in parent else set(parent)
-    flow: dict[int, dict[int, int]] = {v: {} for v in residual}
-    for (i, j), count in capacity.items():
-        if count:
-            sent = count - residual[i][j]
-            if sent > 0:
-                flow[i][j] = sent
-            elif sent < 0:
-                flow[j][i] = -sent
+    flow: _Rows = {v: {} for v in residual}
+    for u, row in rows.items():
+        left, sent = residual[u], flow[u]
+        for v, count in row.items():
+            if left[v] < count:
+                sent[v] = count - left[v]
     return value, flow
 
 
@@ -287,7 +306,7 @@ def min_cut(graph: Multigraph, s: int, t: int) -> int:
     if s == t:
         raise ValueError("cut endpoints must differ")
     TerminalSet.of(s, t).validate_within(graph.m)
-    return _max_flow(graph.multiplicities, s, t, cut=True)[0]
+    return _max_flow(_neighbours(graph.multiplicities), s, t, cut=True)[0]
 
 
 def _walk_path(flow: dict[int, dict[int, int]], s: int, t: int) -> tuple[list, int]:
@@ -322,11 +341,12 @@ def _cancel(flow: dict[int, dict[int, int]], walk: list[int]) -> int:
 def max_disjoint_paths(graph: Multigraph, s: int, t: int) -> TreePacking:
     """A maximum collection of edge-disjoint s-t paths; its size equals
     the minimum cut."""
+    _check_edge_cap(graph)
     if s == t:
         raise ValueError("path endpoints must differ")
     target = TerminalSet.of(s, t)
     target.validate_within(graph.m)
-    value, flow = _max_flow(graph.multiplicities, s, t)
+    value, flow = _max_flow(_neighbours(graph.multiplicities), s, t)
     chosen = []
     walked = 0
     while walked < value:
@@ -655,6 +675,7 @@ def spanning_packing(graph: Multigraph) -> TreePacking:
     When b·|E| is over the work cap, or the union falls short, the count
     comes from ``nash_williams_count`` and the union packs that many.
     """
+    _check_edge_cap(graph)
     if graph.m < 2:
         raise ValueError("spanning packing needs at least two vertices")
     target = TerminalSet.full(graph.m)
@@ -688,24 +709,10 @@ def spanning_packing(graph: Multigraph) -> TreePacking:
 # ---------------------------------------------------------------------------
 
 
-def _support_adjacency(pairs: Iterable[Pair]) -> dict[int, list[int]]:
-    adjacency: dict[int, list[int]] = {}
-    for (i, j) in pairs:
-        adjacency.setdefault(i, []).append(j)
-        adjacency.setdefault(j, []).append(i)
-    for v in adjacency:
-        adjacency[v].sort()
-    return adjacency
-
-
-def _approx_steiner_tree(
-    caps: Mapping[Pair, int], target: TerminalSet
-) -> tuple[Pair, ...] | None:
-    """One cheap tree over pairs with remaining capacity, or None when the
-    target is no longer connected.  Nearest-terminal shortest paths with
-    lexicographic tie-breaks keep the choice deterministic."""
-    support = [p for p, c in caps.items() if c > 0]
-    adjacency = _support_adjacency(support)
+def _approx_steiner_tree(rows: _Rows, target: TerminalSet) -> tuple[Pair, ...] | None:
+    """One cheap tree over the neighbour rows, or None when the target is no
+    longer connected.  Nearest-terminal shortest paths with lexicographic
+    tie-breaks keep the choice deterministic."""
     root = min(target)
     in_tree = {root}
     tree_pairs: set[Pair] = set()
@@ -716,7 +723,7 @@ def _approx_steiner_tree(
         queue = deque(sorted(in_tree))
         while queue:
             v = queue.popleft()
-            for w in adjacency.get(v, ()):
+            for w in rows.get(v, ()):
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -727,9 +734,7 @@ def _approx_steiner_tree(
         path = [goal]
         while dist[path[-1]] > 0:
             v = path[-1]
-            step = min(
-                w for w in adjacency[v] if dist.get(w, -1) == dist[v] - 1
-            )
+            step = min(w for w in rows[v] if dist.get(w, -1) == dist[v] - 1)
             path.append(step)
         path.reverse()
         for a, b in zip(path, path[1:]):
@@ -767,28 +772,26 @@ def _greedy_choice(
     taken.  The tree search reads only which pairs are still positive, so a
     tree repeats until one of its pairs runs out: each is taken that many
     times at once, and the number of searches follows the support's
-    changes, not the tree count."""
-    caps = dict(graph.multiplicities)
+    changes, not the tree count.  One set of rows serves every search: a
+    tree lowers its pairs, and a pair that runs out leaves both rows."""
+    rows = _neighbours(graph.multiplicities)
     chosen: list[tuple[tuple[Pair, ...], int]] = []
     while True:
-        tree_pairs = _approx_steiner_tree(caps, target)
+        tree_pairs = _approx_steiner_tree(rows, target)
         if tree_pairs is None:
             return chosen
-        copies = min(caps[pair] for pair in tree_pairs)
-        for pair in tree_pairs:
-            caps[pair] -= copies
+        copies = min(rows[i][j] for i, j in tree_pairs)
+        for i, j in tree_pairs:
+            rows[i][j] -= copies
+            rows[j][i] -= copies
+            if not rows[i][j]:
+                del rows[i][j], rows[j][i]
         chosen.append((tree_pairs, copies))
 
 
-def _greedy_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
-    return _assign_copies(graph, target, _greedy_choice(graph, target))
-
-
-def _steiner_tree_candidates(
-    support: Iterable[Pair], target: TerminalSet
-) -> list[tuple[Pair, ...]]:
-    """Every minimal Steiner tree over the support pairs, each exactly once,
-    sorted.
+def _steiner_tree_candidates(rows: _Rows, target: TerminalSet) -> list[tuple[Pair, ...]]:
+    """Every minimal Steiner tree over the neighbour rows, each exactly
+    once, sorted.
 
     The tree starts at the least target terminal.  Each step takes the
     least target terminal not yet in it and branches on every simple path
@@ -797,7 +800,6 @@ def _steiner_tree_candidates(
     path from that terminal to the part built so far, so it arises once;
     and every tree built has only targets as leaves, so none is filtered.
     """
-    adjacency = _support_adjacency(support)
     members = target.members
     inside = {members[0]}  # the tree's vertices
     tree: list[Pair] = []
@@ -815,7 +817,7 @@ def _steiner_tree_candidates(
 
     def extend(path: list[int], next_target: int) -> None:
         """Branch on every way to go on from the open path's last vertex."""
-        for w in adjacency.get(path[-1], ()):
+        for w in rows.get(path[-1], ()):
             if w in inside:  # the path ends here: add it to the tree
                 tree.extend((a, b) if a < b else (b, a)
                             for a, b in zip(path, path[1:] + [w]))
@@ -832,10 +834,9 @@ def _steiner_tree_candidates(
     return sorted(found)
 
 
-def _reduced_graph(
-    support: Mapping[Pair, int], target: TerminalSet
-) -> tuple[int, dict[Pair, int], TerminalSet]:
-    """(m', table, A'): the graph of the positive pairs with each non-target
+def _reduced_graph(rows: _Rows,
+                   target: TerminalSet) -> tuple[int, dict[Pair, int], TerminalSet]:
+    """(m', table, A'): the graph of the neighbour rows with each non-target
     vertex of degree at most 1 deleted and each of degree 2, between u and
     v with caps a and b, replaced by an edge u-v of cap min(a, b) added to
     u-v's own, until none is left; the vertices that remain, every target
@@ -848,10 +849,7 @@ def _reduced_graph(
     neighbour's atom, a pendant vertex crosses nothing, and a degree-2
     vertex crosses nothing when both neighbours share an atom and
     min(a, b) when they do not, which is what the new edge crosses."""
-    adjacency: dict[int, dict[int, int]] = {t: {} for t in target}
-    for (i, j), c in support.items():
-        adjacency.setdefault(i, {})[j] = c
-        adjacency.setdefault(j, {})[i] = c
+    adjacency = {t: {} for t in target} | {v: dict(row) for v, row in rows.items()}
     pending = [v for v in adjacency if v not in target]
     while pending:
         x = pending.pop()
@@ -896,11 +894,10 @@ def _exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
         all of them first; only when every flow reaches ``need`` does the
         partition search run, on the reduced graph."""
         need = best_count - count + 1
-        support = {pair: c for pair, c in caps.items() if c}
-        if any(_max_flow(support, root, t, limit=need, cut=True)[0] < need
-               for t in others):
+        rows = _neighbours(caps)
+        if any(_max_flow(rows, root, t, limit=need, cut=True)[0] < need for t in others):
             return True
-        m, table, reduced = _reduced_graph(support, target)
+        m, table, reduced = _reduced_graph(rows, target)
         return partitions.min_ratio(table, m, reduced, below=need) is not None
 
     def dfs(start: int, count: int) -> None:
@@ -928,7 +925,7 @@ def _exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
 
     # the root query settles most calls, before any candidate is listed
     if not beaten(0):
-        candidates = _steiner_tree_candidates(graph.support_pairs(), target)
+        candidates = _steiner_tree_candidates(_neighbours(graph.multiplicities), target)
         dfs(0, 0)
     return _assign_copies(graph, target, best_choice)
 
@@ -946,15 +943,13 @@ def steiner_packing(
     target.validate_within(graph.m)
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown packing mode {mode!r}")
-    if graph.total_edges() > PACKING_EDGE_CAP:
-        raise SizeLimitError(f"tree packing is capped at |E| = {PACKING_EDGE_CAP} "
-                             f"edges; this graph has |E| = {graph.total_edges()}")
     if len(target) == 2:
         return max_disjoint_paths(graph, target.members[0], target.members[1])
     if len(target) == graph.m:
         return spanning_packing(graph)
+    _check_edge_cap(graph)
     if mode == "greedy":
-        return _greedy_steiner(graph, target)
+        return _assign_copies(graph, target, _greedy_choice(graph, target))
     return _exact_steiner(graph, target)
 
 

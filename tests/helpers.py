@@ -366,7 +366,7 @@ def one_tree_greedy_steiner(graph: Multigraph, target: TerminalSet) -> TreePacki
     caps = dict(graph.multiplicities)
     taken = []
     while True:
-        pairs = pinkey.packing._approx_steiner_tree(caps, target)
+        pairs = pinkey.packing._approx_steiner_tree(pinkey.packing._neighbours(caps), target)
         if pairs is None:
             break
         for pair in pairs:

@@ -34,7 +34,7 @@ from pinkey import (
 )
 from pinkey.packing import (
     SPANNING_WORK_CAP, STEINER_EXACT_EDGE_CAP, _Forest, _ForestRuns, _max_flow,
-    _reduced_graph, _steiner_tree_candidates)
+    _neighbours, _reduced_graph, _steiner_tree_candidates)
 
 from helpers import (
     _ReferenceForest,
@@ -488,7 +488,7 @@ class TestPathDecomposition:
         rng = random.Random(seed)
         graph = random_multigraph(rng, max_m=7, max_mult=6)
         s, t = rng.sample(range(1, graph.m + 1), 2)
-        value, flow = _max_flow(graph.multiplicities, s, t)
+        value, flow = _max_flow(_neighbours(graph.multiplicities), s, t)
         expected = unit_walk_path_edges(value, flow, s, t)
         assert [tree.edges for tree in max_disjoint_paths(graph, s, t).trees] == expected
 
@@ -549,7 +549,7 @@ class TestFlowCore:
         rng = random.Random(seed)
         graph = random_multigraph(rng, max_m=7, max_mult=6)
         s, t = rng.sample(range(1, graph.m + 1), 2)
-        value, flow = _max_flow(graph.multiplicities, s, t)
+        value, flow = _max_flow(_neighbours(graph.multiplicities), s, t)
         expected_value, expected_flow = reference_max_flow(graph, s, t)
         assert value == expected_value
         assert ({u: row for u, row in flow.items() if row}
@@ -561,23 +561,32 @@ class TestFlowCore:
         graph = random_multigraph(rng, max_m=7, max_mult=6)
         s, t = rng.sample(range(1, graph.m + 1), 2)
         cut = brute_min_cut(graph, s, t)
-        value, side = _max_flow(graph.multiplicities, s, t, cut=True)
+        value, side = _max_flow(_neighbours(graph.multiplicities), s, t, cut=True)
         assert value == cut and s in side and t not in side
         assert sum(c for (i, j), c in graph.multiplicities.items()
                    if (i in side) != (j in side)) == cut
-        limited = _max_flow(graph.multiplicities, s, t, limit=limit, cut=True)
+        limited = _max_flow(_neighbours(graph.multiplicities), s, t, limit=limit, cut=True)
         if cut < limit:
             assert limited == (value, side)
         else:
             assert limited[0] >= limit and limited[1] is None
 
+    @given(st.integers(0, 10_000))
+    def test_neighbour_rows_hold_the_positive_pairs(self, seed):
+        graph = random_multigraph(random.Random(seed), max_m=7, max_mult=3)
+        rows = _neighbours(graph.multiplicities)
+        assert {(v, w): c for v, row in rows.items() for w, c in row.items()} == {
+            arc: c for (i, j), c in graph.multiplicities.items() if c
+            for arc in ((i, j), (j, i))}
+        assert all(list(row) == sorted(row) for row in rows.values())
+
     def test_any_vertex_set(self):
         # the unit triangle on vertices 10, 20, 30, and 40 hung from 30 by
         # two edges: the least min-cut side toward 40 is {10}
-        table = {(10, 20): 1, (10, 30): 1, (20, 30): 1, (30, 40): 2}
-        assert _max_flow(table, 10, 20) == (2, {10: {20: 1, 30: 1}, 20: {}, 30: {20: 1}, 40: {}})
-        assert _max_flow(table, 10, 40, cut=True) == (2, {10})
-        assert _max_flow(table, 10, 50, cut=True) == (0, {10, 20, 30, 40})
+        rows = _neighbours({(10, 20): 1, (10, 30): 1, (20, 30): 1, (30, 40): 2})
+        assert _max_flow(rows, 10, 20) == (2, {10: {20: 1, 30: 1}, 20: {}, 30: {20: 1}, 40: {}})
+        assert _max_flow(rows, 10, 40, cut=True) == (2, {10})
+        assert _max_flow(rows, 10, 50, cut=True) == (0, {10, 20, 30, 40})
 
 
 class TestSpanningPacking:
@@ -852,7 +861,7 @@ class TestSteinerPacking:
     def test_candidates_and_packing_match_the_oracles(self, instance):
         # the first example isolates the root, the second splits the target
         graph, target = instance
-        assert _steiner_tree_candidates(graph.support_pairs(), target) == (
+        assert _steiner_tree_candidates(_neighbours(graph.multiplicities), target) == (
             subtree_steiner_candidates(graph.support_pairs(), target))
         assert steiner_packing(graph, target, mode="exact") == (
             reference_exact_steiner(graph, target))
@@ -860,7 +869,7 @@ class TestSteinerPacking:
     @pytest.mark.parametrize("members, count", [
         ((1, 4, 13, 16), 2728), ((1, 4, 6, 13, 16), 4528)])
     def test_grid_candidate_counts(self, members, count):
-        candidates = _steiner_tree_candidates(GRID_4X4.support_pairs(),
+        candidates = _steiner_tree_candidates(_neighbours(GRID_4X4.multiplicities),
                                               TerminalSet(members))
         assert len(candidates) == len(set(candidates)) == count
         assert candidates == sorted(candidates)
@@ -919,11 +928,18 @@ class TestSteinerPacking:
         monkeypatch.setattr(pinkey.packing, "PACKING_EDGE_CAP", 8)
         at_cap = Multigraph(4, {(1, 2): 3, (2, 3): 3, (3, 4): 1, (2, 4): 1})
         over = Multigraph(4, {(1, 2): 3, (2, 3): 3, (3, 4): 1, (2, 4): 2})
-        for mode in ("exact", "greedy"):
-            steiner_packing(at_cap, TerminalSet(target), mode=mode)
+        routes = [lambda graph, mode=mode: steiner_packing(graph, TerminalSet(target), mode=mode)
+                  for mode in ("exact", "greedy")]
+        # the public routes that steiner_packing dispatches to check it too
+        if len(target) == 2:
+            routes.append(lambda graph: max_disjoint_paths(graph, *target))
+        if len(target) == at_cap.m:
+            routes.append(spanning_packing)
+        for route in routes:
+            route(at_cap)
             with pytest.raises(SizeLimitError,
                                match=r"capped at \|E\| = 8 edges; this graph has \|E\| = 9$"):
-                steiner_packing(over, TerminalSet(target), mode=mode)
+                route(over)
 
 
 @st.composite
@@ -962,8 +978,7 @@ class TestSteinerBound:
     def test_reduced_query_answers_as_the_full_one(self, query):
         # the example splices the series vertices 2, 4 and deletes 6
         m, caps, target, need = query
-        support = {pair: c for pair, c in caps.items() if c}
-        reduced_m, table, reduced_target = _reduced_graph(support, target)
+        reduced_m, table, reduced_target = _reduced_graph(_neighbours(caps), target)
         assert reduced_target.members == tuple(range(1, len(target) + 1))
         assert least_excess(reduced_m, table, reduced_target, need) == (
             least_excess(m, caps, target, need))
@@ -973,7 +988,7 @@ class TestSteinerBound:
 
     def test_reduction_shrinks_the_example(self):
         caps = {(1, 2): 2, (2, 3): 1, (3, 4): 3, (4, 5): 1, (5, 6): 1}
-        assert _reduced_graph(caps, TerminalSet.of(1, 3, 5)) == (
+        assert _reduced_graph(_neighbours(caps), TerminalSet.of(1, 3, 5)) == (
             3, {(1, 2): 1, (2, 3): 1}, TerminalSet.of(1, 2, 3))
 
     @given(threshold_queries())
@@ -981,10 +996,9 @@ class TestSteinerBound:
     def test_pre_check_never_says_yes_where_the_search_finds_nothing(self, query):
         m, caps, target, need = query
         root, *others = target.members
-        support = {pair: c for pair, c in caps.items() if c}
         full = pinkey.partitions.min_ratio(caps, m, target, below=need)
         for t in others:
-            value, side = _max_flow(support, root, t, limit=need, cut=True)
+            value, side = _max_flow(_neighbours(caps), root, t, limit=need, cut=True)
             if value < need:
                 # the cut is a two-atom partition below the threshold
                 assert root in side and t not in side
@@ -1034,14 +1048,15 @@ class TestSteinerRate:
         assert rate == 1
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_sandwich_and_divisibility_monotonicity(self, seed):
+    def test_sandwich_and_divisibility_monotonicity(self, seed, monkeypatch):
         rng = random.Random(seed)
         m = rng.randint(4, 5)
         model = random_small_model(rng, m)
         target = random_terminal_set(rng, m, size=3)
         n0 = base_scale(model)
-        if realize_multigraph(model, 2 * n0).total_edges() > STEINER_EXACT_EDGE_CAP:
-            pytest.skip("instance too large for exact packing")
+        # the exact search takes every instance here, the largest in a few ms
+        monkeypatch.setattr(pinkey.packing, "STEINER_EXACT_EDGE_CAP",
+                            realize_multigraph(model, 2 * n0).total_edges())
         capacity = solve_capacity(model, target).value
         rates = {}
         for k in (1, 2):

@@ -48,7 +48,8 @@ def test_ladder_writes_a_bench_file(tmp_path):
     rows = {row["row"]: row for row in report["rows"]}
     assert list(rows) == ["spanning/found9", "spanning/K4x300", "spanning/K6x210"] + [
         f"spanning/random_m{m}" for m in range(9, 13)] + [
-        "spanning/bridge_K6x20", "spanning/dense_m20", "spanning/scaled_floor"] + [
+        "spanning/bridge_K6x20", "spanning/dense_m20", "spanning/scaled_floor",
+        "paths/scaled_floor"] + [
         f"capacity/dense_m{m}{suffix}" for suffix in ("", "_pair", "_half")
         for m in range(9, 13)] + ["capacity/unit_K12_pair", "capacity/unit_K12_half",
                                   "capacity/floor_m6"] + [
@@ -68,6 +69,8 @@ def test_ladder_writes_a_bench_file(tmp_path):
     scaled = rows["spanning/scaled_floor"]
     assert (scaled["graphs"], scaled["trees"], scaled["groups"]) == (112, 4794, 642)
     assert 100 * 112 <= scaled["edges"] <= 200 * 112
+    paths = rows["paths/scaled_floor"]
+    assert (paths["graphs"], paths["edges"], paths["trees"]) == (112, 66386, 26043)
     assert rows["capacity/dense_m12"]["value"] == "653/66"
     assert rows["capacity/dense_m12"]["columns"] == 2 ** 12 - 2
     assert rows["capacity/dense_m12_pair"]["columns"] == 2 ** 12 - 2 ** 10 - 1

@@ -83,6 +83,28 @@ def test_security_report_gets_a_fresh_recoverability_dict():
     assert report(recoverability={1: True}).passed
 
 
+def test_security_report_hashes_by_its_recoverability_items():
+    assert hash(report(recoverability={1: True, 2: False})) == hash(
+        report(recoverability={2: False, 1: True}))
+    assert len({report(recoverability={1: True}), report(recoverability={1: True}),
+                report(recoverability={1: False})}) == 2
+
+
+def test_security_report_keeps_its_own_recoverability():
+    given = {1: True}
+    first = report(recoverability=given)
+    given[1] = False
+    assert first.passed and first.recoverability == {1: True}
+
+
+def test_security_report_recoverability_is_read_only():
+    first = report(recoverability={1: True})
+    with pytest.raises(TypeError):
+        first.recoverability[2] = False
+    assert dict(first.recoverability) == {1: True} and first.recoverability[1]
+    assert list(first.recoverability.values()) == [True]
+
+
 def test_replace_runs_the_constructor_checks_again():
     target = TerminalSet.of(1, 2)
     assert replace(target, members=(4, 3, 3)) == TerminalSet.of(3, 4)
