@@ -23,7 +23,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from operator import xor
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import AuditFailureError, SizeLimitError
@@ -36,7 +35,8 @@ BRUTEFORCE_EDGE_CAP = 20
 
 class SecurityReport(Value):
     """Exact secrecy figures for one run; everything rational, no floats.
-    ``recoverability`` is kept as a read-only copy, hashed by its items."""
+    ``recoverability`` maps each target terminal to whether it recovered
+    the key, kept read-only like every table of a ``Value``."""
 
     _fields = ("security_index", "key_entropy", "key_given_transcript",
                "uniformity_deficit", "method", "recoverability")
@@ -53,10 +53,7 @@ class SecurityReport(Value):
         self._store(security_index=security_index, key_entropy=key_entropy,
                     key_given_transcript=key_given_transcript,
                     uniformity_deficit=uniformity_deficit, method=method,
-                    recoverability=MappingProxyType(dict(recoverability or {})))
-
-    def __hash__(self) -> int:
-        return hash((*self._values()[:-1], frozenset(self.recoverability.items())))
+                    recoverability=dict(recoverability or {}))
 
     @property
     def passed(self) -> bool:

@@ -56,7 +56,7 @@ class SubsetFamily(Value):
     subsets: tuple[int, ...]
 
     def __init__(self, m: int, target: TerminalSet, subsets: tuple[int, ...]) -> None:
-        self._store(m=m, target=target, subsets=subsets)
+        self._store(m=m, target=target, subsets=tuple(subsets))
 
 
 def subset_family(m: int, target: TerminalSet) -> SubsetFamily:
@@ -222,7 +222,7 @@ class CapacityResult(Value):
 
     def __init__(self, value: Fraction, assignment: WeightAssignment,
                  coefficients: Mapping[Pair, Fraction]) -> None:
-        self._store(value=value, assignment=assignment, coefficients=coefficients)
+        self._store(value=value, assignment=assignment, coefficients=dict(coefficients))
 
 
 def solve_capacity(model: PinModel, target: TerminalSet) -> CapacityResult:
@@ -341,7 +341,7 @@ class ConsistencyReport(Value):
     def __init__(self, trials: int, max_discrepancy: float,
                  discrepancies: tuple[float, ...] = ()) -> None:
         self._store(trials=trials, max_discrepancy=max_discrepancy,
-                    discrepancies=discrepancies)
+                    discrepancies=tuple(discrepancies))
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(trials={self.trials!r}, "

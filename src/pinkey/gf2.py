@@ -109,23 +109,26 @@ class Gf2Matrix(Value):
     def __init__(self, blocks: Sequence[Block], ncols: int) -> None:
         if type(ncols) is not int or ncols < 0:  # a bool or float is no count
             raise ValueError(f"column count must be a nonnegative int, got {ncols!r}")
-        blocks = tuple(blocks)
+        checked = []
         nrows = 0
         for b, (copies, steps) in enumerate(blocks):
             if type(copies) is not int or copies < 1:
                 raise ValueError(f"block {b} needs a positive copy count, got {copies!r}")
             last = ncols - copies  # the largest start that fits every copy
+            block_steps = []
             for s, (first, second) in enumerate(steps):
                 # type() rather than isinstance: a bool is no column start
                 if type(first) is int and 0 <= first <= last and (second is None or (
                         type(second) is int and 0 <= second <= last and first != second)):
+                    block_steps.append((first, second))
                     continue
                 raise ValueError(
                     f"block {b} step {s} must name one or two distinct columns "
                     f"in range({ncols}) for each of its {copies} copies, "
                     f"got {(first, second)!r}")
-            nrows += copies * len(steps)
-        self._store(blocks=blocks, ncols=ncols, _nrows=nrows)
+            checked.append((copies, tuple(block_steps)))
+            nrows += copies * len(block_steps)
+        self._store(blocks=tuple(checked), ncols=ncols, _nrows=nrows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Row], ncols: int) -> Gf2Matrix:

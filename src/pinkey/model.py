@@ -14,7 +14,9 @@ weights: the multigraphs, the capacity LP and the partition bound read them.
 Terminals are 1-indexed throughout.  Zero-weight pairs are stored
 explicitly, so sparse inputs are legal; since that costs ``m(m-1)/2``
 entries, a model has at most ``MAX_TERMINALS`` terminals.  All types are
-immutable after construction and safe to share between workers.
+immutable after construction and safe to share between workers: the
+weight, pmf and multiplicity tables, and the ``base_weights`` and
+``pair_offsets()`` caches, are read-only mappings (see ``value``).
 """
 
 from __future__ import annotations
@@ -276,16 +278,16 @@ class PinModel(Value):
     @property
     def base_weights(self) -> Mapping[Pair, int]:
         """``w_ij · n0`` per pair, ``n0`` the base scale; built on the first
-        read and kept outside the fields."""
+        read and kept, read-only, outside the fields."""
         return self._base("integer base weights")[1]
 
     def _base(self, operation: str) -> tuple[int, Mapping[Pair, int]]:
-        if "_base_table" not in self.__dict__:
+        if "_base_weights" not in self.__dict__:
             weights = self.require_exact(operation)
             n0 = math.lcm(*(w.denominator for w in weights.values()))
-            self._store(_base_table=(n0, {
-                pair: w.numerator * (n0 // w.denominator) for pair, w in weights.items()}))
-        return self.__dict__["_base_table"]
+            self._store(_base_scale=n0, _base_weights={
+                pair: w.numerator * (n0 // w.denominator) for pair, w in weights.items()})
+        return self._base_scale, self._base_weights
 
     def weight(self, i: int, j: int) -> Fraction:
         return self.require_exact("rational weight lookup")[canonical_pair(i, j)]
@@ -373,16 +375,15 @@ class Multigraph(Value):
     def pair_offsets(self) -> Mapping[Pair, int]:
         """Where each pair's copies start in canonical order: edge
         (i, j, c) is ``edge_refs()[pair_offsets()[(i, j)] + c]``.  Built on
-        the first call and kept like ``edge_refs``."""
-        offsets = self.__dict__.get("_pair_offsets")
-        if offsets is None:
+        the first call and kept like ``edge_refs``, read-only."""
+        if "_pair_offsets" not in self.__dict__:
             offsets = {}
             start = 0
             for pair, count in self.multiplicities.items():
                 offsets[pair] = start
                 start += count
             self._store(_pair_offsets=offsets)
-        return offsets
+        return self._pair_offsets
 
 
 def base_scale(model: PinModel) -> int:

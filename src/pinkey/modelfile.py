@@ -91,7 +91,7 @@ def loads_model(text: str) -> PinModel:
     """Parse a model from JSON text; raises ModelFormatError on any defect."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an int too long
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         _fail("top level must be a JSON object")

@@ -164,7 +164,7 @@ class TreePacking(Value):
     def __init__(self, graph: Multigraph, target: TerminalSet,
                  groups: Iterable[tuple[Tree, int]]) -> None:
         target.validate_within(graph.m)
-        groups = tuple(groups)
+        checked = []
         multiplicities = graph.multiplicities
         offsets = graph.pair_offsets()
         used = bytearray(graph.total_edges())
@@ -196,9 +196,10 @@ class TreePacking(Value):
                 if clash >= 0:
                     raise InvalidPackingError(
                         f"edge {(i, j, copy + clash - start)} used twice")
+            checked.append((tree, copies))
             first += copies
         # kept outside the fields, like ``Multigraph.edge_refs``
-        self._store(graph=graph, target=target, groups=groups,
+        self._store(graph=graph, target=target, groups=tuple(checked),
                     _residual_mask=bytes(used.translate(_FLIP_BYTE)))
 
     @property

@@ -175,6 +175,10 @@ class ProtocolRun(Value):
     def __init__(self, packing: TreePacking, keys: EdgeKeyBits, key_bits: tuple[int, ...],
                  transcript_bits: tuple[int, ...], residual_bits: tuple[int, ...],
                  key_map: Gf2Matrix, transcript_map: Gf2Matrix) -> None:
+        # a caller's list becomes a tuple; a tuple, of any subclass, is kept
+        key_bits, transcript_bits, residual_bits = (
+            bits if isinstance(bits, tuple) else tuple(bits)
+            for bits in (key_bits, transcript_bits, residual_bits))
         edges = packing.graph.total_edges()
         broadcasts = len(transcript_bits)
         if len(key_bits) + broadcasts + len(residual_bits) != edges:

@@ -73,7 +73,8 @@ class SimplexResult(Value):
 
     def __init__(self, basis: tuple[int, ...], d: int, beta: tuple[int, ...],
                  objective: int, columns: int) -> None:
-        self._store(basis=basis, d=d, beta=beta, objective=objective, columns=columns)
+        self._store(basis=tuple(basis), d=d, beta=tuple(beta), objective=objective,
+                    columns=columns)
 
     @cached_property
     def value(self) -> Fraction:

@@ -8,16 +8,29 @@ them), and refuses attribute assignment.  Attributes a constructor derives
 from its fields, and caches a method builds on first use, live in the
 instance ``__dict__`` beside the fields, outside equality and repr.
 
+One rule makes every value read-only: ``_store`` keeps each dict or
+mapping proxy it is handed, field or cache, as a ``MappingProxyType``
+over its own copy, and a hash reads such a table by its items.  A
+constructor hands over a caller's mapping as a plain dict.  Every
+other field is stored as its constructor built it, a tuple in place of a
+caller's list.
+
 ``replace(obj, **changes)`` rebuilds a value through its constructor, so
-every check runs again on the new fields.  Plain classes keep ``import
-pinkey.cli`` clear of ``dataclasses`` and the modules it imports.
+every check runs again on the new fields; unpickling and ``copy`` do the
+same, since a value pickles as its class and its fields.  Plain classes
+keep ``import pinkey.cli`` clear of ``dataclasses`` and the modules it
+imports.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import TypeVar
 
 V = TypeVar("V", bound="Value")
+# the types whose values ``_store`` copies into read-only tables: exact
+# types, looked up in a set so that a field costs no call
+_TABLES = frozenset({dict, MappingProxyType})
 
 
 class Value:
@@ -28,7 +41,11 @@ class Value:
 
     def _store(self, **fields: object) -> None:
         """Set attributes, bypassing the refusal in ``__setattr__``: for
-        constructors and first-use caches only."""
+        constructors and first-use caches only.  A table is kept as a
+        read-only copy, so neither the caller nor a reader can edit it."""
+        for name, value in fields.items():
+            if type(value) in _TABLES:
+                fields[name] = MappingProxyType(dict(value))
         self.__dict__.update(fields)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -46,7 +63,14 @@ class Value:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple(frozenset(value.items()) if type(value) is MappingProxyType
+                          else value for value in self._values()))
+
+    def __reduce__(self) -> tuple:
+        """Pickle as the class and its fields, tables as dicts: loading
+        calls the constructor, which checks them again."""
+        return type(self), tuple(dict(value) if type(value) is MappingProxyType
+                                 else value for value in self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -1251,7 +1251,7 @@ def reference_loads_model(text: str) -> PinModel:
 
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         fail("top level must be a JSON object")

@@ -100,6 +100,14 @@ def test_rejections(text, fragment):
     assert fragment.lower() in str(err.value).lower()
 
 
+def test_integer_literal_past_the_digit_limit_is_a_format_error():
+    # json.loads raises a bare ValueError for an int of more than 4300 digits
+    text = '{"terminals": ' + "1" * 5001 + ', "weights": []}'
+    with pytest.raises(ModelFormatError, match="^not valid JSON: "):
+        loads_model(text)
+    assert _outcome(loads_model, text) == _outcome(reference_loads_model, text)
+
+
 def test_weight_pmf_mismatch_rejected():
     text = """
     {

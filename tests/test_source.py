@@ -102,3 +102,27 @@ def test_readme_lists_every_cap():
     assert sorted(names) == sorted(constants)
     assert listed.group(1) == ["one", "two", "three", "four", "five", "six", "seven",
                                "eight", "nine", "ten"][len(names) - 1]
+
+
+def test_only_the_value_base_names_mapping_proxies():
+    # ``Value._store`` makes every table read-only; no type wraps its own
+    named = [path.name for path in SOURCES
+             if "MappingProxyType" in path.read_text(encoding="utf-8")]
+    assert named == ["value.py"]
+
+
+def test_equality_overrides_compare_meaning():
+    # ``Value`` compares and hashes the stored fields; only a type whose
+    # equality reads meaning instead (rows, the rational vertex) overrides it
+    found = set()
+    for path in SOURCES:
+        if path.name == "value.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                found.update(f"{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef)
+                             and item.name in ("__eq__", "__hash__"))
+    assert found == {"Gf2Matrix.__eq__", "Gf2Matrix.__hash__",
+                     "SimplexResult.__eq__", "SimplexResult.__hash__"}

@@ -1,22 +1,43 @@
-"""The value-type base: immutability, equality, hashing, repr and replace."""
+"""The value-type base: immutability, equality, hashing, repr, replace and
+pickling."""
 
+import copy
+import pickle
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
+import pinkey
 from pinkey import (
     Broadcast,
+    CapacityResult,
     ConsistencyReport,
     EdgeKeyBits,
     Gf2Matrix,
     Multigraph,
     PairPmf,
     Partition,
+    PinModel,
+    ProtocolRun,
     SecurityReport,
+    SubsetFamily,
     TerminalSet,
     Tree,
+    TreePacking,
+    WeightAssignment,
+    audit,
+    base_scale,
+    draw_edge_keys,
+    realize_multigraph,
+    run_protocol,
+    solve_capacity,
+    spanning_packing,
+    subset_family,
+    upper_bound,
 )
-from pinkey.value import replace
+from pinkey.simplex import SimplexResult
+from pinkey.value import Value, replace
 
 
 def report(**recoverability):
@@ -129,3 +150,173 @@ def test_list_arguments_are_stored_as_tuples(build):
     listed, tupled = build(list), build(tuple)
     assert listed == tupled
     assert hash(listed) == hash(tupled)
+
+
+def _triangle() -> PinModel:
+    return PinModel.from_weights(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
+
+
+def _every_value() -> list[Value]:
+    """One value of every ``Value`` subclass the package exports, and of
+    ``SimplexResult``, built from list and dict arguments, with the caches
+    their methods build on first use filled in."""
+    target = TerminalSet([1, 2, 3])
+    pmf = PairPmf([[0.5, 0.0], [0.0, 0.5]])
+    model = PinModel(3, {(1, 2): 1, (1, 3): Fraction(1, 2), (2, 3): 1}, {(2, 1): pmf})
+    base_scale(model)
+    graph = realize_multigraph(model, 2)
+    graph.edge_refs()
+    packing = spanning_packing(graph)
+    packing = TreePacking(graph, target, [list(group) for group in packing.groups])
+    keys = draw_edge_keys(graph, 3)
+    run = run_protocol(packing, EdgeKeyBits(list(keys.bits), seed=3))
+    run = ProtocolRun(run.packing, run.keys, list(run.key_bits), list(run.transcript_bits),
+                      list(run.residual_bits), run.key_map, run.transcript_map)
+    run.speakers, run.broadcast_trees, run.key_map.rows
+    family = subset_family(3, target)
+    result = solve_capacity(model, target)
+    simplex = SimplexResult([0, 1, 2], 2, [1, 1, 1], 3, len(family.subsets))
+    simplex.value, simplex.solution
+    return [
+        target, pmf, model, graph, Partition([0, 1, 0]), Tree([(2, 3, 0), (1, 2, 0)]),
+        packing, keys, run, Broadcast(0, 1, 1, [(1, 2, 0), (2, 3, 0)]),
+        Gf2Matrix([[2, [[0, None], [0, 2]]]], 4),
+        SubsetFamily(3, target, list(family.subsets)),
+        WeightAssignment(3, target, dict(result.assignment.weights)),
+        CapacityResult(result.value, result.assignment, dict(result.coefficients)),
+        ConsistencyReport(2, 0.5, [0.5, 0.0]),
+        audit(run), SecurityReport(Fraction(0), Fraction(1), Fraction(1), Fraction(0),
+                                   "rank", {1: True, 2: True}),
+        simplex,
+    ]
+
+
+def _held(obj):
+    """Every object a value holds in its fields and caches, nested values,
+    tuples and tables included."""
+    if isinstance(obj, Value):
+        for held in vars(obj).values():
+            yield held
+            yield from _held(held)
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield item
+            yield from _held(item)
+    elif isinstance(obj, MappingProxyType):
+        for key, item in obj.items():
+            yield from (key, item)
+            yield from _held(key)
+            yield from _held(item)
+
+
+def test_every_exported_value_type_is_covered():
+    exported = {obj for obj in vars(pinkey).values()
+                if isinstance(obj, type) and issubclass(obj, Value)}
+    assert exported <= {type(value) for value in _every_value()}
+
+
+@pytest.mark.parametrize("value", _every_value(), ids=lambda value: type(value).__name__)
+def test_every_value_hashes_pickles_and_copies(value):
+    hash(value)
+    for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(again) is type(value) and again == value
+        assert hash(again) == hash(value)
+
+
+@pytest.mark.parametrize("value", _every_value(), ids=lambda value: type(value).__name__)
+def test_no_field_or_cache_holds_a_mutable_container(value):
+    held = list(_held(value))
+    assert [obj for obj in held if isinstance(obj, (dict, list, set, bytearray))] == []
+    for table in (obj for obj in held if isinstance(obj, MappingProxyType)):
+        with pytest.raises(TypeError):
+            table[next(iter(table), 0)] = 0
+
+
+def test_unpickling_runs_the_constructor_checks():
+    graph = Multigraph(2, {(1, 2): 77777})
+    assert graph.__reduce__() == (Multigraph, (2, {(1, 2): 77777}))
+    # the same pickle with the count's 4-byte int opcode negated
+    count, negated = (pickle.dumps(n, protocol=2)[2:-1] for n in (77777, -77777))
+    tampered = pickle.dumps(graph, protocol=2).replace(count, negated)
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        pickle.loads(tampered)
+
+
+def test_base_weights_and_pair_offsets_are_read_only_from_the_first_read():
+    # a write to either cache would move capacity from 3/2 to 2 on a model
+    # that still equals a fresh copy; the first read builds the table, the
+    # second returns the kept one
+    model = _triangle()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            model.base_weights[(1, 2)] = 100
+    target = TerminalSet.full(3)
+    assert solve_capacity(model, target).value == upper_bound(model, target) == Fraction(3, 2)
+    graph = realize_multigraph(model, 1)
+    assert graph.multiplicity(1, 2) == 1 and model == _triangle()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            graph.pair_offsets()[(1, 2)] = 5
+    assert dict(graph.pair_offsets()) == {(1, 2): 0, (1, 3): 1, (2, 3): 2}
+    with pytest.raises(TypeError):
+        graph.multiplicities[(1, 2)] = 3
+    assert hash(model) == hash(_triangle())
+
+
+# a caller's later write to the lists or dict a value was built from
+# leaves the value as its constructor checked it
+
+
+def test_packing_groups_ignore_a_later_write():
+    groups = [[Tree([(1, 2, 0)]), 2]]
+    packing = TreePacking(Multigraph(2, {(1, 2): 3}), TerminalSet.of(1, 2), groups)
+    groups[0][1] = 3
+    assert (packing.count, packing.groups) == (2, ((Tree([(1, 2, 0)]), 2),))
+    assert packing.residual_mask() == b"\0\0\1"
+
+
+def test_gf2_blocks_ignore_a_later_write():
+    steps = [[0, None]]
+    blocks = [[1, steps]]
+    matrix = Gf2Matrix(blocks, 2)
+    steps[0][0] = 5
+    blocks[0][0] = 2
+    assert (matrix.blocks, matrix.apply((1, 0))) == (((1, ((0, None),)),), (1,))
+
+
+def test_protocol_run_bits_ignore_a_later_write():
+    graph = Multigraph(2, {(1, 2): 1})
+    honest = run_protocol(TreePacking(graph, TerminalSet.of(1, 2), [(Tree([(1, 2, 0)]), 1)]),
+                          EdgeKeyBits((1,)))
+    key_bits, transcript_bits, residual_bits = [1], [], []
+    run = ProtocolRun(honest.packing, honest.keys, key_bits, transcript_bits, residual_bits,
+                      honest.key_map, honest.transcript_map)
+    key_bits[0] = 0
+    transcript_bits.append(1)
+    residual_bits.append(1)
+    assert (run.key_bits, run.transcript_bits, run.residual_bits) == ((1,), (), ())
+
+
+def test_simplex_result_ignores_a_later_write():
+    basis, beta = [0, 1], [1, 1]
+    result = SimplexResult(basis, 1, beta, 2, 3)
+    basis[1], beta[1] = 2, 5
+    assert (result.basis, result.beta) == ((0, 1), (1, 1))
+    assert result.solution == (1, 1, 0)
+
+
+def test_subset_family_and_consistency_report_ignore_a_later_write():
+    subsets, gaps = [1, 2], [0.5]
+    family = SubsetFamily(2, TerminalSet.of(1, 2), subsets)
+    report_card = ConsistencyReport(1, 0.5, gaps)
+    subsets.append(3)
+    gaps.append(1.0)
+    assert (family.subsets, report_card.discrepancies) == ((1, 2), (0.5,))
+
+
+def test_capacity_result_ignores_a_later_write():
+    result = solve_capacity(_triangle(), TerminalSet.full(3))
+    coefficients = dict(result.coefficients)
+    kept = CapacityResult(result.value, result.assignment, coefficients)
+    coefficients[(1, 2)] = Fraction(7)
+    assert kept.coefficients == result.coefficients != coefficients
