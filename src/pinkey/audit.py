@@ -35,25 +35,34 @@ BRUTEFORCE_EDGE_CAP = 20
 
 class SecurityReport(Value):
     """Exact secrecy figures for one run; everything rational, no floats.
+    Read from the stored figures: ``security_index``, log|K| - H(K|F), is
+    ``key_length - key_given_transcript``, and ``uniformity_deficit`` is
+    ``key_length - key_entropy``.
     ``recoverability`` maps each target terminal to whether it recovered
     the key, kept read-only like every table of a ``Value``."""
 
-    _fields = ("security_index", "key_entropy", "key_given_transcript",
-               "uniformity_deficit", "method", "recoverability")
-    security_index: Fraction
+    _fields = ("key_length", "key_entropy", "key_given_transcript", "method",
+               "recoverability")
+    key_length: int
     key_entropy: Fraction
     key_given_transcript: Fraction
-    uniformity_deficit: Fraction  # key length minus key entropy
     method: str
     recoverability: Mapping[int, bool]
 
-    def __init__(self, security_index: Fraction, key_entropy: Fraction,
-                 key_given_transcript: Fraction, uniformity_deficit: Fraction,
-                 method: str, recoverability: Mapping[int, bool] | None = None) -> None:
-        self._store(security_index=security_index, key_entropy=key_entropy,
-                    key_given_transcript=key_given_transcript,
-                    uniformity_deficit=uniformity_deficit, method=method,
+    def __init__(self, key_length: int, key_entropy: Fraction,
+                 key_given_transcript: Fraction, method: str,
+                 recoverability: Mapping[int, bool] | None = None) -> None:
+        self._store(key_length=key_length, key_entropy=key_entropy,
+                    key_given_transcript=key_given_transcript, method=method,
                     recoverability=dict(recoverability or {}))
+
+    @property
+    def security_index(self) -> Fraction:
+        return Fraction(self.key_length) - self.key_given_transcript
+
+    @property
+    def uniformity_deficit(self) -> Fraction:
+        return Fraction(self.key_length) - self.key_entropy
 
     @property
     def passed(self) -> bool:
@@ -62,17 +71,13 @@ class SecurityReport(Value):
 
 def security_index_rank(run: ProtocolRun) -> SecurityReport:
     """Security index via GF(2) ranks of the recorded linear maps."""
-    key_rank = run.key_map.rank()
     # one forest over the transcript blocks, continued with the key blocks
     transcript_rank, joint_rank = gf2._forest_sizes(run.transcript_map.blocks,
                                                     run.key_map.blocks)
-    key_given_transcript = Fraction(joint_rank - transcript_rank)
-    key_length = len(run.key_bits)
     return SecurityReport(
-        security_index=Fraction(key_length) - key_given_transcript,
-        key_entropy=Fraction(key_rank),
-        key_given_transcript=key_given_transcript,
-        uniformity_deficit=Fraction(key_length - key_rank),
+        key_length=len(run.key_bits),
+        key_entropy=Fraction(run.key_map.rank()),
+        key_given_transcript=Fraction(joint_rank - transcript_rank),
         method="rank",
     )
 
@@ -171,46 +176,34 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
             tally = Counter(accumulate(flips, xor, initial=0))
             entropies[k] += alike * ((n << top) - (_log_weight(tally.values()) << (top - n)))
     joint, transcript, key = entropies
-    length = len(run.key_bits) << top  # the key length, times 2^top too
     return SecurityReport(
-        security_index=Fraction(length - joint + transcript, 1 << top),
+        key_length=len(run.key_bits),
         key_entropy=Fraction(key, 1 << top),
         key_given_transcript=Fraction(joint - transcript, 1 << top),
-        uniformity_deficit=Fraction(length - key, 1 << top),
         method="bruteforce",
     )
 
 
-def audit(run: ProtocolRun, strict: bool = False) -> SecurityReport:
+def audit(run: ProtocolRun) -> SecurityReport:
     """Full audit: per-terminal recovery plus the exact security index.
 
     The rank method always runs; brute force cross-checks it whenever the
-    edge count permits, and any disagreement is an internal error.  With
-    ``strict`` the audit raises instead of returning a failing report.
+    edge count permits, and any disagreement is an internal error.  A
+    failing run gives a report whose ``passed`` is False.
     """
     rank_report = security_index_rank(run)
     method = "rank"
     if run.graph.total_edges() <= BRUTEFORCE_EDGE_CAP:
         brute = security_index_bruteforce(run)
-        if (brute.security_index != rank_report.security_index
-                or brute.key_given_transcript != rank_report.key_given_transcript):
+        if brute.key_given_transcript != rank_report.key_given_transcript:
             raise AuditFailureError(
                 f"method disagreement: rank says s={rank_report.security_index}, "
                 f"brute force says s={brute.security_index}"
             )
         method = "rank+bruteforce"
-    recoverability = {
-        terminal: recover_key(run, terminal) == run.key_bits
-        for terminal in run.target
-    }
-    report = replace(rank_report, method=method, recoverability=recoverability)
-    if strict and not report.passed:
-        failed = sorted(t for t, ok in recoverability.items() if not ok)
-        raise AuditFailureError(
-            f"audit failed: security index {report.security_index}, "
-            f"terminals failing recovery: {failed}"
-        )
-    return report
+    recoverability = {terminal: recover_key(run, terminal) == run.key_bits
+                      for terminal in run.target}
+    return replace(rank_report, method=method, recoverability=recoverability)
 
 
 # ---------------------------------------------------------------------------

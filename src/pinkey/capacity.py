@@ -47,30 +47,28 @@ CONSISTENCY_TOLERANCE = 1e-9
 
 
 class SubsetFamily(Value):
-    """All qualifying subsets for (m, A), as bitmasks in ascending order:
-    the columns of the capacity LP."""
+    """The qualifying subsets for (m, A), every nonempty strict subset of
+    1..m not containing A, as bitmasks in ascending order: the columns of
+    the capacity LP, enumerated up to ``partitions.TERMINAL_CAP`` terminals."""
 
-    _fields = ("m", "target", "subsets")
+    _fields = ("m", "target")
     m: int
     target: TerminalSet
     subsets: tuple[int, ...]
 
-    def __init__(self, m: int, target: TerminalSet, subsets: tuple[int, ...]) -> None:
-        self._store(m=m, target=target, subsets=tuple(subsets))
+    def __init__(self, m: int, target: TerminalSet) -> None:
+        target.validate_within(m)
+        if m > partitions.TERMINAL_CAP:
+            raise SizeLimitError(
+                f"m={m} exceeds the subset-enumeration cap {partitions.TERMINAL_CAP}")
+        amask = target.mask()
+        self._store(m=m, target=target, subsets=tuple(
+            mask for mask in range(1, (1 << m) - 1) if (mask & amask) != amask))
 
 
 def subset_family(m: int, target: TerminalSet) -> SubsetFamily:
-    """Enumerate every nonempty strict subset of 1..m not containing A, up
-    to ``partitions.TERMINAL_CAP`` terminals."""
-    target.validate_within(m)
-    if m > partitions.TERMINAL_CAP:
-        raise SizeLimitError(
-            f"m={m} exceeds the subset-enumeration cap {partitions.TERMINAL_CAP}")
-    amask = target.mask()
-    subsets = tuple(
-        mask for mask in range(1, (1 << m) - 1) if (mask & amask) != amask
-    )
-    return SubsetFamily(m=m, target=target, subsets=subsets)
+    """The qualifying subsets for (m, A): ``SubsetFamily(m, target)``."""
+    return SubsetFamily(m, target)
 
 
 class WeightAssignment(Value):
@@ -213,16 +211,22 @@ def _vertex(family: SubsetFamily,
 
 
 class CapacityResult(Value):
-    """Exact capacity value with one optimal vertex assignment."""
+    """Exact capacity value with one optimal vertex assignment.  The
+    assignment fixes ``coefficients``, each pair's total separating
+    weight, built on first read and kept read-only."""
 
-    _fields = ("value", "assignment", "coefficients")
+    _fields = ("value", "assignment")
     value: Fraction
     assignment: WeightAssignment
-    coefficients: Mapping[Pair, Fraction]
 
-    def __init__(self, value: Fraction, assignment: WeightAssignment,
-                 coefficients: Mapping[Pair, Fraction]) -> None:
-        self._store(value=value, assignment=assignment, coefficients=dict(coefficients))
+    def __init__(self, value: Fraction, assignment: WeightAssignment) -> None:
+        self._store(value=value, assignment=assignment)
+
+    @property
+    def coefficients(self) -> Mapping[Pair, Fraction]:
+        if "_coefficients" not in self.__dict__:
+            self._store(_coefficients=pair_coefficients(self.assignment))
+        return self._coefficients
 
 
 def solve_capacity(model: PinModel, target: TerminalSet) -> CapacityResult:
@@ -232,7 +236,7 @@ def solve_capacity(model: PinModel, target: TerminalSet) -> CapacityResult:
     weights, ``Σ_pairs (w_ij·n0) · sep_ij`` with ``sep_ij`` the ``β`` of the
     basic subsets holding i but not j, must equal the LP's ``C_B·β``."""
     model.require_exact("capacity LP")
-    family = subset_family(model.m, target)
+    family = SubsetFamily(model.m, target)
     costs, scale = _lp_costs(model, family)
     result = solve_lp(costs, family.subsets, family.m)
     assignment, support = _vertex(family, result)
@@ -244,9 +248,7 @@ def solve_capacity(model: PinModel, target: TerminalSet) -> CapacityResult:
             f"simplex value {Fraction(result.objective, d * scale)} disagrees "
             f"with the objective {Fraction(objective, d * scale)}"
         )
-    coeffs = {pair: Fraction(sep, d) for pair, sep in seps.items()}
-    return CapacityResult(value=Fraction(objective, d * scale), assignment=assignment,
-                          coefficients=coeffs)
+    return CapacityResult(value=Fraction(objective, d * scale), assignment=assignment)
 
 
 def certified_bound(model: PinModel, result: CapacityResult) -> Fraction | None:
@@ -330,18 +332,23 @@ def entropy_objective(model: PinModel, assignment: WeightAssignment) -> float:
 
 
 class ConsistencyReport(Value):
-    """The largest gap between the two objective forms over ``trials``
-    random vertices, with every gap; the repr leaves the gaps out."""
+    """The gaps between the two objective forms, one per random vertex;
+    ``trials`` counts them and ``max_discrepancy`` is the largest (0.0 with
+    none).  The repr shows those two and leaves the gaps out."""
 
-    _fields = ("trials", "max_discrepancy", "discrepancies")
-    trials: int
-    max_discrepancy: float
+    _fields = ("discrepancies",)
     discrepancies: tuple[float, ...]
 
-    def __init__(self, trials: int, max_discrepancy: float,
-                 discrepancies: tuple[float, ...] = ()) -> None:
-        self._store(trials=trials, max_discrepancy=max_discrepancy,
-                    discrepancies=tuple(discrepancies))
+    def __init__(self, discrepancies: tuple[float, ...]) -> None:
+        self._store(discrepancies=tuple(discrepancies))
+
+    @property
+    def trials(self) -> int:
+        return len(self.discrepancies)
+
+    @property
+    def max_discrepancy(self) -> float:
+        return max(self.discrepancies, default=0.0)
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(trials={self.trials!r}, "
@@ -357,15 +364,11 @@ def check_objective_consistency(
 ) -> ConsistencyReport:
     """Compare the two objective forms at random vertices of the polytope."""
     rng = random.Random(seed)
-    family = subset_family(model.m, target)
+    family = SubsetFamily(model.m, target)
     gaps = []
     for _ in range(trials):
         assignment = sample_vertex(family, rng)
         direct = capacity_objective(model, assignment)
         entropic = entropy_objective(model, assignment)
         gaps.append(abs(float(direct) - entropic))
-    return ConsistencyReport(
-        trials=trials,
-        max_discrepancy=max(gaps, default=0.0),
-        discrepancies=tuple(gaps),
-    )
+    return ConsistencyReport(gaps)

@@ -66,7 +66,7 @@ from .errors import InvalidPackingError, InvalidTreeError, SizeLimitError
 from .model import EdgeRef, Multigraph, Pair, PinModel, TerminalSet, realize_multigraph
 from . import partitions
 from .partitions import nash_williams_count
-from .value import Value
+from .value import Value, View
 
 STEINER_EXACT_EDGE_CAP = 24
 # realized edges on every route: a packing holds one tree per group, but
@@ -77,6 +77,13 @@ PACKING_EDGE_CAP = 300_000
 # usual cost follow distinct pairs and shapes instead
 SPANNING_WORK_CAP = 2 * 10**6
 _FLIP_BYTE = bytes([1, 0]) + bytes(254)  # bytes.translate table: 0 <-> 1
+
+
+def is_edge_ref(edge: object) -> bool:
+    """True for an edge name, a triple of ints (i, j, copy) with 1 <= i < j
+    and copy >= 0; type(), not isinstance: a bool is no int."""
+    return (isinstance(edge, tuple) and len(edge) == 3 and all(type(x) is int for x in edge)
+            and 1 <= edge[0] < edge[1] and edge[2] >= 0)
 
 
 class Tree(Value):
@@ -92,8 +99,7 @@ class Tree(Value):
 
     def __init__(self, edges: tuple[EdgeRef, ...]) -> None:
         for edge in edges:  # before sorting: a bool or float compares as a number
-            if not (isinstance(edge, tuple) and len(edge) == 3
-                    and all(type(x) is int for x in edge)):
+            if not is_edge_ref(edge):
                 raise InvalidTreeError(f"malformed edge {edge!r}")
         edges = tuple(sorted(edges))
         if not edges:
@@ -102,11 +108,8 @@ class Tree(Value):
             raise InvalidTreeError("duplicate edge in tree")
         incident: dict[int, list[EdgeRef]] = {}
         for edge in edges:
-            i, j, copy = edge
-            if not (1 <= i < j) or copy < 0:
-                raise InvalidTreeError(f"malformed edge {edge!r}")
-            incident.setdefault(i, []).append(edge)
-            incident.setdefault(j, []).append(edge)
+            incident.setdefault(edge[0], []).append(edge)
+            incident.setdefault(edge[1], []).append(edge)
         order = list(edges[0][:2])
         seen = set(order)
         walk = []
@@ -126,27 +129,6 @@ class Tree(Value):
 
     def pairs(self) -> tuple[Pair, ...]:
         return tuple((i, j) for (i, j, _) in self.edges)
-
-
-class _CopyTrees(Sequence[Tree]):
-    """One tree per copy of a packing's groups, each built when it is read."""
-
-    __slots__ = ("_groups", "_starts")
-
-    def __init__(self, groups: tuple[tuple[Tree, int], ...]) -> None:
-        self._groups = groups
-        self._starts = list(accumulate((copies for _, copies in groups), initial=0))
-
-    def __len__(self) -> int:
-        return self._starts[-1]
-
-    def __getitem__(self, index):
-        position = range(len(self))[index]  # negative indices and slices as in a tuple
-        if isinstance(position, range):
-            return tuple(self[k] for k in position)
-        group = bisect_right(self._starts, position) - 1
-        shift = position - self._starts[group]
-        return Tree(tuple((i, j, c + shift) for i, j, c in self._groups[group][0].edges))
 
 
 class TreePacking(Value):
@@ -223,7 +205,15 @@ class TreePacking(Value):
     def trees(self) -> Sequence[Tree]:
         """The trees one per copy, in group order; each is built when read,
         so prefer ``groups`` and ``count`` on large packings."""
-        return _CopyTrees(self.groups)
+        groups = self.groups
+        starts = list(accumulate((copies for _, copies in groups), initial=0))
+
+        def tree(position: int) -> Tree:
+            group = bisect_right(starts, position) - 1
+            shift = position - starts[group]
+            return Tree(tuple((i, j, c + shift) for i, j, c in groups[group][0].edges))
+
+        return View(starts[-1], tree)
 
 
 def _check_edge_cap(graph: Multigraph) -> None:

@@ -36,8 +36,8 @@ from typing import Sequence
 from .errors import InvalidPackingError
 from .gf2 import Gf2Matrix
 from .model import EdgeRef, Multigraph, TerminalSet
-from .packing import TreePacking
-from .value import Value
+from .packing import TreePacking, is_edge_ref
+from .value import Value, View
 
 
 class EdgeKeyBits(Value):
@@ -111,6 +111,8 @@ class Broadcast(Value):
         if type(tree) is not int or type(terminal) is not int:
             raise ValueError(f"broadcast tree and terminal must be integers, "
                              f"got {tree!r} and {terminal!r}")
+        if not all(map(is_edge_ref, support)):  # each edge shaped as in a Tree
+            raise ValueError(f"malformed edge in broadcast support {support!r}")
         if len(set(support)) != 2:
             raise ValueError("broadcast support must be two distinct edges")
         if type(bit) is not int or bit not in (0, 1):
@@ -124,67 +126,41 @@ class Broadcast(Value):
         return j if self.terminal == i else i
 
 
-class _Broadcasts(Sequence[Broadcast]):
-    """A run's transcript, one ``Broadcast`` built from its columns when read."""
-
-    __slots__ = ("_run",)
-
-    def __init__(self, run: ProtocolRun) -> None:
-        self._run = run
-
-    def __len__(self) -> int:
-        return len(self._run.transcript_bits)
-
-    def __getitem__(self, index):
-        position = range(len(self))[index]  # negative indices and slices as in a tuple
-        if isinstance(position, range):
-            return tuple(self[k] for k in position)
-        run = self._run
-        order = run.edge_order
-        return Broadcast(run.broadcast_trees[position], run.speakers[position],
-                         run.transcript_bits[position],
-                         tuple(order[k] for k in run.transcript_map.rows[position]))
-
-
 class ProtocolRun(Value):
-    """A complete execution: key bits, transcript, residuals, linear maps.
+    """A complete execution: key bits, transcript, linear maps.
 
-    Only what the packing does not fix is stored; ``graph`` and ``target``
-    are the packing's, and the ``speakers`` and ``broadcast_trees``
-    columns are derived from its groups.  Broadcast r is sent by
-    ``speakers[r]`` in tree ``broadcast_trees[r]``, carries
+    Only what the packing and the edge bits do not fix is stored; ``graph``
+    and ``target`` are the packing's, and the ``speakers`` and
+    ``broadcast_trees`` columns come from its groups.  Broadcast r is sent
+    by ``speakers[r]`` in tree ``broadcast_trees[r]``, carries
     ``transcript_bits[r]`` and sums the two edges named by
     ``transcript_map.rows[r]`` (reference edge first); ``transcript``
-    reads the same columns as ``Broadcast`` objects.  The residual bits
-    are those of the edges no tree uses, in canonical order.  The
-    accounting identity |E| = |K| + |F| + |K_R| holds structurally, and
-    the stacked index rows (key and residual edges, broadcast edge pairs)
-    form an invertible square GF(2) matrix in the edge bits.
+    reads the same columns as ``Broadcast`` objects.  The residual bits,
+    those of the edges no tree uses, are read off ``keys`` on first use.
+    A copy's key row and walk steps number its edges, so |E| = |K| + |F|
+    + |K_R| holds by construction, and the stacked index rows (key and
+    residual edges, broadcast edge pairs) form an invertible square GF(2)
+    matrix in the edge bits.  The key and transcript bits are stored, so a
+    tampered run may disagree with its maps.
     """
 
-    _fields = ("packing", "keys", "key_bits", "transcript_bits", "residual_bits",
-               "key_map", "transcript_map")
+    _fields = ("packing", "keys", "key_bits", "transcript_bits", "key_map",
+               "transcript_map")
     packing: TreePacking
     keys: EdgeKeyBits
     key_bits: tuple[int, ...]
     transcript_bits: tuple[int, ...]
-    residual_bits: tuple[int, ...]
     key_map: Gf2Matrix
     transcript_map: Gf2Matrix
 
     def __init__(self, packing: TreePacking, keys: EdgeKeyBits, key_bits: tuple[int, ...],
-                 transcript_bits: tuple[int, ...], residual_bits: tuple[int, ...],
-                 key_map: Gf2Matrix, transcript_map: Gf2Matrix) -> None:
+                 transcript_bits: tuple[int, ...], key_map: Gf2Matrix,
+                 transcript_map: Gf2Matrix) -> None:
         # a caller's list becomes a tuple; a tuple, of any subclass, is kept
-        key_bits, transcript_bits, residual_bits = (
-            bits if isinstance(bits, tuple) else tuple(bits)
-            for bits in (key_bits, transcript_bits, residual_bits))
-        edges = packing.graph.total_edges()
+        key_bits, transcript_bits = (bits if isinstance(bits, tuple) else tuple(bits)
+                                     for bits in (key_bits, transcript_bits))
+        edges = _check_key_count(packing, keys)
         broadcasts = len(transcript_bits)
-        if len(key_bits) + broadcasts + len(residual_bits) != edges:
-            raise InvalidPackingError(
-                "edge accounting failed: |E| != |K| + |F| + |K_R|"
-            )
         if key_map.nrows != len(key_bits) or key_map.ncols != edges:
             raise InvalidPackingError("key map has wrong shape")
         if transcript_map.nrows != broadcasts or transcript_map.ncols != edges:
@@ -196,8 +172,8 @@ class ProtocolRun(Value):
                 f"do not fit a packing of {packing.count} trees and {steps} "
                 "walk steps")
         self._store(packing=packing, keys=keys, key_bits=key_bits,
-                    transcript_bits=transcript_bits, residual_bits=residual_bits,
-                    key_map=key_map, transcript_map=transcript_map)
+                    transcript_bits=transcript_bits, key_map=key_map,
+                    transcript_map=transcript_map)
 
     @property
     def graph(self) -> Multigraph:
@@ -232,6 +208,11 @@ class ProtocolRun(Value):
         """Every edge in canonical order: the columns of both maps."""
         return self.graph.edge_refs()
 
+    @cached_property
+    def residual_bits(self) -> tuple[int, ...]:
+        """The edge bits of the edges no tree uses, in canonical order."""
+        return tuple(compress(self.keys.bits, self.packing.residual_mask()))
+
     @property
     def residual_edges(self) -> tuple[EdgeRef, ...]:
         """The edges no tree uses, in canonical order: where the residual
@@ -242,18 +223,30 @@ class ProtocolRun(Value):
     def transcript(self) -> Sequence[Broadcast]:
         """The broadcasts in transcript order, each built when it is read;
         its length is the column length."""
-        return _Broadcasts(self)
+        order = self.edge_order
+
+        def broadcast(position: int) -> Broadcast:
+            return Broadcast(self.broadcast_trees[position], self.speakers[position],
+                             self.transcript_bits[position],
+                             tuple(order[k] for k in self.transcript_map.rows[position]))
+
+        return View(len(self.transcript_bits), broadcast)
+
+
+def _check_key_count(packing: TreePacking, keys: EdgeKeyBits) -> int:
+    """The packing graph's edge count, once ``keys`` has one bit per edge."""
+    edges = packing.graph.total_edges()
+    if len(keys.bits) != edges:
+        raise InvalidPackingError(
+            f"{len(keys.bits)} key bits drawn for a graph of {edges} edges")
+    return edges
 
 
 def run_protocol(packing: TreePacking, keys: EdgeKeyBits) -> ProtocolRun:
     """Execute propagation over every tree of a packing: build the key and
     transcript maps, one block each per group, and apply them to the edge
     bits.  ``keys`` must hold one bit per edge of ``packing.graph``."""
-    edges = packing.graph.total_edges()
-    bits = keys.bits
-    if len(bits) != edges:
-        raise InvalidPackingError(
-            f"{len(bits)} key bits drawn for a graph of {edges} edges")
+    edges = _check_key_count(packing, keys)
     offsets = packing.graph.pair_offsets()
 
     key_blocks = []
@@ -272,9 +265,8 @@ def run_protocol(packing: TreePacking, keys: EdgeKeyBits) -> ProtocolRun:
     return ProtocolRun(
         packing=packing,
         keys=keys,
-        key_bits=key_map.apply(bits),
-        transcript_bits=transcript_map.apply(bits),
-        residual_bits=tuple(compress(bits, packing.residual_mask())),
+        key_bits=key_map.apply(keys.bits),
+        transcript_bits=transcript_map.apply(keys.bits),
         key_map=key_map,
         transcript_map=transcript_map,
     )

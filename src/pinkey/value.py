@@ -4,9 +4,10 @@ Each value type lists its constructor's parameters, in order, as
 ``_fields``, and writes its own ``__init__``: that checks and normalizes
 the arguments and stores them with ``_store``.  ``Value`` then gives
 equality, hashing and a repr over ``_fields`` (a type may override any of
-them), and refuses attribute assignment.  Attributes a constructor derives
-from its fields, and caches a method builds on first use, live in the
-instance ``__dict__`` beside the fields, outside equality and repr.
+them), and refuses attribute assignment.  Fields are the facts nothing
+else fixes; what they determine is a property, or an attribute the
+constructor derives or a first-use cache, kept in the instance
+``__dict__`` beside the fields, outside equality and repr.
 
 One rule makes every value read-only: ``_store`` keeps each dict or
 mapping proxy it is handed, field or cache, as a ``MappingProxyType``
@@ -19,13 +20,13 @@ caller's list.
 every check runs again on the new fields; unpickling and ``copy`` do the
 same, since a value pickles as its class and its fields.  Plain classes
 keep ``import pinkey.cli`` clear of ``dataclasses`` and the modules it
-imports.
+imports.  ``View`` is the one sequence whose items are built when read.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TypeVar
+from typing import Callable, Sequence, TypeVar
 
 V = TypeVar("V", bound="Value")
 # the types whose values ``_store`` copies into read-only tables: exact
@@ -81,3 +82,22 @@ def replace(obj: V, /, **changes: object) -> V:
     """A new value of ``obj``'s class: its fields with ``changes`` applied,
     passed through the constructor and its checks."""
     return type(obj)(**{name: getattr(obj, name) for name in obj._fields} | changes)
+
+
+class View(Sequence):
+    """``length`` items, item k built by ``item(k)`` when read, so ``len``
+    builds none; indices and slices work as in a tuple."""
+
+    __slots__ = ("_length", "_item")
+
+    def __init__(self, length: int, item: Callable[[int], object]) -> None:
+        self._length, self._item = length, item
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        position = range(self._length)[index]
+        if isinstance(position, range):
+            return tuple(map(self._item, position))
+        return self._item(position)

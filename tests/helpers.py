@@ -883,18 +883,18 @@ def reference_tree_check(edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The tree shape check with a separate connectivity search: returns
     (sorted edges, sorted vertices) or raises ``InvalidTreeError`` with the
     message ``pinkey.Tree`` must give."""
-    for edge in edges:
+    for edge in edges:  # in the given order: shape, then range
         if not isinstance(edge, tuple) or len(edge) != 3 or not all(
                 isinstance(x, int) and not isinstance(x, bool) for x in edge):
             raise InvalidTreeError(f"malformed edge {edge!r}")
+        i, j, copy = edge
+        if not (1 <= i < j) or copy < 0:
+            raise InvalidTreeError(f"malformed edge ({i}, {j}, {copy})")
     edges = tuple(sorted(edges))
     if not edges:
         raise InvalidTreeError("a tree needs at least one edge")
     if len(set(edges)) != len(edges):
         raise InvalidTreeError("duplicate edge in tree")
-    for (i, j, copy) in edges:
-        if not (1 <= i < j) or copy < 0:
-            raise InvalidTreeError(f"malformed edge ({i}, {j}, {copy})")
     vertices = tuple(sorted({v for (i, j, _) in edges for v in (i, j)}))
     adjacency: dict[int, list[int]] = {v: [] for v in vertices}
     for (i, j, _) in edges:
@@ -1075,16 +1075,17 @@ def per_tree_run_protocol(
             reference, edge = broadcast.support
             transcript_rows.append((index[reference], index[edge]))
         used.update(tree.edges)
-    residual_edges = tuple(e for e in edge_order if e not in used)
     run = ProtocolRun(
         packing=packing,
         keys=keys,
         key_bits=tuple(key_bits),
         transcript_bits=tuple(b.bit for b in transcript),
-        residual_bits=tuple(bits[e] for e in residual_edges),
         key_map=Gf2Matrix.from_rows(key_rows, len(edge_order)),
         transcript_map=Gf2Matrix.from_rows(transcript_rows, len(edge_order)),
     )
+    # the run derives its residual bits from the packing's marks
+    residual_bits = tuple(bits[e] for e in edge_order if e not in used)
+    assert run.residual_bits == residual_bits, (run.residual_bits, residual_bits)
     return run, tuple(transcript)
 
 
@@ -1143,13 +1144,16 @@ def gray_code_bruteforce(
     key_entropy = entropy(key_marginal)
     key_given_transcript = joint_entropy - transcript_entropy
     key_length = len(run.key_bits)
-    return SecurityReport(
-        security_index=Fraction(key_length) - key_given_transcript,
+    report = SecurityReport(
+        key_length=key_length,
         key_entropy=key_entropy,
         key_given_transcript=key_given_transcript,
-        uniformity_deficit=Fraction(key_length) - key_entropy,
         method="bruteforce",
     )
+    # the report derives its index and deficit from the entropies
+    assert report.security_index == key_length - key_given_transcript
+    assert report.uniformity_deficit == key_length - key_entropy
+    return report
 
 
 def json_dumps_report(

@@ -332,7 +332,6 @@ def chained_runs(draw):
         keys=EdgeKeyBits((0,) * edges),
         key_bits=(0,) * keys,
         transcript_bits=(0,) * steps,
-        residual_bits=(0,) * residual,
         key_map=Gf2Matrix.from_rows(key_rows, edges),
         transcript_map=Gf2Matrix.from_rows(transcript_rows, edges),
     )
@@ -408,11 +407,30 @@ class TestAudit:
         report = audit(leak_key_bit(run, 0, 0))
         assert report.security_index >= 1
 
-    def test_strict_mode_raises(self):
+    def test_failing_run_is_reported_not_raised(self):
+        # the audit returns every report; a caller that must stop raises
         run = spanning_run(DOUBLED_TRIANGLE, seed=4)
-        audit(run, strict=True)  # fine on an honest run
-        with pytest.raises(AuditFailureError):
-            audit(flip_broadcast(run, 0), strict=True)
+        assert audit(run).passed
+        assert not audit(flip_broadcast(run, 0)).passed
+
+    def test_method_disagreement_raises(self, monkeypatch):
+        # brute force off by one bit of H(K|F) is an internal error
+        real = AUDIT_MODULE.security_index_bruteforce
+
+        def off_by_one(run):
+            report = real(run)
+            return replace(report, key_given_transcript=report.key_given_transcript + 1)
+
+        monkeypatch.setattr(AUDIT_MODULE, "security_index_bruteforce", off_by_one)
+        with pytest.raises(AuditFailureError, match="rank says s=0, brute force says s=-1"):
+            audit(spanning_run(DOUBLED_TRIANGLE, seed=4))
+
+    def test_derived_figures_follow_the_entropies(self):
+        report = audit(spanning_run(DOUBLED_TRIANGLE, seed=4))
+        leaky = replace(report, key_given_transcript=report.key_given_transcript - 1)
+        assert (leaky.security_index, leaky.passed) == (1, False)
+        skewed = replace(report, key_entropy=Fraction(5, 2))
+        assert (skewed.uniformity_deficit, skewed.security_index) == (Fraction(1, 2), 0)
 
     def test_subadditivity_witness(self):
         # interleaved per-tree transcripts still leak nothing overall

@@ -11,6 +11,7 @@ from pinkey import (
     InvalidAssignmentError,
     PinModel,
     SizeLimitError,
+    SubsetFamily,
     TerminalSet,
     UnsupportedModeError,
     WeightAssignment,
@@ -85,6 +86,19 @@ class TestSubsetFamily:
         monkeypatch.setattr(pinkey.partitions, "TERMINAL_CAP", 13)
         family = subset_family(13, TerminalSet.of(1, 2))
         assert len(family.subsets) == 2**13 - 1 - 2**11
+
+    @pytest.mark.parametrize("target", [TerminalSet.of(1, 2), TerminalSet.of(2, 3), FULL3])
+    def test_constructor_enumerates_the_subsets(self, target):
+        family = SubsetFamily(3, target)
+        assert family == subset_family(3, target)
+        assert family.subsets == subset_family(3, target).subsets
+        assert replace(family, target=FULL3).subsets == subset_family(3, FULL3).subsets
+
+    def test_constructor_checks_the_target_and_the_cap(self):
+        with pytest.raises(ValueError):
+            SubsetFamily(2, TerminalSet.of(1, 3))
+        with pytest.raises(SizeLimitError, match="^m=13 exceeds the subset-enumeration cap 12$"):
+            SubsetFamily(13, TerminalSet.of(1, 2))
 
 
 def _assignment(m, target, weights: dict[tuple[int, ...], Fraction]):
@@ -175,6 +189,12 @@ class TestSolveCapacity:
         assert capacity_objective(TRIANGLE, result.assignment) == result.value
         assert result.coefficients == pair_coefficients(result.assignment)
 
+    def test_coefficients_follow_the_assignment(self):
+        result = solve_capacity(TRIANGLE, FULL3)
+        assert result.coefficients == {pair: Fraction(1, 2) for pair in result.coefficients}
+        singletons = replace(result, assignment=singleton_assignment(3, FULL3))
+        assert singletons.coefficients == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
+
     def test_weights_are_the_lp_solution_support(self):
         rng = random.Random(12)
         for _ in range(20):
@@ -217,7 +237,7 @@ def _shaped_case(rng: random.Random, shape: str, m: int) -> tuple[PinModel, Term
 def _hand_built(m, target, weights: dict[tuple[int, ...], Fraction], value):
     """A result that only ``certified_bound`` reads: no LP produced it."""
     return capacity_module.CapacityResult(
-        value=Fraction(value), assignment=_assignment(m, target, weights), coefficients={})
+        value=Fraction(value), assignment=_assignment(m, target, weights))
 
 
 class TestCertifiedBound:
@@ -463,7 +483,16 @@ class TestEntropyObjective:
         model = random_pmf_model(rng, m=3)
         report = check_objective_consistency(model, FULL3, trials=30, seed=11)
         assert report.passed, f"max discrepancy {report.max_discrepancy}"
-        assert report.trials == 30
+        assert report.trials == len(report.discrepancies) == 30
+        assert report.max_discrepancy == max(report.discrepancies)
+
+    def test_consistency_figures_follow_the_gaps(self):
+        report = check_objective_consistency(random_pmf_model(random.Random(7), m=3),
+                                             FULL3, trials=3, seed=11)
+        empty = replace(report, discrepancies=())
+        assert (empty.trials, empty.max_discrepancy, empty.passed) == (0, 0.0, True)
+        wide = replace(report, discrepancies=(0.0, 1e-3))
+        assert (wide.trials, wide.max_discrepancy, wide.passed) == (2, 1e-3, False)
 
 
 def _rejection(check):

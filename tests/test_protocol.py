@@ -170,6 +170,15 @@ class TestBroadcast:
         with pytest.raises(ValueError, match="two distinct edges"):
             Broadcast(0, 2, 1, ((1, 2, 0), (1, 2, 0)))
 
+    @pytest.mark.parametrize("support", [
+        [(1, 2, 0), (2, 3, 0, "x")], [[1, 2, 0], [2, 3, 0]], [(1, 2, 0), (3, 2, 0)],
+        [(1, 2, 0), (2, 3, -1)], [(1, 2, 0), (0, 3, 0)], [(1, 2, 0), (2, 3, True)],
+        [(1, 2, 0), (2.0, 3, 0)]])
+    def test_rejects_a_malformed_support_edge(self, support):
+        # each support edge has the shape a Tree edge has
+        with pytest.raises(ValueError, match="malformed edge in broadcast support"):
+            Broadcast(0, 1, 1, support)
+
 
 class TestPropagateTree:
     """Propagation over one tree, seen through ``run_protocol`` on a
@@ -277,17 +286,17 @@ class TestRunProtocol:
         assert full_run(DOUBLED_TRIANGLE, seed=9) == full_run(DOUBLED_TRIANGLE, seed=9)
 
     def test_rejects_maps_that_do_not_fit_the_packing(self):
-        # every variant keeps |E| = |K| + |F| + |K_R| and each map's shape
+        # every variant keeps each map's shape
         four = full_run(Multigraph(2, {(1, 2): 4}))  # four one-edge trees
         with pytest.raises(InvalidPackingError, match=re.escape(
                 "maps of 1 key rows and 1 broadcasts do not fit a packing of "
                 "4 trees and 0 walk steps")):
-            replace(four, key_bits=(0,), transcript_bits=(0,), residual_bits=(0, 0),
+            replace(four, key_bits=(0,), transcript_bits=(0,),
                     key_map=Gf2Matrix.from_rows([(0,)], 4),
                     transcript_map=Gf2Matrix.from_rows([(1, 2)], 4))
         unit = full_run(UNIT_TRIANGLE)  # one key row, one broadcast, one residual
         with pytest.raises(InvalidPackingError, match="1 key rows and 2 broadcasts"):
-            replace(unit, transcript_bits=(0, 0), residual_bits=(),
+            replace(unit, transcript_bits=(0, 0),
                     transcript_map=Gf2Matrix.from_rows(unit.transcript_map.rows + ((2,),), 3))
         doubled = full_run(DOUBLED_TRIANGLE)  # a key row moved into the transcript
         with pytest.raises(InvalidPackingError, match="2 key rows and 4 broadcasts"):
@@ -306,6 +315,21 @@ class TestRunProtocol:
         with pytest.raises(InvalidPackingError,
                            match=f"{6 + change} key bits drawn for a graph of 6 edges"):
             run_protocol(packing, keys)
+
+    def test_run_refuses_keys_for_another_edge_count(self):
+        # the constructor makes the key-count check, so ``replace`` makes it too
+        run = full_run(Multigraph(2, {(1, 2): 4}))
+        with pytest.raises(InvalidPackingError,
+                           match="3 key bits drawn for a graph of 4 edges"):
+            replace(run, keys=EdgeKeyBits((0,) * 3))
+
+    def test_residual_bits_follow_the_keys(self):
+        run = full_run(UNIT_TRIANGLE, seed=5)  # one two-edge tree, one residual edge
+        (residual,) = run.residual_edges
+        assert run.residual_bits == (run.keys.bits[run.edge_order.index(residual)],)
+        flipped = replace(run, keys=EdgeKeyBits(tuple(1 - bit for bit in run.keys.bits)))
+        assert flipped.residual_bits == (1 - run.residual_bits[0],)
+        assert flipped.key_bits == run.key_bits  # stored, so left as they were
 
     @pytest.mark.parametrize("seed", range(10))
     def test_transcript_rows_index_the_supports(self, seed):

@@ -126,3 +126,22 @@ def test_equality_overrides_compare_meaning():
                              and item.name in ("__eq__", "__hash__"))
     assert found == {"Gf2Matrix.__eq__", "Gf2Matrix.__hash__",
                      "SimplexResult.__eq__", "SimplexResult.__hash__"}
+
+
+def test_value_constructors_take_their_fields_in_order():
+    # ``replace`` and pickling pass ``_fields`` back to the constructor, so
+    # its parameters are those names, in that order, and nothing else
+    import inspect
+
+    import pinkey
+    from pinkey.simplex import SimplexResult
+    from pinkey.value import Value
+
+    types = {obj for obj in vars(pinkey).values()
+             if isinstance(obj, type) and issubclass(obj, Value)} | {SimplexResult}
+    mismatched = {}
+    for cls in sorted(types, key=lambda cls: cls.__name__):
+        parameters = tuple(inspect.signature(cls.__init__).parameters)[1:]
+        if parameters != cls._fields:
+            mismatched[cls.__name__] = (parameters, cls._fields)
+    assert len(types) > 10 and mismatched == {}

@@ -41,8 +41,7 @@ from pinkey.value import Value, replace
 
 
 def report(**recoverability):
-    return SecurityReport(Fraction(0), Fraction(1), Fraction(1), Fraction(0), "rank",
-                          **recoverability)
+    return SecurityReport(1, Fraction(1), Fraction(1), "rank", **recoverability)
 
 
 def test_fields_cannot_be_assigned_or_deleted():
@@ -85,10 +84,10 @@ def test_derived_attributes_stay_out_of_equality():
 
 
 def test_consistency_report_gaps_count_in_equality_not_repr():
-    full = ConsistencyReport(trials=2, max_discrepancy=0.5, discrepancies=(0.5, 0.0))
+    full = ConsistencyReport(discrepancies=(0.5, 0.0))
     assert repr(full) == "ConsistencyReport(trials=2, max_discrepancy=0.5)"
-    assert full != ConsistencyReport(2, 0.5)
-    assert ConsistencyReport(2, 0.5).discrepancies == ()
+    assert full != ConsistencyReport((0.0, 0.5))
+    assert repr(ConsistencyReport(())) == "ConsistencyReport(trials=0, max_discrepancy=0.0)"
 
 
 def test_gf2_matrix_keeps_its_row_equality():
@@ -171,22 +170,23 @@ def _every_value() -> list[Value]:
     keys = draw_edge_keys(graph, 3)
     run = run_protocol(packing, EdgeKeyBits(list(keys.bits), seed=3))
     run = ProtocolRun(run.packing, run.keys, list(run.key_bits), list(run.transcript_bits),
-                      list(run.residual_bits), run.key_map, run.transcript_map)
-    run.speakers, run.broadcast_trees, run.key_map.rows
+                      run.key_map, run.transcript_map)
+    run.speakers, run.broadcast_trees, run.residual_bits, run.key_map.rows
     family = subset_family(3, target)
     result = solve_capacity(model, target)
+    result = CapacityResult(result.value, result.assignment)
+    result.coefficients
     simplex = SimplexResult([0, 1, 2], 2, [1, 1, 1], 3, len(family.subsets))
     simplex.value, simplex.solution
     return [
         target, pmf, model, graph, Partition([0, 1, 0]), Tree([(2, 3, 0), (1, 2, 0)]),
         packing, keys, run, Broadcast(0, 1, 1, [(1, 2, 0), (2, 3, 0)]),
         Gf2Matrix([[2, [[0, None], [0, 2]]]], 4),
-        SubsetFamily(3, target, list(family.subsets)),
+        family,
         WeightAssignment(3, target, dict(result.assignment.weights)),
-        CapacityResult(result.value, result.assignment, dict(result.coefficients)),
-        ConsistencyReport(2, 0.5, [0.5, 0.0]),
-        audit(run), SecurityReport(Fraction(0), Fraction(1), Fraction(1), Fraction(0),
-                                   "rank", {1: True, 2: True}),
+        result,
+        ConsistencyReport([0.5, 0.0]),
+        audit(run), SecurityReport(1, Fraction(1), Fraction(1), "rank", {1: True, 2: True}),
         simplex,
     ]
 
@@ -288,12 +288,11 @@ def test_protocol_run_bits_ignore_a_later_write():
     graph = Multigraph(2, {(1, 2): 1})
     honest = run_protocol(TreePacking(graph, TerminalSet.of(1, 2), [(Tree([(1, 2, 0)]), 1)]),
                           EdgeKeyBits((1,)))
-    key_bits, transcript_bits, residual_bits = [1], [], []
-    run = ProtocolRun(honest.packing, honest.keys, key_bits, transcript_bits, residual_bits,
+    key_bits, transcript_bits = [1], []
+    run = ProtocolRun(honest.packing, honest.keys, key_bits, transcript_bits,
                       honest.key_map, honest.transcript_map)
     key_bits[0] = 0
     transcript_bits.append(1)
-    residual_bits.append(1)
     assert (run.key_bits, run.transcript_bits, run.residual_bits) == ((1,), (), ())
 
 
@@ -306,17 +305,21 @@ def test_simplex_result_ignores_a_later_write():
 
 
 def test_subset_family_and_consistency_report_ignore_a_later_write():
-    subsets, gaps = [1, 2], [0.5]
-    family = SubsetFamily(2, TerminalSet.of(1, 2), subsets)
-    report_card = ConsistencyReport(1, 0.5, gaps)
-    subsets.append(3)
+    # a family takes no list: it builds its own subsets
+    family = SubsetFamily(2, TerminalSet.of(1, 2))
+    gaps = [0.5]
+    report_card = ConsistencyReport(gaps)
     gaps.append(1.0)
     assert (family.subsets, report_card.discrepancies) == ((1, 2), (0.5,))
+    assert (report_card.trials, report_card.max_discrepancy) == (1, 0.5)
 
 
 def test_capacity_result_ignores_a_later_write():
+    # the coefficients are built on first read from the assignment and kept
+    # as a read-only table, so a write to them is refused
     result = solve_capacity(_triangle(), TerminalSet.full(3))
-    coefficients = dict(result.coefficients)
-    kept = CapacityResult(result.value, result.assignment, coefficients)
-    coefficients[(1, 2)] = Fraction(7)
-    assert kept.coefficients == result.coefficients != coefficients
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            result.coefficients[(1, 2)] = Fraction(7)
+    assert dict(result.coefficients) == {(1, 2): Fraction(1, 2), (1, 3): Fraction(1, 2),
+                                         (2, 3): Fraction(1, 2)}
