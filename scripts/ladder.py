@@ -107,14 +107,20 @@ timing the import itself, so interpreter start-up is left out.  One
 untimed interpreter first writes the bytecode to a temporary cache that
 the timed ones read.  It reports ``modules``, how many entries the import
 adds to ``sys.modules``, a count that must repeat exactly in every
-interpreter, and ``argparse``, whether the import loaded it.
+interpreter, and ``argparse``, whether the import loaded it.  The
+``cli/text_pack`` and ``cli/text_simulate`` rows are the text output path:
+``pinkey.cli.main`` in-process with ``--format text`` on a 100k-edge
+two-terminal model (``pack``, pair weight 100,000) and on the 100k-edge
+three-terminal path (``simulate --set 1,3``, both pair weights 50,000),
+stdout sent to a null stream that counts what reaches it.  They report
+the edge count, the exit code and ``bytes``, the bytes written.
 
 A row whose call raises ``SizeLimitError`` reports the message as
 ``limit`` and no times.  Each row reports the best of ``--repeat``
 wall-clock times of one
 ``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
-pass of path packings, LPs, exact Steiner packings, model loads, argument steps or
-imports, with what it returned: tree and group counts, the capacity and
+pass of path packings, LPs, exact Steiner packings, model loads, argument steps,
+imports or text-mode CLI runs, with what it returned: tree and group counts, the capacity and
 the LP's column count, each target size, capacity and bound of the floor
 set and its certified count, the key and transcript bit counts, the
 graph count and total trees, the model count and total edges, the
@@ -133,6 +139,8 @@ the two sides of a round against the drift between interpreters.
 """
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -171,6 +179,14 @@ ARGV_TAILS = {
     "simulate": ["--set", "1,2", "--scale", "2", "--mode", "exact", "--seed", "7",
                  "--format", "structured"],
     "validate": ["--format", "structured"],
+}
+# the text-mode CLI rows: model document and command line after the path
+TEXT_RUNS = {
+    "cli/text_pack": ({"terminals": 2, "weights": [{"i": 1, "j": 2, "value": 100_000}]},
+                      ["pack"]),
+    "cli/text_simulate": ({"terminals": 3, "weights": [{"i": 1, "j": 2, "value": 50_000},
+                                                       {"i": 2, "j": 3, "value": 50_000}]},
+                          ["simulate", "--set", "1,3"]),
 }
 CAPACITY_TARGETS = (("", TerminalSet.full),
                     ("_pair", lambda m: TerminalSet.of(1, 2)),
@@ -517,6 +533,40 @@ def import_row(repeat: int) -> dict:
             "best_s": min(times), "times_s": times}
 
 
+class ByteCounter(io.RawIOBase):
+    """A null sink that counts the bytes written to it."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.count += len(data)
+        return len(data)
+
+
+def text_row(document: dict, command: list[str], repeat: int) -> dict:
+    with tempfile.TemporaryDirectory() as work:
+        path = write_models(work, [json.dumps(document)])[0]
+        argv = [command[0], path, *command[1:], "--format", "text"]
+
+        def run() -> tuple[int, int]:
+            # buffered as a real stdout is, so each write costs what it
+            # costs there
+            counter = ByteCounter()
+            with io.TextIOWrapper(io.BufferedWriter(counter), encoding="utf-8") as out:
+                with contextlib.redirect_stdout(out):
+                    code = pinkey.cli.main(argv)
+                out.flush()
+                return code, counter.count
+
+        (code, written), timing = timed(run, repeat)
+    edges = sum(weight["value"] for weight in document["weights"])
+    return {"edges": edges, "code": code, "bytes": written, **timing}
+
+
 def ladder() -> list[tuple[str, object]]:
     """Every row's name and a call that times it given ``repeat`` and
     returns its fields, in ladder order."""
@@ -540,6 +590,7 @@ def ladder() -> list[tuple[str, object]]:
     rows.append(("cli/load_floor", partial(load_row, texts)))
     rows.append(("cli/argv_floor", partial(argv_row, texts)))
     rows.append(("cli/import_floor", import_row))
+    rows += [(name, partial(text_row, *run)) for name, run in TEXT_RUNS.items()]
     return rows
 
 
@@ -569,6 +620,8 @@ def describe(row: dict) -> str:
         text = f"argvs {row['argvs']:>4}  fast {row['fast']:>4}"
     elif row["row"] == "cli/import_floor":
         text = f"modules {row['modules']:>4}  argparse {'yes' if row['argparse'] else 'no':>3}"
+    elif row["row"] in TEXT_RUNS:
+        text = f"|E| = {row['edges']:>6}  exit {row['code']}  bytes {row['bytes']:>8}"
     elif family == "cli":
         text = f"models {row['models']:>4}  edges {row['edges']:>5}"
     else:

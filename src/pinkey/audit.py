@@ -39,7 +39,9 @@ class SecurityReport(Value):
     ``key_length - key_given_transcript``, and ``uniformity_deficit`` is
     ``key_length - key_entropy``.
     ``recoverability`` maps each target terminal to whether it recovered
-    the key, kept read-only like every table of a ``Value``."""
+    the key, kept read-only like every table of a ``Value``.  ``passed``
+    needs s = 0 and a nonempty recoverability, all good: alone, an entropy
+    method checks no recovery and gives no verdict."""
 
     _fields = ("key_length", "key_entropy", "key_given_transcript", "method",
                "recoverability")
@@ -66,7 +68,8 @@ class SecurityReport(Value):
 
     @property
     def passed(self) -> bool:
-        return self.security_index == 0 and all(self.recoverability.values())
+        return (self.security_index == 0 and bool(self.recoverability)
+                and all(self.recoverability.values()))
 
 
 def security_index_rank(run: ProtocolRun) -> SecurityReport:
@@ -187,19 +190,21 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
 def audit(run: ProtocolRun) -> SecurityReport:
     """Full audit: per-terminal recovery plus the exact security index.
 
-    The rank method always runs; brute force cross-checks it whenever the
-    edge count permits, and any disagreement is an internal error.  A
-    failing run gives a report whose ``passed`` is False.
+    The rank method always runs; brute force cross-checks both of its
+    entropies, H(K|F) and H(K), whenever the edge count permits, and any
+    disagreement is an internal error.  A failing run gives a report whose
+    ``passed`` is False.
     """
     rank_report = security_index_rank(run)
     method = "rank"
     if run.graph.total_edges() <= BRUTEFORCE_EDGE_CAP:
         brute = security_index_bruteforce(run)
-        if brute.key_given_transcript != rank_report.key_given_transcript:
-            raise AuditFailureError(
-                f"method disagreement: rank says s={rank_report.security_index}, "
-                f"brute force says s={brute.security_index}"
-            )
+        # equal key lengths: s and H(K|F) agree together
+        for name, field in (("s", "security_index"), ("H(K)", "key_entropy")):
+            ours, theirs = getattr(rank_report, field), getattr(brute, field)
+            if ours != theirs:
+                raise AuditFailureError(f"method disagreement: rank says {name}={ours}, "
+                                        f"brute force says {name}={theirs}")
         method = "rank+bruteforce"
     recoverability = {terminal: recover_key(run, terminal) == run.key_bits
                       for terminal in run.target}

@@ -362,7 +362,10 @@ class ConsistencyReport(Value):
 def check_objective_consistency(
     model: PinModel, target: TerminalSet, trials: int, seed: int = 0
 ) -> ConsistencyReport:
-    """Compare the two objective forms at random vertices of the polytope."""
+    """Compare the two objective forms at ``trials`` random vertices of the
+    polytope, a positive int: no comparison would pass having checked nothing."""
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be a positive int, got {trials!r}")
     rng = random.Random(seed)
     family = SubsetFamily(model.m, target)
     gaps = []

@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Subcommands: ``capacity``, ``upper-bound``, ``pack``, ``simulate``,
-``validate``.  Text output is human-readable; ``--format structured``
-emits one line of versioned JSON with sorted keys, so identical inputs
-(and seeds) give byte-identical output.  Rationals are rendered as
-``p/q`` strings (plain ``p`` for integers); exact mode never prints
-floats.
+``validate``.  Each command puts its facts in one report.  Text output
+renders that report as human-readable lines, plus the two bulk columns
+(a packing's trees, a run's transcript); ``--format structured`` emits
+one line of versioned JSON with sorted keys, so identical inputs (and
+seeds) give byte-identical output.  Either is written with one call.
+Rationals are rendered as ``p/q`` strings (plain ``p`` for integers);
+exact mode never prints floats.
 
 The commands are declared once, as data in ``_COMMANDS``.  A well-formed
 command line (a command, its model path, then that command's own ``--flag
@@ -28,8 +30,9 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .audit import audit
 from .capacity import certified_bound, solve_capacity
@@ -96,12 +99,12 @@ def _parse_terminals(spec: str | None, model: PinModel) -> TerminalSet:
 
 
 def _emit(args: SimpleNamespace, report: dict,
-          render_text: Callable[[], list[str]],
+          render_text: Callable[[], Iterable[str]],
           spliced: dict[str, Callable[[], str]] | None = None) -> None:
-    """Print the report; the text lines are built only in text mode.  In
-    structured mode, ``spliced`` maps report keys to functions that render
-    their values as JSON text: each goes in at its key's sorted position,
-    in place of the null that ``json.dumps`` writes there."""
+    """Write the report with one call; the text, pieces that each end a
+    line, is built only in text mode.  In structured mode, ``spliced`` maps
+    report keys to functions that render their values as JSON text, each
+    put in at its key's sorted position for the null ``json.dumps`` writes."""
     if args.format == "structured":
         report["format_version"] = FORMAT_VERSION
         spliced = spliced or {}
@@ -109,17 +112,10 @@ def _emit(args: SimpleNamespace, report: dict,
         text = json.dumps(report, sort_keys=True, separators=(",", ":"))
         for key, render in spliced.items():
             text = text.replace(f'"{key}":null', f'"{key}":{render()}', 1)
-        print(text)
+        pieces: Iterable[str] = (text, "\n")
     else:
-        for line in render_text():
-            print(line)
-
-
-def _serialize_weights(result) -> list[dict]:
-    return [
-        {"subset": list(members), "value": format_rational(value)}
-        for members, value in result.assignment.support()
-    ]
+        pieces = render_text()
+    sys.stdout.writelines(pieces)
 
 
 def _cmd_capacity(args: SimpleNamespace) -> int:
@@ -142,15 +138,15 @@ def _cmd_capacity(args: SimpleNamespace) -> int:
         "capacity": format_rational(result.value),
         "upper_bound": format_rational(bound),
         "tight": result.value == bound,
-        "optimal_weights": _serialize_weights(result),
+        "optimal_weights": [{"subset": list(members), "value": format_rational(value)}
+                            for members, value in result.assignment.support()],
     }
     _emit(args, report, lambda: [
-        f"capacity C(A) = {format_rational(result.value)}",
-        f"upper bound   = {format_rational(bound)}"
-        + ("  (tight)" if result.value == bound else ""),
-        "optimal subset weights:",
-    ] + [f"  {{{','.join(map(str, members))}}} -> {format_rational(value)}"
-         for members, value in result.assignment.support()])
+        f"capacity C(A) = {report['capacity']}\n"
+        f"upper bound   = {report['upper_bound']}{'  (tight)' if report['tight'] else ''}\n"
+        "optimal subset weights:\n"
+    ] + [f"  {{{','.join(map(str, weight['subset']))}}} -> {weight['value']}\n"
+         for weight in report["optimal_weights"]])
     return EXIT_OK
 
 
@@ -158,18 +154,18 @@ def _cmd_upper_bound(args: SimpleNamespace) -> int:
     model = load_model(args.model)
     target = _parse_terminals(args.set, model)
     bound, partition = best_partition(model, target)
-    atoms = [list(atom) for atom in partition.atoms()]
     report = {
         "command": "upper-bound",
         "terminals": model.m,
         "set": list(target.members),
         "upper_bound": format_rational(bound),
-        "minimizing_partition": atoms,
+        "minimizing_partition": [list(atom) for atom in partition.atoms()],
     }
     _emit(args, report, lambda: [
-        f"upper bound = {format_rational(bound)}",
+        f"upper bound = {report['upper_bound']}\n"
         "minimizing partition: "
-        + " | ".join(",".join(map(str, atom)) for atom in atoms),
+        + " | ".join(",".join(map(str, atom)) for atom in report["minimizing_partition"])
+        + "\n"
     ])
     return EXIT_OK
 
@@ -196,16 +192,21 @@ def _packed(args: SimpleNamespace) -> tuple[dict, TreePacking]:
     return report, packing
 
 
-def _trees_json(packing: TreePacking) -> str:
-    """The ``trees`` field: each copy's sorted edges as [i,j,copy] arrays.
-    A group's copies differ only in their copy numbers, so one template per
-    group takes each copy's numbers at once."""
-    parts: list[str] = []
+def _copies(packing: TreePacking, edge: str, sep: str) -> Iterator[str]:
+    """Each copy's sorted edges as text, in the order of ``trees``: ``edge``
+    formats i and j and leaves ``%d`` for the copy number; ``sep`` joins a
+    copy's edges.  A group's copies differ only in their copy numbers, so
+    one template per group takes each copy's numbers at once."""
     for tree, copies in packing.groups:
-        template = "[" + ",".join("[%d,%d,%%d]" % (i, j) for i, j, _ in tree.edges) + "]"
-        parts += map(template.__mod__,
-                     zip(*(range(c, c + copies) for _, _, c in tree.edges)))
-    return "[" + ",".join(parts) + "]"
+        template = sep.join(edge % (i, j) for i, j, _ in tree.edges)
+        yield from map(template.__mod__,
+                       zip(*(range(c, c + copies) for _, _, c in tree.edges)))
+
+
+def _trees_json(packing: TreePacking) -> str:
+    """The ``trees`` field: each copy's sorted edges as [i,j,copy] arrays."""
+    text = "],[".join(_copies(packing, "[%d,%d,%%d]", ","))
+    return f"[[{text}]]" if text else "[]"
 
 
 def _transcript_json(run: ProtocolRun) -> str:
@@ -218,11 +219,10 @@ def _transcript_json(run: ProtocolRun) -> str:
 
 def _cmd_pack(args: SimpleNamespace) -> int:
     report, packing = _packed(args)
-    _emit(args, report, lambda: [
-        f"scale n = {report['scale']}, edges = {report['edge_total']}",
-        f"packed {packing.count} edge-disjoint trees (rate {report['rate']})",
-    ] + [f"  tree {index}: " + " ".join(f"{i}-{j}#{c}" for i, j, c in edges)
-         for index, edges in enumerate(packing.copy_edges())],
+    _emit(args, report, lambda: chain([
+        f"scale n = {report['scale']}, edges = {report['edge_total']}\n"
+        f"packed {report['tree_count']} edge-disjoint trees (rate {report['rate']})\n"
+    ], map("  tree %d: %s\n".__mod__, enumerate(_copies(packing, "%d-%d#%%d", " ")))),
         {"trees": lambda: _trees_json(packing)})
     return EXIT_OK
 
@@ -240,27 +240,23 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
         "residual_bits": len(run.residual_bits),
         "security_index": format_rational(report_card.security_index),
         "audit_method": report_card.method,
-        "recovered": [
-            {"terminal": t, "ok": report_card.recoverability[t]}
-            for t in sorted(report_card.recoverability)
-        ],
+        "recovered": [{"terminal": t, "ok": ok}
+                      for t, ok in sorted(report_card.recoverability.items())],
         "audit_passed": report_card.passed,
     })
     _emit(args, report, lambda: [
-        f"scale n = {report['scale']}, seed = {args.seed}",
-        f"key bits |K| = {len(run.key_bits)}, transcript |F| = "
-        f"{len(run.transcript_bits)}, residual |K_R| = {len(run.residual_bits)}",
-        f"security index s = {format_rational(report_card.security_index)} "
-        f"({report_card.method})",
+        f"scale n = {report['scale']}, seed = {report['seed']}\n"
+        f"key bits |K| = {report['key_bits']}, transcript |F| = "
+        f"{report['transcript_bits']}, residual |K_R| = {report['residual_bits']}\n"
+        f"security index s = {report['security_index']} ({report['audit_method']})\n"
         "recovery: "
-        + " ".join(
-            f"{t}:{'ok' if ok else 'FAIL'}"
-            for t, ok in sorted(report_card.recoverability.items())
-        ),
-        "transcript:",
-    ] + ["  " + line for line in export_transcript(run).splitlines()],
-        {"trees": lambda: _trees_json(packing),
-         "transcript": lambda: _transcript_json(run)})
+        + " ".join(f"{entry['terminal']}:{'ok' if entry['ok'] else 'FAIL'}"
+                   for entry in report["recovered"])
+        + "\ntranscript:\n",
+        # every line of the transcript, indented; each line ends in a newline
+        "  " + export_transcript(run)[:-1].replace("\n", "\n  ") + "\n",
+    ], {"trees": lambda: _trees_json(packing),
+        "transcript": lambda: _transcript_json(run)})
     if not report_card.passed:
         print("audit failed", file=sys.stderr)
         return EXIT_AUDIT
@@ -284,10 +280,10 @@ def _cmd_validate(args: SimpleNamespace) -> int:
     if model.exact:
         report["base_scale"] = base_scale(model)
     _emit(args, report, lambda: [
-        f"model ok: {model.m} terminals, "
-        f"{'exact' if model.exact else 'float'} mode, "
-        f"{nonzero} correlated pairs"
-    ] + ([f"base scale n0 = {report['base_scale']}"] if model.exact else []))
+        f"model ok: {report['terminals']} terminals, "
+        f"{'exact' if report['exact'] else 'float'} mode, "
+        f"{report['pairs_nonzero']} correlated pairs\n"
+    ] + ([f"base scale n0 = {report['base_scale']}\n"] if report["exact"] else []))
     return EXIT_OK
 
 

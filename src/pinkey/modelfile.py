@@ -15,13 +15,14 @@ with only ``pmfs`` is float-mode.
 
 The file is checked in one pass, each check in one place:
 
-* ``loads_model`` checks the top level, then each record once: that it is
-  an object with exactly its fields (``_field_error`` names what is
-  wrong), its pair (``_pair_of``: integer ``i`` and ``j``, no self-pair,
-  both in 1..m), that the pair is new, and its value (``parse_rational``
-  in ``model``: an int, or a ``p`` / ``p/q`` string of ASCII digits, then
-  the sign by its numerator) or its pmf table.  A record's ``weights[k]``
-  context and every message are built only when a check fails.
+* ``loads_model`` checks the top level, then each record once: through
+  ``_records``, that it is an object with exactly its fields
+  (``_field_error`` names what is wrong), its pair (integer ``i`` and
+  ``j``, no self-pair, both in 1..m) and that the pair is new; then its
+  value (``parse_rational`` in ``model``: an int, or a ``p`` /
+  ``p/q`` string of ASCII digits, then the sign by its numerator) or its
+  pmf table.  A record's ``weights[k]`` context and every message are
+  built only when a check fails.
 * ``PinModel`` fills in the zero pairs, keeps the parsed Fractions as they
   are, repeats the checks that library callers need (pair range, sign,
   conflicting pairs) and compares each pmf with its weight.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, NoReturn
+from typing import Any, Iterator, NoReturn
 
 from .errors import ModelFormatError
 from .model import (
@@ -72,19 +73,31 @@ def _field_error(record: Any, fields: frozenset, names: str, context: str) -> No
     _fail(f"{context}: needs exactly fields {names}")
 
 
-def _pair_of(record: dict, m: int, field: str, k: int) -> Pair:
-    """The canonical pair of record ``field[k]``."""
-    i = record["i"]
-    j = record["j"]
-    if type(i) is not int:
-        _not_an_integer(i, f"{field}[{k}].i")
-    if type(j) is not int:
-        _not_an_integer(j, f"{field}[{k}].j")
-    if i == j:
-        _fail(f"{field}[{k}]: self-pair ({i}, {j})")
-    if not (1 <= i <= m and 1 <= j <= m):
-        _fail(f"{field}[{k}]: pair ({i}, {j}) outside terminals 1..{m}")
-    return (i, j) if i < j else (j, i)
+def _records(doc: dict, field: str, fields: frozenset, names: str,
+             m: int) -> Iterator[tuple[int, dict, Pair]]:
+    """Each record of the list ``doc[field]`` with its index and canonical
+    pair, once it is an object with exactly ``fields`` whose ``i`` and
+    ``j`` are integers that form a new pair within 1..m."""
+    if not isinstance(doc[field], list):
+        _fail(f"'{field}' must be a list of records")
+    seen: set[Pair] = set()
+    for k, record in enumerate(doc[field]):
+        if type(record) is not dict or record.keys() != fields:
+            _field_error(record, fields, names, f"{field}[{k}]")
+        i, j = record["i"], record["j"]
+        if type(i) is not int:
+            _not_an_integer(i, f"{field}[{k}].i")
+        if type(j) is not int:
+            _not_an_integer(j, f"{field}[{k}].j")
+        if i == j:
+            _fail(f"{field}[{k}]: self-pair ({i}, {j})")
+        if not (1 <= i <= m and 1 <= j <= m):
+            _fail(f"{field}[{k}]: pair ({i}, {j}) outside terminals 1..{m}")
+        pair = (i, j) if i < j else (j, i)
+        if pair in seen:
+            _fail(f"{field}[{k}]: duplicate pair {pair}")
+        seen.add(pair)
+        yield k, record, pair
 
 
 def loads_model(text: str) -> PinModel:
@@ -109,15 +122,8 @@ def loads_model(text: str) -> PinModel:
 
     weights = None
     if "weights" in doc:
-        if not isinstance(doc["weights"], list):
-            _fail("'weights' must be a list of records")
         weights = {}
-        for k, record in enumerate(doc["weights"]):
-            if type(record) is not dict or record.keys() != _WEIGHT_FIELDS:
-                _field_error(record, _WEIGHT_FIELDS, "i, j, value", f"weights[{k}]")
-            pair = _pair_of(record, m, "weights", k)
-            if pair in weights:
-                _fail(f"weights[{k}]: duplicate pair {pair}")
+        for k, record, pair in _records(doc, "weights", _WEIGHT_FIELDS, "i, j, value", m):
             try:
                 value = parse_rational(record["value"])
             except ValueError as exc:
@@ -128,15 +134,9 @@ def loads_model(text: str) -> PinModel:
 
     pmfs = {}
     if "pmfs" in doc:
-        if not isinstance(doc["pmfs"], list):
-            _fail("'pmfs' must be a list of records")
-        for k, record in enumerate(doc["pmfs"]):
+        for k, record, pair in _records(doc, "pmfs", _PMF_FIELDS,
+                                        "i, j, rows, cols, probs", m):
             context = f"pmfs[{k}]"
-            if type(record) is not dict or record.keys() != _PMF_FIELDS:
-                _field_error(record, _PMF_FIELDS, "i, j, rows, cols, probs", context)
-            pair = _pair_of(record, m, "pmfs", k)
-            if pair in pmfs:
-                _fail(f"{context}: duplicate pair {pair}")
             rows = _require_int(record["rows"], f"{context}.rows")
             cols = _require_int(record["cols"], f"{context}.cols")
             if rows < 1 or cols < 1:

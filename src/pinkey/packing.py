@@ -60,7 +60,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidPackingError, InvalidTreeError, SizeLimitError
 from .model import EdgeRef, Multigraph, Pair, PinModel, TerminalSet, realize_multigraph
@@ -192,14 +192,6 @@ class TreePacking(Value):
         """One byte per edge in canonical order: 1 where no tree uses the
         edge, from the marks of the packing check."""
         return self._residual_mask
-
-    def copy_edges(self) -> Iterator[tuple[EdgeRef, ...]]:
-        """Each copy's sorted edges, in the order of ``trees``, without
-        building a ``Tree`` per copy."""
-        for tree, copies in self.groups:
-            yield tree.edges
-            for k in range(1, copies):
-                yield tuple([(i, j, c + k) for i, j, c in tree.edges])
 
     @property
     def trees(self) -> Sequence[Tree]:

@@ -425,6 +425,27 @@ class TestAudit:
         with pytest.raises(AuditFailureError, match="rank says s=0, brute force says s=-1"):
             audit(spanning_run(DOUBLED_TRIANGLE, seed=4))
 
+    def test_key_entropy_disagreement_raises(self, monkeypatch):
+        # brute force off by one bit of H(K) alone: equal s, still an error
+        real = AUDIT_MODULE.security_index_bruteforce
+
+        def off_by_one(run):
+            report = real(run)
+            return replace(report, key_entropy=report.key_entropy - 1)
+
+        monkeypatch.setattr(AUDIT_MODULE, "security_index_bruteforce", off_by_one)
+        with pytest.raises(AuditFailureError,
+                           match=r"rank says H\(K\)=3, brute force says H\(K\)=2"):
+            audit(spanning_run(DOUBLED_TRIANGLE, seed=4))
+
+    def test_no_verdict_without_a_recovery_check(self):
+        # each entropy method alone checks no recovery, so neither can pass
+        # a run that ``audit`` fails
+        flipped = flip_broadcast(spanning_run(DOUBLED_TRIANGLE, seed=7), 0)
+        rank, brute = security_index_rank(flipped), security_index_bruteforce(flipped)
+        assert (rank.security_index, brute.security_index) == (0, 0)
+        assert not rank.passed and not brute.passed and not audit(flipped).passed
+
     def test_derived_figures_follow_the_entropies(self):
         report = audit(spanning_run(DOUBLED_TRIANGLE, seed=4))
         leaky = replace(report, key_given_transcript=report.key_given_transcript - 1)

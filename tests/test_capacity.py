@@ -486,6 +486,12 @@ class TestEntropyObjective:
         assert report.trials == len(report.discrepancies) == 30
         assert report.max_discrepancy == max(report.discrepancies)
 
+    @pytest.mark.parametrize("trials", [-3, 0, 2.0, True, "3", None])
+    def test_consistency_check_refuses_a_count_that_is_not_a_positive_int(self, trials):
+        model = random_pmf_model(random.Random(7), m=3)
+        with pytest.raises(ValueError, match="trials must be a positive int"):
+            check_objective_consistency(model, FULL3, trials=trials)
+
     def test_consistency_figures_follow_the_gaps(self):
         report = check_objective_consistency(random_pmf_model(random.Random(7), m=3),
                                              FULL3, trials=3, seed=11)
