@@ -61,7 +61,7 @@ equal graph per timed call, untimed, as a CLI request builds its packing.
 Each timed call runs ``run_protocol`` and ``audit`` on its own packing,
 so no call reads what an earlier call cached.
 
-The ``steiner/`` rows run ``steiner_packing``, exact but for the last:
+The ``steiner/`` rows run ``steiner_packing``, exact but for the last two:
 
 * ``set_s1``: the Steiner set, 40 graphs drawn from ``random.Random(7)``:
   per graph m = ``randint(5, 7)``, then ``randint(0, 3)`` edges per pair
@@ -78,7 +78,9 @@ The ``steiner/`` rows run ``steiner_packing``, exact but for the last:
 * ``robust_m16``: 16 terminals, 24 unit pairs (``ROBUST_M16``) and A =
   {6, 8, 9, 10, 13, 14, 16}, again one tree over the greedy count;
 * ``greedy_m12``: greedy mode on ``greedy_m12()``, a 12-terminal graph at
-  about ``PACKING_EDGE_CAP`` edges, with A = {1, .., 6}.
+  about ``PACKING_EDGE_CAP`` edges, with A = {1, .., 6};
+* ``greedy_K96``: greedy mode on ``greedy_K96()``, K96 with 138,351 edges,
+  with A = {1, .., 48}: 972 tree searches, 971 groups.
 
 The two set rows raise the module constant around their calls and restore
 it after.  ``--compare`` against a root whose ``steiner_packing`` still
@@ -293,6 +295,12 @@ def greedy_m12() -> Multigraph:
     return weighted(12, weights, pinkey.packing.PACKING_EDGE_CAP // sum(weights))
 
 
+def greedy_K96() -> Multigraph:
+    """``randint(1, 60)`` per pair (i < j, row-major) from ``random.Random(5760)``."""
+    rng = random.Random(5760)
+    return weighted(96, [rng.randint(1, 60) for _ in range(96 * 95 // 2)], 1)
+
+
 def steiner_rows() -> list[tuple[str, list[tuple[Multigraph, TerminalSet]], int | None, str]]:
     """Each row's name, cases, exact-search edge cap (None: the default)
     and packing mode."""
@@ -306,7 +314,8 @@ def steiner_rows() -> list[tuple[str, list[tuple[Multigraph, TerminalSet]], int 
             ("grid_5", [(grid, TerminalSet.of(1, 4, 6, 13, 16))], None, "exact"),
             ("grid_7", [(grid, TerminalSet.of(1, 3, 4, 6, 9, 13, 14))], None, "exact"),
             ("robust_m16", [(robust, TerminalSet.of(6, 8, 9, 10, 13, 14, 16))], None, "exact"),
-            ("greedy_m12", [(greedy_m12(), TerminalSet.of(*range(1, 7)))], None, "greedy")]
+            ("greedy_m12", [(greedy_m12(), TerminalSet.of(*range(1, 7)))], None, "greedy"),
+            ("greedy_K96", [(greedy_K96(), TerminalSet.of(*range(1, 49)))], None, "greedy")]
 
 
 def load_set() -> list[str]:

@@ -16,17 +16,17 @@ Three packing routes, each certified by an independent count:
   and only then is k taken from the partition-count formula.  The k
   forests are kept as runs of shifted copies of one forest, which become
   the (tree, copies) groups; two runs join when their forests' copy
-  numbers, less the forest indices, agree pair by pair.  Each forest is a
+  numbers, less their runs' starts, agree pair by pair.  Each forest is a
   set of parent pointers, so "does this forest join u and v" is two root
   climbs and a forest path is two climbs toward the root.  Pairs are
   inserted in canonical order: the least run that separates a pair takes
   as many of its copies as it has members, and only a copy that no run
   separates runs the exchange search, which asks each distinct forest
-  shape (pair set) once per labeled pair.  A search that ends in one
-  swap places the next copies too, each by that swap shifted into the next
-  members of both runs it touched.  Forest components only merge, so each
-  vertex pair keeps, for the whole packing, the least forest that may
-  still separate it.  The work k·|E| is capped by ``SPANNING_WORK_CAP``;
+  pair set once per labeled pair.  A search that ends in one swap places
+  the next copies too, each by that swap shifted into the next members of
+  both runs it touched.  Forest components only merge, so each vertex
+  pair keeps, for the whole packing, the least forest that may still
+  separate it.  The work k·|E| is capped by ``SPANNING_WORK_CAP``;
 * Steiner packings for intermediate target sets: exact by depth-first
   search over edge-disjoint minimal Steiner trees, listed by attaching one
   path per target terminal, pruned by the partition bound on the
@@ -39,7 +39,8 @@ Three packing routes, each certified by an independent count:
   non-targets and splicing each degree-2 non-target into one edge.  The
   other mode is a deterministic shortest-path greedy that lower-bounds the
   optimum and is the search's incumbent; it takes each tree as many
-  times as its pairs allow, so its searches follow the support's changes.
+  times as its pairs allow, so its searches follow the support's changes,
+  each one BFS whose distances are lowered after each attached path.
 
 The flow core, the Steiner reduction and both Steiner searches read one
 graph form, built by ``_neighbours`` alone: neighbour rows ``{v: {w: count}}``
@@ -347,35 +348,26 @@ def max_disjoint_paths(graph: Multigraph, s: int, t: int) -> TreePacking:
 # ---------------------------------------------------------------------------
 
 
-def _pair_bit(i: int, j: int) -> int:
-    """Pair (i, j), i < j, as one bit: (j-1)(j-2)/2 + i-1 numbers the pairs."""
-    return 1 << ((j - 1) * (j - 2) // 2 + i - 1)
-
-
 class _Forest:
     """Mutable forest on 1..m: parent[v] = (next vertex toward v's root, edge).
-    ``shape`` is the forest's pair set, the sum of its pairs' ``_pair_bit``s;
-    a forest holds at most one edge per pair.  ``index`` is the forest's
-    place in the packing, fixed for life, and ``rel`` maps each pair to its
-    edge's copy number minus ``index``."""
+    A forest holds at most one edge per pair; ``rel`` maps each pair to its
+    edge's copy number minus the forest's place in the packing, the index
+    ``add`` is given, so its keys are the forest's pair set."""
 
-    __slots__ = ("parent", "shape", "index", "rel")
+    __slots__ = ("parent", "rel")
 
-    def __init__(self, index: int) -> None:
+    def __init__(self) -> None:
         self.parent: dict[int, tuple[int, EdgeRef]] = {}
-        self.shape = 0
-        self.index = index
         self.rel: dict[Pair, int] = {}
 
     def edges(self) -> list[EdgeRef]:
         return [edge for _, edge in self.parent.values()]
 
     def shifted(self, by: int) -> _Forest:
-        """A copy at index + ``by`` with every edge's copy number raised by
+        """A copy ``by`` places later with every edge's copy number raised by
         ``by``, so with the same ``rel``."""
-        copy = _Forest(self.index + by)
+        copy = _Forest()
         copy.parent = {v: (up, (i, j, c + by)) for v, (up, (i, j, c)) in self.parent.items()}
-        copy.shape = self.shape
         copy.rel = self.rel.copy()
         return copy
 
@@ -408,12 +400,11 @@ class _Forest:
             v = parent[v][0]
         return u == v
 
-    def add(self, edge: EdgeRef) -> None:
+    def add(self, edge: EdgeRef, index: int) -> None:
         i, j = edge[0], edge[1]
         if self.joins(i, j):
             raise AssertionError(f"adding {edge} would close a cycle")
-        self.shape ^= _pair_bit(i, j)
-        self.rel[(i, j)] = edge[2] - self.index
+        self.rel[(i, j)] = edge[2] - index
         x, link = i, (j, edge)  # re-root i's tree at i, then hang i below j
         while True:
             up = self.parent.get(x)
@@ -427,7 +418,6 @@ class _Forest:
         for child in edge[:2]:
             if child in self.parent and self.parent[child][1] == edge:
                 del self.parent[child]
-                self.shape ^= _pair_bit(edge[0], edge[1])
                 del self.rel[edge[:2]]
                 return
         raise AssertionError(f"edge {edge} is not in this forest")
@@ -442,8 +432,9 @@ class _ForestRuns:
     A run is split where one of its forests changes, and after each insert
     a run that continues the shift of the run before it joins it, so the
     runs stay maximal and few.  Forest indices name the same forests
-    throughout; only the runs that hold them change.  Each ``forests[r]``
-    has index ``starts[r]``: a split makes a new forest at the new start
+    throughout; only the runs that hold them change.  The ``rel`` of each
+    ``forests[r]`` counts copy numbers from ``starts[r]``: an add passes
+    that start, a split shifts the new forest by the gap to its new start
     and a join drops the later run's, so a run continues the shift of the
     run before it exactly when the two forests' ``rel`` maps are equal.
 
@@ -473,7 +464,7 @@ class _ForestRuns:
       and H's changed members have the pair u-v as their whole path, so
       they label nothing new.  Hence the same pairs are labeled in the same
       order, still none separated by any run (components only merge), and
-      y's pair is first labeled in member h + t.  Its shape S_H is no
+      y's pair is first labeled in member h + t.  Its pair set S_H is no
       earlier member's: not S_H - y + e of H's changed members, nor that
       of T's, whose u-v path misses y.  T's changed members join y's pair
       and member T + t does not, so y + t goes there.
@@ -482,7 +473,7 @@ class _ForestRuns:
     __slots__ = ("forests", "starts", "open_from")
 
     def __init__(self, k: int) -> None:
-        self.forests = [_Forest(0)]
+        self.forests = [_Forest()]
         self.starts = [0, k]
         self.open_from: dict[Pair, int] = {}
 
@@ -515,7 +506,7 @@ class _ForestRuns:
         else:
             placed = min(most, self.starts[r + 1] - self.starts[r])
             self.split(r, placed)
-            self.forests[r].add(edge)
+            self.forests[r].add(edge, self.starts[r])
             changed = (self.starts[r],)
         self._merge(changed)
         return placed
@@ -558,9 +549,9 @@ class _ForestRuns:
         The first forest of each pair set is the first member of a run, so
         a labeled edge and its labeling forest are those of that run.
         """
-        shapes: dict[int, tuple[int, _Forest]] = {}  # each shape's first run
+        shapes: dict[frozenset, tuple[int, _Forest]] = {}  # each pair set's first run
         for start, forest in zip(self.starts, self.forests):
-            shapes.setdefault(forest.shape, (start, forest))
+            shapes.setdefault(frozenset(forest.rel), (start, forest))
         parent: dict[EdgeRef, tuple[EdgeRef, int] | None] = {new_edge: None}
         labeled = {new_edge[:2]}  # vertex pairs
         queue = deque([new_edge])
@@ -613,7 +604,7 @@ class _ForestRuns:
         for forest_index, out, into in moves:
             if out is not None:
                 changed[forest_index].remove(out)
-            changed[forest_index].add(into)
+            changed[forest_index].add(into, forest_index)
         return width, changed.keys()
 
     def groups(self) -> tuple[tuple[Tree, int], ...]:
@@ -695,35 +686,37 @@ def spanning_packing(graph: Multigraph) -> TreePacking:
 def _approx_steiner_tree(rows: _Rows, target: TerminalSet) -> tuple[Pair, ...] | None:
     """One cheap tree over the neighbour rows, or None when the target is no
     longer connected.  Nearest-terminal shortest paths with lexicographic
-    tie-breaks keep the choice deterministic."""
+    tie-breaks keep the choice deterministic.  ``dist`` holds distances from
+    the tree over the root's component, so the tree is its zero entries.
+    One BFS from the root fills it; after each attached path, one FIFO pass
+    from the path's new vertices lowers only the distances that fall (a
+    vertex whose distance does not fall lowers nothing beyond it)."""
     root = min(target)
-    in_tree = {root}
+    dist = {root: 0}
+    queue = deque([root])
     tree_pairs: set[Pair] = set()
     pending = [t for t in target if t != root]
     while pending:
-        # BFS layers from the current tree
-        dist = {v: 0 for v in in_tree}
-        queue = deque(sorted(in_tree))
         while queue:
             v = queue.popleft()
+            near = dist[v] + 1
             for w in rows.get(v, ()):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
+                if dist.get(w, near + 1) > near:
+                    dist[w] = near
                     queue.append(w)
-        # the tree stays in the root's component: only the first search can miss
+        # the tree stays in the root's component: only the first pass can miss
         if any(t not in dist for t in pending):
             return None
         goal = min(pending, key=lambda t: (dist[t], t))
         path = [goal]
         while dist[path[-1]] > 0:
             v = path[-1]
-            step = min(w for w in rows[v] if dist.get(w, -1) == dist[v] - 1)
-            path.append(step)
-        path.reverse()
-        for a, b in zip(path, path[1:]):
+            path.append(min(w for w in rows[v] if dist[w] == dist[v] - 1))
+        for a, b in zip(path, path[1:]):  # a runs over the path's new vertices
             tree_pairs.add((a, b) if a < b else (b, a))
-            in_tree.add(b)
-        pending = [t for t in pending if t not in in_tree]
+            dist[a] = 0
+            queue.append(a)
+        pending = [t for t in pending if dist[t]]
     return tuple(sorted(tree_pairs))
 
 

@@ -16,7 +16,8 @@ once per tree, GF(2) maps checked, applied and ranked one row at a
 time, the tree shape check by a separate depth-first search,
 propagation that rebuilds each tree's incident lists, flow decomposition
 one unit path at a time, the max flow on a whole multigraph without a
-limit or a cut mode, the greedy Steiner packing one tree per search, hex
+limit or a cut mode, the greedy Steiner packing one tree per search,
+each tree by a fresh BFS from the whole tree after each attached path, hex
 packing by shifting one bit at a time, the
 brute-force secrecy audit over the whole 2^|E| assignment space,
 packings and protocol runs built one tree per copy, Steiner candidates
@@ -358,6 +359,43 @@ def reference_exact_steiner(graph: Multigraph, target: TerminalSet) -> TreePacki
     return TreePacking(graph=graph, target=target, groups=tuple(groups))
 
 
+def reference_approx_steiner_tree(
+    rows: Mapping[int, Mapping[int, int]], target: TerminalSet
+) -> tuple[tuple[int, int], ...] | None:
+    """The greedy Steiner tree with a fresh multi-source BFS from the whole
+    tree after each attached path, its vertices kept as a set: the oracle
+    for ``_approx_steiner_tree``, which keeps one distance map per tree."""
+    root = min(target)
+    in_tree = {root}
+    tree_pairs: set[tuple[int, int]] = set()
+    pending = [t for t in target if t != root]
+    while pending:
+        # BFS layers from the current tree
+        dist = {v: 0 for v in in_tree}
+        queue = deque(sorted(in_tree))
+        while queue:
+            v = queue.popleft()
+            for w in rows.get(v, ()):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        # the tree stays in the root's component: only the first search can miss
+        if any(t not in dist for t in pending):
+            return None
+        goal = min(pending, key=lambda t: (dist[t], t))
+        path = [goal]
+        while dist[path[-1]] > 0:
+            v = path[-1]
+            step = min(w for w in rows[v] if dist.get(w, -1) == dist[v] - 1)
+            path.append(step)
+        path.reverse()
+        for a, b in zip(path, path[1:]):
+            tree_pairs.add((a, b) if a < b else (b, a))
+            in_tree.add(b)
+        pending = [t for t in pending if t not in in_tree]
+    return tuple(sorted(tree_pairs))
+
+
 def one_tree_greedy_steiner(graph: Multigraph, target: TerminalSet) -> TreePacking:
     """The greedy Steiner packing one tree per search, each tree's pairs
     lowered by one, copies numbered per pair in tree order: the oracle for
@@ -366,7 +404,7 @@ def one_tree_greedy_steiner(graph: Multigraph, target: TerminalSet) -> TreePacki
     caps = dict(graph.multiplicities)
     taken = []
     while True:
-        pairs = pinkey.packing._approx_steiner_tree(pinkey.packing._neighbours(caps), target)
+        pairs = reference_approx_steiner_tree(pinkey.packing._neighbours(caps), target)
         if pairs is None:
             break
         for pair in pairs:

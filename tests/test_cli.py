@@ -72,6 +72,21 @@ class TestCapacityCommand:
         assert out == (GOLDENS / golden).read_text()
         assert json.loads(out)["capacity"] == value
 
+    def test_a_bound_above_the_capacity_is_not_tight(self, capsys, monkeypatch):
+        # an intermediate set may leave a gap between C and the bound: with
+        # the bound patched to C + 1, neither output may call it tight
+        monkeypatch.setattr(pinkey.cli, "certified_bound",
+                            lambda model, result: result.value + 1)
+        code, out, _ = run_cli(capsys, "capacity", STAR, "--set", "1,2,3")
+        assert code == 0
+        assert out.startswith("capacity C(A) = 1\nupper bound   = 2\noptimal subset weights:\n")
+        code, out, _ = run_cli(capsys, "capacity", STAR, "--set", "1,2,3",
+                               "--format", "structured")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["capacity"], doc["upper_bound"], doc["tight"]) == ("1", "2", False)
+        assert '"tight":false' in out
+
     def test_single_terminal_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "capacity", TRIANGLE, "--set", "1")
         assert code == 2

@@ -33,8 +33,8 @@ from pinkey import (
     steiner_rate_lower_bound,
 )
 from pinkey.packing import (
-    SPANNING_WORK_CAP, STEINER_EXACT_EDGE_CAP, _Forest, _ForestRuns, _max_flow,
-    _neighbours, _reduced_graph, _steiner_tree_candidates)
+    SPANNING_WORK_CAP, STEINER_EXACT_EDGE_CAP, _Forest, _ForestRuns, _approx_steiner_tree,
+    _max_flow, _neighbours, _reduced_graph, _steiner_tree_candidates)
 
 from helpers import (
     _ReferenceForest,
@@ -43,6 +43,7 @@ from helpers import (
     brute_steiner_packing_count,
     one_tree_greedy_steiner,
     random_multigraph,
+    reference_approx_steiner_tree,
     reference_exact_steiner,
     reference_max_flow,
     reference_spanning_packing,
@@ -142,10 +143,18 @@ def scaled_multigraphs(draw):
     return Multigraph(m, {pair: w * n for pair, w in base.items()})
 
 
+def _ladder() -> dict:
+    # the instances as scripts/ladder.py builds them, so both measure the same graph
+    return runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "ladder.py"))
+
+
 def ladder_graph(row: str) -> Multigraph:
-    # the instance as scripts/ladder.py builds it, so both measure the same graph
-    ladder = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "ladder.py"))
-    return dict(ladder["spanning_rows"]())[row]
+    return dict(_ladder()["spanning_rows"]())[row]
+
+
+def ladder_steiner_case(row: str) -> tuple[Multigraph, TerminalSet]:
+    (case,) = next(cases for name, cases, _, _ in _ladder()["steiner_rows"]() if name == row)
+    return case
 
 
 def assert_maximal_runs(packing: TreePacking) -> None:
@@ -259,7 +268,7 @@ class TestForest:
         rng = random.Random(seed)
         m = rng.randint(2, 8)
         index = rng.randint(0, 5)
-        forest, reference = _Forest(index), _ReferenceForest()
+        forest, reference = _Forest(), _ReferenceForest()
         for _ in range(rng.randint(1, 40)):
             held = reference.edges()
             if held and rng.random() < 0.3:
@@ -271,17 +280,14 @@ class TestForest:
                 edge = (i, j, rng.randint(0, 2))
                 if reference.path_edges(i, j) is not None:
                     with pytest.raises(AssertionError, match="close a cycle"):
-                        forest.add(edge)
+                        forest.add(edge, index)
                     continue
-                forest.add(edge)
+                forest.add(edge, index)
                 reference.add(edge)
             assert sorted(forest.edges()) == sorted(reference.edges())
-            assert forest.shape == sum(1 << ((j - 1) * (j - 2) // 2 + i - 1)
-                                       for i, j, _ in reference.edges())
             assert forest.rel == {(i, j): c - index for i, j, c in reference.edges()}
             moved = forest.shifted(3)
-            assert moved.shape == forest.shape
-            assert (moved.index, moved.rel) == (index + 3, forest.rel)
+            assert moved.rel == forest.rel
             assert sorted(moved.edges()) == sorted(
                 (i, j, c + 3) for i, j, c in reference.edges())
             for u, v in itertools.permutations(range(1, m + 1), 2):
@@ -290,8 +296,8 @@ class TestForest:
                 assert forest.joins(u, v) == (path is not None)
 
     def test_remove_rejects_an_absent_edge(self):
-        forest = _Forest(0)
-        forest.add((1, 2, 0))
+        forest = _Forest()
+        forest.add((1, 2, 0), 0)
         with pytest.raises(AssertionError, match="not in this forest"):
             forest.remove((1, 2, 1))
         with pytest.raises(AssertionError, match="not in this forest"):
@@ -704,13 +710,18 @@ class TestSpanningPacking:
     ] + list(TIE_HEAVY_GRAPHS.values()))
     def test_runs_stay_maximal_after_every_insert(self, graph, monkeypatch):
         # _merge looks only at the boundaries of the runs an insert changed;
-        # a scan of every boundary afterwards must find nothing left to join
+        # a scan of every boundary afterwards must find nothing left to join.
+        # Each run's rel counts copy numbers from its start, which _merge's
+        # rel comparison relies on
         insert = _ForestRuns.insert
         inserts = []
 
         def checked(runs, edge, most):
             placed = insert(runs, edge, most)
             forests, starts = runs.forests, runs.starts
+            for r in range(len(forests)):
+                assert forests[r].rel == {
+                    (i, j): c - starts[r] for i, j, c in forests[r].edges()}
             for r in range(1, len(forests)):
                 by = starts[r] - starts[r - 1]
                 assert set(forests[r].edges()) != {
@@ -1007,9 +1018,51 @@ class TestSteinerBound:
                 assert full is not None
 
 
+@st.composite
+def greedy_rows(draw):
+    """Neighbour rows of a random support on up to 12 vertices, each pair
+    present with a drawn probability, and a target of 2 or more terminals:
+    sparse draws leave the root isolated or a target unreachable."""
+    m = draw(st.integers(3, 12))
+    density = draw(st.sampled_from((0.15, 0.3, 0.6, 1.0)))
+    counts = {pair: draw(st.integers(1, 3)) for pair in itertools.combinations(range(1, m + 1), 2)
+              if draw(st.floats(0, 1)) < density}
+    members = draw(st.lists(st.integers(1, m), min_size=2, max_size=m, unique=True))
+    return counts, TerminalSet(tuple(sorted(members)))
+
+
+# root 1; a path 1-2-..-8 to target 8, a star on 9 with leaves 10..16 hung
+# from 8, and a second way 1-17-..-22-9 to the star as long as the path:
+# attaching the path lowers the star and half the second way at once
+PATH_BESIDE_STAR = ({(v, v + 1): 1 for v in range(1, 8)} | {(8, 9): 1}
+                    | {(9, leaf): 1 for leaf in range(10, 17)}
+                    | {(1, 17): 1, (9, 22): 1} | {(v, v + 1): 1 for v in range(17, 22)})
+
+
 class TestGreedySteiner:
     """Each greedy tree is taken as many times as its pairs allow; the loop
     that took one tree per search is the oracle."""
+
+    @given(greedy_rows())
+    @example(({(2, 3): 1, (3, 4): 2}, TerminalSet.of(1, 3, 4)))  # isolated root
+    @example(({(1, 2): 1, (2, 3): 1, (4, 5): 1}, TerminalSet.of(1, 3, 5)))  # unreachable
+    @example((PATH_BESIDE_STAR, TerminalSet.of(1, 8, 16)))
+    @example((PATH_BESIDE_STAR, TerminalSet.of(1, 8, 12, 16, 20)))
+    @settings(max_examples=300, deadline=None)
+    def test_tree_matches_a_fresh_bfs_after_each_path(self, case):
+        counts, target = case
+        rows = _neighbours(counts)
+        assert _approx_steiner_tree(rows, target) == reference_approx_steiner_tree(rows, target)
+
+    def test_k96_packs_in_seconds(self):
+        # 138,351 edges and 971 groups, A = 1..48; one BFS from the whole tree
+        # after each attached path takes 12-14 s on a 2-core Xeon
+        graph, target = ladder_steiner_case("greedy_K96")
+        start = time.perf_counter()
+        packing = steiner_packing(graph, target, mode="greedy")
+        elapsed = time.perf_counter() - start
+        assert (packing.count, len(packing.groups)) == (1272, 971)
+        assert elapsed < 5.0, f"greedy K96 took {elapsed:.2f} s"
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)

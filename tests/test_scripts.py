@@ -57,7 +57,7 @@ def test_ladder_writes_a_bench_file(tmp_path):
         f"protocol/path_{size}k" for size in (30, 100, 300)] + [
         "steiner/set_s1", "steiner/set_s2", "steiner/path_m20", "steiner/grid_corners",
         "steiner/grid_5", "steiner/grid_7", "steiner/robust_m16", "steiner/greedy_m12",
-        "cli/load_floor", "cli/argv_floor", "cli/import_floor", "cli/text_pack",
+        "steiner/greedy_K96", "cli/load_floor", "cli/argv_floor", "cli/import_floor", "cli/text_pack",
         "cli/text_simulate"]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
