@@ -114,15 +114,18 @@ interpreter, and ``argparse``, whether the import loaded it.  The
 ``pinkey.cli.main`` in-process with ``--format text`` on a 100k-edge
 two-terminal model (``pack``, pair weight 100,000) and on the 100k-edge
 three-terminal path (``simulate --set 1,3``, both pair weights 50,000),
-stdout sent to a null stream that counts what reaches it.  They report
-the edge count, the exit code and ``bytes``, the bytes written.
+stdout sent to a null stream that counts what reaches it.  The
+``cli/structured_simulate`` row runs the same simulate with ``--format
+structured``, so the two renderers of the transcript show side by side.
+They report the edge count, the exit code and ``bytes``, the bytes
+written.
 
 A row whose call raises ``SizeLimitError`` reports the message as
 ``limit`` and no times.  Each row reports the best of ``--repeat``
 wall-clock times of one
 ``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
 pass of path packings, LPs, exact Steiner packings, model loads, argument steps,
-imports or text-mode CLI runs, with what it returned: tree and group counts, the capacity and
+imports or output-path CLI runs, with what it returned: tree and group counts, the capacity and
 the LP's column count, each target size, capacity and bound of the floor
 set and its certified count, the key and transcript bit counts, the
 graph count and total trees, the model count and total edges, the
@@ -182,13 +185,15 @@ ARGV_TAILS = {
                  "--format", "structured"],
     "validate": ["--format", "structured"],
 }
-# the text-mode CLI rows: model document and command line after the path
+# the output-path CLI rows: model document, command line after the path
+# and output format
+PATH_100K = {"terminals": 3, "weights": [{"i": 1, "j": 2, "value": 50_000},
+                                         {"i": 2, "j": 3, "value": 50_000}]}
 TEXT_RUNS = {
     "cli/text_pack": ({"terminals": 2, "weights": [{"i": 1, "j": 2, "value": 100_000}]},
-                      ["pack"]),
-    "cli/text_simulate": ({"terminals": 3, "weights": [{"i": 1, "j": 2, "value": 50_000},
-                                                       {"i": 2, "j": 3, "value": 50_000}]},
-                          ["simulate", "--set", "1,3"]),
+                      ["pack"], "text"),
+    "cli/text_simulate": (PATH_100K, ["simulate", "--set", "1,3"], "text"),
+    "cli/structured_simulate": (PATH_100K, ["simulate", "--set", "1,3"], "structured"),
 }
 CAPACITY_TARGETS = (("", TerminalSet.full),
                     ("_pair", lambda m: TerminalSet.of(1, 2)),
@@ -556,10 +561,10 @@ class ByteCounter(io.RawIOBase):
         return len(data)
 
 
-def text_row(document: dict, command: list[str], repeat: int) -> dict:
+def text_row(document: dict, command: list[str], output: str, repeat: int) -> dict:
     with tempfile.TemporaryDirectory() as work:
         path = write_models(work, [json.dumps(document)])[0]
-        argv = [command[0], path, *command[1:], "--format", "text"]
+        argv = [command[0], path, *command[1:], "--format", output]
 
         def run() -> tuple[int, int]:
             # buffered as a real stdout is, so each write costs what it

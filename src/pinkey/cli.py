@@ -49,8 +49,8 @@ from .model import PinModel, TerminalSet, base_scale, format_rational, realize_m
 from .modelfile import load_model
 from .partitions import best_partition
 from .packing import TreePacking, steiner_packing
-from .protocol import (ProtocolRun, check_seed, draw_edge_keys, export_transcript,
-                       run_protocol)
+from .protocol import (ItemGroup, ProtocolRun, check_seed, draw_edge_keys,
+                       export_transcript, format_items, run_protocol, transcript_steps)
 
 FORMAT_VERSION = 1
 
@@ -100,22 +100,26 @@ def _parse_terminals(spec: str | None, model: PinModel) -> TerminalSet:
 
 def _emit(args: SimpleNamespace, report: dict,
           render_text: Callable[[], Iterable[str]],
-          spliced: dict[str, Callable[[], str]] | None = None) -> None:
+          spliced: dict[str, Callable[[], Iterable[str]]] | None = None) -> None:
     """Write the report with one call; the text, pieces that each end a
     line, is built only in text mode.  In structured mode, ``spliced`` maps
-    report keys to functions that render their values as JSON text, each
-    put in at its key's sorted position for the null ``json.dumps`` writes."""
+    report keys to functions that render their values as pieces of JSON
+    text, each put in at its key's sorted position, where the line that
+    ``json.dumps`` writes is split at the key's null."""
     if args.format == "structured":
         report["format_version"] = FORMAT_VERSION
         spliced = spliced or {}
         report.update(dict.fromkeys(spliced))
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-        for key, render in spliced.items():
-            text = text.replace(f'"{key}":null', f'"{key}":{render()}', 1)
-        pieces: Iterable[str] = (text, "\n")
+        rest = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        pieces: list[Iterable[str]] = []
+        for key in sorted(spliced):  # the order json.dumps wrote them in
+            head, _, rest = rest.partition(f'"{key}":null')
+            pieces += ((head, f'"{key}":'), spliced[key]())
+        pieces.append((rest, "\n"))
+        text: Iterable[str] = chain.from_iterable(pieces)
     else:
-        pieces = render_text()
-    sys.stdout.writelines(pieces)
+        text = render_text()
+    sys.stdout.writelines(text)
 
 
 def _cmd_capacity(args: SimpleNamespace) -> int:
@@ -192,29 +196,43 @@ def _packed(args: SimpleNamespace) -> tuple[dict, TreePacking]:
     return report, packing
 
 
-def _copies(packing: TreePacking, edge: str, sep: str) -> Iterator[str]:
-    """Each copy's sorted edges as text, in the order of ``trees``: ``edge``
-    formats i and j and leaves ``%d`` for the copy number; ``sep`` joins a
-    copy's edges.  A group's copies differ only in their copy numbers, so
-    one template per group takes each copy's numbers at once."""
+def _copies(packing: TreePacking, edge: str, sep: str) -> Iterator[tuple[str, int, int, list]]:
+    """Per group, in the order of ``trees``: the template of a copy's sorted
+    edges, its copy count, its first tree index and each edge's
+    copy-number range.  ``edge`` formats i and j and leaves ``%d`` for the
+    copy number; ``sep`` joins a copy's edges.  A group's copies differ
+    only in their copy numbers, so this is the one expansion of copies
+    that ``format_items`` needs."""
+    first = 0
     for tree, copies in packing.groups:
-        template = sep.join(edge % (i, j) for i, j, _ in tree.edges)
-        yield from map(template.__mod__,
-                       zip(*(range(c, c + copies) for _, _, c in tree.edges)))
+        yield (sep.join(edge % (i, j) for i, j, _ in tree.edges), copies, first,
+               [range(c, c + copies) for _, _, c in tree.edges])
+        first += copies
 
 
-def _trees_json(packing: TreePacking) -> str:
+def _trees_json(packing: TreePacking) -> Iterable[str]:
     """The ``trees`` field: each copy's sorted edges as [i,j,copy] arrays."""
-    text = "],[".join(_copies(packing, "[%d,%d,%%d]", ","))
-    return f"[[{text}]]" if text else "[]"
+    if not packing.groups:
+        return ("[]",)
+    return chain(("[[",), format_items(
+        ((template, copies, numbers)
+         for template, copies, _, numbers in _copies(packing, "[%d,%d,%%d]", ",")),
+        "],["), ("]]",))
 
 
-def _transcript_json(run: ProtocolRun) -> str:
-    """The ``transcript`` field: one object per broadcast, from the columns."""
-    return "[" + ",".join(map(
-        '{"bit":%d,"support":[%d,%d],"terminal":%d,"tree":%d}'.__mod__,
-        zip(run.transcript_bits, *run.transcript_map.row_columns(),
-            run.speakers, run.broadcast_trees))) + "]"
+def _transcript_json(run: ProtocolRun) -> Iterable[str]:
+    """The ``transcript`` field: one object per broadcast.  A group's copies
+    are formatted by one template, its walk steps' objects with each
+    step's speaker written in, from the steps' bit, support and tree
+    columns."""
+
+    def group(steps: list) -> ItemGroup:
+        template = ",".join(['{"bit":%%d,"support":[%%d,%%d],"terminal":%d,"tree":%%d}'
+                             % step[0] for step in steps])
+        copies = len(steps[0][-1])  # the length of the tree-index range
+        return template, copies, [column for step in steps for column in step[1:]]
+
+    return chain(("[",), format_items(map(group, transcript_steps(run)), ","), ("]",))
 
 
 def _cmd_pack(args: SimpleNamespace) -> int:
@@ -222,7 +240,10 @@ def _cmd_pack(args: SimpleNamespace) -> int:
     _emit(args, report, lambda: chain([
         f"scale n = {report['scale']}, edges = {report['edge_total']}\n"
         f"packed {report['tree_count']} edge-disjoint trees (rate {report['rate']})\n"
-    ], map("  tree %d: %s\n".__mod__, enumerate(_copies(packing, "%d-%d#%%d", " ")))),
+    ], format_items((("  tree %%d: %s\n" % template, copies,
+                      [range(first, first + copies), *numbers])
+                     for template, copies, first, numbers
+                     in _copies(packing, "%d-%d#%%d", " ")), "")),
         {"trees": lambda: _trees_json(packing)})
     return EXIT_OK
 

@@ -83,8 +83,10 @@ _FLIP_BYTE = bytes([1, 0]) + bytes(254)  # bytes.translate table: 0 <-> 1
 def is_edge_ref(edge: object) -> bool:
     """True for an edge name, a triple of ints (i, j, copy) with 1 <= i < j
     and copy >= 0; type(), not isinstance: a bool is no int."""
-    return (isinstance(edge, tuple) and len(edge) == 3 and all(type(x) is int for x in edge)
-            and 1 <= edge[0] < edge[1] and edge[2] >= 0)
+    if not isinstance(edge, tuple) or len(edge) != 3:
+        return False
+    i, j, copy = edge
+    return type(i) is type(j) is type(copy) is int and 1 <= i < j and copy >= 0
 
 
 class Tree(Value):
@@ -151,14 +153,15 @@ class TreePacking(Value):
         multiplicities = graph.multiplicities
         offsets = graph.pair_offsets()
         used = bytearray(graph.total_edges())
+        members = frozenset(target)
         first = 0  # per-copy index of the group's first tree
         for tree, copies in groups:
             if type(copies) is not int or copies < 1:
                 raise InvalidPackingError(
                     f"tree {first} needs a positive copy count, got {copies!r}")
             vertices = tree.vertices()
-            missing = [t for t in target if t not in vertices]
-            if missing:
+            if not members.issubset(vertices):
+                missing = [t for t in target if t not in vertices]
                 raise InvalidPackingError(
                     f"tree {first} with reference edge {tree.edges[0]} "
                     f"misses target terminals {missing}")
@@ -170,15 +173,11 @@ class TreePacking(Value):
                         f"tree {first + past - copy} uses edge {(i, j, past)} "
                         f"but the graph has {have} copies of pair ({i}, {j})")
                 start = offsets[(i, j)] + copy
-                if copies == 1:  # one byte to test and set
-                    clash = start if used[start] else -1
-                    used[start] = 1
-                else:
-                    clash = used.find(1, start, start + copies)
-                    used[start:start + copies] = b"\x01" * copies
+                clash = used.find(1, start, start + copies)
                 if clash >= 0:
                     raise InvalidPackingError(
                         f"edge {(i, j, copy + clash - start)} used twice")
+                used[start:start + copies] = b"\x01" * copies
             checked.append((tree, copies))
             first += copies
         # kept outside the fields, like ``Multigraph.edge_refs``
@@ -352,13 +351,22 @@ class _Forest:
     """Mutable forest on 1..m: parent[v] = (next vertex toward v's root, edge).
     A forest holds at most one edge per pair; ``rel`` maps each pair to its
     edge's copy number minus the forest's place in the packing, the index
-    ``add`` is given, so its keys are the forest's pair set."""
+    ``add`` is given, so its keys are the forest's pair set.  ``pairs``
+    keeps that set as a frozenset from its first read until the next add or
+    remove, and a shifted copy shares it."""
 
-    __slots__ = ("parent", "rel")
+    __slots__ = ("parent", "rel", "_pairs")
 
     def __init__(self) -> None:
         self.parent: dict[int, tuple[int, EdgeRef]] = {}
         self.rel: dict[Pair, int] = {}
+        self._pairs: frozenset[Pair] | None = None
+
+    def pairs(self) -> frozenset[Pair]:
+        """The forest's pair set, the keys of ``rel``."""
+        if self._pairs is None:
+            self._pairs = frozenset(self.rel)
+        return self._pairs
 
     def edges(self) -> list[EdgeRef]:
         return [edge for _, edge in self.parent.values()]
@@ -369,6 +377,7 @@ class _Forest:
         copy = _Forest()
         copy.parent = {v: (up, (i, j, c + by)) for v, (up, (i, j, c)) in self.parent.items()}
         copy.rel = self.rel.copy()
+        copy._pairs = self._pairs
         return copy
 
     def path_edges(self, u: int, v: int) -> list[EdgeRef] | None:
@@ -405,6 +414,7 @@ class _Forest:
         if self.joins(i, j):
             raise AssertionError(f"adding {edge} would close a cycle")
         self.rel[(i, j)] = edge[2] - index
+        self._pairs = None
         x, link = i, (j, edge)  # re-root i's tree at i, then hang i below j
         while True:
             up = self.parent.get(x)
@@ -419,6 +429,7 @@ class _Forest:
             if child in self.parent and self.parent[child][1] == edge:
                 del self.parent[child]
                 del self.rel[edge[:2]]
+                self._pairs = None
                 return
         raise AssertionError(f"edge {edge} is not in this forest")
 
@@ -551,7 +562,7 @@ class _ForestRuns:
         """
         shapes: dict[frozenset, tuple[int, _Forest]] = {}  # each pair set's first run
         for start, forest in zip(self.starts, self.forests):
-            shapes.setdefault(frozenset(forest.rel), (start, forest))
+            shapes.setdefault(forest.pairs(), (start, forest))
         parent: dict[EdgeRef, tuple[EdgeRef, int] | None] = {new_edge: None}
         labeled = {new_edge[:2]}  # vertex pairs
         queue = deque([new_edge])

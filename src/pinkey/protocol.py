@@ -22,16 +22,17 @@ transcript is laid out group by group and, within a group, copy by copy
 in walk order: the broadcast of walk step s of copy k of a group whose
 broadcasts start at position p sits at ``p + k * steps + s``.  Only this
 module knows that layout; the speaker and tree-index columns are derived
-from the packing in it.
+from the packing in it, and ``transcript_steps`` reads the transcript one
+walk step at a time, every copy of the step at once, for the renderers.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from operator import xor
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidPackingError
 from .gf2 import Gf2Matrix
@@ -331,13 +332,89 @@ def _bits_to_hex(bits: tuple[int, ...]) -> str:
     return format(int("".join(map(str, bits)), 2), f"0{width}x")
 
 
+Step = tuple[int, Sequence[int], Sequence[int], Sequence[int], range]
+
+
+def transcript_steps(run: ProtocolRun) -> Iterator[list[Step]]:
+    """The transcript one walk step at a time: per group with a walk, one
+    (speaker, bits, firsts, seconds, trees) per walk step, each column
+    holding that step's broadcast of every copy in copy order.  ``bits``
+    is the slice ``transcript_bits[p + s : p + steps * copies : steps]``,
+    ``trees`` the group's tree-index range, and ``firsts`` and ``seconds``
+    the support columns that ``transcript_map`` gives those broadcasts:
+    the ranges of the map's block step when its blocks follow the groups
+    (as ``run_protocol`` builds them), otherwise slices of
+    ``row_columns()``."""
+    groups = run.packing.groups
+    blocks = run.transcript_map.blocks
+    if ([(copies, len(steps)) for copies, steps in blocks]
+            == [(copies, len(tree.walk)) for tree, copies in groups if tree.walk]):
+        block_steps = iter([steps for _, steps in blocks])
+        columns = None
+    else:
+        columns = run.transcript_map.row_columns()
+    bits = run.transcript_bits
+    start = first = 0  # the group's first broadcast and first tree
+    for tree, copies in groups:
+        walk = tree.walk
+        if walk:
+            steps = len(walk)
+            end = start + steps * copies
+            trees = range(first, first + copies)
+            if columns is None:
+                yield [(speaker, bits[s:end:steps], range(a, a + copies),
+                        range(b, b + copies), trees)
+                       for s, (speaker, _), (a, b)
+                       in zip(range(start, start + steps), walk, next(block_steps))]
+            else:
+                firsts, seconds = columns
+                yield [(speaker, bits[s:end:steps], firsts[s:end:steps],
+                        seconds[s:end:steps], trees)
+                       for s, (speaker, _) in zip(range(start, start + steps), walk)]
+            start = end
+        first += copies
+
+
+# items formatted by one template: the template, the item count and one
+# column per ``%d`` of the template, holding its value in every item
+ItemGroup = tuple[str, int, Sequence[Sequence[int]]]
+
+# the most items formatted by one ``%`` or joined into one piece of output
+_BATCH = 4096
+
+
+def format_items(groups: Iterable[ItemGroup], sep: str) -> Iterator[str]:
+    """The text of ``sep.join`` over every item of the groups in turn, in
+    pieces of about ``_BATCH`` items: one ``%`` formats up to ``_BATCH``
+    items of a group at once, through the template repeated, and each
+    piece joins such texts, so a write holds neither one piece per item
+    nor every item at once.  A one-column group's column is its arguments
+    as it stands (a range, for one-edge trees)."""
+    pending: list[str] = []
+    held = 0
+    for template, size, columns in groups:
+        for start in range(0, size, _BATCH):
+            part = (columns if size <= _BATCH
+                    else [column[start:start + _BATCH] for column in columns])
+            n = len(part[0])
+            pending.append(sep.join([template] * n) % (
+                tuple(part[0]) if len(part) == 1 else tuple(chain.from_iterable(zip(*part)))))
+            held += n
+            if held >= _BATCH:
+                yield sep.join(pending)
+                pending, held = [""], 0  # so the next piece starts with sep
+    if held:
+        yield sep.join(pending)
+
+
 def export_transcript(run: ProtocolRun) -> str:
     """Line-oriented replayable record of a run.
 
     One ``broadcast`` line per message with the two support edge indices
     (into canonical edge order, read from the transcript map's columns);
     key and residual bit strings in hex with explicit bit lengths; the
-    drawing seed first.
+    drawing seed first.  A group's lines are formatted by one template,
+    its walk steps' lines with each step's speaker written in.
     """
     lines = [
         f"seed {run.keys.seed if run.keys.seed is not None else 'none'}",
@@ -346,7 +423,15 @@ def export_transcript(run: ProtocolRun) -> str:
         f"key bits={len(run.key_bits)} hex={_bits_to_hex(run.key_bits)}",
         f"residual bits={len(run.residual_bits)} hex={_bits_to_hex(run.residual_bits)}",
     ]
-    lines += map("broadcast tree=%d terminal=%d bit=%d support=%d,%d".__mod__,
-                 zip(run.broadcast_trees, run.speakers, run.transcript_bits,
-                     *run.transcript_map.row_columns()))
+
+    def group(steps: list[Step]) -> ItemGroup:
+        template = "\n".join(["broadcast tree=%%d terminal=%d bit=%%d support=%%d,%%d"
+                              % speaker for speaker, *_ in steps])
+        return template, len(steps[0][-1]), [
+            column for _, bits, firsts, seconds, trees in steps
+            for column in (trees, bits, firsts, seconds)]
+
+    broadcasts = "".join(format_items(map(group, transcript_steps(run)), "\n"))
+    if broadcasts:
+        lines.append(broadcasts)
     return "\n".join(lines) + "\n"

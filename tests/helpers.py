@@ -20,7 +20,8 @@ limit or a cut mode, the greedy Steiner packing one tree per search,
 each tree by a fresh BFS from the whole tree after each attached path, hex
 packing by shifting one bit at a time, the
 brute-force secrecy audit over the whole 2^|E| assignment space,
-packings and protocol runs built one tree per copy, Steiner candidates
+packings and protocol runs built one tree per copy, the transcript
+renderers zipping whole columns, Steiner candidates
 grown one edge at a time and the exact Steiner search that asks its
 bound of the whole remaining graph, only when a node is entered, the structured
 ``pack``/``simulate`` report built as one dict and encoded by one
@@ -1137,6 +1138,36 @@ def shift_bits_to_hex(bits: tuple[int, ...]) -> str:
         value = (value << 1) | bit
     width = (len(bits) + 3) // 4
     return format(value, f"0{width}x")
+
+
+def columnar_transcript_json(run: ProtocolRun) -> str:
+    """The ``transcript`` JSON field built from whole columns, one object
+    per broadcast zipped from the bits, both support columns of
+    ``transcript_map.row_columns()``, the speakers and the tree indices:
+    the oracle for ``pinkey.cli._transcript_json``, which formats one walk
+    step of every copy at a time."""
+    return "[" + ",".join(map(
+        '{"bit":%d,"support":[%d,%d],"terminal":%d,"tree":%d}'.__mod__,
+        zip(run.transcript_bits, *run.transcript_map.row_columns(),
+            run.speakers, run.broadcast_trees))) + "]"
+
+
+def columnar_export_transcript(run: ProtocolRun) -> str:
+    """``export_transcript`` with one broadcast line per position, zipped
+    from the whole tree-index, speaker, bit and support columns: the
+    oracle for ``pinkey.export_transcript``, which reads the transcript
+    one walk step at a time."""
+    lines = [
+        f"seed {run.keys.seed if run.keys.seed is not None else 'none'}",
+        f"edges {run.graph.total_edges()}",
+        f"trees {run.packing.count}",
+        f"key bits={len(run.key_bits)} hex={shift_bits_to_hex(run.key_bits)}",
+        f"residual bits={len(run.residual_bits)} hex={shift_bits_to_hex(run.residual_bits)}",
+    ]
+    lines += map("broadcast tree=%d terminal=%d bit=%d support=%d,%d".__mod__,
+                 zip(run.broadcast_trees, run.speakers, run.transcript_bits,
+                     *run.transcript_map.row_columns()))
+    return "\n".join(lines) + "\n"
 
 
 def gray_code_bruteforce(

@@ -34,7 +34,7 @@ from pinkey import (
 )
 from pinkey.packing import (
     SPANNING_WORK_CAP, STEINER_EXACT_EDGE_CAP, _Forest, _ForestRuns, _approx_steiner_tree,
-    _max_flow, _neighbours, _reduced_graph, _steiner_tree_candidates)
+    _max_flow, _neighbours, _reduced_graph, _steiner_tree_candidates, is_edge_ref)
 
 from helpers import (
     _ReferenceForest,
@@ -214,6 +214,23 @@ class TestTreeType:
             TreePacking(Multigraph(2, {(1, 2): 1}), TerminalSet.of(1, 2),
                         ((Tree(((1.0, 2, 0),)), 1),))
 
+    @pytest.mark.parametrize("edge,shaped", [
+        ((1, 2, 0), True),
+        ((1, 2, True), False),  # a bool is no copy number
+        ((1.0, 2, 0), False),
+        ((2, 1, 0), False),
+        ((1, 1, 0), False),
+        ((0, 2, 0), False),
+        ((1, 2, -1), False),
+        ((1, 2), False),
+        ((1, 2, 0, 0), False),
+        ([1, 2, 0], False),
+        (5, False),
+        (type("EdgeTuple", (tuple,), {})((1, 2, 0)), True),
+    ])
+    def test_edge_shape_rule(self, edge, shaped):
+        assert is_edge_ref(edge) is shaped
+
     def test_equality_hash_and_repr_follow_edges_only(self):
         a = Tree(((2, 3, 0), (1, 2, 1), (2, 4, 0)))
         b = Tree(((1, 2, 1), (2, 4, 0), (2, 3, 0)))
@@ -286,8 +303,11 @@ class TestForest:
                 reference.add(edge)
             assert sorted(forest.edges()) == sorted(reference.edges())
             assert forest.rel == {(i, j): c - index for i, j, c in reference.edges()}
+            # the pair-set key follows every add and remove, and a shift shares it
+            assert forest.pairs() == {(i, j) for i, j, _ in reference.edges()}
             moved = forest.shifted(3)
             assert moved.rel == forest.rel
+            assert moved.pairs() is forest.pairs()
             assert sorted(moved.edges()) == sorted(
                 (i, j, c + 3) for i, j, c in reference.edges())
             for u, v in itertools.permutations(range(1, m + 1), 2):
@@ -312,6 +332,11 @@ class TestPackingType:
                 target=TerminalSet.full(3),
                 groups=((Tree(((1, 2, 0),)), 1),),
             )
+        # every missing terminal is named
+        with pytest.raises(InvalidPackingError, match=re.escape(
+                "tree 0 with reference edge (1, 2, 0) misses target terminals [3, 4]")):
+            TreePacking(Multigraph(4, {(1, 2): 1, (3, 4): 1}), TerminalSet.full(4),
+                        ((Tree(((1, 2, 0),)), 1),))
 
     def test_rejects_copy_overflow(self):
         with pytest.raises(InvalidPackingError):
@@ -323,7 +348,7 @@ class TestPackingType:
 
     def test_rejects_shared_edge(self):
         tree = Tree(((1, 2, 0), (2, 3, 0)))
-        with pytest.raises(InvalidPackingError):
+        with pytest.raises(InvalidPackingError, match=re.escape("edge (1, 2, 0) used twice")):
             TreePacking(
                 graph=UNIT_TRIANGLE,
                 target=TerminalSet.of(1, 3),
@@ -722,6 +747,8 @@ class TestSpanningPacking:
             for r in range(len(forests)):
                 assert forests[r].rel == {
                     (i, j): c - starts[r] for i, j, c in forests[r].edges()}
+                # a kept pair-set key is never stale
+                assert forests[r].pairs() == forests[r].rel.keys()
             for r in range(1, len(forests)):
                 by = starts[r] - starts[r - 1]
                 assert set(forests[r].edges()) != {

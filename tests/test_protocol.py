@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinkey.packing
+import pinkey.protocol
 
 from pinkey import (
     Broadcast,
@@ -29,10 +31,14 @@ from pinkey import (
     steiner_packing,
     verify_linear_maps,
 )
+from pinkey.cli import _transcript_json
+from pinkey.protocol import format_items
 from pinkey.value import replace
 
 from helpers import (
     AUDIT_MODULE,
+    columnar_export_transcript,
+    columnar_transcript_json,
     dense_gf2_rows,
     elimination_gf2_rank,
     per_copy_trees,
@@ -378,6 +384,109 @@ class TestRunProtocol:
                 assert rank(broadcast_rows, edges) == len(broadcast_rows)
                 assert rank([key_row] + broadcast_rows, edges) == \
                     len(broadcast_rows) + 1
+
+
+def random_grouped_run(rng: random.Random):
+    """A run over a packing of one to five groups built directly: trees
+    grown at random over the target and a few other vertices, or, for a
+    two-terminal target, often the one edge between them (an empty walk);
+    each group of 1 to 300 copies, with spare edges left over."""
+    m = rng.randint(2, 6)
+    target = random_terminal_set(rng, m, 2 if rng.random() < 0.5 else None)
+    counts: Counter = Counter()
+    groups = []
+    for _ in range(rng.randint(1, 5)):
+        if len(target) == 2 and rng.random() < 0.4:
+            pairs = [tuple(target.members)]
+        else:
+            order = list(target.members) + rng.sample(
+                [v for v in range(1, m + 1) if v not in target], rng.randint(0, m - len(target)))
+            rng.shuffle(order)
+            pairs = [tuple(sorted((order[k], rng.choice(order[:k]))))
+                     for k in range(1, len(order))]
+        copies = rng.choice((1, 2, rng.randint(3, 300)))
+        edges = []
+        for pair in pairs:
+            edges.append((*pair, counts[pair]))
+            counts[pair] += copies
+        groups.append((Tree(tuple(edges)), copies))
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            counts[(i, j)] += rng.randint(0, 2)
+    graph = Multigraph(m, dict(counts))
+    packing = TreePacking(graph, target, groups)
+    return run_protocol(packing, draw_edge_keys(graph, rng.randrange(100)))
+
+
+class TestTranscriptRenderers:
+    """``export_transcript`` and the ``transcript`` JSON field read the
+    transcript one walk step at a time; the columnar renderers they
+    replaced are the oracles, on honest runs and on runs whose bits or
+    transcript map were replaced."""
+
+    @staticmethod
+    def variants(run, rng):
+        yield run
+        ncols, nrows = run.transcript_map.ncols, run.transcript_map.nrows
+        if nrows:
+            yield flip_broadcast(run, rng.randrange(nrows))
+        # equal rows in one-row blocks, which no longer follow the groups
+        yield replace(run, transcript_map=Gf2Matrix.from_rows(run.transcript_map.rows, ncols))
+        if ncols >= 2:
+            # other rows, in one-row blocks and in blocks shaped like the groups
+            rows = [tuple(rng.sample(range(ncols), 2)) for _ in range(nrows)]
+            yield replace(run, transcript_map=Gf2Matrix.from_rows(rows, ncols))
+            blocks = []
+            for copies, steps in run.transcript_map.blocks:
+                if copies < ncols:
+                    starts = range(ncols - copies + 1)
+                    blocks.append((copies, tuple(tuple(rng.sample(starts, 2))
+                                                 for _ in steps)))
+            if len(blocks) == len(run.transcript_map.blocks):
+                yield replace(run, transcript_map=Gf2Matrix(tuple(blocks), ncols))
+
+    @given(st.integers(0, 10_000))
+    @settings(deadline=None)
+    def test_per_step_renderers_match_the_columnar_ones(self, seed):
+        rng = random.Random(seed)
+        run = random_grouped_run(rng)
+        for variant in self.variants(run, rng):
+            assert "".join(_transcript_json(variant)) == columnar_transcript_json(variant)
+            assert export_transcript(variant) == columnar_export_transcript(variant)
+
+    def test_the_property_sees_empty_walks_many_copies_and_several_groups(self):
+        runs = [random_grouped_run(random.Random(seed)) for seed in range(40)]
+        groups = [group for run in runs for group in run.packing.groups]
+        assert any(not tree.walk for tree, _ in groups)
+        assert any(copies > 100 and tree.walk for tree, copies in groups)
+        assert any(len(run.packing.groups) >= 4 for run in runs)
+        assert any(any(not tree.walk for tree, _ in run.packing.groups)
+                   and any(tree.walk for tree, _ in run.packing.groups) for run in runs)
+
+    @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 3)), max_size=6),
+           st.integers(1, 4))
+    def test_format_items_joins_every_item_in_bounded_pieces(self, shapes, batch):
+        # groups of 1-9 items with 1-3 columns, across batches of 1-4 items
+        groups = [("<" + ",".join(["%d"] * width) + ">", size,
+                   [range(10 * g + w, 10 * g + w + size) for w in range(width)])
+                  for g, (size, width) in enumerate(shapes)]
+        with pytest.MonkeyPatch.context() as patch:  # a fixture would span examples
+            patch.setattr(pinkey.protocol, "_BATCH", batch)
+            pieces = list(format_items(groups, "|"))
+        assert "".join(pieces) == "|".join(
+            template % row for template, _, columns in groups for row in zip(*columns))
+        assert all(piece.count("<") < 2 * batch for piece in pieces)
+
+    def test_a_one_column_row_fails_both_renderers_alike(self):
+        run = full_run(DOUBLED_TRIANGLE, seed=2)
+        rows = list(run.transcript_map.rows)
+        rows[0] = rows[0][:1]
+        variant = replace(run, transcript_map=Gf2Matrix.from_rows(
+            rows, run.transcript_map.ncols))
+        for render in (lambda r: "".join(_transcript_json(r)), columnar_transcript_json,
+                       export_transcript, columnar_export_transcript):
+            with pytest.raises(TypeError):
+                render(variant)
 
 
 class TestGroupsAgainstPerCopyOracles:

@@ -58,7 +58,7 @@ def test_ladder_writes_a_bench_file(tmp_path):
         "steiner/set_s1", "steiner/set_s2", "steiner/path_m20", "steiner/grid_corners",
         "steiner/grid_5", "steiner/grid_7", "steiner/robust_m16", "steiner/greedy_m12",
         "steiner/greedy_K96", "cli/load_floor", "cli/argv_floor", "cli/import_floor", "cli/text_pack",
-        "cli/text_simulate"]
+        "cli/text_simulate", "cli/structured_simulate"]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
     # the degree bound says 54 trees, the bridge allows 1
@@ -117,10 +117,10 @@ def test_ladder_writes_a_bench_file(tmp_path):
     assert rows["cli/import_floor"]["modules"] >= 13
     assert rows["cli/import_floor"]["argparse"] is False
     assert 0 < rows["cli/import_floor"]["best_s"] < 5
-    # every tree and every broadcast of a 100k-edge run, as text
+    # every tree and every broadcast of a 100k-edge run, as text and as JSON
     assert [(rows[name]["edges"], rows[name]["code"], rows[name]["bytes"])
-            for name in ("cli/text_pack", "cli/text_simulate")] == [
-        (100_000, 0, 2_377_856), (100_000, 0, 2_990_510)]
+            for name in ("cli/text_pack", "cli/text_simulate", "cli/structured_simulate")] == [
+        (100_000, 0, 2_377_856), (100_000, 0, 2_990_510), (100_000, 0, 4_255_927)]
     assert all(row["best_s"] == min(row["times_s"]) for row in rows.values())
 
 
