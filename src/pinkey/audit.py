@@ -43,8 +43,6 @@ class SecurityReport(Value):
     needs s = 0 and a nonempty recoverability, all good: alone, an entropy
     method checks no recovery and gives no verdict."""
 
-    _fields = ("key_length", "key_entropy", "key_given_transcript", "method",
-               "recoverability")
     key_length: int
     key_entropy: Fraction
     key_given_transcript: Fraction

@@ -51,7 +51,6 @@ class SubsetFamily(Value):
     1..m not containing A, as bitmasks in ascending order: the columns of
     the capacity LP, enumerated up to ``partitions.TERMINAL_CAP`` terminals."""
 
-    _fields = ("m", "target")
     m: int
     target: TerminalSet
     subsets: tuple[int, ...]
@@ -76,7 +75,6 @@ class WeightAssignment(Value):
     their support: ``weights`` maps each subset bitmask with a nonzero
     weight to that weight, in ascending mask order (zeros are dropped)."""
 
-    _fields = ("m", "target", "weights")
     m: int
     target: TerminalSet
     weights: Mapping[int, Fraction]
@@ -215,7 +213,6 @@ class CapacityResult(Value):
     assignment fixes ``coefficients``, each pair's total separating
     weight, built on first read and kept read-only."""
 
-    _fields = ("value", "assignment")
     value: Fraction
     assignment: WeightAssignment
 
@@ -336,7 +333,6 @@ class ConsistencyReport(Value):
     ``trials`` counts them and ``max_discrepancy`` is the largest (0.0 with
     none).  The repr shows those two and leaves the gaps out."""
 
-    _fields = ("discrepancies",)
     discrepancies: tuple[float, ...]
 
     def __init__(self, discrepancies: tuple[float, ...]) -> None:

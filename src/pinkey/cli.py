@@ -274,8 +274,8 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
         + " ".join(f"{entry['terminal']}:{'ok' if entry['ok'] else 'FAIL'}"
                    for entry in report["recovered"])
         + "\ntranscript:\n",
-        # every line of the transcript, indented; each line ends in a newline
-        "  " + export_transcript(run)[:-1].replace("\n", "\n  ") + "\n",
+        # every transcript line indented: the first by a piece of its own
+        "  ", (text := export_transcript(run)).replace("\n", "\n  ", text.count("\n") - 1),
     ], {"trees": lambda: _trees_json(packing),
         "transcript": lambda: _transcript_json(run)})
     if not report_card.passed:

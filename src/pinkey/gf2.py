@@ -102,7 +102,6 @@ class Gf2Matrix(Value):
     docstring); every row sums one column or two distinct ones.  Two
     matrices are equal when their column counts and rows are."""
 
-    _fields = ("blocks", "ncols")
     blocks: tuple[Block, ...]
     ncols: int
 

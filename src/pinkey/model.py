@@ -73,7 +73,6 @@ def _entropy(probabilities: Iterable[float]) -> float:
 class PairPmf(Value):
     """Joint pmf of one reciprocal pair, rows indexed by the lower terminal."""
 
-    _fields = ("probs",)
     probs: tuple[tuple[float, ...], ...]
 
     def __init__(self, probs: tuple[tuple[float, ...], ...]) -> None:
@@ -145,7 +144,6 @@ def mutual_information(pmf: PairPmf) -> float:
 class TerminalSet(Value):
     """A sorted set of at least two terminals seeking a shared key."""
 
-    _fields = ("members",)
     members: tuple[int, ...]
 
     def __init__(self, members: tuple[int, ...]) -> None:
@@ -224,7 +222,6 @@ class PinModel(Value):
     (pairs without a pmf have weight zero).
     """
 
-    _fields = ("m", "weights", "pmfs")
     m: int
     weights: Mapping[Pair, Fraction] | None
     pmfs: Mapping[Pair, PairPmf]
@@ -326,7 +323,6 @@ class Multigraph(Value):
     inputs are legal and simply pack zero trees.
     """
 
-    _fields = ("m", "multiplicities")
     m: int
     multiplicities: Mapping[Pair, int]
 

@@ -95,7 +95,6 @@ class Tree(Value):
     least edge, the speaker being the endpoint reached first.  Equality and
     repr read ``edges`` alone."""
 
-    _fields = ("edges",)
     edges: tuple[EdgeRef, ...]
     walk: tuple[tuple[int, EdgeRef], ...]
     _vertices: tuple[int, ...]
@@ -141,7 +140,6 @@ class TreePacking(Value):
     ``graph.pair_offsets()[(i, j)] + c + k`` and a group's copies of one
     edge fill one index range."""
 
-    _fields = ("graph", "target", "groups")
     graph: Multigraph
     target: TerminalSet
     groups: tuple[tuple[Tree, int], ...]

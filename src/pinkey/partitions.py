@@ -55,7 +55,6 @@ class Partition(Value):
     """Canonical partition: ``assignment[t]`` is the atom of terminal t+1,
     atoms numbered by first appearance; ``size`` counts the atoms."""
 
-    _fields = ("assignment",)
     assignment: tuple[int, ...]
     size: int
 

@@ -21,16 +21,17 @@ transcript block with a (reference, edge) step per walk step.  The
 transcript is laid out group by group and, within a group, copy by copy
 in walk order: the broadcast of walk step s of copy k of a group whose
 broadcasts start at position p sits at ``p + k * steps + s``.  Only this
-module knows that layout; the speaker and tree-index columns are derived
-from the packing in it, and ``transcript_steps`` reads the transcript one
-walk step at a time, every copy of the step at once, for the renderers.
+module knows that layout: ``transcript_steps`` reads the transcript one
+walk step at a time, every copy of the step at once, with its speaker and
+tree indices, for both renderers and the ``Broadcast`` view.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from functools import cached_property
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
@@ -48,7 +49,6 @@ class EdgeKeyBits(Value):
     any sequence, ``bytes`` as a draw makes them, and is stored as a
     tuple."""
 
-    _fields = ("bits", "seed")
     bits: tuple[int, ...]
     seed: int | None
 
@@ -99,7 +99,6 @@ class Broadcast(Value):
     """One public message: the sum of the reference-edge bit and one other
     edge bit, sent by the already-informed endpoint of that edge."""
 
-    _fields = ("tree", "terminal", "bit", "support")
     tree: int
     terminal: int
     bit: int
@@ -131,12 +130,11 @@ class ProtocolRun(Value):
     """A complete execution: key bits, transcript, linear maps.
 
     Only what the packing and the edge bits do not fix is stored; ``graph``
-    and ``target`` are the packing's, and the ``speakers`` and
-    ``broadcast_trees`` columns come from its groups.  Broadcast r is sent
-    by ``speakers[r]`` in tree ``broadcast_trees[r]``, carries
-    ``transcript_bits[r]`` and sums the two edges named by
-    ``transcript_map.rows[r]`` (reference edge first); ``transcript``
-    reads the same columns as ``Broadcast`` objects.  The residual bits,
+    and ``target`` are the packing's, and so is who speaks in which tree.
+    Broadcast r carries ``transcript_bits[r]`` and sums the two edges
+    named by ``transcript_map.rows[r]`` (reference edge first);
+    ``transcript`` reads it as a ``Broadcast`` from its walk step in
+    ``transcript_steps``, with the step's speaker.  The residual bits,
     those of the edges no tree uses, are read off ``keys`` on first use.
     A copy's key row and walk steps number its edges, so |E| = |K| + |F|
     + |K_R| holds by construction, and the stacked index rows (key and
@@ -145,8 +143,6 @@ class ProtocolRun(Value):
     tampered run may disagree with its maps.
     """
 
-    _fields = ("packing", "keys", "key_bits", "transcript_bits", "key_map",
-               "transcript_map")
     packing: TreePacking
     keys: EdgeKeyBits
     key_bits: tuple[int, ...]
@@ -184,26 +180,6 @@ class ProtocolRun(Value):
     def target(self) -> TerminalSet:
         return self.packing.target
 
-    @cached_property
-    def speakers(self) -> tuple[int, ...]:
-        """The sender of every broadcast, in transcript order: each group's
-        walk speakers once per copy."""
-        speakers: list[int] = []
-        for tree, copies in self.packing.groups:
-            speakers += [speaker for speaker, _ in tree.walk] * copies
-        return tuple(speakers)
-
-    @cached_property
-    def broadcast_trees(self) -> tuple[int, ...]:
-        """The tree index of every broadcast, in transcript order: each
-        copy's index once per walk step of its group."""
-        trees: list[int] = []
-        first = 0  # the group's first tree
-        for tree, copies in self.packing.groups:
-            trees += [k for k in range(first, first + copies) for _ in tree.walk]
-            first += copies
-        return tuple(trees)
-
     @property
     def edge_order(self) -> tuple[EdgeRef, ...]:
         """Every edge in canonical order: the columns of both maps."""
@@ -220,16 +196,29 @@ class ProtocolRun(Value):
         bits come from."""
         return tuple(compress(self.graph.edge_refs(), self.packing.residual_mask()))
 
+    @cached_property
+    def _walk_steps(self) -> tuple[tuple[int, ...], tuple[tuple[Step, ...], ...]]:
+        """Each walked group's first broadcast position (and then their
+        count) and its steps in ``transcript_steps``, kept from the first
+        read of a broadcast."""
+        groups = tuple(map(tuple, transcript_steps(self)))
+        return tuple(accumulate([len(steps) * len(steps[0][-1]) for steps in groups],
+                                initial=0)), groups
+
     @property
     def transcript(self) -> Sequence[Broadcast]:
-        """The broadcasts in transcript order, each built when it is read;
-        its length is the column length."""
+        """The broadcasts in transcript order, each built when it is read,
+        from copy k of step s of its group (position ``p + k * steps +
+        s``); its length is the bit column's, so ``len`` reads no step."""
         order = self.edge_order
 
         def broadcast(position: int) -> Broadcast:
-            return Broadcast(self.broadcast_trees[position], self.speakers[position],
-                             self.transcript_bits[position],
-                             tuple(order[k] for k in self.transcript_map.rows[position]))
+            starts, groups = self._walk_steps
+            g = bisect_right(starts, position) - 1
+            copy, s = divmod(position - starts[g], len(groups[g]))
+            speaker, bits, firsts, seconds, trees = groups[g][s]
+            return Broadcast(trees[copy], speaker, bits[copy], tuple(
+                order[k] for k in (firsts[copy], seconds[copy]) if k is not None))
 
         return View(len(self.transcript_bits), broadcast)
 
@@ -293,6 +282,8 @@ def recover_key(run: ProtocolRun, terminal: int) -> tuple[int, ...]:
     holds: copy k's bit is its transcript bit at ``p + k * steps + s``
     XOR its copy of that edge.
     """
+    if type(terminal) is not int:  # type(), not isinstance: a bool is no terminal
+        raise ValueError(f"terminal {terminal!r} is not an integer")
     if terminal not in run.target:
         raise ValueError(
             f"terminal {terminal} is outside the target set "
@@ -343,16 +334,17 @@ def transcript_steps(run: ProtocolRun) -> Iterator[list[Step]]:
     ``trees`` the group's tree-index range, and ``firsts`` and ``seconds``
     the support columns that ``transcript_map`` gives those broadcasts:
     the ranges of the map's block step when its blocks follow the groups
-    (as ``run_protocol`` builds them), otherwise slices of
-    ``row_columns()``."""
+    and every step names two columns (as ``run_protocol`` builds them),
+    otherwise tuple slices of ``row_columns()``, None in a one-column row."""
     groups = run.packing.groups
     blocks = run.transcript_map.blocks
     if ([(copies, len(steps)) for copies, steps in blocks]
-            == [(copies, len(tree.walk)) for tree, copies in groups if tree.walk]):
+            == [(copies, len(tree.walk)) for tree, copies in groups if tree.walk]
+            and None not in [second for _, steps in blocks for _, second in steps]):
         block_steps = iter([steps for _, steps in blocks])
         columns = None
     else:
-        columns = run.transcript_map.row_columns()
+        columns = tuple(map(tuple, run.transcript_map.row_columns()))
     bits = run.transcript_bits
     start = first = 0  # the group's first broadcast and first tree
     for tree, copies in groups:

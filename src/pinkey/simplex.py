@@ -64,7 +64,6 @@ class SimplexResult(Value):
     cost.  The rational ``value`` and ``solution`` are built when first
     read.  Equality compares ``value``, ``solution`` and ``basis``."""
 
-    _fields = ("basis", "d", "beta", "objective", "columns")
     basis: tuple[int, ...]
     d: int
     beta: tuple[int, ...]

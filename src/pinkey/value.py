@@ -1,13 +1,14 @@
 """The base of pinkey's immutable value types.
 
-Each value type lists its constructor's parameters, in order, as
-``_fields``, and writes its own ``__init__``: that checks and normalizes
-the arguments and stores them with ``_store``.  ``Value`` then gives
-equality, hashing and a repr over ``_fields`` (a type may override any of
-them), and refuses attribute assignment.  Fields are the facts nothing
-else fixes; what they determine is a property, or an attribute the
-constructor derives or a first-use cache, kept in the instance
-``__dict__`` beside the fields, outside equality and repr.
+Each value type writes its own ``__init__``: that checks and normalizes
+the arguments and stores them with ``_store``.  ``Value`` reads the
+type's ``_fields`` off it when the class is made, its positional
+parameters after ``self`` in order, gives equality, hashing and a repr
+over them (a type may override any of them), and refuses attribute
+assignment.  Fields are the facts nothing else fixes; what they
+determine is a property, or an attribute the constructor derives or a
+first-use cache, kept in the instance ``__dict__`` beside the fields,
+outside equality and repr.
 
 One rule makes every value read-only: ``_store`` keeps each dict or
 mapping proxy it is handed, field or cache, as a ``MappingProxyType``
@@ -39,6 +40,11 @@ class Value:
     class with equal fields."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the fields, stated once: the constructor's parameters after self
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def _store(self, **fields: object) -> None:
         """Set attributes, bypassing the refusal in ``__setattr__``: for

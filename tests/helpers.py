@@ -1140,6 +1140,40 @@ def shift_bits_to_hex(bits: tuple[int, ...]) -> str:
     return format(value, f"0{width}x")
 
 
+def speakers(run: ProtocolRun) -> tuple[int, ...]:
+    """The sender of every broadcast, in transcript order: each group's
+    walk speakers once per copy.  A whole-column oracle for the speakers
+    that ``pinkey.protocol.transcript_steps`` gives per walk step."""
+    column: list[int] = []
+    for tree, copies in run.packing.groups:
+        column += [speaker for speaker, _ in tree.walk] * copies
+    return tuple(column)
+
+
+def broadcast_trees(run: ProtocolRun) -> tuple[int, ...]:
+    """The tree index of every broadcast, in transcript order: each copy's
+    index once per walk step of its group.  A whole-column oracle for the
+    tree-index ranges of ``pinkey.protocol.transcript_steps``."""
+    column: list[int] = []
+    first = 0  # the group's first tree
+    for tree, copies in run.packing.groups:
+        column += [k for k in range(first, first + copies) for _ in tree.walk]
+        first += copies
+    return tuple(column)
+
+
+def columnar_transcript(run: ProtocolRun) -> tuple[Broadcast, ...]:
+    """Broadcast r built from entry r of the whole tree-index, speaker and
+    bit columns and row r of ``transcript_map``: the per-position oracle
+    for ``ProtocolRun.transcript``, which reads its walk step in
+    ``transcript_steps``."""
+    order = run.edge_order
+    return tuple(Broadcast(tree, speaker, bit, tuple(order[k] for k in row))
+                 for tree, speaker, bit, row in zip(broadcast_trees(run), speakers(run),
+                                                    run.transcript_bits,
+                                                    run.transcript_map.rows))
+
+
 def columnar_transcript_json(run: ProtocolRun) -> str:
     """The ``transcript`` JSON field built from whole columns, one object
     per broadcast zipped from the bits, both support columns of
@@ -1149,7 +1183,7 @@ def columnar_transcript_json(run: ProtocolRun) -> str:
     return "[" + ",".join(map(
         '{"bit":%d,"support":[%d,%d],"terminal":%d,"tree":%d}'.__mod__,
         zip(run.transcript_bits, *run.transcript_map.row_columns(),
-            run.speakers, run.broadcast_trees))) + "]"
+            speakers(run), broadcast_trees(run)))) + "]"
 
 
 def columnar_export_transcript(run: ProtocolRun) -> str:
@@ -1165,7 +1199,7 @@ def columnar_export_transcript(run: ProtocolRun) -> str:
         f"residual bits={len(run.residual_bits)} hex={shift_bits_to_hex(run.residual_bits)}",
     ]
     lines += map("broadcast tree=%d terminal=%d bit=%d support=%d,%d".__mod__,
-                 zip(run.broadcast_trees, run.speakers, run.transcript_bits,
+                 zip(broadcast_trees(run), speakers(run), run.transcript_bits,
                      *run.transcript_map.row_columns()))
     return "\n".join(lines) + "\n"
 

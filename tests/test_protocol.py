@@ -37,7 +37,9 @@ from pinkey.value import replace
 
 from helpers import (
     AUDIT_MODULE,
+    broadcast_trees,
     columnar_export_transcript,
+    columnar_transcript,
     columnar_transcript_json,
     dense_gf2_rows,
     elimination_gf2_rank,
@@ -49,6 +51,7 @@ from helpers import (
     reference_propagate_tree,
     scan_recover_key,
     shift_bits_to_hex,
+    speakers,
 )
 
 DOUBLED_TRIANGLE = Multigraph(3, {(1, 2): 2, (1, 3): 2, (2, 3): 2})
@@ -194,7 +197,7 @@ class TestPropagateTree:
         run = one_tree_run(Tree(((1, 2, 0),)), (1,))
         assert run.key_bits == (1,)
         assert tuple(run.transcript) == ()
-        assert run.transcript_bits == run.speakers == run.broadcast_trees == ()
+        assert run.transcript_bits == speakers(run) == broadcast_trees(run) == ()
 
     def test_path_xor_bookkeeping(self):
         run = one_tree_run(Tree(((1, 2, 0), (2, 3, 0))), (1, 0))
@@ -267,7 +270,7 @@ class TestRunProtocol:
         run = run_protocol(packing, keys)
         assert run.key_bits == ()
         assert tuple(run.transcript) == ()
-        assert run.transcript_bits == run.speakers == run.broadcast_trees == ()
+        assert run.transcript_bits == speakers(run) == broadcast_trees(run) == ()
         assert len(run.residual_edges) == 3
 
     def test_doubled_triangle_accounting(self):
@@ -454,6 +457,24 @@ class TestTranscriptRenderers:
             assert "".join(_transcript_json(variant)) == columnar_transcript_json(variant)
             assert export_transcript(variant) == columnar_export_transcript(variant)
 
+    @given(st.integers(0, 10_000))
+    @settings(deadline=None)
+    def test_broadcast_view_matches_the_per_position_oracle(self, seed):
+        rng = random.Random(seed)
+        run = random_grouped_run(rng)
+        for variant in self.variants(run, rng):
+            transcript = variant.transcript
+            assert len(transcript) == len(variant.transcript_bits)
+            assert "_walk_steps" not in vars(variant)  # len reads no step
+            expected = columnar_transcript(variant)
+            if expected:  # the last one first, before the steps are kept
+                assert transcript[-1] == expected[-1]
+            assert tuple(transcript) == expected
+            # the kept steps are read-only, as every cache of a value is
+            _, groups = vars(variant).get("_walk_steps", ((), ()))
+            assert {type(column) for steps in groups for step in steps
+                    for column in step[1:]} <= {tuple, range}
+
     def test_the_property_sees_empty_walks_many_copies_and_several_groups(self):
         runs = [random_grouped_run(random.Random(seed)) for seed in range(40)]
         groups = [group for run in runs for group in run.packing.groups]
@@ -487,6 +508,27 @@ class TestTranscriptRenderers:
                        export_transcript, columnar_export_transcript):
             with pytest.raises(TypeError):
                 render(variant)
+
+    @pytest.mark.parametrize("form", ["rows", "blocks"])
+    def test_a_one_column_row_fails_the_broadcast_view_as_the_oracle(self, form):
+        # the first broadcast loses its second column, in one-row blocks or
+        # in blocks that still follow the groups
+        run = full_run(DOUBLED_TRIANGLE, seed=2)
+        ncols = run.transcript_map.ncols
+        if form == "rows":
+            rows = list(run.transcript_map.rows)
+            rows[0] = rows[0][:1]
+            transcript_map = Gf2Matrix.from_rows(rows, ncols)
+        else:
+            (copies, ((first, _), *steps)), *blocks = run.transcript_map.blocks
+            transcript_map = Gf2Matrix(
+                ((copies, ((first, None), *steps)), *blocks), ncols)
+        variant = replace(run, transcript_map=transcript_map)
+        for read in (lambda: variant.transcript[0], lambda: columnar_transcript(variant)):
+            with pytest.raises(ValueError,
+                               match="^broadcast support must be two distinct edges$"):
+                read()
+        assert variant.transcript[1:] == columnar_transcript(run)[1:]
 
 
 class TestGroupsAgainstPerCopyOracles:
@@ -529,8 +571,8 @@ class TestGroupsAgainstPerCopyOracles:
         assert run.key_bits == oracle.key_bits
         assert tuple(run.transcript) == broadcasts
         assert run.transcript_bits == oracle.transcript_bits
-        assert run.speakers == tuple(b.terminal for b in broadcasts)
-        assert run.broadcast_trees == tuple(b.tree for b in broadcasts)
+        assert speakers(run) == tuple(b.terminal for b in broadcasts)
+        assert broadcast_trees(run) == tuple(b.tree for b in broadcasts)
         assert run.key_map == oracle.key_map
         assert run.transcript_map == oracle.transcript_map
         assert run.residual_edges == oracle.residual_edges
@@ -567,8 +609,8 @@ class TestGroupsAgainstPerCopyOracles:
         if broadcasts:
             variants += [flip_broadcast(run, 0), leak_key_bit(run, 0, len(broadcasts) - 1)]
         for variant in variants:
-            assert variant.speakers == tuple(b.terminal for b in broadcasts)
-            assert variant.broadcast_trees == tuple(b.tree for b in broadcasts)
+            assert speakers(variant) == tuple(b.terminal for b in broadcasts)
+            assert broadcast_trees(variant) == tuple(b.tree for b in broadcasts)
 
     def test_multi_copy_groups_appear(self):
         # the property above must see groups of several copies
@@ -597,6 +639,17 @@ class TestRecoverKey:
         run = full_run(UNIT_TRIANGLE)
         with pytest.raises(ValueError):
             recover_key(run, 4)
+
+    @pytest.mark.parametrize("terminal", [True, 1.0, "1"])
+    def test_rejects_a_terminal_that_is_not_an_int(self, terminal):
+        # True and 1.0 equal terminal 1 of the target, yet no terminal set
+        # takes them: the same message as TerminalSet's, before the target test
+        run = full_run(UNIT_TRIANGLE)
+        message = f"^terminal {re.escape(repr(terminal))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            recover_key(run, terminal)
+        with pytest.raises(ValueError, match=message):
+            TerminalSet.of(terminal, 2)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_everyone_recovers(self, seed):
@@ -690,7 +743,7 @@ class TestRecoverKey:
         run = run_protocol(steiner_packing(graph, target), draw_edge_keys(graph, 11))
         assert any(copies > 1 and tree.walk for tree, copies in run.packing.groups)
         copy_of = [k for _, copies in run.packing.groups for k in range(copies)]
-        later = [index for index, tree in enumerate(run.broadcast_trees)
+        later = [index for index, tree in enumerate(broadcast_trees(run))
                  if copy_of[tree] > 0]
         informs = [run.transcript[index].informed_terminal for index in later]
         assert 4 in informs and {2, 3} & set(informs)

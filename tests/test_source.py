@@ -145,3 +145,21 @@ def test_value_constructors_take_their_fields_in_order():
         if parameters != cls._fields:
             mismatched[cls.__name__] = (parameters, cls._fields)
     assert len(types) > 10 and mismatched == {}
+
+
+def test_no_value_type_states_its_fields():
+    # ``Value`` reads each type's fields off its constructor when the class
+    # is made, so a class body that assigns ``_fields`` would state them twice
+    stated = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    targets = (item.targets if isinstance(item, ast.Assign) else
+                               [item.target] if isinstance(item, (ast.AnnAssign, ast.AugAssign))
+                               else [])
+                    if any(isinstance(target, ast.Name) and target.id == "_fields"
+                           for target in targets):
+                        stated.add(f"{path.name}:{node.name}")
+    assert stated == {"value.py:Value"}

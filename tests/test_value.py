@@ -40,6 +40,15 @@ from pinkey.simplex import SimplexResult
 from pinkey.value import Value, replace
 
 
+class Interval(Value):
+    """A value type defined outside pinkey, with a defaulted parameter."""
+
+    def __init__(self, low: int, high: int = 10) -> None:
+        if not low <= high:
+            raise ValueError(f"empty interval {low}..{high}")
+        self._store(low=low, high=high)
+
+
 def report(**recoverability):
     return SecurityReport(1, Fraction(1), Fraction(1), "rank", **recoverability)
 
@@ -70,6 +79,19 @@ def test_repr_shows_the_fields_only():
     assert repr(Partition((0, 1, 1))) == "Partition(assignment=(0, 1, 1))"
     assert repr(Tree([(2, 3, 0), (1, 2, 0)])) == "Tree(edges=((1, 2, 0), (2, 3, 0)))"
     assert repr(EdgeKeyBits((1,))) == "EdgeKeyBits(bits=(1,), seed=None)"
+
+
+def test_a_new_value_type_takes_its_fields_from_its_constructor():
+    assert Interval._fields == ("low", "high")
+    interval = Interval(3)
+    assert repr(interval) == "Interval(low=3, high=10)"
+    assert interval == Interval(3, 10) != Interval(3, 9)
+    assert hash(interval) == hash(Interval(low=3))
+    assert replace(interval, high=5) == Interval(3, 5)
+    with pytest.raises(ValueError, match="empty interval 11..10"):
+        replace(interval, low=11)
+    for again in (pickle.loads(pickle.dumps(interval)), copy.deepcopy(interval)):
+        assert type(again) is Interval and again == interval
 
 
 def test_derived_attributes_stay_out_of_equality():
@@ -171,7 +193,7 @@ def _every_value() -> list[Value]:
     run = run_protocol(packing, EdgeKeyBits(list(keys.bits), seed=3))
     run = ProtocolRun(run.packing, run.keys, list(run.key_bits), list(run.transcript_bits),
                       run.key_map, run.transcript_map)
-    run.speakers, run.broadcast_trees, run.residual_bits, run.key_map.rows
+    tuple(run.transcript), run.residual_bits, run.key_map.rows
     family = subset_family(3, target)
     result = solve_capacity(model, target)
     result = CapacityResult(result.value, result.assignment)
