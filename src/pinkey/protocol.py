@@ -22,8 +22,12 @@ transcript is laid out group by group and, within a group, copy by copy
 in walk order: the broadcast of walk step s of copy k of a group whose
 broadcasts start at position p sits at ``p + k * steps + s``.  Only this
 module knows that layout: ``transcript_steps`` reads the transcript one
-walk step at a time, every copy of the step at once, with its speaker and
-tree indices, for both renderers and the ``Broadcast`` view.
+walk step at a time, every copy of the step at once, for both renderers
+and the ``Broadcast`` view; its speaker, support edges and tree indices
+come from the packing, as the maps do.  The maps are the audit's record:
+the rank audit, the brute force and ``verify_linear_maps`` read them, so
+a run holding another map fails those checks and still prints the
+packing's supports.
 """
 
 from __future__ import annotations
@@ -115,6 +119,9 @@ class Broadcast(Value):
             raise ValueError(f"malformed edge in broadcast support {support!r}")
         if len(set(support)) != 2:
             raise ValueError("broadcast support must be two distinct edges")
+        if terminal not in support[1][:2]:
+            raise ValueError(f"broadcast speaker {terminal} is not an endpoint of "
+                             f"the propagated edge {support[1]}")
         if type(bit) is not int or bit not in (0, 1):
             raise ValueError(f"broadcast bit must be 0/1, got {bit!r}")
         self._store(tree=tree, terminal=terminal, bit=bit, support=support)
@@ -130,12 +137,14 @@ class ProtocolRun(Value):
     """A complete execution: key bits, transcript, linear maps.
 
     Only what the packing and the edge bits do not fix is stored; ``graph``
-    and ``target`` are the packing's, and so is who speaks in which tree.
-    Broadcast r carries ``transcript_bits[r]`` and sums the two edges
-    named by ``transcript_map.rows[r]`` (reference edge first);
+    and ``target`` are the packing's, and so is who speaks in which tree
+    and which two edges each broadcast sums.  Broadcast r carries
+    ``transcript_bits[r]`` and sums its tree's reference edge and one
+    walk edge, the edges of ``transcript_map.rows[r]`` in an honest run;
     ``transcript`` reads it as a ``Broadcast`` from its walk step in
-    ``transcript_steps``, with the step's speaker.  The residual bits,
-    those of the edges no tree uses, are read off ``keys`` on first use.
+    ``transcript_steps``, with the step's speaker and supports.  The
+    maps are the audit's record.  The residual bits, those of the edges
+    no tree uses, are read off ``keys`` on first use.
     A copy's key row and walk steps number its edges, so |E| = |K| + |F|
     + |K_R| holds by construction, and the stacked index rows (key and
     residual edges, broadcast edge pairs) form an invertible square GF(2)
@@ -217,8 +226,8 @@ class ProtocolRun(Value):
             g = bisect_right(starts, position) - 1
             copy, s = divmod(position - starts[g], len(groups[g]))
             speaker, bits, firsts, seconds, trees = groups[g][s]
-            return Broadcast(trees[copy], speaker, bits[copy], tuple(
-                order[k] for k in (firsts[copy], seconds[copy]) if k is not None))
+            return Broadcast(trees[copy], speaker, bits[copy],
+                             (order[firsts[copy]], order[seconds[copy]]))
 
         return View(len(self.transcript_bits), broadcast)
 
@@ -323,46 +332,32 @@ def _bits_to_hex(bits: tuple[int, ...]) -> str:
     return format(int("".join(map(str, bits)), 2), f"0{width}x")
 
 
-Step = tuple[int, Sequence[int], Sequence[int], Sequence[int], range]
+Step = tuple[int, Sequence[int], range, range, range]
 
 
 def transcript_steps(run: ProtocolRun) -> Iterator[list[Step]]:
     """The transcript one walk step at a time: per group with a walk, one
     (speaker, bits, firsts, seconds, trees) per walk step, each column
     holding that step's broadcast of every copy in copy order.  ``bits``
-    is the slice ``transcript_bits[p + s : p + steps * copies : steps]``,
-    ``trees`` the group's tree-index range, and ``firsts`` and ``seconds``
-    the support columns that ``transcript_map`` gives those broadcasts:
-    the ranges of the map's block step when its blocks follow the groups
-    and every step names two columns (as ``run_protocol`` builds them),
-    otherwise tuple slices of ``row_columns()``, None in a one-column row."""
-    groups = run.packing.groups
-    blocks = run.transcript_map.blocks
-    if ([(copies, len(steps)) for copies, steps in blocks]
-            == [(copies, len(tree.walk)) for tree, copies in groups if tree.walk]
-            and None not in [second for _, steps in blocks for _, second in steps]):
-        block_steps = iter([steps for _, steps in blocks])
-        columns = None
-    else:
-        columns = tuple(map(tuple, run.transcript_map.row_columns()))
+    is the slice ``transcript_bits[p + s : p + steps * copies : steps]``
+    and ``trees`` the group's tree-index range; the speaker and both
+    support ranges come from the packing, as ``run_protocol`` builds the
+    maps: ``firsts`` the copies' reference edges, ``seconds`` their
+    copies of the step's walk edge, as canonical edge indices."""
+    offsets = run.graph.pair_offsets()
     bits = run.transcript_bits
     start = first = 0  # the group's first broadcast and first tree
-    for tree, copies in groups:
+    for tree, copies in run.packing.groups:
         walk = tree.walk
         if walk:
             steps = len(walk)
             end = start + steps * copies
+            i, j, c = tree.edges[0]
+            reference = range(offsets[(i, j)] + c, offsets[(i, j)] + c + copies)
             trees = range(first, first + copies)
-            if columns is None:
-                yield [(speaker, bits[s:end:steps], range(a, a + copies),
-                        range(b, b + copies), trees)
-                       for s, (speaker, _), (a, b)
-                       in zip(range(start, start + steps), walk, next(block_steps))]
-            else:
-                firsts, seconds = columns
-                yield [(speaker, bits[s:end:steps], firsts[s:end:steps],
-                        seconds[s:end:steps], trees)
-                       for s, (speaker, _) in zip(range(start, start + steps), walk)]
+            yield [(speaker, bits[s:end:steps], reference,
+                    range(offsets[(a, b)] + k, offsets[(a, b)] + k + copies), trees)
+                   for s, (speaker, (a, b, k)) in zip(range(start, start + steps), walk)]
             start = end
         first += copies
 
@@ -403,7 +398,7 @@ def export_transcript(run: ProtocolRun) -> str:
     """Line-oriented replayable record of a run.
 
     One ``broadcast`` line per message with the two support edge indices
-    (into canonical edge order, read from the transcript map's columns);
+    (into canonical edge order, read off the packing's walks);
     key and residual bit strings in hex with explicit bit lengths; the
     drawing seed first.  A group's lines are formatted by one template,
     its walk steps' lines with each step's speaker written in.

@@ -92,9 +92,12 @@ def replace(obj: V, /, **changes: object) -> V:
 
 class View(Sequence):
     """``length`` items, item k built by ``item(k)`` when read, so ``len``
-    builds none; indices and slices work as in a tuple."""
+    builds none; indices, slices and equality work as in a tuple.  A view
+    equals a view or a tuple of equal items; unequal lengths build no
+    item.  Like a list, it does not hash."""
 
     __slots__ = ("_length", "_item")
+    __hash__ = None
 
     def __init__(self, length: int, item: Callable[[int], object]) -> None:
         self._length, self._item = length, item
@@ -107,3 +110,8 @@ class View(Sequence):
         if isinstance(position, range):
             return tuple(map(self._item, position))
         return self._item(position)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (View, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))

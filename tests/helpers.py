@@ -1166,7 +1166,8 @@ def columnar_transcript(run: ProtocolRun) -> tuple[Broadcast, ...]:
     """Broadcast r built from entry r of the whole tree-index, speaker and
     bit columns and row r of ``transcript_map``: the per-position oracle
     for ``ProtocolRun.transcript``, which reads its walk step in
-    ``transcript_steps``."""
+    ``transcript_steps``.  It holds on honest maps only, those
+    ``run_protocol`` builds: the view reads the supports off the packing."""
     order = run.edge_order
     return tuple(Broadcast(tree, speaker, bit, tuple(order[k] for k in row))
                  for tree, speaker, bit, row in zip(broadcast_trees(run), speakers(run),
@@ -1179,7 +1180,9 @@ def columnar_transcript_json(run: ProtocolRun) -> str:
     per broadcast zipped from the bits, both support columns of
     ``transcript_map.row_columns()``, the speakers and the tree indices:
     the oracle for ``pinkey.cli._transcript_json``, which formats one walk
-    step of every copy at a time."""
+    step of every copy at a time.  It holds on honest maps only, those
+    ``run_protocol`` builds: the renderer reads the supports off the
+    packing."""
     return "[" + ",".join(map(
         '{"bit":%d,"support":[%d,%d],"terminal":%d,"tree":%d}'.__mod__,
         zip(run.transcript_bits, *run.transcript_map.row_columns(),
@@ -1190,7 +1193,9 @@ def columnar_export_transcript(run: ProtocolRun) -> str:
     """``export_transcript`` with one broadcast line per position, zipped
     from the whole tree-index, speaker, bit and support columns: the
     oracle for ``pinkey.export_transcript``, which reads the transcript
-    one walk step at a time."""
+    one walk step at a time.  It holds on honest maps only, those
+    ``run_protocol`` builds: the renderer reads the supports off the
+    packing."""
     lines = [
         f"seed {run.keys.seed if run.keys.seed is not None else 'none'}",
         f"edges {run.graph.total_edges()}",

@@ -179,6 +179,15 @@ class TestBroadcast:
         with pytest.raises(ValueError, match="two distinct edges"):
             Broadcast(0, 2, 1, ((1, 2, 0), (1, 2, 0)))
 
+    @pytest.mark.parametrize("terminal", [1, 4])
+    def test_rejects_a_speaker_off_the_propagated_edge(self, terminal):
+        # the speaker on (2, 3, 0) is 2 or 3; 1 is an endpoint of the reference only
+        with pytest.raises(ValueError, match=re.escape(
+                f"broadcast speaker {terminal} is not an endpoint of the "
+                "propagated edge (2, 3, 0)")):
+            Broadcast(0, terminal, 1, self.SUPPORT)
+        assert Broadcast(0, 3, 1, self.SUPPORT).informed_terminal == 2
+
     @pytest.mark.parametrize("support", [
         [(1, 2, 0), (2, 3, 0, "x")], [[1, 2, 0], [2, 3, 0]], [(1, 2, 0), (3, 2, 0)],
         [(1, 2, 0), (2, 3, -1)], [(1, 2, 0), (0, 3, 0)], [(1, 2, 0), (2, 3, True)],
@@ -422,10 +431,11 @@ def random_grouped_run(rng: random.Random):
 
 
 class TestTranscriptRenderers:
-    """``export_transcript`` and the ``transcript`` JSON field read the
-    transcript one walk step at a time; the columnar renderers they
-    replaced are the oracles, on honest runs and on runs whose bits or
-    transcript map were replaced."""
+    """``export_transcript``, the ``transcript`` JSON field and the
+    ``transcript`` view read the transcript one walk step at a time, with
+    the speakers and supports the packing fixes; the columnar renderers
+    they replaced, run on the honest map, are the oracles, on honest runs
+    and on runs whose bits or transcript map were replaced."""
 
     @staticmethod
     def variants(run, rng):
@@ -436,17 +446,26 @@ class TestTranscriptRenderers:
         # equal rows in one-row blocks, which no longer follow the groups
         yield replace(run, transcript_map=Gf2Matrix.from_rows(run.transcript_map.rows, ncols))
         if ncols >= 2:
-            # other rows, in one-row blocks and in blocks shaped like the groups
-            rows = [tuple(rng.sample(range(ncols), 2)) for _ in range(nrows)]
+            # other rows, the first and some more of one column, in one-row
+            # blocks and in blocks shaped like the groups
+            rows = [tuple(rng.sample(range(ncols), 1 if r == 0 else rng.randint(1, 2)))
+                    for r in range(nrows)]
             yield replace(run, transcript_map=Gf2Matrix.from_rows(rows, ncols))
             blocks = []
             for copies, steps in run.transcript_map.blocks:
                 if copies < ncols:
                     starts = range(ncols - copies + 1)
-                    blocks.append((copies, tuple(tuple(rng.sample(starts, 2))
-                                                 for _ in steps)))
+                    blocks.append((copies, tuple(
+                        (rng.choice(starts), None) if s == 0 or rng.random() < 0.3
+                        else tuple(rng.sample(starts, 2)) for s in range(len(steps)))))
             if len(blocks) == len(run.transcript_map.blocks):
                 yield replace(run, transcript_map=Gf2Matrix(tuple(blocks), ncols))
+
+    @staticmethod
+    def honest(variant, run):
+        """The variant with the run's own transcript map, which the
+        columnar oracles read."""
+        return replace(variant, transcript_map=run.transcript_map)
 
     @given(st.integers(0, 10_000))
     @settings(deadline=None)
@@ -454,8 +473,9 @@ class TestTranscriptRenderers:
         rng = random.Random(seed)
         run = random_grouped_run(rng)
         for variant in self.variants(run, rng):
-            assert "".join(_transcript_json(variant)) == columnar_transcript_json(variant)
-            assert export_transcript(variant) == columnar_export_transcript(variant)
+            honest = self.honest(variant, run)
+            assert "".join(_transcript_json(variant)) == columnar_transcript_json(honest)
+            assert export_transcript(variant) == columnar_export_transcript(honest)
 
     @given(st.integers(0, 10_000))
     @settings(deadline=None)
@@ -466,10 +486,11 @@ class TestTranscriptRenderers:
             transcript = variant.transcript
             assert len(transcript) == len(variant.transcript_bits)
             assert "_walk_steps" not in vars(variant)  # len reads no step
-            expected = columnar_transcript(variant)
+            expected = columnar_transcript(self.honest(variant, run))
             if expected:  # the last one first, before the steps are kept
                 assert transcript[-1] == expected[-1]
             assert tuple(transcript) == expected
+            assert transcript == expected
             # the kept steps are read-only, as every cache of a value is
             _, groups = vars(variant).get("_walk_steps", ((), ()))
             assert {type(column) for steps in groups for step in steps
@@ -498,21 +519,11 @@ class TestTranscriptRenderers:
             template % row for template, _, columns in groups for row in zip(*columns))
         assert all(piece.count("<") < 2 * batch for piece in pieces)
 
-    def test_a_one_column_row_fails_both_renderers_alike(self):
-        run = full_run(DOUBLED_TRIANGLE, seed=2)
-        rows = list(run.transcript_map.rows)
-        rows[0] = rows[0][:1]
-        variant = replace(run, transcript_map=Gf2Matrix.from_rows(
-            rows, run.transcript_map.ncols))
-        for render in (lambda r: "".join(_transcript_json(r)), columnar_transcript_json,
-                       export_transcript, columnar_export_transcript):
-            with pytest.raises(TypeError):
-                render(variant)
-
     @pytest.mark.parametrize("form", ["rows", "blocks"])
-    def test_a_one_column_row_fails_the_broadcast_view_as_the_oracle(self, form):
+    def test_a_one_column_row_renders_as_the_packing(self, form):
         # the first broadcast loses its second column, in one-row blocks or
-        # in blocks that still follow the groups
+        # in blocks that still follow the groups: the view and both
+        # renderers print the honest run's supports
         run = full_run(DOUBLED_TRIANGLE, seed=2)
         ncols = run.transcript_map.ncols
         if form == "rows":
@@ -524,11 +535,24 @@ class TestTranscriptRenderers:
             transcript_map = Gf2Matrix(
                 ((copies, ((first, None), *steps)), *blocks), ncols)
         variant = replace(run, transcript_map=transcript_map)
-        for read in (lambda: variant.transcript[0], lambda: columnar_transcript(variant)):
-            with pytest.raises(ValueError,
-                               match="^broadcast support must be two distinct edges$"):
-                read()
-        assert variant.transcript[1:] == columnar_transcript(run)[1:]
+        assert variant.transcript == run.transcript
+        assert "".join(_transcript_json(variant)) == "".join(_transcript_json(run))
+        assert export_transcript(variant) == export_transcript(run)
+
+    def test_another_row_keeps_the_broadcast_on_its_walk(self):
+        # row 0 replaced by (4, 5), which names neither tree 0's reference
+        # edge nor its walk edge; the audit's map check sees the change
+        run = full_run(DOUBLED_TRIANGLE, seed=2)
+        rows = list(run.transcript_map.rows)
+        rows[0] = (4, 5)
+        variant = replace(run, transcript_map=Gf2Matrix.from_rows(
+            rows, run.transcript_map.ncols))
+        tree = run.packing.trees[0]
+        assert variant.transcript[0] == run.transcript[0] == Broadcast(
+            0, tree.walk[0][0], run.transcript_bits[0], (tree.edges[0], tree.walk[0][1]))
+        assert variant.transcript[0].support != ((2, 3, 0), (2, 3, 1))
+        assert export_transcript(variant) == export_transcript(run)
+        assert not verify_linear_maps(variant)
 
 
 class TestGroupsAgainstPerCopyOracles:

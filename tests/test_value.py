@@ -37,7 +37,7 @@ from pinkey import (
     upper_bound,
 )
 from pinkey.simplex import SimplexResult
-from pinkey.value import Value, replace
+from pinkey.value import Value, View, replace
 
 
 class Interval(Value):
@@ -164,13 +164,58 @@ def test_replace_runs_the_constructor_checks_again():
     lambda sequence: Partition(sequence([0, 1, 0])),
     lambda sequence: PairPmf(sequence([sequence([0.5, 0.0]), sequence([0.0, 0.5])])),
     lambda sequence: EdgeKeyBits(sequence([1, 0, 1]), seed=3),
-    lambda sequence: Broadcast(0, 1, 1, sequence([(1, 2, 0), (2, 3, 0)])),
+    lambda sequence: Broadcast(0, 2, 1, sequence([(1, 2, 0), (2, 3, 0)])),
 ], ids=["Partition", "PairPmf", "EdgeKeyBits", "Broadcast"])
 def test_list_arguments_are_stored_as_tuples(build):
     # a value built from lists equals and hashes as the one built from tuples
     listed, tupled = build(list), build(tuple)
     assert listed == tupled
     assert hash(listed) == hash(tupled)
+
+
+def _doubled_triangle_run() -> ProtocolRun:
+    graph = Multigraph(3, {(1, 2): 2, (1, 3): 2, (2, 3): 2})
+    packing = spanning_packing(graph)
+    return run_protocol(packing, draw_edge_keys(graph, 7))
+
+
+def test_views_equal_views_and_tuples_of_equal_items():
+    run = _doubled_triangle_run()
+    packing = run.packing
+    assert packing.trees == packing.trees
+    assert run.transcript == run.transcript
+    assert run.transcript == tuple(run.transcript)
+    assert tuple(run.transcript) == run.transcript
+    assert not run.transcript != tuple(run.transcript)
+    # a view is no list, and does not hash, as a list does not
+    assert run.transcript != list(run.transcript)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(packing.trees)
+
+
+def test_views_of_other_items_are_unequal():
+    # one tree each, of other edges
+    path = spanning_packing(Multigraph(3, {(1, 2): 1, (2, 3): 1}))
+    triangle = spanning_packing(Multigraph(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1}))
+    assert len(path.trees) == len(triangle.trees) == 1
+    assert path.trees != triangle.trees
+    assert path.trees != tuple(triangle.trees)
+    assert not path.trees == triangle.trees
+
+
+def test_views_of_unequal_lengths_build_no_item():
+    built = []
+
+    def item(k):
+        built.append(k)
+        return k
+
+    assert View(3, item) != View(2, item)
+    assert View(3, item) != (0, 1)
+    assert (0, 1) != View(3, item)
+    assert built == []
+    assert View(3, item) == (0, 1, 2)
+    assert built == [0, 1, 2]
 
 
 def _triangle() -> PinModel:
@@ -202,7 +247,7 @@ def _every_value() -> list[Value]:
     simplex.value, simplex.solution
     return [
         target, pmf, model, graph, Partition([0, 1, 0]), Tree([(2, 3, 0), (1, 2, 0)]),
-        packing, keys, run, Broadcast(0, 1, 1, [(1, 2, 0), (2, 3, 0)]),
+        packing, keys, run, Broadcast(0, 2, 1, [(1, 2, 0), (2, 3, 0)]),
         Gf2Matrix([[2, [[0, None], [0, 2]]]], 4),
         family,
         WeightAssignment(3, target, dict(result.assignment.weights)),
