@@ -137,7 +137,8 @@ is faster); a row only one file has gets ``-`` for the other.  Given two
 checkout roots, ``--compare`` times both in ``--repeat`` rounds of fresh
 interpreters, each timing every row ``--repeat`` times, and adds each row's
 median over rounds of that round's HEAD/BASE ratio of bests, which pairs
-the two sides of a round against the drift between interpreters.
+the two sides of a round against the drift between interpreters, and the
+min-max range of those ratios, which shows how far one round can stray.
 
     PYTHONPATH=src python scripts/ladder.py --label mybranch
     PYTHONPATH=src python scripts/ladder.py --compare BENCH_main.json BENCH_mybranch.json
@@ -644,14 +645,15 @@ def describe(row: dict) -> str:
 
 
 def table(sides: list[str], best: list[dict], prefix: str,
-          medians: dict | None = None) -> list[str]:
+          ratios: dict | None = None) -> list[str]:
     """Lines of per-row best times of two sides and HEAD/BASE, rows in
-    BASE's order and then HEAD's own; with ``medians``, a column of each
-    row's median per-round HEAD/BASE."""
+    BASE's order and then HEAD's own; with ``ratios``, each row's
+    per-round HEAD/BASE ratios, columns of their median and their
+    min-max range."""
     names = list(best[0]) + [name for name in best[1] if name not in best[0]]
     header = f"{'row':<24} {'BASE s':>9} {'HEAD s':>9} {'HEAD/BASE':>9}"
     lines = [f"BASE {sides[0]}", f"HEAD {sides[1]}",
-             header if medians is None else f"{header} {'median':>9}"]
+             header if ratios is None else f"{header} {'median':>9} {'min-max':>11}"]
     for name in names:
         if not name.startswith(prefix):
             continue
@@ -659,8 +661,11 @@ def table(sides: list[str], best: list[dict], prefix: str,
         shown = ["-" if t is None else f"{t:.4f}" for t in times]
         ratio = "-" if None in times or not times[0] else f"{times[1] / times[0]:.3f}"
         line = f"{name:<24} {shown[0]:>9} {shown[1]:>9} {ratio:>9}"
-        if medians is not None:
-            line += f" {medians[name]:>9.3f}" if name in medians else f" {'-':>9}"
+        if ratios is not None:
+            rounds = ratios.get(name)
+            line += (f" {statistics.median(rounds):>9.3f} "
+                     f"{f'{min(rounds):.3f}-{max(rounds):.3f}':>11}"
+                     if rounds else f" {'-':>9} {'-':>11}")
         lines.append(line)
     return lines
 
@@ -699,14 +704,11 @@ def compare_roots(roots: list[Path], rounds: int, prefix: str) -> list[str]:
         for side in (0, 1):
             for name, t in times[side].items():
                 best[side][name] = min(t, best[side].get(name, math.inf))
-    medians = {}
-    for name in best[0].keys() & best[1].keys():
-        ratios = [head[name] / base[name] for base, head in runs
-                  if name in base and name in head and base[name]]
-        if ratios:
-            medians[name] = statistics.median(ratios)
+    ratios = {name: [head[name] / base[name] for base, head in runs
+                     if name in base and name in head and base[name]]
+              for name in best[0].keys() & best[1].keys()}
     return table([f"{root} ({git_revision(root)})" for root in roots], best, prefix,
-                 medians)
+                 ratios)
 
 
 def main() -> None:

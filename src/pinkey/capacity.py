@@ -180,10 +180,10 @@ def _lp_costs(model: PinModel, family: SubsetFamily) -> tuple[list[int], int]:
     B, ``c(B) = c(B - t) + Σ_{j > t, j ∉ B} w_tj``, and the row sum is
     ``w_t(above t) - w_t(B above t)``, read from a subset-sum table of
     row t over the terminals above t; so the table costs O(2^m) additions."""
-    model.require_exact("capacity LP costs")
+    scale, base = model.require_exact("capacity LP costs")
     m = family.m
     rows = [[0] * (m - 1 - t) for t in range(m)]
-    for (i, j), w in model.base_weights.items():
+    for (i, j), w in base.items():
         if w:
             rows[i - 1][j - i - 1] = w
     table = [0] * (1 << m)
@@ -194,7 +194,7 @@ def _lp_costs(model: PinModel, family: SubsetFamily) -> tuple[list[int], int]:
         total, step = sums[-1], 2 << t
         # the masks H << (t + 1), then the same masks with t added
         table[1 << t::step] = [c + total - s for c, s in zip(table[::step], sums)]
-    return [table[mask] for mask in family.subsets], base_scale(model)
+    return [table[mask] for mask in family.subsets], scale
 
 
 def _vertex(family: SubsetFamily,

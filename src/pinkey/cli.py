@@ -287,7 +287,7 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
 def _cmd_validate(args: SimpleNamespace) -> int:
     model = load_model(args.model)
     if model.exact:  # counted exactly: a tiny weight is no float zero
-        nonzero = sum(1 for weight in model.weights.values() if weight)
+        nonzero = sum(1 for weight in model.base_weights.values() if weight)
     else:
         nonzero = sum(1 for pair in model.pairs() if model.mi(*pair) > 0)
     report = {

@@ -9,13 +9,15 @@ results carry a 1e-9 comparison tolerance.
 
 An exact model's ``base_weights``, ``w_ij · n0`` over the base scale
 ``n0`` (the edge multiplicities of G(n0)), are the one integer form of its
-weights: the multigraphs, the capacity LP and the partition bound read them.
+weights, and the form the model holds: the multigraphs, the capacity LP
+and the partition bound read them, and the model-file loader builds them
+with no Fraction.  The Fraction table ``weights`` is built on first read.
 
 Terminals are 1-indexed throughout.  Zero-weight pairs are stored
 explicitly, so sparse inputs are legal; since that costs ``m(m-1)/2``
 entries, a model has at most ``MAX_TERMINALS`` terminals.  All types are
 immutable after construction and safe to share between workers: the
-weight, pmf and multiplicity tables, and the ``base_weights`` and
+base weight, pmf and multiplicity tables, and the ``weights`` and
 ``pair_offsets()`` caches, are read-only mappings (see ``value``).
 """
 
@@ -214,37 +216,59 @@ def _normalize_weights(
     return table
 
 
+def _checked_pmfs(m: int, pmfs: Mapping[Pair, PairPmf]) -> dict[Pair, PairPmf]:
+    """The pmf table by canonical pair, once m is a valid terminal count
+    and every pair lies within 1..m."""
+    check_terminal_count(m)
+    if m < 2:
+        raise ValueError(f"need at least two terminals, got m={m}")
+    pmfs = {canonical_pair(i, j): pmf for (i, j), pmf in pmfs.items()}
+    for pair in pmfs:
+        if pair[0] < 1 or pair[1] > m:
+            raise ValueError(f"pmf pair {pair} outside terminals 1..{m}")
+    return pmfs
+
+
 class PinModel(Value):
     """Source model: terminal count plus symmetric pairwise weights.
 
-    ``weights`` is present exactly for exact-mode models.  ``pmfs`` may back
-    any subset of pairs; a float-mode model reads its weights off the pmfs
-    (pairs without a pmf have weight zero).
+    An exact-mode model holds its integer form: the base scale ``n0`` and
+    ``base_weights`` (``w_ij · n0`` per pair), built from rational weights
+    or given to ``from_base_weights``.  ``weights``, the Fraction table, is
+    None exactly for float-mode models; it is built on its first read and
+    kept, read-only, and equality, hashing, pickling and ``replace`` read
+    it as a field.  ``pmfs`` may back any subset of pairs; a float-mode
+    model reads its weights off the pmfs (pairs without a pmf have weight
+    zero).
     """
 
     m: int
-    weights: Mapping[Pair, Fraction] | None
     pmfs: Mapping[Pair, PairPmf]
 
     def __init__(self, m: int, weights: Mapping[Pair, Fraction] | None,
                  pmfs: Mapping[Pair, PairPmf]) -> None:
-        check_terminal_count(m)
-        if m < 2:
-            raise ValueError(f"need at least two terminals, got m={m}")
-        pmfs = {canonical_pair(i, j): pmf for (i, j), pmf in pmfs.items()}
-        for pair in pmfs:
-            if pair[0] < 1 or pair[1] > m:
-                raise ValueError(f"pmf pair {pair} outside terminals 1..{m}")
-        if weights is not None:
-            weights = _normalize_weights(m, weights)
-            for pair, pmf in pmfs.items():
-                drift = abs(mutual_information(pmf) - float(weights[pair]))
-                if drift > WEIGHT_MATCH_TOLERANCE:
-                    raise ValueError(
-                        f"pmf for pair {pair} disagrees with its weight "
-                        f"by {drift:.3g} bits"
-                    )
-        self._store(m=m, weights=weights, pmfs=pmfs)
+        pmfs = _checked_pmfs(m, pmfs)
+        if weights is None:
+            self._store(m=m, pmfs=pmfs, _base_scale=None, _base_weights=None)
+            return
+        weights = _normalize_weights(m, weights)
+        n0 = math.lcm(*(w.denominator for w in weights.values()))
+        self._exact(m, n0, {pair: w.numerator * (n0 // w.denominator)
+                            for pair, w in weights.items()}, pmfs)
+        self._store(_weights=weights)
+
+    def _exact(self, m: int, n0: int, base: dict[Pair, int],
+               pmfs: dict[Pair, PairPmf]) -> None:
+        """Store an exact model's checked integer form, once each pmf
+        matches its pair's weight."""
+        for pair, pmf in pmfs.items():
+            drift = abs(mutual_information(pmf) - base[pair] / n0)
+            if drift > WEIGHT_MATCH_TOLERANCE:
+                raise ValueError(
+                    f"pmf for pair {pair} disagrees with its weight "
+                    f"by {drift:.3g} bits"
+                )
+        self._store(m=m, pmfs=pmfs, _base_scale=n0, _base_weights=base)
 
     @classmethod
     def from_weights(
@@ -256,44 +280,76 @@ class PinModel(Value):
         return cls(m=m, weights=dict(weights), pmfs=dict(pmfs or {}))
 
     @classmethod
+    def from_base_weights(
+        cls,
+        m: int,
+        n0: int,
+        base: Mapping[Pair, int],
+        pmfs: Mapping[Pair, PairPmf] | None = None,
+    ) -> "PinModel":
+        """The exact model with weight ``base[(i, j)] / n0`` on each listed
+        pair ``i < j`` and zero on the rest, built with no Fraction.  The
+        base weights must be ints >= 0 and ``n0`` their least scale: a
+        positive int with ``gcd(n0, *base) == 1``."""
+        pmfs = _checked_pmfs(m, dict(pmfs or {}))
+        if type(n0) is not int or n0 < 1:  # type(): a bool is no scale
+            raise ValueError(f"base scale {n0!r} is not a positive integer")
+        table = dict.fromkeys(all_pairs(m), 0)
+        for pair, b in base.items():
+            if pair not in table:
+                raise ValueError(f"pair {pair!r} is not a pair i < j of terminals 1..{m}")
+            if type(b) is not int or b < 0:
+                raise ValueError(f"base weight for pair {pair} is not an int >= 0: {b!r}")
+            table[pair] = b
+        if math.gcd(n0, *table.values()) != 1:
+            raise ValueError(f"base scale {n0} is not the least scale of its weights")
+        model = cls.__new__(cls)
+        model._exact(m, n0, table, pmfs)
+        return model
+
+    @classmethod
     def from_pmfs(cls, m: int, pmfs: Mapping[Pair, PairPmf]) -> "PinModel":
         return cls(m=m, weights=None, pmfs=dict(pmfs))
 
     @property
-    def exact(self) -> bool:
-        return self.weights is not None
+    def weights(self) -> Mapping[Pair, Fraction] | None:
+        """The exact weights as Fractions, None in float mode; built from
+        the integer form on the first read and kept, read-only."""
+        if "_weights" not in self.__dict__:
+            if self._base_weights is None:
+                return None
+            n0 = self._base_scale
+            self._store(_weights={pair: Fraction(b, n0)
+                                  for pair, b in self._base_weights.items()})
+        return self._weights
 
-    def require_exact(self, operation: str) -> Mapping[Pair, Fraction]:
-        """The exact weight table; raises on a float-mode model."""
-        if self.weights is None:
+    @property
+    def exact(self) -> bool:
+        return self._base_weights is not None
+
+    def require_exact(self, operation: str) -> tuple[int, Mapping[Pair, int]]:
+        """The base scale and the base weights; raises on a float-mode model."""
+        if self._base_weights is None:
             raise UnsupportedModeError(
                 f"{operation} needs exact rational weights; "
                 "this model is float-mode (pmf-backed)"
             )
-        return self.weights
+        return self._base_scale, self._base_weights
 
     @property
     def base_weights(self) -> Mapping[Pair, int]:
-        """``w_ij · n0`` per pair, ``n0`` the base scale; built on the first
-        read and kept, read-only, outside the fields."""
-        return self._base("integer base weights")[1]
-
-    def _base(self, operation: str) -> tuple[int, Mapping[Pair, int]]:
-        if "_base_weights" not in self.__dict__:
-            weights = self.require_exact(operation)
-            n0 = math.lcm(*(w.denominator for w in weights.values()))
-            self._store(_base_scale=n0, _base_weights={
-                pair: w.numerator * (n0 // w.denominator) for pair, w in weights.items()})
-        return self._base_scale, self._base_weights
+        """``w_ij · n0`` per pair, ``n0`` the base scale, read-only."""
+        return self.require_exact("integer base weights")[1]
 
     def weight(self, i: int, j: int) -> Fraction:
-        return self.require_exact("rational weight lookup")[canonical_pair(i, j)]
+        n0, base = self.require_exact("rational weight lookup")
+        return Fraction(base[canonical_pair(i, j)], n0)
 
     def mi(self, i: int, j: int) -> float:
         """Pairwise weight as a float, valid in either mode."""
         pair = canonical_pair(i, j)
-        if self.weights is not None:
-            return float(self.weights[pair])
+        if self._base_weights is not None:
+            return self._base_weights[pair] / self._base_scale
         pmf = self.pmfs.get(pair)
         return mutual_information(pmf) if pmf is not None else 0.0
 
@@ -305,11 +361,11 @@ class PinModel(Value):
 
     def scaled(self, factor: Fraction) -> "PinModel":
         """Model with every weight multiplied by a positive rational."""
-        weights = self.require_exact("weight scaling")
+        self.require_exact("weight scaling")
         if factor <= 0:
             raise ValueError(f"scale factor must be positive, got {factor}")
         return PinModel.from_weights(
-            self.m, {pair: w * factor for pair, w in weights.items()}
+            self.m, {pair: w * factor for pair, w in self.weights.items()}
         )
 
 
@@ -385,13 +441,13 @@ class Multigraph(Value):
 def base_scale(model: PinModel) -> int:
     """Least n making every scaled weight integral; valid scales are its
     positive multiples."""
-    return model._base("base scale")[0]
+    return model.require_exact("base scale")[0]
 
 
 def realize_multigraph(model: PinModel, n: int) -> Multigraph:
     """Multigraph with exactly ``n * weight`` parallel edges per pair: the
     base weights times ``n / n0``, n being a multiple of the base scale."""
-    n0, base = model._base("multigraph realization")
+    n0, base = model.require_exact("multigraph realization")
     if type(n) is not int or n <= 0 or n % n0 != 0:  # type(): a bool is no scale
         raise InvalidScaleError(
             f"scale {n!r} is not a positive multiple of the base scale {n0}"
@@ -410,22 +466,32 @@ def format_rational(value: Fraction) -> str:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text: object) -> Fraction:
-    """Parse an integer or a ``p/q`` / ``p`` string into a Fraction.
+def parse_ratio(text: object) -> tuple[int, int]:
+    """Parse an integer or a ``p/q`` / ``p`` string into ints ``(p, q)`` in
+    lowest terms with ``q > 0``, by ``math.gcd``, with no Fraction.
 
     Strings are ASCII digits only, with an optional leading ``-`` and no
     spaces, signs elsewhere or digit separators."""
     if isinstance(text, int):
         if isinstance(text, bool):
             raise ValueError(f"expected a rational, got {text!r}")
-        return Fraction(text)
+        return text, 1
     if isinstance(text, str):
         match = _RATIONAL.fullmatch(text)
         if match is None:
             raise ValueError(f"malformed rational {text!r}")
         numerator, denominator = match.group(1, 2)
         try:
-            return Fraction(int(numerator), int(denominator or 1))
-        except (ValueError, ZeroDivisionError) as exc:  # zero or too many digits
+            p, q = int(numerator), int(denominator or 1)
+        except ValueError as exc:  # too many digits
             raise ValueError(f"malformed rational {text!r}") from exc
+        if q == 0:
+            raise ValueError(f"malformed rational {text!r}")
+        g = math.gcd(p, q)
+        return p // g, q // g
     raise ValueError(f"expected an integer or 'p/q' string, got {text!r}")
+
+
+def parse_rational(text: object) -> Fraction:
+    """``parse_ratio``'s value as a Fraction."""
+    return Fraction(*parse_ratio(text))

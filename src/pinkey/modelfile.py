@@ -31,7 +31,9 @@ The file is checked in one pass, each check in one place:
 from __future__ import annotations
 
 import json
+import math
 import os
+from fractions import Fraction
 from typing import Any, Iterator, NoReturn
 
 from .errors import ModelFormatError
@@ -41,7 +43,7 @@ from .model import (
     PinModel,
     check_terminal_count,
     format_rational,
-    parse_rational,
+    parse_ratio,
 )
 
 _TOP_FIELDS = {"terminals", "weights", "pmfs"}
@@ -120,17 +122,17 @@ def loads_model(text: str) -> PinModel:
     if "weights" not in doc and "pmfs" not in doc:
         _fail("at least one of 'weights' / 'pmfs' must be present")
 
-    weights = None
+    ratios = None
     if "weights" in doc:
-        weights = {}
+        ratios = {}
         for k, record, pair in _records(doc, "weights", _WEIGHT_FIELDS, "i, j, value", m):
             try:
-                value = parse_rational(record["value"])
+                p, q = parse_ratio(record["value"])
             except ValueError as exc:
                 raise ModelFormatError(f"weights[{k}].value: {exc}") from exc
-            if value.numerator < 0:
-                _fail(f"weights[{k}]: negative weight {format_rational(value)}")
-            weights[pair] = value
+            if p < 0:
+                _fail(f"weights[{k}]: negative weight {format_rational(Fraction(p, q))}")
+            ratios[pair] = p, q
 
     pmfs = {}
     if "pmfs" in doc:
@@ -161,9 +163,11 @@ def loads_model(text: str) -> PinModel:
                 raise ModelFormatError(f"{context}: {exc}") from exc
 
     try:
-        if weights is not None:
-            return PinModel.from_weights(m, weights, pmfs)
-        return PinModel.from_pmfs(m, pmfs)
+        if ratios is None:
+            return PinModel.from_pmfs(m, pmfs)
+        n0 = math.lcm(*(q for _, q in ratios.values()))
+        return PinModel.from_base_weights(
+            m, n0, {pair: p * (n0 // q) for pair, (p, q) in ratios.items()}, pmfs)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
 from .errors import SizeLimitError
-from .model import Multigraph, Pair, PinModel, TerminalSet, base_scale
+from .model import Multigraph, Pair, PinModel, TerminalSet
 from .value import Value
 
 # the terminal count past which no model's or graph's partitions are walked,
@@ -202,20 +202,20 @@ def min_ratio(
 
 def crossing_weight(model: PinModel, partition: Partition) -> Fraction:
     """Total weight of pairs whose endpoints lie in different atoms."""
-    model.require_exact("crossing weight")
+    n0, base = model.require_exact("crossing weight")
     if len(partition.assignment) != model.m:
         raise ValueError("partition and model have different terminal counts")
     side = partition.assignment
-    crossing = sum(v for i, j, v in _items(model.base_weights) if side[i] != side[j])
-    return Fraction(crossing, base_scale(model))
+    crossing = sum(v for i, j, v in _items(base) if side[i] != side[j])
+    return Fraction(crossing, n0)
 
 
 def best_partition(model: PinModel, target: TerminalSet) -> tuple[Fraction, Partition]:
     """Minimum of crossing-weight / (atoms - 1) with a minimizing partition."""
-    model.require_exact("partition bound")
+    n0, base = model.require_exact("partition bound")
     _check_cap(model.m)
-    value, partition = min_ratio(model.base_weights, model.m, target)
-    return value / base_scale(model), partition
+    value, partition = min_ratio(base, model.m, target)
+    return value / n0, partition
 
 
 def upper_bound(model: PinModel, target: TerminalSet) -> Fraction:

@@ -3,15 +3,21 @@
 Solves ``min C.x  s.t.  Σ_{j : t ∈ masks[j]} x_j = 1 for every terminal t,
 x >= 0`` exactly: column j is the subset of the m terminals given by the
 bitmask ``masks[j]``, and the int costs ``C`` are the capacity LP's over
-the model's base scale.  The singleton columns form the identity, so they
-are the starting basis and no phase-1 is needed.
+the model's base scale.  The singleton columns form the identity, a
+feasible basis, so no phase-1 LP is needed.  When m >= 3 and every
+co-singleton M∖{t} is a column too (the capacity LP with A = M), the
+solver starts from those instead: their basis ``B = J - I`` is feasible,
+with every basic value 1/(m - 1), and for dense models it is the optimum
+or close to it (the co-atoms of the all-singletons partition).
 
 The method is the revised simplex, kept fraction-free (Edmonds 1967,
 Bareiss 1968).  Over one shared denominator ``d``, the absolute value of
 the current basis determinant, the solver holds only ``R = d·B^-1``
 (integral: ``adj(B)`` up to sign), the basic values ``β = R·1``, the duals
-``y = C_B·R`` and the objective ``C_B·β``; the start is ``d = 1``,
-``R = I``, ``β = 1``.  Column j's reduced cost ``d·C_j - y(masks[j])``
+``y = C_B·R`` and the objective ``C_B·β``.  The singleton start is
+``d = 1``, ``R = I``, ``β = 1``; the co-singleton start is ``d = m - 1``,
+``R = J - (m - 1)·I``, ``β = 1``, ``y_k = Σ C_B - d·C_B[k]`` and the
+objective ``Σ C_B``.  Column j's reduced cost ``d·C_j - y(masks[j])``
 reads the dual sum ``y(S)`` from two subset-sum tables, over the low and
 the high half of the terminals (O(2^(m/2)) per pricing pass).  The
 entering column's entries ``α_i = Σ_{t ∈ masks[j]} R_it`` feed the
@@ -27,7 +33,8 @@ The result is the optimal vertex that Bland's rule (enter the least-index
 column with a negative reduced cost) reaches from the singleton basis.
 Three phases share the one pivot routine:
 
-1. Enter the most negative reduced cost, ties to the lowest index; after
+1. From the co-singleton basis if it is there, else from the singletons,
+   enter the most negative reduced cost, ties to the lowest index; after
    m degenerate pivots in a row (leaving value 0), Bland's rule enters
    until a pivot moves, so it cannot cycle.  This ends at an optimal
    basis B₀ and vertex x*, in about m pivots.
@@ -112,6 +119,14 @@ class _Tableau:
         m, duals = len(base), [costs[var] for var in base]
         return cls(1, [[int(k == i) for k in range(m)] for i in range(m)],
                    [1] * m, duals, sum(duals), list(base))
+
+    @classmethod
+    def co_singletons(cls, costs: Sequence[int], base: list[int]) -> _Tableau:
+        """``base[k]`` the column of M∖{k}: ``B = J - I``, ``d = m - 1``."""
+        m, basic = len(base), [costs[var] for var in base]
+        d, total = m - 1, sum(basic)
+        return cls(d, [[1 - d * (k == i) for k in range(m)] for i in range(m)],
+                   [1] * m, [total - d * c for c in basic], total, list(base))
 
     def result(self, n: int) -> SimplexResult:
         return SimplexResult(tuple(self.base), self.d, tuple(self.values),
@@ -250,6 +265,18 @@ def _start_basis(costs: Sequence[int], masks: Sequence[int], m: int) -> list[int
         raise ValueError("every singleton subset must be a column") from None
 
 
+def _co_singleton_basis(masks: Sequence[int], m: int) -> list[int] | None:
+    """The first column of each co-singleton M∖{t}, or None if one is
+    missing or m < 3 (at m = 2 they are the singletons)."""
+    if m < 3:
+        return None
+    full = (1 << m) - 1
+    try:
+        return [masks.index(full ^ 1 << t) for t in range(m)]
+    except ValueError:
+        return None
+
+
 def _bland_lp(costs: Sequence[int], masks: Sequence[int],
               base: list[int]) -> SimplexResult:
     """Phase 3: Bland's rule from the singleton basis ``base``."""
@@ -263,12 +290,15 @@ def solve_lp(costs: Sequence[int], masks: Sequence[int], m: int) -> SimplexResul
 
     ``masks[j]`` is the nonempty subset of terminals 0..m-1 that column j
     covers; every singleton must be among them (the first occurrence of
-    each is the starting basis).  Costs and masks must be ints.  The
+    each is Bland's starting basis).  Costs and masks must be ints.  The
     result is the optimal vertex Bland's rule reaches; ``value`` is in the
-    units of ``costs``.
+    units of ``costs``.  Phase 1 starts from the co-singletons when m >= 3
+    and they are all columns.
     """
     base = _start_basis(costs, masks, m)
-    tableau = _Tableau.singletons(costs, base)
+    co = _co_singleton_basis(masks, m)
+    tableau = (_Tableau.singletons(costs, base) if co is None
+               else _Tableau.co_singletons(costs, co))
     if _unique(tableau, _most_negative(tableau, costs, masks), masks):
         return tableau.result(len(masks))
     return _bland_lp(costs, masks, base)

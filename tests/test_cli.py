@@ -756,6 +756,46 @@ class TestValidateCommand:
         assert code == 2
         assert "exact" in err
 
+    @pytest.mark.parametrize("argv, operation", [
+        (["capacity"], "capacity LP"),
+        (["capacity", "--set", "1,3"], "capacity LP"),
+        (["upper-bound"], "partition bound"),
+        (["pack"], "base scale"),
+        (["pack", "--scale", "2"], "multigraph realization"),
+        (["simulate"], "base scale"),
+        (["simulate", "--scale", "2"], "multigraph realization"),
+    ])
+    def test_float_mode_refusals(self, capsys, tmp_path, argv, operation):
+        path = tmp_path / "pmf.json"
+        path.write_text(
+            '{"terminals": 3, "pmfs": [{"i": 1, "j": 2, "rows": 2, "cols": 2,'
+            ' "probs": [0.5, 0.0, 0.0, 0.5]}]}'
+        )
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {operation} needs exact rational weights; "
+                       "this model is float-mode (pmf-backed)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["capacity"], ["capacity", "--set", "1,3"], ["upper-bound"],
+        ["pack"], ["pack", "--scale", "12", "--set", "2,3"], ["simulate"],
+        ["simulate", "--format", "structured"]])
+    def test_exact_model_runs_build_no_fraction_table(self, capsys, monkeypatch,
+                                                      tmp_path, argv):
+        # the commands read the integer form; the Fraction table is built
+        # only when a caller reads ``weights``
+        path = tmp_path / "thirds.json"
+        path.write_text(json.dumps({"terminals": 4, "weights": [
+            {"i": 1, "j": 2, "value": "2/3"}, {"i": 1, "j": 3, "value": "3/2"},
+            {"i": 2, "j": 4, "value": 1}, {"i": 3, "j": 4, "value": "1/3"}]}))
+        loaded, load_model = [], pinkey.cli.load_model
+        monkeypatch.setattr(pinkey.cli, "load_model",
+                            lambda path: loaded.append(load_model(path)) or loaded[-1])
+        code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0 and out
+        model, = loaded
+        assert model.exact and "_weights" not in vars(model)
+
 
 class TestParser:
     def test_no_command_is_usage_error(self, capsys):

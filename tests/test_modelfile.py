@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinkey import ModelFormatError, SizeLimitError, dumps_model, load_model, loads_model
+from pinkey import (ModelFormatError, PinModel, SizeLimitError, base_scale, dumps_model,
+                    load_model, loads_model)
+from pinkey.value import replace
 
 from helpers import random_exact_model, random_pmf_model, reference_loads_model
 
@@ -201,3 +204,65 @@ def test_loader_matches_the_reference(text):
 def test_leading_zeros_and_negative_zero_load(value, weight):
     text = json.dumps({"terminals": 2, "weights": [{"i": 2, "j": 1, "value": value}]})
     assert loads_model(text).weight(1, 2) == weight
+
+
+# pmf tables with the weight they carry, and JSON forms of that weight
+_PMF_WEIGHTS = [([0.5, 0.0, 0.0, 0.5], [1, "1", "2/2", "007/7"]),
+                ([0.25] * 4, [0, "0", "-0", "0/5"])]
+
+
+@st.composite
+def _valid_model_file(draw):
+    """A valid exact model file, and about half the time a mixed one: some
+    pairs carry a pmf and a weight that matches it."""
+    m = draw(st.integers(2, 5))
+    all_pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    weighted = draw(st.permutations(all_pairs))[:draw(st.integers(0, len(all_pairs)))]
+    values = {pair: draw(_VALUES | st.sampled_from(["1/3", "5/6", "9/12", "11/7"]))
+              for pair in weighted}
+    pmfs = []
+    if draw(st.booleans()):
+        for pair in draw(st.permutations(all_pairs))[:draw(st.integers(1, len(all_pairs)))]:
+            probs, forms = draw(st.sampled_from(_PMF_WEIGHTS))
+            if pair in values or forms[0]:
+                values[pair] = draw(st.sampled_from(forms))
+            pmfs.append({"i": pair[1], "j": pair[0], "rows": 2, "cols": 2, "probs": probs})
+    doc = {"terminals": m,
+           "weights": [{"i": i, "j": j, "value": value} for (i, j), value in values.items()]}
+    if pmfs:
+        doc["pmfs"] = pmfs
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_model_file())
+def test_loaded_model_equals_the_one_built_from_fractions(text):
+    model = loads_model(text)
+    reference = reference_loads_model(text)
+    expected = PinModel.from_weights(reference.m, reference.weights, reference.pmfs)
+    # the loader builds the integer form only
+    assert "_weights" not in vars(model)
+    assert model.base_weights == expected.base_weights
+    assert base_scale(model) == base_scale(expected)
+    assert model == expected and hash(model) == hash(expected)
+    assert all(type(w) is Fraction for w in model.weights.values())
+    assert model.weights == expected.weights
+    assert pickle.loads(pickle.dumps(model)) == model
+    assert replace(model) == model
+    assert replace(model, pmfs={}) == PinModel.from_weights(model.m, expected.weights)
+
+
+def test_from_base_weights_checks_the_integer_table():
+    model = PinModel.from_base_weights(3, 6, {(1, 2): 3, (2, 3): 8})
+    assert model == PinModel.from_weights(3, {(1, 2): Fraction(1, 2), (2, 3): Fraction(4, 3)})
+    assert model.base_weights == {(1, 2): 3, (1, 3): 0, (2, 3): 8}
+    for n0, base, message in [
+            (6, {(1, 2): 3, (2, 3): 9}, "not the least scale"),
+            (0, {(1, 2): 1}, "not a positive integer"),
+            (True, {(1, 2): 1}, "not a positive integer"),
+            (1, {(2, 1): 1}, "not a pair i < j"),
+            (1, {(1, 4): 1}, "not a pair i < j"),
+            (1, {(1, 2): -1}, "not an int >= 0"),
+            (2, {(1, 2): Fraction(1)}, "not an int >= 0")]:
+        with pytest.raises(ValueError, match=message):
+            PinModel.from_base_weights(3, n0, base)

@@ -177,19 +177,23 @@ def test_ladder_compare_times_two_roots_interleaved(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[0].startswith(f"BASE {roots[0]} (")
     assert lines[1].startswith(f"HEAD {roots[1]} (")
-    assert lines[2].split() == ["row", "BASE", "s", "HEAD", "s", "HEAD/BASE", "median"]
+    assert lines[2].split() == ["row", "BASE", "s", "HEAD", "s", "HEAD/BASE", "median",
+                                "min-max"]
     table = [line.split() for line in lines[3:]]
     assert [row[0] for row in table] == [
         "capacity/dense_m9", "capacity/dense_m9_pair", "capacity/dense_m9_half"]
-    for _, base, head, ratio, median in table:
+    for _, base, head, ratio, median, spread in table:
         assert float(base) > 0 and float(head) > 0
         assert float(ratio) > 0 and float(median) > 0
+        low, high = map(float, spread.split("-"))
+        assert 0 < low <= float(median) <= high
 
 
 def test_ladder_compare_median_pairs_each_round(tmp_path, monkeypatch):
     # three rounds of fake interpreters: HEAD's best of bests is half BASE's,
-    # but the median of the per-round ratios is 0.9; a row that hit a size
-    # limit at BASE shows no time and no ratio there
+    # but the median of the per-round ratios is 0.9, within their range
+    # 0.5-2.0; a row that hit a size limit at BASE shows no time and no
+    # ratio there
     ladder = runpy.run_path(str(ROOT / "scripts" / "ladder.py"))
     head_times = iter([0.5, 2.0, 0.9])
 
@@ -209,8 +213,8 @@ def test_ladder_compare_median_pairs_each_round(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "run", fake_run)
     lines = ladder["compare_roots"]([tmp_path / "base", tmp_path / "head"], 3, "spanning/")
     assert [line.split() for line in lines[3:]] == [
-        ["spanning/a", "1.0000", "0.5000", "0.500", "0.900"],
-        ["spanning/b", "-", "0.2500", "-", "-"],
+        ["spanning/a", "1.0000", "0.5000", "0.500", "0.900", "0.500-2.000"],
+        ["spanning/b", "-", "0.2500", "-", "-", "-"],
     ]
 
 

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from pinkey import TerminalSet, simplex, solve_capacity, subset_family, upper_bound
+from pinkey import PinModel, TerminalSet, simplex, solve_capacity, subset_family, upper_bound
 from pinkey.capacity import _lp_costs
+from pinkey.model import all_pairs
 from pinkey.simplex import solve_lp
 
 from helpers import fraction_solve_lp, random_exact_model, random_terminal_set
@@ -309,3 +310,54 @@ def test_matches_scipy(seed):
     for row, b in zip(rows, rhs):
         assert sum(r * x for r, x in zip(row, exact.solution)) == b
     assert all(x >= 0 for x in exact.solution)
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_co_singleton_tableau_is_the_scaled_inverse(m):
+    # R·B = d·I with d = |det B| = m - 1, β = R·1, y = C_B·R, objective C_B·β
+    masks = [((1 << m) - 1) ^ (1 << t) for t in range(m)]
+    costs = [3 * t - 2 for t in range(m)]
+    tableau = simplex._Tableau.co_singletons(costs, list(range(m)))
+    assert tableau.d == m - 1 == abs(round(np.linalg.det(
+        [[mask >> t & 1 for mask in masks] for t in range(m)])))
+    for i, row in enumerate(tableau.inverse):
+        assert [sum(row[t] for t in range(m) if masks[k] >> t & 1)
+                for k in range(m)] == [tableau.d * (k == i) for k in range(m)]
+    assert tableau.values == [sum(row) for row in tableau.inverse]
+    assert tableau.duals == [sum(c * row[k] for c, row in zip(costs, tableau.inverse))
+                             for k in range(m)]
+    assert tableau.objective == sum(c * b for c, b in zip(costs, tableau.values))
+
+
+def test_full_target_lps_start_at_the_co_singletons_and_match_fraction_tableau():
+    # A = M: every co-singleton is a column, so phase 1 starts there; the
+    # unit K_m models and small-integer weights give many shared optima,
+    # where phase 3 returns Bland's vertex from the singletons
+    rng = random.Random(47)
+    models = [PinModel.from_weights(m, dict.fromkeys(all_pairs(m), 1)) for m in range(3, 8)]
+    models += [PinModel.from_weights(m, {pair: rng.choice([0, 1, 1, 2])
+                                         for pair in all_pairs(m)})
+               for m in (3, 4, 5, 6) for _ in range(25)]
+    phase_three = 0
+    for model in models:
+        m = model.m
+        family = subset_family(m, TerminalSet.full(m))
+        costs, _ = _lp_costs(model, family)
+        with mock.patch.object(simplex._Tableau, "co_singletons",
+                               wraps=simplex._Tableau.co_singletons) as start, \
+                mock.patch.object(simplex, "_bland_lp", wraps=simplex._bland_lp) as bland:
+            result = solve_lp(costs, family.subsets, m)
+        assert start.called
+        phase_three += bland.called
+        _assert_matches_oracle(result, costs, family.subsets, m)
+    assert phase_three >= 10
+
+
+@pytest.mark.parametrize("target", [(1, 2), (1, 3, 4), (2, 3, 4, 5)])
+def test_smaller_targets_start_at_the_singletons(target):
+    # with A != M a co-singleton M - {t}, t outside A, holds A: no column
+    model = random_exact_model(random.Random(len(target)), m=5)
+    family = subset_family(5, TerminalSet(target))
+    costs, _ = _lp_costs(model, family)
+    assert simplex._co_singleton_basis(family.subsets, 5) is None
+    _assert_matches_oracle(solve_lp(costs, family.subsets, 5), costs, family.subsets, 5)
