@@ -49,8 +49,11 @@ the rest weigh ``randint(1, 8)`` over ``randint(1, 4)``, then A =
 ``sample(range(1, 7), |A|)``.  It reports ``certified``, how many bounds
 came from the vertex; a checkout without ``certified_bound`` runs
 ``best_partition`` for every bound, as its command does, and reports 0.
-The ``bound/`` rows ``dense_m9`` .. ``dense_m12``
-compute ``upper_bound`` on the same models at ``A = M``.
+Every ``capacity/`` row also reports ``pivots``: the simplex pivots of
+one more pass, untimed, counted over all three phases by wrapping
+``pinkey.simplex._pivot`` for that pass.  The ``bound/`` rows
+``dense_m9`` .. ``dense_m12`` compute ``upper_bound`` on the same models
+at ``A = M``.
 
 The ``protocol/`` rows ``path_30k``, ``path_100k`` and ``path_300k`` run
 the key protocol on the three-terminal path with half the edges on pair
@@ -165,6 +168,7 @@ from pathlib import Path
 import pinkey.capacity
 import pinkey.cli
 import pinkey.packing
+import pinkey.simplex
 from pinkey import (Multigraph, PinModel, SizeLimitError, TerminalSet, TreePacking, audit,
                     base_scale, best_partition, draw_edge_keys, format_rational, load_model,
                     max_disjoint_paths, realize_multigraph, run_protocol, solve_capacity,
@@ -394,12 +398,30 @@ def paths_set_row(cases: list[tuple[Multigraph, int, int]], repeat: int) -> dict
     }
 
 
+def pivots(call) -> int:
+    """How many simplex pivots one more, untimed ``call()`` makes."""
+    pivot, count = pinkey.simplex._pivot, [0]
+
+    def counted(*args):
+        count[0] += 1
+        return pivot(*args)
+
+    pinkey.simplex._pivot = counted
+    try:
+        call()
+    finally:
+        pinkey.simplex._pivot = pivot
+    return count[0]
+
+
 def capacity_row(model: PinModel, target: TerminalSet, repeat: int) -> dict:
-    result, timing = timed(lambda: solve_capacity(model, target), repeat)
+    solve = partial(solve_capacity, model, target)
+    result, timing = timed(solve, repeat)
     return {
         "terminals": model.m,
         "columns": len(subset_family(model.m, target).subsets),
         "value": format_rational(result.value),
+        "pivots": pivots(solve),
         **timing,
     }
 
@@ -415,14 +437,17 @@ def floor_row(cases, repeat: int) -> dict:
             return result.value, best_partition(model, target)[0], False
         return result.value, bound, True
 
-    triples, timing = timed(
-        lambda: [capacity_and_bound(model, target) for model, target in cases], repeat)
+    def solve_all():
+        return [capacity_and_bound(model, target) for model, target in cases]
+
+    triples, timing = timed(solve_all, repeat)
     return {
         "lps": len(cases),
         "sizes": [len(target) for _, target in cases],
         "capacities": [format_rational(capacity) for capacity, _, _ in triples],
         "bounds": [format_rational(bound) for _, bound, _ in triples],
         "certified": sum(certified for _, _, certified in triples),
+        "pivots": pivots(solve_all),
         **timing,
     }
 
@@ -623,9 +648,10 @@ def describe(row: dict) -> str:
     elif row["row"] == "capacity/floor_m6":
         tight = sum(c == b for c, b in zip(row["capacities"], row["bounds"]))
         text = (f"LPs {row['lps']:>4}  tight {tight:>4}  "
-                f"certified {row['certified']:>4}")
+                f"certified {row['certified']:>4}  pivots {row['pivots']:>4}")
     elif family == "capacity":
-        text = f"columns {row['columns']:>4}  C = {row['value']:<8}"
+        text = (f"columns {row['columns']:>4}  C = {row['value']:<8}  "
+                f"pivots {row['pivots']:>4}")
     elif family == "bound":
         text = f"C^ub = {row['value']:<8}"
     elif family == "protocol":

@@ -4,20 +4,31 @@ Solves ``min C.x  s.t.  Σ_{j : t ∈ masks[j]} x_j = 1 for every terminal t,
 x >= 0`` exactly: column j is the subset of the m terminals given by the
 bitmask ``masks[j]``, and the int costs ``C`` are the capacity LP's over
 the model's base scale.  The singleton columns form the identity, a
-feasible basis, so no phase-1 LP is needed.  When m >= 3 and every
-co-singleton M∖{t} is a column too (the capacity LP with A = M), the
-solver starts from those instead: their basis ``B = J - I`` is feasible,
-with every basic value 1/(m - 1), and for dense models it is the optimum
-or close to it (the co-atoms of the all-singletons partition).
+feasible basis, so no phase-1 LP is needed; but the solver starts nearer
+the optimum when it can.  Its targets T are the terminals t whose
+co-singleton M∖{t} is a column (for the capacity LP, the target set A),
+each mask read at its first column.  With m >= 3 and |T| >= 2 it
+partitions the terminals into one atom P_a per target a: each non-target
+u, in ascending order, joins the atom whose co-atom's cost falls most
+when u leaves it, the least ``c(M∖(P_a ∪ {u})) - c(M∖P_a)``, ties to the
+lowest a.  The basis holds the co-atom ``C_a = M∖P_a`` at position a and,
+at each non-target u of P_a, the co-atom P_a had just before u joined,
+``C_a ∪ {v ∈ P_a∖{a} : v >= u}``.  Its basic values are 1/(|T| - 1) on
+the co-atoms and 0 on that chain, and the capacity's optimum is often
+the co-atoms of such a partition, so phase 1 takes about one pivot where
+the singletons take five or six (m = 6 capacity LPs, |A| = 2 or 3).
+When a column it prices is missing, the solver starts at the singletons.
 
 The method is the revised simplex, kept fraction-free (Edmonds 1967,
 Bareiss 1968).  Over one shared denominator ``d``, the absolute value of
 the current basis determinant, the solver holds only ``R = d·B^-1``
 (integral: ``adj(B)`` up to sign), the basic values ``β = R·1``, the duals
 ``y = C_B·R`` and the objective ``C_B·β``.  The singleton start is
-``d = 1``, ``R = I``, ``β = 1``; the co-singleton start is ``d = m - 1``,
-``R = J - (m - 1)·I``, ``β = 1``, ``y_k = Σ C_B - d·C_B[k]`` and the
-objective ``Σ C_B``.  Column j's reduced cost ``d·C_j - y(masks[j])``
+``d = 1``, ``R = I``, ``β = 1``.  The co-atom start has ``d = |T| - 1``;
+with ``u_1 < .. < u_r`` the non-targets of P_a and ``u_0 = a``, its rows
+are ``R[a] = 1_T - d·e_{u_r}`` and ``R[u_s] = d·(e_{u_s} - e_{u_(s-1)})``,
+``β = 1_T``, ``y = C_B·R`` and the objective ``Σ_a c(C_a)``; at A = M it
+is ``R = J - (m - 1)·I``.  Column j's reduced cost ``d·C_j - y(masks[j])``
 reads the dual sum ``y(S)`` from two subset-sum tables, over the low and
 the high half of the terminals (O(2^(m/2)) per pricing pass).  The
 entering column's entries ``α_i = Σ_{t ∈ masks[j]} R_it`` feed the
@@ -33,11 +44,11 @@ The result is the optimal vertex that Bland's rule (enter the least-index
 column with a negative reduced cost) reaches from the singleton basis.
 Three phases share the one pivot routine:
 
-1. From the co-singleton basis if it is there, else from the singletons,
+1. From the co-atom basis if there is one, else from the singletons,
    enter the most negative reduced cost, ties to the lowest index; after
    m degenerate pivots in a row (leaving value 0), Bland's rule enters
    until a pivot moves, so it cannot cycle.  This ends at an optimal
-   basis B₀ and vertex x*, in about m pivots.
+   basis B₀ and vertex x*, in about m pivots from the singletons.
 2. With Z the nonbasic columns of zero reduced cost, the optima are the
    feasible points on B₀ ∪ Z, and x* is the one with ``x_Z = 0``; so x*
    is unique iff ``max Σ_{j ∈ Z} x_j`` over them is 0.  Bland's rule on
@@ -121,12 +132,50 @@ class _Tableau:
                    [1] * m, duals, sum(duals), list(base))
 
     @classmethod
-    def co_singletons(cls, costs: Sequence[int], base: list[int]) -> _Tableau:
-        """``base[k]`` the column of M∖{k}: ``B = J - I``, ``d = m - 1``."""
-        m, basic = len(base), [costs[var] for var in base]
-        d, total = m - 1, sum(basic)
-        return cls(d, [[1 - d * (k == i) for k in range(m)] for i in range(m)],
-                   [1] * m, [total - d * c for c in basic], total, list(base))
+    def co_atoms(cls, costs: Sequence[int], first: dict[int, int],
+                 m: int) -> _Tableau | None:
+        """The co-atom start over ``first``, each mask's first column, or
+        None when m < 3, fewer than two targets or a column it prices is
+        missing."""
+        full = (1 << m) - 1
+        targets = [t for t in range(m) if full ^ 1 << t in first]
+        d = len(targets) - 1
+        if m < 3 or d < 1:
+            return None
+        # per target a: the mask and the column of M∖P_a, and P_a's last member
+        masks = {a: full ^ 1 << a for a in targets}
+        co = {a: first[mask] for a, mask in masks.items()}
+        last = dict(zip(targets, targets))
+        base, inverse, duals = [0] * m, [None] * m, [0] * m
+        for u in range(m):
+            if u in co:
+                continue
+            bit, least = 1 << u, None
+            for a in targets:
+                j = first.get(masks[a] ^ bit)
+                if j is None:
+                    return None
+                fall = costs[j] - costs[co[a]]
+                if least is None or fall < least:  # ties to the lowest a
+                    least, join, column = fall, a, j
+            # position u holds M∖P_join before u joins, in row d·(e_u - e_last)
+            prev, c = last[join], d * costs[co[join]]
+            row = [0] * m
+            row[u], row[prev] = d, -d
+            inverse[u], base[u] = row, co[join]
+            duals[u] += c
+            duals[prev] -= c
+            masks[join] ^= bit
+            co[join], last[join] = column, u
+        total = sum(costs[j] for j in co.values())
+        ones = [int(t in co) for t in range(m)]
+        for a, j in co.items():
+            row = list(ones)
+            row[last[a]] -= d
+            inverse[a], base[a] = row, j
+            duals[a] += total
+            duals[last[a]] -= d * costs[j]
+        return cls(d, inverse, ones, duals, total, base)
 
     def result(self, n: int) -> SimplexResult:
         return SimplexResult(tuple(self.base), self.d, tuple(self.values),
@@ -246,8 +295,10 @@ def _unique(tableau: _Tableau, reduced: list[int], masks: Sequence[int]) -> bool
     return not _bland(copy, secondary, masks, sorted(basic | ties), until_move=True)
 
 
-def _start_basis(costs: Sequence[int], masks: Sequence[int], m: int) -> list[int]:
-    """Checks the input; returns the first column of each singleton."""
+def _start_basis(costs: Sequence[int], masks: Sequence[int],
+                 m: int) -> tuple[list[int], dict[int, int]]:
+    """Checks the input; returns the first column of each singleton and
+    of each mask."""
     n = len(costs)
     if len(masks) != n:
         raise ValueError(f"{n} costs but {len(masks)} masks")
@@ -259,22 +310,11 @@ def _start_basis(costs: Sequence[int], masks: Sequence[int], m: int) -> list[int
     for mask in masks:
         if not 0 < mask <= full:
             raise ValueError(f"mask {mask} is not a nonempty subset of {m} terminals")
+    first = dict(zip(reversed(masks), range(n - 1, -1, -1)))
     try:
-        return [masks.index(1 << t) for t in range(m)]
-    except ValueError:
+        return [first[1 << t] for t in range(m)], first
+    except KeyError:
         raise ValueError("every singleton subset must be a column") from None
-
-
-def _co_singleton_basis(masks: Sequence[int], m: int) -> list[int] | None:
-    """The first column of each co-singleton M∖{t}, or None if one is
-    missing or m < 3 (at m = 2 they are the singletons)."""
-    if m < 3:
-        return None
-    full = (1 << m) - 1
-    try:
-        return [masks.index(full ^ 1 << t) for t in range(m)]
-    except ValueError:
-        return None
 
 
 def _bland_lp(costs: Sequence[int], masks: Sequence[int],
@@ -292,13 +332,14 @@ def solve_lp(costs: Sequence[int], masks: Sequence[int], m: int) -> SimplexResul
     covers; every singleton must be among them (the first occurrence of
     each is Bland's starting basis).  Costs and masks must be ints.  The
     result is the optimal vertex Bland's rule reaches; ``value`` is in the
-    units of ``costs``.  Phase 1 starts from the co-singletons when m >= 3
-    and they are all columns.
+    units of ``costs``.  Phase 1 starts from the co-atoms of a partition
+    with one target per atom, the targets being the terminals t whose
+    M∖{t} is a column (first occurrences throughout), when m >= 3, there
+    are at least two targets and every column that start prices is there;
+    otherwise from the singletons.
     """
-    base = _start_basis(costs, masks, m)
-    co = _co_singleton_basis(masks, m)
-    tableau = (_Tableau.singletons(costs, base) if co is None
-               else _Tableau.co_singletons(costs, co))
+    base, first = _start_basis(costs, masks, m)
+    tableau = _Tableau.co_atoms(costs, first, m) or _Tableau.singletons(costs, base)
     if _unique(tableau, _most_negative(tableau, costs, masks), masks):
         return tableau.result(len(masks))
     return _bland_lp(costs, masks, base)

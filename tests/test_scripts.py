@@ -83,8 +83,15 @@ def test_ladder_writes_a_bench_file(tmp_path):
     for m in range(9, 13):
         # at A = M the capacity equals the partition bound
         assert rows[f"bound/dense_m{m}"]["value"] == rows[f"capacity/dense_m{m}"]["value"]
+    # every capacity row counts its simplex pivots beside its times
+    lps = [row for name, row in rows.items() if name.startswith("capacity/")]
+    assert len(lps) == 15
+    assert all(type(row["pivots"]) is int and row["pivots"] >= 0 for row in lps)
     floor = rows["capacity/floor_m6"]
     assert floor["lps"] == 102
+    # over all three phases: about 4 pivots per LP from the co-atom start,
+    # above 6 from the singletons
+    assert 0 < floor["pivots"] < 5 * 102
     assert floor["sizes"] == [2, 3, 6] * 34
     # every vertex of the floor set is partition-shaped: no bound is searched for
     assert floor["certified"] == 102

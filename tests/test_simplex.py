@@ -147,7 +147,7 @@ def test_matches_fraction_tableau_on_cover_lps(lp):
 def test_bland_loop_matches_fraction_tableau_in_full(lp):
     # the fallback keeps the oracle's whole path, so its basis matches too
     costs, masks, m = lp
-    result = simplex._bland_lp(costs, masks, simplex._start_basis(costs, masks, m))
+    result = simplex._bland_lp(costs, masks, simplex._start_basis(costs, masks, m)[0])
     assert result == fraction_solve_lp(costs, *_dense(masks, m))
 
 
@@ -218,7 +218,7 @@ def test_shared_optimum_returns_blands_vertex():
     # value 1 that is not Bland's; the certificate sees the tie and the
     # fallback returns Bland's vertex
     costs, masks = [1, 3, 2, 2, 0, 0], [1, 2, 4, 3, 5, 6]
-    tableau = simplex._Tableau.singletons(costs, simplex._start_basis(costs, masks, 3))
+    tableau = simplex._Tableau.singletons(costs, simplex._start_basis(costs, masks, 3)[0])
     reduced = simplex._most_negative(tableau, costs, masks)
     assert tableau.result(6).solution == (1, 0, 0, 0, 0, 1)
     assert not simplex._unique(tableau, reduced, masks)
@@ -236,7 +236,7 @@ def test_shared_optimum_returns_blands_vertex():
      [10, 6, 7, 15, 13, 1, 8, 11, 3, 9, 14, 4, 2]),
 ])
 def test_stalled_phase_one_hands_over_to_bland(costs, masks):
-    tableau = simplex._Tableau.singletons(costs, simplex._start_basis(costs, masks, 4))
+    tableau = simplex._Tableau.singletons(costs, simplex._start_basis(costs, masks, 4)[0])
     with mock.patch.object(simplex, "_bland", wraps=simplex._bland) as spy:
         reduced = simplex._most_negative(tableau, costs, masks)
     assert spy.called
@@ -312,52 +312,150 @@ def test_matches_scipy(seed):
     assert all(x >= 0 for x in exact.solution)
 
 
+def _co_atom_start(costs, masks, m):
+    """The co-atom start tableau of an LP, or None where it does not apply."""
+    return simplex._Tableau.co_atoms(costs, simplex._start_basis(costs, masks, m)[1], m)
+
+
 @pytest.mark.parametrize("m", [3, 4, 6])
-def test_co_singleton_tableau_is_the_scaled_inverse(m):
-    # R·B = d·I with d = |det B| = m - 1, β = R·1, y = C_B·R, objective C_B·β
-    masks = [((1 << m) - 1) ^ (1 << t) for t in range(m)]
-    costs = [3 * t - 2 for t in range(m)]
-    tableau = simplex._Tableau.co_singletons(costs, list(range(m)))
-    assert tableau.d == m - 1 == abs(round(np.linalg.det(
-        [[mask >> t & 1 for mask in masks] for t in range(m)])))
-    for i, row in enumerate(tableau.inverse):
-        assert [sum(row[t] for t in range(m) if masks[k] >> t & 1)
-                for k in range(m)] == [tableau.d * (k == i) for k in range(m)]
-    assert tableau.values == [sum(row) for row in tableau.inverse]
-    assert tableau.duals == [sum(c * row[k] for c, row in zip(costs, tableau.inverse))
-                             for k in range(m)]
-    assert tableau.objective == sum(c * b for c, b in zip(costs, tableau.values))
+def test_co_atom_tableau_is_the_scaled_inverse(m):
+    # R·B = d·I with d = |det B| = |A| - 1, β = R·1, y = C_B·R, objective
+    # C_B·β; random costs give random partitions, each target in its own
+    # atom, and A = M gives the co-singleton tableau J - (m - 1)·I
+    rng, full = random.Random(m), (1 << m) - 1
+    for lp in range(60):
+        target = random_terminal_set(rng, m, 2 + lp % (m - 1))
+        masks = list(subset_family(m, target).subsets)
+        costs = [rng.randint(-9, 9) for _ in masks]
+        tableau = _co_atom_start(costs, masks, m)
+        d, base, inverse = tableau.d, tableau.base, tableau.inverse
+        assert d == len(target) - 1 == abs(round(np.linalg.det(
+            [[masks[j] >> t & 1 for j in base] for t in range(m)])))
+        for i, row in enumerate(inverse):
+            assert [sum(row[t] for t in range(m) if masks[j] >> t & 1) for j in base] == [
+                d * (k == i) for k in range(m)]
+        assert tableau.values == [sum(row) for row in inverse]
+        assert tableau.duals == [sum(costs[j] * row[k] for j, row in zip(base, inverse))
+                                 for k in range(m)]
+        assert tableau.objective == sum(costs[j] * b for j, b in zip(base, tableau.values))
+        # position a holds M∖P_a, position u of P_a's non-targets M∖P_a
+        # with those from u up put back
+        targets = [t - 1 for t in target.members]
+        atoms = {a: full ^ masks[base[a]] for a in targets}
+        assert sorted(t for atom in atoms.values() for t in range(m) if atom >> t & 1) == list(
+            range(m))
+        for a, atom in atoms.items():
+            assert atom >> a & 1 and not atom & target.mask() & ~(1 << a)
+            for u in range(m):
+                if atom >> u & 1 and u != a:
+                    assert masks[base[u]] == full ^ (atom & ~(-1 << u) | 1 << a)
+        if len(target) == m:
+            assert inverse == [[1 - d * (k == i) for k in range(m)] for i in range(m)]
 
 
-def test_full_target_lps_start_at_the_co_singletons_and_match_fraction_tableau():
-    # A = M: every co-singleton is a column, so phase 1 starts there; the
-    # unit K_m models and small-integer weights give many shared optima,
-    # where phase 3 returns Bland's vertex from the singletons
+def _recording_start(starts):
+    """A stand-in for ``_Tableau.co_atoms`` that appends each start's basis
+    (None where it does not apply) to ``starts``."""
+    co_atoms = simplex._Tableau.co_atoms
+
+    def start(costs, first, m):
+        tableau = co_atoms(costs, first, m)
+        starts.append(None if tableau is None else list(tableau.base))
+        return tableau
+
+    return start
+
+
+def test_capacity_lps_start_at_the_co_atoms_and_match_fraction_tableau():
+    # every capacity LP with |A| >= 2 and m >= 3 has every column the
+    # co-atom start prices; the unit K_m models and small-integer weights
+    # give many shared optima, where phase 3 returns Bland's vertex from
+    # the singletons
     rng = random.Random(47)
     models = [PinModel.from_weights(m, dict.fromkeys(all_pairs(m), 1)) for m in range(3, 8)]
     models += [PinModel.from_weights(m, {pair: rng.choice([0, 1, 1, 2])
                                          for pair in all_pairs(m)})
                for m in (3, 4, 5, 6) for _ in range(25)]
-    phase_three = 0
+    phase_three, starts = 0, []
     for model in models:
         m = model.m
-        family = subset_family(m, TerminalSet.full(m))
+        family = subset_family(m, random_terminal_set(rng, m))
         costs, _ = _lp_costs(model, family)
-        with mock.patch.object(simplex._Tableau, "co_singletons",
-                               wraps=simplex._Tableau.co_singletons) as start, \
+        with mock.patch.object(simplex._Tableau, "co_atoms", _recording_start(starts)), \
                 mock.patch.object(simplex, "_bland_lp", wraps=simplex._bland_lp) as bland:
             result = solve_lp(costs, family.subsets, m)
-        assert start.called
+        assert starts[-1] is not None
         phase_three += bland.called
         _assert_matches_oracle(result, costs, family.subsets, m)
     assert phase_three >= 10
 
 
-@pytest.mark.parametrize("target", [(1, 2), (1, 3, 4), (2, 3, 4, 5)])
-def test_smaller_targets_start_at_the_singletons(target):
-    # with A != M a co-singleton M - {t}, t outside A, holds A: no column
-    model = random_exact_model(random.Random(len(target)), m=5)
-    family = subset_family(5, TerminalSet(target))
+@pytest.mark.parametrize("costs, masks, m", [
+    # m = 2: the co-singletons are the singletons
+    ([1, 1, 1], [0b01, 0b10, 0b11], 2),
+    # one co-singleton, M∖{2}: a single target
+    ([2, 2, 2, 1], [0b001, 0b010, 0b100, 0b011], 3),
+    # targets 0 and 1: M∖{0, 2} is there but M∖{1, 2} is not
+    ([3, 3, 3, 3, 1, 1, 1], [0b0001, 0b0010, 0b0100, 0b1000, 0b1110, 0b1101, 0b1010], 4),
+    # terminal 2 joins target 0 (M∖{0, 2} is the cheaper), then M∖{1, 3}
+    # is missing for terminal 3
+    ([3, 3, 3, 3, 1, 1, 0, 2, 1], [0b0001, 0b0010, 0b0100, 0b1000, 0b1110, 0b1101, 0b1010,
+                                   0b1001, 0b1000 | 0b0010], 4),
+], ids=["m2", "one_target", "no_co_atom", "no_chain_column"])
+def test_starts_at_the_singletons_without_the_co_atoms(costs, masks, m):
+    assert _co_atom_start(costs, masks, m) is None
+    _assert_matches_oracle(solve_lp(costs, masks, m), costs, masks, m)
+
+
+@st.composite
+def capacity_lps_with_copies(draw):
+    """Capacity LPs at m = 3..7 on weights from {0, 1, 1, 2}, with some
+    columns repeated at other costs and every column shuffled."""
+    m = draw(st.integers(3, 7))
+    weights = draw(st.lists(st.sampled_from([0, 1, 1, 2]), min_size=m * (m - 1) // 2,
+                            max_size=m * (m - 1) // 2))
+    model = PinModel.from_weights(m, dict(zip(all_pairs(m), weights)))
+    target = draw(st.sets(st.integers(1, m), min_size=2))
+    family = subset_family(m, TerminalSet(tuple(target)))
     costs, _ = _lp_costs(model, family)
-    assert simplex._co_singleton_basis(family.subsets, 5) is None
-    _assert_matches_oracle(solve_lp(costs, family.subsets, 5), costs, family.subsets, 5)
+    columns = list(zip(costs, family.subsets))
+    copies = draw(st.lists(st.tuples(st.sampled_from(columns), st.integers(-2, 2)),
+                           max_size=8))
+    columns += [(cost + shift, mask) for (cost, mask), shift in copies]
+    costs, masks = zip(*draw(st.permutations(columns)))
+    return list(costs), list(masks), m
+
+
+@given(capacity_lps_with_copies())
+@settings(max_examples=100, deadline=None)
+def test_co_atom_start_matches_fraction_tableau_on_tie_heavy_capacity_lps(lp):
+    # the start reads each mask's first column, and the vertex is Bland's
+    costs, masks, m = lp
+    starts = []
+    with mock.patch.object(simplex._Tableau, "co_atoms", _recording_start(starts)):
+        result = solve_lp(costs, masks, m)
+    assert starts[0] is not None
+    assert all(masks.index(masks[j]) == j for j in starts[0])
+    _assert_matches_oracle(result, costs, masks, m)
+
+
+def test_co_atom_start_takes_few_phase_one_pivots():
+    # analyze-shaped LPs: m = 6, a quarter of the pairs zero, the rest p/q
+    # with p <= 8 and q <= 4, |A| = 2 or 3; the singleton start takes about
+    # 5 to 6 pivots each
+    rng, counts = random.Random(48), []
+    most_negative = simplex._most_negative
+
+    def phase_one(*args):
+        with mock.patch.object(simplex, "_pivot", wraps=simplex._pivot) as pivot:
+            reduced = most_negative(*args)
+        counts.append(pivot.call_count)
+        return reduced
+
+    for k in range(80):
+        family = subset_family(6, random_terminal_set(rng, 6, 2 + k % 2))
+        costs, _ = _lp_costs(random_exact_model(rng, m=6), family)
+        with mock.patch.object(simplex, "_most_negative", phase_one):
+            solve_lp(costs, family.subsets, 6)
+    assert len(counts) == 80
+    assert sum(counts) / len(counts) <= 2.5
