@@ -7,11 +7,14 @@ bounds, tree packing); float-mode models derive their weights from per-pair
 joint pmfs and are used for the entropy-based consistency checks, where
 results carry a 1e-9 comparison tolerance.
 
-An exact model's ``base_weights``, ``w_ij · n0`` over the base scale
-``n0`` (the edge multiplicities of G(n0)), are the one integer form of its
-weights, and the form the model holds: the multigraphs, the capacity LP
-and the partition bound read them, and the model-file loader builds them
-with no Fraction.  The Fraction table ``weights`` is built on first read.
+An exact model is its integer form: its fields are the base scale ``n0``
+and ``base_weights``, ``w_ij · n0`` per pair (the edge multiplicities of
+G(n0)), which the multigraphs, the capacity LP and the partition bound
+read.  ``PinModel(m, n0, base_weights, pmfs)`` is its one constructor: the
+model-file loader calls it with no Fraction, and ``from_weights`` and
+``scaled`` convert to it.  One pair-table rule checks both its base
+weights and a ``Multigraph``'s multiplicities.  The Fraction table
+``weights`` is built on first read.
 
 Terminals are 1-indexed throughout.  Zero-weight pairs are stored
 explicitly, so sparse inputs are legal; since that costs ``m(m-1)/2``
@@ -190,29 +193,28 @@ class TerminalSet(Value):
             )
 
 
-def _normalize_weights(
-    m: int, weights: Mapping[Pair, object]
-) -> dict[Pair, Fraction]:
-    table: dict[Pair, Fraction] = dict.fromkeys(all_pairs(m), Fraction(0))
-    explicit: dict[Pair, Fraction] = {}
-    for (i, j), value in weights.items():
-        pair = canonical_pair(i, j)
-        if pair[0] < 1 or pair[1] > m:
-            raise ValueError(f"pair {pair} is outside terminals 1..{m}")
-        # exactly an int or a Fraction (type(), not isinstance: a bool is
-        # no weight); no float or string, as in Multigraph
-        if type(value) is Fraction:
-            weight = value
-        elif type(value) is int:
-            weight = Fraction(value)
-        else:
-            raise ValueError(f"weight for pair {pair} is not a rational: {value!r}")
-        if weight.numerator < 0:
-            raise ValueError(f"weight for pair {pair} is negative: {weight}")
-        if pair in explicit and explicit[pair] != weight:
-            raise ValueError(f"conflicting weights for pair {pair}")
-        explicit[pair] = weight
-        table[pair] = weight
+def _pair_table(m: int, entries: Mapping[Pair, object]) -> dict[Pair, int]:
+    """Every pair ``i < j`` of terminals 1..m with its count from
+    ``entries``, 0 where none is given.  A pair may come in either order,
+    not as a self-pair; a count is exactly an int >= 0 (type(), not
+    isinstance: a bool or an IntEnum member is no count), and a pair
+    given in both orders has one count."""
+    table = dict.fromkeys(all_pairs(m), 0)
+    for pair, count in entries.items():
+        if pair not in table:
+            i, j = pair
+            if i == j:
+                raise ValueError(f"self-pair ({i}, {j}) is not allowed")
+            if (j, i) not in table:
+                raise ValueError(f"pair {(min(i, j), max(i, j))} is outside terminals 1..{m}")
+            pair = (j, i)
+            if entries.get(pair, count) != count:
+                raise ValueError(f"conflicting multiplicities for pair {pair}")
+        if type(count) is not int:
+            raise ValueError(f"multiplicity for {pair} is not an integer: {count!r}")
+        if count < 0:
+            raise ValueError(f"negative multiplicity for {pair}: {count}")
+        table[pair] = count
     return table
 
 
@@ -232,114 +234,87 @@ def _checked_pmfs(m: int, pmfs: Mapping[Pair, PairPmf]) -> dict[Pair, PairPmf]:
 class PinModel(Value):
     """Source model: terminal count plus symmetric pairwise weights.
 
-    An exact-mode model holds its integer form: the base scale ``n0`` and
-    ``base_weights`` (``w_ij · n0`` per pair), built from rational weights
-    or given to ``from_base_weights``.  ``weights``, the Fraction table, is
-    None exactly for float-mode models; it is built on its first read and
-    kept, read-only, and equality, hashing, pickling and ``replace`` read
-    it as a field.  ``pmfs`` may back any subset of pairs; a float-mode
-    model reads its weights off the pmfs (pairs without a pmf have weight
-    zero).
+    An exact-mode model is its integer form: the base scale ``n0``, the
+    least n that makes every ``n · w_ij`` an integer, and ``base_weights``,
+    ``w_ij · n0`` per pair (the edge multiplicities of G(n0)), checked by
+    the pair-table rule ``Multigraph`` uses; ``n0`` is a positive int with
+    ``gcd(n0, *base_weights) == 1``.  A float-mode model has None for
+    both and reads its weights off the pmfs (pairs without a pmf have
+    weight zero).  ``pmfs`` may back any subset of pairs; in exact mode
+    each must match its pair's weight.  ``from_weights`` converts ints and
+    Fractions to the integer form; ``weights``, the Fraction table, is
+    built on its first read and kept, read-only, outside the fields.
     """
 
     m: int
+    base_scale: int | None
+    base_weights: Mapping[Pair, int] | None
     pmfs: Mapping[Pair, PairPmf]
 
-    def __init__(self, m: int, weights: Mapping[Pair, Fraction] | None,
+    def __init__(self, m: int, base_scale: int | None,
+                 base_weights: Mapping[Pair, int] | None,
                  pmfs: Mapping[Pair, PairPmf]) -> None:
         pmfs = _checked_pmfs(m, pmfs)
-        if weights is None:
-            self._store(m=m, pmfs=pmfs, _base_scale=None, _base_weights=None)
-            return
-        weights = _normalize_weights(m, weights)
+        if (base_scale is None) != (base_weights is None):
+            raise ValueError("a model has both a base scale and base weights, or neither")
+        if base_weights is not None:
+            if type(base_scale) is not int or base_scale < 1:  # type(): a bool is no scale
+                raise ValueError(f"base scale {base_scale!r} is not a positive integer")
+            base_weights = _pair_table(m, base_weights)
+            if math.gcd(base_scale, *base_weights.values()) != 1:
+                raise ValueError(f"base scale {base_scale} is not the least scale of its weights")
+            for pair, pmf in pmfs.items():
+                drift = abs(mutual_information(pmf) - base_weights[pair] / base_scale)
+                if drift > WEIGHT_MATCH_TOLERANCE:
+                    raise ValueError(f"pmf for pair {pair} disagrees with its weight "
+                                     f"by {drift:.3g} bits")
+        self._store(m=m, base_scale=base_scale, base_weights=base_weights, pmfs=pmfs)
+
+    @classmethod
+    def from_weights(cls, m: int, weights: Mapping[Pair, object],
+                     pmfs: Mapping[Pair, PairPmf] | None = None) -> "PinModel":
+        """The exact model with weight ``weights[(i, j)]``, an int or a
+        Fraction >= 0, on each listed pair (either order) and zero on the
+        rest."""
+        for pair, weight in weights.items():
+            # exactly an int or a Fraction (type(), not isinstance: a bool
+            # is no weight); no float or string, as in Multigraph
+            if type(weight) is not int and type(weight) is not Fraction:
+                raise ValueError(f"weight for pair {pair} is not a rational: {weight!r}")
+            if weight < 0:
+                raise ValueError(f"weight for pair {pair} is negative: {weight}")
         n0 = math.lcm(*(w.denominator for w in weights.values()))
-        self._exact(m, n0, {pair: w.numerator * (n0 // w.denominator)
-                            for pair, w in weights.items()}, pmfs)
-        self._store(_weights=weights)
-
-    def _exact(self, m: int, n0: int, base: dict[Pair, int],
-               pmfs: dict[Pair, PairPmf]) -> None:
-        """Store an exact model's checked integer form, once each pmf
-        matches its pair's weight."""
-        for pair, pmf in pmfs.items():
-            drift = abs(mutual_information(pmf) - base[pair] / n0)
-            if drift > WEIGHT_MATCH_TOLERANCE:
-                raise ValueError(
-                    f"pmf for pair {pair} disagrees with its weight "
-                    f"by {drift:.3g} bits"
-                )
-        self._store(m=m, pmfs=pmfs, _base_scale=n0, _base_weights=base)
-
-    @classmethod
-    def from_weights(
-        cls,
-        m: int,
-        weights: Mapping[Pair, object],
-        pmfs: Mapping[Pair, PairPmf] | None = None,
-    ) -> "PinModel":
-        return cls(m=m, weights=dict(weights), pmfs=dict(pmfs or {}))
-
-    @classmethod
-    def from_base_weights(
-        cls,
-        m: int,
-        n0: int,
-        base: Mapping[Pair, int],
-        pmfs: Mapping[Pair, PairPmf] | None = None,
-    ) -> "PinModel":
-        """The exact model with weight ``base[(i, j)] / n0`` on each listed
-        pair ``i < j`` and zero on the rest, built with no Fraction.  The
-        base weights must be ints >= 0 and ``n0`` their least scale: a
-        positive int with ``gcd(n0, *base) == 1``."""
-        pmfs = _checked_pmfs(m, dict(pmfs or {}))
-        if type(n0) is not int or n0 < 1:  # type(): a bool is no scale
-            raise ValueError(f"base scale {n0!r} is not a positive integer")
-        table = dict.fromkeys(all_pairs(m), 0)
-        for pair, b in base.items():
-            if pair not in table:
-                raise ValueError(f"pair {pair!r} is not a pair i < j of terminals 1..{m}")
-            if type(b) is not int or b < 0:
-                raise ValueError(f"base weight for pair {pair} is not an int >= 0: {b!r}")
-            table[pair] = b
-        if math.gcd(n0, *table.values()) != 1:
-            raise ValueError(f"base scale {n0} is not the least scale of its weights")
-        model = cls.__new__(cls)
-        model._exact(m, n0, table, pmfs)
-        return model
+        return cls(m, n0, {pair: w.numerator * (n0 // w.denominator)
+                           for pair, w in weights.items()}, pmfs or {})
 
     @classmethod
     def from_pmfs(cls, m: int, pmfs: Mapping[Pair, PairPmf]) -> "PinModel":
-        return cls(m=m, weights=None, pmfs=dict(pmfs))
+        return cls(m, None, None, pmfs)
 
     @property
     def weights(self) -> Mapping[Pair, Fraction] | None:
         """The exact weights as Fractions, None in float mode; built from
         the integer form on the first read and kept, read-only."""
+        if self.base_weights is None:
+            return None
         if "_weights" not in self.__dict__:
-            if self._base_weights is None:
-                return None
-            n0 = self._base_scale
+            n0 = self.base_scale
             self._store(_weights={pair: Fraction(b, n0)
-                                  for pair, b in self._base_weights.items()})
+                                  for pair, b in self.base_weights.items()})
         return self._weights
 
     @property
     def exact(self) -> bool:
-        return self._base_weights is not None
+        return self.base_weights is not None
 
     def require_exact(self, operation: str) -> tuple[int, Mapping[Pair, int]]:
         """The base scale and the base weights; raises on a float-mode model."""
-        if self._base_weights is None:
+        if self.base_weights is None:
             raise UnsupportedModeError(
                 f"{operation} needs exact rational weights; "
                 "this model is float-mode (pmf-backed)"
             )
-        return self._base_scale, self._base_weights
-
-    @property
-    def base_weights(self) -> Mapping[Pair, int]:
-        """``w_ij · n0`` per pair, ``n0`` the base scale, read-only."""
-        return self.require_exact("integer base weights")[1]
+        return self.base_scale, self.base_weights
 
     def weight(self, i: int, j: int) -> Fraction:
         n0, base = self.require_exact("rational weight lookup")
@@ -348,8 +323,8 @@ class PinModel(Value):
     def mi(self, i: int, j: int) -> float:
         """Pairwise weight as a float, valid in either mode."""
         pair = canonical_pair(i, j)
-        if self._base_weights is not None:
-            return self._base_weights[pair] / self._base_scale
+        if self.base_weights is not None:
+            return self.base_weights[pair] / self.base_scale
         pmf = self.pmfs.get(pair)
         return mutual_information(pmf) if pmf is not None else 0.0
 
@@ -359,14 +334,18 @@ class PinModel(Value):
     def pairs(self) -> Iterator[Pair]:
         return all_pairs(self.m)
 
-    def scaled(self, factor: Fraction) -> "PinModel":
-        """Model with every weight multiplied by a positive rational."""
-        self.require_exact("weight scaling")
+    def scaled(self, factor: int | Fraction) -> "PinModel":
+        """Model with every weight multiplied by a positive int or
+        Fraction, and no pmfs, computed on the integer form."""
+        n0, base = self.require_exact("weight scaling")
+        if type(factor) is not int and type(factor) is not Fraction:
+            raise ValueError(f"scale factor {factor!r} is not an int or a Fraction")
         if factor <= 0:
             raise ValueError(f"scale factor must be positive, got {factor}")
-        return PinModel.from_weights(
-            self.m, {pair: w * factor for pair, w in self.weights.items()}
-        )
+        p, q = factor.numerator, factor.denominator
+        g = math.gcd(n0 * q, *(b * p for b in base.values()))
+        return PinModel(self.m, n0 * q // g,
+                        {pair: b * p // g for pair, b in base.items()}, {})
 
 
 class Multigraph(Value):
@@ -386,20 +365,7 @@ class Multigraph(Value):
         check_terminal_count(m)
         if m < 1:
             raise ValueError(f"need at least one vertex, got m={m}")
-        table: dict[Pair, int] = {pair: 0 for pair in all_pairs(m)}
-        given: dict[Pair, int] = {}
-        for (i, j), count in multiplicities.items():
-            pair = canonical_pair(i, j)
-            if pair[0] < 1 or pair[1] > m:
-                raise ValueError(f"pair {pair} outside vertices 1..{m}")
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise ValueError(f"multiplicity for {pair} is not an integer: {count!r}")
-            if count < 0:
-                raise ValueError(f"negative multiplicity for {pair}: {count}")
-            if given.setdefault(pair, count) != count:
-                raise ValueError(f"conflicting multiplicities for pair {pair}")
-            table[pair] = count
-        self._store(m=m, multiplicities=table)
+        self._store(m=m, multiplicities=_pair_table(m, multiplicities))
 
     def multiplicity(self, i: int, j: int) -> int:
         return self.multiplicities[canonical_pair(i, j)]

@@ -23,9 +23,11 @@ The file is checked in one pass, each check in one place:
   ``p/q`` string of ASCII digits, then the sign by its numerator) or its
   pmf table.  A record's ``weights[k]`` context and every message are
   built only when a check fails.
-* ``PinModel`` fills in the zero pairs, keeps the parsed Fractions as they
-  are, repeats the checks that library callers need (pair range, sign,
-  conflicting pairs) and compares each pmf with its weight.
+* The base scale ``n0`` is the lcm of the denominators and each base
+  weight is ``p · (n0 / q)``; no Fraction is built.  The ``PinModel``
+  constructor takes that integer form: it fills in the zero pairs,
+  repeats the checks that library callers need (pair range, ints >= 0,
+  ``n0`` the least scale) and compares each pmf with its weight.
 """
 
 from __future__ import annotations
@@ -164,10 +166,9 @@ def loads_model(text: str) -> PinModel:
 
     try:
         if ratios is None:
-            return PinModel.from_pmfs(m, pmfs)
+            return PinModel(m, None, None, pmfs)
         n0 = math.lcm(*(q for _, q in ratios.values()))
-        return PinModel.from_base_weights(
-            m, n0, {pair: p * (n0 // q) for pair, (p, q) in ratios.items()}, pmfs)
+        return PinModel(m, n0, {pair: p * (n0 // q) for pair, (p, q) in ratios.items()}, pmfs)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
 

@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 import random
 import re
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -23,8 +26,13 @@ from pinkey import (
 )
 
 from pinkey.model import MAX_TERMINALS, all_pairs
+from pinkey.value import replace
 
 from helpers import random_pmf
+
+
+class Count(IntEnum):
+    TWO = 2
 
 
 def binary_entropy(p: float) -> float:
@@ -191,6 +199,55 @@ class TestPinModel:
             assert model.mi(*pair) == pytest.approx(mutual_information(pmf))
         assert model.mi(2, 3) == 0.0
 
+    def test_constructor_checks_the_integer_table(self):
+        model = PinModel(3, 6, {(1, 2): 3, (3, 2): 8}, {})
+        assert model == PinModel.from_weights(3, {(1, 2): Fraction(1, 2), (2, 3): Fraction(4, 3)})
+        assert model.base_scale == 6
+        assert model.base_weights == {(1, 2): 3, (1, 3): 0, (2, 3): 8}
+        for n0, base, message in [
+                (6, {(1, 2): 3, (2, 3): 9}, "^base scale 6 is not the least scale"),
+                (0, {(1, 2): 1}, "^base scale 0 is not a positive integer"),
+                (True, {(1, 2): 1}, "^base scale True is not a positive integer"),
+                (1, {(2, 2): 1}, r"^self-pair \(2, 2\) is not allowed"),
+                (1, {(1, 4): 1}, r"^pair \(1, 4\) is outside terminals 1..3"),
+                (1, {(1, 2): -1}, r"^negative multiplicity for \(1, 2\): -1"),
+                (2, {(1, 2): Fraction(1)}, "^multiplicity for .* is not an integer"),
+                (1, {(1, 2): Count.TWO, (2, 3): 1}, "^multiplicity for .* is not an integer"),
+                (1, {(1, 2): 1, (2, 1): 2}, r"^conflicting multiplicities for pair \(1, 2\)"),
+                (None, {(1, 2): 1}, "^a model has both a base scale and base weights, or neither"),
+                (1, None, "^a model has both a base scale and base weights, or neither")]:
+            with pytest.raises(ValueError, match=message):
+                PinModel(3, n0, base, {})
+
+    @pytest.mark.parametrize("factor", [0.5, True, "2", None,
+                                        pytest.param(Count.TWO, id="IntEnum")])
+    def test_scaled_refuses_factors_that_are_not_ints_or_fractions(self, factor):
+        model = PinModel.from_weights(2, {(1, 2): 1})
+        with pytest.raises(ValueError, match=re.escape(
+                f"scale factor {factor!r} is not an int or a Fraction")):
+            model.scaled(factor)
+
+    @pytest.mark.parametrize("factor", [0, -1, Fraction(-1, 2)])
+    def test_scaled_refuses_factors_that_are_not_positive(self, factor):
+        model = PinModel.from_weights(2, {(1, 2): 1})
+        with pytest.raises(ValueError, match=re.escape(
+                f"scale factor must be positive, got {factor}")):
+            model.scaled(factor)
+
+    @given(st.integers(0, 10_000), st.integers(1, 30), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_equals_the_model_of_the_scaled_weights(self, seed, p, q):
+        from helpers import random_exact_model
+
+        rng = random.Random(seed)
+        model = random_exact_model(rng, m=rng.randint(2, 5))
+        for factor in (Fraction(p, q), p):
+            scaled = model.scaled(factor)
+            assert "_weights" not in vars(scaled)
+            expected = PinModel.from_weights(
+                model.m, {pair: w * factor for pair, w in model.weights.items()})
+            assert scaled == expected and hash(scaled) == hash(expected)
+
     def test_float_mode_rejects_exact_ops(self):
         model = PinModel.from_pmfs(2, {(1, 2): PairPmf.from_rows([[1.0]])})
         with pytest.raises(UnsupportedModeError):
@@ -231,8 +288,8 @@ class TestBaseScale:
 
     def test_float_mode_has_no_base_weights(self):
         model = PinModel.from_pmfs(2, {(1, 2): PairPmf.from_rows([[1.0]])})
-        with pytest.raises(UnsupportedModeError, match="^integer base weights needs"):
-            model.base_weights
+        assert model.base_scale is None and model.base_weights is None
+        assert model.weights is None
         with pytest.raises(UnsupportedModeError, match="^multigraph realization needs"):
             realize_multigraph(model, 1)
 
@@ -313,7 +370,8 @@ class TestMultigraph:
         with pytest.raises(ValueError):
             Multigraph(2, {(1, 2): -1})
 
-    @pytest.mark.parametrize("count", [2.5, 2.0, True, Fraction(2), "2", None])
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, Fraction(2), "2", None,
+                                       pytest.param(Count.TWO, id="IntEnum")])
     def test_rejects_non_integer_multiplicity(self, count):
         with pytest.raises(ValueError, match="not an integer"):
             Multigraph(3, {(1, 2): 1, (2, 3): count})
@@ -322,7 +380,7 @@ class TestMultigraph:
         ((0, 1), (0, 1)), ((2, 0), (0, 2)), ((-3, 1), (-3, 1)), ((1, 3), (1, 3))])
     def test_rejects_pairs_outside_the_vertices(self, pair, shown):
         with pytest.raises(ValueError, match=re.escape(
-                f"pair {shown} outside vertices 1..2")):
+                f"pair {shown} is outside terminals 1..2")):
             Multigraph(2, {(1, 2): 1, pair: 1})
 
     def test_conflicting_entries_rejected(self):
@@ -383,3 +441,40 @@ class TestRationalFormatting:
                     "1_0", "\u0663/\u0662", " 3 ", "+3", "3/ 2"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+
+_CORRELATED = PairPmf.from_rows([[0.5, 0.0], [0.0, 0.5]])  # one bit
+
+
+@st.composite
+def _exact_model_arguments(draw):
+    """m and a weight table for ``from_weights``: pairs in either order,
+    ints and Fractions mixed, and a one-bit pmf on some pairs of weight 1."""
+    m = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(1, m), st.integers(1, m))
+                          .filter(lambda pair: pair[0] != pair[1])
+                          .map(lambda pair: (min(pair), max(pair))),
+                          unique=True, max_size=m * (m - 1) // 2))
+    weights, pmfs = {}, {}
+    for i, j in pairs:
+        pair = draw(st.sampled_from([(i, j), (j, i)]))
+        weight = draw(st.one_of(st.integers(0, 9), st.fractions(0, 9, max_denominator=12)))
+        weights[pair] = weight
+        if weight == 1 and draw(st.booleans()):
+            pmfs[draw(st.sampled_from([(i, j), (j, i)]))] = _CORRELATED
+    return m, weights, pmfs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exact_model_arguments())
+def test_exact_model_is_its_integer_form(arguments):
+    m, weights, pmfs = arguments
+    model = PinModel.from_weights(m, weights, pmfs)
+    rebuilt = PinModel(m, base_scale(model), dict(model.base_weights), pmfs)
+    assert model == rebuilt and hash(model) == hash(rebuilt)
+    for again in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model), replace(model)):
+        assert again == model and hash(again) == hash(model)
+    repr(model)
+    # equality, hashing, pickling, copies and repr read the integer form
+    assert "_weights" not in vars(model)
+    assert all(model.weight(*pair) == weight for pair, weight in weights.items())

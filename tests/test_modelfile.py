@@ -250,19 +250,3 @@ def test_loaded_model_equals_the_one_built_from_fractions(text):
     assert pickle.loads(pickle.dumps(model)) == model
     assert replace(model) == model
     assert replace(model, pmfs={}) == PinModel.from_weights(model.m, expected.weights)
-
-
-def test_from_base_weights_checks_the_integer_table():
-    model = PinModel.from_base_weights(3, 6, {(1, 2): 3, (2, 3): 8})
-    assert model == PinModel.from_weights(3, {(1, 2): Fraction(1, 2), (2, 3): Fraction(4, 3)})
-    assert model.base_weights == {(1, 2): 3, (1, 3): 0, (2, 3): 8}
-    for n0, base, message in [
-            (6, {(1, 2): 3, (2, 3): 9}, "not the least scale"),
-            (0, {(1, 2): 1}, "not a positive integer"),
-            (True, {(1, 2): 1}, "not a positive integer"),
-            (1, {(2, 1): 1}, "not a pair i < j"),
-            (1, {(1, 4): 1}, "not a pair i < j"),
-            (1, {(1, 2): -1}, "not an int >= 0"),
-            (2, {(1, 2): Fraction(1)}, "not an int >= 0")]:
-        with pytest.raises(ValueError, match=message):
-            PinModel.from_base_weights(3, n0, base)

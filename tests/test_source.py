@@ -163,3 +163,16 @@ def test_no_value_type_states_its_fields():
                            for target in targets):
                         stated.add(f"{path.name}:{node.name}")
     assert stated == {"value.py:Value"}
+
+
+def test_every_value_stores_its_fields():
+    # equality, hashing, repr and pickling read the fields, so a field
+    # that a property rebuilt would be built again on each of them
+    from test_value import _every_value
+
+    from pinkey.value import replace
+
+    unstored = {type(value).__name__: [name for name in value._fields
+                                       if name not in vars(value)]
+                for value in map(replace, _every_value())}
+    assert {name: missing for name, missing in unstored.items() if missing} == {}

@@ -228,7 +228,8 @@ def _every_value() -> list[Value]:
     their methods build on first use filled in."""
     target = TerminalSet([1, 2, 3])
     pmf = PairPmf([[0.5, 0.0], [0.0, 0.5]])
-    model = PinModel(3, {(1, 2): 1, (1, 3): Fraction(1, 2), (2, 3): 1}, {(2, 1): pmf})
+    model = PinModel(3, 2, {(1, 2): 2, (3, 1): 1, (2, 3): 2}, {(2, 1): pmf})
+    model.weights
     base_scale(model)
     graph = realize_multigraph(model, 2)
     graph.edge_refs()
@@ -310,9 +311,9 @@ def test_unpickling_runs_the_constructor_checks():
 
 
 def test_base_weights_and_pair_offsets_are_read_only_from_the_first_read():
-    # a write to either cache would move capacity from 3/2 to 2 on a model
-    # that still equals a fresh copy; the first read builds the table, the
-    # second returns the kept one
+    # a write to either table would move capacity from 3/2 to 2; the base
+    # weights are a field, and the first read of the offsets builds them,
+    # the second returns the kept ones
     model = _triangle()
     for _ in range(2):
         with pytest.raises(TypeError):
