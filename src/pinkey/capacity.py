@@ -235,7 +235,7 @@ def solve_capacity(model: PinModel, target: TerminalSet) -> CapacityResult:
     model.require_exact("capacity LP")
     family = SubsetFamily(model.m, target)
     costs, scale = _lp_costs(model, family)
-    result = solve_lp(costs, family.subsets, family.m)
+    result = solve_lp(costs, family)
     assignment, support = _vertex(family, result)
     d, base = result.d, model.base_weights
     seps = _separations(family.m, support)
@@ -289,7 +289,7 @@ def sample_vertex(
     """
     draws = [(rng.randint(-24, 24), rng.randint(1, 6)) for _ in family.subsets]
     costs = [p * 60 // q for p, q in draws]
-    return _vertex(family, solve_lp(costs, family.subsets, family.m))[0]
+    return _vertex(family, solve_lp(costs, family))[0]
 
 
 def entropy_objective(model: PinModel, assignment: WeightAssignment) -> float:

@@ -1,33 +1,32 @@
-"""Exact simplex for the subset-cover LP, in integer arithmetic.
+"""Exact simplex for the capacity LP, in integer arithmetic.
 
 Solves ``min C.x  s.t.  Σ_{j : t ∈ masks[j]} x_j = 1 for every terminal t,
-x >= 0`` exactly: column j is the subset of the m terminals given by the
-bitmask ``masks[j]``, and the int costs ``C`` are the capacity LP's over
+x >= 0`` exactly over the columns of a ``SubsetFamily``: column j is the
+qualifying subset ``masks[j]`` of the m terminals for the target set A,
+the masks ascending, and the int costs ``C`` are the capacity LP's over
 the model's base scale.  The singleton columns form the identity, a
 feasible basis, so no phase-1 LP is needed; but the solver starts nearer
-the optimum when it can.  Its targets T are the terminals t whose
-co-singleton M∖{t} is a column (for the capacity LP, the target set A),
-each mask read at its first column.  With m >= 3 and |T| >= 2 it
-partitions the terminals into one atom P_a per target a: each non-target
-u, in ascending order, joins the atom whose co-atom's cost falls most
-when u leaves it, the least ``c(M∖(P_a ∪ {u})) - c(M∖P_a)``, ties to the
-lowest a.  The basis holds the co-atom ``C_a = M∖P_a`` at position a and,
-at each non-target u of P_a, the co-atom P_a had just before u joined,
-``C_a ∪ {v ∈ P_a∖{a} : v >= u}``.  Its basic values are 1/(|T| - 1) on
+the optimum.  It partitions the terminals into one atom P_a per target
+a ∈ A: each non-target u, in ascending order, joins the atom whose
+co-atom's cost falls most when u leaves it, the least
+``c(M∖(P_a ∪ {u})) - c(M∖P_a)``, ties to the lowest a.  The basis holds
+the co-atom ``C_a = M∖P_a`` at position a and, at each non-target u of
+P_a, the co-atom P_a had just before u joined,
+``C_a ∪ {v ∈ P_a∖{a} : v >= u}``.  Its basic values are 1/(|A| - 1) on
 the co-atoms and 0 on that chain, and the capacity's optimum is often
 the co-atoms of such a partition, so phase 1 takes about one pivot where
-the singletons take five or six (m = 6 capacity LPs, |A| = 2 or 3).
-When a column it prices is missing, the solver starts at the singletons.
+the singletons take five or six (m = 6 capacity LPs, |A| = 2 or 3).  At
+m = 2 the co-atoms are the two singletons.
 
 The method is the revised simplex, kept fraction-free (Edmonds 1967,
 Bareiss 1968).  Over one shared denominator ``d``, the absolute value of
 the current basis determinant, the solver holds only ``R = d·B^-1``
 (integral: ``adj(B)`` up to sign), the basic values ``β = R·1``, the duals
 ``y = C_B·R`` and the objective ``C_B·β``.  The singleton start is
-``d = 1``, ``R = I``, ``β = 1``.  The co-atom start has ``d = |T| - 1``;
+``d = 1``, ``R = I``, ``β = 1``.  The co-atom start has ``d = |A| - 1``;
 with ``u_1 < .. < u_r`` the non-targets of P_a and ``u_0 = a``, its rows
-are ``R[a] = 1_T - d·e_{u_r}`` and ``R[u_s] = d·(e_{u_s} - e_{u_(s-1)})``,
-``β = 1_T``, ``y = C_B·R`` and the objective ``Σ_a c(C_a)``; at A = M it
+are ``R[a] = 1_A - d·e_{u_r}`` and ``R[u_s] = d·(e_{u_s} - e_{u_(s-1)})``,
+``β = 1_A``, ``y = C_B·R`` and the objective ``Σ_a c(C_a)``; at A = M it
 is ``R = J - (m - 1)·I``.  Column j's reduced cost ``d·C_j - y(masks[j])``
 reads the dual sum ``y(S)`` from two subset-sum tables, over the low and
 the high half of the terminals (O(2^(m/2)) per pricing pass).  The
@@ -44,11 +43,11 @@ The result is the optimal vertex that Bland's rule (enter the least-index
 column with a negative reduced cost) reaches from the singleton basis.
 Three phases share the one pivot routine:
 
-1. From the co-atom basis if there is one, else from the singletons,
-   enter the most negative reduced cost, ties to the lowest index; after
-   m degenerate pivots in a row (leaving value 0), Bland's rule enters
-   until a pivot moves, so it cannot cycle.  This ends at an optimal
-   basis B₀ and vertex x*, in about m pivots from the singletons.
+1. From the co-atom basis, enter the most negative reduced cost, ties
+   to the lowest index; after m degenerate pivots in a row (leaving value
+   0), Bland's rule enters until a pivot moves, so it cannot cycle.  This
+   ends at an optimal basis B₀ and vertex x*, in about m pivots from the
+   singletons.
 2. With Z the nonbasic columns of zero reduced cost, the optima are the
    feasible points on B₀ ∪ Z, and x* is the one with ``x_Z = 0``; so x*
    is unique iff ``max Σ_{j ∈ Z} x_j`` over them is 0.  Bland's rule on
@@ -68,6 +67,7 @@ from them only when read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -132,19 +132,14 @@ class _Tableau:
                    [1] * m, duals, sum(duals), list(base))
 
     @classmethod
-    def co_atoms(cls, costs: Sequence[int], first: dict[int, int],
-                 m: int) -> _Tableau | None:
-        """The co-atom start over ``first``, each mask's first column, or
-        None when m < 3, fewer than two targets or a column it prices is
-        missing."""
-        full = (1 << m) - 1
-        targets = [t for t in range(m) if full ^ 1 << t in first]
-        d = len(targets) - 1
-        if m < 3 or d < 1:
-            return None
+    def co_atoms(cls, costs: Sequence[int], masks: Sequence[int], m: int,
+                 targets: Sequence[int]) -> _Tableau:
+        """The co-atom start over the ascending capacity-LP columns
+        ``masks`` for the targets A (``targets``, ascending, 0-based)."""
+        full, d = (1 << m) - 1, len(targets) - 1
         # per target a: the mask and the column of M∖P_a, and P_a's last member
-        masks = {a: full ^ 1 << a for a in targets}
-        co = {a: first[mask] for a, mask in masks.items()}
+        co_mask = {a: full ^ 1 << a for a in targets}
+        co = {a: bisect_left(masks, mask) for a, mask in co_mask.items()}
         last = dict(zip(targets, targets))
         base, inverse, duals = [0] * m, [None] * m, [0] * m
         for u in range(m):
@@ -152,9 +147,7 @@ class _Tableau:
                 continue
             bit, least = 1 << u, None
             for a in targets:
-                j = first.get(masks[a] ^ bit)
-                if j is None:
-                    return None
+                j = bisect_left(masks, co_mask[a] ^ bit)
                 fall = costs[j] - costs[co[a]]
                 if least is None or fall < least:  # ties to the lowest a
                     least, join, column = fall, a, j
@@ -165,7 +158,7 @@ class _Tableau:
             inverse[u], base[u] = row, co[join]
             duals[u] += c
             duals[prev] -= c
-            masks[join] ^= bit
+            co_mask[join] ^= bit
             co[join], last[join] = column, u
         total = sum(costs[j] for j in co.values())
         ones = [int(t in co) for t in range(m)]
@@ -248,9 +241,9 @@ def _reduced_costs(tableau: _Tableau, costs: Sequence[int],
 
 
 def _bland(tableau: _Tableau, costs: Sequence[int], masks: Sequence[int],
-           order: Sequence[int], until_move: bool = False) -> bool:
-    """Bland's rule over the columns ``order`` (ascending); returns False
-    at optimality, or True at the first pivot that moves if ``until_move``."""
+           order: Sequence[int]) -> bool:
+    """Bland's rule over the columns ``order`` (ascending); returns True
+    at the first pivot that moves, False at optimality."""
     while True:
         d, (h, low, high) = tableau.d, _dual_sums(tableau.duals)
         cut = (1 << h) - 1
@@ -261,7 +254,7 @@ def _bland(tableau: _Tableau, costs: Sequence[int], masks: Sequence[int],
                 break
         else:
             return False
-        if _pivot(tableau, j, mask, reduced) and until_move:
+        if _pivot(tableau, j, mask, reduced):
             return True
 
 
@@ -278,7 +271,7 @@ def _most_negative(tableau: _Tableau, costs: Sequence[int],
             enter = reduced.index(lowest)  # ties to the lowest index
             moved = _pivot(tableau, enter, masks[enter], lowest)
         else:  # at optimality Bland's rule does not move, and the next pass returns
-            moved = _bland(tableau, costs, masks, range(len(masks)), until_move=True)
+            moved = _bland(tableau, costs, masks, range(len(masks)))
         stalled = 0 if moved else stalled + 1
 
 
@@ -292,54 +285,33 @@ def _unique(tableau: _Tableau, reduced: list[int], masks: Sequence[int]) -> bool
     copy = _Tableau(tableau.d, [list(r) for r in tableau.inverse], list(tableau.values),
                     [0] * len(tableau.base), 0, list(tableau.base))
     secondary = [-(j in ties) for j in range(len(masks))]
-    return not _bland(copy, secondary, masks, sorted(basic | ties), until_move=True)
-
-
-def _start_basis(costs: Sequence[int], masks: Sequence[int],
-                 m: int) -> tuple[list[int], dict[int, int]]:
-    """Checks the input; returns the first column of each singleton and
-    of each mask."""
-    n = len(costs)
-    if len(masks) != n:
-        raise ValueError(f"{n} costs but {len(masks)} masks")
-    for name, entries in (("cost", costs), ("mask", masks)):
-        if not set(map(type, entries)) <= {int}:
-            bad = next(x for x in entries if type(x) is not int)
-            raise ValueError(f"{name} {bad!r} is not an int")
-    full = (1 << m) - 1
-    for mask in masks:
-        if not 0 < mask <= full:
-            raise ValueError(f"mask {mask} is not a nonempty subset of {m} terminals")
-    first = dict(zip(reversed(masks), range(n - 1, -1, -1)))
-    try:
-        return [first[1 << t] for t in range(m)], first
-    except KeyError:
-        raise ValueError("every singleton subset must be a column") from None
+    return not _bland(copy, secondary, masks, sorted(basic | ties))
 
 
 def _bland_lp(costs: Sequence[int], masks: Sequence[int],
               base: list[int]) -> SimplexResult:
     """Phase 3: Bland's rule from the singleton basis ``base``."""
     tableau = _Tableau.singletons(costs, base)
-    _bland(tableau, costs, masks, range(len(masks)))
+    while _bland(tableau, costs, masks, range(len(masks))):
+        pass
     return tableau.result(len(masks))
 
 
-def solve_lp(costs: Sequence[int], masks: Sequence[int], m: int) -> SimplexResult:
-    """Minimize ``costs . x`` over the subset-cover polytope of ``masks``.
-
-    ``masks[j]`` is the nonempty subset of terminals 0..m-1 that column j
-    covers; every singleton must be among them (the first occurrence of
-    each is Bland's starting basis).  Costs and masks must be ints.  The
-    result is the optimal vertex Bland's rule reaches; ``value`` is in the
+def solve_lp(costs: Sequence[int], family) -> SimplexResult:
+    """Minimize ``costs . x`` over the weight polytope of ``family``, a
+    ``SubsetFamily``: its ascending ``subsets`` are the columns, and
+    ``costs[j]`` is the int cost of column j.  The result is the optimal
+    vertex Bland's rule reaches from the singletons; ``value`` is in the
     units of ``costs``.  Phase 1 starts from the co-atoms of a partition
-    with one target per atom, the targets being the terminals t whose
-    M∖{t} is a column (first occurrences throughout), when m >= 3, there
-    are at least two targets and every column that start prices is there;
-    otherwise from the singletons.
+    with one atom per target of ``family.target``.
     """
-    base, first = _start_basis(costs, masks, m)
-    tableau = _Tableau.co_atoms(costs, first, m) or _Tableau.singletons(costs, base)
+    masks, m = family.subsets, family.m
+    if len(costs) != len(masks):
+        raise ValueError(f"{len(costs)} costs but {len(masks)} columns")
+    # bisect_left finds every column either start prices: a co-atom
+    # M∖(P_a ∪ {u}) leaves out a and keeps every other target, so it
+    # qualifies, and a singleton never holds all of A (|A| >= 2)
+    tableau = _Tableau.co_atoms(costs, masks, m, [t - 1 for t in family.target])
     if _unique(tableau, _most_negative(tableau, costs, masks), masks):
         return tableau.result(len(masks))
-    return _bland_lp(costs, masks, base)
+    return _bland_lp(costs, masks, [bisect_left(masks, 1 << t) for t in range(m)])

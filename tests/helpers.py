@@ -4,7 +4,9 @@ The oracles here deliberately avoid the production code paths: cuts by
 exhaustive bipartition enumeration, partitions via a plain recursive
 builder, Steiner packing by undirected brute force over all tree subsets,
 GF(2) rank by column-scan elimination, two-atom splits by bitmask, and the
-LP by a dense Bland simplex over Fractions.  Earlier forms of rewritten
+LP by a dense Bland simplex over Fractions; ``singleton_phases`` runs
+the production simplex phases from the singletons on any cover LP.
+Earlier forms of rewritten
 production routines are kept as differential oracles: LP costs summed
 over every pair for every subset, weight assignments checked and summed densely, one value per qualifying subset
 and per-terminal index lists, assignments checked, separated and priced
@@ -75,6 +77,7 @@ from pinkey import (
 )
 import pinkey.packing
 import pinkey.partitions
+import pinkey.simplex
 from pinkey.audit import BRUTEFORCE_EDGE_CAP, _log_weight
 from pinkey.model import MAX_TERMINALS, all_pairs
 from pinkey.simplex import SimplexResult
@@ -601,6 +604,21 @@ def fraction_solve_lp(
         basis=tuple(base), d=d, beta=tuple(int(solution[var] * d) for var in base),
         objective=int(value * d), columns=n,
     )
+
+
+def singleton_phases(costs: Sequence[int], masks: Sequence[int], m: int) -> SimplexResult:
+    """``solve_lp``'s three phases on any subset-cover LP, from the singleton
+    basis (each singleton's first column): the production
+    ``_Tableau.singletons``, ``_most_negative``, ``_unique`` and
+    ``_bland_lp``, looked up on ``pinkey.simplex`` at call time so that
+    spies see them.  ``masks`` may be in any order and repeat; every
+    singleton must be among them."""
+    simplex = pinkey.simplex
+    base = [list(masks).index(1 << t) for t in range(m)]
+    tableau = simplex._Tableau.singletons(costs, base)
+    if simplex._unique(tableau, simplex._most_negative(tableau, costs, masks), masks):
+        return tableau.result(len(masks))
+    return simplex._bland_lp(costs, masks, base)
 
 
 class _ReferenceForest:

@@ -202,7 +202,7 @@ class TestSolveCapacity:
             target = random_terminal_set(rng, model.m)
             family = subset_family(model.m, target)
             costs, _ = _lp_costs(model, family)
-            solution = solve_lp(costs, family.subsets, model.m).solution
+            solution = solve_lp(costs, family).solution
             assignment = solve_capacity(model, target).assignment
             assert (assignment.m, assignment.target) == (model.m, target)
             assert assignment.weights == {
@@ -552,7 +552,7 @@ class TestSupportFormAgainstDenseOracle:
         vertex = sample_vertex(family, random.Random(seed))
         replay = random.Random(seed)
         draws = [(replay.randint(-24, 24), replay.randint(1, 6)) for _ in family.subsets]
-        solution = solve_lp([p * 60 // q for p, q in draws], family.subsets, m).solution
+        solution = solve_lp([p * 60 // q for p, q in draws], family).solution
         assert dense_values(family, vertex) == solution
 
 

@@ -15,7 +15,8 @@ from pinkey.capacity import _lp_costs
 from pinkey.model import all_pairs
 from pinkey.simplex import solve_lp
 
-from helpers import fraction_solve_lp, random_exact_model, random_terminal_set
+from helpers import (
+    fraction_solve_lp, random_exact_model, random_terminal_set, singleton_phases)
 
 
 def _dense(masks, m):
@@ -57,7 +58,7 @@ def _assert_matches_oracle(result, costs, masks, m):
 
 def test_single_constraint():
     # one terminal, one column: min 5x  s.t.  x = 1
-    result = solve_lp([5], [0b1], 1)
+    result = singleton_phases([5], [0b1], 1)
     assert result.value == 5
     assert result.solution == (Fraction(1),)
     assert result.basis == (0,)
@@ -65,7 +66,7 @@ def test_single_constraint():
 
 def test_prefers_cheap_column():
     # {1} + {2} costs 4, {1, 2} costs 3: the pair covers both at once
-    result = solve_lp([2, 2, 3], [0b01, 0b10, 0b11], 2)
+    result = singleton_phases([2, 2, 3], [0b01, 0b10, 0b11], 2)
     assert result.value == 3
     assert result.solution == (Fraction(0), Fraction(0), Fraction(1))
     # degenerate tie in the ratio test: the lower basic index leaves
@@ -76,48 +77,22 @@ def test_exact_fractions():
     # the three pairs of three terminals, each at cost 1, against singletons
     # at cost 2: every pair at weight 1/2 covers each terminal exactly once
     masks = [0b001, 0b010, 0b100, 0b011, 0b101, 0b110]
-    result = solve_lp([2, 2, 2, 1, 1, 1], masks, 3)
+    result = singleton_phases([2, 2, 2, 1, 1, 1], masks, 3)
     assert result.value == Fraction(3, 2)
     assert result.solution == (0, 0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
 
 def test_negative_costs_and_value_in_cost_units():
     # costs need not be positive; the value is in the units of the costs
-    result = solve_lp([-3, 4, -5], [0b10, 0b01, 0b11], 2)
+    result = singleton_phases([-3, 4, -5], [0b10, 0b01, 0b11], 2)
     assert result.value == -5
     assert result.solution == (0, 0, 1)
     assert result.basis == (1, 2)  # the singleton of terminal 0 is column 1
 
 
 def test_dimension_mismatch():
-    with pytest.raises(ValueError, match="costs"):
-        solve_lp([1, 2], [0b1], 1)
-
-
-@pytest.mark.parametrize("bad", [0, 0b1000, -1])
-def test_mask_out_of_range_rejected(bad):
-    with pytest.raises(ValueError, match="nonempty subset"):
-        solve_lp([1, 1, 1, 1], [0b001, 0b010, 0b100, bad], 3)
-
-
-@pytest.mark.parametrize("costs, masks", [
-    # floor division would truncate these duals to a wrong optimum
-    ([Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)], [1, 2, 3]),
-    ([0.5, 0.5, 1.0], [1, 2, 3]),
-    ([True, 1, 1], [1, 2, 3]),
-    ([1, 1, 1], [1, 2, 3.0]),
-    ([1, 1, 1], [True, 2, 3]),
-    ([1, 1, 1], [1, 2, Fraction(3)]),
-])
-def test_non_int_costs_and_masks_rejected(costs, masks):
-    with pytest.raises(ValueError, match="is not an int"):
-        solve_lp(costs, masks, 2)
-
-
-@pytest.mark.parametrize("masks", [[0b01], [0b10, 0b11], [0b01, 0b11], []])
-def test_every_singleton_must_be_a_column(masks):
-    with pytest.raises(ValueError, match="singleton"):
-        solve_lp([1] * len(masks), masks, 2)
+    with pytest.raises(ValueError, match="3 costs but 2 columns"):
+        solve_lp([1, 2, 3], subset_family(2, TerminalSet.full(2)))
 
 
 _rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
@@ -139,7 +114,7 @@ def cover_lps(draw):
 @settings(max_examples=300, deadline=None)
 def test_matches_fraction_tableau_on_cover_lps(lp):
     costs, masks, m = lp
-    _assert_matches_oracle(solve_lp(costs, masks, m), costs, masks, m)
+    _assert_matches_oracle(singleton_phases(costs, masks, m), costs, masks, m)
 
 
 @given(cover_lps())
@@ -147,7 +122,7 @@ def test_matches_fraction_tableau_on_cover_lps(lp):
 def test_bland_loop_matches_fraction_tableau_in_full(lp):
     # the fallback keeps the oracle's whole path, so its basis matches too
     costs, masks, m = lp
-    result = simplex._bland_lp(costs, masks, simplex._start_basis(costs, masks, m)[0])
+    result = simplex._bland_lp(costs, masks, _dense(masks, m)[2])
     assert result == fraction_solve_lp(costs, *_dense(masks, m))
 
 
@@ -188,7 +163,7 @@ def test_certificate_matches_vertex_enumeration():
     def check(lp):
         costs, masks, m = lp
         with mock.patch.object(simplex, "_bland_lp", wraps=simplex._bland_lp) as spy:
-            result = solve_lp(costs, masks, m)
+            result = singleton_phases(costs, masks, m)
         unique = len(_optimal_vertices(costs, masks, m)) == 1
         assert spy.called is not unique
         paths["fallback" if spy.called else "fast"] += 1
@@ -200,7 +175,7 @@ def test_certificate_matches_vertex_enumeration():
 
 def test_rational_view_is_built_when_read_and_compared_by_value():
     costs, masks = [1, 3, 2, 2, 0, 0], [1, 2, 4, 3, 5, 6]
-    result = solve_lp(costs, masks, 3)
+    result = singleton_phases(costs, masks, 3)
     assert "value" not in vars(result) and "solution" not in vars(result)
     assert result.value == Fraction(result.objective, result.d) == 1
     assert result.solution == (0, 0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
@@ -218,11 +193,11 @@ def test_shared_optimum_returns_blands_vertex():
     # value 1 that is not Bland's; the certificate sees the tie and the
     # fallback returns Bland's vertex
     costs, masks = [1, 3, 2, 2, 0, 0], [1, 2, 4, 3, 5, 6]
-    tableau = simplex._Tableau.singletons(costs, simplex._start_basis(costs, masks, 3)[0])
+    tableau = simplex._Tableau.singletons(costs, _dense(masks, 3)[2])
     reduced = simplex._most_negative(tableau, costs, masks)
     assert tableau.result(6).solution == (1, 0, 0, 0, 0, 1)
     assert not simplex._unique(tableau, reduced, masks)
-    result = solve_lp(costs, masks, 3)
+    result = singleton_phases(costs, masks, 3)
     assert result.value == 1
     assert result.solution == (0, 0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
@@ -236,12 +211,12 @@ def test_shared_optimum_returns_blands_vertex():
      [10, 6, 7, 15, 13, 1, 8, 11, 3, 9, 14, 4, 2]),
 ])
 def test_stalled_phase_one_hands_over_to_bland(costs, masks):
-    tableau = simplex._Tableau.singletons(costs, simplex._start_basis(costs, masks, 4)[0])
+    tableau = simplex._Tableau.singletons(costs, _dense(masks, 4)[2])
     with mock.patch.object(simplex, "_bland", wraps=simplex._bland) as spy:
         reduced = simplex._most_negative(tableau, costs, masks)
     assert spy.called
     assert min(reduced) == 0
-    _assert_matches_oracle(solve_lp(costs, masks, 4), costs, masks, 4)
+    _assert_matches_oracle(singleton_phases(costs, masks, 4), costs, masks, 4)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
@@ -249,7 +224,7 @@ def test_all_zero_costs_return_the_singleton_vertex(m):
     # every vertex is optimal; no column prices negative, so Bland's rule
     # stays at the start
     masks = list(range(1, 1 << m))
-    result = solve_lp([0] * len(masks), masks, m)
+    result = singleton_phases([0] * len(masks), masks, m)
     assert result.value == 0
     assert result.solution == tuple(Fraction(int(mask & (mask - 1) == 0)) for mask in masks)
 
@@ -261,7 +236,7 @@ def test_matches_fraction_tableau_on_capacity_lps(m, seed):
     model = random_exact_model(rng, m=m)
     family = subset_family(m, random_terminal_set(rng, m))
     costs, _ = _lp_costs(model, family)
-    _assert_matches_oracle(solve_lp(costs, family.subsets, m), costs, family.subsets, m)
+    _assert_matches_oracle(solve_lp(costs, family), costs, family.subsets, m)
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -274,8 +249,7 @@ def test_capacity_lp_sweep_matches_fraction_tableau(m):
         size = 2 + (k // 6) % (m - 1)
         family = subset_family(m, random_terminal_set(rng, m, size))
         costs, _ = _lp_costs(model, family)
-        _assert_matches_oracle(solve_lp(costs, family.subsets, m),
-                               costs, family.subsets, m)
+        _assert_matches_oracle(solve_lp(costs, family), costs, family.subsets, m)
 
 
 def test_capacity_meets_partition_bound_at_nine_terminals():
@@ -293,7 +267,7 @@ def test_matches_scipy(seed):
     masks = [1 << t for t in range(m)] + rng.sample(others, rng.randint(0, len(others)))
     rng.shuffle(masks)
     costs = [rng.randint(-9, 9) for _ in masks]
-    exact = solve_lp(costs, masks, m)
+    exact = singleton_phases(costs, masks, m)
 
     rows, rhs, _ = _dense(masks, m)
     reference = linprog(
@@ -312,9 +286,22 @@ def test_matches_scipy(seed):
     assert all(x >= 0 for x in exact.solution)
 
 
-def _co_atom_start(costs, masks, m):
-    """The co-atom start tableau of an LP, or None where it does not apply."""
-    return simplex._Tableau.co_atoms(costs, simplex._start_basis(costs, masks, m)[1], m)
+def _co_atom_start(costs, family):
+    """The co-atom start tableau of a capacity LP."""
+    return simplex._Tableau.co_atoms(costs, family.subsets, family.m,
+                                     [t - 1 for t in family.target])
+
+
+def _assert_scaled_inverse(tableau, costs, masks, m):
+    """R·B = d·I, β = R·1, y = C_B·R and the objective C_B·β."""
+    d, base, inverse = tableau.d, tableau.base, tableau.inverse
+    for i, row in enumerate(inverse):
+        assert [sum(row[t] for t in range(m) if masks[j] >> t & 1) for j in base] == [
+            d * (k == i) for k in range(m)]
+    assert tableau.values == [sum(row) for row in inverse]
+    assert tableau.duals == [sum(costs[j] * row[k] for j, row in zip(base, inverse))
+                             for k in range(m)]
+    assert tableau.objective == sum(costs[j] * b for j, b in zip(base, tableau.values))
 
 
 @pytest.mark.parametrize("m", [3, 4, 6])
@@ -325,19 +312,14 @@ def test_co_atom_tableau_is_the_scaled_inverse(m):
     rng, full = random.Random(m), (1 << m) - 1
     for lp in range(60):
         target = random_terminal_set(rng, m, 2 + lp % (m - 1))
-        masks = list(subset_family(m, target).subsets)
+        family = subset_family(m, target)
+        masks = family.subsets
         costs = [rng.randint(-9, 9) for _ in masks]
-        tableau = _co_atom_start(costs, masks, m)
+        tableau = _co_atom_start(costs, family)
         d, base, inverse = tableau.d, tableau.base, tableau.inverse
         assert d == len(target) - 1 == abs(round(np.linalg.det(
             [[masks[j] >> t & 1 for j in base] for t in range(m)])))
-        for i, row in enumerate(inverse):
-            assert [sum(row[t] for t in range(m) if masks[j] >> t & 1) for j in base] == [
-                d * (k == i) for k in range(m)]
-        assert tableau.values == [sum(row) for row in inverse]
-        assert tableau.duals == [sum(costs[j] * row[k] for j, row in zip(base, inverse))
-                                 for k in range(m)]
-        assert tableau.objective == sum(costs[j] * b for j, b in zip(base, tableau.values))
+        _assert_scaled_inverse(tableau, costs, masks, m)
         # position a holds M∖P_a, position u of P_a's non-targets M∖P_a
         # with those from u up put back
         targets = [t - 1 for t in target.members]
@@ -353,24 +335,49 @@ def test_co_atom_tableau_is_the_scaled_inverse(m):
             assert inverse == [[1 - d * (k == i) for k in range(m)] for i in range(m)]
 
 
+@st.composite
+def small_weight_lps(draw):
+    """Capacity LPs at m = 2..7 on weights from {0, 1, 1, 2}, with any
+    target set of at least two terminals: (costs, family)."""
+    m = draw(st.integers(2, 7))
+    weights = draw(st.lists(st.sampled_from([0, 1, 1, 2]), min_size=m * (m - 1) // 2,
+                            max_size=m * (m - 1) // 2))
+    model = PinModel.from_weights(m, dict(zip(all_pairs(m), weights)))
+    target = draw(st.sets(st.integers(1, m), min_size=2))
+    family = subset_family(m, TerminalSet(tuple(target)))
+    return _lp_costs(model, family)[0], family
+
+
+@given(small_weight_lps())
+@settings(max_examples=60, deadline=None)
+def test_co_atom_start_is_valid_on_every_capacity_family(lp):
+    # every column the start prices is in the family, m = 2 included,
+    # where the co-atoms are the two singletons
+    costs, family = lp
+    m, targets = family.m, [t - 1 for t in family.target]
+    tableau = _co_atom_start(costs, family)
+    assert tableau.d == len(targets) - 1
+    assert tableau.values == [int(t in targets) for t in range(m)]
+    _assert_scaled_inverse(tableau, costs, family.subsets, m)
+    _assert_matches_oracle(solve_lp(costs, family), costs, family.subsets, m)
+
+
 def _recording_start(starts):
     """A stand-in for ``_Tableau.co_atoms`` that appends each start's basis
-    (None where it does not apply) to ``starts``."""
+    to ``starts``."""
     co_atoms = simplex._Tableau.co_atoms
 
-    def start(costs, first, m):
-        tableau = co_atoms(costs, first, m)
-        starts.append(None if tableau is None else list(tableau.base))
+    def start(*args):
+        tableau = co_atoms(*args)
+        starts.append(list(tableau.base))
         return tableau
 
     return start
 
 
 def test_capacity_lps_start_at_the_co_atoms_and_match_fraction_tableau():
-    # every capacity LP with |A| >= 2 and m >= 3 has every column the
-    # co-atom start prices; the unit K_m models and small-integer weights
-    # give many shared optima, where phase 3 returns Bland's vertex from
-    # the singletons
+    # the unit K_m models and small-integer weights give many shared
+    # optima, where phase 3 returns Bland's vertex from the singletons
     rng = random.Random(47)
     models = [PinModel.from_weights(m, dict.fromkeys(all_pairs(m), 1)) for m in range(3, 8)]
     models += [PinModel.from_weights(m, {pair: rng.choice([0, 1, 1, 2])
@@ -383,59 +390,34 @@ def test_capacity_lps_start_at_the_co_atoms_and_match_fraction_tableau():
         costs, _ = _lp_costs(model, family)
         with mock.patch.object(simplex._Tableau, "co_atoms", _recording_start(starts)), \
                 mock.patch.object(simplex, "_bland_lp", wraps=simplex._bland_lp) as bland:
-            result = solve_lp(costs, family.subsets, m)
-        assert starts[-1] is not None
+            result = solve_lp(costs, family)
         phase_three += bland.called
         _assert_matches_oracle(result, costs, family.subsets, m)
+    assert len(starts) == len(models)
     assert phase_three >= 10
 
 
-@pytest.mark.parametrize("costs, masks, m", [
-    # m = 2: the co-singletons are the singletons
-    ([1, 1, 1], [0b01, 0b10, 0b11], 2),
-    # one co-singleton, M∖{2}: a single target
-    ([2, 2, 2, 1], [0b001, 0b010, 0b100, 0b011], 3),
-    # targets 0 and 1: M∖{0, 2} is there but M∖{1, 2} is not
-    ([3, 3, 3, 3, 1, 1, 1], [0b0001, 0b0010, 0b0100, 0b1000, 0b1110, 0b1101, 0b1010], 4),
-    # terminal 2 joins target 0 (M∖{0, 2} is the cheaper), then M∖{1, 3}
-    # is missing for terminal 3
-    ([3, 3, 3, 3, 1, 1, 0, 2, 1], [0b0001, 0b0010, 0b0100, 0b1000, 0b1110, 0b1101, 0b1010,
-                                   0b1001, 0b1000 | 0b0010], 4),
-], ids=["m2", "one_target", "no_co_atom", "no_chain_column"])
-def test_starts_at_the_singletons_without_the_co_atoms(costs, masks, m):
-    assert _co_atom_start(costs, masks, m) is None
-    _assert_matches_oracle(solve_lp(costs, masks, m), costs, masks, m)
-
-
 @st.composite
-def capacity_lps_with_copies(draw):
-    """Capacity LPs at m = 3..7 on weights from {0, 1, 1, 2}, with some
-    columns repeated at other costs and every column shuffled."""
-    m = draw(st.integers(3, 7))
-    weights = draw(st.lists(st.sampled_from([0, 1, 1, 2]), min_size=m * (m - 1) // 2,
-                            max_size=m * (m - 1) // 2))
-    model = PinModel.from_weights(m, dict(zip(all_pairs(m), weights)))
-    target = draw(st.sets(st.integers(1, m), min_size=2))
-    family = subset_family(m, TerminalSet(tuple(target)))
-    costs, _ = _lp_costs(model, family)
-    columns = list(zip(costs, family.subsets))
-    copies = draw(st.lists(st.tuples(st.sampled_from(columns), st.integers(-2, 2)),
+def capacity_lps_with_shifts(draw):
+    """``small_weight_lps`` with some columns' costs shifted by -2..2."""
+    costs, family = draw(small_weight_lps())
+    shifts = draw(st.lists(st.tuples(st.integers(0, len(costs) - 1), st.integers(-2, 2)),
                            max_size=8))
-    columns += [(cost + shift, mask) for (cost, mask), shift in copies]
-    costs, masks = zip(*draw(st.permutations(columns)))
-    return list(costs), list(masks), m
+    for j, shift in shifts:
+        costs[j] += shift
+    return costs, family
 
 
-@given(capacity_lps_with_copies())
+@given(capacity_lps_with_shifts())
 @settings(max_examples=100, deadline=None)
 def test_co_atom_start_matches_fraction_tableau_on_tie_heavy_capacity_lps(lp):
-    # the start reads each mask's first column, and the vertex is Bland's
-    costs, masks, m = lp
-    starts = []
+    # the start is a feasible basis, and the vertex is Bland's
+    costs, family = lp
+    masks, m, starts = family.subsets, family.m, []
     with mock.patch.object(simplex._Tableau, "co_atoms", _recording_start(starts)):
-        result = solve_lp(costs, masks, m)
-    assert starts[0] is not None
-    assert all(masks.index(masks[j]) == j for j in starts[0])
+        result = solve_lp(costs, family)
+    start = _basic_solution(masks, m, starts[0])
+    assert start is not None and min(start) >= 0
     _assert_matches_oracle(result, costs, masks, m)
 
 
@@ -456,6 +438,6 @@ def test_co_atom_start_takes_few_phase_one_pivots():
         family = subset_family(6, random_terminal_set(rng, 6, 2 + k % 2))
         costs, _ = _lp_costs(random_exact_model(rng, m=6), family)
         with mock.patch.object(simplex, "_most_negative", phase_one):
-            solve_lp(costs, family.subsets, 6)
+            solve_lp(costs, family)
     assert len(counts) == 80
     assert sum(counts) / len(counts) <= 2.5
