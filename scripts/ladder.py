@@ -62,7 +62,13 @@ broadcast per copy.  The packing's groups and the edge bits (seed 0) are
 made once, and so is one fresh ``TreePacking`` of those groups on a fresh
 equal graph per timed call, untimed, as a CLI request builds its packing.
 Each timed call runs ``run_protocol`` and ``audit`` on its own packing,
-so no call reads what an earlier call cached.
+so no call reads what an earlier call cached.  The ``audit/`` rows time
+the same call where the audit also runs the brute force, at most 20
+edges: ``bruteforce_path16`` on the 17-terminal unit path with A = {1,
+17}, one tree whose 16 edges form one block of 2^16 assignments, and
+``bruteforce_copies20`` on pairs (1, 2) and (2, 3) with 10 copies each
+and A = {1, 3}, ten copies of one 2-edge path, hence ten blocks of one
+shape.  They report the edge count, the audit's method and its verdict.
 
 The ``steiner/`` rows run ``steiner_packing``, exact but for the last two:
 
@@ -125,15 +131,15 @@ written.
 
 A row whose call raises ``SizeLimitError`` reports the message as
 ``limit`` and no times.  Each row reports the best of ``--repeat``
-wall-clock times of one
-``spanning_packing``, ``solve_capacity``, protocol-plus-audit call or
-pass of path packings, LPs, exact Steiner packings, model loads, argument steps,
-imports or output-path CLI runs, with what it returned: tree and group counts, the capacity and
-the LP's column count, each target size, capacity and bound of the floor
-set and its certified count, the key and transcript bit counts, the
-graph count and total trees, the model count and total edges, the
-command-line counts or the module count.  The ladder is a record, not a
-gate.
+wall-clock times of one ``spanning_packing``, ``solve_capacity``,
+protocol-plus-audit call or pass of path packings, LPs, exact Steiner
+packings, model loads, argument steps, imports or output-path CLI runs,
+with what it returned: tree and group counts, the capacity and the LP's
+column count, each target size, capacity and bound of the floor set and
+its certified count, the key and transcript bit counts, the audit's
+method and verdict, the graph count and total trees, the model count and
+total edges, the command-line counts or the module count.  The ladder is
+a record, not a gate.
 ``--compare BASE.json HEAD.json`` reads two such files instead and
 prints each row's best times and the HEAD/BASE ratio (below 1 where HEAD
 is faster); a row only one file has gets ``-`` for the other.  Given two
@@ -462,24 +468,39 @@ def bound_row(m: int, repeat: int) -> dict:
     }
 
 
-def protocol_row(edges: int, repeat: int) -> dict:
-    pairs = {(1, 2): edges // 2, (2, 3): edges - edges // 2}
-    graph = Multigraph(3, pairs)
-    target = TerminalSet.of(1, 3)
+def timed_run(m: int, pairs: dict, target: TerminalSet, repeat: int):
+    """``run_protocol`` and ``audit`` timed on fresh equal packings, with
+    the edge bits of seed 0: the last run, its report and the times."""
+    graph = Multigraph(m, pairs)
     groups = steiner_packing(graph, target).groups
     keys = draw_edge_keys(graph, 0)
-    fresh = [TreePacking(Multigraph(3, pairs), target, groups) for _ in range(repeat)]
+    fresh = [TreePacking(Multigraph(m, pairs), target, groups) for _ in range(repeat)]
 
     def protocol_and_audit():
         run = run_protocol(fresh.pop(), keys)
         return run, audit(run)
 
-    (run, report), timing = timed(protocol_and_audit, repeat)
+    return timed(protocol_and_audit, repeat)
+
+
+def protocol_row(edges: int, repeat: int) -> dict:
+    pairs = {(1, 2): edges // 2, (2, 3): edges - edges // 2}
+    (run, report), timing = timed_run(3, pairs, TerminalSet.of(1, 3), repeat)
     return {
         "terminals": 3,
         "edges": edges,
         "key_bits": len(run.key_bits),
         "transcript_bits": len(run.transcript_bits),
+        "audit_passed": report.passed,
+        **timing,
+    }
+
+
+def audit_row(m: int, pairs: dict, target: TerminalSet, repeat: int) -> dict:
+    (run, report), timing = timed_run(m, pairs, target, repeat)
+    return {
+        "edges": run.graph.total_edges(),
+        "audit_method": report.method,
         "audit_passed": report.passed,
         **timing,
     }
@@ -624,6 +645,11 @@ def ladder() -> list[tuple[str, object]]:
     rows += [(f"bound/dense_m{m}", partial(bound_row, m)) for m in range(9, 13)]
     rows += [(f"protocol/path_{edges // 1000}k", partial(protocol_row, edges))
              for edges in (30_000, 100_000, 300_000)]
+    rows.append(("audit/bruteforce_path16", partial(
+        audit_row, 17, dict.fromkeys(zip(range(1, 17), range(2, 18)), 1),
+        TerminalSet.of(1, 17))))
+    rows.append(("audit/bruteforce_copies20", partial(
+        audit_row, 3, {(1, 2): 10, (2, 3): 10}, TerminalSet.of(1, 3))))
     rows += [(f"steiner/{name}", partial(steiner_row, cases, cap, mode))
              for name, cases, cap, mode in steiner_rows()]
     texts = load_set()
@@ -637,7 +663,7 @@ def ladder() -> list[tuple[str, object]]:
 def describe(row: dict) -> str:
     family = row["row"].split("/")[0]
     if "limit" in row:
-        return f"{row['row']:<24} {row['limit']}"
+        return f"{row['row']:<25} {row['limit']}"
     if family == "spanning":
         text = (f"|E| = {row['edges']:>5}  trees {row['trees']:>4}  "
                 f"groups {row['groups']:>4}")
@@ -657,6 +683,9 @@ def describe(row: dict) -> str:
     elif family == "protocol":
         text = (f"|E| = {row['edges']:>6}  |K| = {row['key_bits']:>6}  "
                 f"|F| = {row['transcript_bits']:>6}")
+    elif family == "audit":
+        text = (f"|E| = {row['edges']:>6}  {row['audit_method']}  "
+                f"{'passed' if row['audit_passed'] else 'failed'}")
     elif row["row"] == "cli/argv_floor":
         text = f"argvs {row['argvs']:>4}  fast {row['fast']:>4}"
     elif row["row"] == "cli/import_floor":
@@ -667,7 +696,7 @@ def describe(row: dict) -> str:
         text = f"models {row['models']:>4}  edges {row['edges']:>5}"
     else:
         text = f"graphs {row['graphs']:>3}  trees {row['trees']:>4}"
-    return f"{row['row']:<24} {text}  best {row['best_s']:.4f} s"
+    return f"{row['row']:<25} {text}  best {row['best_s']:.4f} s"
 
 
 def table(sides: list[str], best: list[dict], prefix: str,
@@ -677,7 +706,7 @@ def table(sides: list[str], best: list[dict], prefix: str,
     per-round HEAD/BASE ratios, columns of their median and their
     min-max range."""
     names = list(best[0]) + [name for name in best[1] if name not in best[0]]
-    header = f"{'row':<24} {'BASE s':>9} {'HEAD s':>9} {'HEAD/BASE':>9}"
+    header = f"{'row':<25} {'BASE s':>9} {'HEAD s':>9} {'HEAD/BASE':>9}"
     lines = [f"BASE {sides[0]}", f"HEAD {sides[1]}",
              header if ratios is None else f"{header} {'median':>9} {'min-max':>11}"]
     for name in names:
@@ -686,7 +715,7 @@ def table(sides: list[str], best: list[dict], prefix: str,
         times = [side.get(name) for side in best]
         shown = ["-" if t is None else f"{t:.4f}" for t in times]
         ratio = "-" if None in times or not times[0] else f"{times[1] / times[0]:.3f}"
-        line = f"{name:<24} {shown[0]:>9} {shown[1]:>9} {ratio:>9}"
+        line = f"{name:<25} {shown[0]:>9} {shown[1]:>9} {ratio:>9}"
         if ratios is not None:
             rounds = ratios.get(name)
             line += (f" {statistics.median(rounds):>9.3f} "

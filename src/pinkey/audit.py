@@ -9,9 +9,8 @@ per block step of the maps (per group and walk step on an honest run).
 A brute-force enumeration of edge-bit assignments provides an independent
 check at small sizes (dyadic joint distributions, again exact).  Rows that
 share no edge are independent, so it enumerates each block of edge-sharing
-rows on its own, and blocks of one shape (a group's copies) once, at a
-cost of 2^|E_b| per distinct shape rather than 2^|E|; its cap,
-``BRUTEFORCE_EDGE_CAP``, still applies to the total edge count |E|.
+rows on its own, at a cost of 2^|E_b| per block rather than 2^|E|; its
+cap, ``BRUTEFORCE_EDGE_CAP``, still applies to the total edge count |E|.
 
 Fault-injection helpers build tampered copies of a run so tests can show
 the audits actually fail on bad runs.
@@ -108,27 +107,23 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
     Two map rows share a block when they share an edge (a union-find over
     edge indices).  Edge bits are i.i.d., so the blocks' (key, transcript)
     parts are independent and each entropy is the sum of the blocks'
-    entropies; an edge in no row adds nothing.  A block's distribution
-    depends only on its shape, its columns (each edge's rows, by first
-    appearance) and its key-row mask, so each distinct shape enumerates
-    its own 2^|E_b| assignments once, and its entropies count once per
-    block of that shape.  The enumeration runs in Gray-code order, where
-    one edge bit flips per step, so each image is the one before XOR that
-    edge's column; it runs three times, into exact tallies of the joint
-    images and of the images cut to the transcript rows and to the key
-    rows, one int per image.  Entropies add up as integers over 2^top, top the
-    widest block's edge count, and become Fractions for the report.  The
-    cap still applies to |E|.
+    entropies; an edge in no row adds nothing.  Each block enumerates its
+    own 2^|E_b| assignments, read off its columns (each edge's rows, by
+    first appearance) and its key-row mask.  The enumeration runs in
+    Gray-code order, where one edge bit flips per step, so each image is
+    the one before XOR that edge's column; it runs three times, into exact
+    tallies of the joint images and of the images cut to the transcript
+    rows and to the key rows, one int per image.  Entropies add up as
+    integers over 2^top, top the widest block's edge count, and become
+    Fractions for the report.  The cap still applies to |E|.
     """
     edges = run.graph.total_edges()
     if edges > BRUTEFORCE_EDGE_CAP:
         raise SizeLimitError(
             f"brute force is capped at {BRUTEFORCE_EDGE_CAP} edges, got {edges}"
         )
-    # every row's first and second edge, the transcript rows first
-    firsts, seconds = run.transcript_map.row_columns()
-    key_firsts, key_seconds = run.key_map.row_columns()
-    firsts, seconds = firsts + key_firsts, seconds + key_seconds
+    # every row's one or two edges, the transcript rows first
+    rows = run.transcript_map.rows + run.key_map.rows
     parent = list(range(edges))
 
     def find(x: int) -> int:
@@ -137,35 +132,33 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
             x = parent[x]
         return x
 
-    for first, second in zip(firsts, seconds):
-        if second is not None:
-            parent[find(first)] = find(second)
+    for row in rows:
+        if len(row) == 2:
+            parent[find(row[0])] = find(row[1])
     blocks: dict[int, list[int]] = {}
-    for r, first in enumerate(firsts):
-        blocks.setdefault(find(first), []).append(r)
+    for r, row in enumerate(rows):
+        blocks.setdefault(find(row[0]), []).append(r)
 
     first_key_row = run.transcript_map.nrows
-    shapes: Counter = Counter()  # (columns, key mask) -> blocks of that shape
+    layouts = []  # (columns, key mask) per block
     for members in blocks.values():
         local: dict[int, int] = {}  # edge index -> block column
         columns: list[int] = []
         key_mask = 0
         for bit, r in enumerate(members):
-            for k in (firsts[r], seconds[r]):
-                if k is None:
-                    break
+            for k in rows[r]:
                 if k not in local:
                     local[k] = len(columns)
                     columns.append(0)
                 columns[local[k]] |= 1 << bit
             if r >= first_key_row:
                 key_mask |= 1 << bit
-        shapes[(tuple(columns), key_mask)] += 1
-    top = max((len(columns) for columns, _ in shapes), default=0)
+        layouts.append((columns, key_mask))
+    top = max((len(columns) for columns, _ in layouts), default=0)
     # joint, transcript and key entropies, each times 2^top, as every
     # figure is until the report
     entropies = [0, 0, 0]
-    for (columns, key_mask), alike in shapes.items():
+    for columns, key_mask in layouts:
         n = len(columns)
         for k, rows_kept in enumerate((-1, ~key_mask, key_mask)):
             # Gray-code order: step s flips the column of s's lowest set bit,
@@ -175,7 +168,7 @@ def security_index_bruteforce(run: ProtocolRun) -> SecurityReport:
             for column in columns:
                 flips = flips + [column & rows_kept] + flips
             tally = Counter(accumulate(flips, xor, initial=0))
-            entropies[k] += alike * ((n << top) - (_log_weight(tally.values()) << (top - n)))
+            entropies[k] += (n << top) - (_log_weight(tally.values()) << (top - n))
     joint, transcript, key = entropies
     return SecurityReport(
         key_length=len(run.key_bits),

@@ -146,28 +146,11 @@ class Gf2Matrix(Value):
         """Row r as the tuple of its one or two columns; built on the first
         read, for readers that want single rows."""
         return tuple((first,) if second is None else (first, second)
-                     for first, second in zip(*self.row_columns()))
+                     for _, ((first, second),) in _row_blocks(self.blocks))
 
     @property
     def nrows(self) -> int:
         return self._nrows
-
-    def row_columns(self) -> tuple[list[int], list[int | None]]:
-        """Every row's first and second column, as two lists in row order
-        (None as the second column of a one-column row), each step filled
-        by strided slices."""
-        firsts: list = [0] * self.nrows
-        seconds: list = [None] * self.nrows
-        start = 0
-        for copies, steps in self.blocks:
-            width = len(steps)
-            end = start + copies * width
-            for s, (first, second) in enumerate(steps, start):
-                firsts[s:end:width] = range(first, first + copies)
-                if second is not None:
-                    seconds[s:end:width] = range(second, second + copies)
-            start = end
-        return firsts, seconds
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gf2Matrix):

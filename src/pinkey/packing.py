@@ -511,41 +511,31 @@ class _ForestRuns:
         of every forest (a full clump)."""
         r = self.open_run(edge[:2])
         if r is None:
-            placed, changed = self._augment(edge, most)
+            placed = self._augment(edge, most)
         else:
             placed = min(most, self.starts[r + 1] - self.starts[r])
             self.split(r, placed)
             self.forests[r].add(edge, self.starts[r])
-            changed = (self.starts[r],)
-        self._merge(changed)
+        self._merge()
         return placed
 
-    def _merge(self, changed: Iterable[int]) -> None:
-        """Join each run that continues the shift of the run before it,
-        looking only at the two boundaries of each run that starts at a
-        forest index in ``changed``.  Every other boundary lies between
-        runs whose forests the insert left as they were (a split's tail is
-        its run shifted), so they still do not join.  A joined run meets its
-        next neighbour at once, and that boundary is checked in turn."""
+    def _merge(self) -> None:
+        """Join each run that continues the shift of the run before it, in
+        one pass over the boundaries.  Runs are few, so every boundary is
+        checked after each insert."""
         forests, starts = self.forests, self.starts
-        k = starts[-1]
-        boundaries = set()
-        for start in changed:
-            r = bisect_left(starts, start)
-            boundaries.update((start, starts[r + 1]))
-        for boundary in sorted(boundaries):
-            r = bisect_left(starts, boundary)
-            if not 0 < boundary < k or starts[r] != boundary:
-                continue  # the packing's ends, or a run already joined
-            while r < len(forests) and forests[r - 1].rel == forests[r].rel:
+        r = 1
+        while r < len(forests):
+            if forests[r - 1].rel == forests[r].rel:
                 del forests[r], starts[r]
+            else:
+                r += 1
 
-    def _augment(self, new_edge: EdgeRef, most: int) -> tuple[int, Iterable[int]]:
+    def _augment(self, new_edge: EdgeRef, most: int) -> int:
         """Insert an edge that no forest separates via exchange chains, with
         up to ``most`` - 1 of the next copies of its pair when one swap
-        places them all (the fourth fact); returns how many went in and the
-        indices of the forests changed, (0, ()) when the edge lies in the
-        span of every forest (a full clump).
+        places them all (the fourth fact); returns how many went in, 0 when
+        the edge lies in the span of every forest (a full clump).
 
         Breadth-first labeling over forest edges: a dequeued edge x labels
         the edges on its path in each forest, in forest order; the search
@@ -576,7 +566,7 @@ class _ForestRuns:
                         if target is not None:
                             return self._unwind(parent, y, self.starts[target], most)
                         queue.append(y)
-        return 0, ()
+        return 0
 
     def _unwind(
         self,
@@ -584,15 +574,15 @@ class _ForestRuns:
         current: EdgeRef,
         index: int,
         most: int,
-    ) -> tuple[int, Iterable[int]]:
+    ) -> int:
         """Put current into forest index, then swap each labeled edge into
         the forest that labeled it, in place of its label, back to the new
-        edge; returns how many copies went in and the indices of the forests
-        changed.  Each is the first member of its run (no run changes during
-        the search).  A chain of one swap is made in the first L members of
-        both runs at once, L = min(``most``, both run lengths), by changing
-        their first forest once it is split off at L; a longer chain, in the
-        first member alone."""
+        edge; returns how many copies went in.  Each forest changed is the
+        first member of its run (no run changes during the search).  A
+        chain of one swap is made in the first L members of both runs at
+        once, L = min(``most``, both run lengths), by changing their first
+        forest once it is split off at L; a longer chain, in the first
+        member alone."""
         moves = [(index, None, current)]  # (forest, edge out, edge in)
         entry = parent[current]
         while entry is not None:
@@ -614,7 +604,7 @@ class _ForestRuns:
             if out is not None:
                 changed[forest_index].remove(out)
             changed[forest_index].add(into, forest_index)
-        return width, changed.keys()
+        return width
 
     def groups(self) -> tuple[tuple[Tree, int], ...]:
         """One (tree, copies) group per run."""

@@ -366,32 +366,26 @@ def transcript_steps(run: ProtocolRun) -> Iterator[list[Step]]:
 # column per ``%d`` of the template, holding its value in every item
 ItemGroup = tuple[str, int, Sequence[Sequence[int]]]
 
-# the most items formatted by one ``%`` or joined into one piece of output
+# the most items formatted by one ``%``, hence in one piece of output
 _BATCH = 4096
 
 
 def format_items(groups: Iterable[ItemGroup], sep: str) -> Iterator[str]:
     """The text of ``sep.join`` over every item of the groups in turn, in
-    pieces of about ``_BATCH`` items: one ``%`` formats up to ``_BATCH``
-    items of a group at once, through the template repeated, and each
-    piece joins such texts, so a write holds neither one piece per item
-    nor every item at once.  A one-column group's column is its arguments
-    as it stands (a range, for one-edge trees)."""
-    pending: list[str] = []
-    held = 0
+    pieces of at most ``_BATCH`` items: one ``%`` formats up to ``_BATCH``
+    items of a group at once, through the template repeated, and each such
+    text is one piece, after ``sep`` unless it is the first, so a write
+    holds neither one piece per item nor every item at once.  A one-column
+    group's column is its arguments as it stands (a range, for one-edge
+    trees)."""
+    lead = ""
     for template, size, columns in groups:
         for start in range(0, size, _BATCH):
             part = (columns if size <= _BATCH
                     else [column[start:start + _BATCH] for column in columns])
-            n = len(part[0])
-            pending.append(sep.join([template] * n) % (
-                tuple(part[0]) if len(part) == 1 else tuple(chain.from_iterable(zip(*part)))))
-            held += n
-            if held >= _BATCH:
-                yield sep.join(pending)
-                pending, held = [""], 0  # so the next piece starts with sep
-    if held:
-        yield sep.join(pending)
+            yield lead + sep.join([template] * len(part[0])) % (
+                tuple(part[0]) if len(part) == 1 else tuple(chain.from_iterable(zip(*part))))
+            lead = sep
 
 
 def export_transcript(run: ProtocolRun) -> str:

@@ -1195,16 +1195,16 @@ def columnar_transcript(run: ProtocolRun) -> tuple[Broadcast, ...]:
 
 def columnar_transcript_json(run: ProtocolRun) -> str:
     """The ``transcript`` JSON field built from whole columns, one object
-    per broadcast zipped from the bits, both support columns of
-    ``transcript_map.row_columns()``, the speakers and the tree indices:
+    per broadcast zipped from the bits, the support columns of
+    ``transcript_map.rows``, the speakers and the tree indices:
     the oracle for ``pinkey.cli._transcript_json``, which formats one walk
     step of every copy at a time.  It holds on honest maps only, those
     ``run_protocol`` builds: the renderer reads the supports off the
     packing."""
-    return "[" + ",".join(map(
-        '{"bit":%d,"support":[%d,%d],"terminal":%d,"tree":%d}'.__mod__,
-        zip(run.transcript_bits, *run.transcript_map.row_columns(),
-            speakers(run), broadcast_trees(run)))) + "]"
+    return "[" + ",".join(
+        '{"bit":%d,"support":[%d,%d],"terminal":%d,"tree":%d}' % (bit, *row, speaker, tree)
+        for bit, row, speaker, tree in zip(run.transcript_bits, run.transcript_map.rows,
+                                           speakers(run), broadcast_trees(run))) + "]"
 
 
 def columnar_export_transcript(run: ProtocolRun) -> str:
@@ -1221,9 +1221,9 @@ def columnar_export_transcript(run: ProtocolRun) -> str:
         f"key bits={len(run.key_bits)} hex={shift_bits_to_hex(run.key_bits)}",
         f"residual bits={len(run.residual_bits)} hex={shift_bits_to_hex(run.residual_bits)}",
     ]
-    lines += map("broadcast tree=%d terminal=%d bit=%d support=%d,%d".__mod__,
-                 zip(broadcast_trees(run), speakers(run), run.transcript_bits,
-                     *run.transcript_map.row_columns()))
+    lines += ("broadcast tree=%d terminal=%d bit=%d support=%d,%d" % (tree, speaker, bit, *row)
+              for tree, speaker, bit, row in zip(broadcast_trees(run), speakers(run),
+                                                 run.transcript_bits, run.transcript_map.rows))
     return "\n".join(lines) + "\n"
 
 

@@ -734,10 +734,10 @@ class TestSpanningPacking:
         random_multigraph(random.Random(seed), max_m=7, max_mult=25) for seed in range(30)
     ] + list(TIE_HEAVY_GRAPHS.values()))
     def test_runs_stay_maximal_after_every_insert(self, graph, monkeypatch):
-        # _merge looks only at the boundaries of the runs an insert changed;
-        # a scan of every boundary afterwards must find nothing left to join.
-        # Each run's rel counts copy numbers from its start, which _merge's
-        # rel comparison relies on
+        # after each insert, no two neighbouring runs may continue one
+        # shift, checked on the edges themselves rather than by _merge's
+        # rel comparison; each run's rel counts copy numbers from its start,
+        # which that comparison relies on
         insert = _ForestRuns.insert
         inserts = []
 

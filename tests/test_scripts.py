@@ -55,6 +55,7 @@ def test_ladder_writes_a_bench_file(tmp_path):
                                   "capacity/floor_m6"] + [
         f"bound/dense_m{m}" for m in range(9, 13)] + [
         f"protocol/path_{size}k" for size in (30, 100, 300)] + [
+        "audit/bruteforce_path16", "audit/bruteforce_copies20",
         "steiner/set_s1", "steiner/set_s2", "steiner/path_m20", "steiner/grid_corners",
         "steiner/grid_5", "steiner/grid_7", "steiner/robust_m16", "steiner/greedy_m12",
         "steiner/greedy_K96", "cli/load_floor", "cli/argv_floor", "cli/import_floor", "cli/text_pack",
@@ -106,6 +107,11 @@ def test_ladder_writes_a_bench_file(tmp_path):
         assert row["edges"] == size * 1000
         assert row["key_bits"] == row["transcript_bits"] == size * 500
         assert row["audit_passed"] is True
+    # both at or under the brute-force cap, so the audit runs it too
+    assert [(rows[f"audit/{name}"]["edges"], rows[f"audit/{name}"]["audit_method"],
+             rows[f"audit/{name}"]["audit_passed"])
+            for name in ("bruteforce_path16", "bruteforce_copies20")] == [
+        (16, "rank+bruteforce", True), (20, "rank+bruteforce", True)]
     assert (rows["steiner/set_s1"]["graphs"], rows["steiner/set_s1"]["trees"]) == (40, 185)
     assert (rows["steiner/set_s2"]["graphs"], rows["steiner/set_s2"]["trees"]) == (20, 167)
     assert (rows["steiner/path_m20"]["graphs"], rows["steiner/path_m20"]["trees"]) == (1, 1)
