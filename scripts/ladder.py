@@ -23,6 +23,11 @@ same ladder.  The ``spanning/`` rows are spanning-tree packings
   count nearest a ``randint(100, 200)`` within 100 .. 200.  It reports the
   graph count and the total edges, trees and groups.
 
+Every ``spanning/`` row also reports ``searches``: the exchange searches
+of one more packing, untimed (the sum over the graphs of
+``scaled_floor``), counted by wrapping ``pinkey.packing._ForestRuns._augment``
+for that packing.
+
 The ``paths/scaled_floor`` row runs ``max_disjoint_paths`` on 112 graphs
 shaped like the benchmark's ``wide`` requests: drawn as the
 ``spanning/scaled_floor`` graphs are, but from ``random.Random(9)`` and with
@@ -372,23 +377,29 @@ def timed(call, repeat: int):
 
 
 def spanning_row(graph: Multigraph, repeat: int) -> dict:
-    packing, timing = timed(lambda: spanning_packing(graph), repeat)
+    pack = partial(spanning_packing, graph)
+    packing, timing = timed(pack, repeat)
     return {
         "terminals": graph.m,
         "edges": graph.total_edges(),
         "trees": packing.count,
         "groups": len(packing.groups),
+        "searches": calls(pinkey.packing._ForestRuns, "_augment", pack),
         **timing,
     }
 
 
 def spanning_set_row(graphs: list[Multigraph], repeat: int) -> dict:
-    packings, timing = timed(lambda: [spanning_packing(graph) for graph in graphs], repeat)
+    def pack_all():
+        return [spanning_packing(graph) for graph in graphs]
+
+    packings, timing = timed(pack_all, repeat)
     return {
         "graphs": len(graphs),
         "edges": sum(graph.total_edges() for graph in graphs),
         "trees": sum(packing.count for packing in packings),
         "groups": sum(len(packing.groups) for packing in packings),
+        "searches": calls(pinkey.packing._ForestRuns, "_augment", pack_all),
         **timing,
     }
 
@@ -404,19 +415,20 @@ def paths_set_row(cases: list[tuple[Multigraph, int, int]], repeat: int) -> dict
     }
 
 
-def pivots(call) -> int:
-    """How many simplex pivots one more, untimed ``call()`` makes."""
-    pivot, count = pinkey.simplex._pivot, [0]
+def calls(owner, name: str, call) -> int:
+    """How many times one more, untimed ``call()`` calls ``owner.name``:
+    simplex pivots, exchange searches."""
+    wrapped, count = getattr(owner, name), [0]
 
     def counted(*args):
         count[0] += 1
-        return pivot(*args)
+        return wrapped(*args)
 
-    pinkey.simplex._pivot = counted
+    setattr(owner, name, counted)
     try:
         call()
     finally:
-        pinkey.simplex._pivot = pivot
+        setattr(owner, name, wrapped)
     return count[0]
 
 
@@ -427,7 +439,7 @@ def capacity_row(model: PinModel, target: TerminalSet, repeat: int) -> dict:
         "terminals": model.m,
         "columns": len(subset_family(model.m, target).subsets),
         "value": format_rational(result.value),
-        "pivots": pivots(solve),
+        "pivots": calls(pinkey.simplex, "_pivot", solve),
         **timing,
     }
 
@@ -453,7 +465,7 @@ def floor_row(cases, repeat: int) -> dict:
         "capacities": [format_rational(capacity) for capacity, _, _ in triples],
         "bounds": [format_rational(bound) for _, bound, _ in triples],
         "certified": sum(certified for _, _, certified in triples),
-        "pivots": pivots(solve_all),
+        "pivots": calls(pinkey.simplex, "_pivot", solve_all),
         **timing,
     }
 
@@ -666,7 +678,7 @@ def describe(row: dict) -> str:
         return f"{row['row']:<25} {row['limit']}"
     if family == "spanning":
         text = (f"|E| = {row['edges']:>5}  trees {row['trees']:>4}  "
-                f"groups {row['groups']:>4}")
+                f"groups {row['groups']:>4}  searches {row['searches']:>4}")
         if "graphs" in row:
             text = f"graphs {row['graphs']:>3}  {text}"
     elif family == "paths":

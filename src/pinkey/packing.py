@@ -15,18 +15,19 @@ Three packing routes, each certified by an independent count:
   packing b trees certifies it; the union stops once b is out of reach,
   and only then is k taken from the partition-count formula.  The k
   forests are kept as runs of shifted copies of one forest, which become
-  the (tree, copies) groups; two runs join when their forests' copy
-  numbers, less their runs' starts, agree pair by pair.  Each forest is a
-  set of parent pointers, so "does this forest join u and v" is two root
-  climbs and a forest path is two climbs toward the root.  Pairs are
-  inserted in canonical order: the least run that separates a pair takes
-  as many of its copies as it has members, and only a copy that no run
-  separates runs the exchange search, which asks each distinct forest
-  pair set once per labeled pair.  A search that ends in one swap places
-  the next copies too, each by that swap shifted into the next members of
-  both runs it touched.  Forest components only merge, so each vertex
-  pair keeps, for the whole packing, the least forest that may still
-  separate it.  The work k·|E| is capped by ``SPANNING_WORK_CAP``;
+  the (tree, copies) groups.  Each forest holds vertex pairs as parent
+  pointers, so "does this forest join u and v" is two root climbs and a
+  forest path is two climbs toward the root; its one copy-number map,
+  counted from its run's start, lets a split copy it as it is, and two
+  runs join when those maps are equal.  Pairs are inserted in canonical
+  order: the least run that separates a pair takes as many of its copies
+  as it has members, and only a copy that no run separates runs the
+  exchange search, which asks the first forest of each run once per
+  labeled pair.  A search that ends in one swap places the next copies
+  too, each by that swap shifted into the next members of both runs it
+  touched.  Forest components only merge, so each vertex pair keeps, for
+  the whole packing, the least forest that may still separate it.  The
+  work k·|E| is capped by ``SPANNING_WORK_CAP``;
 * Steiner packings for intermediate target sets: exact by depth-first
   search over edge-disjoint minimal Steiner trees, listed by attaching one
   path per target terminal, pruned by the partition bound on the
@@ -346,55 +347,45 @@ def max_disjoint_paths(graph: Multigraph, s: int, t: int) -> TreePacking:
 
 
 class _Forest:
-    """Mutable forest on 1..m: parent[v] = (next vertex toward v's root, edge).
+    """Mutable forest on 1..m: parent[v] = (next vertex toward v's root, pair).
     A forest holds at most one edge per pair; ``rel`` maps each pair to its
-    edge's copy number minus the forest's place in the packing, the index
-    ``add`` is given, so its keys are the forest's pair set.  ``pairs``
-    keeps that set as a frozenset from its first read until the next add or
-    remove, and a shifted copy shares it."""
+    edge's copy number counted from the start of the forest's run, so its
+    keys are the forest's pair set and it is the one place that holds a
+    copy number."""
 
-    __slots__ = ("parent", "rel", "_pairs")
+    __slots__ = ("parent", "rel")
 
     def __init__(self) -> None:
-        self.parent: dict[int, tuple[int, EdgeRef]] = {}
+        self.parent: dict[int, tuple[int, Pair]] = {}
         self.rel: dict[Pair, int] = {}
-        self._pairs: frozenset[Pair] | None = None
 
-    def pairs(self) -> frozenset[Pair]:
-        """The forest's pair set, the keys of ``rel``."""
-        if self._pairs is None:
-            self._pairs = frozenset(self.rel)
-        return self._pairs
+    def copy(self) -> _Forest:
+        twin = _Forest()
+        twin.parent = self.parent.copy()
+        twin.rel = self.rel.copy()
+        return twin
 
-    def edges(self) -> list[EdgeRef]:
-        return [edge for _, edge in self.parent.values()]
+    def edges(self, index: int) -> list[EdgeRef]:
+        """The edges of the run member at place ``index`` of the packing."""
+        return [(i, j, rel + index) for (i, j), rel in self.rel.items()]
 
-    def shifted(self, by: int) -> _Forest:
-        """A copy ``by`` places later with every edge's copy number raised by
-        ``by``, so with the same ``rel``."""
-        copy = _Forest()
-        copy.parent = {v: (up, (i, j, c + by)) for v, (up, (i, j, c)) in self.parent.items()}
-        copy.rel = self.rel.copy()
-        copy._pairs = self._pairs
-        return copy
-
-    def path_edges(self, u: int, v: int) -> list[EdgeRef] | None:
-        """Edges of the unique u-v path from v's end, or None if disconnected."""
+    def path(self, u: int, v: int) -> list[Pair] | None:
+        """Pairs of the unique u-v path from v's end, or None if disconnected."""
         parent = self.parent
         depth = {u: 0}
         climb = []
         x = u
         while x in parent:
-            x, edge = parent[x]
-            climb.append(edge)
+            x, pair = parent[x]
+            climb.append(pair)
             depth[x] = len(climb)
         path = []
         x = v
         while x not in depth:
             if x not in parent:
                 return None
-            x, edge = parent[x]
-            path.append(edge)
+            x, pair = parent[x]
+            path.append(pair)
         path.extend(reversed(climb[:depth[x]]))
         return path
 
@@ -407,13 +398,12 @@ class _Forest:
             v = parent[v][0]
         return u == v
 
-    def add(self, edge: EdgeRef, index: int) -> None:
-        i, j = edge[0], edge[1]
+    def add(self, pair: Pair, rel: int) -> None:
+        i, j = pair
         if self.joins(i, j):
-            raise AssertionError(f"adding {edge} would close a cycle")
-        self.rel[(i, j)] = edge[2] - index
-        self._pairs = None
-        x, link = i, (j, edge)  # re-root i's tree at i, then hang i below j
+            raise AssertionError(f"adding {pair} would close a cycle")
+        self.rel[pair] = rel
+        x, link = i, (j, pair)  # re-root i's tree at i, then hang i below j
         while True:
             up = self.parent.get(x)
             self.parent[x] = link
@@ -422,14 +412,13 @@ class _Forest:
             link = (x, up[1])
             x = up[0]
 
-    def remove(self, edge: EdgeRef) -> None:
-        for child in edge[:2]:
-            if child in self.parent and self.parent[child][1] == edge:
+    def remove(self, pair: Pair) -> None:
+        for child in pair:
+            if child in self.parent and self.parent[child][1] == pair:
                 del self.parent[child]
-                del self.rel[edge[:2]]
-                self._pairs = None
+                del self.rel[pair]
                 return
-        raise AssertionError(f"edge {edge} is not in this forest")
+        raise AssertionError(f"pair {pair} is not in this forest")
 
 
 class _ForestRuns:
@@ -442,12 +431,12 @@ class _ForestRuns:
     a run that continues the shift of the run before it joins it, so the
     runs stay maximal and few.  Forest indices name the same forests
     throughout; only the runs that hold them change.  The ``rel`` of each
-    ``forests[r]`` counts copy numbers from ``starts[r]``: an add passes
-    that start, a split shifts the new forest by the gap to its new start
-    and a join drops the later run's, so a run continues the shift of the
-    run before it exactly when the two forests' ``rel`` maps are equal.
+    ``forests[r]`` counts copy numbers from ``starts[r]``, so a split gives
+    the new run a plain copy of the forest, a join drops the later run's,
+    and a run continues the shift of the run before it exactly when the
+    two forests' ``rel`` maps are equal.
 
-    Four facts keep the forest queries few:
+    Three facts keep the forest queries few:
 
     * A forest's components only merge.  A direct add joins two of them.
       A swap puts in an edge whose endpoints the forest already joins and
@@ -459,9 +448,6 @@ class _ForestRuns:
       so one ``joins`` answers for the run, and a direct fit of c parallel
       copies puts copy t into member t of the least separating run, as one
       copy at a time would: each member then joins the pair, the next not.
-    * An exchange search labels vertex pairs.  A forest whose pair set
-      equals an earlier forest's has the same path, as pairs, so it labels
-      nothing new and is asked only once per dequeued edge.
     * One swap places a run of copies.  Say the search for edge e, of
       pair u-v, labels y straight from e in h, the first member of run H,
       and T is the least run that separates y's pair.  For every t < L =
@@ -473,10 +459,9 @@ class _ForestRuns:
       and H's changed members have the pair u-v as their whole path, so
       they label nothing new.  Hence the same pairs are labeled in the same
       order, still none separated by any run (components only merge), and
-      y's pair is first labeled in member h + t.  Its pair set S_H is no
-      earlier member's: not S_H - y + e of H's changed members, nor that
-      of T's, whose u-v path misses y.  T's changed members join y's pair
-      and member T + t does not, so y + t goes there.
+      y's pair is first labeled in member h + t, which holds it as y + t.
+      T's changed members join y's pair and member T + t does not, so
+      y + t goes there.
     """
 
     __slots__ = ("forests", "starts", "open_from")
@@ -490,7 +475,7 @@ class _ForestRuns:
         """Make the first n > 0 members of run r a run of their own."""
         start, end = self.starts[r], self.starts[r + 1]
         if start + n < end:
-            self.forests.insert(r + 1, self.forests[r].shifted(n))
+            self.forests.insert(r + 1, self.forests[r].copy())
             self.starts.insert(r + 1, start + n)
 
     def open_run(self, pair: Pair) -> int | None:
@@ -515,7 +500,7 @@ class _ForestRuns:
         else:
             placed = min(most, self.starts[r + 1] - self.starts[r])
             self.split(r, placed)
-            self.forests[r].add(edge, self.starts[r])
+            self.forests[r].add(edge[:2], edge[2] - self.starts[r])
         self._merge()
         return placed
 
@@ -534,62 +519,60 @@ class _ForestRuns:
     def _augment(self, new_edge: EdgeRef, most: int) -> int:
         """Insert an edge that no forest separates via exchange chains, with
         up to ``most`` - 1 of the next copies of its pair when one swap
-        places them all (the fourth fact); returns how many went in, 0 when
+        places them all (the third fact); returns how many went in, 0 when
         the edge lies in the span of every forest (a full clump).
 
-        Breadth-first labeling over forest edges: a dequeued edge x labels
-        the edges on its path in each forest, in forest order; the search
-        succeeds at the first labeled edge, in FIFO order, that some forest
-        separates, which goes into the least such forest, and the swaps are
-        unwound back to the new edge.  Forests do not change during the search, so each edge
-        is checked when it is labeled.  Only the first labeled edge of a
-        vertex pair matters: a parallel copy has the same endpoints, hence
-        no separating forest either and the same path in every forest.
-        The first forest of each pair set is the first member of a run, so
-        a labeled edge and its labeling forest are those of that run.
+        Breadth-first labeling over vertex pairs: a dequeued pair x labels
+        the pairs on its path in the first member of each run, in run
+        order; a run's later members have its pair set, hence the same
+        path, and would label nothing new.  The search succeeds at the
+        first labeled pair, in FIFO order, that some run separates, which
+        goes into the least such run, and the swaps are unwound back to the
+        new edge.  Forests do not change during the search, so each pair
+        is checked when it is labeled.  Only the first labeled copy of a
+        pair matters: a parallel copy has the same endpoints, hence no
+        separating forest either and the same path in every forest.  Each
+        label keeps the pair's copy number in the forest that labeled it.
         """
-        shapes: dict[frozenset, tuple[int, _Forest]] = {}  # each pair set's first run
-        for start, forest in zip(self.starts, self.forests):
-            shapes.setdefault(forest.pairs(), (start, forest))
-        parent: dict[EdgeRef, tuple[EdgeRef, int] | None] = {new_edge: None}
-        labeled = {new_edge[:2]}  # vertex pairs
-        queue = deque([new_edge])
+        # pair -> (its copy number, the pair that labeled it, the labeling
+        # forest's index); the new edge has no label and its own copy
+        label: dict[Pair, tuple[int, Pair | None, int | None]] = {
+            new_edge[:2]: (new_edge[2], None, None)}
+        queue = deque([new_edge[:2]])
         while queue:
             x = queue.popleft()
-            for start, forest in shapes.values():
-                for y in forest.path_edges(x[0], x[1]):
-                    pair = y[:2]
-                    if pair not in labeled:
-                        labeled.add(pair)
-                        parent[y] = (x, start)
-                        target = self.open_run(pair)
+            for start, forest in zip(self.starts, self.forests):
+                for y in forest.path(*x):
+                    if y not in label:
+                        label[y] = (forest.rel[y] + start, x, start)
+                        target = self.open_run(y)
                         if target is not None:
-                            return self._unwind(parent, y, self.starts[target], most)
+                            return self._unwind(label, y, self.starts[target], most)
                         queue.append(y)
         return 0
 
     def _unwind(
         self,
-        parent: Mapping[EdgeRef, tuple[EdgeRef, int] | None],
-        current: EdgeRef,
+        label: Mapping[Pair, tuple[int, Pair | None, int | None]],
+        current: Pair,
         index: int,
         most: int,
     ) -> int:
-        """Put current into forest index, then swap each labeled edge into
+        """Put current into forest index, then move each labeled pair into
         the forest that labeled it, in place of its label, back to the new
-        edge; returns how many copies went in.  Each forest changed is the
-        first member of its run (no run changes during the search).  A
-        chain of one swap is made in the first L members of both runs at
-        once, L = min(``most``, both run lengths), by changing their first
-        forest once it is split off at L; a longer chain, in the first
-        member alone."""
-        moves = [(index, None, current)]  # (forest, edge out, edge in)
-        entry = parent[current]
-        while entry is not None:
-            prev_edge, holder = entry
-            moves.append((holder, current, prev_edge))
-            current = prev_edge
-            entry = parent[current]
+        edge; returns how many copies went in.  Each pair goes in with the
+        copy number its label keeps, the one it had in the forest that
+        labeled it.  Each forest changed is the first member of its run (no
+        run changes during the search).  A chain of one swap is made in the
+        first L members of both runs at once, L = min(``most``, both run
+        lengths), by changing their first forest once it is split off at L;
+        a longer chain, in the first member alone."""
+        moves = [(index, None, current)]  # (forest, pair out, pair in)
+        _, prev, holder = label[current]
+        while prev is not None:
+            moves.append((holder, current, prev))
+            current = prev
+            _, prev, holder = label[current]
         starts = self.starts
         width = 1
         if len(moves) == 2:  # each forest index starts its run
@@ -603,12 +586,12 @@ class _ForestRuns:
         for forest_index, out, into in moves:
             if out is not None:
                 changed[forest_index].remove(out)
-            changed[forest_index].add(into, forest_index)
+            changed[forest_index].add(into, label[into][0] - forest_index)
         return width
 
     def groups(self) -> tuple[tuple[Tree, int], ...]:
         """One (tree, copies) group per run."""
-        return tuple((Tree(tuple(forest.edges())), end - start) for forest, start, end
+        return tuple((Tree(tuple(forest.edges(start))), end - start) for forest, start, end
                      in zip(self.forests, self.starts, self.starts[1:]))
 
 

@@ -290,38 +290,40 @@ class TestForest:
             held = reference.edges()
             if held and rng.random() < 0.3:
                 edge = rng.choice(held)
-                forest.remove(edge)
+                forest.remove(edge[:2])
                 reference.remove(edge)
             else:
                 i, j = sorted(rng.sample(range(1, m + 1), 2))
                 edge = (i, j, rng.randint(0, 2))
                 if reference.path_edges(i, j) is not None:
                     with pytest.raises(AssertionError, match="close a cycle"):
-                        forest.add(edge, index)
+                        forest.add((i, j), edge[2] - index)
                     continue
-                forest.add(edge, index)
+                forest.add((i, j), edge[2] - index)
                 reference.add(edge)
-            assert sorted(forest.edges()) == sorted(reference.edges())
+            assert sorted(forest.edges(index)) == sorted(reference.edges())
             assert forest.rel == {(i, j): c - index for i, j, c in reference.edges()}
-            # the pair-set key follows every add and remove, and a shift shares it
-            assert forest.pairs() == {(i, j) for i, j, _ in reference.edges()}
-            moved = forest.shifted(3)
-            assert moved.rel == forest.rel
-            assert moved.pairs() is forest.pairs()
-            assert sorted(moved.edges()) == sorted(
-                (i, j, c + 3) for i, j, c in reference.edges())
+            # a copy equals the forest and shares no map with it
+            twin = forest.copy()
+            assert (twin.parent, twin.rel) == (forest.parent, forest.rel)
+            assert twin.parent is not forest.parent and twin.rel is not forest.rel
             for u, v in itertools.permutations(range(1, m + 1), 2):
                 path = reference.path_edges(u, v)
-                assert forest.path_edges(u, v) == path
+                assert forest.path(u, v) == (
+                    None if path is None else [(a, b) for a, b, _ in path])
                 assert forest.joins(u, v) == (path is not None)
+            if forest.rel:
+                pair = next(iter(forest.rel))
+                twin.remove(pair)
+                assert pair in forest.rel and forest.joins(*pair)
 
     def test_remove_rejects_an_absent_edge(self):
         forest = _Forest()
-        forest.add((1, 2, 0), 0)
+        forest.add((1, 2), 0)
         with pytest.raises(AssertionError, match="not in this forest"):
-            forest.remove((1, 2, 1))
+            forest.remove((2, 3))
         with pytest.raises(AssertionError, match="not in this forest"):
-            forest.remove((2, 3, 0))
+            forest.remove((1, 3))
 
 
 class TestPackingType:
@@ -736,23 +738,17 @@ class TestSpanningPacking:
     def test_runs_stay_maximal_after_every_insert(self, graph, monkeypatch):
         # after each insert, no two neighbouring runs may continue one
         # shift, checked on the edges themselves rather than by _merge's
-        # rel comparison; each run's rel counts copy numbers from its start,
-        # which that comparison relies on
+        # rel comparison
         insert = _ForestRuns.insert
         inserts = []
 
         def checked(runs, edge, most):
             placed = insert(runs, edge, most)
             forests, starts = runs.forests, runs.starts
-            for r in range(len(forests)):
-                assert forests[r].rel == {
-                    (i, j): c - starts[r] for i, j, c in forests[r].edges()}
-                # a kept pair-set key is never stale
-                assert forests[r].pairs() == forests[r].rel.keys()
             for r in range(1, len(forests)):
                 by = starts[r] - starts[r - 1]
-                assert set(forests[r].edges()) != {
-                    (i, j, c + by) for i, j, c in forests[r - 1].edges()}
+                assert set(forests[r].edges(starts[r])) != {
+                    (i, j, c + by) for i, j, c in forests[r - 1].edges(starts[r - 1])}
             inserts.append(placed)
             return placed
 
@@ -762,17 +758,18 @@ class TestSpanningPacking:
         assert tuple(packing.trees) == tuple(reference_spanning_packing(graph).trees)
 
     def test_work_follows_forest_shapes(self, monkeypatch):
-        # the 9-terminal graph has k = 490 trees with few distinct pair
-        # sets; one forest per tree made 799,666 path queries here
+        # the 9-terminal graph has k = 490 trees in few runs; the search
+        # asks each run's first forest and made 51,145 path queries here,
+        # one forest per tree 799,666
         graph = ladder_graph("found9")
         calls = []
-        path_edges = _Forest.path_edges
+        path = _Forest.path
 
         def counted(forest, u, v):
             calls.append(None)
-            return path_edges(forest, u, v)
+            return path(forest, u, v)
 
-        monkeypatch.setattr(_Forest, "path_edges", counted)
+        monkeypatch.setattr(_Forest, "path", counted)
         packing = spanning_packing(graph)
         assert packing.count == 490
         assert len(calls) <= 80_000

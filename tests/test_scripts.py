@@ -62,6 +62,12 @@ def test_ladder_writes_a_bench_file(tmp_path):
         "cli/text_simulate", "cli/structured_simulate"]
     assert rows["spanning/K4x300"]["trees"] == 600
     assert rows["spanning/K4x300"]["groups"] == 2
+    # every spanning row counts its exchange searches beside its times
+    spanning = [row for name, row in rows.items() if name.startswith("spanning/")]
+    assert len(spanning) == 10
+    assert all(type(row["searches"]) is int and row["searches"] >= 0 for row in spanning)
+    # one search per shifted run of copies
+    assert (rows["spanning/K4x300"]["searches"], rows["spanning/K6x210"]["searches"]) == (1, 3)
     # the degree bound says 54 trees, the bridge allows 1
     assert (rows["spanning/bridge_K6x20"]["edges"], rows["spanning/bridge_K6x20"]["trees"]) == (
         601, 1)
